@@ -274,8 +274,11 @@ func (s Spec) String() string {
 	return strings.Join(parts, ",")
 }
 
+// durStr renders a parsed duration. Rounding to the nearest nanosecond
+// undoes the float scaling of parseDur: 65µs is 6.5e-5 s, whose product
+// with 1e9 lands just below 65000 and would truncate to 64.999µs.
 func durStr(seconds float64) string {
-	return time.Duration(seconds * float64(time.Second)).String()
+	return time.Duration(math.Round(seconds * float64(time.Second))).String()
 }
 
 // Plan is a compiled spec bound to a seed: the object the simulation
