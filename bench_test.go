@@ -305,10 +305,10 @@ func BenchmarkFleetStudyPoint(b *testing.B) {
 
 // BenchmarkParallelFleetScaling runs the same fleet point on the partitioned
 // engine at 1, 2, 4 and 8 host workers. sim-Mlookups/s is simulated key
-// lookups completed per host-second — the tentpole's sim-speed metric; on a
-// multicore host it scales with the worker count (the artifacts stay
-// byte-identical, pinned by TestParallelDESBitIdentical), while on a
-// single-core host it exposes the window-synchronization overhead.
+// lookups completed per host-second; on a multicore host it scales with the
+// worker count (the artifacts stay byte-identical, pinned by the fleet and
+// overload golden tests), while on a single-core host it exposes the
+// window-synchronization overhead.
 func BenchmarkParallelFleetScaling(b *testing.B) {
 	opts := experiments.FleetOptions{
 		KVSOptions: experiments.KVSOptions{

@@ -70,7 +70,7 @@ func main() {
 		seed       = flag.Int64("seed", 7, "random seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		parallel   = flag.Int("parallel", 0, "sweep workers fanning configurations out (0 = all cores, 1 = sequential); output is identical at every setting")
-		simWorkers = flag.Int("simworkers", 0, "fleet/overload: host workers advancing one simulation's server partitions in parallel (0 = serial engine); output is identical at every setting >= 1")
+		simWorkers = flag.Int("simworkers", 1, "fleet/overload: host workers advancing one simulation's partitions in parallel (1 = serial); output is identical at every setting")
 		sstats     = flag.Bool("sweepstats", false, "print per-job sweep timing to stderr after each experiment")
 
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file (virtual time = DES clock)")

@@ -87,7 +87,7 @@ func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error)
 		faultProbe = col.FaultProbe()
 	}
 
-	pd, sim, fabric := fleetSim(nservers, o.SimWorkers, col, plan, faultProbe, o.Heartbeat)
+	pd, fabric := fleetSim(nservers, o.SimWorkers, col, plan, o.Heartbeat)
 
 	repl := o.Replication
 	if repl > nservers {
@@ -109,24 +109,18 @@ func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error)
 		if err != nil {
 			return memslap.FleetResults{}, err
 		}
-		servers[i] = kvs.NewServer(serverSim(pd, sim, i), arch.SkylakeClusterB(), o.Workers, 256, idx, store)
+		servers[i] = kvs.NewServer(pd.Sim(i+1), arch.SkylakeClusterB(), o.Workers, 256, idx, store)
 		servers[i].Faults = plan.ForServer(i)
-		if pd != nil {
-			// Per-server scopes: crash-drop instants and batch spans are
-			// emitted from the server's partition, so each server needs its
-			// own single-writer probe instances (the serial path shares one
-			// probe across servers — same sim, one writer).
-			sc := col.Scope("server", fmt.Sprintf("s%d", i))
-			if plan != nil {
-				servers[i].FaultProbe = sc.FaultProbe()
-			}
-			servers[i].Probe = sc.ServerProbe()
-		} else {
-			servers[i].FaultProbe = faultProbe
-			servers[i].Probe = col.ServerProbe()
+		// Per-server scopes: crash-drop instants, pressure bursts and batch
+		// spans are emitted from the server's partition, so each server
+		// needs its own single-writer probe instances.
+		sc := col.Scope("server", fmt.Sprintf("s%d", i))
+		if plan != nil {
+			servers[i].FaultProbe = sc.FaultProbe()
 		}
+		servers[i].Probe = sc.ServerProbe()
 	}
-	fleet, err := memslap.NewFleet(sim, fabric, servers, repl)
+	fleet, err := memslap.NewFleet(pd.Sim(0), fabric, servers, repl)
 	if err != nil {
 		return memslap.FleetResults{}, err
 	}

@@ -34,16 +34,14 @@ type KVSOptions struct {
 	// setting.
 	Parallel int
 
-	// SimWorkers, when positive, runs each fleet-scale simulation on the
-	// partitioned engine (internal/des.Partitioned): clients and coordinator
-	// on partition 0, one partition per server, advanced by SimWorkers host
-	// goroutines under conservative lookahead windows. The partition count is
-	// fixed by the fleet size, so artifacts are byte-identical at every
-	// SimWorkers value (1, 2, 8, ...) — only wall-clock changes. 0 (the
-	// default) keeps the legacy single-goroutine engine, whose event
-	// interleaving — and therefore goldens — differ slightly from the
-	// partitioned mode's message-based control plane. Composes with Parallel:
-	// each sweep job gets its own engine and worker set.
+	// SimWorkers is the host goroutine count advancing each fleet-scale
+	// simulation. Fleets always run on the partitioned engine
+	// (internal/des.Partitioned): clients and coordinator on partition 0,
+	// one partition per server, under conservative lookahead windows. The
+	// partition count is fixed by the fleet size, so artifacts are
+	// byte-identical at every SimWorkers value — only wall-clock changes.
+	// ≤ 0 means one worker. Composes with Parallel: each sweep job gets its
+	// own engine and worker set.
 	SimWorkers int
 
 	// OnSweep, when non-nil, observes sweep timing stats (CLI -sweepstats).

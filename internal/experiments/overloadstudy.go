@@ -158,7 +158,7 @@ func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clien
 		overloadProbe = col.OverloadProbe()
 	}
 
-	pd, sim, fabric := fleetSim(o.Servers, o.SimWorkers, col, plan, faultProbe, o.Heartbeat)
+	pd, fabric := fleetSim(o.Servers, o.SimWorkers, col, plan, o.Heartbeat)
 
 	servers := make([]*kvs.Server, o.Servers)
 	for i := range servers {
@@ -173,24 +173,19 @@ func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clien
 		if err != nil {
 			return memslap.FleetResults{}, err
 		}
-		servers[i] = kvs.NewServer(serverSim(pd, sim, i), arch.SkylakeClusterB(), o.Workers, 256, idx, store)
+		servers[i] = kvs.NewServer(pd.Sim(i+1), arch.SkylakeClusterB(), o.Workers, 256, idx, store)
 		servers[i].Faults = plan.ForServer(i)
 		// OverloadProbe is shared across partitions on purpose: it emits
 		// only atomic counter increments and a CAS max gauge — commutative,
 		// race-free, and byte-identical at any worker count.
 		servers[i].OverloadProbe = overloadProbe
-		if pd != nil {
-			sc := col.Scope("server", fmt.Sprintf("s%d", i))
-			if plan != nil {
-				servers[i].FaultProbe = sc.FaultProbe()
-			}
-			servers[i].Probe = sc.ServerProbe()
-		} else {
-			servers[i].FaultProbe = faultProbe
-			servers[i].Probe = col.ServerProbe()
+		sc := col.Scope("server", fmt.Sprintf("s%d", i))
+		if plan != nil {
+			servers[i].FaultProbe = sc.FaultProbe()
 		}
+		servers[i].Probe = sc.ServerProbe()
 	}
-	fleet, err := memslap.NewFleet(sim, fabric, servers, o.Replication)
+	fleet, err := memslap.NewFleet(pd.Sim(0), fabric, servers, o.Replication)
 	if err != nil {
 		return memslap.FleetResults{}, err
 	}

@@ -9,14 +9,12 @@ import (
 	"simdhtbench/internal/obs"
 )
 
-// fleetSim builds the simulation substrate for one fleet-scale point. With
-// simWorkers == 0 it is the legacy serial setup: one Sim, one fabric, the
-// scope's probes and the fault plan attached directly. With simWorkers > 0
-// it builds the partitioned engine — nservers+1 partitions (clients and
-// coordinator on partition 0, server i on partition i+1), advanced by
-// simWorkers host goroutines with lookahead = the fabric's small-message
-// latency — and wires the per-partition state that keeps artifacts
-// byte-identical at any worker count:
+// fleetSim builds the partitioned simulation substrate for one fleet-scale
+// point: nservers+1 partitions (clients and coordinator on partition 0,
+// server i on partition i+1), advanced by simWorkers host goroutines (≤ 0
+// means one) with lookahead = the fabric's small-message latency. It wires
+// the per-partition state that keeps artifacts byte-identical at any worker
+// count:
 //
 //   - each partition gets its own SimProbe and NetProbe under a "part" scope
 //     (the des_now_seconds gauge is last-write-wins and the net profiler
@@ -25,23 +23,12 @@ import (
 //     ForPartition), so message-fault draws follow the partition's own
 //     deterministic send order instead of a shared RNG.
 //
-// The returned sim is partition 0's; pd is nil in serial mode.
-func fleetSim(nservers, simWorkers int, col *obs.Collector, plan *fault.Plan, faultProbe obs.FaultProbe, hb *obs.Heartbeat) (*des.Partitioned, *des.Sim, *netsim.Fabric) {
+// Server i runs on pd.Sim(i+1); the fleet's own sim is pd.Sim(0).
+func fleetSim(nservers, simWorkers int, col *obs.Collector, plan *fault.Plan, hb *obs.Heartbeat) (*des.Partitioned, *netsim.Fabric) {
 	cfg := netsim.EDR()
-	if simWorkers <= 0 {
-		sim := des.New()
-		sim.Probe = col.SimProbe()
-		sim.Heartbeat = hb
-		fabric := netsim.New(sim, cfg)
-		fabric.Probe = col.NetProbe()
-		fabric.Faults = plan
-		fabric.FaultProbe = faultProbe
-		return nil, sim, fabric
-	}
 	pd := des.NewPartitioned(nservers+1, simWorkers, cfg.SmallMessageLatency())
-	sim := pd.Sim(0)
-	sim.Heartbeat = hb // stderr-only liveness; one partition at most
-	fabric := netsim.New(sim, cfg)
+	pd.Sim(0).Heartbeat = hb // stderr-only liveness; one partition at most
+	fabric := netsim.New(pd.Sim(0), cfg)
 	fabric.Partition(pd)
 	for p := 0; p < pd.Parts(); p++ {
 		pc := col.Scope("part", fmt.Sprintf("p%d", p))
@@ -51,14 +38,5 @@ func fleetSim(nservers, simWorkers int, col *obs.Collector, plan *fault.Plan, fa
 			fabric.SetPartitionFaults(p, plan.ForPartition(p), pc.FaultProbe())
 		}
 	}
-	return pd, sim, fabric
-}
-
-// serverSim returns the Sim server i must run on: its own partition in
-// partitioned mode, the shared serial Sim otherwise.
-func serverSim(pd *des.Partitioned, sim *des.Sim, i int) *des.Sim {
-	if pd == nil {
-		return sim
-	}
-	return pd.Sim(i + 1)
+	return pd, fabric
 }

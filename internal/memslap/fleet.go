@@ -30,24 +30,27 @@ const (
 	// (a 64-item transfer batch costs ~6 events, so 8 per key is generous).
 	eventBudgetPerMovedKey = 8
 
-	// Partitioned-mode control-plane frames: wipe/transfer/repair commands
-	// from the coordinator and completions back to it, plus a per-key
-	// reference in transfer commands. These messages replace the direct
-	// cross-server state access the serial path performs — in partitioned
-	// mode the coordinator may not touch a server's store, so intent travels
-	// over the fabric like everything else.
+	// Control-plane frames: wipe/transfer/repair commands from the
+	// coordinator and completions back to it, plus a per-key reference in
+	// transfer commands. The coordinator may not touch a server's store, so
+	// intent travels over the fabric like everything else.
 	ctrlMsgBytes    = 32
 	ctrlKeyRefBytes = 8
 )
 
-// Fleet is a replicated KVS cluster on one simulation: N servers behind a
-// consistent-hash ring with R-way replica sets, membership epochs
-// (Join/Leave → rebalance storms charged through the engines and fabric),
-// quorum writes and read-repair. The zero-fault, replication=1 fleet is
-// event-for-event the legacy RunCluster pipeline — the differential tests
-// pin that equivalence bitwise.
+// Fleet is a replicated KVS cluster on one partitioned simulation: N
+// servers behind a consistent-hash ring with R-way replica sets, membership
+// epochs (Join/Leave → rebalance storms charged through the engines and
+// fabric), quorum writes and read-repair. Client loops, the ring
+// coordinator and all fleet counters live on partition 0 (Sim, ctrlEP);
+// server i runs on partition i+1. Coordinator-to-server state changes
+// (wipe, rebalance transfers, read-repair) travel as control messages, so
+// every partition only ever touches its own state and results are
+// byte-identical at any host worker count. The zero-fault, replication=1
+// fleet is event-for-event the legacy RunCluster pipeline — the
+// differential tests pin that equivalence bitwise.
 type Fleet struct {
-	Sim         *des.Sim
+	Sim         *des.Sim // partition 0: clients and coordinator
 	Fabric      *netsim.Fabric
 	Servers     []*kvs.Server // indexed by server id; ring members ⊆ [0, len)
 	Ring        *kvs.Ring
@@ -58,11 +61,6 @@ type Fleet struct {
 	// failovers, repairs and quorum writes (obs layer).
 	Probe obs.FleetProbe
 
-	// Partitioned mode (non-nil pd): client loops, the ring coordinator and
-	// all fleet counters live on partition 0 (ctrlEP); server i runs on
-	// partition i+1. Coordinator-to-server state changes (wipe, rebalance
-	// transfers, read-repair) travel as control messages instead of direct
-	// calls, so every partition only ever touches its own state.
 	pd     *des.Partitioned
 	ctrlEP *netsim.Endpoint
 
@@ -93,7 +91,9 @@ type repairKey struct {
 }
 
 // NewFleet builds a fleet of the given servers with R-way replication on a
-// fresh epoch-0 ring.
+// fresh epoch-0 ring. The fabric must be partitioned (netsim.Fabric.
+// Partition) on an engine with one partition for the clients and
+// coordinator (sim) plus one per server.
 func NewFleet(sim *des.Sim, fabric *netsim.Fabric, servers []*kvs.Server, replication int) (*Fleet, error) {
 	if len(servers) == 0 {
 		return nil, &ConfigError{Field: "servers", Reason: "fleet needs at least one server"}
@@ -109,29 +109,24 @@ func NewFleet(sim *des.Sim, fabric *netsim.Fabric, servers []*kvs.Server, replic
 	if err != nil {
 		return nil, err
 	}
-	eps := make([]*netsim.Endpoint, len(servers))
 	pd := fabric.PartitionedEngine()
-	var ctrl *netsim.Endpoint
-	if pd != nil {
-		if pd.Parts() != len(servers)+1 {
-			return nil, &ConfigError{Field: "partitions",
-				Reason: fmt.Sprintf("engine has %d partitions, fleet needs %d (clients + one per server)", pd.Parts(), len(servers)+1)}
+	if pd == nil {
+		return nil, &ConfigError{Field: "fabric", Reason: "fleet needs a partitioned fabric (netsim.Fabric.Partition)"}
+	}
+	if pd.Parts() != len(servers)+1 {
+		return nil, &ConfigError{Field: "partitions",
+			Reason: fmt.Sprintf("engine has %d partitions, fleet needs %d (clients + one per server)", pd.Parts(), len(servers)+1)}
+	}
+	if sim != pd.Sim(0) {
+		return nil, &ConfigError{Field: "sim", Reason: "fleet sim must be the engine's partition 0 (the client/coordinator partition)"}
+	}
+	eps := make([]*netsim.Endpoint, len(servers))
+	for i, srv := range servers {
+		if srv.Sim != pd.Sim(i+1) {
+			return nil, &ConfigError{Field: "servers",
+				Reason: fmt.Sprintf("server %d must run on the engine's partition %d", i, i+1)}
 		}
-		if sim != pd.Sim(0) {
-			return nil, &ConfigError{Field: "sim", Reason: "fleet sim must be the engine's partition 0 (the client/coordinator partition)"}
-		}
-		for i, srv := range servers {
-			if srv.Sim != pd.Sim(i+1) {
-				return nil, &ConfigError{Field: "servers",
-					Reason: fmt.Sprintf("server %d must run on the engine's partition %d", i, i+1)}
-			}
-			eps[i] = fabric.EndpointAt(fmt.Sprintf("server-%d", i), i+1)
-		}
-		ctrl = fabric.EndpointAt("coordinator", 0)
-	} else {
-		for i := range eps {
-			eps[i] = fabric.Endpoint(fmt.Sprintf("server-%d", i))
-		}
+		eps[i] = fabric.EndpointAt(fmt.Sprintf("server-%d", i), i+1)
 	}
 	return &Fleet{
 		Sim:         sim,
@@ -140,7 +135,7 @@ func NewFleet(sim *des.Sim, fabric *netsim.Fabric, servers []*kvs.Server, replic
 		Ring:        ring,
 		Replication: replication,
 		pd:          pd,
-		ctrlEP:      ctrl,
+		ctrlEP:      fabric.EndpointAt("coordinator", 0),
 		serverEPs:   eps,
 		expected:    make(map[string][]byte),
 		repairing:   make(map[repairKey]bool),
@@ -182,21 +177,16 @@ func (f *Fleet) Leave(id int) error {
 	if err != nil {
 		return err
 	}
-	if f.pd != nil {
-		// The coordinator may not wipe a remote store directly; the kill
-		// travels as a control message to the server's own partition.
-		wiped := false
-		f.ctrlEP.Send(f.serverEPs[id], ctrlMsgBytes, func() {
-			if wiped {
-				return // duplicate delivery
-			}
-			wiped = true
-			f.Servers[id].Wipe()
-		})
-		f.advanceRingPartitioned(nr, id, false)
-		return nil
-	}
-	f.Servers[id].Wipe()
+	// The coordinator may not wipe a remote store directly; the kill travels
+	// as a control message to the server's own partition.
+	wiped := false
+	f.ctrlEP.Send(f.serverEPs[id], ctrlMsgBytes, func() {
+		if wiped {
+			return // duplicate delivery
+		}
+		wiped = true
+		f.Servers[id].Wipe()
+	})
 	f.advanceRing(nr, id, false)
 	return nil
 }
@@ -212,118 +202,24 @@ func (f *Fleet) Join(id int) error {
 	if err != nil {
 		return err
 	}
-	if f.pd != nil {
-		f.advanceRingPartitioned(nr, id, true)
-		return nil
-	}
 	f.advanceRing(nr, id, true)
 	return nil
 }
 
 // advanceRing installs the new epoch and ships the ownership transfers it
 // implies: for every key whose replica set gained a server, a surviving
-// replica streams the item to the new owner in rebalanceBatchItems-sized
-// messages, each applied through the destination's charged HandleReplicate.
-// Transfers compete with foreground traffic for NICs and workers — nothing
-// is teleported. A key with no live donor is counted lost (with R=1 a
-// wiped server's data is simply gone until rewritten).
+// replica streams the item to the new owner. The coordinator cannot read
+// donor stores, so it picks donors from ring membership alone, counts the
+// moves optimistically, and ships each (src, dst) group as a control
+// message to the source server. The source resolves its local store,
+// streams what it has in rebalanceBatchItems-sized messages through the
+// destination's charged HandleReplicate, and reports back how many keys
+// were missing; the coordinator then corrects KeysMoved/KeysLost and fires
+// RebalanceDone when the last group completes. Transfers compete with
+// foreground traffic for NICs and workers — nothing is teleported. A key
+// with no live donor is counted lost (with R=1 a wiped server's data is
+// simply gone until rewritten).
 func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
-	old := f.Ring
-	f.Ring = nr
-	f.Epochs++
-
-	type transferGroup struct {
-		src, dst int
-		items    []kvs.ReplicaItem
-	}
-	var groups []*transferGroup
-	groupIdx := make(map[[2]int]*transferGroup)
-	moved, lost := 0, 0
-	for _, key := range f.keys {
-		oldSet := old.ReplicaOwners(key, f.Replication, f.ownA)
-		newSet := nr.ReplicaOwners(key, f.Replication, f.ownB)
-		for _, d := range newSet {
-			if containsInt(oldSet, d) {
-				continue
-			}
-			src := -1
-			for _, s := range oldSet {
-				if s == d || !nr.HasMember(s) {
-					continue
-				}
-				if _, ok := f.Servers[s].Get(key); ok {
-					src = s
-					break
-				}
-			}
-			if src < 0 {
-				lost++
-				continue
-			}
-			val, _ := f.Servers[src].Get(key)
-			gk := [2]int{src, d}
-			g := groupIdx[gk]
-			if g == nil {
-				g = &transferGroup{src: src, dst: d}
-				groupIdx[gk] = g
-				groups = append(groups, g)
-			}
-			g.items = append(g.items, kvs.ReplicaItem{Key: key, Value: val})
-			moved++
-		}
-	}
-	f.KeysMoved += uint64(moved)
-	f.KeysLost += uint64(lost)
-	start := f.Sim.Now()
-	epoch := nr.Epoch()
-	if f.Probe != nil {
-		f.Probe.EpochAdvanced(epoch, server, join, moved, lost, start)
-	}
-	if moved == 0 {
-		if f.Probe != nil {
-			f.Probe.RebalanceDone(epoch, 0, start, start)
-		}
-		return
-	}
-	outstanding := 0
-	for _, g := range groups {
-		for from := 0; from < len(g.items); from += rebalanceBatchItems {
-			to := min(from+rebalanceBatchItems, len(g.items))
-			items := g.items[from:to]
-			bytes := 0
-			for _, it := range items {
-				bytes += len(it.Key) + len(it.Value) + replicaItemOverheadBytes
-			}
-			outstanding++
-			src, dst := g.src, g.dst
-			acked := false
-			f.serverEPs[src].Send(f.serverEPs[dst], bytes, func() {
-				f.Servers[dst].HandleReplicate(items, func(applied int) {
-					f.serverEPs[dst].Send(f.serverEPs[src], replicaAckBytes, func() {
-						if acked {
-							return // duplicate delivery
-						}
-						acked = true
-						outstanding--
-						if outstanding == 0 && f.Probe != nil {
-							f.Probe.RebalanceDone(epoch, moved, start, f.Sim.Now())
-						}
-					})
-				})
-			})
-		}
-	}
-}
-
-// advanceRingPartitioned is advanceRing for partitioned mode. The serial
-// path peeks donor stores (`Get`) while grouping transfers — a direct read
-// of another partition's state — so here the coordinator picks donors from
-// ring membership alone, counts the moves optimistically, and ships each
-// (src, dst) group as a control message to the source server. The source
-// resolves its local store, streams what it has, and reports back how many
-// keys were missing; the coordinator then corrects KeysMoved/KeysLost and
-// fires RebalanceDone when the last group completes.
-func (f *Fleet) advanceRingPartitioned(nr *kvs.Ring, server int, join bool) {
 	old := f.Ring
 	f.Ring = nr
 	f.Epochs++
@@ -571,10 +467,6 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 			return FleetResults{}, &ConfigError{Field: "churn", Reason: "requires a fault plan with crash windows (the churn schedule)"}
 		}
 	}
-	if f.pd != nil && cfg.Faults != nil && cfg.Faults.PressurePeriod() > 0 {
-		return FleetResults{}, &ConfigError{Field: "pressure",
-			Reason: "server pressure bursts are not supported with partitioned simulation: the pressure schedule runs on the coordinator partition and may not touch server stores"}
-	}
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = cfg.Requests / 5
 	}
@@ -591,8 +483,7 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	f.Probe = cfg.FleetProbe
 
 	sim, fabric, plan := f.Sim, f.Fabric, cfg.Faults
-	for i, srv := range servers {
-		f.serverEPs[i] = fabric.Endpoint(fmt.Sprintf("server-%d", i))
+	for _, srv := range servers {
 		srv.WarmCaches()
 	}
 
@@ -611,6 +502,31 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	zipf, err := workload.NewZipf(len(f.keys), theta, rng)
 	if err != nil {
 		return FleetResults{}, err
+	}
+
+	// Pressure bursts run on each server's own partition with the server's
+	// own probe, out of reach of the coordinator's progress count. When the
+	// last request completes, the coordinator posts each pressured server a
+	// stop signal through the engine rather than the fabric: it ends the
+	// experiment, it is not modelled traffic, and a fabric fault must not
+	// drop it. Unarmed runs schedule and post nothing.
+	var stopPressure []func()
+	for i, srv := range servers {
+		stopped := false
+		if schedulePressure(srv.Sim, srv, srv.FaultProbe, func() bool { return stopped }) {
+			part := i + 1
+			stopPressure = append(stopPressure, func() {
+				f.pd.Post(0, part, sim.Now()+f.pd.Lookahead(), func() { stopped = true })
+			})
+		}
+	}
+	complete := func() {
+		completed++
+		if completed == total {
+			for _, stop := range stopPressure {
+				stop()
+			}
+		}
 	}
 
 	R := f.Replication
@@ -645,7 +561,7 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 		serviceMax := 0.0
 
 		finish := func() {
-			completed++
+			complete()
 			if missingKeys > 0 && cfg.FaultProbe != nil {
 				cfg.FaultProbe.BatchDegraded(servedKeys, missingKeys, sim.Now())
 			}
@@ -664,16 +580,10 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 				fanoutSum += fanout
 				measEnd = sim.Now()
 			} else if seq == cfg.Warmup {
+				// Server stats are not reset here: the coordinator may not
+				// touch them, and the shed/high-water counters FleetResults
+				// reads accumulate over the whole run.
 				measStart = sim.Now()
-				if f.pd == nil {
-					// Partitioned mode skips the reset: the coordinator may
-					// not touch server stats, and no FleetResults field reads
-					// them (the shed/high-water counters accumulate over the
-					// whole run in both modes).
-					for _, srv := range servers {
-						srv.ResetStats()
-					}
-				}
 			}
 			if closed {
 				issueClosed(clientEP, budget)
@@ -918,7 +828,7 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 		finished := false
 		finishWrite := func(ok bool) {
 			finished = true
-			completed++
+			complete()
 			if ok {
 				f.expected[string(key)] = value
 				if f.Probe != nil {
@@ -938,11 +848,6 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 				measEnd = sim.Now()
 			} else if seq == cfg.Warmup {
 				measStart = sim.Now()
-				if f.pd == nil {
-					for _, srv := range servers {
-						srv.ResetStats()
-					}
-				}
 			}
 			if closed {
 				issueClosed(clientEP, budget)
@@ -992,15 +897,6 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 		}
 		issued++
 		issue(clientEP, budget, issued, true)
-	}
-
-	if f.pd == nil {
-		// Pressure schedules run on the fleet's one sim in serial mode; in
-		// partitioned mode armed pressure was rejected above, so skipping the
-		// no-op schedules keeps the coordinator partition clean.
-		for _, srv := range servers {
-			schedulePressure(sim, srv, cfg.FaultProbe, func() bool { return completed >= total })
-		}
 	}
 
 	if cfg.ArrivalRate > 0 {
@@ -1101,20 +997,12 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	budget := uint64(total)*eventBudgetPerRequest + eventBudgetSlack
 	budget += uint64(total) * uint64(cfg.BatchSize) * 2 // failover + repair ceiling
 	budget += uint64(maxEpochs+1) * uint64(len(f.keys)+1024) * eventBudgetPerMovedKey
-	exhausted := false
-	if f.pd != nil {
-		// The engine enforces the budget between time windows, so every
-		// partition stops at the same horizon; the partition sims' own
-		// budgets stay unarmed.
-		f.pd.SetEventBudget(budget)
-		f.pd.Run()
-		exhausted = f.pd.BudgetExhausted()
-	} else {
-		sim.SetEventBudget(budget)
-		sim.Run()
-		exhausted = sim.BudgetExhausted()
-	}
-	if exhausted {
+	// The engine enforces the budget between time windows, so every
+	// partition stops at the same horizon; the partition sims' own budgets
+	// stay unarmed.
+	f.pd.SetEventBudget(budget)
+	f.pd.Run()
+	if f.pd.BudgetExhausted() {
 		return FleetResults{}, fmt.Errorf("memslap: watchdog: event budget %d exhausted after %d of %d requests — runaway fault/retry/rebalance loop", budget, completed, total)
 	}
 	if completed < total {
@@ -1192,73 +1080,16 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 }
 
 // scheduleRepairs fires read-repair for divergent keys: a replica returned
-// NOT_FOUND for keys the fleet knows are stored. The client streams each
-// key from a surviving replica (the donor) to the divergent server, applied
-// through the charged HandleReplicate path. In-flight repairs are deduped
-// per (server, key); a key with no live donor cannot be repaired (a true
-// loss, visible as a lasting hit-rate drop).
+// NOT_FOUND for keys the fleet knows are stored. The donor is chosen by ring
+// membership alone and a repair command travels to it. The donor resolves
+// the key locally — if present it streams the item to the divergent server
+// through the charged HandleReplicate path, and the divergent server
+// reports completion to the coordinator; if absent the donor reports
+// failure so the in-flight entry retires and a later read can retry.
+// In-flight repairs are deduped per (server, key); the repairing map doubles
+// as the duplicate-completion guard, since both completion paths run at the
+// coordinator, where the map lives.
 func (f *Fleet) scheduleRepairs(target int, batch [][]byte, repairPos []int) {
-	if f.pd != nil {
-		f.scheduleRepairsPartitioned(target, batch, repairPos)
-		return
-	}
-	count := 0
-	for _, p := range repairPos {
-		key := batch[p]
-		owners := f.Ring.ReplicaOwners(key, f.Replication, f.ownA)
-		if !containsInt(owners, target) {
-			continue // ownership moved on; rebalance covers it
-		}
-		donor := -1
-		for _, d := range owners {
-			if d == target {
-				continue
-			}
-			if _, ok := f.Servers[d].Get(key); ok {
-				donor = d
-				break
-			}
-		}
-		if donor < 0 {
-			continue
-		}
-		rk := repairKey{server: target, key: string(key)}
-		if f.repairing[rk] {
-			continue
-		}
-		f.repairing[rk] = true
-		val, _ := f.Servers[donor].Get(key)
-		item := kvs.ReplicaItem{Key: key, Value: val}
-		bytes := len(key) + len(val) + replicaItemOverheadBytes
-		acked := false
-		f.serverEPs[donor].Send(f.serverEPs[target], bytes, func() {
-			f.Servers[target].HandleReplicate([]kvs.ReplicaItem{item}, func(applied int) {
-				f.serverEPs[target].Send(f.serverEPs[donor], replicaAckBytes, func() {
-					if acked {
-						return
-					}
-					acked = true
-					f.Repairs++
-					delete(f.repairing, rk)
-				})
-			})
-		})
-		count++
-	}
-	if count > 0 && f.Probe != nil {
-		f.Probe.ReadRepair(count, f.Sim.Now())
-	}
-}
-
-// scheduleRepairsPartitioned is scheduleRepairs for partitioned mode. The
-// serial path peeks donor stores from the coordinator; here the donor is
-// chosen by ring membership alone and a repair command travels to it. The
-// donor resolves the key locally — if present it streams the item to the
-// divergent server, which reports completion to the coordinator; if absent
-// the donor reports failure so the in-flight entry retires and a later read
-// can retry. The repairing map doubles as the duplicate-completion guard:
-// both completion paths run at the coordinator, where the map lives.
-func (f *Fleet) scheduleRepairsPartitioned(target int, batch [][]byte, repairPos []int) {
 	count := 0
 	for _, p := range repairPos {
 		key := batch[p]

@@ -13,14 +13,24 @@ import (
 	"simdhtbench/internal/netsim"
 )
 
-// buildFleet mirrors buildCluster's construction exactly (same index seeds,
-// same worker counts) so fleet-vs-cluster comparisons differ only in the
-// code path, never in the fixture. Every server's index has room for the
-// full key set: replication and rebalance may land any key anywhere.
-func buildFleet(t *testing.T, servers, items, replication int) (*des.Sim, *Fleet) {
+// buildFleet builds a loaded fleet on a one-worker partitioned engine.
+func buildFleet(t *testing.T, servers, items, replication int) *Fleet {
 	t.Helper()
-	sim := des.New()
-	fabric := netsim.New(sim, netsim.EDR())
+	return buildFleetWorkers(t, 1, servers, items, replication)
+}
+
+// buildFleetWorkers mirrors buildCluster's construction exactly (same index
+// seeds, same worker counts) so fleet-vs-cluster comparisons differ only in
+// the code path, never in the fixture. The engine has one client/
+// coordinator partition plus one per server, advanced by simWorkers host
+// goroutines. Every server's index has room for the full key set:
+// replication and rebalance may land any key anywhere.
+func buildFleetWorkers(t *testing.T, simWorkers, servers, items, replication int) *Fleet {
+	t.Helper()
+	cfg := netsim.EDR()
+	pd := des.NewPartitioned(servers+1, simWorkers, cfg.SmallMessageLatency())
+	fabric := netsim.New(pd.Sim(0), cfg)
+	fabric.Partition(pd)
 	srvs := make([]*kvs.Server, servers)
 	for i := range srvs {
 		space := mem.NewAddressSpace()
@@ -29,16 +39,16 @@ func buildFleet(t *testing.T, servers, items, replication int) (*des.Sim, *Fleet
 		if err != nil {
 			t.Fatal(err)
 		}
-		srvs[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), 4, 128, idx, store)
+		srvs[i] = kvs.NewServer(pd.Sim(i+1), arch.SkylakeClusterB(), 4, 128, idx, store)
 	}
-	fleet, err := NewFleet(sim, fabric, srvs, replication)
+	fleet, err := NewFleet(pd.Sim(0), fabric, srvs, replication)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fleet.LoadFleet(items, 20, 32); err != nil {
 		t.Fatal(err)
 	}
-	return sim, fleet
+	return fleet
 }
 
 // The differential wall: a zero-fault, closed-loop, replication=1 fleet is
@@ -54,17 +64,18 @@ func TestFleetDifferentialMatchesRunCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, fleet := buildFleet(t, 3, 3000, 1)
-	got, err := RunFleet(fleet, FleetConfig{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got.ClusterResults != want {
-		t.Fatalf("fleet(R=1, closed loop, no faults) diverged from RunCluster:\n fleet  %+v\n legacy %+v", got.ClusterResults, want)
-	}
-	if got.Epochs != 0 || got.KeysMoved != 0 || got.Repairs != 0 || got.Failovers != 0 || got.Writes != 0 {
-		t.Fatalf("quiescent fleet reported churn activity: %+v", got)
+	for _, workers := range []int{1, 2} {
+		fleet := buildFleetWorkers(t, workers, 3, 3000, 1)
+		got, err := RunFleet(fleet, FleetConfig{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ClusterResults != want {
+			t.Fatalf("fleet(R=1, closed loop, no faults, %d workers) diverged from RunCluster:\n fleet  %+v\n legacy %+v", workers, got.ClusterResults, want)
+		}
+		if got.Epochs != 0 || got.KeysMoved != 0 || got.Repairs != 0 || got.Failovers != 0 || got.Writes != 0 {
+			t.Fatalf("quiescent fleet reported churn activity: %+v", got)
+		}
 	}
 }
 
@@ -78,20 +89,22 @@ func TestFleetDifferentialMatchesRunClusterWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fleet := buildFleet(t, 5, 4000, 1)
-	got, err := RunFleet(fleet, FleetConfig{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ClusterResults != want {
-		t.Fatalf("fleet diverged from RunCluster:\n fleet  %+v\n legacy %+v", got.ClusterResults, want)
+	for _, workers := range []int{1, 2} {
+		fleet := buildFleetWorkers(t, workers, 5, 4000, 1)
+		got, err := RunFleet(fleet, FleetConfig{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ClusterResults != want {
+			t.Fatalf("fleet (%d workers) diverged from RunCluster:\n fleet  %+v\n legacy %+v", workers, got.ClusterResults, want)
+		}
 	}
 }
 
 // LoadFleet places each key on all R replicas and the loaded key sequence
 // matches the legacy loader's exactly.
 func TestLoadFleetReplicatesKeys(t *testing.T) {
-	_, fleet := buildFleet(t, 4, 2000, 3)
+	fleet := buildFleet(t, 4, 2000, 3)
 	keys := fleet.Keys()
 	if len(keys) != 2000 {
 		t.Fatalf("loaded %d keys", len(keys))
@@ -124,7 +137,7 @@ func TestLoadFleetReplicatesKeys(t *testing.T) {
 func TestOpenLoopArrivalRate(t *testing.T) {
 	const rate = 2e5 // 200k req/s of virtual time
 	for _, seed := range []int64{3, 17, 101} {
-		_, fleet := buildFleet(t, 3, 2000, 1)
+		fleet := buildFleet(t, 3, 2000, 1)
 		res, err := RunFleet(fleet, FleetConfig{
 			Config:      Config{Clients: 8, BatchSize: 8, Requests: 2000, KeyBytes: 20, Seed: seed},
 			ArrivalRate: rate,
@@ -142,7 +155,7 @@ func TestOpenLoopArrivalRate(t *testing.T) {
 		}
 	}
 
-	_, fleet := buildFleet(t, 3, 2000, 1)
+	fleet := buildFleet(t, 3, 2000, 1)
 	res, err := RunFleet(fleet, FleetConfig{
 		Config:                Config{Clients: 8, BatchSize: 8, Requests: 2000, KeyBytes: 20, Seed: 3},
 		ArrivalRate:           rate,
@@ -160,7 +173,7 @@ func TestOpenLoopArrivalRate(t *testing.T) {
 // give identical results.
 func TestOpenLoopDeterministic(t *testing.T) {
 	run := func() FleetResults {
-		_, fleet := buildFleet(t, 3, 2000, 2)
+		fleet := buildFleet(t, 3, 2000, 2)
 		res, err := RunFleet(fleet, FleetConfig{
 			Config:        Config{Clients: 4, BatchSize: 8, Requests: 400, KeyBytes: 20, Seed: 9},
 			ArrivalRate:   1e5,
@@ -180,7 +193,7 @@ func TestOpenLoopDeterministic(t *testing.T) {
 // Quorum writes commit against a majority of replicas and update the
 // fleet's canonical contents.
 func TestQuorumWrites(t *testing.T) {
-	_, fleet := buildFleet(t, 4, 2000, 3)
+	fleet := buildFleet(t, 4, 2000, 3)
 	res, err := RunFleet(fleet, FleetConfig{
 		Config:        Config{Clients: 4, BatchSize: 8, Requests: 500, KeyBytes: 20, Seed: 8},
 		WriteFraction: 0.3,
@@ -202,7 +215,7 @@ func TestQuorumWrites(t *testing.T) {
 // Read-repair: wipe one replica to create divergence; reads that hit the
 // cold server stream the missing keys back from a surviving replica.
 func TestReadRepairHealsWipedReplica(t *testing.T) {
-	_, fleet := buildFleet(t, 3, 2000, 2)
+	fleet := buildFleet(t, 3, 2000, 2)
 	fleet.Servers[0].Wipe()
 	res, err := RunFleet(fleet, FleetConfig{
 		Config: Config{Clients: 6, BatchSize: 16, Requests: 600, KeyBytes: 20, Seed: 6},
@@ -238,7 +251,7 @@ func TestFleetChurnRebalances(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := spec.NewPlan(2)
-	_, fleet := buildFleet(t, 4, 1500, 2)
+	fleet := buildFleet(t, 4, 1500, 2)
 	for i, srv := range fleet.Servers {
 		srv.Faults = plan.ForServer(i)
 	}
@@ -277,7 +290,7 @@ func TestFleetFailoverReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := spec.NewPlan(5)
-	_, fleet := buildFleet(t, 3, 1500, 2)
+	fleet := buildFleet(t, 3, 1500, 2)
 	for i, srv := range fleet.Servers {
 		srv.Faults = plan.ForServer(i)
 	}
@@ -298,7 +311,7 @@ func TestFleetFailoverReads(t *testing.T) {
 // Typed config errors (satellite): contradictory fleet options are rejected
 // with *ConfigError, distinguishable from simulation failures.
 func TestFleetConfigErrors(t *testing.T) {
-	_, fleet := buildFleet(t, 3, 500, 2)
+	fleet := buildFleet(t, 3, 500, 2)
 	var cfgErr *ConfigError
 
 	_, err := RunFleet(fleet, FleetConfig{Config: Config{Clients: 0, BatchSize: 8, Requests: 10}})
@@ -323,6 +336,9 @@ func TestFleetConfigErrors(t *testing.T) {
 	fabric := netsim.New(sim, netsim.EDR())
 	if _, err := NewFleet(sim, fabric, nil, 1); !errors.As(err, &cfgErr) {
 		t.Errorf("empty fleet: got %v, want *ConfigError", err)
+	}
+	if _, err := NewFleet(sim, fabric, fleet.Servers, 1); !errors.As(err, &cfgErr) {
+		t.Errorf("unpartitioned fabric: got %v, want *ConfigError", err)
 	}
 }
 

@@ -174,12 +174,12 @@ func sendMGet(sim *des.Sim, clientEP, serverEP *netsim.Endpoint, srv *kvs.Server
 // schedulePressure arms the periodic insert-pressure ticks of srv's fault
 // plan: every period, PressureItems ephemeral items spike the index's load
 // factor. Ticks stop rescheduling once stop() reports the run is complete,
-// so the event queue always drains.
-func schedulePressure(sim *des.Sim, srv *kvs.Server, probe obs.FaultProbe, stop func() bool) {
+// so the event queue always drains. It reports whether pressure is armed.
+func schedulePressure(sim *des.Sim, srv *kvs.Server, probe obs.FaultProbe, stop func() bool) bool {
 	period := srv.Faults.PressurePeriod()
 	items := srv.Faults.PressureItems()
 	if period <= 0 || items <= 0 {
-		return
+		return false
 	}
 	var tick func()
 	tick = func() {
@@ -193,6 +193,7 @@ func schedulePressure(sim *des.Sim, srv *kvs.Server, probe obs.FaultProbe, stop 
 		sim.After(period, tick)
 	}
 	sim.After(period, tick)
+	return true
 }
 
 // runToCompletion drains the simulation under the event-budget watchdog

@@ -77,88 +77,58 @@ diff "$tmp/faults.table" internal/experiments/testdata/fault_sweep_table.golden.
 diff "$tmp/faults.json" internal/experiments/testdata/fault_sweep_trace.golden.json
 diff "$tmp/faults.csv" internal/experiments/testdata/fault_sweep_metrics.golden.csv
 
+# check_study_goldens STEM OUT: diff one study run's table, metrics CSV and
+# trace (by SHA-256 digest; the summary golden is the Go tests' readable
+# half) against the committed goldens of study STEM.
+check_study_goldens() {
+    golden=internal/experiments/testdata/$1
+    sed '$d' "$2.txt" > "$2.table" # emit() ends with one blank line
+    diff "$2.table" "${golden}_table.golden.txt"
+    diff "$2.csv" "${golden}_metrics.golden.csv"
+    [ "$(sha256sum < "$2.json" | cut -d' ' -f1)" = "$(cat "${golden}_trace.golden.sha256")" ] || {
+        echo "ci.sh: $2.json does not match ${golden}_trace.golden.sha256" >&2
+        exit 1
+    }
+}
+
 # Fleet smoke: the fleet-scale replication study (replicated reads, quorum
 # writes, failover, fault-driven rebalance storms) must reproduce its goldens
-# AND self-diff byte-for-byte at two different -parallel counts — the
-# determinism contract the fleet golden test pins, re-checked through the CLI.
-echo "==> CLI smoke (fleet vs goldens, -parallel 1 vs 4)"
-run_fleet() {
+# byte-for-byte through the CLI at two (-parallel, -simworkers) compositions —
+# the determinism contract the fleet golden test pins.
+echo "==> CLI smoke (fleet vs goldens, -parallel 1 -simworkers 1 and -parallel 4 -simworkers 8)"
+fleet_cli() {
     $GO run ./cmd/kvsbench -fleet -items 2000 -workers 2 -clients 2 \
         -requests 60 -batches 8 -seed 7 -fleet-sizes 3,5 -arrival-rate 200000 \
-        -faults 'drop=0.05,crash=100µs:30µs,timeout=10µs,retries=2,backoff=5µs' \
-        -parallel "$1" -trace "$2" -metrics "$3" > "$4"
+        -faults 'drop=0.05,crash=100µs:30µs,timeout=10µs,retries=2,backoff=5µs' "$@"
 }
-run_fleet 1 "$tmp/fleet1.json" "$tmp/fleet1.csv" "$tmp/fleet1.txt"
-run_fleet 4 "$tmp/fleet4.json" "$tmp/fleet4.csv" "$tmp/fleet4.txt"
-diff "$tmp/fleet1.txt" "$tmp/fleet4.txt"
-diff "$tmp/fleet1.json" "$tmp/fleet4.json"
-diff "$tmp/fleet1.csv" "$tmp/fleet4.csv"
-sed '$d' "$tmp/fleet1.txt" > "$tmp/fleet1.table" # emit() ends with one blank line
-diff "$tmp/fleet1.table" internal/experiments/testdata/fleet_study_table.golden.txt
-diff "$tmp/fleet1.json" internal/experiments/testdata/fleet_study_trace.golden.json
-diff "$tmp/fleet1.csv" internal/experiments/testdata/fleet_study_metrics.golden.csv
+run_fleet() {
+    fleet_cli -parallel "$1" -simworkers "$2" -trace "$3.json" -metrics "$3.csv" > "$3.txt"
+}
+run_fleet 1 1 "$tmp/fleet1"
+check_study_goldens fleet_study "$tmp/fleet1"
+run_fleet 4 8 "$tmp/fleet8"
+check_study_goldens fleet_study "$tmp/fleet8"
+# Manifest diff through obsdiff: one host worker vs eight must produce a
+# zero-delta run manifest (config, seeds, artifact digests, metric snapshot;
+# wall-clock fields are ignored by design).
+fleet_cli -simworkers 1 -manifest "$tmp/fleetm1.json" > /dev/null 2>&1
+fleet_cli -simworkers 8 -manifest "$tmp/fleetm8.json" > /dev/null 2>&1
+$GO run ./cmd/obsdiff "$tmp/fleetm1.json" "$tmp/fleetm8.json" >/dev/null
 
 # Overload smoke: the metastable-overload study (admission control, queue
 # deadlines, retry budgets, hedged reads vs the controls-off collapse) must
-# reproduce its goldens AND self-diff byte-for-byte at two -parallel counts.
-echo "==> CLI smoke (overload vs goldens, -parallel 1 vs 4)"
+# reproduce its goldens byte-for-byte at the same two compositions.
+echo "==> CLI smoke (overload vs goldens, -parallel 1 -simworkers 1 and -parallel 4 -simworkers 8)"
 run_overload() {
     $GO run ./cmd/kvsbench -overload -items 2000 -workers 2 -clients 4 \
         -requests 400 -batches 8 -seed 7 -overload-servers 2 \
         -overload-mults 0.5,1,1.5,2 \
-        -parallel "$1" -trace "$2" -metrics "$3" > "$4"
+        -parallel "$1" -simworkers "$2" -trace "$3.json" -metrics "$3.csv" > "$3.txt"
 }
-run_overload 1 "$tmp/overload1.json" "$tmp/overload1.csv" "$tmp/overload1.txt"
-run_overload 4 "$tmp/overload4.json" "$tmp/overload4.csv" "$tmp/overload4.txt"
-diff "$tmp/overload1.txt" "$tmp/overload4.txt"
-diff "$tmp/overload1.json" "$tmp/overload4.json"
-diff "$tmp/overload1.csv" "$tmp/overload4.csv"
-sed '$d' "$tmp/overload1.txt" > "$tmp/overload1.table" # emit() ends with one blank line
-diff "$tmp/overload1.table" internal/experiments/testdata/overload_study_table.golden.txt
-diff "$tmp/overload1.json" internal/experiments/testdata/overload_study_trace.golden.json
-diff "$tmp/overload1.csv" internal/experiments/testdata/overload_study_metrics.golden.csv
-
-# Partitioned-engine smoke: the same fleet and overload runs on the
-# partitioned engine must self-diff byte-for-byte between -simworkers 1 and
-# -simworkers 8 (composed with different -parallel counts), and obsdiff must
-# report zero delta between a serial-engine manifest and itself re-run — the
-# tentpole determinism contract, re-checked through the CLI. Partitioned-mode
-# artifacts legitimately differ from the serial goldens (the control plane is
-# message-based), so the partitioned runs diff only against each other.
-echo "==> CLI smoke (fleet/overload, -simworkers 1 vs 8)"
-run_fleet_pd() {
-    $GO run ./cmd/kvsbench -fleet -items 2000 -workers 2 -clients 2 \
-        -requests 60 -batches 8 -seed 7 -fleet-sizes 3,5 -arrival-rate 200000 \
-        -faults 'drop=0.05,crash=100µs:30µs,timeout=10µs,retries=2,backoff=5µs' \
-        -parallel "$1" -simworkers "$2" -trace "$3" -metrics "$4" > "$5"
-}
-run_fleet_pd 1 1 "$tmp/fleetw1.json" "$tmp/fleetw1.csv" "$tmp/fleetw1.txt"
-run_fleet_pd 4 8 "$tmp/fleetw8.json" "$tmp/fleetw8.csv" "$tmp/fleetw8.txt"
-diff "$tmp/fleetw1.txt" "$tmp/fleetw8.txt"
-diff "$tmp/fleetw1.json" "$tmp/fleetw8.json"
-diff "$tmp/fleetw1.csv" "$tmp/fleetw8.csv"
-run_overload_pd() {
-    $GO run ./cmd/kvsbench -overload -items 2000 -workers 2 -clients 4 \
-        -requests 400 -batches 8 -seed 7 -overload-servers 2 \
-        -overload-mults 0.5,1,1.5,2 \
-        -parallel "$1" -simworkers "$2" -metrics "$3" > "$4"
-}
-run_overload_pd 1 1 "$tmp/overloadw1.csv" "$tmp/overloadw1.txt"
-run_overload_pd 4 8 "$tmp/overloadw8.csv" "$tmp/overloadw8.txt"
-diff "$tmp/overloadw1.txt" "$tmp/overloadw8.txt"
-diff "$tmp/overloadw1.csv" "$tmp/overloadw8.csv"
-# Manifest diff through obsdiff: one host worker vs eight must produce a
-# zero-delta run manifest (config, seeds, artifact digests, metric snapshot;
-# wall-clock fields are ignored by design).
-run_fleet_manifest() {
-    $GO run ./cmd/kvsbench -fleet -items 2000 -workers 2 -clients 2 \
-        -requests 60 -batches 8 -seed 7 -fleet-sizes 3,5 -arrival-rate 200000 \
-        -faults 'drop=0.05,crash=100µs:30µs,timeout=10µs,retries=2,backoff=5µs' \
-        -simworkers "$1" -manifest "$2" > /dev/null 2>&1
-}
-run_fleet_manifest 1 "$tmp/fleetm1.json"
-run_fleet_manifest 8 "$tmp/fleetm8.json"
-$GO run ./cmd/obsdiff "$tmp/fleetm1.json" "$tmp/fleetm8.json" >/dev/null
+run_overload 1 1 "$tmp/overload1"
+check_study_goldens overload_study "$tmp/overload1"
+run_overload 4 8 "$tmp/overload8"
+check_study_goldens overload_study "$tmp/overload8"
 
 # Sim-speed smoke: -simspeed must print the simulator-throughput table to
 # stderr while leaving stdout (the deterministic tables) untouched by any
