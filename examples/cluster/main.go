@@ -2,6 +2,7 @@
 // cluster: clients map each Multi-Get's keys to servers with consistent
 // hashing (kvs.Ring), send one sub-batch per owning server over the
 // simulated EDR fabric, and complete when the last sub-response arrives.
+// The cluster is an unreplicated memslap.Fleet on the partitioned engine.
 //
 // It demonstrates the multiget trade-off: adding servers multiplies
 // aggregate throughput and parallelizes each request, but shrinks the
@@ -35,12 +36,12 @@ func main() {
 	fmt.Println()
 
 	for _, nservers := range []int{1, 2, 4} {
-		sim := des.New()
-		fabric := netsim.New(sim, netsim.EDR())
-		ring, err := kvs.NewRing(nservers, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
+		// One partition for the clients plus one per server, advanced by a
+		// single host worker.
+		net := netsim.EDR()
+		pd := des.NewPartitioned(nservers+1, 1, net.SmallMessageLatency())
+		fabric := netsim.New(pd.Sim(0), net)
+		fabric.Partition(pd)
 
 		servers := make([]*kvs.Server, nservers)
 		for i := range servers {
@@ -50,21 +51,25 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			servers[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), workers, 256, index, store)
+			servers[i] = kvs.NewServer(pd.Sim(i+1), arch.SkylakeClusterB(), workers, 256, index, store)
 		}
 
-		keys, err := memslap.LoadCluster(servers, ring, items, 20, 32)
+		// Replication 1: each key lives only on its ring owner.
+		fleet, err := memslap.NewFleet(pd.Sim(0), fabric, servers, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
+		if _, err := fleet.LoadFleet(items, 20, 32); err != nil {
+			log.Fatal(err)
+		}
 
-		res, err := memslap.RunCluster(sim, fabric, servers, ring, keys, memslap.Config{
+		res, err := memslap.RunFleet(fleet, memslap.FleetConfig{Config: memslap.Config{
 			Clients:   clients,
 			BatchSize: batch,
 			Requests:  2500,
 			KeyBytes:  20,
 			Seed:      9,
-		})
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}

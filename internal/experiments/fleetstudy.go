@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"simdhtbench/internal/arch"
 	"simdhtbench/internal/fault"
-	"simdhtbench/internal/kvs"
-	"simdhtbench/internal/mem"
 	"simdhtbench/internal/memslap"
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/report"
@@ -87,44 +84,9 @@ func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error)
 		faultProbe = col.FaultProbe()
 	}
 
-	pd, fabric := fleetSim(nservers, o.SimWorkers, col, plan, o.Heartbeat)
-
-	repl := o.Replication
-	if repl > nservers {
-		repl = nservers
-	}
-	servers := make([]*kvs.Server, nservers)
-	for i := range servers {
-		space := mem.NewAddressSpace()
-		store := kvs.NewItemStore(space)
-		// Each server holds ~R/n of the keys, plus whatever churn piles on
-		// when a neighbor leaves; (R+1)/n ceil-divided plus headroom covers
-		// that, capped at the full set for narrow fleets.
-		capacity := (o.Items*(repl+1) + nservers - 1) / nservers
-		if capacity > o.Items {
-			capacity = o.Items
-		}
-		capacity += o.Items / 8
-		idx, err := kvs.NewVerticalIndex(space, capacity, 256, o.Seed+int64(i))
-		if err != nil {
-			return memslap.FleetResults{}, err
-		}
-		servers[i] = kvs.NewServer(pd.Sim(i+1), arch.SkylakeClusterB(), o.Workers, 256, idx, store)
-		servers[i].Faults = plan.ForServer(i)
-		// Per-server scopes: crash-drop instants, pressure bursts and batch
-		// spans are emitted from the server's partition, so each server
-		// needs its own single-writer probe instances.
-		sc := col.Scope("server", fmt.Sprintf("s%d", i))
-		if plan != nil {
-			servers[i].FaultProbe = sc.FaultProbe()
-		}
-		servers[i].Probe = sc.ServerProbe()
-	}
-	fleet, err := memslap.NewFleet(pd.Sim(0), fabric, servers, repl)
+	repl := min(o.Replication, nservers)
+	fleet, err := newFleet(o.KVSOptions, col, plan, nil, nservers, repl, replicatedCapacity(o.Items, nservers, repl))
 	if err != nil {
-		return memslap.FleetResults{}, err
-	}
-	if _, err := fleet.LoadFleet(o.Items, 20, 32); err != nil {
 		return memslap.FleetResults{}, err
 	}
 	batch := o.Batches[0]

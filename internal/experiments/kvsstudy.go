@@ -321,7 +321,7 @@ func ETCStudy(o KVSOptions) (*report.Table, error) {
 // per-server sub-batches, eroding the batching that makes SIMD lookups and
 // network transfers efficient — the classic multiget-hole trade-off.
 // Each (servers, batch) point is one sweep job owning its whole simulated
-// cluster.
+// cluster: an unreplicated, fault-free, closed-loop memslap.Fleet.
 func ClusterStudy(o KVSOptions) (*report.Table, error) {
 	o = o.withDefaults()
 	type point struct {
@@ -333,43 +333,28 @@ func ClusterStudy(o KVSOptions) (*report.Table, error) {
 			points = append(points, point{nservers, batch})
 		}
 	}
-	jobs := make([]sweep.Job[memslap.ClusterResults], len(points))
+	jobs := make([]sweep.Job[memslap.FleetResults], len(points))
 	for i, pt := range points {
 		pt := pt
-		jobs[i] = sweep.Job[memslap.ClusterResults]{
-			Label: fmt.Sprintf("cluster s=%d b=%d", pt.nservers, pt.batch),
-			Run: func() (memslap.ClusterResults, error) {
-				sim := des.New()
-				sim.Heartbeat = o.Heartbeat
-				fabric := netsim.New(sim, netsim.EDR())
-				ring, err := kvs.NewRing(pt.nservers, 0)
+		label := fmt.Sprintf("cluster s=%d b=%d", pt.nservers, pt.batch)
+		jobs[i] = sweep.Job[memslap.FleetResults]{
+			Label: label,
+			Run: func() (memslap.FleetResults, error) {
+				// Ceil division: flooring the per-server share can
+				// undersize the index when Items doesn't divide evenly,
+				// and an imbalanced ring would fail the load.
+				capacity := (o.Items+pt.nservers-1)/pt.nservers + o.Items/4
+				fleet, err := newFleet(o, o.Obs.Scope("config", label), nil, nil, pt.nservers, 1, capacity)
 				if err != nil {
-					return memslap.ClusterResults{}, err
+					return memslap.FleetResults{}, err
 				}
-				servers := make([]*kvs.Server, pt.nservers)
-				for i := range servers {
-					space := mem.NewAddressSpace()
-					store := kvs.NewItemStore(space)
-					// Ceil division: flooring the per-server share can
-					// undersize the index when Items doesn't divide evenly,
-					// and an imbalanced ring would fail the load.
-					idx, err := kvs.NewVerticalIndex(space, (o.Items+pt.nservers-1)/pt.nservers+o.Items/4, 256, o.Seed+int64(i))
-					if err != nil {
-						return memslap.ClusterResults{}, err
-					}
-					servers[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), o.Workers, 256, idx, store)
-				}
-				keys, err := memslap.LoadCluster(servers, ring, o.Items, 20, 32)
-				if err != nil {
-					return memslap.ClusterResults{}, err
-				}
-				return memslap.RunCluster(sim, fabric, servers, ring, keys, memslap.Config{
+				return memslap.RunFleet(fleet, memslap.FleetConfig{Config: memslap.Config{
 					Clients:   o.Clients,
 					BatchSize: pt.batch,
 					Requests:  o.Requests,
 					KeyBytes:  20,
 					Seed:      o.Seed,
-				})
+				}})
 			},
 		}
 	}

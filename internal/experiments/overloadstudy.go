@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"simdhtbench/internal/arch"
 	"simdhtbench/internal/fault"
-	"simdhtbench/internal/kvs"
-	"simdhtbench/internal/mem"
 	"simdhtbench/internal/memslap"
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/report"
@@ -158,38 +155,9 @@ func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clien
 		overloadProbe = col.OverloadProbe()
 	}
 
-	pd, fabric := fleetSim(o.Servers, o.SimWorkers, col, plan, o.Heartbeat)
-
-	servers := make([]*kvs.Server, o.Servers)
-	for i := range servers {
-		space := mem.NewAddressSpace()
-		store := kvs.NewItemStore(space)
-		capacity := (o.Items*(o.Replication+1) + o.Servers - 1) / o.Servers
-		if capacity > o.Items {
-			capacity = o.Items
-		}
-		capacity += o.Items / 8
-		idx, err := kvs.NewVerticalIndex(space, capacity, 256, o.Seed+int64(i))
-		if err != nil {
-			return memslap.FleetResults{}, err
-		}
-		servers[i] = kvs.NewServer(pd.Sim(i+1), arch.SkylakeClusterB(), o.Workers, 256, idx, store)
-		servers[i].Faults = plan.ForServer(i)
-		// OverloadProbe is shared across partitions on purpose: it emits
-		// only atomic counter increments and a CAS max gauge — commutative,
-		// race-free, and byte-identical at any worker count.
-		servers[i].OverloadProbe = overloadProbe
-		sc := col.Scope("server", fmt.Sprintf("s%d", i))
-		if plan != nil {
-			servers[i].FaultProbe = sc.FaultProbe()
-		}
-		servers[i].Probe = sc.ServerProbe()
-	}
-	fleet, err := memslap.NewFleet(pd.Sim(0), fabric, servers, o.Replication)
+	fleet, err := newFleet(o.KVSOptions, col, plan, overloadProbe, o.Servers, o.Replication,
+		replicatedCapacity(o.Items, o.Servers, o.Replication))
 	if err != nil {
-		return memslap.FleetResults{}, err
-	}
-	if _, err := fleet.LoadFleet(o.Items, 20, 32); err != nil {
 		return memslap.FleetResults{}, err
 	}
 	return memslap.RunFleet(fleet, memslap.FleetConfig{

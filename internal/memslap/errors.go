@@ -3,8 +3,8 @@ package memslap
 import "fmt"
 
 // ConfigError is a typed rejection of an invalid load-generator
-// configuration (non-positive counts, ring/server mismatch, contradictory
-// fleet options). Callers can errors.As on it to distinguish configuration
+// configuration (non-positive counts, a fleet that does not match its
+// engine, contradictory fleet options). Callers can errors.As on it to distinguish configuration
 // mistakes from simulation failures.
 type ConfigError struct {
 	Field  string
@@ -15,8 +15,8 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("memslap: invalid config %s: %s", e.Field, e.Reason)
 }
 
-// LoadError is a typed failure of the cluster/fleet load phase: the loader
-// could not place all requested keys. Loaded reports how many keys were
+// LoadError is a typed failure of a load phase (LoadKeys, Fleet.LoadFleet):
+// the loader could not place all requested keys. Loaded reports how many keys were
 // stored before the failure, so a partial load is never silently truncated
 // into a smaller working set.
 type LoadError struct {

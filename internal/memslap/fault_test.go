@@ -21,6 +21,20 @@ func mustSpec(t *testing.T, s string) fault.Spec {
 	return spec
 }
 
+// loadOnRing loads count memslap items onto servers by ring ownership.
+func loadOnRing(t *testing.T, servers []*kvs.Server, ring *kvs.Ring, count int) [][]byte {
+	t.Helper()
+	keys, err := loadRingKeys(count, 20, 32, func(key, value []byte) (int, error) {
+		s := ring.Owner(key)
+		_, err := servers[s].Set(key, value)
+		return s, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
 func faultCfg(spec fault.Spec, seed int64) Config {
 	return Config{
 		Clients: 2, BatchSize: 8, Requests: 40, Seed: 5,
@@ -113,10 +127,7 @@ func TestMGetPartialErrorUnderCrash(t *testing.T) {
 		}
 		servers[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), 2, 64, idx, store)
 	}
-	keys, err := LoadCluster(servers, ring, 400, 20, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := loadOnRing(t, servers, ring, 400)
 
 	// Crash server 1 with a 99% duty cycle and advance the clock past the
 	// always-healthy first period, so every attempt (and retry) lands in a
@@ -163,41 +174,20 @@ func TestMGetPartialErrorUnderCrash(t *testing.T) {
 	}
 }
 
-// TestRunClusterDegradedAccounting drives the cluster pipeline under loss
-// and checks the per-request aggregation: degraded requests count their
-// missing sub-batch keys and goodput excludes them.
+// TestRunClusterDegradedAccounting drives an R=1 fleet under loss and
+// checks the per-request aggregation: degraded requests count their missing
+// sub-batch keys and goodput excludes them.
 func TestRunClusterDegradedAccounting(t *testing.T) {
-	build := func() (*des.Sim, *netsim.Fabric, []*kvs.Server, *kvs.Ring, [][]byte) {
-		sim := des.New()
-		fabric := netsim.New(sim, netsim.EDR())
-		ring, err := kvs.NewRing(2, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers := make([]*kvs.Server, 2)
-		for i := range servers {
-			space := mem.NewAddressSpace()
-			store := kvs.NewItemStore(space)
-			idx, err := kvs.NewVerticalIndex(space, 600, 64, int64(i)+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			servers[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), 2, 64, idx, store)
-		}
-		keys, err := LoadCluster(servers, ring, 400, 20, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sim, fabric, servers, ring, keys
-	}
-	run := func() ClusterResults {
-		sim, fabric, servers, ring, keys := build()
+	run := func() FleetResults {
 		spec := mustSpec(t, "drop=0.4,timeout=10us,retries=1,backoff=2us")
-		fabric.Faults = spec.NewPlan(3)
-		res, err := RunCluster(sim, fabric, servers, ring, keys, Config{
-			Clients: 2, BatchSize: 8, Requests: 40, Seed: 5,
-			Faults: spec.NewPlan(3),
-		})
+		plan := spec.NewPlan(3)
+		fleet := buildFleet(t, 2, 400, 1)
+		for p := 0; p <= len(fleet.Servers); p++ {
+			fleet.Fabric.SetPartitionFaults(p, plan.ForPartition(p), nil)
+		}
+		res, err := RunFleet(fleet, FleetConfig{Config: Config{
+			Clients: 2, BatchSize: 8, Requests: 40, Seed: 5, Faults: plan,
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,10 +231,7 @@ func TestMGetPartialErrorAccumulatesAcrossSubBatches(t *testing.T) {
 		}
 		servers[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), 2, 64, idx, store)
 	}
-	keys, err := LoadCluster(servers, ring, 400, 20, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := loadOnRing(t, servers, ring, 400)
 
 	// Crash servers 1 and 2 with a 99% duty cycle and advance past the
 	// always-healthy first period, so every attempt against either lands

@@ -46,9 +46,7 @@ const (
 // server i runs on partition i+1. Coordinator-to-server state changes
 // (wipe, rebalance transfers, read-repair) travel as control messages, so
 // every partition only ever touches its own state and results are
-// byte-identical at any host worker count. The zero-fault, replication=1
-// fleet is event-for-event the legacy RunCluster pipeline — the
-// differential tests pin that equivalence bitwise.
+// byte-identical at any host worker count.
 type Fleet struct {
 	Sim         *des.Sim // partition 0: clients and coordinator
 	Fabric      *netsim.Fabric
@@ -148,9 +146,8 @@ func NewFleet(sim *des.Sim, fabric *netsim.Fabric, servers []*kvs.Server, replic
 func (f *Fleet) Keys() [][]byte { return f.keys }
 
 // LoadFleet loads `count` memslap-style items, placing each on all R
-// replicas of its key. The key sequence (and its Hash32 dedup) is exactly
-// LoadCluster's, so a replication=1 fleet holds bitwise the same data as
-// the legacy cluster loader.
+// replicas of its key. The key sequence (and its Hash32 dedup) is
+// LoadKeys's.
 func (f *Fleet) LoadFleet(count, keyBytes, valueBytes int) ([][]byte, error) {
 	keys, err := loadRingKeys(count, keyBytes, valueBytes, func(key, value []byte) (int, error) {
 		owners := f.Ring.ReplicaOwners(key, f.Replication, f.ownA)
@@ -383,8 +380,7 @@ type FleetConfig struct {
 
 	// WriteFraction routes this fraction of open/closed-loop requests
 	// through the quorum-write path (a single-key replicated set). 0 (the
-	// default) draws nothing from the RNG, keeping the read-only request
-	// stream bitwise identical to the legacy path.
+	// default) draws nothing from the RNG beyond the zipf key stream.
 	WriteFraction float64
 	// ValueBytes sizes written values (default 32).
 	ValueBytes int
@@ -402,16 +398,29 @@ type FleetConfig struct {
 	FleetProbe obs.FleetProbe
 }
 
-// FleetResults extends ClusterResults with fleet-scale accounting. The
-// embedded ClusterResults fields are computed with the legacy path's exact
-// float operation order, so a replication=1, zero-fault, closed-loop fleet
-// matches RunCluster bitwise.
+// FleetResults aggregates a fleet run.
 type FleetResults struct {
-	ClusterResults
+	Servers        int
+	Replication    int
+	BatchSize      int
+	Requests       int
+	ThroughputKeys float64 // aggregate keys/s across the fleet
+	AvgLatency     float64 // end-to-end Multi-Get latency (all sub-batches)
+	P50Latency     float64
+	P99Latency     float64
+	P999Latency    float64
+	HitRate        float64
+	AvgFanout      float64 // servers touched per Multi-Get
 
-	Replication int
-	P50Latency  float64
-	P999Latency float64
+	// Degradation-protocol accounting (all zero with a nil fault plan).
+	// A Multi-Get is degraded when any of its sub-batches exhausted its
+	// retries; KeysMissing counts the abandoned keys, and GoodputKeys is
+	// the throughput of keys actually returned.
+	Retries     uint64
+	Timeouts    uint64
+	Degraded    uint64
+	KeysMissing uint64
+	GoodputKeys float64
 
 	// Open-loop accounting. QueueDelay is end-to-end latency minus the
 	// slowest sub-batch's service time — the time a request spent waiting
@@ -1020,34 +1029,32 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	}
 	n := len(latencies)
 	out := FleetResults{
-		ClusterResults: ClusterResults{
-			Servers:        len(servers),
-			BatchSize:      cfg.BatchSize,
-			Requests:       n,
-			ThroughputKeys: float64(served) / elapsed,
-			AvgLatency:     sum / float64(n),
-			P99Latency:     latencies[min(n-1, n*99/100)],
-			HitRate:        float64(hits) / float64(served),
-			AvgFanout:      float64(fanoutSum) / float64(n),
-			Retries:        retries,
-			Timeouts:       timeouts,
-			Degraded:       degraded,
-			KeysMissing:    missing,
-			GoodputKeys:    float64(returned) / elapsed,
-		},
-		Replication:  R,
-		P50Latency:   latencies[min(n-1, n*50/100)],
-		P999Latency:  latencies[min(n-1, n*999/1000)],
-		Epochs:       f.Epochs,
-		KeysMoved:    f.KeysMoved,
-		KeysLost:     f.KeysLost,
-		Repairs:      f.Repairs,
-		Failovers:    f.Failovers,
-		Writes:       writesDone,
-		WritesFailed: writesFailed,
-		Hedges:       f.Hedges,
-		HedgeWins:    f.HedgeWins,
-		BudgetDenied: f.BudgetDenied,
+		Servers:        len(servers),
+		Replication:    R,
+		BatchSize:      cfg.BatchSize,
+		Requests:       n,
+		ThroughputKeys: float64(served) / elapsed,
+		AvgLatency:     sum / float64(n),
+		P50Latency:     latencies[min(n-1, n*50/100)],
+		P99Latency:     latencies[min(n-1, n*99/100)],
+		P999Latency:    latencies[min(n-1, n*999/1000)],
+		HitRate:        float64(hits) / float64(served),
+		AvgFanout:      float64(fanoutSum) / float64(n),
+		Retries:        retries,
+		Timeouts:       timeouts,
+		Degraded:       degraded,
+		KeysMissing:    missing,
+		GoodputKeys:    float64(returned) / elapsed,
+		Epochs:         f.Epochs,
+		KeysMoved:      f.KeysMoved,
+		KeysLost:       f.KeysLost,
+		Repairs:        f.Repairs,
+		Failovers:      f.Failovers,
+		Writes:         writesDone,
+		WritesFailed:   writesFailed,
+		Hedges:         f.Hedges,
+		HedgeWins:      f.HedgeWins,
+		BudgetDenied:   f.BudgetDenied,
 	}
 	for _, srv := range servers {
 		out.ShedQueueFull += srv.ShedQueueFull

@@ -19,12 +19,11 @@ func buildFleet(t *testing.T, servers, items, replication int) *Fleet {
 	return buildFleetWorkers(t, 1, servers, items, replication)
 }
 
-// buildFleetWorkers mirrors buildCluster's construction exactly (same index
-// seeds, same worker counts) so fleet-vs-cluster comparisons differ only in
-// the code path, never in the fixture. The engine has one client/
-// coordinator partition plus one per server, advanced by simWorkers host
-// goroutines. Every server's index has room for the full key set:
-// replication and rebalance may land any key anywhere.
+// buildFleetWorkers builds server i with index seed i+1, four workers and a
+// 128-key batch cap — buildStack's server when there is one — on an engine
+// with one client/coordinator partition plus one per server, advanced by
+// simWorkers host goroutines. Every server's index has room for the full
+// key set: replication and rebalance may land any key anywhere.
 func buildFleetWorkers(t *testing.T, simWorkers, servers, items, replication int) *Fleet {
 	t.Helper()
 	cfg := netsim.EDR()
@@ -51,71 +50,71 @@ func buildFleetWorkers(t *testing.T, simWorkers, servers, items, replication int
 	return fleet
 }
 
-// The differential wall: a zero-fault, closed-loop, replication=1 fleet is
-// THE legacy RunCluster pipeline — same RNG draws, same event sequence,
-// same floating-point accumulation order — so every shared result field
-// must match bitwise, not approximately.
-func TestFleetDifferentialMatchesRunCluster(t *testing.T) {
-	cfg := Config{Clients: 6, BatchSize: 16, Requests: 300, KeyBytes: 20, Seed: 4}
-
-	sim, fabric, srvs, ring, keys := buildCluster(t, 3, 3000)
-	want, err := RunCluster(sim, fabric, srvs, ring, keys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// The differential wall: a zero-fault, closed-loop, replication=1 fleet
+// must reproduce, bit for bit, the results the retired serial multi-server
+// driver (RunCluster) measured on the same fixture. Its results are kept as
+// exact hexadecimal literals, so the oracle outlives its code; the fleet
+// must match them at every host worker count.
+func checkFleetDifferential(t *testing.T, servers, items int, cfg Config, want FleetResults) {
+	t.Helper()
 	for _, workers := range []int{1, 2} {
-		fleet := buildFleetWorkers(t, workers, 3, 3000, 1)
-		got, err := RunFleet(fleet, FleetConfig{Config: cfg})
+		got, err := RunFleet(buildFleetWorkers(t, workers, servers, items, 1), FleetConfig{Config: cfg})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got.ClusterResults != want {
-			t.Fatalf("fleet(R=1, closed loop, no faults, %d workers) diverged from RunCluster:\n fleet  %+v\n legacy %+v", workers, got.ClusterResults, want)
 		}
 		if got.Epochs != 0 || got.KeysMoved != 0 || got.Repairs != 0 || got.Failovers != 0 || got.Writes != 0 {
 			t.Fatalf("quiescent fleet reported churn activity: %+v", got)
 		}
+		// The serial driver reported only these fields.
+		shared := FleetResults{
+			Servers: got.Servers, BatchSize: got.BatchSize, Requests: got.Requests,
+			ThroughputKeys: got.ThroughputKeys, AvgLatency: got.AvgLatency, P99Latency: got.P99Latency,
+			HitRate: got.HitRate, AvgFanout: got.AvgFanout,
+			Retries: got.Retries, Timeouts: got.Timeouts, Degraded: got.Degraded,
+			KeysMissing: got.KeysMissing, GoodputKeys: got.GoodputKeys,
+		}
+		if shared != want {
+			t.Fatalf("fleet (R=1, closed loop, no faults, %d workers) diverged from the recorded RunCluster results:\n fleet  %+v\n legacy %+v", workers, shared, want)
+		}
 	}
+}
+
+func TestFleetDifferentialMatchesRunCluster(t *testing.T) {
+	checkFleetDifferential(t, 3, 3000,
+		Config{Clients: 6, BatchSize: 16, Requests: 300, KeyBytes: 20, Seed: 4},
+		FleetResults{
+			Servers: 3, BatchSize: 16, Requests: 300,
+			ThroughputKeys: 0x1.23b816ffcedd6p+25, AvgLatency: 0x1.4fa39551cd3bbp-19,
+			P99Latency: 0x1.9026bfe487558p-19, HitRate: 0x1p+00, AvgFanout: 0x1.8p+01,
+			GoodputKeys: 0x1.23b816ffcedd6p+25,
+		})
 }
 
 // The differential must also hold at other shapes (different seed, batch,
 // fleet width) — one lucky match is not equivalence.
 func TestFleetDifferentialMatchesRunClusterWide(t *testing.T) {
-	cfg := Config{Clients: 4, BatchSize: 32, Requests: 200, KeyBytes: 20, Seed: 11}
-
-	sim, fabric, srvs, ring, keys := buildCluster(t, 5, 4000)
-	want, err := RunCluster(sim, fabric, srvs, ring, keys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2} {
-		fleet := buildFleetWorkers(t, workers, 5, 4000, 1)
-		got, err := RunFleet(fleet, FleetConfig{Config: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.ClusterResults != want {
-			t.Fatalf("fleet (%d workers) diverged from RunCluster:\n fleet  %+v\n legacy %+v", workers, got.ClusterResults, want)
-		}
-	}
+	checkFleetDifferential(t, 5, 4000,
+		Config{Clients: 4, BatchSize: 32, Requests: 200, KeyBytes: 20, Seed: 11},
+		FleetResults{
+			Servers: 5, BatchSize: 32, Requests: 200,
+			ThroughputKeys: 0x1.4e3586e9b842ap+25, AvgLatency: 0x1.856078cabc9d7p-19,
+			P99Latency: 0x1.cf1c2673fd4cp-19, HitRate: 0x1p+00, AvgFanout: 0x1.3fae147ae147bp+02,
+			GoodputKeys: 0x1.4e3586e9b842ap+25,
+		})
 }
 
 // LoadFleet places each key on all R replicas and the loaded key sequence
-// matches the legacy loader's exactly.
+// matches the single-server loader's exactly.
 func TestLoadFleetReplicatesKeys(t *testing.T) {
 	fleet := buildFleet(t, 4, 2000, 3)
 	keys := fleet.Keys()
 	if len(keys) != 2000 {
 		t.Fatalf("loaded %d keys", len(keys))
 	}
-	// Same key sequence as the legacy loader.
-	_, _, srvs, ring, legacyKeys := buildCluster(t, 4, 2000)
-	_ = srvs
-	_ = ring
+	_, _, _, single := buildStack(t, 2000)
 	for i := range keys {
-		if string(keys[i]) != string(legacyKeys[i]) {
-			t.Fatalf("key %d: fleet %q vs legacy %q", i, keys[i], legacyKeys[i])
+		if string(keys[i]) != string(single[i]) {
+			t.Fatalf("key %d: fleet %q vs LoadKeys %q", i, keys[i], single[i])
 		}
 	}
 	for _, key := range keys {
@@ -345,12 +344,10 @@ func TestFleetConfigErrors(t *testing.T) {
 // Typed load errors (satellite): an undersized index on one server fails
 // the load loudly with *LoadError — never a silently smaller key set.
 func TestLoadClusterTypedError(t *testing.T) {
-	sim := des.New()
-	_ = netsim.New(sim, netsim.EDR())
-	ring, err := kvs.NewRing(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := netsim.EDR()
+	pd := des.NewPartitioned(3, 1, cfg.SmallMessageLatency())
+	fabric := netsim.New(pd.Sim(0), cfg)
+	fabric.Partition(pd)
 	srvs := make([]*kvs.Server, 2)
 	for i := range srvs {
 		space := mem.NewAddressSpace()
@@ -361,9 +358,13 @@ func TestLoadClusterTypedError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srvs[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), 4, 128, idx, store)
+		srvs[i] = kvs.NewServer(pd.Sim(i+1), arch.SkylakeClusterB(), 4, 128, idx, store)
 	}
-	keys, err := LoadCluster(srvs, ring, 4000, 20, 32)
+	fleet, err := NewFleet(pd.Sim(0), fabric, srvs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := fleet.LoadFleet(4000, 20, 32)
 	if err == nil {
 		t.Fatalf("undersized cluster loaded %d keys without error", len(keys))
 	}

@@ -88,11 +88,26 @@ func (r Results) String() string {
 }
 
 // LoadKeys populates the server with `count` memslap-style items ("key-" +
-// zero-padded ordinal, padded to keyBytes) carrying valueBytes values. Keys
-// whose 32-bit hashes collide with an earlier key are skipped (the SIMD
-// indexes resolve by full-key verification only within one hash), so the
-// returned key set may be marginally smaller than count.
+// zero-padded ordinal, padded to keyBytes) carrying valueBytes values. It
+// generates the same key sequence as Fleet.LoadFleet, and a failed Set
+// surfaces as a typed *LoadError.
 func LoadKeys(srv *kvs.Server, count, keyBytes, valueBytes int) ([][]byte, error) {
+	return loadRingKeys(count, keyBytes, valueBytes, func(key, value []byte) (int, error) {
+		if _, err := srv.Set(key, value); err != nil {
+			return 0, err
+		}
+		return -1, nil
+	})
+}
+
+// loadRingKeys generates the canonical memslap key sequence — fixed-width
+// decimal keys, deduplicated on their 32-bit hash so every loaded key is
+// retrievable through the SIMD index (which resolves by full-key
+// verification only within one hash) — and hands each (key, value) pair to
+// place, which returns the failing server with its error. LoadKeys and
+// Fleet.LoadFleet share this loop, so a one-server run and a fleet load the
+// same keys under the same parameters.
+func loadRingKeys(count, keyBytes, valueBytes int, place func(key, value []byte) (int, error)) ([][]byte, error) {
 	keys := make([][]byte, 0, count)
 	seen := make(map[uint32]struct{}, count)
 	value := make([]byte, valueBytes)
@@ -100,19 +115,20 @@ func LoadKeys(srv *kvs.Server, count, keyBytes, valueBytes int) ([][]byte, error
 		value[i] = byte('a' + i%26)
 	}
 	for i := 0; len(keys) < count; i++ {
+		if i > count*2+1000 {
+			return nil, &LoadError{Server: -1, Loaded: len(keys), Want: count,
+				Err: fmt.Errorf("too many 32-bit hash collisions")}
+		}
 		key := makeKey(i, keyBytes)
 		h := kvs.Hash32(key)
 		if _, dup := seen[h]; dup {
 			continue
 		}
 		seen[h] = struct{}{}
-		if _, err := srv.Set(key, value); err != nil {
-			return nil, err
+		if srv, err := place(key, value); err != nil {
+			return nil, &LoadError{Server: srv, Loaded: len(keys), Want: count, Err: err}
 		}
 		keys = append(keys, key)
-		if i > count*2+1000 {
-			return nil, fmt.Errorf("memslap: too many hash collisions loading %d keys", count)
-		}
 	}
 	return keys, nil
 }

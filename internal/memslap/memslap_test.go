@@ -205,36 +205,12 @@ func TestRunWithETCKeys(t *testing.T) {
 	}
 }
 
-func buildCluster(t *testing.T, servers, items int) (*des.Sim, *netsim.Fabric, []*kvs.Server, *kvs.Ring, [][]byte) {
-	t.Helper()
-	sim := des.New()
-	fabric := netsim.New(sim, netsim.EDR())
-	ring, err := kvs.NewRing(servers, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvs := make([]*kvs.Server, servers)
-	for i := range srvs {
-		space := mem.NewAddressSpace()
-		store := kvs.NewItemStore(space)
-		idx, err := kvs.NewVerticalIndex(space, items, 128, int64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), 4, 128, idx, store)
-	}
-	keys, err := LoadCluster(srvs, ring, items, 20, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim, fabric, srvs, ring, keys
-}
-
+// A closed-loop R=1 fleet splits each Multi-Get across the ring's owners
+// and finds every key.
 func TestRunClusterCompletes(t *testing.T) {
-	sim, fabric, srvs, ring, keys := buildCluster(t, 3, 3000)
-	res, err := RunCluster(sim, fabric, srvs, ring, keys, Config{
+	res, err := RunFleet(buildFleet(t, 3, 3000, 1), FleetConfig{Config: Config{
 		Clients: 6, BatchSize: 16, Requests: 300, KeyBytes: 20, Seed: 4,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,27 +226,41 @@ func TestRunClusterCompletes(t *testing.T) {
 	}
 }
 
+// With one server and R=1 the fleet measures the plain Run pipeline: the
+// same keys on the same single server, the same zipf draws and the same
+// message sequence, so every result field the two share matches bitwise at
+// any host worker count.
 func TestRunClusterSingleServerMatchesRun(t *testing.T) {
-	// With one server the cluster path must behave like the plain path
-	// (same keys land on the same single server).
-	sim, fabric, srvs, ring, keys := buildCluster(t, 1, 2000)
-	res, err := RunCluster(sim, fabric, srvs, ring, keys, Config{
-		Clients: 4, BatchSize: 8, Requests: 200, KeyBytes: 20, Seed: 5,
-	})
+	cfg := Config{Clients: 4, BatchSize: 8, Requests: 200, KeyBytes: 20, Seed: 5}
+	sim, fabric, srv, keys := buildStack(t, 2000)
+	want, err := Run(sim, fabric, srv, keys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AvgFanout != 1.0 {
-		t.Errorf("single-server fanout %.2f, want 1.0", res.AvgFanout)
+	for _, workers := range []int{1, 2} {
+		got, err := RunFleet(buildFleetWorkers(t, workers, 1, 2000, 1), FleetConfig{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Requests != want.Requests || got.ThroughputKeys != want.ThroughputKeys ||
+			got.AvgLatency != want.AvgLatency || got.P99Latency != want.P99Latency ||
+			got.HitRate != want.HitRate {
+			t.Fatalf("one-server fleet (%d workers) diverged from Run:\n fleet %+v\n run   %+v", workers, got, want)
+		}
+		if got.AvgFanout != 1.0 {
+			t.Errorf("single-server fanout %.2f, want 1.0", got.AvgFanout)
+		}
 	}
-	if res.HitRate < 0.999 {
-		t.Errorf("hit rate %.3f", res.HitRate)
+	if want.HitRate < 0.999 {
+		t.Errorf("hit rate %.3f", want.HitRate)
 	}
 }
 
+// NewFleet builds its ring from the server list, so a list that does not
+// match the engine's partitions (clients plus one per server) is rejected.
 func TestRunClusterValidation(t *testing.T) {
-	sim, fabric, srvs, ring, keys := buildCluster(t, 2, 500)
-	if _, err := RunCluster(sim, fabric, srvs[:1], ring, keys, Config{Clients: 1, BatchSize: 4, Requests: 10}); err == nil {
-		t.Error("mismatched ring/servers accepted")
+	fleet := buildFleet(t, 2, 500, 1)
+	if _, err := NewFleet(fleet.Sim, fleet.Fabric, fleet.Servers[:1], 1); err == nil {
+		t.Error("server list mismatching the engine's partitions accepted")
 	}
 }
