@@ -43,22 +43,26 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
+	"simdhtbench/cmd/internal/cli"
 	"simdhtbench/internal/experiments"
 	"simdhtbench/internal/fault"
-	"simdhtbench/internal/obs"
-	"simdhtbench/internal/obs/prof"
-	"simdhtbench/internal/report"
-	"simdhtbench/internal/sweep"
 )
 
 func main() {
+	h := cli.New(cli.Tool{
+		Name:          "kvsbench",
+		Seed:          7,
+		SeedHelp:      "random seed",
+		TraceHelp:     "write a Chrome trace_event JSON file (virtual time = DES clock)",
+		ProfileHelp:   "emit the deterministic time account: 'cycles' writes folded flamegraph stacks (unit: virtual microseconds) to stdout and the breakdown table to stderr; report tables move to stderr",
+		ManifestHelp:  "write a structured run manifest (JSON: config, seeds, artifact digests, metric snapshot, time account) to this file",
+		HeartbeatHelp: "print a stderr progress line every N dispatched simulation events (0 = off; wall-derived, never in deterministic output)",
+		FaultsHelp:    "fault-injection spec, e.g. 'drop=0.1,crash=20us:10us,timeout=10us,retries=3,backoff=5us' (empty = no faults)",
+		FaultSeedHelp: "fault plan RNG seed (0 = -seed); all fault timing is virtual, so output stays deterministic",
+	})
 	var (
 		items      = flag.Int("items", 200000, "stored key-value items (paper: 2M)")
 		workers    = flag.Int("workers", 26, "server worker threads")
@@ -67,20 +71,7 @@ func main() {
 		batches    = flag.String("batches", "16,64", "comma-separated Multi-Get sizes")
 		backend    = flag.String("backend", "vertical", "single: memc3|horizontal|vertical")
 		batch      = flag.Int("batch", 16, "single: Multi-Get size")
-		seed       = flag.Int64("seed", 7, "random seed")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		parallel   = flag.Int("parallel", 0, "sweep workers fanning configurations out (0 = all cores, 1 = sequential); output is identical at every setting")
-		simWorkers = flag.Int("simworkers", 1, "fleet/overload: host workers advancing one simulation's partitions in parallel (1 = serial); output is identical at every setting")
-		sstats     = flag.Bool("sweepstats", false, "print per-job sweep timing to stderr after each experiment")
-
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file (virtual time = DES clock)")
-		metricsOut = flag.String("metrics", "", "write the metrics registry as CSV")
-		profile    = flag.String("profile", "", "emit the deterministic time account: 'cycles' writes folded flamegraph stacks (unit: virtual microseconds) to stdout and the breakdown table to stderr; report tables move to stderr")
-		manifestP  = flag.String("manifest", "", "write a structured run manifest (JSON: config, seeds, artifact digests, metric snapshot, time account) to this file")
-		heartbeat  = flag.Int("heartbeat", 0, "print a stderr progress line every N dispatched simulation events (0 = off; wall-derived, never in deterministic output)")
-
-		faults    = flag.String("faults", "", "fault-injection spec, e.g. 'drop=0.1,crash=20us:10us,timeout=10us,retries=3,backoff=5us' (empty = no faults)")
-		faultSeed = flag.Int64("fault-seed", 0, "fault plan RNG seed (0 = -seed); all fault timing is virtual, so output stays deterministic")
+		simWorkers = flag.Int("simworkers", 1, "cluster/fleet/overload: host workers advancing one simulation's partitions in parallel (1 = serial); output is identical at every setting")
 
 		fleetCmd    = flag.Bool("fleet", false, "run the fleet-scale replication study (same as the `fleet` command)")
 		fleetSizes  = flag.String("fleet-sizes", "3,8,16,32,64", "fleet: comma-separated server counts")
@@ -91,58 +82,29 @@ func main() {
 		overloadCmd     = flag.Bool("overload", false, "run the metastable-overload study (same as the `overload` command)")
 		overloadServers = flag.Int("overload-servers", 4, "overload: fleet width")
 		overloadMults   = flag.String("overload-mults", "0.5,0.75,1,1.5,2", "overload: comma-separated offered-load multipliers of measured capacity")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-	wallStart := obs.WallNow()
-	if *profile != "" && *profile != "cycles" {
-		fatal(fmt.Errorf("unknown -profile kind %q (want cycles)", *profile))
-	}
-	if *profile != "" {
-		// The folded account stacks own stdout in profile mode, so the
-		// report tables move to stderr.
-		tablesTo = os.Stderr
-	}
+	h.Start()
 
-	// pprof output is wall-clock-shaped by nature and goes to its own
-	// files, never into tables, -trace or -metrics, so the deterministic
-	// artifacts stay byte-identical whether or not profiling is enabled.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		check(err)
-		check(pprof.StartCPUProfile(f))
-		defer pprof.StopCPUProfile()
-	}
-
-	spec, err := fault.ParseSpec(*faults)
-	check(err)
+	spec, err := fault.ParseSpec(h.Faults)
+	h.Check(err)
+	batchSizes, err := parseBatches(*batches)
+	h.Check(err)
 	opts := experiments.KVSOptions{
 		Items:      *items,
 		Workers:    *workers,
 		Clients:    *clients,
 		Requests:   *requests,
-		Batches:    parseBatches(*batches),
-		Seed:       *seed,
-		Parallel:   *parallel,
+		Batches:    batchSizes,
+		Seed:       h.Seed,
+		Parallel:   h.Parallel,
 		SimWorkers: *simWorkers,
 		Faults:     spec,
-		FaultSeed:  *faultSeed,
+		FaultSeed:  h.FaultSeed,
+		OnSweep:    h.OnSweep(),
+		Obs:        h.Col,
+		Heartbeat:  h.Heartbeat,
 	}
-	if *sstats {
-		opts.OnSweep = printSweepStats
-	}
-	opts.Heartbeat = obs.NewHeartbeat(*heartbeat, os.Stderr)
-	var col *obs.Collector
-	if *traceOut != "" || *metricsOut != "" || *profile != "" || *manifestP != "" {
-		col = obs.NewCollector()
-		opts.Obs = col
-	}
-	if *profile != "" || *manifestP != "" {
-		col.EnableProfiling(prof.NewSet())
-	}
-
 	args := flag.Args()
 	if len(args) == 0 {
 		args = []string{"all"}
@@ -159,9 +121,13 @@ func main() {
 			args = args[:1] // bare `kvsbench -overload` runs only the overload study
 		}
 	}
+	sizes, err := parseBatches(*fleetSizes)
+	h.Check(err)
+	mults, err := parseMults(*overloadMults)
+	h.Check(err)
 	fleetOpts := experiments.FleetOptions{
 		KVSOptions:    opts,
-		FleetSizes:    parseBatches(*fleetSizes),
+		FleetSizes:    sizes,
 		Replication:   *replication,
 		ArrivalRate:   *arrivalRate,
 		WriteFraction: *writeFrac,
@@ -174,91 +140,56 @@ func main() {
 		KVSOptions:  opts,
 		Servers:     *overloadServers,
 		Replication: overloadRepl,
-		Multipliers: parseMults(*overloadMults),
+		Multipliers: mults,
 	}
 	for _, cmd := range args {
 		switch cmd {
 		case "all":
 			t, err := experiments.Fig11a(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 			t, err = experiments.Fig11b(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "fig11a":
 			t, err := experiments.Fig11a(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "fig11b":
 			t, err := experiments.Fig11b(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "etc":
 			t, err := experiments.ETCStudy(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "cluster":
 			t, err := experiments.ClusterStudy(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "fleet":
 			t, err := experiments.FleetStudy(fleetOpts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "overload":
 			t, err := experiments.OverloadStudy(overloadOpts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "fault-sweep":
 			t, err := experiments.FaultSweep(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "single":
 			res, err := experiments.RunKVS(*backend, *batch, opts)
-			check(err)
-			fmt.Fprintln(tablesTo, res)
-			fmt.Fprintf(tablesTo, "  phases per batch: pre=%.2fus lookup=%.2fus post=%.2fus (util %.2f)\n",
+			h.Check(err)
+			fmt.Fprintln(h.Out, res)
+			fmt.Fprintf(h.Out, "  phases per batch: pre=%.2fus lookup=%.2fus post=%.2fus (util %.2f)\n",
 				res.Breakdown.Pre*1e6, res.Breakdown.Lookup*1e6, res.Breakdown.Post*1e6, res.WorkerUtil)
 		default:
-			fatal(fmt.Errorf("unknown command %q (want fig11a, fig11b, etc, cluster, fleet, overload, fault-sweep, single, all)", cmd))
+			h.Fatal(fmt.Errorf("unknown command %q (want fig11a, fig11b, etc, cluster, fleet, overload, fault-sweep, single, all)", cmd))
 		}
 	}
-	digests, err := obs.WriteArtifacts(col, *traceOut, *metricsOut)
-	check(err)
-	if *profile != "" {
-		set := col.ProfilerSet()
-		check(set.WriteTable(os.Stderr))
-		check(set.WriteFolded(os.Stdout))
-	}
-	if *manifestP != "" {
-		seeds := map[string]string{"seed": fmt.Sprint(*seed)}
-		if *faultSeed != 0 {
-			seeds["fault-seed"] = fmt.Sprint(*faultSeed)
-		}
-		m, err := obs.BuildManifest("kvsbench", "", flag.CommandLine,
-			seeds, digests, col, obs.WallSince(wallStart).Seconds())
-		check(err)
-		check(m.WriteFile(*manifestP))
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		check(err)
-		runtime.GC()
-		check(pprof.WriteHeapProfile(f))
-		check(f.Close())
-	}
-}
-
-// printSweepStats renders sweep wall-clock profiling to stderr through a
-// throwaway registry — profiling output never mixes into -metrics, which
-// must stay deterministic.
-func printSweepStats(s *sweep.Stats) {
-	reg := obs.NewRegistry()
-	s.Record(reg)
-	if err := reg.WriteText(os.Stderr); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintln(os.Stderr)
+	h.Finish("")
 }
 
 // isFlagSet reports whether the named flag was given explicitly.
@@ -272,7 +203,7 @@ func isFlagSet(name string) bool {
 	return set
 }
 
-func parseMults(s string) []float64 {
+func parseMults(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -281,14 +212,14 @@ func parseMults(s string) []float64 {
 		}
 		v, err := strconv.ParseFloat(part, 64)
 		if err != nil || v <= 0 {
-			fatal(fmt.Errorf("invalid load multiplier %q", part))
+			return nil, fmt.Errorf("invalid load multiplier %q", part)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
-func parseBatches(s string) []int {
+func parseBatches(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -297,33 +228,9 @@ func parseBatches(s string) []int {
 		}
 		v, err := strconv.Atoi(part)
 		if err != nil || v <= 0 {
-			fatal(fmt.Errorf("invalid batch size %q", part))
+			return nil, fmt.Errorf("invalid batch size %q", part)
 		}
 		out = append(out, v)
 	}
-	return out
-}
-
-// tablesTo is where report tables go: stdout normally, stderr in -profile
-// mode (the folded account stacks own stdout there).
-var tablesTo io.Writer = os.Stdout
-
-func emit(t *report.Table, csv bool) {
-	if csv {
-		t.CSV(tablesTo)
-	} else {
-		t.Fprint(tablesTo)
-	}
-	fmt.Fprintln(tablesTo)
-}
-
-func check(err error) {
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kvsbench:", err)
-	os.Exit(1)
+	return out, nil
 }

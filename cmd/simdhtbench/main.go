@@ -30,32 +30,34 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 
+	"simdhtbench/cmd/internal/cli"
 	"simdhtbench/internal/arch"
 	"simdhtbench/internal/core"
 	"simdhtbench/internal/experiments"
 	"simdhtbench/internal/fault"
-	"simdhtbench/internal/obs"
-	"simdhtbench/internal/obs/prof"
 	"simdhtbench/internal/report"
-	"simdhtbench/internal/sweep"
 	"simdhtbench/internal/workload"
 )
 
 func main() {
+	h := cli.New(cli.Tool{
+		Name:          "simdhtbench",
+		Seed:          1,
+		SeedHelp:      "base random seed",
+		TraceHelp:     "write a Chrome trace_event JSON file (virtual time = engine cycles)",
+		ProfileHelp:   "emit the deterministic cycle account: 'cycles' writes folded flamegraph stacks to stdout (pipe into flamegraph.pl) and the breakdown table to stderr; experiment tables move to stderr",
+		ManifestHelp:  "write a structured run manifest (JSON: config, seeds, artifact digests, metric snapshot, cycle account) to this file",
+		HeartbeatHelp: "print a stderr progress line every N measured variants (0 = off; wall-derived, never in deterministic output)",
+		FaultsHelp:    "run: fault-injection spec; 'pressure=<items>@<period>' injects charged insert-pressure bursts into the measured window",
+		FaultSeedHelp: "fault plan RNG seed (0 = -seed)",
+	})
 	var (
-		cpu      = flag.String("cpu", "skylake-a", "CPU model: skylake-a, skylake-b, cascadelake, icelake, zen2")
-		queries  = flag.Int("queries", 6000, "measured queries per configuration")
-		seed     = flag.Int64("seed", 1, "base random seed")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		parallel = flag.Int("parallel", 0, "sweep workers fanning configurations out (0 = all cores, 1 = sequential); output is identical at every setting")
-		sstats   = flag.Bool("sweepstats", false, "print per-job sweep timing to stderr after each experiment")
+		cpu     = flag.String("cpu", "skylake-a", "CPU model: skylake-a, skylake-b, cascadelake, icelake, zen2")
+		queries = flag.Int("queries", 6000, "measured queries per configuration")
 
 		n        = flag.Int("n", 2, "validate/run: number of hash functions (N)")
 		m        = flag.Int("m", 4, "validate/run: slots per bucket (m; 1 = non-bucketized)")
@@ -69,57 +71,20 @@ func main() {
 		keytrace = flag.String("keytrace", "", "run: replay a recorded key trace file instead of a generated pattern; record: output path")
 		brk      = flag.Bool("breakdown", false, "run: also print the per-op cycle breakdown of each variant")
 
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file (virtual time = engine cycles)")
-		metricsOut = flag.String("metrics", "", "write the metrics registry as CSV")
-		profile    = flag.String("profile", "", "emit the deterministic cycle account: 'cycles' writes folded flamegraph stacks to stdout (pipe into flamegraph.pl) and the breakdown table to stderr; experiment tables move to stderr")
-		manifestP  = flag.String("manifest", "", "write a structured run manifest (JSON: config, seeds, artifact digests, metric snapshot, cycle account) to this file")
-		heartbeat  = flag.Int("heartbeat", 0, "print a stderr progress line every N measured variants (0 = off; wall-derived, never in deterministic output)")
-
-		faults    = flag.String("faults", "", "run: fault-injection spec; 'pressure=<items>@<period>' injects charged insert-pressure bursts into the measured window")
-		faultSeed = flag.Int64("fault-seed", 0, "fault plan RNG seed (0 = -seed)")
-
-		simspeed   = flag.Bool("simspeed", false, "run: print each variant's simulator throughput (simulated Mlookups per host second) to stderr and publish it as an obs gauge; wall-clock-derived, never part of deterministic output")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		simspeed = flag.Bool("simspeed", false, "run: print each variant's simulator throughput (simulated Mlookups per host second) to stderr and publish it as an obs gauge; wall-clock-derived, never part of deterministic output")
 	)
 	flag.Parse()
-	wallStart := obs.WallNow()
-	if *profile != "" && *profile != "cycles" {
-		fatal(fmt.Errorf("unknown -profile kind %q (want cycles)", *profile))
-	}
-	if *profile != "" {
-		// The folded cycle-account stacks own stdout in profile mode, so the
-		// experiment tables (and other report prints) move to stderr.
-		tablesTo = os.Stderr
-	}
-
-	// pprof output is wall-clock-shaped by nature and goes to its own
-	// files, never into tables, -trace or -metrics, so the deterministic
-	// artifacts stay byte-identical whether or not profiling is enabled.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		check(err)
-		check(pprof.StartCPUProfile(f))
-		defer pprof.StopCPUProfile()
-	}
+	h.Start()
 
 	model, err := arch.ByName(*cpu)
-	if err != nil {
-		fatal(err)
-	}
-	opts := experiments.Options{Queries: *queries, Seed: *seed, Parallel: *parallel}
-	if *sstats {
-		opts.OnSweep = printSweepStats
-	}
-	hb := obs.NewHeartbeat(*heartbeat, os.Stderr)
-	opts.Heartbeat = hb
-	var col *obs.Collector
-	if *traceOut != "" || *metricsOut != "" || *profile != "" || *manifestP != "" {
-		col = obs.NewCollector()
-		opts.Obs = col
-	}
-	if *profile != "" || *manifestP != "" {
-		col.EnableProfiling(prof.NewSet())
+	h.Check(err)
+	opts := experiments.Options{
+		Queries:   *queries,
+		Seed:      h.Seed,
+		Parallel:  h.Parallel,
+		OnSweep:   h.OnSweep(),
+		Heartbeat: h.Heartbeat,
+		Obs:       h.Col,
 	}
 
 	args := flag.Args()
@@ -129,98 +94,98 @@ func main() {
 	for _, cmd := range args {
 		switch cmd {
 		case "all":
-			runAll(opts, *csv)
+			runAll(h, opts)
 		case "table1":
-			emit(experiments.Table1(), *csv)
+			h.Emit(experiments.Table1())
 		case "fig2":
 			t, err := experiments.Fig2(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "listing1":
 			s, err := experiments.Listing1()
-			check(err)
-			fmt.Fprintln(tablesTo, s)
+			h.Check(err)
+			fmt.Fprintln(h.Out, s)
 		case "fig5", "cs1a":
 			t, err := experiments.Fig5(opts)
-			check(err)
-			emit(t, *csv)
-			if !*csv {
+			h.Check(err)
+			h.Emit(t)
+			if !h.CSV {
 				for _, p := range []workload.Pattern{workload.Uniform, workload.Skewed} {
 					g, err := experiments.Fig5Grid(p, opts)
-					check(err)
-					g.Fprint(tablesTo)
-					fmt.Fprintln(tablesTo)
+					h.Check(err)
+					g.Fprint(h.Out)
+					fmt.Fprintln(h.Out)
 				}
 			}
 		case "fig6", "cs1b":
 			t, err := experiments.Fig6(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "fig7a", "cs2":
 			t, err := experiments.Fig7a(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "fig7b", "cs3":
 			t, err := experiments.Fig7b(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "fig8", "cs4":
 			t, err := experiments.Fig8(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "fig9", "cs5":
 			t, err := experiments.Fig9(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "split":
 			t, err := experiments.SplitBucket(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "mixed":
 			t, err := experiments.MixedWorkload(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "amac":
 			t, err := experiments.AMACStudy(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "arches":
 			t, err := experiments.EmergingArchitectures(opts)
-			check(err)
-			emit(t, *csv)
+			h.Check(err)
+			h.Emit(t)
 		case "validate":
 			rows, err := core.ValidateGrid(model, [][2]int{{*n, *m}}, *keyBits, *valBits, *size, model.Widths)
-			check(err)
-			fmt.Fprint(tablesTo, core.FormatListing(model, *keyBits, *valBits, model.Widths, rows))
+			h.Check(err)
+			fmt.Fprint(h.Out, core.FormatListing(model, *keyBits, *valBits, model.Widths, rows))
 		case "run":
 			pat := workload.Uniform
 			if *pattern == "skewed" {
 				pat = workload.Skewed
 			}
-			spec, err := fault.ParseSpec(*faults)
-			check(err)
+			spec, err := fault.ParseSpec(h.Faults)
+			h.Check(err)
 			params := core.Params{
 				Arch: model, N: *n, M: *m, KeyBits: *keyBits, ValBits: *valBits,
 				TableBytes: *size, LoadFactor: *lf, HitRate: *hitRate,
-				Pattern: pat, Queries: *queries, Cores: *cores, Seed: *seed,
-				Obs:    col.Scope("config", "run"),
-				Faults: spec, FaultSeed: *faultSeed,
+				Pattern: pat, Queries: *queries, Cores: *cores, Seed: h.Seed,
+				Obs:    h.Col.Scope("config", "run"),
+				Faults: spec, FaultSeed: h.FaultSeed,
 				RecordSimSpeed: *simspeed,
-				Heartbeat:      hb,
+				Heartbeat:      h.Heartbeat,
 			}
 			if *keytrace != "" {
 				f, err := os.Open(*keytrace)
-				check(err)
+				h.Check(err)
 				keys, err := workload.ReadTrace(f)
 				f.Close()
-				check(err)
+				h.Check(err)
 				params.Trace = keys
 			}
 			r, err := core.Run(params)
-			check(err)
-			emit(resultTable(r), *csv)
+			h.Check(err)
+			h.Emit(resultTable(r))
 			if *brk {
-				emit(breakdownTable(r), *csv)
+				h.Emit(breakdownTable(r))
 			}
 			if *simspeed {
 				// Stderr only: stdout carries the deterministic tables.
@@ -236,11 +201,11 @@ func main() {
 				Params: core.Params{
 					Arch: model, KeyBits: *keyBits, ValBits: *valBits,
 					TableBytes: *size, HitRate: *hitRate, Pattern: pat,
-					Queries: *queries, Seed: *seed,
+					Queries: *queries, Seed: h.Seed,
 				},
 				MinLoadFactor: *lf,
 			})
-			check(err)
+			h.Check(err)
 			t := report.NewTable(
 				fmt.Sprintf("Design guidance: (K,V)=(%d,%d)b, %s HT, %s pattern, LF >= %.2f on %s",
 					*keyBits, *valBits, sizeArg(*size), *pattern, *lf, model.Name),
@@ -255,16 +220,16 @@ func main() {
 					fmt.Sprintf("%.2fx", r.Speedup),
 					fmt.Sprintf("%.2f", r.MaxLF))
 			}
-			emit(t, *csv)
+			h.Emit(t)
 		case "selftest":
-			checked, err := core.SelfTest(50, *seed)
-			check(err)
-			fmt.Fprintf(tablesTo, "selftest: %d (configuration, variant) combinations agree with the native reference\n", checked)
+			checked, err := core.SelfTest(50, h.Seed)
+			h.Check(err)
+			fmt.Fprintf(h.Out, "selftest: %d (configuration, variant) combinations agree with the native reference\n", checked)
 		case "record":
 			// Record the configured pattern's query stream to -keytrace for
 			// later replay (a seed-stable capture of the workload).
 			if *keytrace == "" {
-				fatal(fmt.Errorf("record requires -keytrace <output path>"))
+				h.Fatal(fmt.Errorf("record requires -keytrace <output path>"))
 			}
 			pat := workload.Uniform
 			if *pattern == "skewed" {
@@ -275,45 +240,22 @@ func main() {
 				stored = append(stored, i)
 			}
 			gen, err := workload.New(stored, workload.Config{
-				Pattern: pat, HitRate: *hitRate, KeyBits: *keyBits, Seed: *seed,
+				Pattern: pat, HitRate: *hitRate, KeyBits: *keyBits, Seed: h.Seed,
 			})
-			check(err)
+			h.Check(err)
 			f, err := os.Create(*keytrace)
-			check(err)
+			h.Check(err)
 			err = workload.WriteTrace(f, workload.Keys(gen, *queries))
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
-			check(err)
-			fmt.Fprintf(tablesTo, "recorded %d %s queries to %s\n", *queries, pat, *keytrace)
+			h.Check(err)
+			fmt.Fprintf(h.Out, "recorded %d %s queries to %s\n", *queries, pat, *keytrace)
 		default:
-			fatal(fmt.Errorf("unknown experiment %q (want table1, fig2, listing1, fig5..fig9, split, mixed, amac, arches, validate, run, record, advise, selftest, all)", cmd))
+			h.Fatal(fmt.Errorf("unknown experiment %q (want table1, fig2, listing1, fig5..fig9, split, mixed, amac, arches, validate, run, record, advise, selftest, all)", cmd))
 		}
 	}
-	digests, err := obs.WriteArtifacts(col, *traceOut, *metricsOut)
-	check(err)
-	if *profile != "" {
-		set := col.ProfilerSet()
-		check(set.WriteTable(os.Stderr))
-		check(set.WriteFolded(os.Stdout))
-	}
-	if *manifestP != "" {
-		seeds := map[string]string{"seed": fmt.Sprint(*seed)}
-		if *faultSeed != 0 {
-			seeds["fault-seed"] = fmt.Sprint(*faultSeed)
-		}
-		m, err := obs.BuildManifest("simdhtbench", model.Name, flag.CommandLine,
-			seeds, digests, col, obs.WallSince(wallStart).Seconds())
-		check(err)
-		check(m.WriteFile(*manifestP))
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		check(err)
-		runtime.GC()
-		check(pprof.WriteHeapProfile(f))
-		check(f.Close())
-	}
+	h.Finish(model.Name)
 }
 
 // simSpeedTable renders the per-variant simulator throughput of a run. The
@@ -337,32 +279,20 @@ func simSpeedTable(r *core.Result) *report.Table {
 	return t
 }
 
-// printSweepStats renders sweep wall-clock profiling to stderr through a
-// throwaway registry — profiling output never mixes into -metrics, which
-// must stay deterministic.
-func printSweepStats(s *sweep.Stats) {
-	reg := obs.NewRegistry()
-	s.Record(reg)
-	if err := reg.WriteText(os.Stderr); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintln(os.Stderr)
-}
-
-func runAll(opts experiments.Options, csv bool) {
-	emit(experiments.Table1(), csv)
+func runAll(h *cli.Harness, opts experiments.Options) {
+	h.Emit(experiments.Table1())
 	for _, f := range []func(experiments.Options) (*report.Table, error){
 		experiments.Fig2, experiments.Fig5, experiments.Fig6,
 		experiments.Fig7a, experiments.Fig7b, experiments.Fig8, experiments.Fig9,
 	} {
 		t, err := f(opts)
-		check(err)
-		emit(t, csv)
+		h.Check(err)
+		h.Emit(t)
 	}
 	s, err := experiments.Listing1()
-	check(err)
-	fmt.Fprintln(tablesTo, "Listing 1: SIMD-aware design choices")
-	fmt.Fprintln(tablesTo, s)
+	h.Check(err)
+	fmt.Fprintln(h.Out, "Listing 1: SIMD-aware design choices")
+	fmt.Fprintln(h.Out, s)
 }
 
 func resultTable(r *core.Result) *report.Table {
@@ -440,28 +370,4 @@ func sizeArg(sz int) string {
 		return fmt.Sprintf("%dMB", sz>>20)
 	}
 	return fmt.Sprintf("%dKB", sz>>10)
-}
-
-// tablesTo is where experiment reports go: stdout normally, stderr in
-// -profile mode (the folded cycle-account stacks own stdout there).
-var tablesTo io.Writer = os.Stdout
-
-func emit(t *report.Table, csv bool) {
-	if csv {
-		t.CSV(tablesTo)
-	} else {
-		t.Fprint(tablesTo)
-	}
-	fmt.Fprintln(tablesTo)
-}
-
-func check(err error) {
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "simdhtbench:", err)
-	os.Exit(1)
 }
