@@ -88,7 +88,7 @@ func main() {
 
 	spec, err := fault.ParseSpec(h.Faults)
 	h.Check(err)
-	batchSizes, err := parseBatches(*batches)
+	batchSizes, err := parseList(*batches, "batch size", strconv.Atoi)
 	h.Check(err)
 	opts := experiments.KVSOptions{
 		Items:      *items,
@@ -121,9 +121,9 @@ func main() {
 			args = args[:1] // bare `kvsbench -overload` runs only the overload study
 		}
 	}
-	sizes, err := parseBatches(*fleetSizes)
+	sizes, err := parseList(*fleetSizes, "batch size", strconv.Atoi)
 	h.Check(err)
-	mults, err := parseMults(*overloadMults)
+	mults, err := parseList(*overloadMults, "load multiplier", parseFloat)
 	h.Check(err)
 	fleetOpts := experiments.FleetOptions{
 		KVSOptions:    opts,
@@ -203,34 +203,22 @@ func isFlagSet(name string) bool {
 	return set
 }
 
-func parseMults(s string) ([]float64, error) {
-	var out []float64
+// parseList parses a comma-separated list of positive values; what names
+// the element kind in the error.
+func parseList[T int | float64](s, what string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		v, err := strconv.ParseFloat(part, 64)
+		v, err := parse(part)
 		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("invalid load multiplier %q", part)
+			return nil, fmt.Errorf("invalid %s %q", what, part)
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
-func parseBatches(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("invalid batch size %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

@@ -34,14 +34,16 @@ type KVSOptions struct {
 	// setting.
 	Parallel int
 
-	// SimWorkers is the host goroutine count advancing each fleet-scale
-	// simulation. Fleets always run on the partitioned engine
-	// (internal/des.Partitioned): clients and coordinator on partition 0,
-	// one partition per server, under conservative lookahead windows. The
-	// partition count is fixed by the fleet size, so artifacts are
-	// byte-identical at every SimWorkers value — only wall-clock changes.
-	// ≤ 0 means one worker. Composes with Parallel: each sweep job gets its
-	// own engine and worker set.
+	// SimWorkers is the host goroutine count advancing each multi-server
+	// simulation (ClusterStudy, FleetStudy, OverloadStudy). Those fleets
+	// always run on the partitioned engine (internal/des.Partitioned):
+	// clients and coordinator on partition 0, one partition per server,
+	// under conservative lookahead windows. The partition count is fixed by
+	// the fleet size, so artifacts are byte-identical at every SimWorkers
+	// value — only wall-clock changes. ≤ 0 means one worker. Composes with
+	// Parallel: each sweep job gets its own engine and worker set. The
+	// one-server studies (Fig. 11, ETC, the fault sweep) run on the serial
+	// engine and ignore it.
 	SimWorkers int
 
 	// OnSweep, when non-nil, observes sweep timing stats (CLI -sweepstats).

@@ -4,8 +4,8 @@ import "fmt"
 
 // ConfigError is a typed rejection of an invalid load-generator
 // configuration (non-positive counts, a fleet that does not match its
-// engine, contradictory fleet options). Callers can errors.As on it to distinguish configuration
-// mistakes from simulation failures.
+// engine, contradictory fleet options). Callers can errors.As on it to
+// distinguish configuration mistakes from simulation failures.
 type ConfigError struct {
 	Field  string
 	Reason string
@@ -16,9 +16,9 @@ func (e *ConfigError) Error() string {
 }
 
 // LoadError is a typed failure of a load phase (LoadKeys, Fleet.LoadFleet):
-// the loader could not place all requested keys. Loaded reports how many keys were
-// stored before the failure, so a partial load is never silently truncated
-// into a smaller working set.
+// the loader could not place all requested keys. Loaded reports how many
+// keys were stored before the failure, so a partial load is never silently
+// truncated into a smaller working set.
 type LoadError struct {
 	Server int // server whose Set failed, -1 when not server-specific
 	Loaded int // keys successfully placed

@@ -130,6 +130,19 @@ check_study_goldens overload_study "$tmp/overload1"
 run_overload 4 8 "$tmp/overload8"
 check_study_goldens overload_study "$tmp/overload8"
 
+# Cluster smoke: the consistent-hashing cluster study (unreplicated,
+# closed-loop fleets of 1, 2 and 4 servers) must reproduce its table golden
+# byte-for-byte through the CLI at two (-parallel, -simworkers) compositions.
+echo "==> CLI smoke (cluster vs golden, -parallel 1 -simworkers 1 and -parallel 4 -simworkers 2)"
+run_cluster() {
+    $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
+        -batches 8 -seed 7 -parallel "$1" -simworkers "$2" cluster > "$3.txt"
+    sed '$d' "$3.txt" > "$3.table" # emit() ends with one blank line
+    diff "$3.table" internal/experiments/testdata/cluster_study_table.golden.txt
+}
+run_cluster 1 1 "$tmp/cluster1"
+run_cluster 4 2 "$tmp/cluster4"
+
 # Sim-speed smoke: -simspeed must print the simulator-throughput table to
 # stderr while leaving stdout (the deterministic tables) untouched by any
 # wall-clock value, and benchdiff must accept a snapshot against itself.
