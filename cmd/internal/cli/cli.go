@@ -35,13 +35,13 @@ type Tool struct {
 type Harness struct {
 	tool Tool
 
-	CSV        bool
-	Seed       int64
-	Parallel   int
-	SweepStats bool
-	Faults     string // fault.Spec text; each command parses it where it applies
-	FaultSeed  int64
+	CSV       bool
+	Seed      int64
+	Parallel  int
+	Faults    string // fault.Spec text; each command parses it where it applies
+	FaultSeed int64
 
+	sweepStats                        bool
 	trace, metrics, profile, manifest string
 	heartbeat                         int
 	cpuProfile, memProfile            string
@@ -66,7 +66,7 @@ func New(t Tool) *Harness {
 	flag.BoolVar(&h.CSV, "csv", false, "emit CSV instead of aligned tables")
 	flag.Int64Var(&h.Seed, "seed", t.Seed, t.SeedHelp)
 	flag.IntVar(&h.Parallel, "parallel", 0, "sweep workers fanning configurations out (0 = all cores, 1 = sequential); output is identical at every setting")
-	flag.BoolVar(&h.SweepStats, "sweepstats", false, "print per-job sweep timing to stderr after each experiment")
+	flag.BoolVar(&h.sweepStats, "sweepstats", false, "print per-job sweep timing to stderr after each experiment")
 	flag.StringVar(&h.trace, "trace", "", t.TraceHelp)
 	flag.StringVar(&h.metrics, "metrics", "", "write the metrics registry as CSV")
 	flag.StringVar(&h.profile, "profile", "", t.ProfileHelp)
@@ -113,7 +113,7 @@ func (h *Harness) Start() {
 // registry — profiling output never mixes into -metrics, which must stay
 // deterministic.
 func (h *Harness) OnSweep() func(*sweep.Stats) {
-	if !h.SweepStats {
+	if !h.sweepStats {
 		return nil
 	}
 	return func(s *sweep.Stats) {

@@ -19,11 +19,12 @@ func buildFleet(t *testing.T, servers, items, replication int) *Fleet {
 	return buildFleetWorkers(t, 1, servers, items, replication)
 }
 
-// buildFleetWorkers builds server i with index seed i+1, four workers and a
-// 128-key batch cap — buildStack's server when there is one — on an engine
-// with one client/coordinator partition plus one per server, advanced by
-// simWorkers host goroutines. Every server's index has room for the full
-// key set: replication and rebalance may land any key anywhere.
+// buildFleetWorkers builds a loaded fleet whose server i has index seed
+// i+1, four workers and a 128-key batch cap (a one-server fleet holds the
+// same server buildStack builds), on an engine with one client/coordinator
+// partition plus one per server, advanced by simWorkers host goroutines.
+// Every server's index has room for the full key set: replication and
+// rebalance may land any key anywhere.
 func buildFleetWorkers(t *testing.T, simWorkers, servers, items, replication int) *Fleet {
 	t.Helper()
 	cfg := netsim.EDR()
