@@ -71,7 +71,7 @@ func main() {
 		batches    = flag.String("batches", "16,64", "comma-separated Multi-Get sizes")
 		backend    = flag.String("backend", "vertical", "single: memc3|horizontal|vertical")
 		batch      = flag.Int("batch", 16, "single: Multi-Get size")
-		simWorkers = flag.Int("simworkers", 1, "cluster/fleet/overload: host workers advancing one simulation's partitions in parallel (1 = serial); output is identical at every setting")
+		simWorkers = flag.Int("simworkers", 1, "host workers advancing one simulation's partitions in parallel (1 = serial); output is identical at every setting")
 
 		fleetCmd    = flag.Bool("fleet", false, "run the fleet-scale replication study (same as the `fleet` command)")
 		fleetSizes  = flag.String("fleet-sizes", "3,8,16,32,64", "fleet: comma-separated server counts")

@@ -5,7 +5,8 @@
 // It demonstrates the public kvs/netsim/des/memslap APIs directly — loading
 // items, issuing a functional Get, then measuring all three index backends
 // under the paper's workload shape (20 B keys, 32 B values, skewed access,
-// batches of 16).
+// batches of 16). The one server is a one-server, unreplicated
+// memslap.Fleet on the partitioned engine.
 //
 // Run with: go run ./examples/multiget
 package main
@@ -34,8 +35,12 @@ func main() {
 	fmt.Println()
 
 	for _, backend := range []string{"memc3", "horizontal", "vertical"} {
-		sim := des.New()
-		fabric := netsim.New(sim, netsim.EDR())
+		// Partition 0 runs the clients, partition 1 the server, advanced
+		// by a single host worker.
+		net := netsim.EDR()
+		pd := des.NewPartitioned(2, 1, net.SmallMessageLatency())
+		fabric := netsim.New(pd.Sim(0), net)
+		fabric.Partition(pd)
 		space := mem.NewAddressSpace()
 		store := kvs.NewItemStore(space)
 
@@ -53,8 +58,12 @@ func main() {
 			log.Fatal(err)
 		}
 
-		srv := kvs.NewServer(sim, arch.SkylakeClusterB(), workers, 128, index, store)
-		keys, err := memslap.LoadKeys(srv, items, 20, 32)
+		srv := kvs.NewServer(pd.Sim(1), arch.SkylakeClusterB(), workers, 128, index, store)
+		fleet, err := memslap.NewFleet(pd.Sim(0), fabric, []*kvs.Server{srv}, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		keys, err := fleet.LoadFleet(items, 20, 32)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,13 +74,13 @@ func main() {
 			log.Fatalf("functional Get failed for %q", keys[0])
 		}
 
-		res, err := memslap.Run(sim, fabric, srv, keys, memslap.Config{
+		res, err := memslap.RunFleet(fleet, memslap.FleetConfig{Config: memslap.Config{
 			Clients:   clients,
 			BatchSize: batch,
 			Requests:  2000,
 			KeyBytes:  20,
 			Seed:      3,
-		})
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,8 +18,9 @@ import (
 const faultSpecCLI = "drop=0.15,crash=20µs:10µs,slow=4x@15µs:5µs,pressure=50@10µs,timeout=10µs,retries=1,backoff=5µs"
 
 // runFaultSweepObs mirrors `kvsbench -items 2000 -workers 2 -clients 2
-// -requests 20 -batches 8 -seed 7 -faults '<spec>' -trace -metrics fault-sweep`.
-func runFaultSweepObs(t *testing.T, parallel int) (table, traceJSON, metricsCSV []byte) {
+// -requests 20 -batches 8 -seed 7 -faults '<spec>' -trace -metrics
+// fault-sweep` at the given -parallel and -simworkers.
+func runFaultSweepObs(t *testing.T, parallel, simWorkers int) studyArtifacts {
 	t.Helper()
 	spec, err := fault.ParseSpec(faultSpecCLI)
 	if err != nil {
@@ -27,34 +28,26 @@ func runFaultSweepObs(t *testing.T, parallel int) (table, traceJSON, metricsCSV 
 	}
 	col := obs.NewCollector()
 	o := kvsObsOptions(parallel, col)
+	o.SimWorkers = simWorkers
 	o.Faults = spec
 	tbl, err := FaultSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tbl.Fprint(&buf)
-	tr, ms := renderObs(t, col)
-	return buf.Bytes(), tr, ms
+	return renderStudy(t, col, nil, func(b *bytes.Buffer) { tbl.Fprint(b) })
 }
 
 // TestObsGoldenFaultSweep pins the fault sweep's three artifacts and checks
-// the tentpole determinism contract: with a fault plan active, measurements,
-// metrics CSV and trace JSON are byte-identical at -parallel 1, 4 and 16.
+// the tentpole determinism contract: with a fault plan active, the table,
+// metrics CSV and trace JSON are byte-identical at every golden
+// (-parallel, -simworkers) composition.
 func TestObsGoldenFaultSweep(t *testing.T) {
-	tbl1, tr1, ms1 := runFaultSweepObs(t, 1)
-	for _, parallel := range []int{4, 16} {
-		tbl, tr, ms := runFaultSweepObs(t, parallel)
-		if !bytes.Equal(tbl1, tbl) {
-			t.Fatalf("fault-sweep table diverges between -parallel 1 and -parallel %d", parallel)
-		}
-		if !bytes.Equal(tr1, tr) || !bytes.Equal(ms1, ms) {
-			t.Fatalf("fault-sweep obs artifacts diverge between -parallel 1 and -parallel %d", parallel)
-		}
-	}
-	checkGolden(t, "fault_sweep_table.golden.txt", tbl1)
-	checkGolden(t, "fault_sweep_trace.golden.json", tr1)
-	checkGolden(t, "fault_sweep_metrics.golden.csv", ms1)
+	a := checkCompositions(t, func(parallel, simWorkers int) studyArtifacts {
+		return runFaultSweepObs(t, parallel, simWorkers)
+	})
+	checkGolden(t, "fault_sweep_table.golden.txt", a.table)
+	checkTraceGolden(t, "fault_sweep", a.trace)
+	checkGolden(t, "fault_sweep_metrics.golden.csv", a.metrics)
 
 	// The injection must actually bite: the metrics artifact carries live
 	// fault and protocol counters, not a sea of zeros.
@@ -67,7 +60,7 @@ func TestObsGoldenFaultSweep(t *testing.T) {
 		"client_timeouts_total",
 		"client_degraded_batches_total",
 	} {
-		if !strings.Contains(string(ms1), series) {
+		if !strings.Contains(string(a.metrics), series) {
 			t.Errorf("metrics artifact missing %s", series)
 		}
 	}

@@ -21,9 +21,9 @@ var FaultSweepRates = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2}
 // baseline (a zero spec compiles to a nil plan — no protocol, no injection).
 //
 // Every (backend, rate) point is one hermetic sweep job with its own
-// simulation, fabric, store and server, and all fault timing is virtual, so
-// the table — and the obs artifacts behind it — are byte-identical at every
-// Parallel setting.
+// one-server fleet, and all fault timing is virtual, so the table — and the
+// obs artifacts behind it — are byte-identical at every Parallel and
+// SimWorkers setting.
 func FaultSweep(o KVSOptions) (*report.Table, error) {
 	o = o.withDefaults()
 	batch := o.Batches[0]
@@ -39,12 +39,12 @@ func FaultSweep(o KVSOptions) (*report.Table, error) {
 			points = append(points, point{backend, rate})
 		}
 	}
-	jobs := make([]sweep.Job[memslap.Results], len(points))
+	jobs := make([]sweep.Job[memslap.FleetResults], len(points))
 	for i, pt := range points {
 		pt := pt
-		jobs[i] = sweep.Job[memslap.Results]{
+		jobs[i] = sweep.Job[memslap.FleetResults]{
 			Label: fmt.Sprintf("faults %s drop=%.2f", pt.backend, pt.rate),
-			Run: func() (memslap.Results, error) {
+			Run: func() (memslap.FleetResults, error) {
 				jo := o
 				jo.Faults.Drop = pt.rate
 				return runKVSWith(pt.backend, batch, jo, false)

@@ -85,7 +85,10 @@ func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error)
 	}
 
 	repl := min(o.Replication, nservers)
-	fleet, err := newFleet(o.KVSOptions, col, plan, nil, nservers, repl, replicatedCapacity(o.Items, nservers, repl))
+	fleet, err := newFleet(o.KVSOptions, col, plan, nil, fleetShape{
+		backend: "vertical", servers: nservers, replication: repl,
+		capacity: replicatedCapacity(o.Items, nservers, repl), batchCap: fleetBatchCap,
+	})
 	if err != nil {
 		return memslap.FleetResults{}, err
 	}

@@ -3,15 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"simdhtbench/internal/arch"
-	"simdhtbench/internal/des"
 	"simdhtbench/internal/fault"
-	"simdhtbench/internal/kvs"
-	"simdhtbench/internal/mem"
 	"simdhtbench/internal/memslap"
-	"simdhtbench/internal/netsim"
 	"simdhtbench/internal/obs"
-	"simdhtbench/internal/obs/prof"
 	"simdhtbench/internal/report"
 	"simdhtbench/internal/sweep"
 )
@@ -34,16 +28,15 @@ type KVSOptions struct {
 	// setting.
 	Parallel int
 
-	// SimWorkers is the host goroutine count advancing each multi-server
-	// simulation (ClusterStudy, FleetStudy, OverloadStudy). Those fleets
-	// always run on the partitioned engine (internal/des.Partitioned):
-	// clients and coordinator on partition 0, one partition per server,
-	// under conservative lookahead windows. The partition count is fixed by
-	// the fleet size, so artifacts are byte-identical at every SimWorkers
-	// value — only wall-clock changes. ≤ 0 means one worker. Composes with
-	// Parallel: each sweep job gets its own engine and worker set. The
-	// one-server studies (Fig. 11, ETC, the fault sweep) run on the serial
-	// engine and ignore it.
+	// SimWorkers is the host goroutine count advancing each simulation.
+	// Every KVS study runs a memslap.Fleet on the partitioned engine
+	// (internal/des.Partitioned): clients and coordinator on partition 0,
+	// one partition per server, under conservative lookahead windows —
+	// Fig. 11, ETC and the fault sweep on a one-server fleet. The partition
+	// count is fixed by the fleet size, so artifacts are byte-identical at
+	// every SimWorkers value — only wall-clock changes. ≤ 0 means one
+	// worker. Composes with Parallel: each sweep job gets its own engine
+	// and worker set.
 	SimWorkers int
 
 	// OnSweep, when non-nil, observes sweep timing stats (CLI -sweepstats).
@@ -100,13 +93,15 @@ func KVSBackends() []string {
 
 // RunKVS executes one memslap Multi-Get run against a freshly built server
 // with the named backend ("memc3", "horizontal", "vertical").
-func RunKVS(backend string, batch int, o KVSOptions) (memslap.Results, error) {
+func RunKVS(backend string, batch int, o KVSOptions) (memslap.FleetResults, error) {
 	return runKVSWith(backend, batch, o, false)
 }
 
-// runKVSWith optionally loads Facebook-ETC item sizes instead of the fixed
-// memslap 20 B/32 B items.
-func runKVSWith(backend string, batch int, o KVSOptions, etc bool) (memslap.Results, error) {
+// runKVSWith runs the Section VI setup — closed-loop memslap clients
+// against one server, a one-server R=1 fleet — optionally loading
+// Facebook-ETC item sizes instead of the fixed memslap 20 B/32 B items. The
+// server's index holds o.Items keys and caps batches at max(batch, 128).
+func runKVSWith(backend string, batch int, o KVSOptions, etc bool) (memslap.FleetResults, error) {
 	o = o.withDefaults()
 	scope := fmt.Sprintf("%s b=%d", backend, batch)
 	if etc {
@@ -126,68 +121,18 @@ func runKVSWith(backend string, batch int, o KVSOptions, etc bool) (memslap.Resu
 		// metrics artifact must stay byte-identical to the pre-fault layer.
 		faultProbe = col.FaultProbe()
 	}
-	sim := des.New()
-	sim.Probe = col.SimProbe()
-	sim.Heartbeat = o.Heartbeat
-	fabric := netsim.New(sim, netsim.EDR())
-	fabric.Probe = col.NetProbe()
-	fabric.Faults = plan
-	fabric.FaultProbe = faultProbe
-	space := mem.NewAddressSpace()
-	store := kvs.NewItemStore(space)
-
-	var index kvs.Index
-	var err error
-	maxBatch := batch
-	if maxBatch < 128 {
-		maxBatch = 128
-	}
-	switch backend {
-	case "memc3":
-		index = kvs.NewMemC3Index(space, o.Items, o.Seed)
-	case "horizontal":
-		index, err = kvs.NewHorizontalIndex(space, o.Items, maxBatch, o.Seed)
-	case "vertical":
-		index, err = kvs.NewVerticalIndex(space, o.Items, maxBatch, o.Seed)
-	default:
-		return memslap.Results{}, fmt.Errorf("experiments: unknown KVS backend %q", backend)
-	}
+	fleet, err := newFleet(o, col, plan, nil, fleetShape{
+		backend: backend, servers: 1, replication: 1,
+		capacity: o.Items, batchCap: max(batch, 128), etc: etc,
+	})
 	if err != nil {
-		return memslap.Results{}, err
-	}
-
-	srv := kvs.NewServer(sim, arch.SkylakeClusterB(), o.Workers, maxBatch, index, store)
-	srv.Probe = col.ServerProbe()
-	if pr := col.Profiler("us"); pr != nil {
-		// Attribute worker-pool queueing delay under server/queue in the
-		// cycle account. The hook runs on the single DES goroutine that owns
-		// this job's scope profiler, so the accumulation order — and hence
-		// the folded output — is deterministic.
-		h := pr.Child(pr.Child(prof.Root, "server"), "queue")
-		srv.Workers.OnWait = func(seconds float64) {
-			v := seconds * 1e6
-			pr.AddSelf(h, v)
-			pr.AddTotal(v)
-		}
-	}
-	if plan != nil {
-		srv.Faults = plan.ForServer(0)
-		srv.FaultProbe = faultProbe
-	}
-	var keys [][]byte
-	if etc {
-		keys, err = memslap.LoadETC(srv, o.Items, o.Seed)
-	} else {
-		keys, err = memslap.LoadKeys(srv, o.Items, 20, 32)
-	}
-	if err != nil {
-		return memslap.Results{}, err
+		return memslap.FleetResults{}, err
 	}
 	keyBytes := 20
 	if etc {
 		keyBytes = 0 // variable-size keys
 	}
-	return memslap.Run(sim, fabric, srv, keys, memslap.Config{
+	return memslap.RunFleet(fleet, memslap.FleetConfig{Config: memslap.Config{
 		Clients:    o.Clients,
 		BatchSize:  batch,
 		Requests:   o.Requests,
@@ -195,23 +140,23 @@ func runKVSWith(backend string, batch int, o KVSOptions, etc bool) (memslap.Resu
 		Seed:       o.Seed,
 		Faults:     plan,
 		FaultProbe: faultProbe,
-	})
+	}})
 }
 
 // kvsSweep fans one memslap run per (batch, backend) pair out across the
 // sweep pool and returns results indexed [batch][backend], in the order of
 // o.Batches and KVSBackends(). Every job is hermetic: it builds its own
-// simulation clock, network fabric, item store, index and server, so the
-// fan-out changes nothing about the simulated numbers.
-func kvsSweep(o KVSOptions, etc bool) ([][]memslap.Results, error) {
+// simulation, network fabric, item store, index and server, so the fan-out
+// changes nothing about the simulated numbers.
+func kvsSweep(o KVSOptions, etc bool) ([][]memslap.FleetResults, error) {
 	backends := KVSBackends()
-	var jobs []sweep.Job[memslap.Results]
+	var jobs []sweep.Job[memslap.FleetResults]
 	for _, batch := range o.Batches {
 		for _, backend := range backends {
 			batch, backend := batch, backend
-			jobs = append(jobs, sweep.Job[memslap.Results]{
+			jobs = append(jobs, sweep.Job[memslap.FleetResults]{
 				Label: fmt.Sprintf("kvs %s b=%d", backend, batch),
-				Run: func() (memslap.Results, error) {
+				Run: func() (memslap.FleetResults, error) {
 					return runKVSWith(backend, batch, o, etc)
 				},
 			})
@@ -221,7 +166,7 @@ func kvsSweep(o KVSOptions, etc bool) ([][]memslap.Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]memslap.Results, len(o.Batches))
+	out := make([][]memslap.FleetResults, len(o.Batches))
 	for i := range out {
 		out[i] = flat[i*len(backends) : (i+1)*len(backends)]
 	}
@@ -346,7 +291,10 @@ func ClusterStudy(o KVSOptions) (*report.Table, error) {
 				// undersize the index when Items doesn't divide evenly,
 				// and an imbalanced ring would fail the load.
 				capacity := (o.Items+pt.nservers-1)/pt.nservers + o.Items/4
-				fleet, err := newFleet(o, o.Obs.Scope("config", label), nil, nil, pt.nservers, 1, capacity)
+				fleet, err := newFleet(o, o.Obs.Scope("config", label), nil, nil, fleetShape{
+					backend: "vertical", servers: pt.nservers, replication: 1,
+					capacity: capacity, batchCap: fleetBatchCap,
+				})
 				if err != nil {
 					return memslap.FleetResults{}, err
 				}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"simdhtbench/internal/obs"
+	"simdhtbench/internal/obs/prof"
 )
 
 // The observability layer promises three things tested here: attaching a
@@ -65,8 +66,9 @@ func TestObsGoldenFig7a(t *testing.T) {
 	checkGolden(t, "obs_fig7a_metrics.golden.csv", ms1)
 }
 
-// kvsObsOptions mirrors `kvsbench -items 2000 -workers 2 -clients 2
-// -requests 20 -batches 8 -seed 7 -trace -metrics fig11a`.
+// kvsObsOptions mirrors the scale of the ci.sh fig11a smoke: `kvsbench
+// -items 2000 -workers 2 -clients 2 -requests 20 -batches 8 -seed 7
+// -trace -metrics fig11a`.
 func kvsObsOptions(parallel int, col *obs.Collector) KVSOptions {
 	return KVSOptions{
 		Items: 2000, Workers: 2, Clients: 2, Requests: 20,
@@ -74,37 +76,48 @@ func kvsObsOptions(parallel int, col *obs.Collector) KVSOptions {
 	}
 }
 
-func runFig11aObs(t *testing.T, parallel int) (table, traceJSON, metricsCSV []byte) {
+// runFig11aStudy runs Fig. 11a at kvsObsOptions' scale and the given
+// -parallel and -simworkers, with -profile cycles when profile is set.
+func runFig11aStudy(t *testing.T, parallel, simWorkers int, profile bool) studyArtifacts {
 	t.Helper()
 	col := obs.NewCollector()
-	tbl, err := Fig11a(kvsObsOptions(parallel, col))
+	var set *prof.Set
+	if profile {
+		set = prof.NewSet()
+		col.EnableProfiling(set)
+	}
+	o := kvsObsOptions(parallel, col)
+	o.SimWorkers = simWorkers
+	tbl, err := Fig11a(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderStudy(t, col, set, func(b *bytes.Buffer) { tbl.Fprint(b) })
+}
+
+// bareFig11aTable renders Fig. 11a at kvsObsOptions' scale with no
+// collector attached.
+func bareFig11aTable(t *testing.T) []byte {
+	t.Helper()
+	tbl, err := Fig11a(kvsObsOptions(1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	tbl.Fprint(&buf)
-	tr, ms := renderObs(t, col)
-	return buf.Bytes(), tr, ms
+	return buf.Bytes()
 }
 
+// TestObsGoldenFig11a pins Fig. 11a's trace and metrics, checks that they
+// and the table are byte-identical at every golden (-parallel, -simworkers)
+// composition, and that attaching obs changes no table cell.
 func TestObsGoldenFig11a(t *testing.T) {
-	tbl1, tr1, ms1 := runFig11aObs(t, 1)
-	tbl4, tr4, ms4 := runFig11aObs(t, 4)
-	if !bytes.Equal(tr1, tr4) || !bytes.Equal(ms1, ms4) {
-		t.Fatal("fig11a obs artifacts diverge between -parallel 1 and -parallel 4")
-	}
-	if !bytes.Equal(tbl1, tbl4) {
-		t.Fatal("fig11a table diverges between -parallel 1 and -parallel 4")
-	}
-	bare, err := Fig11a(kvsObsOptions(1, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	bare.Fprint(&buf)
-	if !bytes.Equal(buf.Bytes(), tbl1) {
+	a := checkCompositions(t, func(parallel, simWorkers int) studyArtifacts {
+		return runFig11aStudy(t, parallel, simWorkers, false)
+	})
+	if !bytes.Equal(bareFig11aTable(t), a.table) {
 		t.Error("attaching obs changed the fig11a table")
 	}
-	checkGolden(t, "obs_fig11a_trace.golden.json", tr1)
-	checkGolden(t, "obs_fig11a_metrics.golden.csv", ms1)
+	checkTraceGolden(t, "obs_fig11a", a.trace)
+	checkGolden(t, "obs_fig11a_metrics.golden.csv", a.metrics)
 }

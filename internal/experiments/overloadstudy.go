@@ -155,8 +155,10 @@ func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clien
 		overloadProbe = col.OverloadProbe()
 	}
 
-	fleet, err := newFleet(o.KVSOptions, col, plan, overloadProbe, o.Servers, o.Replication,
-		replicatedCapacity(o.Items, o.Servers, o.Replication))
+	fleet, err := newFleet(o.KVSOptions, col, plan, overloadProbe, fleetShape{
+		backend: "vertical", servers: o.Servers, replication: o.Replication,
+		capacity: replicatedCapacity(o.Items, o.Servers, o.Replication), batchCap: fleetBatchCap,
+	})
 	if err != nil {
 		return memslap.FleetResults{}, err
 	}

@@ -56,33 +56,18 @@ func TestProfGoldenFig7a(t *testing.T) {
 	checkGolden(t, "prof_fig7a_folded.golden.txt", fold1)
 }
 
-// runFig11aProf mirrors `kvsbench ... -profile cycles fig11a` at laptop scale.
-func runFig11aProf(t *testing.T, parallel int) (table, folded []byte) {
-	t.Helper()
-	col := obs.NewCollector()
-	set := prof.NewSet()
-	col.EnableProfiling(set)
-	tbl, err := Fig11a(kvsObsOptions(parallel, col))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf, fb bytes.Buffer
-	tbl.Fprint(&buf)
-	if err := set.WriteFolded(&fb); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), fb.Bytes()
-}
-
+// TestProfGoldenFig11a pins the `kvsbench ... -profile cycles fig11a` time
+// account at laptop scale, checks that every artifact is byte-identical at
+// every golden (-parallel, -simworkers) composition, and that profiling
+// changes no table cell, trace event or metric (the obs goldens).
 func TestProfGoldenFig11a(t *testing.T) {
-	tbl1, fold1 := runFig11aProf(t, 1)
-	_, fold4 := runFig11aProf(t, 4)
-	if !bytes.Equal(fold1, fold4) {
-		t.Fatal("fig11a time account diverges between -parallel 1 and -parallel 4")
-	}
-	bareTbl, _, _ := runFig11aObs(t, 1)
-	if !bytes.Equal(bareTbl, tbl1) {
+	a := checkCompositions(t, func(parallel, simWorkers int) studyArtifacts {
+		return runFig11aStudy(t, parallel, simWorkers, true)
+	})
+	if !bytes.Equal(bareFig11aTable(t), a.table) {
 		t.Error("enabling profiling changed the fig11a table")
 	}
-	checkGolden(t, "prof_fig11a_folded.golden.txt", fold1)
+	checkTraceGolden(t, "obs_fig11a", a.trace)
+	checkGolden(t, "obs_fig11a_metrics.golden.csv", a.metrics)
+	checkGolden(t, "prof_fig11a_folded.golden.txt", a.folded)
 }

@@ -20,7 +20,7 @@
 //   - internal/memslap runs the client protocol — per-request virtual-time
 //     timeouts, bounded retries with capped exponential backoff and seeded
 //     jitter (Timeout, MaxRetries, BackoffFor) — and degrades gracefully
-//     into kvs.PartialError when retries are exhausted;
+//     when retries are exhausted, counting the abandoned keys as missing;
 //   - internal/core applies charged insert-pressure bursts to the table
 //     substrate mid-measurement (PressureKey).
 package fault

@@ -81,8 +81,8 @@ type Server struct {
 	PhaseTotals PhaseBreakdown
 
 	// Replica-apply stats (HandleReplicate), accumulated across the whole
-	// run like the fault counters — ResetStats leaves them alone because
-	// rebalance spans warm-up and measurement alike.
+	// run like the fault counters, since rebalance spans warm-up and
+	// measurement alike.
 	ReplicaBatches uint64
 	ReplicaItems   uint64
 
@@ -389,13 +389,4 @@ func (s *Server) ApplyPressure(n int) (inserted, failed int) {
 	s.PressureInserted += uint64(inserted)
 	s.PressureFailed += uint64(failed)
 	return inserted, failed
-}
-
-// ResetStats clears the accumulated batch statistics (called after the
-// warm-up window) without disturbing cache state.
-func (s *Server) ResetStats() {
-	s.Batches = 0
-	s.KeysServed = 0
-	s.KeysFound = 0
-	s.PhaseTotals = PhaseBreakdown{}
 }

@@ -15,7 +15,7 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("memslap: invalid config %s: %s", e.Field, e.Reason)
 }
 
-// LoadError is a typed failure of a load phase (LoadKeys, Fleet.LoadFleet):
+// LoadError is a typed failure of a load phase (Fleet.LoadFleet, LoadETC):
 // the loader could not place all requested keys. Loaded reports how many
 // keys were stored before the failure, so a partial load is never silently
 // truncated into a smaller working set.

@@ -1,15 +1,14 @@
 package memslap
 
 import (
-	"errors"
+	"math"
+	"math/rand"
 	"testing"
 
-	"simdhtbench/internal/arch"
-	"simdhtbench/internal/des"
 	"simdhtbench/internal/fault"
 	"simdhtbench/internal/kvs"
 	"simdhtbench/internal/mem"
-	"simdhtbench/internal/netsim"
+	"simdhtbench/internal/workload"
 )
 
 func mustSpec(t *testing.T, s string) fault.Spec {
@@ -21,38 +20,34 @@ func mustSpec(t *testing.T, s string) fault.Spec {
 	return spec
 }
 
-// loadOnRing loads count memslap items onto servers by ring ownership.
-func loadOnRing(t *testing.T, servers []*kvs.Server, ring *kvs.Ring, count int) [][]byte {
+// armFabric gives every partition of the fleet's fabric its message-fault
+// stream from plan.
+func armFabric(fleet *Fleet, plan *fault.Plan) {
+	for p := 0; p <= len(fleet.Servers); p++ {
+		fleet.Fabric.SetPartitionFaults(p, plan.ForPartition(p), nil)
+	}
+}
+
+// faultRun drives a 500-key one-server fleet through message faults: plan
+// arms both the fabric and the client protocol.
+func faultRun(t *testing.T, plan *fault.Plan) FleetResults {
 	t.Helper()
-	keys, err := loadRingKeys(count, 20, 32, func(key, value []byte) (int, error) {
-		s := ring.Owner(key)
-		_, err := servers[s].Set(key, value)
-		return s, err
-	})
+	fleet := buildFleet(t, 1, 500, 1)
+	armFabric(fleet, plan)
+	res, err := RunFleet(fleet, FleetConfig{Config: Config{
+		Clients: 2, BatchSize: 8, Requests: 40, Seed: 5, Faults: plan,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return keys
-}
-
-func faultCfg(spec fault.Spec, seed int64) Config {
-	return Config{
-		Clients: 2, BatchSize: 8, Requests: 40, Seed: 5,
-		Faults: spec.NewPlan(seed),
-	}
+	return res
 }
 
 // TestRunRetriesThroughLoss drives the client protocol through injected
 // message loss: with generous retries every Multi-Get eventually succeeds,
 // retries and timeouts are counted, and goodput equals throughput.
 func TestRunRetriesThroughLoss(t *testing.T) {
-	sim, fabric, srv, keys := buildStack(t, 500)
-	spec := mustSpec(t, "drop=0.2,timeout=10us,retries=8,backoff=2us")
-	fabric.Faults = spec.NewPlan(3)
-	res, err := Run(sim, fabric, srv, keys, faultCfg(spec, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := faultRun(t, mustSpec(t, "drop=0.2,timeout=10us,retries=8,backoff=2us").NewPlan(3))
 	if res.Retries == 0 || res.Timeouts == 0 {
 		t.Errorf("20%% loss produced no protocol activity: retries=%d timeouts=%d", res.Retries, res.Timeouts)
 	}
@@ -69,13 +64,7 @@ func TestRunRetriesThroughLoss(t *testing.T) {
 // keys, and goodput drops below throughput. The run still completes; no
 // hang, no panic.
 func TestRunDegradesUnderHeavyLoss(t *testing.T) {
-	sim, fabric, srv, keys := buildStack(t, 500)
-	spec := mustSpec(t, "drop=0.4,timeout=10us,retries=1,backoff=2us")
-	fabric.Faults = spec.NewPlan(3)
-	res, err := Run(sim, fabric, srv, keys, faultCfg(spec, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := faultRun(t, mustSpec(t, "drop=0.4,timeout=10us,retries=1,backoff=2us").NewPlan(3))
 	if res.Degraded == 0 {
 		t.Fatal("40% loss with one retry degraded nothing")
 	}
@@ -90,88 +79,93 @@ func TestRunDegradesUnderHeavyLoss(t *testing.T) {
 // TestRunFaultDeterministic repeats a faulty run and requires identical
 // measurements — the tentpole determinism contract at the package level.
 func TestRunFaultDeterministic(t *testing.T) {
-	run := func() Results {
-		sim, fabric, srv, keys := buildStack(t, 500)
-		spec := mustSpec(t, "drop=0.3,dup=0.1,delayp=0.1,delay=3us,timeout=10us,retries=2,backoff=2us")
-		fabric.Faults = spec.NewPlan(9)
-		res, err := Run(sim, fabric, srv, keys, faultCfg(spec, 9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
+	spec := mustSpec(t, "drop=0.3,dup=0.1,delayp=0.1,delay=3us,timeout=10us,retries=2,backoff=2us")
+	a, b := faultRun(t, spec.NewPlan(9)), faultRun(t, spec.NewPlan(9))
 	if a != b {
 		t.Errorf("identical faulty runs diverged:\n%+v\n%+v", a, b)
 	}
 }
 
-// TestMGetPartialErrorUnderCrash is the acceptance scenario: a Multi-Get
-// against a two-server cluster with one server crashed returns the served
-// subset plus a structured *kvs.PartialError — never a hang, a panic, or a
-// silent full success.
-func TestMGetPartialErrorUnderCrash(t *testing.T) {
-	sim := des.New()
-	fabric := netsim.New(sim, netsim.EDR())
-	ring, err := kvs.NewRing(2, 0)
+// crashedMGet runs one Multi-Get of batch keys on a 400-key R=1 fleet of
+// nservers servers, with the servers listed in crashed down for every
+// attempt, and returns its results with the number of the request's keys
+// each server owns. A crashed server is down 99% of every 10 µs period, and
+// the clock starts past the always-healthy first period.
+func crashedMGet(t *testing.T, nservers, batch int, crashed ...int) (FleetResults, map[int]int) {
+	t.Helper()
+	fleet := buildFleetIndex(t, 1, nservers, 1, func(space *mem.AddressSpace, i int) (kvs.Index, error) {
+		return kvs.NewVerticalIndex(space, 600, 64, int64(i)+1)
+	})
+	if _, err := fleet.LoadFleet(400, 20, 32); err != nil {
+		t.Fatal(err)
+	}
+	spec := mustSpec(t, "crash=10us:9900ns,timeout=5us,retries=2,backoff=1us")
+	for _, s := range crashed {
+		fleet.Servers[s].Faults = spec.NewPlan(1)
+	}
+	fleet.Sim.After(12e-6, func() {})
+	fleet.pd.Run()
+
+	// The request's keys are the first batch draws of RunFleet's zipf
+	// stream at the run's seed.
+	const seed = 5
+	keys := fleet.Keys()
+	zipf, err := workload.NewZipf(len(keys), workload.DefaultZipfTheta, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := make([]*kvs.Server, 2)
-	for i := range servers {
-		space := mem.NewAddressSpace()
-		store := kvs.NewItemStore(space)
-		idx, err := kvs.NewVerticalIndex(space, 600, 64, int64(i)+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), 2, 64, idx, store)
+	owned := map[int]int{}
+	for i := 0; i < batch; i++ {
+		owned[fleet.Ring.Owner(keys[zipf.Next()])]++
 	}
-	keys := loadOnRing(t, servers, ring, 400)
-
-	// Crash server 1 with a 99% duty cycle and advance the clock past the
-	// always-healthy first period, so every attempt (and retry) lands in a
-	// down window. Server 0 stays healthy.
-	spec := mustSpec(t, "crash=10us:9900ns,timeout=5us,retries=2,backoff=1us")
-	servers[1].Faults = spec.NewPlan(1)
-	sim.After(12e-6, func() {})
-	sim.Run()
-
-	batch := keys[:16]
-	wantOwned := map[int]int{}
-	for _, k := range batch {
-		wantOwned[ring.Owner(k)]++
-	}
-	if wantOwned[0] == 0 || wantOwned[1] == 0 {
-		t.Fatalf("batch does not span both servers: %v", wantOwned)
+	if len(owned) != nservers {
+		t.Fatalf("batch does not span all %d servers: %v", nservers, owned)
 	}
 
-	plan := spec.NewPlan(1)
-	values, err := MGet(sim, fabric, "client", servers, ring, batch, plan, nil)
-	if err == nil {
-		t.Fatal("MGet against a crashed server reported silent full success")
+	res, err := RunFleet(fleet, FleetConfig{Config: Config{
+		Clients: 1, BatchSize: batch, Requests: 1, Seed: seed, Faults: spec.NewPlan(1),
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var pe *kvs.PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v is not a *kvs.PartialError", err)
+	return res, owned
+}
+
+// checkCrashedMGet asserts a crashedMGet outcome with server 0 healthy and
+// every other server crashed: the request degraded rather than hanging or
+// claiming full success; the crashed servers' keys count as missing and
+// the healthy server's keys were returned; and each degraded sub-batch ran
+// the full protocol independently — every attempt against a crashed server
+// times out, so each contributes retries+1 timeouts and `retries` retries.
+func checkCrashedMGet(t *testing.T, res FleetResults, owned map[int]int) {
+	t.Helper()
+	const retries = 2
+	if res.Requests != 1 || res.Degraded != 1 {
+		t.Fatalf("Multi-Get against crashed servers: %d requests, %d degraded, want 1 and 1", res.Requests, res.Degraded)
 	}
-	if pe.Served != wantOwned[0] || pe.Missing != wantOwned[1] {
-		t.Errorf("PartialError served/missing = %d/%d, want %d/%d",
-			pe.Served, pe.Missing, wantOwned[0], wantOwned[1])
+	missing := res.BatchSize - owned[0]
+	if int(res.KeysMissing) != missing {
+		t.Errorf("KeysMissing = %d, want the crashed servers' %d keys", res.KeysMissing, missing)
 	}
-	if pe.Timeouts == 0 {
-		t.Error("abandoning a sub-batch requires timeouts, got none")
+	if got := int(math.Round(res.HitRate * float64(res.BatchSize))); got != owned[0] {
+		t.Errorf("%d keys returned, want the healthy server's %d", got, owned[0])
 	}
-	// The served subset really is served: healthy server's keys carry
-	// values, crashed server's keys are nil.
-	for i, k := range batch {
-		if ring.Owner(k) == 0 && values[i] == nil {
-			t.Errorf("key %d owned by the healthy server came back nil", i)
-		}
-		if ring.Owner(k) == 1 && values[i] != nil {
-			t.Errorf("key %d owned by the crashed server came back non-nil", i)
-		}
+	degraded := uint64(len(owned) - 1)
+	if want := degraded * (retries + 1); res.Timeouts != want {
+		t.Errorf("Timeouts = %d, want %d (%d sub-batches x %d attempts)", res.Timeouts, want, degraded, retries+1)
 	}
+	if want := degraded * retries; res.Retries != want {
+		t.Errorf("Retries = %d, want %d (%d sub-batches x %d retries)", res.Retries, want, degraded, retries)
+	}
+}
+
+// TestMGetPartialErrorUnderCrash is the acceptance scenario: a Multi-Get
+// against a two-server fleet with one server crashed returns the healthy
+// server's keys and counts the rest missing — never a hang, a panic, or a
+// silent full success.
+func TestMGetPartialErrorUnderCrash(t *testing.T) {
+	res, owned := crashedMGet(t, 2, 16, 1)
+	checkCrashedMGet(t, res, owned)
 }
 
 // TestRunClusterDegradedAccounting drives an R=1 fleet under loss and
@@ -182,9 +176,7 @@ func TestRunClusterDegradedAccounting(t *testing.T) {
 		spec := mustSpec(t, "drop=0.4,timeout=10us,retries=1,backoff=2us")
 		plan := spec.NewPlan(3)
 		fleet := buildFleet(t, 2, 400, 1)
-		for p := 0; p <= len(fleet.Servers); p++ {
-			fleet.Fabric.SetPartitionFaults(p, plan.ForPartition(p), nil)
-		}
+		armFabric(fleet, plan)
 		res, err := RunFleet(fleet, FleetConfig{Config: Config{
 			Clients: 2, BatchSize: 8, Requests: 40, Seed: 5, Faults: plan,
 		}})
@@ -208,82 +200,21 @@ func TestRunClusterDegradedAccounting(t *testing.T) {
 	}
 }
 
-// TestMGetPartialErrorAccumulatesAcrossSubBatches pins MGet's error
-// aggregation when several sub-batches of one Multi-Get degrade at once:
-// two of three servers are crashed, so two sub-batches exhaust their
-// retries independently and the single returned *kvs.PartialError must
-// carry the merged Served/Missing split and the summed Retries/Timeouts of
-// both degraded protocols.
+// TestMGetPartialErrorAccumulatesAcrossSubBatches pins the accounting when
+// several sub-batches of one Multi-Get degrade at once: two of three
+// servers are crashed, so two sub-batches exhaust their retries
+// independently, and the request's results carry both sub-batches' missing
+// keys and the summed retries and timeouts of both degraded protocols.
 func TestMGetPartialErrorAccumulatesAcrossSubBatches(t *testing.T) {
-	sim := des.New()
-	fabric := netsim.New(sim, netsim.EDR())
-	ring, err := kvs.NewRing(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	servers := make([]*kvs.Server, 3)
-	for i := range servers {
-		space := mem.NewAddressSpace()
-		store := kvs.NewItemStore(space)
-		idx, err := kvs.NewVerticalIndex(space, 600, 64, int64(i)+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = kvs.NewServer(sim, arch.SkylakeClusterB(), 2, 64, idx, store)
-	}
-	keys := loadOnRing(t, servers, ring, 400)
+	res, owned := crashedMGet(t, 3, 24, 1, 2)
+	checkCrashedMGet(t, res, owned)
+}
 
-	// Crash servers 1 and 2 with a 99% duty cycle and advance past the
-	// always-healthy first period, so every attempt against either lands
-	// in a down window. Server 0 stays healthy.
-	const retries = 2
-	spec := mustSpec(t, "crash=10us:9900ns,timeout=5us,retries=2,backoff=1us")
-	servers[1].Faults = spec.NewPlan(1)
-	servers[2].Faults = spec.NewPlan(1)
-	sim.After(12e-6, func() {})
-	sim.Run()
-
-	batch := keys[:24]
-	wantOwned := map[int]int{}
-	for _, k := range batch {
-		wantOwned[ring.Owner(k)]++
-	}
-	if wantOwned[0] == 0 || wantOwned[1] == 0 || wantOwned[2] == 0 {
-		t.Fatalf("batch does not span all three servers: %v", wantOwned)
-	}
-
-	plan := spec.NewPlan(1)
-	values, err := MGet(sim, fabric, "client", servers, ring, batch, plan, nil)
-	if err == nil {
-		t.Fatal("MGet against two crashed servers reported silent full success")
-	}
-	var pe *kvs.PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v is not a *kvs.PartialError", err)
-	}
-	if pe.Served != wantOwned[0] || pe.Missing != wantOwned[1]+wantOwned[2] {
-		t.Errorf("PartialError served/missing = %d/%d, want %d/%d",
-			pe.Served, pe.Missing, wantOwned[0], wantOwned[1]+wantOwned[2])
-	}
-	// Both degraded sub-batches run the full protocol independently: every
-	// attempt against a crashed server times out, so each contributes
-	// retries+1 timeouts and `retries` retries to the merged error.
-	if want := 2 * (retries + 1); pe.Timeouts != want {
-		t.Errorf("merged Timeouts = %d, want %d (two sub-batches x %d attempts)",
-			pe.Timeouts, want, retries+1)
-	}
-	if want := 2 * retries; pe.Retries != want {
-		t.Errorf("merged Retries = %d, want %d (two sub-batches x %d retries)",
-			pe.Retries, want, retries)
-	}
-	// The served subset aligns with ownership: healthy server's keys carry
-	// values, crashed servers' keys are nil.
-	for i, k := range batch {
-		if ring.Owner(k) == 0 && values[i] == nil {
-			t.Errorf("key %d owned by the healthy server came back nil", i)
-		}
-		if ring.Owner(k) != 0 && values[i] != nil {
-			t.Errorf("key %d owned by a crashed server came back non-nil", i)
-		}
+// A hedge duplicates a read to the next replica rank; with R=1 that is the
+// same server, so a one-server fleet never hedges, whatever the plan says.
+func TestOneServerFleetNeverHedges(t *testing.T) {
+	res := faultRun(t, mustSpec(t, "drop=0.2,timeout=10us,retries=8,backoff=2us,hedge=1us").NewPlan(3))
+	if res.Hedges != 0 || res.HedgeWins != 0 {
+		t.Errorf("one-server fleet hedged: %d hedges, %d wins", res.Hedges, res.HedgeWins)
 	}
 }

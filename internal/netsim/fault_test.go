@@ -7,7 +7,9 @@ import (
 	"simdhtbench/internal/fault"
 )
 
-func faultFabric(t *testing.T, spec string, seed int64) (*des.Sim, *Fabric) {
+// faultFabric builds an unpartitioned fabric whose single slot runs the
+// spec's plan, and returns the plan too (nil for a zero spec).
+func faultFabric(t *testing.T, spec string, seed int64) (*des.Sim, *Fabric, *fault.Plan) {
 	t.Helper()
 	s, err := fault.ParseSpec(spec)
 	if err != nil {
@@ -15,12 +17,13 @@ func faultFabric(t *testing.T, spec string, seed int64) (*des.Sim, *Fabric) {
 	}
 	sim := des.New()
 	f := New(sim, EDR())
-	f.Faults = s.NewPlan(seed)
-	return sim, f
+	plan := s.NewPlan(seed)
+	f.SetPartitionFaults(0, plan, nil)
+	return sim, f, plan
 }
 
 func TestFaultDropLosesMessages(t *testing.T) {
-	sim, f := faultFabric(t, "drop=0.5", 42)
+	sim, f, _ := faultFabric(t, "drop=0.5", 42)
 	a, b := f.Endpoint("a"), f.Endpoint("b")
 	delivered := 0
 	for i := 0; i < 200; i++ {
@@ -42,7 +45,7 @@ func TestFaultDropLosesMessages(t *testing.T) {
 }
 
 func TestFaultDuplicateDeliversTwice(t *testing.T) {
-	sim, f := faultFabric(t, "dup=1.0", 7)
+	sim, f, _ := faultFabric(t, "dup=1.0", 7)
 	a, b := f.Endpoint("a"), f.Endpoint("b")
 	delivered := 0
 	a.Send(b, 64, func() { delivered++ })
@@ -56,8 +59,8 @@ func TestFaultDuplicateDeliversTwice(t *testing.T) {
 }
 
 func TestFaultDelaySpikeShiftsArrival(t *testing.T) {
-	simH, fH := faultFabric(t, "dup=0", 7) // zero spec → nil plan → healthy
-	if fH.Faults != nil {
+	simH, fH, plan := faultFabric(t, "dup=0", 7) // zero spec → nil plan → healthy
+	if plan != nil {
 		t.Fatal("zero spec must compile to a nil plan")
 	}
 	a, b := fH.Endpoint("a"), fH.Endpoint("b")
@@ -65,7 +68,7 @@ func TestFaultDelaySpikeShiftsArrival(t *testing.T) {
 	a.Send(b, 64, func() { healthyAt = simH.Now() })
 	simH.Run()
 
-	sim, f := faultFabric(t, "delayp=1.0,delay=5us", 7)
+	sim, f, _ := faultFabric(t, "delayp=1.0,delay=5us", 7)
 	a, b = f.Endpoint("a"), f.Endpoint("b")
 	var spikedAt float64
 	a.Send(b, 64, func() { spikedAt = sim.Now() })
@@ -83,7 +86,7 @@ func TestFaultDelaySpikeShiftsArrival(t *testing.T) {
 // different seeds diverge.
 func TestFaultDeterministicStream(t *testing.T) {
 	pattern := func(seed int64) []bool {
-		sim, f := faultFabric(t, "drop=0.3,dup=0.2,delayp=0.2,delay=2us", seed)
+		sim, f, _ := faultFabric(t, "drop=0.3,dup=0.2,delayp=0.2,delay=2us", seed)
 		a, b := f.Endpoint("a"), f.Endpoint("b")
 		var got []bool
 		for i := 0; i < 100; i++ {

@@ -38,7 +38,7 @@ func FuzzNetsimDeliver(f *testing.F) {
 		}
 		sim := des.New()
 		fab := New(sim, EDR())
-		fab.Faults = spec.NewPlan(seed)
+		fab.SetPartitionFaults(0, spec.NewPlan(seed), nil)
 		a, b := fab.Endpoint("a"), fab.Endpoint("b")
 		delivered, sent := 0, 0
 		for i, s := range sizes {

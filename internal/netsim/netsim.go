@@ -64,42 +64,24 @@ func EDR() Config {
 	}
 }
 
-// Fabric connects endpoints over a shared configuration.
+// Fabric connects endpoints over a shared configuration. Every send
+// executes on its source endpoint's partition slot — the slot's sim,
+// counters, fault stream and probes. An unpartitioned fabric is a single
+// slot on the simulator it was created with; Partition gives each partition
+// of an engine its own slot and routes cross-partition deliveries through
+// the engine's outboxes.
 type Fabric struct {
-	sim *des.Sim
 	cfg Config
 
 	endpoints map[string]*Endpoint
-	sent      uint64
-	bytesSent uint64
 
-	dropped    uint64
-	duplicated uint64
-	delayed    uint64
-
-	// Probe, when non-nil, observes each logical send (obs layer).
-	Probe obs.NetProbe
-
-	// Faults, when non-nil, injects message drop/duplication/delay-spikes:
-	// one independent decision per logical message, drawn in a fixed order
-	// (drop, then delay, then duplicate) from the plan's seeded RNG, so a
-	// faulty fabric replays exactly. FaultProbe, when additionally non-nil,
-	// observes each injected fault.
-	Faults     *fault.Plan
-	FaultProbe obs.FaultProbe
-
-	// Partitioned mode (Partition): sends execute on the source endpoint's
-	// partition slot — its own sim, counters, fault stream and probes — and
-	// cross-partition deliveries route through the engine's outboxes. The
-	// serial fields above (sim, counters, Faults, Probe, FaultProbe) are
-	// unused once partitioned.
-	pd    *des.Partitioned
+	pd    *des.Partitioned // nil while unpartitioned
 	slots []partitionSlot
 }
 
-// partitionSlot is the per-partition execution context of a partitioned
-// fabric. Each slot is only ever touched by events running on its partition,
-// so no field needs synchronization.
+// partitionSlot is the execution context of one partition. Each slot is
+// only ever touched by events running on its partition, so no field needs
+// synchronization.
 type partitionSlot struct {
 	sim        *des.Sim
 	sent       uint64
@@ -117,16 +99,16 @@ func New(sim *des.Sim, cfg Config) *Fabric {
 	if cfg.BandwidthGbps <= 0 {
 		panic("netsim: bandwidth must be positive")
 	}
-	return &Fabric{sim: sim, cfg: cfg, endpoints: make(map[string]*Endpoint)}
+	return &Fabric{cfg: cfg, endpoints: make(map[string]*Endpoint), slots: []partitionSlot{{sim: sim}}}
 }
 
-// Endpoint returns (creating on first use) the named endpoint. In
-// partitioned mode a new endpoint lands on partition 0; use EndpointAt to
-// place it. Creation mutates the fabric's endpoint map, so endpoints must be
-// created during single-threaded setup, never from a running partition
-// event (lookups of existing endpoints during setup are fine — the map is
-// read-only once the engine runs, because every Send resolves endpoints the
-// caller already holds).
+// Endpoint returns (creating on first use) the named endpoint. A new
+// endpoint lands on partition 0; use EndpointAt to place it on a
+// partitioned fabric. Creation mutates the fabric's endpoint map, so
+// endpoints must be created during single-threaded setup, never from a
+// running partition event (lookups of existing endpoints during setup are
+// fine — the map is read-only once the engine runs, because every Send
+// resolves endpoints the caller already holds).
 func (f *Fabric) Endpoint(name string) *Endpoint {
 	if ep, ok := f.endpoints[name]; ok {
 		return ep
@@ -137,7 +119,8 @@ func (f *Fabric) Endpoint(name string) *Endpoint {
 }
 
 // Partition switches the fabric into partitioned mode on the given engine:
-// each partition gets its own counter/fault/probe slot, and deliveries whose
+// each partition gets its own counter/fault/probe slot (replacing the
+// unpartitioned slot and anything armed on it), and deliveries whose
 // destination endpoint lives on a different partition route through the
 // engine's canonical cross-partition merge. The engine's lookahead must not
 // exceed cfg.SmallMessageLatency(), or cross-partition arrivals could land
@@ -153,8 +136,8 @@ func (f *Fabric) Partition(pd *des.Partitioned) {
 	}
 }
 
-// PartitionedEngine returns the engine installed by Partition, or nil in
-// serial mode.
+// PartitionedEngine returns the engine installed by Partition, or nil on
+// an unpartitioned fabric.
 func (f *Fabric) PartitionedEngine() *des.Partitioned { return f.pd }
 
 // EndpointAt returns (creating on first use) the named endpoint placed on
@@ -181,27 +164,30 @@ func (f *Fabric) EndpointAt(name string, part int) *Endpoint {
 }
 
 // SetPartitionFaults arms fault injection for sends originating on the given
-// partition. Each partition needs its own plan (its own seeded RNG stream) —
-// fault draws happen concurrently across partitions, and per-partition
-// streams are also what keeps the draw sequence independent of the host
-// worker count.
+// partition (0 on an unpartitioned fabric): one independent decision per
+// logical message, drawn in a fixed order (drop, then delay, then
+// duplicate) from the plan's seeded RNG, so a faulty fabric replays
+// exactly. probe, when non-nil, observes each injected fault. Each
+// partition needs its own plan (its own seeded RNG stream) — fault draws
+// happen concurrently across partitions, and per-partition streams are also
+// what keeps the draw sequence independent of the host worker count.
 func (f *Fabric) SetPartitionFaults(part int, plan *fault.Plan, probe obs.FaultProbe) {
 	f.slots[part].faults = plan
 	f.slots[part].faultProbe = probe
 }
 
-// SetPartitionProbe observes sends originating on the given partition. Each
-// partition needs its own probe instance: obs.NetProbe keeps per-hop state
-// that must stay single-writer.
+// SetPartitionProbe observes sends originating on the given partition (0 on
+// an unpartitioned fabric). Each partition needs its own probe instance:
+// obs.NetProbe keeps per-hop state that must stay single-writer.
 func (f *Fabric) SetPartitionProbe(part int, probe obs.NetProbe) {
 	f.slots[part].probe = probe
 }
 
-// MessagesSent returns the total messages injected. In partitioned mode the
-// per-partition counts are summed in partition order (read after Run, when
-// the barrier has published every slot).
+// MessagesSent returns the total messages injected: the per-partition
+// counts summed in partition order (read after Run, when the barrier has
+// published every slot).
 func (f *Fabric) MessagesSent() uint64 {
-	n := f.sent
+	var n uint64
 	for i := range f.slots {
 		n += f.slots[i].sent
 	}
@@ -210,7 +196,7 @@ func (f *Fabric) MessagesSent() uint64 {
 
 // BytesSent returns the total payload bytes injected.
 func (f *Fabric) BytesSent() uint64 {
-	n := f.bytesSent
+	var n uint64
 	for i := range f.slots {
 		n += f.slots[i].bytesSent
 	}
@@ -219,7 +205,7 @@ func (f *Fabric) BytesSent() uint64 {
 
 // MessagesDropped returns the logical messages the fault plans dropped.
 func (f *Fabric) MessagesDropped() uint64 {
-	n := f.dropped
+	var n uint64
 	for i := range f.slots {
 		n += f.slots[i].dropped
 	}
@@ -228,7 +214,7 @@ func (f *Fabric) MessagesDropped() uint64 {
 
 // MessagesDuplicated returns the logical messages delivered twice.
 func (f *Fabric) MessagesDuplicated() uint64 {
-	n := f.duplicated
+	var n uint64
 	for i := range f.slots {
 		n += f.slots[i].duplicated
 	}
@@ -237,7 +223,7 @@ func (f *Fabric) MessagesDuplicated() uint64 {
 
 // MessagesDelayed returns the logical messages hit by a delay spike.
 func (f *Fabric) MessagesDelayed() uint64 {
-	n := f.delayed
+	var n uint64
 	for i := range f.slots {
 		n += f.slots[i].delayed
 	}
@@ -262,10 +248,11 @@ type Endpoint struct {
 	fabric   *Fabric
 	name     string
 	busyTill float64
-	part     int // owning partition in partitioned mode (EndpointAt)
+	part     int // owning partition (EndpointAt; 0 otherwise)
 }
 
-// PartitionID returns the endpoint's partition (0 outside partitioned mode).
+// PartitionID returns the endpoint's partition (0 on an unpartitioned
+// fabric).
 func (e *Endpoint) PartitionID() int { return e.part }
 
 // Name returns the endpoint name.
@@ -273,7 +260,13 @@ func (e *Endpoint) Name() string { return e.name }
 
 // Send transfers a message of the given payload size to dst, invoking
 // deliver at the destination when it arrives. Sends from one endpoint
-// serialize through its NIC.
+// serialize through its NIC. Send runs on the source endpoint's partition:
+// virtual time, NIC serialization, counters, fault draws and probes all come
+// from the source slot, and the delivery is either scheduled locally
+// (same-partition destination) or posted through the engine's canonical
+// cross-partition merge. Every arrival is at least SmallMessageLatency()
+// after the source's current time, which is exactly the engine's lookahead
+// guarantee.
 //
 //lint:hotpath zero-alloc steady state pinned by AllocsPerRun tests
 func (e *Endpoint) Send(dst *Endpoint, bytes int, deliver func()) {
@@ -281,78 +274,9 @@ func (e *Endpoint) Send(dst *Endpoint, bytes int, deliver func()) {
 		panic(fmt.Sprintf("netsim: negative message size %d", bytes))
 	}
 	f := e.fabric
-	if f.pd != nil {
-		e.sendPartitioned(dst, bytes, deliver)
-		return
-	}
-	// Segment into protocol-sized messages; deliver fires with the last.
-	segments := 1
-	if f.cfg.MaxMessageBytes > 0 && bytes > f.cfg.MaxMessageBytes {
-		segments = (bytes + f.cfg.MaxMessageBytes - 1) / f.cfg.MaxMessageBytes
-	}
-	remaining := bytes
-	var arrival float64
-	for seg := 0; seg < segments; seg++ {
-		segBytes := remaining
-		if f.cfg.MaxMessageBytes > 0 && segBytes > f.cfg.MaxMessageBytes {
-			segBytes = f.cfg.MaxMessageBytes
-		}
-		remaining -= segBytes
-		start := f.sim.Now()
-		if e.busyTill > start {
-			start = e.busyTill
-		}
-		txDone := start + f.cfg.SendOverhead + f.TransferTime(segBytes)
-		e.busyTill = txDone
-		arrival = txDone + f.cfg.PropDelay + f.cfg.RecvOverhead
-		f.sent++
-		f.bytesSent += uint64(segBytes)
-	}
-	if f.Probe != nil {
-		f.Probe.MessageSent(e.name, dst.name, bytes, segments, f.sim.Now(), arrival)
-	}
-	// Fault injection: one decision per logical message, drawn in fixed
-	// order (drop, delay, duplicate). A dropped message still occupied the
-	// sender's NIC — it is lost in the fabric, not suppressed at the source.
-	if f.Faults != nil {
-		if f.Faults.DropMessage() {
-			f.dropped++
-			if f.FaultProbe != nil {
-				f.FaultProbe.MessageDropped(e.name, dst.name, bytes, f.sim.Now())
-			}
-			return
-		}
-		if extra := f.Faults.DelaySpike(); extra > 0 {
-			f.delayed++
-			if f.FaultProbe != nil {
-				f.FaultProbe.MessageDelayed(e.name, dst.name, bytes, extra, f.sim.Now())
-			}
-			arrival += extra
-		}
-		if f.Faults.DuplicateMessage() {
-			f.duplicated++
-			if f.FaultProbe != nil {
-				f.FaultProbe.MessageDuplicated(e.name, dst.name, bytes, f.sim.Now())
-			}
-			// The duplicate trails the original by one receive overhead,
-			// as a retransmitted SEND would.
-			f.sim.At(arrival+f.cfg.RecvOverhead, deliver)
-		}
-	}
-	f.sim.At(arrival, deliver)
-}
-
-// sendPartitioned is Send's partitioned-mode body. It runs on the source
-// endpoint's partition: virtual time, NIC serialization, counters, fault
-// draws and probes all come from the source slot, and the delivery is either
-// scheduled locally (same-partition destination) or posted through the
-// engine's canonical cross-partition merge. Every arrival is at least
-// SmallMessageLatency() after the source's current time, which is exactly
-// the engine's lookahead guarantee.
-func (e *Endpoint) sendPartitioned(dst *Endpoint, bytes int, deliver func()) {
-	f := e.fabric
 	s := &f.slots[e.part]
 	sim := s.sim
+	// Segment into protocol-sized messages; deliver fires with the last.
 	segments := 1
 	if f.cfg.MaxMessageBytes > 0 && bytes > f.cfg.MaxMessageBytes {
 		segments = (bytes + f.cfg.MaxMessageBytes - 1) / f.cfg.MaxMessageBytes
@@ -378,6 +302,9 @@ func (e *Endpoint) sendPartitioned(dst *Endpoint, bytes int, deliver func()) {
 	if s.probe != nil {
 		s.probe.MessageSent(e.name, dst.name, bytes, segments, sim.Now(), arrival)
 	}
+	// Fault injection: one decision per logical message, drawn in fixed
+	// order (drop, delay, duplicate). A dropped message still occupied the
+	// sender's NIC — it is lost in the fabric, not suppressed at the source.
 	if s.faults != nil {
 		if s.faults.DropMessage() {
 			s.dropped++
@@ -398,6 +325,8 @@ func (e *Endpoint) sendPartitioned(dst *Endpoint, bytes int, deliver func()) {
 			if s.faultProbe != nil {
 				s.faultProbe.MessageDuplicated(e.name, dst.name, bytes, sim.Now())
 			}
+			// The duplicate trails the original by one receive overhead,
+			// as a retransmitted SEND would.
 			e.deliverAt(dst, arrival+f.cfg.RecvOverhead, deliver)
 		}
 	}
