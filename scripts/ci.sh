@@ -32,19 +32,44 @@ $GO test ./...
 echo "==> go test -race"
 $GO test -race ./...
 
+# check_trace_golden JSON STEM: compare a CLI trace with the SHA-256 digest
+# of study STEM's committed trace golden (the summary golden is the Go
+# tests' readable half).
+check_trace_golden() {
+    [ "$(sha256sum < "$1" | cut -d' ' -f1)" = "$(cat "internal/experiments/testdata/$2_trace.golden.sha256")" ] || {
+        echo "ci.sh: $1 does not match $2_trace.golden.sha256" >&2
+        exit 1
+    }
+}
+
+# check_study_goldens STEM OUT: diff one study run's table and metrics CSV,
+# and its trace by digest, against the committed goldens of study STEM.
+check_study_goldens() {
+    golden=internal/experiments/testdata/$1
+    sed '$d' "$2.txt" > "$2.table" # emit() ends with one blank line
+    diff "$2.table" "${golden}_table.golden.txt"
+    diff "$2.csv" "${golden}_metrics.golden.csv"
+    check_trace_golden "$2.json" "$1"
+}
+
 # CLI smoke: run both binaries end-to-end with -trace/-metrics and diff the
 # artifacts against the committed goldens, so the flag plumbing (not just the
-# library path the Go tests exercise) is pinned byte-for-byte.
+# library path the Go tests exercise) is pinned byte-for-byte. Fig. 11a runs
+# at two (-parallel, -simworkers) compositions.
 echo "==> CLI smoke (-trace/-metrics vs goldens)"
 $GO run ./cmd/simdhtbench -queries 400 -seed 1 \
     -trace "$tmp/fig7a.json" -metrics "$tmp/fig7a.csv" fig7a >/dev/null
 diff "$tmp/fig7a.json" internal/experiments/testdata/obs_fig7a_trace.golden.json
 diff "$tmp/fig7a.csv" internal/experiments/testdata/obs_fig7a_metrics.golden.csv
-$GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
-    -batches 8 -seed 7 \
-    -trace "$tmp/fig11a.json" -metrics "$tmp/fig11a.csv" fig11a >/dev/null
-diff "$tmp/fig11a.json" internal/experiments/testdata/obs_fig11a_trace.golden.json
-diff "$tmp/fig11a.csv" internal/experiments/testdata/obs_fig11a_metrics.golden.csv
+run_fig11a() {
+    $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
+        -batches 8 -seed 7 -parallel "$1" -simworkers "$2" \
+        -trace "$3.json" -metrics "$3.csv" fig11a >/dev/null
+    diff "$3.csv" internal/experiments/testdata/obs_fig11a_metrics.golden.csv
+    check_trace_golden "$3.json" obs_fig11a
+}
+run_fig11a 1 1 "$tmp/fig11a1"
+run_fig11a 4 2 "$tmp/fig11a4"
 
 # Profiler smoke: two identical -profile cycles runs must produce
 # byte-identical folded cycle accounts on stdout, and obsdiff must report
@@ -64,32 +89,19 @@ diff "$tmp/folded1.txt" "$tmp/folded4.txt" # cycle account is -parallel invarian
 $GO run ./cmd/obsdiff "$tmp/run1.json" "$tmp/run2.json" >/dev/null
 
 # Fault-injection smoke: the fault-sweep experiment under an armed plan must
-# reproduce its goldens byte-for-byte — table, metrics CSV and trace JSON —
-# exactly as the deterministic-faults golden test pins them.
-echo "==> CLI smoke (fault-sweep vs goldens)"
-$GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
-    -batches 8 -seed 7 \
-    -faults 'drop=0.15,crash=20µs:10µs,slow=4x@15µs:5µs,pressure=50@10µs,timeout=10µs,retries=1,backoff=5µs' \
-    -trace "$tmp/faults.json" -metrics "$tmp/faults.csv" \
-    fault-sweep > "$tmp/faults.txt"
-sed '$d' "$tmp/faults.txt" > "$tmp/faults.table" # emit() ends with one blank line
-diff "$tmp/faults.table" internal/experiments/testdata/fault_sweep_table.golden.txt
-diff "$tmp/faults.json" internal/experiments/testdata/fault_sweep_trace.golden.json
-diff "$tmp/faults.csv" internal/experiments/testdata/fault_sweep_metrics.golden.csv
-
-# check_study_goldens STEM OUT: diff one study run's table, metrics CSV and
-# trace (by SHA-256 digest; the summary golden is the Go tests' readable
-# half) against the committed goldens of study STEM.
-check_study_goldens() {
-    golden=internal/experiments/testdata/$1
-    sed '$d' "$2.txt" > "$2.table" # emit() ends with one blank line
-    diff "$2.table" "${golden}_table.golden.txt"
-    diff "$2.csv" "${golden}_metrics.golden.csv"
-    [ "$(sha256sum < "$2.json" | cut -d' ' -f1)" = "$(cat "${golden}_trace.golden.sha256")" ] || {
-        echo "ci.sh: $2.json does not match ${golden}_trace.golden.sha256" >&2
-        exit 1
-    }
+# reproduce its goldens byte-for-byte — table, metrics CSV and trace — at two
+# (-parallel, -simworkers) compositions, exactly as the deterministic-faults
+# golden test pins them.
+echo "==> CLI smoke (fault-sweep vs goldens, -parallel 1 -simworkers 1 and -parallel 4 -simworkers 2)"
+run_faults() {
+    $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
+        -batches 8 -seed 7 -parallel "$1" -simworkers "$2" \
+        -faults 'drop=0.15,crash=20µs:10µs,slow=4x@15µs:5µs,pressure=50@10µs,timeout=10µs,retries=1,backoff=5µs' \
+        -trace "$3.json" -metrics "$3.csv" fault-sweep > "$3.txt"
+    check_study_goldens fault_sweep "$3"
 }
+run_faults 1 1 "$tmp/faults1"
+run_faults 4 2 "$tmp/faults4"
 
 # Fleet smoke: the fleet-scale replication study (replicated reads, quorum
 # writes, failover, fault-driven rebalance storms) must reproduce its goldens
