@@ -165,7 +165,7 @@ func BenchmarkClusterScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if tab.Rows() != 3 {
+		if tableRows(tab) != 3 {
 			b.Fatal("unexpected cluster table shape")
 		}
 	}

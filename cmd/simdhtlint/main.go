@@ -1,7 +1,7 @@
 // Command simdhtlint runs the project's static-analysis suite (alloclint,
-// chargelint, determlint, parlint, problint, veclint, plus the built-in
-// suppression-hygiene check — see internal/lint) over the module and exits
-// non-zero if any diagnostic survives //lint:ignore suppression.
+// chargelint, determlint, parlint, problint, reachlint, veclint, plus the
+// built-in suppression-hygiene check — see internal/lint) over the module
+// and exits non-zero if any diagnostic survives //lint:ignore suppression.
 //
 // Usage:
 //

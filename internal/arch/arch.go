@@ -197,17 +197,6 @@ func (m *Model) Supports(width int) bool {
 	return false
 }
 
-// MaxWidth returns the widest supported vector width in bits.
-func (m *Model) MaxWidth() int {
-	max := WidthScalar
-	for _, w := range m.Widths {
-		if w > max {
-			max = w
-		}
-	}
-	return max
-}
-
 // DRAMPenalty returns the contention multiplier applied to DRAM latency when
 // `cores` processes share the node's memory system.
 func (m *Model) DRAMPenalty(cores int) float64 {

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -89,8 +90,8 @@ func TestSupportsAndMaxWidth(t *testing.T) {
 	if m.Supports(1024) {
 		t.Error("1024-bit vectors claimed")
 	}
-	if m.MaxWidth() != 512 {
-		t.Errorf("MaxWidth = %d", m.MaxWidth())
+	if w := slices.Max(m.Widths); w != 512 {
+		t.Errorf("widest vector = %d", w)
 	}
 }
 
@@ -191,8 +192,8 @@ func TestZen2HasNoAVX512(t *testing.T) {
 	if z.Supports(WidthAVX512) {
 		t.Fatal("Zen 2 must not support 512-bit vectors")
 	}
-	if z.MaxWidth() != WidthAVX2 {
-		t.Errorf("Zen 2 max width = %d", z.MaxWidth())
+	if w := slices.Max(z.Widths); w != WidthAVX2 {
+		t.Errorf("Zen 2 max width = %d", w)
 	}
 	if z.Frequency(WidthAVX2) != z.ScalarGHz {
 		t.Error("Zen 2 has no vector license down-clock")

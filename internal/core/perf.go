@@ -132,7 +132,7 @@ func Run(p Params) (*Result, error) {
 				return nil, fmt.Errorf("core: trace key %#x exceeds %d bits", k, p.KeyBits)
 			}
 		}
-		gen, err = workload.NewTraceGenerator("params", p.Trace)
+		gen, err = workload.NewTraceGenerator(p.Trace)
 	} else {
 		gen, err = workload.New(stored, workload.Config{
 			Pattern:   p.Pattern,

@@ -114,8 +114,8 @@ func TestFusedChargingBitIdentical(t *testing.T) {
 			if math.Float64bits(fused.MemCycles()) != math.Float64bits(plain.MemCycles()) {
 				t.Fatalf("mem cycles diverge: %.17g vs %.17g", fused.MemCycles(), plain.MemCycles())
 			}
-			want := plain.OpCycles()
-			got := fused.OpCycles()
+			want := opCycles(plain)
+			got := opCycles(fused)
 			if len(want) != len(got) {
 				t.Fatalf("op-class sets diverge: %v vs %v", want, got)
 			}
@@ -132,4 +132,11 @@ func TestFusedChargingBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// opCycles collects an engine's per-class breakdown via ForEachOpCycle.
+func opCycles(e *engine.Engine) map[arch.OpClass]float64 {
+	out := make(map[arch.OpClass]float64)
+	e.ForEachOpCycle(func(c arch.OpClass, cy float64) { out[c] = cy })
+	return out
 }

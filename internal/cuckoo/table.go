@@ -34,7 +34,6 @@ type Table struct {
 
 	fam         *hashfn.Family
 	count       int
-	rng         *rand.Rand
 	maxBFSNodes int
 
 	// shadowKeys mirrors every slot's stored key (post-truncation, exactly
@@ -97,7 +96,6 @@ func New(space *mem.AddressSpace, l Layout, seed int64) (*Table, error) {
 		L:            l,
 		Arena:        space.Alloc(l.TableBytes() + mem.LineSize),
 		fam:          hashfn.NewFamily(l.N, l.KeyBits, l.BucketBits, seed),
-		rng:          rand.New(rand.NewSource(seed ^ 0x5eed)),
 		maxBFSNodes:  DefaultMaxBFSNodes,
 		shadowKeys:   make([]uint64, l.Slots()),
 		visitedStamp: make([]uint32, l.Buckets()),
@@ -114,10 +112,6 @@ func New(space *mem.AddressSpace, l Layout, seed int64) (*Table, error) {
 	}
 	return t, nil
 }
-
-// Family exposes the table's hash-function family (the vectorized lookup
-// paths need the multipliers and shift to evaluate it per-lane).
-func (t *Table) Family() *hashfn.Family { return t.fam }
 
 // Count returns the number of stored items.
 func (t *Table) Count() int { return t.count }
@@ -344,17 +338,6 @@ func (t *Table) hashesTo(key uint64, bucket int) bool {
 		}
 	}
 	return false
-}
-
-// ForEach visits every stored (key, value) pair.
-func (t *Table) ForEach(fn func(key, val uint64)) {
-	for b := 0; b < t.L.Buckets(); b++ {
-		for s := 0; s < t.L.M; s++ {
-			if k := t.keyAt(b, s); k != 0 {
-				fn(k, t.valAt(b, s))
-			}
-		}
-	}
 }
 
 // FillRandom inserts random distinct keys until the table holds

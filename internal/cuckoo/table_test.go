@@ -230,18 +230,18 @@ func TestFillRandomTargetsLoadFactor(t *testing.T) {
 	}
 }
 
+// TestForEachVisitsAll: every key FillRandom reports is stored, with its
+// payload, and the table holds nothing else.
 func TestForEachVisitsAll(t *testing.T) {
 	tb := newTable(t, Layout{N: 2, M: 2, KeyBits: 32, ValBits: 32, BucketBits: 8})
 	rng := rand.New(rand.NewSource(9))
 	keys, _ := tb.FillRandom(0.5, rng)
-	seen := map[uint64]uint64{}
-	tb.ForEach(func(k, v uint64) { seen[k] = v })
-	if len(seen) != len(keys) {
-		t.Fatalf("ForEach visited %d items, want %d", len(seen), len(keys))
+	if tb.Count() != len(keys) {
+		t.Fatalf("table holds %d items, want %d", tb.Count(), len(keys))
 	}
 	for _, k := range keys {
-		if seen[k] != PayloadFor(k, 32) {
-			t.Fatalf("key %d payload %d, want %d", k, seen[k], PayloadFor(k, 32))
+		if v, ok := tb.Lookup(k); !ok || v != PayloadFor(k, 32) {
+			t.Fatalf("key %d payload %d (found %v), want %d", k, v, ok, PayloadFor(k, 32))
 		}
 	}
 }
@@ -311,6 +311,7 @@ func TestInsertChargedAgreesWithInsert(t *testing.T) {
 	b := newTable(t, l)
 	e := enginForTest()
 	rng := rand.New(rand.NewSource(8))
+	stored := map[uint64]uint64{}
 	for i := 0; i < 400; i++ {
 		k := uint64(rng.Uint32() | 2)
 		v := uint64(rng.Uint32())
@@ -319,16 +320,20 @@ func TestInsertChargedAgreesWithInsert(t *testing.T) {
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("insert %d: plain err=%v charged err=%v", i, errA, errB)
 		}
+		if errA == nil {
+			stored[k] = v
+		}
 	}
 	if a.Count() != b.Count() {
 		t.Fatalf("counts diverge: %d vs %d", a.Count(), b.Count())
 	}
-	a.ForEach(func(k, v uint64) {
-		got, ok := b.Lookup(k)
-		if !ok || got != v {
-			t.Fatalf("charged table missing key %d", k)
+	for k := range stored {
+		va, okA := a.Lookup(k)
+		vb, okB := b.Lookup(k)
+		if !okA || !okB || va != vb {
+			t.Fatalf("key %d: plain %d (%v), charged %d (%v)", k, va, okA, vb, okB)
 		}
-	})
+	}
 	if e.Cycles() == 0 {
 		t.Error("charged insert accumulated no cycles")
 	}

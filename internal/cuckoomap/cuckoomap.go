@@ -48,6 +48,8 @@ type bucket[K comparable, V any] struct {
 
 // New creates an empty map with the given hash function and optional
 // initial capacity hint.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func New[K comparable, V any](hash func(K) uint64, capacityHint int) *Map[K, V] {
 	if hash == nil {
 		panic("cuckoomap: nil hash function")
@@ -64,15 +66,23 @@ func New[K comparable, V any](hash func(K) uint64, capacityHint int) *Map[K, V] 
 }
 
 // Len returns the number of stored entries.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (m *Map[K, V]) Len() int { return m.count }
 
 // Buckets returns the current bucket count (for tests and sizing checks).
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (m *Map[K, V]) Buckets() int { return len(m.buckets) }
 
 // Grows returns how many times the table has doubled.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (m *Map[K, V]) Grows() int { return m.grows }
 
 // LoadFactor returns entries / slots.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (m *Map[K, V]) LoadFactor() float64 {
 	return float64(m.count) / float64(len(m.buckets)*slotsPerBucket)
 }
@@ -95,6 +105,8 @@ func (m *Map[K, V]) bucket2(b1 uint64, tag uint8) uint64 {
 }
 
 // Get returns the value stored for key.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (m *Map[K, V]) Get(key K) (V, bool) {
 	h := m.hash(key)
 	tag := tagOf(h)
@@ -120,6 +132,8 @@ func (m *Map[K, V]) searchBucket(b uint64, tag uint8, h uint64, key K) (V, bool)
 
 // Put stores (key, value), replacing any existing entry. The table grows
 // automatically when relocation fails.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (m *Map[K, V]) Put(key K, value V) {
 	h := m.hash(key)
 	for {
@@ -195,6 +209,8 @@ func (m *Map[K, V]) placeInBucket(b uint64, tag uint8, h uint64, key K, value V)
 }
 
 // Delete removes key, reporting whether it was present.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (m *Map[K, V]) Delete(key K) bool {
 	h := m.hash(key)
 	tag := tagOf(h)
@@ -219,6 +235,8 @@ func (m *Map[K, V]) Delete(key K) bool {
 
 // Range calls fn for every entry until fn returns false. Iteration order is
 // unspecified but deterministic for an unchanged map.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (m *Map[K, V]) Range(fn func(K, V) bool) {
 	for i := range m.buckets {
 		bk := &m.buckets[i]

@@ -31,6 +31,8 @@ type shard[K comparable, V any] struct {
 // NewSharded builds a sharded map with shardCount shards (rounded up to a
 // power of two, minimum 1) and a per-shard capacity hint derived from
 // capacityHint.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func NewSharded[K comparable, V any](hash func(K) uint64, shardCount, capacityHint int) *Sharded[K, V] {
 	if hash == nil {
 		panic("cuckoomap: nil hash function")
@@ -64,6 +66,8 @@ func (s *Sharded[K, V]) shardFor(key K) *shard[K, V] {
 }
 
 // Get returns the value stored for key.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (s *Sharded[K, V]) Get(key K) (V, bool) {
 	sh := s.shardFor(key)
 	sh.mu.RLock()
@@ -73,6 +77,8 @@ func (s *Sharded[K, V]) Get(key K) (V, bool) {
 }
 
 // Put stores (key, value), replacing any existing entry.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (s *Sharded[K, V]) Put(key K, value V) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -81,6 +87,8 @@ func (s *Sharded[K, V]) Put(key K, value V) {
 }
 
 // Delete removes key, reporting whether it was present.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (s *Sharded[K, V]) Delete(key K) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -90,6 +98,8 @@ func (s *Sharded[K, V]) Delete(key K) bool {
 }
 
 // Len returns the total entry count across shards.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (s *Sharded[K, V]) Len() int {
 	total := 0
 	for i := range s.shards {
@@ -101,11 +111,15 @@ func (s *Sharded[K, V]) Len() int {
 }
 
 // Shards returns the shard count.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (s *Sharded[K, V]) Shards() int { return len(s.shards) }
 
 // Range visits every entry (shard by shard, holding each shard's read lock
 // during its sweep) until fn returns false. Entries written concurrently
 // during iteration may or may not be visited.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (s *Sharded[K, V]) Range(fn func(K, V) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -126,6 +140,8 @@ func (s *Sharded[K, V]) Range(fn func(K, V) bool) {
 }
 
 // String summarizes the shard layout.
+//
+//lint:ignore reachlint library artifact (DESIGN.md §5): the adoptable native map, driven by its own tests and benchmarks
 func (s *Sharded[K, V]) String() string {
 	return fmt.Sprintf("cuckoomap.Sharded{%d shards, %d entries}", len(s.shards), s.Len())
 }

@@ -4,21 +4,21 @@ import "testing"
 
 func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := New()
+		pd, s := newSim()
 		for j := 0; j < 100; j++ {
 			s.After(float64(j), func() {})
 		}
-		s.Run()
+		pd.Run()
 	}
 	b.ReportMetric(100, "events/op")
 }
 
 func BenchmarkResourceChurn(b *testing.B) {
-	s := New()
+	pd, s := newSim()
 	r := NewResource(s, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Acquire(func() { s.After(1, r.Release) })
-		s.Run()
+		pd.Run()
 	}
 }

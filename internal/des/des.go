@@ -4,8 +4,9 @@
 // latency across a client node, an InfiniBand-EDR-class fabric, and a
 // multi-worker server. Those experiments need queueing behaviour — workers
 // busy, NICs serializing, clients in closed loops — under a deterministic
-// virtual clock, which is exactly what this package provides: an event heap
-// (Sim), FIFO resources with capacity (Resource), and nothing else.
+// virtual clock, which is exactly what this package provides: per-partition
+// event heaps (Sim) advanced in lookahead windows by one run loop
+// (Partitioned), and FIFO resources with capacity (Resource).
 //
 // All times are float64 seconds of virtual time.
 package des
@@ -18,22 +19,18 @@ import (
 )
 
 // ErrQueueFull is the typed rejection returned by Resource.Offer when the
-// resource is saturated and its wait queue already holds MaxQueue requests.
+// resource is saturated and its wait queue is at its SetMaxQueue bound.
 // It is the admission-control signal: callers turn it into a cheap reject
 // response instead of queueing work that would be served too late to matter.
 var ErrQueueFull = errors.New("des: resource queue full")
 
-// Sim is the event scheduler. The zero value is not usable; call New.
+// Sim is one partition's event scheduler: a virtual clock and an event heap.
+// Sims are created and run by a Partitioned engine; schedule onto one with
+// At and After, and read its clock with Now.
 type Sim struct {
 	now    float64
 	seq    uint64
 	events eventHeap
-
-	// Event-budget watchdog (SetEventBudget): Step refuses to dispatch
-	// past the budget, bounding runaway event loops (e.g. a retry storm
-	// under fault injection) deterministically.
-	dispatched uint64
-	budget     uint64
 
 	// Probe, when non-nil, observes each dispatched event (obs layer).
 	Probe obs.SimProbe
@@ -41,11 +38,6 @@ type Sim struct {
 	// Heartbeat, when non-nil, ticks once per dispatched event — stderr-only
 	// liveness output for long runs, never part of deterministic artifacts.
 	Heartbeat *obs.Heartbeat
-}
-
-// New returns an empty simulation at time 0.
-func New() *Sim {
-	return &Sim{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -68,64 +60,6 @@ func (s *Sim) After(delay float64, fn func()) {
 	s.At(s.now+delay, fn)
 }
 
-// SetEventBudget arms the watchdog: once n events have been dispatched,
-// Step stops (and Run returns) instead of dispatching more, so a runaway
-// event loop ends in a detectable state (BudgetExhausted) rather than a
-// hang. The cutoff depends only on the event count, so it is as
-// deterministic as the simulation itself. n == 0 disables the watchdog.
-func (s *Sim) SetEventBudget(n uint64) { s.budget = n }
-
-// Dispatched returns the number of events dispatched so far.
-func (s *Sim) Dispatched() uint64 { return s.dispatched }
-
-// BudgetExhausted reports whether the watchdog stopped the simulation:
-// the budget was hit with events still pending.
-func (s *Sim) BudgetExhausted() bool {
-	return s.budget > 0 && s.dispatched >= s.budget && len(s.events) > 0
-}
-
-// Step runs the next event; it reports whether one existed (and, with an
-// event budget armed, whether the budget still allowed it).
-func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
-		return false
-	}
-	if s.budget > 0 && s.dispatched >= s.budget {
-		return false
-	}
-	ev := s.events.pop()
-	s.now = ev.at
-	s.dispatched++
-	if s.Probe != nil {
-		s.Probe.EventRun(ev.at)
-	}
-	s.Heartbeat.Tick(ev.at)
-	ev.fn()
-	return true
-}
-
-// Run drains the event queue.
-func (s *Sim) Run() {
-	for s.Step() {
-	}
-}
-
-// RunUntil processes events with timestamps <= t, then advances the clock
-// to t. If the event budget runs out mid-way it stops immediately (Step
-// refuses to dispatch) instead of spinning on the unpoppable head event;
-// BudgetExhausted reports the cutoff and the clock is still advanced to t
-// so callers observe a consistent horizon.
-func (s *Sim) RunUntil(t float64) {
-	for len(s.events) > 0 && s.events[0].at <= t {
-		if !s.Step() {
-			break
-		}
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
 // NextEventAt returns the timestamp of the earliest pending event and true,
 // or (0, false) when the queue is empty. It is the per-partition input to the
 // Partitioned engine's global-horizon computation.
@@ -137,16 +71,14 @@ func (s *Sim) NextEventAt() (float64, bool) {
 }
 
 // runBefore dispatches every pending event with timestamp strictly below
-// limit and returns how many ran. Unlike RunUntil it never advances the clock
-// past the last dispatched event, and it ignores the event budget — the
-// Partitioned engine enforces its budget at window granularity so every
-// partition stops at the same horizon.
+// limit and returns how many ran. The clock stays at the last dispatched
+// event; the Partitioned engine enforces its event budget between windows, so
+// every partition stops at the same horizon.
 func (s *Sim) runBefore(limit float64) uint64 {
 	var n uint64
 	for len(s.events) > 0 && s.events[0].at < limit {
 		ev := s.events.pop()
 		s.now = ev.at
-		s.dispatched++
 		n++
 		if s.Probe != nil {
 			s.Probe.EventRun(ev.at)
@@ -156,9 +88,6 @@ func (s *Sim) runBefore(limit float64) uint64 {
 	}
 	return n
 }
-
-// Pending returns the number of scheduled events.
-func (s *Sim) Pending() int { return len(s.events) }
 
 type event struct {
 	at  float64
@@ -254,12 +183,11 @@ type Resource struct {
 	maxQueue int
 
 	// Stats.
-	grants    uint64
-	queuedCum uint64
-	rejected  uint64
-	queueHW   int
-	busyTime  float64
-	lastTick  float64
+	grants   uint64
+	rejected uint64
+	queueHW  int
+	busyTime float64
+	lastTick float64
 }
 
 // waiter is a queued Acquire plus the virtual time it started waiting.
@@ -285,7 +213,6 @@ func (r *Resource) Acquire(fn func()) {
 		r.sim.After(0, fn)
 		return
 	}
-	r.queuedCum++
 	r.queue = append(r.queue, waiter{fn: fn, at: r.sim.Now()})
 	if len(r.queue) > r.queueHW {
 		r.queueHW = len(r.queue)
@@ -302,13 +229,10 @@ func (r *Resource) SetMaxQueue(n int) {
 	r.maxQueue = n
 }
 
-// MaxQueue returns the configured admission bound (0 = unbounded).
-func (r *Resource) MaxQueue() int { return r.maxQueue }
-
 // Offer is Acquire with admission control: if the resource is saturated and
-// the wait queue is at MaxQueue, it returns ErrQueueFull without scheduling
-// anything; otherwise it behaves exactly like Acquire and returns nil. With
-// no bound configured Offer never rejects.
+// the wait queue is at its SetMaxQueue bound, it returns ErrQueueFull
+// without scheduling anything; otherwise it behaves exactly like Acquire and
+// returns nil. With no bound configured Offer never rejects.
 func (r *Resource) Offer(fn func()) error {
 	if r.maxQueue > 0 && r.inUse >= r.cap && len(r.queue) >= r.maxQueue {
 		r.rejected++
@@ -342,17 +266,8 @@ func (r *Resource) accounting() {
 	r.lastTick = r.sim.Now()
 }
 
-// InUse returns the currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of waiting requests.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 // Grants returns how many acquisitions have been granted.
 func (r *Resource) Grants() uint64 { return r.grants }
-
-// EverQueued returns how many acquisitions had to wait.
-func (r *Resource) EverQueued() uint64 { return r.queuedCum }
 
 // Rejected returns how many Offers were refused with ErrQueueFull.
 func (r *Resource) Rejected() uint64 { return r.rejected }

@@ -9,12 +9,12 @@ import (
 )
 
 func TestEventOrdering(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	var order []int
 	s.At(3.0, func() { order = append(order, 3) })
 	s.At(1.0, func() { order = append(order, 1) })
 	s.At(2.0, func() { order = append(order, 2) })
-	s.Run()
+	pd.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
 	}
@@ -24,13 +24,13 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
 		s.At(1.0, func() { order = append(order, i) })
 	}
-	s.Run()
+	pd.Run()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-time events out of FIFO order: %v", order)
@@ -39,19 +39,19 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 }
 
 func TestAfterSchedulesRelative(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	var at float64
 	s.At(5.0, func() {
 		s.After(2.5, func() { at = s.Now() })
 	})
-	s.Run()
+	pd.Run()
 	if at != 7.5 {
 		t.Errorf("After fired at %v, want 7.5", at)
 	}
 }
 
 func TestEventsCanScheduleEvents(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	depth := 0
 	var recurse func()
 	recurse = func() {
@@ -60,7 +60,7 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 		}
 	}
 	s.After(0, recurse)
-	s.Run()
+	pd.Run()
 	if depth != 100 {
 		t.Errorf("depth = %d", depth)
 	}
@@ -69,26 +69,31 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	}
 }
 
+// TestRunUntil pins the window step every run goes through: runBefore
+// dispatches the events below its limit, leaves the clock at the last one
+// it ran, and keeps the rest pending.
 func TestRunUntil(t *testing.T) {
-	s := New()
+	_, s := newSim()
 	fired := 0
 	s.At(1, func() { fired++ })
 	s.At(2, func() { fired++ })
 	s.At(3, func() { fired++ })
-	s.RunUntil(2)
+	if n := s.runBefore(2.5); n != 2 {
+		t.Errorf("runBefore ran %d events, want 2", n)
+	}
 	if fired != 2 {
 		t.Errorf("fired = %d, want 2", fired)
 	}
 	if s.Now() != 2 {
 		t.Errorf("Now = %v, want 2", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Errorf("pending = %d", s.Pending())
+	if next, ok := s.NextEventAt(); !ok || next != 3 {
+		t.Errorf("next event = %v (pending %v), want 3", next, ok)
 	}
 }
 
 func TestPastSchedulingPanics(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	s.At(5, func() {
 		defer func() {
 			if recover() == nil {
@@ -97,11 +102,11 @@ func TestPastSchedulingPanics(t *testing.T) {
 		}()
 		s.At(1, func() {})
 	})
-	s.Run()
+	pd.Run()
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
-	s := New()
+	_, s := newSim()
 	defer func() {
 		if recover() == nil {
 			t.Error("negative delay should panic")
@@ -111,22 +116,22 @@ func TestNegativeDelayPanics(t *testing.T) {
 }
 
 func TestResourceImmediateGrant(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	r := NewResource(s, 2)
 	granted := 0
 	r.Acquire(func() { granted++ })
 	r.Acquire(func() { granted++ })
-	s.Run()
+	pd.Run()
 	if granted != 2 {
 		t.Errorf("granted = %d", granted)
 	}
-	if r.InUse() != 2 {
-		t.Errorf("in use = %d", r.InUse())
+	if r.inUse != 2 {
+		t.Errorf("in use = %d", r.inUse)
 	}
 }
 
 func TestResourceQueuesBeyondCapacity(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	r := NewResource(s, 1)
 	var events []string
 	r.Acquire(func() {
@@ -137,20 +142,20 @@ func TestResourceQueuesBeyondCapacity(t *testing.T) {
 		events = append(events, "second")
 		r.Release()
 	})
-	s.Run()
+	pd.Run()
 	if len(events) != 2 || events[0] != "first" || events[1] != "second" {
 		t.Errorf("events = %v", events)
 	}
-	if r.EverQueued() != 1 {
-		t.Errorf("queued = %d", r.EverQueued())
+	if r.QueueHighWater() != 1 {
+		t.Errorf("queue high water = %d, want 1", r.QueueHighWater())
 	}
-	if r.InUse() != 0 {
-		t.Errorf("in use after drain = %d", r.InUse())
+	if r.inUse != 0 {
+		t.Errorf("in use after drain = %d", r.inUse)
 	}
 }
 
 func TestResourceFIFOOrder(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	r := NewResource(s, 1)
 	var order []int
 	r.Acquire(func() { s.After(1, r.Release) })
@@ -161,7 +166,7 @@ func TestResourceFIFOOrder(t *testing.T) {
 			s.After(1, r.Release)
 		})
 	}
-	s.Run()
+	pd.Run()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("queue not FIFO: %v", order)
@@ -170,20 +175,20 @@ func TestResourceFIFOOrder(t *testing.T) {
 }
 
 func TestResourceUtilization(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	r := NewResource(s, 1)
 	r.Acquire(func() {
 		s.After(5, r.Release)
 	})
 	s.At(10, func() {}) // extend the horizon to 10s
-	s.Run()
+	pd.Run()
 	if u := r.Utilization(); u < 0.49 || u > 0.51 {
 		t.Errorf("utilization = %v, want 0.5", u)
 	}
 }
 
 func TestReleaseWithoutAcquirePanics(t *testing.T) {
-	s := New()
+	_, s := newSim()
 	r := NewResource(s, 1)
 	defer func() {
 		if recover() == nil {
@@ -199,11 +204,11 @@ func TestZeroCapacityPanics(t *testing.T) {
 			t.Error("zero-capacity resource should panic")
 		}
 	}()
-	NewResource(New(), 0)
+	NewResource(&Sim{}, 0)
 }
 
 func TestResourceOnWaitReportsQueueDelay(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	r := NewResource(s, 1)
 	var waits []float64
 	r.OnWait = func(sec float64) { waits = append(waits, sec) }
@@ -215,7 +220,7 @@ func TestResourceOnWaitReportsQueueDelay(t *testing.T) {
 	s.At(2, func() {
 		r.Acquire(func() { r.Release() })
 	})
-	s.Run()
+	pd.Run()
 	if len(waits) != 1 {
 		t.Fatalf("OnWait fired %d times, want 1", len(waits))
 	}
@@ -225,7 +230,7 @@ func TestResourceOnWaitReportsQueueDelay(t *testing.T) {
 }
 
 func TestOfferUnboundedNeverRejects(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	r := NewResource(s, 1)
 	granted := 0
 	for i := 0; i < 10; i++ {
@@ -236,7 +241,7 @@ func TestOfferUnboundedNeverRejects(t *testing.T) {
 			t.Fatalf("unbounded Offer rejected: %v", err)
 		}
 	}
-	s.Run()
+	pd.Run()
 	if granted != 10 {
 		t.Errorf("granted = %d, want 10", granted)
 	}
@@ -246,7 +251,7 @@ func TestOfferUnboundedNeverRejects(t *testing.T) {
 }
 
 func TestOfferRejectsAtMaxQueue(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	r := NewResource(s, 1)
 	r.SetMaxQueue(2)
 	granted := 0
@@ -269,7 +274,7 @@ func TestOfferRejectsAtMaxQueue(t *testing.T) {
 			t.Fatalf("Offer %d = %v, want ErrQueueFull", 3+i, err)
 		}
 	}
-	s.Run()
+	pd.Run()
 	if granted != 3 {
 		t.Errorf("granted = %d, want 3", granted)
 	}
@@ -282,7 +287,7 @@ func TestOfferRejectsAtMaxQueue(t *testing.T) {
 }
 
 func TestOfferAdmitsAgainAfterDrain(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	r := NewResource(s, 1)
 	r.SetMaxQueue(1)
 	served := 0
@@ -305,43 +310,47 @@ func TestOfferAdmitsAgainAfterDrain(t *testing.T) {
 			t.Errorf("Offer after drain rejected: %v", err)
 		}
 	})
-	s.Run()
+	pd.Run()
 	if served != 3 {
 		t.Errorf("served = %d, want 3", served)
 	}
 }
 
 func TestSetMaxQueueZeroRestoresUnbounded(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	r := NewResource(s, 1)
 	r.SetMaxQueue(1)
 	r.SetMaxQueue(0)
-	if r.MaxQueue() != 0 {
-		t.Fatalf("MaxQueue = %d, want 0", r.MaxQueue())
+	if r.maxQueue != 0 {
+		t.Fatalf("max queue = %d, want 0", r.maxQueue)
 	}
 	for i := 0; i < 4; i++ {
 		if err := r.Offer(func() { s.After(1, r.Release) }); err != nil {
 			t.Fatalf("Offer with bound cleared rejected: %v", err)
 		}
 	}
-	s.Run()
+	pd.Run()
 	if r.QueueHighWater() != 3 {
 		t.Errorf("QueueHighWater = %d, want 3", r.QueueHighWater())
 	}
 }
 
 func TestHeartbeatTicksPerEvent(t *testing.T) {
-	s := New()
+	pd, s := newSim()
 	var b strings.Builder
-	s.Heartbeat = obs.NewHeartbeat(2, &b)
+	s.Heartbeat = obs.NewHeartbeat(5, &b)
 	for i := 0; i < 5; i++ {
 		s.After(float64(i), func() {})
 	}
-	s.Run()
-	if got := s.Heartbeat.Ticks(); got != 5 {
-		t.Errorf("heartbeat ticks = %d, want 5 (one per dispatched event)", got)
+	pd.Run()
+	if !strings.Contains(b.String(), "heartbeat: ticks=5 virtual=4") {
+		t.Errorf("want one heartbeat line at the fifth event (one tick per dispatched event), got:\n%s", b.String())
 	}
-	if !strings.Contains(b.String(), "heartbeat:") {
-		t.Errorf("no heartbeat output:\n%s", b.String())
-	}
+}
+
+// newSim returns a one-partition engine and its Sim. Its single partition
+// pops the heap in the order a serial event loop would.
+func newSim() (*Partitioned, *Sim) {
+	pd := NewPartitioned(1, 1, 1)
+	return pd, pd.Sim(0)
 }

@@ -24,11 +24,13 @@ import "fmt"
 // per-slot output, and the single-threaded barrier merge observes the same
 // outbox contents regardless of which goroutine filled them.
 //
-// Partition Sims must leave their own event budgets unarmed; the engine
-// enforces its budget (SetEventBudget) between windows, so every partition
-// stops at the same horizon and no partition is stranded mid-window. Attach
-// an obs.Heartbeat to at most one partition (conventionally partition 0) —
-// it writes to stderr and is not synchronized across workers.
+// Run is the package's one run loop, and its event budget (SetEventBudget)
+// the one watchdog: the budget is checked between windows, so every
+// partition stops at the same horizon and no partition is stranded
+// mid-window. A one-partition engine pops its single heap in exactly the
+// order a serial event loop would. Attach an obs.Heartbeat to at most one
+// partition (conventionally partition 0) — it writes to stderr and is not
+// synchronized across workers.
 type Partitioned struct {
 	sims      []*Sim
 	lookahead float64
@@ -91,7 +93,7 @@ func NewPartitioned(parts, workers int, lookahead float64) *Partitioned {
 		counts:    make([]uint64, parts),
 	}
 	for i := range pd.sims {
-		pd.sims[i] = New()
+		pd.sims[i] = &Sim{}
 	}
 	return pd
 }
@@ -101,9 +103,6 @@ func (pd *Partitioned) Sim(i int) *Sim { return pd.sims[i] }
 
 // Parts returns the partition count.
 func (pd *Partitioned) Parts() int { return len(pd.sims) }
-
-// Workers returns the host worker count.
-func (pd *Partitioned) Workers() int { return pd.workers }
 
 // Lookahead returns the cross-partition lookahead in virtual seconds.
 func (pd *Partitioned) Lookahead() float64 { return pd.lookahead }

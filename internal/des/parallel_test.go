@@ -13,7 +13,7 @@ import (
 // size.
 func TestEventHeapFIFOTieBreak(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 16, 64, 257, 1024} {
-		sim := New()
+		pd, sim := newSim()
 		type tag struct {
 			at  float64
 			idx int
@@ -28,7 +28,7 @@ func TestEventHeapFIFOTieBreak(t *testing.T) {
 			next[at] = idx + 1
 			sim.At(at, func() { got = append(got, tag{at: at, idx: idx}) })
 		}
-		sim.Run()
+		pd.Run()
 		if len(got) != n {
 			t.Fatalf("n=%d: dispatched %d events", n, len(got))
 		}
@@ -47,30 +47,32 @@ func TestEventHeapFIFOTieBreak(t *testing.T) {
 	}
 }
 
-// TestRunUntilBudgetExhausted is the regression for the RunUntil +
-// SetEventBudget interaction: with the budget exhausted mid-way, RunUntil's
-// head event can no longer be popped, and the loop used to spin forever on
-// it. It must stop, report exhaustion, and still advance the clock to t so
-// callers observe a consistent horizon.
+// TestRunUntilBudgetExhausted is the regression for a budget exhausted
+// mid-run: the loop must stop rather than spin on a head event it may not
+// dispatch, report exhaustion, leave the clock at the last dispatched event
+// and keep the next one pending, so a resumed Run continues from there.
 func TestRunUntilBudgetExhausted(t *testing.T) {
-	sim := New()
-	sim.SetEventBudget(10)
+	pd, sim := newSim()
+	pd.SetEventBudget(10)
 	fired := 0
 	var tick func()
 	tick = func() {
 		fired++
-		sim.After(1e-6, tick)
+		sim.After(1, tick)
 	}
-	sim.After(1e-6, tick)
-	sim.RunUntil(1.0) // pre-fix: infinite loop
+	sim.After(1, tick)
+	pd.Run()
 	if fired != 10 {
 		t.Errorf("dispatched %d events, want the budget of 10", fired)
 	}
-	if !sim.BudgetExhausted() {
+	if !pd.BudgetExhausted() {
 		t.Error("BudgetExhausted must report true")
 	}
-	if sim.Now() != 1.0 {
-		t.Errorf("Now() = %g, want the horizon 1.0", sim.Now())
+	if sim.Now() != 10 {
+		t.Errorf("Now() = %g, want the last dispatched event at 10", sim.Now())
+	}
+	if next, ok := sim.NextEventAt(); !ok || next != 11 {
+		t.Errorf("next event = %g (pending %v), want 11", next, ok)
 	}
 }
 

@@ -45,9 +45,6 @@ func NewCostBundle(m *arch.Model, items []CostItem) *CostBundle {
 	return b
 }
 
-// Len returns the number of ops the bundle charges.
-func (b *CostBundle) Len() int { return len(b.items) }
-
 // ChargeBatch charges every op in the bundle, exactly as the equivalent
 // sequence of Charge calls would: same cycle totals (bit for bit, because
 // the additions happen in the same order on the same precomputed values),

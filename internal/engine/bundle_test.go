@@ -47,8 +47,8 @@ func TestChargeBatchMatchesPerOpBitwise(t *testing.T) {
 	if perOp.Ops() != batched.Ops() {
 		t.Fatalf("op counts diverge: %d vs %d", perOp.Ops(), batched.Ops())
 	}
-	want := perOp.OpCycles()
-	got := batched.OpCycles()
+	want := opCycles(perOp)
+	got := opCycles(batched)
 	if len(want) != len(got) {
 		t.Fatalf("op-class sets diverge: %v vs %v", want, got)
 	}

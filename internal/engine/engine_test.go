@@ -12,6 +12,13 @@ func newEng() *Engine {
 	return New(arch.SkylakeClusterA(), 1)
 }
 
+// opCycles collects the per-class breakdown ForEachOpCycle reports.
+func opCycles(e *Engine) map[arch.OpClass]float64 {
+	out := make(map[arch.OpClass]float64)
+	e.ForEachOpCycle(func(c arch.OpClass, cy float64) { out[c] = cy })
+	return out
+}
+
 func TestChargeAccumulates(t *testing.T) {
 	e := newEng()
 	e.Charge(arch.OpScalarALU, arch.WidthScalar)
@@ -41,20 +48,19 @@ func TestMaxWidthTracksLicense(t *testing.T) {
 	}
 }
 
+// TestSecondsUsesLicensedFrequency pins the inputs of the cycles-to-seconds
+// conversion measurements make (Cycles at Arch.Frequency(MaxWidth)): the
+// engine runs at the scalar clock until it charges a 512-bit op, and at the
+// AVX-512 license clock from then on.
 func TestSecondsUsesLicensedFrequency(t *testing.T) {
 	e := newEng()
 	e.ChargeCycles(1e9)
-	scalarSec := e.Seconds()
-	if want := 1e9 / (e.Arch.ScalarGHz * 1e9); scalarSec != want {
-		t.Errorf("scalar seconds = %v, want %v", scalarSec, want)
+	if got := e.Arch.Frequency(e.MaxWidth()); got != e.Arch.ScalarGHz {
+		t.Errorf("scalar run licensed at %v GHz, want %v", got, e.Arch.ScalarGHz)
 	}
 	e.Charge(arch.OpVecCmp, 512)
-	if e.Seconds() >= scalarSec && e.Arch.AVX512GHz < e.Arch.ScalarGHz {
-		// More cycles but the conversion changed: just check frequency used.
-		want := e.Cycles() / (e.Arch.AVX512GHz * 1e9)
-		if e.Seconds() != want {
-			t.Errorf("512-licensed seconds = %v, want %v", e.Seconds(), want)
-		}
+	if got := e.Arch.Frequency(e.MaxWidth()); got != e.Arch.AVX512GHz {
+		t.Errorf("512-bit run licensed at %v GHz, want %v", got, e.Arch.AVX512GHz)
 	}
 }
 
@@ -251,7 +257,7 @@ func TestOpCyclesBreakdown(t *testing.T) {
 	e := newEng()
 	e.Charge(arch.OpVecCmp, 256)
 	e.Charge(arch.OpVecCmp, 256)
-	bd := e.OpCycles()
+	bd := opCycles(e)
 	want := 2 * e.Arch.Cost(arch.OpVecCmp, 256)
 	if bd[arch.OpVecCmp] != want {
 		t.Errorf("breakdown[cmp] = %v, want %v", bd[arch.OpVecCmp], want)
@@ -329,10 +335,11 @@ func TestCmpEqCharges(t *testing.T) {
 func TestSecondsAt(t *testing.T) {
 	e := newEng()
 	e.ChargeCycles(2.4e9)
-	if got := e.SecondsAt(arch.WidthScalar); got != 1.0 {
-		t.Errorf("SecondsAt(scalar) = %v, want 1.0s at 2.4 GHz", got)
+	seconds := func(width int) float64 { return e.Cycles() / (e.Arch.Frequency(width) * 1e9) }
+	if got := seconds(arch.WidthScalar); got != 1.0 {
+		t.Errorf("scalar seconds = %v, want 1.0s at 2.4 GHz", got)
 	}
-	if e.SecondsAt(arch.WidthAVX512) <= 1.0 {
+	if seconds(arch.WidthAVX512) <= 1.0 {
 		t.Error("AVX-512 license must stretch the same cycles over more time")
 	}
 }
@@ -357,19 +364,22 @@ func TestStreamStoreWrites(t *testing.T) {
 	}
 }
 
+// TestResetAllClearsEverything: a measurement that needs a clean slate builds
+// a new engine, and a new engine shares no counters, license or cache state
+// with an earlier one on the same model.
 func TestResetAllClearsEverything(t *testing.T) {
 	e := newEng()
 	a := mem.NewAddressSpace().Alloc(64)
 	e.Charge(arch.OpVecCmp, 512)
 	e.ScalarLoad(a, 0, 32)
-	e.ResetAll()
-	if e.Cycles() != 0 || e.MaxWidth() != arch.WidthScalar || len(e.OpCycles()) != 0 {
-		t.Error("ResetAll left state")
+	e = New(e.Arch, 1)
+	if e.Cycles() != 0 || e.MaxWidth() != arch.WidthScalar || len(opCycles(e)) != 0 {
+		t.Error("new engine inherited state")
 	}
-	// Cache cleared too: reload is a cold miss.
+	// Cache is fresh too: reload is a cold miss.
 	e.ScalarLoad(a, 0, 32)
 	if e.Cache.DRAMAccesses() != 1 {
-		t.Error("ResetAll should clear cache contents")
+		t.Error("new engine should start with a cold cache")
 	}
 }
 
@@ -395,8 +405,11 @@ func TestGatherWrongOffsetsPanics(t *testing.T) {
 	e.Gather(256, 32, a, []int{0, 4}, 0b11) // needs 8 offsets
 }
 
+// TestCoresAccessor pins what the core count does: it sets the DRAM
+// contention penalty of the engine's cache hierarchy.
 func TestCoresAccessor(t *testing.T) {
-	if New(arch.SkylakeClusterA(), 7).Cores() != 7 {
-		t.Error("Cores accessor wrong")
+	m := arch.SkylakeClusterA()
+	if got, want := New(m, 7).Cache.DRAMPenalty, m.DRAMPenalty(7); got != want {
+		t.Errorf("7-core DRAM penalty = %v, want %v", got, want)
 	}
 }

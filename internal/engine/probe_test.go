@@ -11,24 +11,25 @@ import (
 	"simdhtbench/internal/vec"
 )
 
-// TestOpCyclesDefensiveCopy locks in that OpCycles hands out a copy:
-// mutating the returned map must not corrupt engine accounting.
+// TestOpCyclesDefensiveCopy locks in that the breakdown is handed out by
+// value: mutating a map built from ForEachOpCycle must not corrupt engine
+// accounting.
 func TestOpCyclesDefensiveCopy(t *testing.T) {
 	e := newEng()
 	e.Charge(arch.OpScalarALU, arch.WidthScalar)
-	want := e.OpCycles()[arch.OpScalarALU]
+	want := opCycles(e)[arch.OpScalarALU]
 	if want <= 0 {
 		t.Fatal("charged op missing from breakdown")
 	}
 
-	m := e.OpCycles()
+	m := opCycles(e)
 	m[arch.OpScalarALU] = -1e9
 	m[arch.OpVecGather] = 42
 
-	if got := e.OpCycles()[arch.OpScalarALU]; got != want {
+	if got := opCycles(e)[arch.OpScalarALU]; got != want {
 		t.Errorf("mutating the returned map changed engine accounting: %v, want %v", got, want)
 	}
-	if _, ok := e.OpCycles()[arch.OpVecGather]; ok {
+	if _, ok := opCycles(e)[arch.OpVecGather]; ok {
 		t.Error("key inserted into the returned map leaked into engine accounting")
 	}
 }
@@ -76,7 +77,7 @@ func TestProbeDoesNotChangeAccounting(t *testing.T) {
 	if bare.MemCycles() != probed.MemCycles() {
 		t.Errorf("mem cycles differ with probe attached: %v vs %v", bare.MemCycles(), probed.MemCycles())
 	}
-	bo, po := bare.OpCycles(), probed.OpCycles()
+	bo, po := opCycles(bare), opCycles(probed)
 	if len(bo) != len(po) {
 		t.Fatalf("op breakdown sizes differ: %d vs %d", len(bo), len(po))
 	}

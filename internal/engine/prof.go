@@ -60,9 +60,6 @@ func (e *Engine) SetProfiler(p *prof.Profiler) {
 	}
 }
 
-// Profiler returns the attached profiler (nil when profiling is off).
-func (e *Engine) Profiler() *prof.Profiler { return e.prof }
-
 // SetPhase sets the ambient attribution phase and returns the previous one,
 // which the caller restores when its region ends. It is a plain field write —
 // free whether or not a profiler is attached — so templates keep their phase

@@ -6,8 +6,16 @@ import (
 	"strings"
 	"testing"
 
+	"simdhtbench/internal/report"
 	"simdhtbench/internal/workload"
 )
+
+// rows counts a table's data rows through its CSV rendering.
+func rows(t *report.Table) int {
+	var b strings.Builder
+	t.CSV(&b)
+	return strings.Count(b.String(), "\n") - 1
+}
 
 // Small options keep the full-suite test run fast; the shapes asserted here
 // are the coarse ones that must hold even at reduced query counts.
@@ -25,8 +33,8 @@ func skipHeavyUnderRace(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	tab := Table1()
-	if tab.Rows() != 8 {
-		t.Errorf("Table I rows = %d, want 8", tab.Rows())
+	if rows(tab) != 8 {
+		t.Errorf("Table I rows = %d, want 8", rows(tab))
 	}
 }
 
@@ -35,8 +43,8 @@ func TestFig2ShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 12 {
-		t.Errorf("Fig2 rows = %d, want 12", tab.Rows())
+	if rows(tab) != 12 {
+		t.Errorf("Fig2 rows = %d, want 12", rows(tab))
 	}
 }
 
@@ -63,8 +71,8 @@ func TestFig5Runs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 9 variants x 2 patterns.
-	if tab.Rows() != 18 {
-		t.Errorf("Fig5 rows = %d, want 18", tab.Rows())
+	if rows(tab) != 18 {
+		t.Errorf("Fig5 rows = %d, want 18", rows(tab))
 	}
 }
 
@@ -74,8 +82,8 @@ func TestFig6SpeedupDecays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 10 {
-		t.Fatalf("Fig6 rows = %d, want 10", tab.Rows())
+	if rows(tab) != 10 {
+		t.Fatalf("Fig6 rows = %d, want 10", rows(tab))
 	}
 }
 
@@ -84,8 +92,8 @@ func TestFig7aRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 8 {
-		t.Errorf("Fig7a rows = %d, want 8", tab.Rows())
+	if rows(tab) != 8 {
+		t.Errorf("Fig7a rows = %d, want 8", rows(tab))
 	}
 }
 
@@ -95,8 +103,8 @@ func TestFig7bRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 8 {
-		t.Errorf("Fig7b rows = %d, want 8", tab.Rows())
+	if rows(tab) != 8 {
+		t.Errorf("Fig7b rows = %d, want 8", rows(tab))
 	}
 }
 
@@ -106,8 +114,8 @@ func TestFig8Runs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 16 {
-		t.Errorf("Fig8 rows = %d, want 16", tab.Rows())
+	if rows(tab) != 16 {
+		t.Errorf("Fig8 rows = %d, want 16", rows(tab))
 	}
 }
 
@@ -116,8 +124,8 @@ func TestFig9Runs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 4 {
-		t.Errorf("Fig9 rows = %d, want 4", tab.Rows())
+	if rows(tab) != 4 {
+		t.Errorf("Fig9 rows = %d, want 4", rows(tab))
 	}
 }
 
@@ -151,8 +159,8 @@ func TestFig11aTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 3 {
-		t.Errorf("Fig11a rows = %d, want 3 (one batch x three backends)", tab.Rows())
+	if rows(tab) != 3 {
+		t.Errorf("Fig11a rows = %d, want 3 (one batch x three backends)", rows(tab))
 	}
 }
 
@@ -161,8 +169,8 @@ func TestFig11bTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 3 {
-		t.Errorf("Fig11b rows = %d, want 3", tab.Rows())
+	if rows(tab) != 3 {
+		t.Errorf("Fig11b rows = %d, want 3", rows(tab))
 	}
 }
 
@@ -183,8 +191,8 @@ func TestSplitBucketStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 6 {
-		t.Errorf("SplitBucket rows = %d, want 6", tab.Rows())
+	if rows(tab) != 6 {
+		t.Errorf("SplitBucket rows = %d, want 6", rows(tab))
 	}
 }
 
@@ -193,8 +201,8 @@ func TestMixedWorkloadStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 5 {
-		t.Errorf("MixedWorkload rows = %d, want 5", tab.Rows())
+	if rows(tab) != 5 {
+		t.Errorf("MixedWorkload rows = %d, want 5", rows(tab))
 	}
 }
 
@@ -204,8 +212,8 @@ func TestAMACStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 3 {
-		t.Errorf("AMACStudy rows = %d, want 3", tab.Rows())
+	if rows(tab) != 3 {
+		t.Errorf("AMACStudy rows = %d, want 3", rows(tab))
 	}
 }
 
@@ -214,8 +222,8 @@ func TestEmergingArchitectures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 4 {
-		t.Errorf("EmergingArchitectures rows = %d, want 4", tab.Rows())
+	if rows(tab) != 4 {
+		t.Errorf("EmergingArchitectures rows = %d, want 4", rows(tab))
 	}
 }
 
@@ -224,8 +232,8 @@ func TestETCStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 3 {
-		t.Errorf("ETCStudy rows = %d, want 3", tab.Rows())
+	if rows(tab) != 3 {
+		t.Errorf("ETCStudy rows = %d, want 3", rows(tab))
 	}
 }
 
@@ -234,8 +242,8 @@ func TestClusterStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows() != 3 {
-		t.Errorf("ClusterStudy rows = %d, want 3 (1/2/4 servers)", tab.Rows())
+	if rows(tab) != 3 {
+		t.Errorf("ClusterStudy rows = %d, want 3 (1/2/4 servers)", rows(tab))
 	}
 }
 

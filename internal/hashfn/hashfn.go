@@ -65,21 +65,6 @@ func NewFamily(n, laneBits, bucketBits int, seed int64) *Family {
 	return &Family{laneBits: laneBits, bucketBits: bucketBits, mults: mults}
 }
 
-// N returns the number of functions in the family.
-func (f *Family) N() int { return len(f.mults) }
-
-// LaneBits returns the key width in bits.
-func (f *Family) LaneBits() int { return f.laneBits }
-
-// BucketBits returns log2 of the bucket count.
-func (f *Family) BucketBits() int { return f.bucketBits }
-
-// Buckets returns the bucket count, 1<<bucketBits.
-func (f *Family) Buckets() int { return 1 << f.bucketBits }
-
-// Mult returns the multiplier of function i, for vectorized evaluation.
-func (f *Family) Mult(i int) uint64 { return f.mults[i] }
-
 // Shift returns the right-shift amount, for vectorized evaluation.
 func (f *Family) Shift() uint { return uint(f.laneBits - f.bucketBits) }
 
@@ -87,16 +72,6 @@ func (f *Family) Shift() uint { return uint(f.laneBits - f.bucketBits) }
 func (f *Family) Hash(i int, key uint64) uint64 {
 	m := (key * f.mults[i]) & laneMask(f.laneBits)
 	return m >> f.Shift()
-}
-
-// Buckets4 evaluates up to the first 4 functions on key into dst and
-// returns the slice; a small-N fast path for hot loops.
-func (f *Family) AllHashes(key uint64, dst []uint64) []uint64 {
-	dst = dst[:0]
-	for i := range f.mults {
-		dst = append(dst, f.Hash(i, key))
-	}
-	return dst
 }
 
 func laneMask(laneBits int) uint64 {

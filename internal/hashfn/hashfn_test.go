@@ -11,8 +11,8 @@ func TestFamilyRange(t *testing.T) {
 	for k := uint64(1); k < 5000; k++ {
 		for i := 0; i < 3; i++ {
 			h := f.Hash(i, k)
-			if h >= uint64(f.Buckets()) {
-				t.Fatalf("hash %d of key %d = %d out of %d buckets", i, k, h, f.Buckets())
+			if h >= uint64(1<<f.bucketBits) {
+				t.Fatalf("hash %d of key %d = %d out of %d buckets", i, k, h, 1<<f.bucketBits)
 			}
 		}
 	}
@@ -45,7 +45,7 @@ func TestFamilyFunctionsDiffer(t *testing.T) {
 
 func TestFamilyUniformity(t *testing.T) {
 	f := NewFamily(1, 32, 8, 11) // 256 buckets
-	counts := make([]int, f.Buckets())
+	counts := make([]int, 1<<f.bucketBits)
 	n := 256 * 200
 	for k := 0; k < n; k++ {
 		counts[f.Hash(0, uint64(k*2+2))]++
@@ -69,7 +69,7 @@ func TestFamilyMatchesMultiplyShiftFormula(t *testing.T) {
 	prop := func(k uint32, fi uint8) bool {
 		i := int(fi) % 4
 		key := uint64(k)
-		want := ((key * f.Mult(i)) & 0xFFFFFFFF) >> f.Shift()
+		want := ((key * f.mults[i]) & 0xFFFFFFFF) >> f.Shift()
 		return f.Hash(i, key) == want
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -100,17 +100,22 @@ func TestFamily64Bit(t *testing.T) {
 	}
 }
 
+// TestAllHashes: a family of N functions evaluates each of them in range,
+// and the functions are distinct.
 func TestAllHashes(t *testing.T) {
 	f := NewFamily(3, 32, 10, 2)
-	var buf [8]uint64
-	hs := f.AllHashes(42, buf[:0])
-	if len(hs) != 3 {
-		t.Fatalf("AllHashes returned %d values", len(hs))
+	if len(f.mults) != 3 {
+		t.Fatalf("family holds %d functions, want 3", len(f.mults))
 	}
-	for i, h := range hs {
-		if h != f.Hash(i, 42) {
-			t.Errorf("AllHashes[%d] = %d, want %d", i, h, f.Hash(i, 42))
+	seen := map[uint64]bool{}
+	for i := range f.mults {
+		if h := f.Hash(i, 42); h >= 1<<10 {
+			t.Errorf("Hash(%d, 42) = %d out of 1024 buckets", i, h)
 		}
+		if seen[f.mults[i]] {
+			t.Errorf("function %d repeats a multiplier", i)
+		}
+		seen[f.mults[i]] = true
 	}
 }
 

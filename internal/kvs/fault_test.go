@@ -10,16 +10,17 @@ import (
 	"simdhtbench/internal/mem"
 )
 
-func faultServer(t *testing.T, items, maxBatch int) (*des.Sim, *Server, [][]byte) {
+// faultServer builds a server holding items keys on a one-partition engine.
+func faultServer(t *testing.T, items, maxBatch int) (*des.Partitioned, *Server, [][]byte) {
 	t.Helper()
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
 	space := mem.NewAddressSpace()
 	store := NewItemStore(space)
 	idx, err := NewVerticalIndex(space, items, maxBatch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(sim, arch.SkylakeClusterB(), 2, maxBatch, idx, store)
+	srv := NewServer(pd.Sim(0), arch.SkylakeClusterB(), 2, maxBatch, idx, store)
 	keys := make([][]byte, items)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%012d-xxxx", i))
@@ -27,29 +28,29 @@ func faultServer(t *testing.T, items, maxBatch int) (*des.Sim, *Server, [][]byte
 			t.Fatal(err)
 		}
 	}
-	return sim, srv, keys
+	return pd, srv, keys
 }
 
 func TestHandleMGetCrashWindowDropsSilently(t *testing.T) {
-	sim, srv, keys := faultServer(t, 100, 32)
+	pd, srv, keys := faultServer(t, 100, 32)
 	spec, err := fault.ParseSpec("crash=100us:50us")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Faults = spec.NewPlan(1)
 	// Advance the clock into the first down window [100us, 150us).
-	sim.After(110e-6, func() {
+	pd.Sim(0).After(110e-6, func() {
 		srv.HandleMGet(keys[:8], func(MGetResult) {
 			t.Error("crashed server must drop the request, not answer it")
 		})
 	})
-	sim.Run()
+	pd.Run()
 	if srv.CrashDrops != 1 {
 		t.Errorf("CrashDrops = %d, want 1", srv.CrashDrops)
 	}
 	// Outside the window the server answers again (recovery).
 	answered := false
-	sim.After(60e-6, func() { // now+60us = 170us+, past the down window
+	pd.Sim(0).After(60e-6, func() { // now+60us = 170us+, past the down window
 		srv.HandleMGet(keys[:8], func(res MGetResult) {
 			answered = true
 			if res.Found != 8 {
@@ -57,7 +58,7 @@ func TestHandleMGetCrashWindowDropsSilently(t *testing.T) {
 			}
 		})
 	})
-	sim.Run()
+	pd.Run()
 	if !answered {
 		t.Error("server did not recover after the crash window")
 	}
@@ -65,11 +66,11 @@ func TestHandleMGetCrashWindowDropsSilently(t *testing.T) {
 
 func TestHandleMGetSlowdownStretchesService(t *testing.T) {
 	baseline := func(plan *fault.Plan) float64 {
-		sim, srv, keys := faultServer(t, 100, 32)
+		pd, srv, keys := faultServer(t, 100, 32)
 		srv.Faults = plan
 		var done float64
-		srv.HandleMGet(keys[:8], func(MGetResult) { done = sim.Now() })
-		sim.Run()
+		srv.HandleMGet(keys[:8], func(MGetResult) { done = pd.Sim(0).Now() })
+		pd.Run()
 		return done
 	}
 	spec, err := fault.ParseSpec("slow=4x@100us:99us")
@@ -84,14 +85,14 @@ func TestHandleMGetSlowdownStretchesService(t *testing.T) {
 	}
 
 	// Inside a slow window the same batch takes ~4x the service time.
-	sim, srv, keys := faultServer(t, 100, 32)
+	pd, srv, keys := faultServer(t, 100, 32)
 	srv.Faults = spec.NewPlan(1)
 	var start, done float64
-	sim.After(110e-6, func() {
-		start = sim.Now()
-		srv.HandleMGet(keys[:8], func(MGetResult) { done = sim.Now() })
+	pd.Sim(0).After(110e-6, func() {
+		start = pd.Sim(0).Now()
+		srv.HandleMGet(keys[:8], func(MGetResult) { done = pd.Sim(0).Now() })
 	})
-	sim.Run()
+	pd.Run()
 	if srv.Slowdowns != 1 {
 		t.Fatalf("Slowdowns = %d, want 1", srv.Slowdowns)
 	}
@@ -102,11 +103,11 @@ func TestHandleMGetSlowdownStretchesService(t *testing.T) {
 }
 
 func TestHandleMGetChunksOversizedBatches(t *testing.T) {
-	sim, srv, keys := faultServer(t, 100, 8) // maxBatch 8 < len(batch)
+	pd, srv, keys := faultServer(t, 100, 8) // maxBatch 8 < len(batch)
 	var res MGetResult
 	fired := 0
 	srv.HandleMGet(keys[:30], func(r MGetResult) { res = r; fired++ })
-	sim.Run()
+	pd.Run()
 	if fired != 1 {
 		t.Fatalf("done fired %d times", fired)
 	}

@@ -21,7 +21,8 @@ func FuzzMultiGet(f *testing.F) {
 	f.Add([]byte("key-1key-2key-3key-4key-5key-6key-7key-8key-9"), uint8(40)) // oversized vs maxBatch 8
 	f.Add([]byte("\x00\xff\x00unknown-key-material"), uint8(5))
 	f.Fuzz(func(t *testing.T, raw []byte, n uint8) {
-		sim := des.New()
+		pd := des.NewPartitioned(1, 1, 1e-6)
+		sim := pd.Sim(0)
 		space := mem.NewAddressSpace()
 		store := NewItemStore(space)
 		idx, err := NewVerticalIndex(space, 64, 8, 1)
@@ -57,9 +58,9 @@ func FuzzMultiGet(f *testing.F) {
 		fired := 0
 		var res MGetResult
 		srv.HandleMGet(batch, func(r MGetResult) { res = r; fired++ })
-		sim.SetEventBudget(uint64(len(batch))*64 + 4096)
-		sim.Run()
-		if sim.BudgetExhausted() {
+		pd.SetEventBudget(uint64(len(batch))*64 + 4096)
+		pd.Run()
+		if pd.BudgetExhausted() {
 			t.Fatalf("MGet of %d keys did not drain within budget", len(batch))
 		}
 		if fired != 1 {

@@ -28,8 +28,6 @@ type Index interface {
 	// their 32-bit hashes arrive pre-parsed (the pre-processing phase).
 	// Returns the number of hits.
 	LookupBatch(e *engine.Engine, store *ItemStore, keys [][]byte, hashes []uint32, refs []uint32) int
-	// TableBytes reports the index's memory footprint.
-	TableBytes() int
 	// Width returns the widest vector width the lookups use (for frequency
 	// licensing); scalar backends return 64.
 	Width() int
@@ -164,9 +162,6 @@ func (x *HorizontalIndex) Name() string { return "Bucket-Cuckoo-Hor(AVX-256)" }
 // Width implements Index.
 func (x *HorizontalIndex) Width() int { return 256 }
 
-// TableBytes implements Index.
-func (x *HorizontalIndex) TableBytes() int { return x.table.L.TableBytes() }
-
 // Insert implements Index.
 func (x *HorizontalIndex) Insert(hash32, ref uint32) error { return x.insert(hash32, ref) }
 
@@ -213,9 +208,6 @@ func (x *VerticalIndex) Name() string { return "Cuckoo-Ver(AVX-512)" }
 
 // Width implements Index.
 func (x *VerticalIndex) Width() int { return 512 }
-
-// TableBytes implements Index.
-func (x *VerticalIndex) TableBytes() int { return x.table.L.TableBytes() }
 
 // Insert implements Index.
 func (x *VerticalIndex) Insert(hash32, ref uint32) error { return x.insert(hash32, ref) }

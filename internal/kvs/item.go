@@ -93,6 +93,8 @@ func NewItemStore(space *mem.AddressSpace) *ItemStore {
 }
 
 // Count returns the number of live items.
+//
+//lint:ignore reachlint oracle a test compares against: the live-item count the index and eviction tests check hits against
 func (s *ItemStore) Count() int { return s.count }
 
 // Set stores a copy of (key, value) and returns its reference.
@@ -135,9 +137,6 @@ func (s *ItemStore) Set(key, value []byte) (uint32, error) {
 	s.lruPushFront(int32(ref))
 	return ref, nil
 }
-
-// UsedBytes returns the chunk bytes currently charged to live items.
-func (s *ItemStore) UsedBytes() int { return s.usedBytes }
 
 // NeedsEviction reports whether storing an object of the given key/value
 // size would exceed MaxBytes (when a cap is set).
@@ -225,15 +224,6 @@ func (s *ItemStore) WarmHot(e interface{ Warm(addr uint64, size int) }, maxBytes
 			return
 		}
 	}
-}
-
-// LRUOrder returns the refs from most to least recently used (for tests).
-func (s *ItemStore) LRUOrder() []uint32 {
-	var out []uint32
-	for r := s.lruHead; r >= 0; r = s.items[r].lruNext {
-		out = append(out, uint32(r))
-	}
-	return out
 }
 
 func (s *ItemStore) lruPushFront(r int32) {

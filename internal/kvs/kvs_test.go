@@ -87,21 +87,30 @@ func TestItemStoreDeleteAndReuse(t *testing.T) {
 	}
 }
 
+// lruOrder walks the store's LRU list from most to least recently used.
+func lruOrder(s *ItemStore) []uint32 {
+	var out []uint32
+	for r := s.lruHead; r >= 0; r = s.items[r].lruNext {
+		out = append(out, uint32(r))
+	}
+	return out
+}
+
 func TestLRUOrdering(t *testing.T) {
 	s := NewItemStore(mem.NewAddressSpace())
 	a, _ := s.Set([]byte("a"), []byte("1"))
 	b, _ := s.Set([]byte("b"), []byte("2"))
 	c, _ := s.Set([]byte("c"), []byte("3"))
 	// Insertion order: c most recent.
-	if got := s.LRUOrder(); got[0] != c || got[2] != a {
+	if got := lruOrder(s); got[0] != c || got[2] != a {
 		t.Errorf("LRU after inserts = %v", got)
 	}
 	s.TouchLRU(a)
-	if got := s.LRUOrder(); got[0] != a || got[1] != c || got[2] != b {
+	if got := lruOrder(s); got[0] != a || got[1] != c || got[2] != b {
 		t.Errorf("LRU after touch = %v", got)
 	}
 	s.Delete(c)
-	if got := s.LRUOrder(); len(got) != 2 || got[0] != a || got[1] != b {
+	if got := lruOrder(s); len(got) != 2 || got[0] != a || got[1] != b {
 		t.Errorf("LRU after delete = %v", got)
 	}
 }
@@ -179,9 +188,6 @@ func indexSuite(t *testing.T, mk func(space *mem.AddressSpace, capacity int) Ind
 	if e.Cycles() == 0 {
 		t.Errorf("%s charged no cycles", idx.Name())
 	}
-	if idx.TableBytes() <= 0 {
-		t.Errorf("%s reports no table bytes", idx.Name())
-	}
 }
 
 func TestMemC3IndexBehaviour(t *testing.T) {
@@ -257,7 +263,7 @@ func TestMemC3HighOccupancy(t *testing.T) {
 	space := mem.NewAddressSpace()
 	store := NewItemStore(space)
 	idx := NewMemC3Index(space, 4000, 5)
-	slots := idx.TableBytes() / memc3BucketBytes * memc3Slots
+	slots := (1 << idx.bucketBits) * memc3Slots
 	// Fill to eviction failure: a (2,4) BCHT with partial-key cuckoo
 	// hashing should sustain ~95% occupancy (Fig. 2).
 	for i := 0; ; i++ {
@@ -298,7 +304,8 @@ func TestMemC3Delete(t *testing.T) {
 }
 
 func TestServerSetGetRoundTrip(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	space := mem.NewAddressSpace()
 	store := NewItemStore(space)
 	idx, err := NewVerticalIndex(space, 1000, 64, 1)
@@ -319,7 +326,8 @@ func TestServerSetGetRoundTrip(t *testing.T) {
 }
 
 func TestServerHandleMGet(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	space := mem.NewAddressSpace()
 	store := NewItemStore(space)
 	idx, err := NewHorizontalIndex(space, 1000, 64, 1)
@@ -339,7 +347,7 @@ func TestServerHandleMGet(t *testing.T) {
 	var res MGetResult
 	done := false
 	srv.HandleMGet(keys, func(r MGetResult) { res = r; done = true })
-	sim.Run()
+	pd.Run()
 	if !done {
 		t.Fatal("MGet never completed")
 	}
@@ -364,7 +372,8 @@ func TestServerHandleMGet(t *testing.T) {
 }
 
 func TestServerWorkersLimitConcurrency(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	space := mem.NewAddressSpace()
 	store := NewItemStore(space)
 	idx := NewMemC3Index(space, 100, 1)
@@ -375,7 +384,7 @@ func TestServerWorkersLimitConcurrency(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		srv.HandleMGet([][]byte{key}, func(MGetResult) { finish = append(finish, sim.Now()) })
 	}
-	sim.Run()
+	pd.Run()
 	if len(finish) != 3 {
 		t.Fatalf("completed %d", len(finish))
 	}
@@ -418,7 +427,8 @@ func TestSIMDIndexRejectsHashCollision(t *testing.T) {
 }
 
 func TestCapacityEviction(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	space := mem.NewAddressSpace()
 	store := NewItemStore(space)
 	store.MaxBytes = 64 * 100 // room for ~100 items of the smallest class
@@ -436,8 +446,8 @@ func TestCapacityEviction(t *testing.T) {
 		}
 		keys = append(keys, key)
 	}
-	if store.UsedBytes() > store.MaxBytes {
-		t.Errorf("used %d exceeds cap %d", store.UsedBytes(), store.MaxBytes)
+	if store.usedBytes > store.MaxBytes {
+		t.Errorf("used %d exceeds cap %d", store.usedBytes, store.MaxBytes)
 	}
 	if srv.Evictions == 0 {
 		t.Fatal("no evictions recorded despite exceeding capacity")
@@ -462,7 +472,8 @@ func TestCapacityEviction(t *testing.T) {
 }
 
 func TestGetRefreshesLRUAgainstEviction(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	space := mem.NewAddressSpace()
 	store := NewItemStore(space)
 	store.MaxBytes = 64 * 50
@@ -480,7 +491,7 @@ func TestGetRefreshesLRUAgainstEviction(t *testing.T) {
 		// LRU in post-processing) while inserting cold keys.
 		done := false
 		srv.HandleMGet([][]byte{hot}, func(MGetResult) { done = true })
-		sim.Run()
+		pd.Run()
 		if !done {
 			t.Fatal("mget did not run")
 		}
@@ -519,21 +530,21 @@ func TestIndexDelete(t *testing.T) {
 
 func TestUsedBytesAccounting(t *testing.T) {
 	store := NewItemStore(mem.NewAddressSpace())
-	if store.UsedBytes() != 0 {
+	if store.usedBytes != 0 {
 		t.Error("fresh store has used bytes")
 	}
 	r1, _ := store.Set([]byte("k1"), make([]byte, 4))   // 64B class
 	r2, _ := store.Set([]byte("k2"), make([]byte, 400)) // 512B class
-	if store.UsedBytes() != 64+512 {
-		t.Errorf("used = %d, want 576", store.UsedBytes())
+	if store.usedBytes != 64+512 {
+		t.Errorf("used = %d, want 576", store.usedBytes)
 	}
 	store.Delete(r1)
-	if store.UsedBytes() != 512 {
-		t.Errorf("used after delete = %d", store.UsedBytes())
+	if store.usedBytes != 512 {
+		t.Errorf("used after delete = %d", store.usedBytes)
 	}
 	store.Delete(r2)
-	if store.UsedBytes() != 0 {
-		t.Errorf("used after drain = %d", store.UsedBytes())
+	if store.usedBytes != 0 {
+		t.Errorf("used after drain = %d", store.usedBytes)
 	}
 }
 
@@ -587,27 +598,6 @@ func TestRingMinimalRemapping(t *testing.T) {
 	}
 	if frac < 0.05 {
 		t.Errorf("only %.1f%% moved; the new server got almost nothing", frac*100)
-	}
-}
-
-func TestRingSplitPreservesKeys(t *testing.T) {
-	r, _ := NewRing(3, 0)
-	keys := make([][]byte, 50)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("split-key-%07d", i))
-	}
-	parts := r.Split(keys)
-	total := 0
-	for s, sub := range parts {
-		total += len(sub)
-		for _, k := range sub {
-			if r.Owner(k) != s {
-				t.Fatalf("key %q in wrong partition", k)
-			}
-		}
-	}
-	if total != len(keys) {
-		t.Errorf("split lost keys: %d of %d", total, len(keys))
 	}
 }
 

@@ -11,17 +11,18 @@ import (
 )
 
 // replicaServer builds an empty server whose index has room for `capacity`
-// items, so replica applies never hit capacity rejections.
-func replicaServer(t *testing.T, capacity int) (*des.Sim, *Server) {
+// items, so replica applies never hit capacity rejections, on a
+// one-partition engine.
+func replicaServer(t *testing.T, capacity int) (*des.Partitioned, *Server) {
 	t.Helper()
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
 	space := mem.NewAddressSpace()
 	store := NewItemStore(space)
 	idx, err := NewVerticalIndex(space, capacity, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim, NewServer(sim, arch.SkylakeClusterB(), 2, 8, idx, store)
+	return pd, NewServer(pd.Sim(0), arch.SkylakeClusterB(), 2, 8, idx, store)
 }
 
 func TestReplaceInsertsAndOverwrites(t *testing.T) {
@@ -53,7 +54,7 @@ func TestReplaceInsertsAndOverwrites(t *testing.T) {
 }
 
 func TestHandleReplicateAppliesAndCharges(t *testing.T) {
-	sim, srv := replicaServer(t, 64)
+	pd, srv := replicaServer(t, 64)
 	items := make([]ReplicaItem, 5)
 	for i := range items {
 		items[i] = ReplicaItem{
@@ -63,14 +64,14 @@ func TestHandleReplicateAppliesAndCharges(t *testing.T) {
 	}
 	applied, fired := 0, 0
 	srv.HandleReplicate(items, func(n int) { applied = n; fired++ })
-	sim.Run()
+	pd.Run()
 	if fired != 1 {
 		t.Fatalf("done fired %d times", fired)
 	}
 	if applied != len(items) {
 		t.Fatalf("applied %d of %d items", applied, len(items))
 	}
-	if sim.Now() <= 0 {
+	if pd.Sim(0).Now() <= 0 {
 		t.Error("replica apply must consume virtual time (charged service)")
 	}
 	if srv.ReplicaBatches != 1 || srv.ReplicaItems != uint64(len(items)) {
@@ -84,19 +85,19 @@ func TestHandleReplicateAppliesAndCharges(t *testing.T) {
 }
 
 func TestHandleReplicateCrashWindowDrops(t *testing.T) {
-	sim, srv, _ := faultServer(t, 10, 8)
+	pd, srv, _ := faultServer(t, 10, 8)
 	spec, err := fault.ParseSpec("crash=100us:50us")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Faults = spec.NewPlan(1)
 	item := []ReplicaItem{{Key: []byte("repl-crash-key"), Value: []byte("v")}}
-	sim.After(110e-6, func() { // inside the first down window [100us, 150us)
+	pd.Sim(0).After(110e-6, func() { // inside the first down window [100us, 150us)
 		srv.HandleReplicate(item, func(int) {
 			t.Error("crashed server must drop the replica batch, not ack it")
 		})
 	})
-	sim.Run()
+	pd.Run()
 	if srv.CrashDrops != 1 {
 		t.Errorf("CrashDrops = %d, want 1", srv.CrashDrops)
 	}

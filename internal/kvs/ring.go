@@ -94,9 +94,6 @@ func (r *Ring) Servers() int { return len(r.members) }
 // Join or Leave).
 func (r *Ring) Epoch() int { return r.epoch }
 
-// Members returns a copy of the sorted member ids.
-func (r *Ring) Members() []int { return append([]int(nil), r.members...) }
-
 // HasMember reports whether server id is currently in the ring.
 func (r *Ring) HasMember(id int) bool {
 	i := sort.SearchInts(r.members, id)
@@ -194,36 +191,4 @@ func (r *Ring) ReplicaOwners(key []byte, n int, dst []int) []int {
 		i++
 	}
 	return dst
-}
-
-// Split partitions a Multi-Get batch by owning server, preserving key
-// order within each sub-batch — the per-server batching of the request
-// phase. The returned map contains only servers that own at least one key.
-func (r *Ring) Split(keys [][]byte) map[int][][]byte {
-	out := make(map[int][][]byte)
-	for _, k := range keys {
-		s := r.Owner(k)
-		out[s] = append(out[s], k)
-	}
-	return out
-}
-
-// OwnedShare returns the fraction of the hash space owned (as primary) by
-// server id: the summed arc length preceding its vnode points, as a share
-// of 2^64. Useful for sizing the expected remap fraction of a membership
-// change.
-func (r *Ring) OwnedShare(id int) float64 {
-	if len(r.points) == 0 {
-		return 0
-	}
-	var owned uint64
-	prev := r.points[len(r.points)-1].hash
-	for _, p := range r.points {
-		arc := p.hash - prev // wraps correctly with uint64 arithmetic
-		if p.server == id {
-			owned += arc
-		}
-		prev = p.hash
-	}
-	return float64(owned) / (1 << 64)
 }

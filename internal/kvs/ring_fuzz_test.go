@@ -45,7 +45,7 @@ func FuzzRingMembership(f *testing.F) {
 				t.Fatalf("step %d: epoch %d -> %d", step, ring.Epoch(), next.Epoch())
 			}
 			ring = next
-			members := ring.Members()
+			members := ring.members
 			inSet := make(map[int]bool, len(members))
 			for i, m := range members {
 				if m < 0 || (i > 0 && members[i-1] >= m) {
@@ -84,7 +84,7 @@ func FuzzRingMembership(f *testing.F) {
 		}
 		// Convergence: the incremental ring and a fresh ring over the same
 		// member set agree on placement.
-		rebuilt, err := NewRingMembers(ring.Members(), vnodes)
+		rebuilt, err := NewRingMembers(append([]int(nil), ring.members...), vnodes)
 		if err != nil {
 			t.Fatal(err)
 		}

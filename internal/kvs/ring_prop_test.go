@@ -87,7 +87,7 @@ func TestRingOwnershipStableAcrossIdenticalMemberships(t *testing.T) {
 	if r.Epoch() != 4 {
 		t.Fatalf("epoch = %d after 4 membership changes, want 4", r.Epoch())
 	}
-	if got, want := fmt.Sprint(r.Members()), fmt.Sprint(base.Members()); got != want {
+	if got, want := fmt.Sprint(r.members), fmt.Sprint(base.members); got != want {
 		t.Fatalf("members %s, want %s", got, want)
 	}
 	for _, key := range propKeys(20000) {
@@ -113,7 +113,7 @@ func TestRingLeaveMinimalRemap(t *testing.T) {
 	}
 	keys := propKeys(nKeys)
 	const leaver = 3
-	share := ring.OwnedShare(leaver)
+	share := ownedShare(ring, leaver)
 	next, err := ring.Leave(leaver)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestRingJoinMinimalRemap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	share := next.OwnedShare(joiner)
+	share := ownedShare(next, joiner)
 	moved := 0
 	for _, key := range keys {
 		oldOwner, newOwner := ring.Owner(key), next.Owner(key)
@@ -205,8 +205,8 @@ func TestRingOwnedShareSumsToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum float64
-	for _, s := range ring.Members() {
-		sum += ring.OwnedShare(s)
+	for _, s := range ring.members {
+		sum += ownedShare(ring, s)
 	}
 	if sum < 0.999999 || sum > 1.000001 {
 		t.Fatalf("owned shares sum to %.9f, want 1", sum)
@@ -243,4 +243,23 @@ func TestRingMembershipErrors(t *testing.T) {
 	if _, err := NewRingMembers([]int{0, -2}, 0); err == nil {
 		t.Error("negative members must fail")
 	}
+}
+
+// ownedShare returns the fraction of the hash space server id owns as
+// primary: the summed arc length preceding its vnode points, as a share of
+// 2^64. It bounds the remap fraction a membership change may cause.
+func ownedShare(r *Ring, id int) float64 {
+	if len(r.points) == 0 {
+		return 0
+	}
+	var owned uint64
+	prev := r.points[len(r.points)-1].hash
+	for _, p := range r.points {
+		arc := p.hash - prev // wraps correctly with uint64 arithmetic
+		if p.server == id {
+			owned += arc
+		}
+		prev = p.hash
+	}
+	return float64(owned) / (1 << 64)
 }

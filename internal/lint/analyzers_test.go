@@ -76,6 +76,13 @@ func TestParLint(t *testing.T) {
 		[]*lint.Analyzer{lint.ParLint})
 }
 
+// TestReachLint runs the fixture as a cmd/ program: its main and init are
+// the roots.
+func TestReachLint(t *testing.T) {
+	runWantCase(t, "simdhtbench/cmd/reachcase", "testdata/reachcase.go",
+		[]*lint.Analyzer{lint.ReachLint})
+}
+
 func TestVecLint(t *testing.T) {
 	runWantCase(t, "simdhtbench/internal/veccase", "testdata/veccase.go",
 		[]*lint.Analyzer{lint.VecLint})

@@ -41,6 +41,10 @@ type CGEdge struct {
 // CallGraph indexes nodes by their *types.Func object.
 type CallGraph struct {
 	Nodes map[*types.Func]*CGNode
+
+	// named holds the universe's package-level named types, the candidate
+	// implementations class-hierarchy analysis resolves against.
+	named []*types.Named
 }
 
 // CallGraph builds (memoized) the call graph over the loader universe as
@@ -64,7 +68,6 @@ func buildCallGraph(universe []*Package) *CallGraph {
 
 	// Pass 1: index every declared function, and collect the named types
 	// for CHA.
-	var named []*types.Named
 	for _, pkg := range universe {
 		for _, f := range pkg.Files {
 			pkg, f := pkg, f
@@ -78,7 +81,7 @@ func buildCallGraph(universe []*Package) *CallGraph {
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
 				if n, ok := tn.Type().(*types.Named); ok {
-					named = append(named, n)
+					g.named = append(g.named, n)
 				}
 			}
 		}
@@ -98,7 +101,7 @@ func buildCallGraph(universe []*Package) *CallGraph {
 			}
 			fn = fn.Origin()
 			if iface := interfaceOfMethod(fn); iface != nil {
-				for _, impl := range implementations(named, iface, fn) {
+				for _, impl := range implementations(g.named, iface, fn) {
 					if callee := g.Nodes[impl.Origin()]; callee != nil {
 						addEdge(caller, callee, call, fn.Pkg().Path())
 					}

@@ -423,43 +423,3 @@ func endsInFallthrough(body []ast.Stmt) bool {
 	bs, ok := body[len(body)-1].(*ast.BranchStmt)
 	return ok && bs.Tok == token.FALLTHROUGH
 }
-
-// CheckInvariants validates structural CFG invariants (used by tests and the
-// fuzz target): consistent block indices, edge endpoint symmetry, and Exit
-// having no successors.
-func (c *CFG) CheckInvariants() error {
-	for i, blk := range c.Blocks {
-		if blk.Index != i {
-			return fmt.Errorf("block %d has index %d", i, blk.Index)
-		}
-		for _, e := range blk.Succs {
-			if e.From != blk {
-				return fmt.Errorf("block %d: successor edge with From != block", i)
-			}
-			if !containsEdge(e.To.Preds, e) {
-				return fmt.Errorf("block %d: successor edge missing from %d's preds", i, e.To.Index)
-			}
-		}
-		for _, e := range blk.Preds {
-			if e.To != blk {
-				return fmt.Errorf("block %d: predecessor edge with To != block", i)
-			}
-			if !containsEdge(e.From.Succs, e) {
-				return fmt.Errorf("block %d: predecessor edge missing from %d's succs", i, e.From.Index)
-			}
-		}
-	}
-	if len(c.Exit.Succs) != 0 {
-		return fmt.Errorf("exit block has %d successors", len(c.Exit.Succs))
-	}
-	return nil
-}
-
-func containsEdge(edges []*Edge, e *Edge) bool {
-	for _, x := range edges {
-		if x == e {
-			return true
-		}
-	}
-	return false
-}

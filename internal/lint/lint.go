@@ -2,15 +2,23 @@
 // project-specific analyzers guarding the invariants the simulation's
 // scientific claims rest on:
 //
+//   - alloclint: functions marked //lint:hotpath, and everything the call
+//     graph reaches from them, must not allocate.
 //   - chargelint: in charged kernels (functions that use an
 //     *engine.Engine) under internal/cuckoo and internal/kvs, every read or
 //     write of simulated memory must be billed through the engine
 //     (MemAccess/ScalarLoad/StreamLoad/Gather/...), and ChargeCycles must
 //     take named cost constants, not magic literals.
 //   - determlint: experiment output must be byte-identical run to run and
-//     at any -parallel worker count, so internal/experiments, internal/sweep,
-//     internal/report and the cmd/ mains may not read the wall clock, use
-//     the globally-seeded math/rand functions, or range over maps.
+//     at any -parallel worker count, so the output-producing packages and
+//     the cmd/ mains may not read the wall clock, use the globally-seeded
+//     math/rand functions, or range over maps.
+//   - parlint: goroutine worker bodies may write shared state only through
+//     the canonical-order merge.
+//   - problint: every obs probe call must be dominated by a nil guard on
+//     that probe.
+//   - reachlint: every production function must be reachable from a main,
+//     an init or a sanctioned entry point.
 //   - veclint: internal/vec call sites must use legal register widths
 //     (128/256/512) and lane widths (16/32/64), and may not mix register
 //     widths or lane interpretations between operands, masks and ops.
@@ -45,7 +53,7 @@ type Diagnostic struct {
 	Message  string
 }
 
-// String renders the diagnostic with the filename relative to root when
+// Render formats the diagnostic with the filename relative to root when
 // possible.
 func (d Diagnostic) Render(root string) string {
 	name := d.Pos.Filename
@@ -84,11 +92,12 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// All returns the full analyzer suite in deterministic order. Together with
-// the framework's built-in suppression-hygiene check (reported under the
-// analyzer name "lint"), this is the seven-check suite CI runs.
+// All returns the full analyzer suite in deterministic order: alloclint,
+// chargelint, determlint, parlint, problint, reachlint and veclint. Together
+// with the framework's built-in suppression-hygiene check (reported under
+// the analyzer name "lint"), this is the eight-check suite CI runs.
 func All() []*Analyzer {
-	return []*Analyzer{AllocLint, ChargeLint, DetermLint, ParLint, ProbLint, VecLint}
+	return []*Analyzer{AllocLint, ChargeLint, DetermLint, ParLint, ProbLint, ReachLint, VecLint}
 }
 
 // Run executes the analyzers over the module's packages, applies

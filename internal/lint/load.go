@@ -160,22 +160,6 @@ func (l *Loader) LoadModule() (*Module, error) {
 	return m, nil
 }
 
-// LoadSynthetic type-checks the given files as a package under a caller-
-// chosen import path (which controls which analyzers consider it in scope)
-// and returns it wrapped in a single-package Module. Module-internal imports
-// in the files resolve against the loader's module.
-func (l *Loader) LoadSynthetic(importPath string, filenames ...string) (*Module, error) {
-	files, err := l.parseFiles(filenames)
-	if err != nil {
-		return nil, err
-	}
-	pkg, err := l.check(importPath, "", files)
-	if err != nil {
-		return nil, err
-	}
-	return &Module{Root: l.root, Path: l.modPath, Fset: l.fset, Pkgs: []*Package{pkg}, loader: l}, nil
-}
-
 func (l *Loader) universe() []*Package {
 	out := make([]*Package, 0, len(l.pkgs))
 	for _, p := range l.pkgs {

@@ -5,13 +5,13 @@ import (
 	"go/types"
 )
 
-// ParLint guards the determinism contract of worker-pool code (PR 1's sweep,
-// and the deterministic parallel DES ROADMAP item 1 will build on the same
-// rule): a goroutine body spawned with `go func...` must not write to state
-// shared with other workers except through the canonical-order merge — in
-// practice, an index write into a shared slice where each worker owns
-// distinct slots (results[i] = ...), or a channel send the spawner merges in
-// canonical order.
+// ParLint guards the determinism contract of worker-pool code (the sweep
+// runner, and the window workers des.Partitioned spawns): a goroutine body
+// spawned with `go func...` must not write to state shared with other
+// workers except through the canonical-order merge — in practice, an index
+// write into a shared slice where each worker owns distinct slots
+// (results[i] = ...), or a channel send the spawner merges in canonical
+// order.
 //
 // For every `go` statement whose function is a literal (or a local closure
 // variable), the analyzer computes the worker set — the literal plus every

@@ -56,15 +56,29 @@ func referencesEngine(pkg *Package, node ast.Node) bool {
 }
 
 // calleeObject resolves the object a call expression invokes (function,
-// method or nil for indirect calls through values).
+// method or nil for indirect calls through values), looking through an
+// explicit instantiation f[T](...).
 func calleeObject(pkg *Package, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := calleeExpr(call).(type) {
 	case *ast.Ident:
 		return pkg.Info.Uses[fun]
 	case *ast.SelectorExpr:
 		return pkg.Info.Uses[fun.Sel]
 	}
 	return nil
+}
+
+// calleeExpr strips parentheses and explicit type arguments from a call's
+// function expression.
+func calleeExpr(call *ast.CallExpr) ast.Expr {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	return fun
 }
 
 // methodCall matches a method-value call on a receiver of the given named

@@ -109,7 +109,7 @@ func crashedMGet(t *testing.T, nservers, batch int, crashed ...int) (FleetResult
 	// The request's keys are the first batch draws of RunFleet's zipf
 	// stream at the run's seed.
 	const seed = 5
-	keys := fleet.Keys()
+	keys := fleet.keys
 	zipf, err := workload.NewZipf(len(keys), workload.DefaultZipfTheta, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)

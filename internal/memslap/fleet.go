@@ -146,9 +146,6 @@ func NewFleet(sim *des.Sim, fabric *netsim.Fabric, servers []*kvs.Server, replic
 	}, nil
 }
 
-// Keys returns the loaded key set (load order).
-func (f *Fleet) Keys() [][]byte { return f.keys }
-
 // LoadFleet loads `count` memslap-style items — fixed-width decimal keys
 // ("key-" + zero-padded ordinal, padded to keyBytes) carrying valueBytes
 // values — placing each on all R replicas of its key. A failed Set
@@ -585,14 +582,7 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 			batch[i] = f.keys[zipf.Next()]
 		}
 		pos0 := make([][]int, len(servers))
-		fanout := 0
-		for i, k := range batch {
-			s := f.Ring.Owner(k)
-			if len(pos0[s]) == 0 {
-				fanout++
-			}
-			pos0[s] = append(pos0[s], i)
-		}
+		fanout := ownerGroups(f.Ring, batch, pos0)
 		resolved := make([]bool, len(batch))
 		remaining := len(batch)
 		foundTotal, servedKeys, missingKeys := 0, 0, 0
@@ -1194,4 +1184,20 @@ func (f *Fleet) runRepair(donor, target int, key []byte, rk repairKey) {
 			})
 		})
 	})
+}
+
+// ownerGroups is the per-server split of a Multi-Get's request phase: it
+// appends each batch position, in key order, to the group of the key's
+// primary owner under ring, and returns how many servers own at least one
+// key.
+func ownerGroups(ring *kvs.Ring, batch [][]byte, groups [][]int) int {
+	fanout := 0
+	for i, k := range batch {
+		s := ring.Owner(k)
+		if len(groups[s]) == 0 {
+			fanout++
+		}
+		groups[s] = append(groups[s], i)
+	}
+	return fanout
 }

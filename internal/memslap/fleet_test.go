@@ -2,6 +2,7 @@ package memslap
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -117,11 +118,11 @@ func TestFleetDifferentialMatchesRunClusterWide(t *testing.T) {
 // matches a one-server fleet's exactly.
 func TestLoadFleetReplicatesKeys(t *testing.T) {
 	fleet := buildFleet(t, 4, 2000, 3)
-	keys := fleet.Keys()
+	keys := fleet.keys
 	if len(keys) != 2000 {
 		t.Fatalf("loaded %d keys", len(keys))
 	}
-	single := buildFleet(t, 1, 2000, 1).Keys()
+	single := buildFleet(t, 1, 2000, 1).keys
 	for i := range keys {
 		if string(keys[i]) != string(single[i]) {
 			t.Fatalf("key %d: fleet %q vs one-server fleet %q", i, keys[i], single[i])
@@ -236,7 +237,7 @@ func TestReadRepairHealsWipedReplica(t *testing.T) {
 		t.Fatal("no read-repairs fired against a wiped replica")
 	}
 	healed := 0
-	for _, key := range fleet.Keys() {
+	for _, key := range fleet.keys {
 		owners := fleet.Ring.ReplicaOwners(key, 2, nil)
 		for _, s := range owners {
 			if s == 0 {
@@ -341,7 +342,7 @@ func TestFleetConfigErrors(t *testing.T) {
 	if !errors.As(err, &cfgErr) {
 		t.Errorf("write fraction 1.5: got %v, want *ConfigError", err)
 	}
-	sim := des.New()
+	sim := des.NewPartitioned(1, 1, 1e-6).Sim(0) // its fabric stays unpartitioned
 	fabric := netsim.New(sim, netsim.EDR())
 	if _, err := NewFleet(sim, fabric, nil, 1); !errors.As(err, &cfgErr) {
 		t.Errorf("empty fleet: got %v, want *ConfigError", err)
@@ -390,5 +391,42 @@ func TestLoadClusterTypedError(t *testing.T) {
 	}
 	if loadErr.Unwrap() == nil {
 		t.Error("LoadError must wrap the underlying Set failure")
+	}
+}
+
+// TestRingSplitPreservesKeys: the request phase's per-server split puts
+// every batch position, in key order, in the group of its primary owner, and
+// counts each owning server once.
+func TestRingSplitPreservesKeys(t *testing.T) {
+	r, err := kvs.NewRing(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, 50)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("split-key-%07d", i))
+	}
+	groups := make([][]int, 3)
+	fanout := ownerGroups(r, keys, groups)
+	total, owners := 0, 0
+	for s, g := range groups {
+		if len(g) > 0 {
+			owners++
+		}
+		total += len(g)
+		for j, p := range g {
+			if r.Owner(keys[p]) != s {
+				t.Fatalf("key %q in the group of server %d, owner %d", keys[p], s, r.Owner(keys[p]))
+			}
+			if j > 0 && g[j-1] >= p {
+				t.Fatalf("group %d out of key order: %v", s, g)
+			}
+		}
+	}
+	if total != len(keys) {
+		t.Errorf("split lost keys: %d of %d", total, len(keys))
+	}
+	if fanout != owners {
+		t.Errorf("fanout = %d, want the %d owning servers", fanout, owners)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 func TestLoadKeysShapes(t *testing.T) {
 	fleet := buildFleet(t, 1, 500, 1)
-	keys := fleet.Keys()
+	keys := fleet.keys
 	if len(keys) != 500 {
 		t.Fatalf("loaded %d keys", len(keys))
 	}
@@ -26,7 +26,7 @@ func TestLoadKeysShapes(t *testing.T) {
 }
 
 func TestLoadKeysDistinctHashes(t *testing.T) {
-	keys := buildFleet(t, 1, 300, 1).Keys()
+	keys := buildFleet(t, 1, 300, 1).keys
 	seen := map[uint32]bool{}
 	for _, k := range keys {
 		h := kvs.Hash32(k)

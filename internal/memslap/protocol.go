@@ -61,6 +61,8 @@ func (b *retryBudget) spend() bool {
 }
 
 // refill credits a fully-served request's success back into the bucket.
+//
+//lint:ignore reachlint ROADMAP item 1: RunFleet does not call refill yet, and wiring it in moves the overload goldens, so that fix lands on its own
 func (b *retryBudget) refill() {
 	if b == nil {
 		return

@@ -13,7 +13,8 @@ import (
 // measured function — allocating the callback is the caller's business; the
 // fabric and scheduler must add nothing.
 func TestSendFaultFreeAllocFree(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	f := New(sim, EDR())
 	a := f.Endpoint("client")
 	b := f.Endpoint("server")
@@ -23,7 +24,7 @@ func TestSendFaultFreeAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		a.Send(b, 4096, deliver)
 		a.Send(b, 64<<10, deliver) // segmented: 8 messages
-		sim.Run()
+		pd.Run()
 	})
 	if allocs != 0 {
 		t.Fatalf("fault-free Send allocates %.1f times per round; want 0", allocs)

@@ -7,29 +7,30 @@ import (
 	"simdhtbench/internal/fault"
 )
 
-// faultFabric builds an unpartitioned fabric whose single slot runs the
-// spec's plan, and returns the plan too (nil for a zero spec).
-func faultFabric(t *testing.T, spec string, seed int64) (*des.Sim, *Fabric, *fault.Plan) {
+// faultFabric builds an unpartitioned fabric on a one-partition engine whose
+// single slot runs the spec's plan, and returns the plan too (nil for a zero
+// spec).
+func faultFabric(t *testing.T, spec string, seed int64) (*des.Partitioned, *Fabric, *fault.Plan) {
 	t.Helper()
 	s, err := fault.ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := des.New()
-	f := New(sim, EDR())
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	f := New(pd.Sim(0), EDR())
 	plan := s.NewPlan(seed)
 	f.SetPartitionFaults(0, plan, nil)
-	return sim, f, plan
+	return pd, f, plan
 }
 
 func TestFaultDropLosesMessages(t *testing.T) {
-	sim, f, _ := faultFabric(t, "drop=0.5", 42)
+	pd, f, _ := faultFabric(t, "drop=0.5", 42)
 	a, b := f.Endpoint("a"), f.Endpoint("b")
 	delivered := 0
 	for i := 0; i < 200; i++ {
 		a.Send(b, 64, func() { delivered++ })
 	}
-	sim.Run()
+	pd.Run()
 	dropped := int(f.MessagesDropped())
 	if delivered+dropped != 200 {
 		t.Fatalf("delivered %d + dropped %d != 200", delivered, dropped)
@@ -45,11 +46,11 @@ func TestFaultDropLosesMessages(t *testing.T) {
 }
 
 func TestFaultDuplicateDeliversTwice(t *testing.T) {
-	sim, f, _ := faultFabric(t, "dup=1.0", 7)
+	pd, f, _ := faultFabric(t, "dup=1.0", 7)
 	a, b := f.Endpoint("a"), f.Endpoint("b")
 	delivered := 0
 	a.Send(b, 64, func() { delivered++ })
-	sim.Run()
+	pd.Run()
 	if delivered != 2 {
 		t.Fatalf("dup=1.0 delivered %d times, want 2", delivered)
 	}
@@ -59,20 +60,20 @@ func TestFaultDuplicateDeliversTwice(t *testing.T) {
 }
 
 func TestFaultDelaySpikeShiftsArrival(t *testing.T) {
-	simH, fH, plan := faultFabric(t, "dup=0", 7) // zero spec → nil plan → healthy
+	pdH, fH, plan := faultFabric(t, "dup=0", 7) // zero spec → nil plan → healthy
 	if plan != nil {
 		t.Fatal("zero spec must compile to a nil plan")
 	}
 	a, b := fH.Endpoint("a"), fH.Endpoint("b")
 	var healthyAt float64
-	a.Send(b, 64, func() { healthyAt = simH.Now() })
-	simH.Run()
+	a.Send(b, 64, func() { healthyAt = pdH.Sim(0).Now() })
+	pdH.Run()
 
-	sim, f, _ := faultFabric(t, "delayp=1.0,delay=5us", 7)
+	pd, f, _ := faultFabric(t, "delayp=1.0,delay=5us", 7)
 	a, b = f.Endpoint("a"), f.Endpoint("b")
 	var spikedAt float64
-	a.Send(b, 64, func() { spikedAt = sim.Now() })
-	sim.Run()
+	a.Send(b, 64, func() { spikedAt = pd.Sim(0).Now() })
+	pd.Run()
 	if got, want := spikedAt-healthyAt, 5e-6; got < want*0.99 || got > want*3 {
 		t.Errorf("delay spike shifted arrival by %v, want ≈%v or more", got, want)
 	}
@@ -86,13 +87,13 @@ func TestFaultDelaySpikeShiftsArrival(t *testing.T) {
 // different seeds diverge.
 func TestFaultDeterministicStream(t *testing.T) {
 	pattern := func(seed int64) []bool {
-		sim, f, _ := faultFabric(t, "drop=0.3,dup=0.2,delayp=0.2,delay=2us", seed)
+		pd, f, _ := faultFabric(t, "drop=0.3,dup=0.2,delayp=0.2,delay=2us", seed)
 		a, b := f.Endpoint("a"), f.Endpoint("b")
 		var got []bool
 		for i := 0; i < 100; i++ {
 			arrived := false
 			a.Send(b, 64, func() { arrived = true })
-			sim.Run()
+			pd.Run()
 			got = append(got, arrived)
 		}
 		return got

@@ -36,7 +36,8 @@ func FuzzNetsimDeliver(f *testing.F) {
 			Drop: clamp(drop), Dup: clamp(dup),
 			DelayProb: clamp(delayp), Delay: 1e-6,
 		}
-		sim := des.New()
+		pd := des.NewPartitioned(1, 1, 1e-6)
+		sim := pd.Sim(0)
 		fab := New(sim, EDR())
 		fab.SetPartitionFaults(0, spec.NewPlan(seed), nil)
 		a, b := fab.Endpoint("a"), fab.Endpoint("b")
@@ -52,9 +53,9 @@ func FuzzNetsimDeliver(f *testing.F) {
 			sent++
 		}
 		// A runaway injection layer must not outlive the budget either.
-		sim.SetEventBudget(uint64(len(sizes))*64 + 1024)
-		sim.Run()
-		if sim.BudgetExhausted() {
+		pd.SetEventBudget(uint64(len(sizes))*64 + 1024)
+		pd.Run()
+		if pd.BudgetExhausted() {
 			t.Fatalf("fabric did not drain within budget: %d sizes", len(sizes))
 		}
 		// Drop/dup decisions are per logical message (MessagesSent counts

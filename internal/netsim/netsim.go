@@ -235,12 +235,6 @@ func (f *Fabric) TransferTime(bytes int) float64 {
 	return float64(bytes) * 8 / (f.cfg.BandwidthGbps * 1e9)
 }
 
-// SmallMessageLatency returns the end-to-end latency of a minimal message —
-// useful for sanity checks and capacity planning.
-func (f *Fabric) SmallMessageLatency() float64 {
-	return f.cfg.SendOverhead + f.cfg.PropDelay + f.cfg.RecvOverhead
-}
-
 // Endpoint is one NIC port. Its sender serializes outgoing messages
 // (bandwidth sharing) while deliveries at the destination run through the
 // destination's receive overhead.
@@ -250,13 +244,6 @@ type Endpoint struct {
 	busyTill float64
 	part     int // owning partition (EndpointAt; 0 otherwise)
 }
-
-// PartitionID returns the endpoint's partition (0 on an unpartitioned
-// fabric).
-func (e *Endpoint) PartitionID() int { return e.part }
-
-// Name returns the endpoint name.
-func (e *Endpoint) Name() string { return e.name }
 
 // Send transfers a message of the given payload size to dst, invoking
 // deliver at the destination when it arrives. Sends from one endpoint

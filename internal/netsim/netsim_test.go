@@ -8,13 +8,14 @@ import (
 )
 
 func TestSmallMessageLatency(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	f := New(sim, EDR())
 	a, b := f.Endpoint("a"), f.Endpoint("b")
 	var arrived float64
 	a.Send(b, 0, func() { arrived = sim.Now() })
-	sim.Run()
-	want := f.SmallMessageLatency()
+	pd.Run()
+	want := EDR().SmallMessageLatency()
 	if math.Abs(arrived-want) > 1e-12 {
 		t.Errorf("0-byte delivery at %v, want %v", arrived, want)
 	}
@@ -24,7 +25,8 @@ func TestSmallMessageLatency(t *testing.T) {
 }
 
 func TestTransferTimeScalesWithSize(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	f := New(sim, Config{BandwidthGbps: 100, PropDelay: 0, SendOverhead: 0, RecvOverhead: 0})
 	// 12.5 GB/s → 1 MB takes 80 µs.
 	got := f.TransferTime(1 << 20)
@@ -35,14 +37,15 @@ func TestTransferTimeScalesWithSize(t *testing.T) {
 	a, b := f.Endpoint("a"), f.Endpoint("b")
 	var arrived float64
 	a.Send(b, 1<<20, func() { arrived = sim.Now() })
-	sim.Run()
+	pd.Run()
 	if math.Abs(arrived-want) > 1e-12 {
 		t.Errorf("1MB delivery at %v, want %v", arrived, want)
 	}
 }
 
 func TestSenderSerializes(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	cfg := Config{BandwidthGbps: 1, PropDelay: 0, SendOverhead: 0, RecvOverhead: 0}
 	f := New(sim, cfg)
 	a, b := f.Endpoint("a"), f.Endpoint("b")
@@ -51,7 +54,7 @@ func TestSenderSerializes(t *testing.T) {
 	// second arrives at 16 µs.
 	a.Send(b, 1000, func() { first = sim.Now() })
 	a.Send(b, 1000, func() { second = sim.Now() })
-	sim.Run()
+	pd.Run()
 	if math.Abs(first-8e-6) > 1e-12 {
 		t.Errorf("first at %v, want 8µs", first)
 	}
@@ -61,21 +64,23 @@ func TestSenderSerializes(t *testing.T) {
 }
 
 func TestDistinctSendersDoNotSerialize(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	cfg := Config{BandwidthGbps: 1, PropDelay: 0, SendOverhead: 0, RecvOverhead: 0}
 	f := New(sim, cfg)
 	dst := f.Endpoint("dst")
 	var t1, t2 float64
 	f.Endpoint("a").Send(dst, 1000, func() { t1 = sim.Now() })
 	f.Endpoint("b").Send(dst, 1000, func() { t2 = sim.Now() })
-	sim.Run()
+	pd.Run()
 	if math.Abs(t1-t2) > 1e-12 {
 		t.Errorf("independent senders should deliver together: %v vs %v", t1, t2)
 	}
 }
 
 func TestFIFODeliveryPerPair(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	f := New(sim, EDR())
 	a, b := f.Endpoint("a"), f.Endpoint("b")
 	var order []int
@@ -83,7 +88,7 @@ func TestFIFODeliveryPerPair(t *testing.T) {
 		i := i
 		a.Send(b, 100, func() { order = append(order, i) })
 	}
-	sim.Run()
+	pd.Run()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("RC semantics violated: %v", order)
@@ -92,12 +97,13 @@ func TestFIFODeliveryPerPair(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	f := New(sim, EDR())
 	a, b := f.Endpoint("a"), f.Endpoint("b")
 	a.Send(b, 100, func() {})
 	a.Send(b, 200, func() {})
-	sim.Run()
+	pd.Run()
 	if f.MessagesSent() != 2 {
 		t.Errorf("messages = %d", f.MessagesSent())
 	}
@@ -107,18 +113,20 @@ func TestCounters(t *testing.T) {
 }
 
 func TestEndpointIdentity(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	f := New(sim, EDR())
 	if f.Endpoint("x") != f.Endpoint("x") {
 		t.Error("endpoint lookup must be stable")
 	}
-	if f.Endpoint("x").Name() != "x" {
+	if f.Endpoint("x").name != "x" {
 		t.Error("endpoint name wrong")
 	}
 }
 
 func TestNegativeSizePanics(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	f := New(sim, EDR())
 	defer func() {
 		if recover() == nil {
@@ -129,14 +137,15 @@ func TestNegativeSizePanics(t *testing.T) {
 }
 
 func TestSegmentationSplitsLargeMessages(t *testing.T) {
-	sim := des.New()
+	pd := des.NewPartitioned(1, 1, 1e-6)
+	sim := pd.Sim(0)
 	cfg := EDR()
 	cfg.MaxMessageBytes = 1000
 	f := New(sim, cfg)
 	a, b := f.Endpoint("a"), f.Endpoint("b")
 	delivered := false
 	a.Send(b, 2500, func() { delivered = true })
-	sim.Run()
+	pd.Run()
 	if !delivered {
 		t.Fatal("segmented message never delivered")
 	}
@@ -150,13 +159,14 @@ func TestSegmentationSplitsLargeMessages(t *testing.T) {
 
 func TestSegmentationCostsMoreThanOneShot(t *testing.T) {
 	run := func(maxMsg int) float64 {
-		sim := des.New()
+		pd := des.NewPartitioned(1, 1, 1e-6)
+		sim := pd.Sim(0)
 		cfg := EDR()
 		cfg.MaxMessageBytes = maxMsg
 		f := New(sim, cfg)
 		var at float64
 		f.Endpoint("a").Send(f.Endpoint("b"), 64<<10, func() { at = sim.Now() })
-		sim.Run()
+		pd.Run()
 		return at
 	}
 	if run(4096) <= run(0) {

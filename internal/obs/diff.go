@@ -10,7 +10,7 @@ import (
 
 // DiffOptions tunes manifest comparison. Both tolerances default to zero —
 // exact comparison — because same-config runs of this simulator are
-// bit-deterministic; benchdiff-style cross-commit comparisons pass RelTol.
+// bit-deterministic; cross-commit comparisons pass RelTol.
 type DiffOptions struct {
 	// RelTol admits |new-old| <= RelTol*|old| for numeric values.
 	RelTol float64

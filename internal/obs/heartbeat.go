@@ -55,13 +55,3 @@ func (h *Heartbeat) Tick(virtual float64) {
 	}
 	h.mu.Unlock()
 }
-
-// Ticks returns how many ticks have been recorded (nil-safe; for tests).
-func (h *Heartbeat) Ticks() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}

@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 	"runtime/debug"
-	"sort"
 	"strings"
 )
 
@@ -168,16 +167,4 @@ func BuildManifest(tool, archName string, fs *flag.FlagSet, seeds, artifacts map
 		}
 	}
 	return m, nil
-}
-
-// SortedArtifactNames returns the artifact names in sorted order (diff and
-// report helpers iterate deterministically).
-func (m *Manifest) SortedArtifactNames() []string {
-	names := make([]string, 0, len(m.Artifacts))
-	//lint:ignore determlint order is canonicalized by the sort below before any output
-	for name := range m.Artifacts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -17,16 +17,14 @@
 //     TreeSum (the per-leaf sum) equals Total only up to float association,
 //     since leaves re-order the additions.
 //   - Rendering sorts profilers by scope path and walks each tree in child
-//     creation order (itself deterministic), so WriteFolded / WriteTable /
-//     Digest are byte-stable across runs and -parallel counts.
+//     creation order (itself deterministic), so WriteFolded and WriteTable
+//     are byte-stable across runs and -parallel counts.
 //
 // The folded output (`frame;frame;... value` per line) is directly
 // consumable by standard flamegraph tooling (flamegraph.pl, speedscope).
 package prof
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
@@ -78,12 +76,6 @@ func newProfiler(path []string, unit string) *Profiler {
 	return p
 }
 
-// Path returns the scope path the profiler was created under.
-func (p *Profiler) Path() []string { return p.path }
-
-// Unit returns the unit label of the profiler's values.
-func (p *Profiler) Unit() string { return p.unit }
-
 // Child returns the handle of the named child of parent, creating it (at the
 // end of the sibling list) on first use. Resolution happens once per leaf —
 // producers cache the returned handle — so the append below is warm-up-only.
@@ -123,11 +115,15 @@ func (p *Profiler) AddEvents(h Handle, n uint64) {
 func (p *Profiler) AddTotal(v float64) { p.total += v }
 
 // Total returns the exact mirrored total (see AddTotal).
+//
+//lint:ignore reachlint oracle a test compares against: the exact mirror the attribution tests hold equal to Engine.Cycles
 func (p *Profiler) Total() float64 { return p.total }
 
 // TreeSum returns the sum of every frame's self value. It equals Total only
 // up to floating-point association (the leaves re-order the additions); use
 // Total for exact comparisons.
+//
+//lint:ignore reachlint oracle a test compares against: the per-frame sum the attribution tests check against Total
 func (p *Profiler) TreeSum() float64 {
 	var s float64
 	for i := range p.nodes {
@@ -298,19 +294,6 @@ func (s *Set) sorted() []*Profiler {
 	return out
 }
 
-// Total returns the sum of every profiler's exact total, added in sorted
-// scope order (deterministic).
-func (s *Set) Total() float64 {
-	if s == nil {
-		return 0
-	}
-	var t float64
-	for _, p := range s.sorted() {
-		t += p.total
-	}
-	return t
-}
-
 // WriteFolded writes every profiler's folded stacks, profilers sorted by
 // scope path. The output is byte-identical across runs and -parallel counts.
 func (s *Set) WriteFolded(w io.Writer) error {
@@ -337,17 +320,4 @@ func (s *Set) WriteTable(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Digest returns "sha256:<hex>" over the folded rendering — the compact
-// cycle-account fingerprint recorded in run manifests.
-func (s *Set) Digest() string {
-	h := sha256.New()
-	if s != nil {
-		if err := s.WriteFolded(h); err != nil {
-			// sha256.Write never fails; keep the signature honest anyway.
-			return "sha256:error"
-		}
-	}
-	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }

@@ -141,22 +141,25 @@ func TestSetRenderOrderDeterministic(t *testing.T) {
 	}
 }
 
+// TestDigestStableAndSensitive pins what a run manifest's account digest
+// hashes: the folded rendering is byte-stable and value-sensitive.
 func TestDigestStableAndSensitive(t *testing.T) {
-	build := func(v float64) *Set {
+	folded := func(v float64) string {
 		s := NewSet()
 		p := s.Profiler("cycles", "s")
 		p.AddSelf(p.Child(Root, "x"), v)
-		return s
+		var b strings.Builder
+		if err := s.WriteFolded(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	a, b, c := build(1).Digest(), build(1).Digest(), build(2).Digest()
+	a, b, c := folded(1), folded(1), folded(2)
 	if a != b {
-		t.Fatalf("digest not stable: %s vs %s", a, b)
+		t.Fatalf("folded account not stable: %q vs %q", a, b)
 	}
 	if a == c {
-		t.Fatalf("digest insensitive to values: %s", a)
-	}
-	if !strings.HasPrefix(a, "sha256:") {
-		t.Fatalf("digest missing scheme prefix: %s", a)
+		t.Fatalf("folded account insensitive to values: %q", a)
 	}
 }
 
@@ -168,9 +171,6 @@ func TestNilSetIsFree(t *testing.T) {
 	if !s.Empty() {
 		t.Fatalf("nil Set not Empty")
 	}
-	if s.Total() != 0 {
-		t.Fatalf("nil Set Total != 0")
-	}
 	var sb strings.Builder
 	if err := s.WriteFolded(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil Set folded output %q err %v", sb.String(), err)
@@ -178,7 +178,6 @@ func TestNilSetIsFree(t *testing.T) {
 	if err := s.WriteTable(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil Set table output %q err %v", sb.String(), err)
 	}
-	_ = s.Digest() // must not panic
 }
 
 func TestWriteTableSharesAndTotal(t *testing.T) {

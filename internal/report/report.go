@@ -36,9 +36,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 func formatFloat(v float64) string {
 	switch {
 	case v == 0:

@@ -30,11 +30,11 @@ func TestTableAlignment(t *testing.T) {
 
 func TestTableRowsCount(t *testing.T) {
 	tb := NewTable("", "A")
-	if tb.Rows() != 0 {
+	if len(tb.rows) != 0 {
 		t.Error("fresh table has rows")
 	}
 	tb.AddRow("x")
-	if tb.Rows() != 1 {
+	if len(tb.rows) != 1 {
 		t.Error("row not counted")
 	}
 }

@@ -15,7 +15,7 @@
 //     is exactly the pre-sweep sequential behaviour.
 //
 // Per-job queue and wall-clock timings are collected into a Stats value
-// that renders as a report.Table, so the parallel speedup is observable
+// that records into an obs.Registry, so the parallel speedup is observable
 // (see the -sweepstats flag of cmd/simdhtbench and cmd/kvsbench).
 package sweep
 
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"simdhtbench/internal/obs"
-	"simdhtbench/internal/report"
 )
 
 // PanicError is the typed error a job that panicked resolves to: the sweep
@@ -86,21 +85,6 @@ func (s *Stats) Speedup() float64 {
 		return 0
 	}
 	return float64(s.SerialWall()) / float64(s.Elapsed)
-}
-
-// Table renders the per-job timings as a report table.
-func (s *Stats) Table() *report.Table {
-	t := report.NewTable(
-		fmt.Sprintf("Sweep: %d jobs on %d workers, %.1f ms elapsed (serial %.1f ms, speedup %.2fx)",
-			len(s.Jobs), s.Workers,
-			s.Elapsed.Seconds()*1e3, s.SerialWall().Seconds()*1e3, s.Speedup()),
-		"#", "Job", "Worker", "Queue (ms)", "Wall (ms)")
-	for _, j := range s.Jobs {
-		t.AddRow(j.Index, j.Label, j.Worker,
-			fmt.Sprintf("%.2f", j.Queue.Seconds()*1e3),
-			fmt.Sprintf("%.2f", j.Wall.Seconds()*1e3))
-	}
-	return t
 }
 
 // Record publishes the sweep timings onto an obs registry as profiling

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"simdhtbench/internal/obs"
 )
 
 func squareJobs(n int) []Job[int] {
@@ -253,8 +255,13 @@ func TestStatsTiming(t *testing.T) {
 	if stats.Speedup() <= 0 {
 		t.Error("speedup not computed")
 	}
-	tbl := stats.Table()
-	if tbl.Rows() != 4 {
-		t.Errorf("stats table has %d rows, want 4", tbl.Rows())
+	reg := obs.NewRegistry()
+	stats.Record(reg)
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), "sweep_job_wall_ms{"); n != 4 {
+		t.Errorf("stats record %d per-job wall times, want 4:\n%s", n, b.String())
 	}
 }

@@ -87,6 +87,8 @@ func Set1(bits, laneBits int, val uint64) Vec {
 
 // FromLanes builds a register from explicit lane values; len(vals) must
 // equal the lane count.
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func FromLanes(bits, laneBits int, vals []uint64) Vec {
 	n := NumLanes(bits, laneBits)
 	if len(vals) != n {
@@ -112,6 +114,8 @@ func FromBytes(bits int, data []byte) Vec {
 }
 
 // ToBytes returns a copy of the register's active bytes, little-endian.
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func (v Vec) ToBytes() []byte {
 	out := make([]byte, v.bits/8)
 	v.ToBytesInto(out)
@@ -132,6 +136,8 @@ func (v Vec) ToBytesInto(dst []byte) int {
 }
 
 // ToLanes returns all lane values.
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func (v Vec) ToLanes(laneBits int) []uint64 {
 	out := make([]uint64, v.bits/laneBits)
 	v.ToLanesInto(laneBits, out)
@@ -166,6 +172,8 @@ func CmpEq(laneBits int, a, b Vec) Mask {
 }
 
 // And computes the lanewise bitwise AND.
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func And(a, b Vec) Vec {
 	sameShape(a, b)
 	out := Vec{bits: a.bits}
@@ -176,6 +184,8 @@ func And(a, b Vec) Vec {
 }
 
 // Add adds lanes modulo the lane width.
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func Add(laneBits int, a, b Vec) Vec {
 	sameShape(a, b)
 	out := Zero(a.bits)
@@ -189,6 +199,8 @@ func Add(laneBits int, a, b Vec) Vec {
 // MulLo multiplies lanes keeping the low laneBits of each product (the
 // _mm*_mullo_epi* family, the workhorse of vectorized multiply-shift
 // hashing).
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func MulLo(laneBits int, a, b Vec) Vec {
 	sameShape(a, b)
 	out := Zero(a.bits)
@@ -200,6 +212,8 @@ func MulLo(laneBits int, a, b Vec) Vec {
 }
 
 // ShiftRight logically shifts every lane right by n bits.
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func ShiftRight(laneBits int, a Vec, n uint) Vec {
 	out := Zero(a.bits)
 	for i := 0; i < a.bits/laneBits; i++ {
@@ -209,6 +223,8 @@ func ShiftRight(laneBits int, a Vec, n uint) Vec {
 }
 
 // Xor computes the lanewise bitwise XOR.
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func Xor(a, b Vec) Vec {
 	sameShape(a, b)
 	out := Vec{bits: a.bits}
@@ -220,6 +236,8 @@ func Xor(a, b Vec) Vec {
 
 // Blend selects lane i from a when mask bit i is clear and from b when set
 // (the _mm*_blendv / masked-move family).
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func Blend(laneBits int, mask Mask, a, b Vec) Vec {
 	sameShape(a, b)
 	out := Zero(a.bits)
@@ -237,6 +255,8 @@ func Blend(laneBits int, mask Mask, a, b Vec) Vec {
 func (m Mask) Test(i int) bool { return m&(1<<i) != 0 }
 
 // Count returns the number of set bits (population count of the k-mask).
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func (m Mask) Count() int {
 	n := 0
 	for v := m; v != 0; v &= v - 1 {

@@ -93,15 +93,14 @@ func ReadTrace(r io.Reader) ([]uint64, error) {
 type TraceGenerator struct {
 	keys []uint64
 	pos  int
-	name string
 }
 
 // NewTraceGenerator wraps a key stream as a Generator.
-func NewTraceGenerator(name string, keys []uint64) (*TraceGenerator, error) {
+func NewTraceGenerator(keys []uint64) (*TraceGenerator, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("workload: empty trace")
 	}
-	return &TraceGenerator{keys: keys, name: name}, nil
+	return &TraceGenerator{keys: keys}, nil
 }
 
 // Next implements Generator, cycling through the trace.
@@ -113,9 +112,3 @@ func (t *TraceGenerator) Next() uint64 {
 	}
 	return k
 }
-
-// Name implements Generator.
-func (t *TraceGenerator) Name() string { return "trace:" + t.name }
-
-// Len returns the trace length.
-func (t *TraceGenerator) Len() int { return len(t.keys) }

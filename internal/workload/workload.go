@@ -53,8 +53,6 @@ const DefaultZipfTheta = 0.99
 type Generator interface {
 	// Next returns the next query key.
 	Next() uint64
-	// Name identifies the generator in reports.
-	Name() string
 }
 
 // Config describes a query stream over a set of stored keys.
@@ -113,8 +111,6 @@ type uniformGen struct {
 	miss   *missGen
 }
 
-func (u *uniformGen) Name() string { return "uniform" }
-
 func (u *uniformGen) Next() uint64 {
 	if u.rng.Float64() >= u.hit {
 		return u.miss.next()
@@ -130,8 +126,6 @@ type skewedGen struct {
 	rng    *rand.Rand
 	miss   *missGen
 }
-
-func (s *skewedGen) Name() string { return "skewed" }
 
 func (s *skewedGen) Next() uint64 {
 	if s.rng.Float64() >= s.hit {

@@ -289,7 +289,7 @@ func TestTraceRejectsGarbage(t *testing.T) {
 }
 
 func TestTraceGeneratorCycles(t *testing.T) {
-	g, err := NewTraceGenerator("test", []uint64{10, 20, 30})
+	g, err := NewTraceGenerator([]uint64{10, 20, 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,10 +299,10 @@ func TestTraceGeneratorCycles(t *testing.T) {
 			t.Fatalf("step %d = %d, want %d", i, got, w)
 		}
 	}
-	if g.Name() != "trace:test" || g.Len() != 3 {
-		t.Error("trace metadata wrong")
+	if len(g.keys) != 3 {
+		t.Errorf("trace holds %d keys, want 3", len(g.keys))
 	}
-	if _, err := NewTraceGenerator("empty", nil); err == nil {
+	if _, err := NewTraceGenerator(nil); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
@@ -319,7 +319,7 @@ func TestTraceCapturesGeneratorStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, _ := NewTraceGenerator("capture", loaded)
+	replay, _ := NewTraceGenerator(loaded)
 	for i := 0; i < 1000; i++ {
 		if replay.Next() != original[i] {
 			t.Fatalf("replay diverged at %d", i)

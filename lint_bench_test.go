@@ -7,12 +7,12 @@ import (
 )
 
 // BenchmarkLintModule times one full static-analysis pass over the module:
-// all seven checks (alloclint, chargelint, determlint, parlint, problint,
-// veclint, suppression hygiene) on the already-loaded, already-type-checked
-// package set. Loading and type-checking are excluded — they are dominated
-// by the stdlib source importer and measured implicitly by the setup — so
-// the number tracks the cost of the CFG/call-graph/dataflow engine itself
-// as analyzers are added.
+// all eight checks (alloclint, chargelint, determlint, parlint, problint,
+// reachlint, veclint, suppression hygiene) on the already-loaded,
+// already-type-checked package set. Loading and type-checking are excluded —
+// they are dominated by the stdlib source importer and measured implicitly
+// by the setup — so the number tracks the cost of the CFG/call-graph/dataflow
+// engine itself as analyzers are added.
 func BenchmarkLintModule(b *testing.B) {
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
