@@ -18,17 +18,23 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: allocation, charging, determinism,
-# probe-guard, worker-sharing and vec-lane discipline (see internal/lint).
-# The committed baseline holds every analyzer at zero findings; the run
-# fails on any count regression.
+# Project-specific static analysis, eight checks: allocation, charging,
+# determinism, worker-sharing, probe-guard, reachability and vec-lane
+# discipline, plus suppression hygiene (see internal/lint). The committed
+# baseline holds every check at zero findings; the run fails on any count
+# regression.
 lint:
 	$(GO) run ./cmd/simdhtlint -C . -baseline lint_baseline.json
 
-# Root benchmark suite snapshot: writes BENCH_baseline.{txt,json} (see
-# scripts/bench.sh for knobs and the benchstat workflow).
+# The benchmark of record: every simbench workload, untraced, at seed 1
+# (see simbench/README.md). The result records land in .bench_build/results/;
+# compare two commits' records with `bash simbench/run.sh compare`.
 bench:
-	sh scripts/bench.sh
+	mkdir -p .bench_build/results
+	for w in lookup-l2 update-dram fleet-churn overload-2x; do \
+		bash simbench/run.sh --workload $$w --seed 1 --trace 0 \
+			--out .bench_build/results/$$w.json || exit 1; \
+	done
 
 # Short native-fuzz pass over the delivery and Multi-Get paths plus the
 # lint CFG builder (seed corpora under testdata/fuzz/). Bump FUZZTIME for a

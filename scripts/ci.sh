@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the full verification pipeline, runnable from a clean checkout:
-# formatting, go vet, the project's static-analysis suite (simdhtlint), and
-# the test suite with and without the race detector.
+# formatting, go vet, the project's static-analysis suite (simdhtlint), the
+# test suite with and without the race detector, and the vet and tests of
+# the nested simbench module.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,6 +32,12 @@ $GO test ./...
 
 echo "==> go test -race"
 $GO test -race ./...
+
+# simbench is a nested module, so the root ./... skips it: vet it and run
+# its helper tests plus the tiny-size smoke run of every workload.
+echo "==> simbench vet + test"
+$GO -C simbench vet ./...
+$GO -C simbench test ./...
 
 # check_trace_golden JSON STEM: compare a CLI trace with the SHA-256 digest
 # of study STEM's committed trace golden (the summary golden is the Go
@@ -157,8 +164,8 @@ run_cluster 4 2 "$tmp/cluster4"
 
 # Sim-speed smoke: -simspeed must print the simulator-throughput table to
 # stderr while leaving stdout (the deterministic tables) untouched by any
-# wall-clock value, and benchdiff must accept a snapshot against itself.
-echo "==> sim-speed smoke (-simspeed + benchdiff)"
+# wall-clock value.
+echo "==> sim-speed smoke (-simspeed)"
 $GO run ./cmd/simdhtbench -queries 200 -seed 1 -simspeed run \
     > "$tmp/simspeed.out" 2> "$tmp/simspeed.err"
 grep -q "Sim Mlookups/s" "$tmp/simspeed.err"
@@ -166,7 +173,6 @@ if grep -q "Sim Mlookups/s" "$tmp/simspeed.out"; then
     echo "ci.sh: sim-speed table leaked into stdout" >&2
     exit 1
 fi
-scripts/benchdiff.sh BENCH_baseline.json BENCH_baseline.json >/dev/null
 
 # Short fuzz of the delivery and Multi-Get paths (seed corpora replay plus a
 # few seconds of mutation).
