@@ -82,30 +82,72 @@ func TestLookupTemplatesAllocFree(t *testing.T) {
 }
 
 // TestInsertSteadyStateAllocFree pins the fill path: once the BFS scratch
-// (epoch-stamped visited set, reusable queue) has reached its high-water
-// mark, further inserts — evictions included — must not allocate.
+// (the visited set and the reusable queue) has reached its high-water mark,
+// further inserts — evictions included — must not allocate. The 3-way, m=1
+// table is filled to failure, so its searches run deep: failed ones to the
+// cap, and successful ones past the modelled-count bound into the count-only
+// continuation (checked by replaying the same inserts on the reference).
 func TestInsertSteadyStateAllocFree(t *testing.T) {
-	l := Layout{N: 2, M: 4, KeyBits: 32, ValBits: 32, BucketBits: 10}
-	space := mem.NewAddressSpace()
-	tab, err := New(space, l, 1)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		layout Layout
+		lf     float64
+		deep   bool
+	}{
+		{"bcht-2x4", Layout{N: 2, M: 4, KeyBits: 32, ValBits: 32, BucketBits: 10}, 0.93, false},
+		{"3way-m1", Layout{N: 3, M: 1, KeyBits: 32, ValBits: 32, BucketBits: 12}, 1.0, true},
 	}
-	rng := rand.New(rand.NewSource(3))
-	// Push occupancy high enough that inserts regularly run the BFS.
-	tab.FillRandom(0.93, rng)
-	next := uint64(1 << 40)
-	allocs := testing.AllocsPerRun(50, func() {
-		next += 2
-		key := next & l.KeyMask() &^ 1
-		if key == 0 {
-			key = 2
-		}
-		if err := tab.Insert(key, 1); err == nil {
-			tab.Delete(key)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state insert allocates %.1f times; want 0", allocs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tc.layout
+			// insertThenDelete returns the steady-state step: each call
+			// inserts the next 64 fresh keys, deleting each again if it
+			// went in. AllocsPerRun reports whole allocations per call, so
+			// a call must run many searches for one allocating search
+			// path to show.
+			insertThenDelete := func(tab *Table, insert func(key, val uint64) error) func() {
+				next := uint64(1 << 40)
+				return func() {
+					for i := 0; i < 64; i++ {
+						next += 2
+						key := next & l.KeyMask() &^ 1
+						if key == 0 {
+							key = 2
+						}
+						if err := insert(key, 1); err == nil {
+							tab.Delete(key)
+						}
+					}
+				}
+			}
+			build := func() *Table {
+				tab, err := New(mem.NewAddressSpace(), l, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Push occupancy high enough that inserts regularly run the BFS.
+				tab.FillRandom(tc.lf, rand.New(rand.NewSource(3)))
+				if tc.deep && tab.LoadFactor() < 0.9 {
+					t.Fatalf("fill reached load factor %.3f, want ≥ 0.9", tab.LoadFactor())
+				}
+				return tab
+			}
+			const runs = 50
+			if tc.deep {
+				ref := newRefTable(build())
+				step := insertThenDelete(ref.Table, ref.insert)
+				for i := 0; i < runs+1; i++ { // AllocsPerRun's warm-up call plus runs
+					step()
+				}
+				if f := ref.found; f.dequeuedDeep+f.swept+f.sweptPastCap == 0 {
+					t.Fatalf("no insert ran the count-only continuation: %+v", f)
+				}
+			}
+			tab := build()
+			allocs := testing.AllocsPerRun(runs, insertThenDelete(tab, tab.Insert))
+			if allocs != 0 {
+				t.Fatalf("steady-state insert allocates %.1f times; want 0", allocs)
+			}
+		})
 	}
 }

@@ -104,3 +104,36 @@ func BenchmarkFillToNinetyPercent(b *testing.B) {
 		}
 	}
 }
+
+// benchmarkFill times FillRandom to lf on a fresh table of the given shape
+// and reports the host cost per inserted key. Every iteration fills the
+// same table from the same seeds, so runs on two commits do the same work.
+func benchmarkFill(b *testing.B, n, m, keyBits, valBits, tableBytes int, lf float64) {
+	l, err := LayoutForBytes(n, m, keyBits, valBits, tableBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inserted := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		t, err := New(mem.NewAddressSpace(), l, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(2))
+		b.StartTimer()
+		keys, _ := t.FillRandom(lf, rng)
+		inserted += len(keys)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(inserted), "ns/insert")
+}
+
+// BenchmarkFill3Way16MB is the fill behind Fig. 6's largest 3-way table:
+// deep BFS searches over a table far larger than the host's caches.
+func BenchmarkFill3Way16MB(b *testing.B) { benchmarkFill(b, 3, 1, 32, 32, 16<<20, 0.9) }
+
+// BenchmarkFillBCHT32MB is simbench update-dram's uncharged fill: a (2,4)
+// table of 64-bit keys and payloads to load factor 0.88, where few inserts
+// search and the cost is the candidate buckets' cache misses.
+func BenchmarkFillBCHT32MB(b *testing.B) { benchmarkFill(b, 2, 4, 64, 64, 32<<20, 0.88) }

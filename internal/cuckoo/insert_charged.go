@@ -48,10 +48,11 @@ func (t *Table) InsertCharged(e *engine.Engine, key, val uint64) error {
 	}
 
 	// All candidate slots occupied: run the functional insert (which
-	// records its BFS expansion and relocation path) and charge exactly
-	// the work it performed — including on failure. A full table is only
-	// discovered by exhausting the bounded BFS frontier, so the attempted
-	// kicks are real work the caller paid for before ErrFull came back.
+	// records the modelled BFS expansion count and the relocation path)
+	// and charge exactly that work — including on failure. A full table is
+	// only discovered by exhausting the bounded BFS frontier, so the
+	// attempted kicks are real work the caller paid for before ErrFull
+	// came back.
 	//lint:ignore chargelint functional mutation; the equivalent BFS and relocation work is charged explicitly below
 	err := t.Insert(key, val)
 	// BFS frontier: every expanded node scanned one bucket's slots.
@@ -78,8 +79,11 @@ func (t *Table) InsertCharged(e *engine.Engine, key, val uint64) error {
 	return nil
 }
 
-// LastEvictionStats reports the BFS nodes expanded and items relocated by
-// the most recent Insert that required eviction (for tests and ablations).
+// LastEvictionStats reports the most recent Insert's eviction work (zero
+// for an insert that needed none): the modelled BFS expansion count, which
+// is the number of buckets a search testing each bucket when it dequeues it
+// expands (see bfsMakeRoom), and the items relocated. InsertCharged bills
+// the same two numbers.
 func (t *Table) LastEvictionStats() (bfsNodes, relocations int) {
 	return t.lastBFSNodes, len(t.lastMoves)
 }

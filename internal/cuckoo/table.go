@@ -3,7 +3,9 @@ package cuckoo
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"simdhtbench/internal/hashfn"
 	"simdhtbench/internal/mem"
@@ -13,9 +15,12 @@ import (
 // slot can be found; the table has reached its maximum load factor.
 var ErrFull = errors.New("cuckoo: table full (no eviction path found)")
 
-// DefaultMaxBFSNodes bounds the breadth-first eviction-path search. 2048
-// expanded buckets is far beyond the depth needed at practical load factors;
-// hitting the bound means the table is effectively full.
+// DefaultMaxBFSNodes bounds the breadth-first eviction-path search: the
+// queue stops growing once it holds this many buckets, though the bucket
+// being expanded may still append one per remaining slot (so the queue can
+// exceed the bound by M−1). 2048 queued buckets is far beyond the depth
+// needed at practical load factors; hitting the bound means the table is
+// effectively full.
 const DefaultMaxBFSNodes = 2048
 
 // Table is an (N,m) cuckoo hash table in simulated memory.
@@ -54,12 +59,11 @@ type Table struct {
 	valBase     int
 	valStride   int
 
-	// BFS scratch reused across inserts: visitedStamp[b] == visitedEpoch
-	// marks bucket b as enqueued in the current search (an O(1)-clear
-	// membership set), and bfsQueue keeps its capacity between searches.
-	visitedStamp []uint32
-	visitedEpoch uint32
-	bfsQueue     []pathEntry
+	// BFS scratch reused across inserts: visited holds the buckets the
+	// current search has enqueued, and bfsQueue keeps its capacity between
+	// searches.
+	visited  visitSet
+	bfsQueue []pathEntry
 
 	// scratch holds the per-table reusable buffers of the charged lookup
 	// templates (see lookupScratch); charged lookups on one Table must not
@@ -71,10 +75,15 @@ type Table struct {
 	// pair for the lookup templates' fixed charge sequences.
 	bundles []*templateBundles
 
-	// Instrumentation for charged inserts: the relocations and BFS nodes
-	// of the most recent Insert that required eviction.
+	// Instrumentation for charged inserts: the relocations and the
+	// modelled BFS expansion count (see bfsMakeRoom) of the most recent
+	// Insert.
 	lastMoves    []move
 	lastBFSNodes int
+
+	// touchSink accumulates the values FillRandom's batch loads read; it is
+	// never used otherwise.
+	touchSink uint64
 }
 
 // move records one relocation performed by the eviction machinery.
@@ -93,13 +102,12 @@ func New(space *mem.AddressSpace, l Layout, seed int64) (*Table, error) {
 	// reads of the final slots (e.g. a 32-bit gather of a 16-bit payload)
 	// stay in bounds — the same over-read padding real SIMD code allocates.
 	t := &Table{
-		L:            l,
-		Arena:        space.Alloc(l.TableBytes() + mem.LineSize),
-		fam:          hashfn.NewFamily(l.N, l.KeyBits, l.BucketBits, seed),
-		maxBFSNodes:  DefaultMaxBFSNodes,
-		shadowKeys:   make([]uint64, l.Slots()),
-		visitedStamp: make([]uint32, l.Buckets()),
-		bucketBytes:  l.BucketBytes(),
+		L:           l,
+		Arena:       space.Alloc(l.TableBytes() + mem.LineSize),
+		fam:         hashfn.NewFamily(l.N, l.KeyBits, l.BucketBits, seed),
+		maxBFSNodes: DefaultMaxBFSNodes,
+		shadowKeys:  make([]uint64, l.Slots()),
+		bucketBytes: l.BucketBytes(),
 	}
 	if l.Split {
 		t.keyStride = l.KeyBits / 8
@@ -233,86 +241,135 @@ type pathEntry struct {
 // bfsMakeRoom finds a shortest eviction path from one of key's candidate
 // buckets to a bucket with an empty slot, performs the relocations, and
 // returns the freed (bucket, slot).
+//
+// The search expands queue entries in order, appending each unvisited
+// alternate bucket of every key in the expanded bucket, and stops growing
+// the queue at maxBFSNodes (the bucket being expanded still appends one
+// entry per remaining slot). Each bucket is tested for an empty slot when it
+// is appended. The roots need no test: Insert calls this only after its
+// candidate scan found them full. So the first appended bucket with an empty
+// slot is the first queue entry with one, and its path is the path a search
+// testing buckets when it dequeues them would take.
+//
+// lastBFSNodes is the modelled search's cost, which InsertCharged bills: the
+// number of entries such a dequeue-time search expands, that is, p+1 for an
+// answer at queue position p unless the queue reaches the cap first. When
+// node k appends the answer p, the queue holds p+1 entries, and expanding
+// k's remaining slots and nodes k+1..p−1 appends at most (p−k)·M·(N−1)−1
+// more. So if p+1+(p−k)·M·(N−1) < cap, the queue is still below the cap
+// when p is dequeued and the count is p+1. Otherwise the search keeps
+// expanding, without testing, until it dequeues p or the cap stops it.
 func (t *Table) bfsMakeRoom(key uint64) (int, int, bool) {
-	// Advance the visited epoch instead of clearing a per-search set; on the
-	// (astronomically rare) wraparound the stamp array is cleared once so
-	// stale stamps from 2^32 searches ago cannot alias the new epoch.
-	t.visitedEpoch++
-	if t.visitedEpoch == 0 {
-		clear(t.visitedStamp)
-		t.visitedEpoch = 1
-	}
+	t.visited.reset(max(2*t.maxBFSNodes, t.maxBFSNodes+t.L.M, t.L.N+1))
 	queue := t.bfsQueue[:0]
 	//lint:ignore alloclint the deferred reset closure captures only queue; Go stack-allocates it (the Insert AllocsPerRun pin proves it)
 	defer func() { t.bfsQueue = queue[:0] }()
-	stamp, epoch := t.visitedStamp, t.visitedEpoch
-	shadow, m, n := t.shadowKeys, t.L.M, t.L.N
+	shadow, m, n, maxNodes := t.shadowKeys, t.L.M, t.L.N, t.maxBFSNodes
 	for i := 0; i < n; i++ {
-		b := t.Bucket(i, key)
-		if stamp[b] == epoch {
-			continue
+		if b := t.Bucket(i, key); t.visited.add(b) {
+			//lint:ignore alloclint BFS queue reuses t.bfsQueue's backing array; it grows only to the bounded high-water mark
+			queue = append(queue, pathEntry{bucket: b, parent: -1})
 		}
-		stamp[b] = epoch
-		//lint:ignore alloclint BFS queue reuses t.bfsQueue's backing array; it grows only to the bounded high-water mark
-		queue = append(queue, pathEntry{bucket: b, parent: -1})
 	}
 
-	for idx := 0; idx < len(queue) && len(queue) < t.maxBFSNodes; idx++ {
+	leaf, leafSlot := -1, 0
+	for idx := 0; idx < len(queue) && len(queue) < maxNodes; idx++ {
 		t.lastBFSNodes++
+		if idx == leaf {
+			break
+		}
 		e := queue[idx]
 		base := e.bucket * m
 		for s := 0; s < m; s++ {
-			if shadow[base+s] == 0 {
-				return t.applyPath(queue, idx, s)
-			}
-		}
-		for s := 0; s < m; s++ {
 			k := shadow[base+s]
-			if k == 0 {
-				continue // raced with nothing; defensive
-			}
 			for j := 0; j < n; j++ {
 				alt := t.Bucket(j, k)
-				if alt == e.bucket {
+				if alt == e.bucket || !t.visited.add(alt) {
 					continue
 				}
-				if stamp[alt] == epoch {
-					continue
-				}
-				stamp[alt] = epoch
 				//lint:ignore alloclint BFS queue reuses t.bfsQueue's backing array; it grows only to the bounded high-water mark
 				queue = append(queue, pathEntry{bucket: alt, parent: idx, parentSlot: s})
-				if len(queue) >= t.maxBFSNodes {
+				if leaf < 0 {
+					if free := slices.Index(shadow[alt*m:alt*m+m], 0); free >= 0 {
+						leaf, leafSlot = len(queue)-1, free
+						if leaf+1+(leaf-idx)*m*(n-1) < maxNodes {
+							t.lastBFSNodes = leaf + 1
+							return t.applyPath(queue, leaf, leafSlot)
+						}
+					}
+				}
+				if len(queue) >= maxNodes {
 					break
 				}
 			}
 		}
 	}
-
-	// Fallback sweep: any queued bucket may have gained an empty slot.
-	for idx, e := range queue {
-		if s := t.emptySlot(e.bucket); s >= 0 {
-			return t.applyPath(queue, idx, s)
-		}
+	if leaf < 0 {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	return t.applyPath(queue, leaf, leafSlot)
 }
 
-func (t *Table) emptySlot(b int) int {
-	for s := 0; s < t.L.M; s++ {
-		if t.keyAt(b, s) == 0 {
-			return s
+// visitSet is the BFS's set of enqueued buckets: an open-addressing hash
+// set with linear probing whose slots carry the epoch of the search that
+// filled them, so a new search empties it by advancing the epoch. A search
+// enqueues its N roots, or at most maxBFSNodes+M−1 buckets if that is more;
+// the set keeps more slots than that, and at least twice the cap so probes
+// stay short: 4,096 slots (32 KB) at the default cap, where a per-bucket
+// stamp array costs 4 B for every bucket of the table. Bucket indices fit
+// in 32 bits, since no arena of 2^32 buckets could be allocated.
+type visitSet struct {
+	slots []visitSlot
+	epoch uint32
+	shift uint // 32 − log2(len(slots))
+}
+
+type visitSlot struct {
+	bucket uint32
+	epoch  uint32
+}
+
+// reset empties the set, first growing it to at least n slots (a power of
+// two) if it is smaller.
+func (v *visitSet) reset(n int) {
+	if len(v.slots) < n {
+		lg := bits.Len(uint(n - 1))
+		//lint:ignore alloclint sized on a table's first search; later searches reuse it
+		v.slots = make([]visitSlot, 1<<lg)
+		v.shift = uint(32 - lg)
+		v.epoch = 0
+	}
+	// On the (astronomically rare) wraparound the slots are cleared once
+	// so stale stamps from 2^32 searches ago cannot alias the new epoch.
+	v.epoch++
+	if v.epoch == 0 {
+		clear(v.slots)
+		v.epoch = 1
+	}
+}
+
+// add inserts bucket b and reports whether it was absent.
+func (v *visitSet) add(b int) bool {
+	key := uint32(b)
+	mask := uint32(len(v.slots) - 1)
+	for i := (key * 0x9e3779b9) >> v.shift; ; i = (i + 1) & mask {
+		s := &v.slots[i]
+		if s.epoch != v.epoch {
+			*s = visitSlot{bucket: key, epoch: v.epoch}
+			return true
+		}
+		if s.bucket == key {
+			return false
 		}
 	}
-	return -1
 }
 
 // applyPath relocates keys backwards along the BFS path ending at
-// queue[leaf] (whose bucket has empty slot `emptySlot`), and returns the
+// queue[leaf] (whose bucket has empty slot `free`), and returns the
 // freed slot in the path's root bucket.
-func (t *Table) applyPath(queue []pathEntry, leaf, emptySlot int) (int, int, bool) {
+func (t *Table) applyPath(queue []pathEntry, leaf, free int) (int, int, bool) {
 	e := queue[leaf]
-	freeB, freeS := e.bucket, emptySlot
+	freeB, freeS := e.bucket, free
 	for e.parent >= 0 {
 		p := queue[e.parent]
 		k := t.keyAt(p.bucket, e.parentSlot)
@@ -340,39 +397,72 @@ func (t *Table) hashesTo(key uint64, bucket int) bool {
 	return false
 }
 
+// fillBatch is how many keys FillRandom draws and touches ahead of
+// inserting them: enough in-flight cache misses to fill a core's miss
+// buffers, as in the AMAC lookup baseline's groups.
+const fillBatch = 16
+
 // FillRandom inserts random distinct keys until the table holds
 // floor(lf*slots) items or an insert fails; it returns the inserted keys and
 // the achieved load factor. Payload of key k is mixed from k so tests can
 // verify lookups. The Fig. 2 experiment calls it with lf=1 to probe the
 // layout's maximum achievable load factor.
+//
+// Keys are drawn from rng in batches of min(16, items still missing), and
+// each batch's candidate buckets are loaded before its keys are inserted in
+// draw order, so the batch's cache misses overlap. Every draw is one a
+// key-at-a-time fill would also make, so a fill that reaches its target
+// leaves rng exactly where that fill would. A fill that stops early, because
+// an insert failed or the key space ran out, may have drawn up to 15 keys it
+// never inserted; a caller that keeps drawing from rng after such a fill
+// sees different keys than it would after a key-at-a-time fill.
 func (t *Table) FillRandom(lf float64, rng *rand.Rand) ([]uint64, float64) {
 	target := int(lf * float64(t.L.Slots()))
 	keys := make([]uint64, 0, target)
+	var batch [fillBatch]uint64
 	for t.count < target {
-		key := (rng.Uint64() & t.L.KeyMask()) &^ 1 // even keys; odd = guaranteed misses
-		if key == 0 {
-			continue
+		drawn := batch[:min(fillBatch, target-t.count)]
+		for i := range drawn {
+			drawn[i] = (rng.Uint64() & t.L.KeyMask()) &^ 1 // even keys; odd = guaranteed misses
+			t.touchCandidates(drawn[i])
 		}
-		// Duplicate draws are detected by the table itself instead of a
-		// side map (which dominated large fills): inserting a present key
-		// takes Insert's update-in-place path — it rewrites the identical
-		// slot bytes (PayloadFor is deterministic) and leaves count
-		// unchanged — so table state, RNG stream, and the returned key list
-		// are all exactly what the map-based formulation produced.
-		before := t.count
-		if err := t.Insert(key, PayloadFor(key, t.L.ValBits)); err != nil {
-			break
-		}
-		if t.count == before {
-			// Exhausted keyspace check: tiny 16-bit tables can run out.
-			if len(keys) >= int(t.L.KeyMask()/2) {
-				break
+		for _, key := range drawn {
+			if key == 0 {
+				continue
 			}
-			continue
+			// Duplicate draws are detected by the table itself instead of
+			// a side map (which dominated large fills): inserting a present
+			// key takes Insert's update-in-place path — it rewrites the
+			// identical slot bytes (PayloadFor is deterministic) and leaves
+			// count unchanged — so table state, RNG stream, and the
+			// returned key list are all exactly what the map-based
+			// formulation produced.
+			before := t.count
+			if err := t.Insert(key, PayloadFor(key, t.L.ValBits)); err != nil {
+				return keys, t.LoadFactor()
+			}
+			if t.count == before {
+				// Exhausted keyspace check: tiny 16-bit tables can run out.
+				if len(keys) >= int(t.L.KeyMask()/2) {
+					return keys, t.LoadFactor()
+				}
+				continue
+			}
+			keys = append(keys, key)
 		}
-		keys = append(keys, key)
 	}
 	return keys, t.LoadFactor()
+}
+
+// touchCandidates loads the first shadow key and the first arena byte of
+// each of key's candidate buckets, so their cache misses are in flight
+// before Insert reads them. The loads feed touchSink, which keeps the
+// compiler from dropping them.
+func (t *Table) touchCandidates(key uint64) {
+	for i := 0; i < t.L.N; i++ {
+		b := t.Bucket(i, key)
+		t.touchSink += t.shadowKeys[b*t.L.M] + uint64(t.Arena.Bytes(b*t.bucketBytes, 1)[0])
+	}
 }
 
 // PayloadFor derives the deterministic payload stored for key in tests and
