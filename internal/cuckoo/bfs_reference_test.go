@@ -10,12 +10,12 @@ import (
 )
 
 // refTable is the reference the eviction search is checked against: the
-// insert path as it was before buckets were tested when the search
-// generates them. Its search keeps a stamp per table bucket as the visited
-// set, tests each bucket for an empty slot when it dequeues it, and sweeps
-// the whole queue for an empty slot once the cap stops the expansion.
-// insert, insertCharged and fillRandom are that era's Insert, InsertCharged
-// and FillRandom (one key drawn at a time) running on this search.
+// textbook breadth-first search, which tests buckets when it dequeues them.
+// It keeps a stamp per table bucket as the visited set, tests each bucket
+// for an empty slot when it dequeues it, and sweeps the whole queue for an
+// empty slot once the cap stops the expansion. insert and insertCharged are
+// Insert and InsertCharged running on this search, and fillRandom is
+// FillRandom drawing one key at a time.
 type refTable struct {
 	*Table
 	stamp []uint32

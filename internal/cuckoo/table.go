@@ -337,7 +337,6 @@ func (v *visitSet) reset(n int) {
 		//lint:ignore alloclint sized on a table's first search; later searches reuse it
 		v.slots = make([]visitSlot, 1<<lg)
 		v.shift = uint(32 - lg)
-		v.epoch = 0
 	}
 	// On the (astronomically rare) wraparound the slots are cleared once
 	// so stale stamps from 2^32 searches ago cannot alias the new epoch.
@@ -398,8 +397,8 @@ func (t *Table) hashesTo(key uint64, bucket int) bool {
 }
 
 // fillBatch is how many keys FillRandom draws and touches ahead of
-// inserting them: enough in-flight cache misses to fill a core's miss
-// buffers, as in the AMAC lookup baseline's groups.
+// inserting them; as with the AMAC lookup baseline's groups, 8–16 keys in
+// flight keep a core's miss buffers busy.
 const fillBatch = 16
 
 // FillRandom inserts random distinct keys until the table holds
