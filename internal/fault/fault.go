@@ -135,7 +135,7 @@ func ParseSpec(s string) (Spec, error) {
 				return Spec{}, fmt.Errorf("fault: slow wants <factor>x@<period>:<dur>, got %q", val)
 			}
 			out.SlowFactor, err = strconv.ParseFloat(strings.TrimSuffix(factor, "x"), 64)
-			if err == nil && out.SlowFactor <= 1 {
+			if err == nil && !(out.SlowFactor > 1) { // negated so NaN is rejected too
 				err = fmt.Errorf("fault: slow factor must exceed 1, got %g", out.SlowFactor)
 			}
 			if err == nil {
@@ -188,7 +188,7 @@ func ParseSpec(s string) (Spec, error) {
 
 func parseProb(key, val string) (float64, error) {
 	p, err := strconv.ParseFloat(val, 64)
-	if err != nil || p < 0 || p > 1 {
+	if err != nil || !(p >= 0 && p <= 1) { // negated so NaN is rejected too
 		return 0, fmt.Errorf("fault: %s wants a probability in [0,1], got %q", key, val)
 	}
 	return p, nil
