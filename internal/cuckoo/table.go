@@ -317,7 +317,7 @@ func (t *Table) bfsMakeRoom(key uint64) (int, int, bool) {
 // the set keeps more slots than that, and at least twice the cap so probes
 // stay short: 4,096 slots (32 KB) at the default cap, where a per-bucket
 // stamp array costs 4 B for every bucket of the table. Bucket indices fit
-// in 32 bits, since no arena of 2^32 buckets could be allocated.
+// in 32 bits: 2^32 buckets would need a 16 GB arena and a 32 GB shadow.
 type visitSet struct {
 	slots []visitSlot
 	epoch uint32
