@@ -37,14 +37,16 @@ bench:
 	done
 
 # Short native-fuzz pass over the delivery and Multi-Get paths, the cuckoo
-# insert path against its reference search, and the lint CFG builder (seed
-# corpora under testdata/fuzz/). Bump FUZZTIME for a longer hunt.
+# insert path against its reference search, the vector register against its
+# byte-array reference, and the lint CFG builder (seed corpora under
+# testdata/fuzz/). Bump FUZZTIME for a longer hunt.
 fuzz-smoke:
 	$(GO) test ./internal/netsim -fuzz FuzzNetsimDeliver -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzMultiGet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzRingMembership -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cuckoo -run '^$$' -fuzz FuzzInsertMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzVecMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzCFGBuild -fuzztime $(FUZZTIME)
 
 clean:

@@ -72,7 +72,7 @@ func (t *Table) LookupAMACBatch(e *engine.Engine, s *Stream, from, n int, cfg AM
 				e.SetPhase(hashPhase)
 				e.Charge(arch.OpScalarALU, arch.WidthScalar) // address formation
 				e.Charge(arch.OpScalarALU, arch.WidthScalar) // prefetch issue + state update
-				e.OverlappedAccess(t.Arena.Addr(t.L.keyOff(buckets[i], 0)), t.L.BucketBytes())
+				e.OverlappedAccess(t.Arena.Addr(t.keyOff(buckets[i], 0)), t.L.BucketBytes())
 			}
 			// Wave 2: scan the (now resident) buckets scalar, retiring
 			// matches. The per-slot loads hit L1 thanks to the prefetch.
@@ -82,11 +82,11 @@ func (t *Table) LookupAMACBatch(e *engine.Engine, s *Stream, from, n int, cfg AM
 				}
 				e.Charge(arch.OpScalarBranch, arch.WidthScalar) // state-machine dispatch
 				for slot := 0; slot < t.L.M; slot++ {
-					k := e.ScalarLoad(t.Arena, t.L.keyOff(buckets[i], slot), t.L.KeyBits)
+					k := e.ScalarLoad(t.Arena, t.keyOff(buckets[i], slot), t.L.KeyBits)
 					e.ScalarCompare()
 					if k == keys[i] {
 						e.Charge(arch.OpBranchMispredict, arch.WidthScalar)
-						v := e.ScalarLoad(t.Arena, t.L.valOff(buckets[i], slot), t.L.ValBits)
+						v := e.ScalarLoad(t.Arena, t.valOff(buckets[i], slot), t.L.ValBits)
 						e.StreamStore(res.Arena, res.Off(from+base+i), t.L.ValBits, v)
 						if found != nil {
 							found[base+i] = true

@@ -50,46 +50,51 @@ func BenchmarkNativeInsert(b *testing.B) {
 	}
 }
 
+// benchLookups times b.N passes of lookup over a 1,024-key stream and
+// reports the host cost per looked-up key.
+func benchLookups(b *testing.B, lookup func()) {
+	b.Helper()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lookup()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(1024*b.N), "ns/lookup")
+}
+
 func BenchmarkChargedScalarLookup(b *testing.B) {
 	l := Layout{N: 2, M: 4, KeyBits: 32, ValBits: 32, BucketBits: 12}
 	t, s, res, e := benchSetup(b, l, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.LookupScalarBatch(e, s, 0, 1024, res, nil)
-	}
-	b.ReportMetric(float64(1024), "lookups/op")
+	benchLookups(b, func() { t.LookupScalarBatch(e, s, 0, 1024, res, nil) })
 }
 
 func BenchmarkChargedHorizontalLookup(b *testing.B) {
 	l := Layout{N: 2, M: 4, KeyBits: 32, ValBits: 32, BucketBits: 12}
 	t, s, res, e := benchSetup(b, l, 1024)
 	cfg := HorizontalConfig{Width: 256, BucketsPerVec: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.LookupHorizontalBatch(e, s, 0, 1024, cfg, res, nil)
-	}
-	b.ReportMetric(float64(1024), "lookups/op")
+	benchLookups(b, func() { t.LookupHorizontalBatch(e, s, 0, 1024, cfg, res, nil) })
+}
+
+// BenchmarkChargedHorizontal512BCHT64 is simbench update-dram's V-Hor 512
+// kernel: a (2,4) BCHT of 64-bit keys and payloads probed one 512-bit
+// bucket at a time (on a 2 MB table instead of update-dram's 32 MB one).
+func BenchmarkChargedHorizontal512BCHT64(b *testing.B) {
+	l := Layout{N: 2, M: 4, KeyBits: 64, ValBits: 64, BucketBits: 12}
+	t, s, res, e := benchSetup(b, l, 1024)
+	cfg := HorizontalConfig{Width: 512, BucketsPerVec: 1}
+	benchLookups(b, func() { t.LookupHorizontalBatch(e, s, 0, 1024, cfg, res, nil) })
 }
 
 func BenchmarkChargedVerticalLookup(b *testing.B) {
 	l := Layout{N: 3, M: 1, KeyBits: 32, ValBits: 32, BucketBits: 13}
 	t, s, res, e := benchSetup(b, l, 1024)
 	cfg := VerticalConfig{Width: 512}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.LookupVerticalBatch(e, s, 0, 1024, cfg, res, nil)
-	}
-	b.ReportMetric(float64(1024), "lookups/op")
+	benchLookups(b, func() { t.LookupVerticalBatch(e, s, 0, 1024, cfg, res, nil) })
 }
 
 func BenchmarkChargedAMACLookup(b *testing.B) {
 	l := Layout{N: 2, M: 4, KeyBits: 32, ValBits: 32, BucketBits: 12}
 	t, s, res, e := benchSetup(b, l, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.LookupAMACBatch(e, s, 0, 1024, AMACConfig{}, res, nil)
-	}
-	b.ReportMetric(float64(1024), "lookups/op")
+	benchLookups(b, func() { t.LookupAMACBatch(e, s, 0, 1024, AMACConfig{}, res, nil) })
 }
 
 func BenchmarkFillToNinetyPercent(b *testing.B) {

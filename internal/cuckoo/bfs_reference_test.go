@@ -153,13 +153,13 @@ func (r *refTable) insertCharged(e *engine.Engine, key, val uint64) error {
 		b := t.Bucket(i, key)
 		for s := 0; s < t.L.M; s++ {
 			e.Charge(arch.OpScalarLoadOp, arch.WidthScalar)
-			e.MemAccess(t.Arena.Addr(t.L.slotOff(b, s)), t.L.KeyBits/8)
+			e.MemAccess(t.Arena.Addr(t.keyOff(b, s)), t.L.KeyBits/8)
 			e.ScalarCompare()
 			k := t.keyAt(b, s)
 			if k == key || k == 0 {
 				e.Charge(arch.OpBranchMispredict, arch.WidthScalar)
 				e.Charge(arch.OpScalarStoreOp, arch.WidthScalar)
-				e.MemAccess(t.Arena.Addr(t.L.slotOff(b, s)), t.L.SlotBytes())
+				e.MemAccess(t.Arena.Addr(t.keyOff(b, s)), t.L.SlotBytes())
 				return r.insert(key, val)
 			}
 		}
@@ -172,10 +172,10 @@ func (r *refTable) insertCharged(e *engine.Engine, key, val uint64) error {
 	}
 	for _, mv := range t.lastMoves {
 		e.Charge(arch.OpScalarLoadOp, arch.WidthScalar)
-		e.MemAccess(t.Arena.Addr(t.L.slotOff(mv.fromBucket, mv.fromSlot)), t.L.SlotBytes())
+		e.MemAccess(t.Arena.Addr(t.keyOff(mv.fromBucket, mv.fromSlot)), t.L.SlotBytes())
 		e.ScalarHash()
 		e.Charge(arch.OpScalarStoreOp, arch.WidthScalar)
-		e.MemAccess(t.Arena.Addr(t.L.slotOff(mv.toBucket, mv.toSlot)), t.L.SlotBytes())
+		e.MemAccess(t.Arena.Addr(t.keyOff(mv.toBucket, mv.toSlot)), t.L.SlotBytes())
 	}
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package cuckoo
 import (
 	"simdhtbench/internal/arch"
 	"simdhtbench/internal/engine"
+	"simdhtbench/internal/vec"
 )
 
 // lookupScratch holds the reusable buffers of the charged lookup templates,
@@ -19,12 +20,13 @@ type lookupScratch struct {
 	koffs   []int    // vertical: key offset per lane
 	voffs   []int    // vertical: payload offset per lane
 	goffs   []int    // gather helpers: per-chunk lane offsets
+	glanes  []uint64 // gather helpers: the lanes each gather returns
 
-	// bucketBuf is the register image assembled by loadBuckets and rawBuf the
-	// byte view extractKeys decodes from; 64 bytes covers the widest (512-bit)
-	// vector register.
-	bucketBuf [64]byte
-	rawBuf    [64]byte
+	// regBuf is the byte image of the horizontal template's bucket register:
+	// loadBuckets assembles it and extractKeys decodes keys from it. The 8
+	// bytes past the widest (512-bit) register let extractKeys read the last
+	// key with a full 64-bit load.
+	regBuf [vec.MaxBytes + 8]byte
 }
 
 // intScratch returns a length-n int slice backed by *buf, growing the backing

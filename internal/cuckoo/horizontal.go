@@ -1,6 +1,7 @@
 package cuckoo
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"simdhtbench/internal/arch"
@@ -103,14 +104,13 @@ func (t *Table) LookupHorizontalBatch(e *engine.Engine, s *Stream, from, n int, 
 			for j := lo; j < hi; j++ {
 				b := t.Bucket(j, key)
 				buckets = append(buckets, b) //lint:ignore alloclint appends stay within the bpv capacity intScratch reserved
-				offs = append(offs, t.L.keyOff(b, 0))
+				offs = append(offs, t.keyOff(b, 0))
 			}
 			for len(offs) < bpv {
 				offs = append(offs, offs[len(offs)-1]) //lint:ignore alloclint pad appends stay within the bpv capacity intScratch reserved
 				buckets = append(buckets, buckets[len(buckets)-1])
 			}
-			pad := cfg.Width/8 - bpv*loadBytes
-			bvec := t.loadBuckets(e, cfg.Width, offs, loadBytes, pad)
+			bvec := t.loadBuckets(e, cfg.Width, offs, loadBytes)
 
 			if !t.L.Split {
 				// vec_shuffle_and_blend: separate keys from payloads
@@ -129,7 +129,7 @@ func (t *Table) LookupHorizontalBatch(e *engine.Engine, s *Stream, from, n int, 
 				var v uint64
 				if t.L.Split {
 					// The payload block was not loaded: one scalar load.
-					v = e.ScalarLoad(t.Arena, t.L.valOff(b, slot), vb)
+					v = e.ScalarLoad(t.Arena, t.valOff(b, slot), vb)
 				} else {
 					// vec_reduce: extract the matching payload lane.
 					e.Reduce(cfg.Width)
@@ -151,14 +151,14 @@ func (t *Table) LookupHorizontalBatch(e *engine.Engine, s *Stream, from, n int, 
 	return hits
 }
 
-// loadBuckets performs vec_load_buckets: one unaligned load per bucket plus
-// insert shuffles to place them side by side in a register. pad is the
-// number of trailing register bytes not covered by buckets (when
-// bucketsPerVec*bucketBytes < width/8); they are left zero, matching a
-// masked load.
-func (t *Table) loadBuckets(e *engine.Engine, width int, offs []int, bucketBytes, pad int) vec.Vec {
-	buf := t.scratch.bucketBuf[:width/8]
-	clear(buf) // pad bytes must read zero, matching a masked load
+// loadBuckets performs vec_load_buckets: it charges one vector load per
+// bucket, an insert shuffle for each bucket after the first and the memory
+// access of its bucketBytes, and returns the register holding the buckets
+// side by side. Register bytes past the last bucket (when
+// bucketsPerVec*bucketBytes < width/8) read zero, matching a masked load.
+func (t *Table) loadBuckets(e *engine.Engine, width int, offs []int, bucketBytes int) vec.Vec {
+	buf := t.scratch.regBuf[:width/8]
+	clear(buf)
 	for i, off := range offs {
 		e.Charge(arch.OpVecLoad, width)
 		if i > 0 {
@@ -168,32 +168,23 @@ func (t *Table) loadBuckets(e *engine.Engine, width int, offs []int, bucketBytes
 		//lint:ignore chargelint data transfer of the access charged by the MemAccess on the line above
 		copy(buf[i*bucketBytes:], t.Arena.Bytes(off, bucketBytes))
 	}
-	_ = pad
 	return vec.FromBytes(width, buf)
 }
 
 // extractKeys builds the packed key vector t_k from a register holding bpv
 // loaded buckets (whole buckets when interleaved — the functional effect of
 // the charged shuffles — or key blocks when split). unitBytes is the bytes
-// loaded per bucket.
+// loaded per bucket. Each key is one little-endian 64-bit load from the
+// register's byte image, of which SetLane keeps the low KeyBits.
 func (t *Table) extractKeys(width int, bvec vec.Vec, bpv, unitBytes int) vec.Vec {
 	kb := t.L.KeyBits
-	stride := t.L.SlotBytes()
-	if t.L.Split {
-		stride = kb / 8
-	}
-	nb := bvec.ToBytesInto(t.scratch.rawBuf[:])
-	raw := t.scratch.rawBuf[:nb]
+	raw := t.scratch.regBuf[:]
+	bvec.ToBytesInto(raw)
 	tk := vec.Zero(width)
 	lane := 0
 	for c := 0; c < bpv; c++ {
 		for s := 0; s < t.L.M; s++ {
-			off := c*unitBytes + s*stride
-			var k uint64
-			for b := 0; b < kb/8; b++ {
-				k |= uint64(raw[off+b]) << (8 * b)
-			}
-			tk = tk.WithLane(kb, lane, k)
+			tk.SetLane(kb, lane, binary.LittleEndian.Uint64(raw[c*unitBytes+s*t.keyStride:]))
 			lane++
 		}
 	}

@@ -32,7 +32,7 @@ func (t *Table) InsertCharged(e *engine.Engine, key, val uint64) error {
 		b := t.Bucket(i, key)
 		for s := 0; s < t.L.M; s++ {
 			e.Charge(arch.OpScalarLoadOp, arch.WidthScalar)
-			e.MemAccess(t.Arena.Addr(t.L.slotOff(b, s)), t.L.KeyBits/8)
+			e.MemAccess(t.Arena.Addr(t.keyOff(b, s)), t.L.KeyBits/8)
 			e.ScalarCompare()
 			//lint:ignore chargelint slot read charged by the MemAccess two lines above
 			k := t.keyAt(b, s)
@@ -40,7 +40,7 @@ func (t *Table) InsertCharged(e *engine.Engine, key, val uint64) error {
 				// Update in place or claim the empty slot: one store.
 				e.Charge(arch.OpBranchMispredict, arch.WidthScalar)
 				e.Charge(arch.OpScalarStoreOp, arch.WidthScalar)
-				e.MemAccess(t.Arena.Addr(t.L.slotOff(b, s)), t.L.SlotBytes())
+				e.MemAccess(t.Arena.Addr(t.keyOff(b, s)), t.L.SlotBytes())
 				//lint:ignore chargelint functional mutation; the store was charged by the MemAccess on the line above
 				return t.Insert(key, val)
 			}
@@ -66,10 +66,10 @@ func (t *Table) InsertCharged(e *engine.Engine, key, val uint64) error {
 	// so this loop charges nothing.)
 	for _, mv := range t.lastMoves {
 		e.Charge(arch.OpScalarLoadOp, arch.WidthScalar)
-		e.MemAccess(t.Arena.Addr(t.L.slotOff(mv.fromBucket, mv.fromSlot)), t.L.SlotBytes())
+		e.MemAccess(t.Arena.Addr(t.keyOff(mv.fromBucket, mv.fromSlot)), t.L.SlotBytes())
 		e.ScalarHash()
 		e.Charge(arch.OpScalarStoreOp, arch.WidthScalar)
-		e.MemAccess(t.Arena.Addr(t.L.slotOff(mv.toBucket, mv.toSlot)), t.L.SlotBytes())
+		e.MemAccess(t.Arena.Addr(t.keyOff(mv.toBucket, mv.toSlot)), t.L.SlotBytes())
 	}
 	if err != nil {
 		return err

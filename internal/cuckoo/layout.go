@@ -149,26 +149,6 @@ func byteSize(n int) string {
 	}
 }
 
-// keyOff returns the arena offset of the key of slot s in bucket b.
-func (l Layout) keyOff(b, s int) int {
-	if l.Split {
-		return b*l.BucketBytes() + s*l.KeyBits/8
-	}
-	return b*l.BucketBytes() + s*l.SlotBytes()
-}
-
-// slotOff is the interleaved-layout slot base; callers that need key or
-// payload positions should use keyOff/valOff, which handle both layouts.
-func (l Layout) slotOff(b, s int) int { return l.keyOff(b, s) }
-
-// valOff returns the arena offset of the payload of slot s in bucket b.
-func (l Layout) valOff(b, s int) int {
-	if l.Split {
-		return b*l.BucketBytes() + l.M*l.KeyBits/8 + s*l.ValBits/8
-	}
-	return l.keyOff(b, s) + l.KeyBits/8
-}
-
 // keyBlockBytes returns the size of a bucket's contiguous key block (split
 // layouts only).
 func (l Layout) keyBlockBytes() int { return l.M * l.KeyBits / 8 }

@@ -300,20 +300,21 @@ func enginForTest() *engine.Engine {
 
 func TestSplitLayoutOffsetsDisjoint(t *testing.T) {
 	l := Layout{N: 2, M: 4, KeyBits: 16, ValBits: 32, BucketBits: 6, Split: true}
-	if err := l.Validate(); err != nil {
+	tb, err := New(mem.NewAddressSpace(), l, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
 	for b := 0; b < 4; b++ {
 		for s := 0; s < l.M; s++ {
-			for off, n := l.keyOff(b, s), l.KeyBits/8; n > 0; n-- {
+			for off, n := tb.keyOff(b, s), l.KeyBits/8; n > 0; n-- {
 				if seen[off] {
 					t.Fatalf("overlapping key byte at %d", off)
 				}
 				seen[off] = true
 				off++
 			}
-			for off, n := l.valOff(b, s), l.ValBits/8; n > 0; n-- {
+			for off, n := tb.valOff(b, s), l.ValBits/8; n > 0; n-- {
 				if seen[off] {
 					t.Fatalf("overlapping value byte at %d", off)
 				}

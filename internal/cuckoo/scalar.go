@@ -45,14 +45,14 @@ func (t *Table) lookupScalarOne(e *engine.Engine, key uint64) (uint64, bool) {
 		b := t.Bucket(i, key)
 		e.SetPhase(hashPhase)
 		for s := 0; s < t.L.M; s++ {
-			k := e.ScalarLoad(t.Arena, t.L.slotOff(b, s), t.L.KeyBits)
+			k := e.ScalarLoad(t.Arena, t.keyOff(b, s), t.L.KeyBits)
 			e.ScalarCompare()
 			if k == key {
 				// The match position is data-dependent: the early-exit
 				// branch mispredicts, flushing the pipeline. (A miss exits
 				// after a fixed N*M trip count, which predicts perfectly.)
 				e.Charge(arch.OpBranchMispredict, arch.WidthScalar)
-				v := e.ScalarLoad(t.Arena, t.L.valOff(b, s), t.L.ValBits)
+				v := e.ScalarLoad(t.Arena, t.valOff(b, s), t.L.ValBits)
 				return v, true
 			}
 		}

@@ -49,11 +49,9 @@ type Table struct {
 	// remains authoritative: every charged load still reads table bytes.
 	shadowKeys []uint64
 
-	// Precomputed layout strides (resolved once in New) so the fill-path
-	// offset math is two multiply-adds instead of re-deriving bucket and
-	// slot sizes per access:
-	//   keyOff(b,s) = b*bucketBytes + s*keyStride
-	//   valOff(b,s) = b*bucketBytes + valBase + s*valStride
+	// Precomputed layout strides (resolved once in New), so keyOff and
+	// valOff, the one slot-offset rule every template, the fill and the
+	// charged insert use, are two multiply-adds with no branch on Split.
 	bucketBytes int
 	keyStride   int
 	valBase     int
@@ -134,18 +132,23 @@ func (t *Table) Bucket(i int, key uint64) int {
 	return int(t.fam.Hash(i, key))
 }
 
+// keyOff returns the arena offset of the key of slot s in bucket b.
+func (t *Table) keyOff(b, s int) int { return b*t.bucketBytes + s*t.keyStride }
+
+// valOff returns the arena offset of the payload of slot s in bucket b.
+func (t *Table) valOff(b, s int) int { return b*t.bucketBytes + t.valBase + s*t.valStride }
+
 func (t *Table) keyAt(b, s int) uint64 {
 	return t.shadowKeys[b*t.L.M+s]
 }
 
 func (t *Table) valAt(b, s int) uint64 {
-	return t.Arena.ReadUint(b*t.bucketBytes+t.valBase+s*t.valStride, t.L.ValBits)
+	return t.Arena.ReadUint(t.valOff(b, s), t.L.ValBits)
 }
 
 func (t *Table) setSlot(b, s int, key, val uint64) {
-	base := b * t.bucketBytes
-	t.Arena.WriteUint(base+s*t.keyStride, t.L.KeyBits, key)
-	t.Arena.WriteUint(base+t.valBase+s*t.valStride, t.L.ValBits, val)
+	t.Arena.WriteUint(t.keyOff(b, s), t.L.KeyBits, key)
+	t.Arena.WriteUint(t.valOff(b, s), t.L.ValBits, val)
 	// Mirror exactly what a ReadUint of the slot would return: WriteUint
 	// stores the low KeyBits, so the shadow records the truncated value.
 	t.shadowKeys[b*t.L.M+s] = key & t.L.KeyMask()
@@ -460,7 +463,7 @@ func (t *Table) FillRandom(lf float64, rng *rand.Rand) ([]uint64, float64) {
 func (t *Table) touchCandidates(key uint64) {
 	for i := 0; i < t.L.N; i++ {
 		b := t.Bucket(i, key)
-		t.touchSink += t.shadowKeys[b*t.L.M] + uint64(t.Arena.Bytes(b*t.bucketBytes, 1)[0])
+		t.touchSink += t.shadowKeys[b*t.L.M] + uint64(t.Arena.Bytes(t.keyOff(b, 0), 1)[0])
 	}
 }
 

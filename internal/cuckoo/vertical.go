@@ -107,8 +107,8 @@ func (t *Table) LookupVerticalBatch(e *engine.Engine, s *Stream, from, n int, cf
 				for i := 0; i < size; i++ {
 					if active.Test(i) {
 						b := t.Bucket(way, keys[i])
-						offs[i] = t.L.keyOff(b, slot)
-						voffs[i] = t.L.valOff(b, slot)
+						offs[i] = t.keyOff(b, slot)
+						voffs[i] = t.valOff(b, slot)
 					}
 				}
 				var match vec.Mask
@@ -154,6 +154,10 @@ func (t *Table) LookupVerticalBatch(e *engine.Engine, s *Stream, from, n int, cf
 // matched lanes are written into vals.
 func (t *Table) gatherPairsAndCompare(e *engine.Engine, width, pairBits, size int, offs []int, active vec.Mask, keys, vals []uint64) vec.Mask {
 	lanesPerGather := width / pairBits
+	// Stale offsets from earlier chunks are harmless: the gather reads (and
+	// charges) only lanes whose mask bit is set.
+	goffs := intScratch(&t.scratch.goffs, lanesPerGather)
+	pairs := u64Scratch(&t.scratch.glanes, lanesPerGather)
 	var match vec.Mask
 	for base := 0; base < size; base += lanesPerGather {
 		chunk := lanesPerGather
@@ -161,15 +165,12 @@ func (t *Table) gatherPairsAndCompare(e *engine.Engine, width, pairBits, size in
 			chunk = size - base
 		}
 		chunkMask := subMask(active, base, chunk)
-		// Stale entries from earlier chunks are harmless: the gather reads
-		// (and charges) only lanes whose mask bit is set.
-		goffs := intScratch(&t.scratch.goffs, vec.NumLanes(width, pairBits))
 		for i := 0; i < chunk; i++ {
 			if chunkMask.Test(i) {
 				goffs[i] = offs[base+i]
 			}
 		}
-		pairs := e.Gather(width, pairBits, t.Arena, goffs, chunkMask)
+		e.Gather(width, pairBits, t.Arena, goffs, chunkMask, pairs)
 		// Split pair into key (low bits; keys are stored first) and payload.
 		e.Charge(arch.OpVecAnd, width)
 		e.Charge(arch.OpVecShift, width)
@@ -179,7 +180,7 @@ func (t *Table) gatherPairsAndCompare(e *engine.Engine, width, pairBits, size in
 			if !chunkMask.Test(i) {
 				continue
 			}
-			pair := pairs.Lane(pairBits, i)
+			pair := pairs[i]
 			if pair&kmask == keys[base+i] {
 				vals[base+i] = pair >> t.L.KeyBits
 				match |= 1 << (base + i)
@@ -199,6 +200,8 @@ func (t *Table) gatherKeysAndCompare(e *engine.Engine, width, size int, offs []i
 		gLane = 32 // gathers have no 16-bit element form
 	}
 	lanesPerGather := width / gLane
+	goffs := intScratch(&t.scratch.goffs, lanesPerGather)
+	gathered := u64Scratch(&t.scratch.glanes, lanesPerGather)
 	var match vec.Mask
 	for base := 0; base < size; base += lanesPerGather {
 		chunk := lanesPerGather
@@ -209,20 +212,19 @@ func (t *Table) gatherKeysAndCompare(e *engine.Engine, width, size int, offs []i
 		if chunkMask.None() {
 			continue
 		}
-		goffs := intScratch(&t.scratch.goffs, vec.NumLanes(width, gLane))
 		for i := 0; i < chunk; i++ {
 			if chunkMask.Test(i) {
 				goffs[i] = offs[base+i]
 			}
 		}
-		gathered := e.Gather(width, gLane, t.Arena, goffs, chunkMask)
+		e.Gather(width, gLane, t.Arena, goffs, chunkMask, gathered)
 		if gLane != t.L.KeyBits {
 			e.Charge(arch.OpVecAnd, width) // mask off payload bytes sharing the element
 		}
 		e.Charge(arch.OpVecCmp, width)
 		kmask := t.L.KeyMask()
 		for i := 0; i < chunk; i++ {
-			if chunkMask.Test(i) && gathered.Lane(gLane, i)&kmask == keys[base+i] {
+			if chunkMask.Test(i) && gathered[i]&kmask == keys[base+i] {
 				match |= 1 << (base + i)
 			}
 		}
@@ -239,6 +241,8 @@ func (t *Table) gatherValues(e *engine.Engine, width, size int, voffs []int, mat
 		vLane = 32
 	}
 	lanesPerGather := width / vLane
+	goffs := intScratch(&t.scratch.goffs, lanesPerGather)
+	gathered := u64Scratch(&t.scratch.glanes, lanesPerGather)
 	for base := 0; base < size; base += lanesPerGather {
 		chunk := lanesPerGather
 		if base+chunk > size {
@@ -248,17 +252,16 @@ func (t *Table) gatherValues(e *engine.Engine, width, size int, voffs []int, mat
 		if chunkMask.None() {
 			continue
 		}
-		goffs := intScratch(&t.scratch.goffs, vec.NumLanes(width, vLane))
 		for i := 0; i < chunk; i++ {
 			if chunkMask.Test(i) {
 				goffs[i] = voffs[base+i]
 			}
 		}
-		gathered := e.Gather(width, vLane, t.Arena, goffs, chunkMask)
+		e.Gather(width, vLane, t.Arena, goffs, chunkMask, gathered)
 		vmask := t.L.ValMask()
 		for i := 0; i < chunk; i++ {
 			if chunkMask.Test(i) {
-				vals[base+i] = gathered.Lane(vLane, i) & vmask
+				vals[base+i] = gathered[i] & vmask
 			}
 		}
 	}

@@ -30,8 +30,9 @@ func BenchmarkGather8Lanes(b *testing.B) {
 	a := mem.NewAddressSpace().Alloc(1 << 16)
 	offs := []int{0, 512, 1024, 1536, 2048, 2560, 3072, 3584}
 	mask := vec.LaneMaskAll(8)
+	dst := make([]uint64, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Gather(256, 32, a, offs, mask)
+		e.Gather(256, 32, a, offs, mask, dst)
 	}
 }

@@ -445,14 +445,17 @@ func (e *Engine) VecHash(bits int) {
 }
 
 // Gather performs a masked gather: for every lane i with mask bit set, lane
-// i of the result is the laneBits-wide value at arena offset offs[i]. It
-// charges the gather issue cost, a per-active-lane cost, and one cache
-// access per *distinct* cache line touched — the property behind
-// Observation ② (wider keys touch more lines per gathered batch).
-func (e *Engine) Gather(bits, laneBits int, a *mem.Arena, offs []int, m vec.Mask) vec.Vec {
+// i of the gathered register is the laneBits-wide value at arena offset
+// offs[i]; inactive lanes are zero. The register's lanes land in
+// dst[:lanes], where the templates compare them, so no register is built
+// only to be taken apart again. It charges the gather issue cost, a
+// per-active-lane cost, and one cache access per *distinct* cache line
+// touched — the property behind Observation ② (wider keys touch more lines
+// per gathered batch).
+func (e *Engine) Gather(bits, laneBits int, a *mem.Arena, offs []int, m vec.Mask, dst []uint64) {
 	lanes := vec.NumLanes(bits, laneBits)
-	if len(offs) != lanes {
-		panic(fmt.Sprintf("engine: gather got %d offsets for %d lanes", len(offs), lanes))
+	if len(offs) != lanes || len(dst) < lanes {
+		panic(fmt.Sprintf("engine: gather got %d offsets and %d destination lanes for %d lanes", len(offs), len(dst), lanes))
 	}
 	if laneBits > e.Arch.GatherMaxLaneBits {
 		panic(fmt.Sprintf("engine: %s gathers support at most %d-bit lanes, got %d",
@@ -463,7 +466,6 @@ func (e *Engine) Gather(bits, laneBits int, a *mem.Arena, offs []int, m vec.Mask
 	prevPhase := e.phase
 	e.phase = PhaseGather
 	e.Charge(arch.OpVecGather, bits)
-	out := vec.Zero(bits)
 	// Distinct-line tracking reuses engine scratch: a gather touches at
 	// most 2 lines per lane, so the fixed buffer always suffices and the
 	// measured loop allocates nothing. Lines are charged at first sight,
@@ -472,6 +474,7 @@ func (e *Engine) Gather(bits, laneBits int, a *mem.Arena, offs []int, m vec.Mask
 	active := 0
 	for i := 0; i < lanes; i++ {
 		if !m.Test(i) {
+			dst[i] = 0
 			continue
 		}
 		active++
@@ -494,13 +497,12 @@ func (e *Engine) Gather(bits, laneBits int, a *mem.Arena, offs []int, m vec.Mask
 				e.chargeGatherLine(line)
 			}
 		}
-		out = out.WithLane(laneBits, i, a.ReadUint(offs[i], laneBits))
+		dst[i] = a.ReadUint(offs[i], laneBits)
 	}
 	if e.charging && e.probe != nil {
 		e.probe.GatherCharged(active, len(seen))
 	}
 	e.phase = prevPhase
-	return out
 }
 
 // chargeGatherLine charges one gathered cache line with memory-level

@@ -132,13 +132,14 @@ func TestGatherFunctionalAndMasked(t *testing.T) {
 		a.Write32(i*100, uint32(i+1))
 	}
 	offs := []int{0, 100, 200, 300, 400, 500, 600, 700}
-	v := e.Gather(256, 32, a, offs, 0b10101010)
+	v := make([]uint64, 8)
+	e.Gather(256, 32, a, offs, 0b10101010, v)
 	for i := 0; i < 8; i++ {
 		want := uint64(0)
 		if i%2 == 1 {
 			want = uint64(i + 1)
 		}
-		if got := v.Lane(32, i); got != want {
+		if got := v[i]; got != want {
 			t.Errorf("gather lane %d = %d, want %d", i, got, want)
 		}
 	}
@@ -151,7 +152,7 @@ func TestGatherChargesDistinctLinesOnce(t *testing.T) {
 	e.Cache.Touch(a.Base(), a.Size())
 	e.ResetCycles()
 	sameLine := []int{0, 4, 8, 12, 16, 20, 24, 28}
-	e.Gather(256, 32, a, sameLine, vec.LaneMaskAll(8))
+	e.Gather(256, 32, a, sameLine, vec.LaneMaskAll(8), make([]uint64, 8))
 	same := e.MemCycles()
 
 	e2 := newEng()
@@ -159,7 +160,7 @@ func TestGatherChargesDistinctLinesOnce(t *testing.T) {
 	e2.Cache.Touch(b.Base(), b.Size())
 	e2.ResetCycles()
 	spread := []int{0, 64, 128, 192, 256, 320, 384, 448}
-	e2.Gather(256, 32, b, spread, vec.LaneMaskAll(8))
+	e2.Gather(256, 32, b, spread, vec.LaneMaskAll(8), make([]uint64, 8))
 	diff := e2.MemCycles()
 
 	if same*4 > diff {
@@ -176,7 +177,7 @@ func TestGatherRejectsWideLanes(t *testing.T) {
 		}
 	}()
 	// 128-bit lanes are not a legal gather element width.
-	e.Gather(256, 128, a, []int{0, 16}, 0b11)
+	e.Gather(256, 128, a, []int{0, 16}, 0b11, make([]uint64, 2))
 }
 
 func TestGatherOverlapVsScalarCost(t *testing.T) {
@@ -184,7 +185,7 @@ func TestGatherOverlapVsScalarCost(t *testing.T) {
 	// the same cold line — the MLP effect.
 	e := newEng()
 	a := mem.NewAddressSpace().Alloc(4096)
-	e.Gather(256, 32, a, []int{0, 64, 128, 192, 256, 320, 384, 448}, vec.LaneMaskAll(8))
+	e.Gather(256, 32, a, []int{0, 64, 128, 192, 256, 320, 384, 448}, vec.LaneMaskAll(8), make([]uint64, 8))
 	gatherMem := e.MemCycles()
 
 	e2 := newEng()
@@ -204,7 +205,7 @@ func TestContentionExcessNotOverlapped(t *testing.T) {
 	ratio := func(cores int) float64 {
 		e := New(arch.SkylakeClusterA(), cores)
 		a := mem.NewAddressSpace().Alloc(4096)
-		e.Gather(256, 32, a, []int{0, 64, 128, 192, 256, 320, 384, 448}, vec.LaneMaskAll(8))
+		e.Gather(256, 32, a, []int{0, 64, 128, 192, 256, 320, 384, 448}, vec.LaneMaskAll(8), make([]uint64, 8))
 		g := e.MemCycles()
 		e2 := New(arch.SkylakeClusterA(), cores)
 		b := mem.NewAddressSpace().Alloc(4096)
@@ -402,7 +403,7 @@ func TestGatherWrongOffsetsPanics(t *testing.T) {
 			t.Error("wrong offset count accepted")
 		}
 	}()
-	e.Gather(256, 32, a, []int{0, 4}, 0b11) // needs 8 offsets
+	e.Gather(256, 32, a, []int{0, 4}, 0b11, make([]uint64, 8)) // needs 8 offsets
 }
 
 // TestCoresAccessor pins what the core count does: it sets the DRAM

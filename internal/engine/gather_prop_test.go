@@ -51,13 +51,17 @@ func TestPropGatherMatchesScalarReads(t *testing.T) {
 					mask = vec.LaneMaskAll(lanes)
 				}
 
-				v := e.Gather(width, laneBits, arena, offs, mask)
+				out := make([]uint64, lanes)
+				for i := range out {
+					out[i] = ^uint64(0) // stale lanes must be overwritten
+				}
+				e.Gather(width, laneBits, arena, offs, mask, out)
 				for i := 0; i < lanes; i++ {
 					want := uint64(0)
 					if mask.Test(i) {
 						want = arena.ReadUint(offs[i], laneBits)
 					}
-					if got := v.Lane(laneBits, i); got != want {
+					if got := out[i]; got != want {
 						t.Fatalf("w=%d lb=%d trial %d lane %d (mask %b): got %#x, want %#x",
 							width, laneBits, trial, i, mask, got, want)
 					}
@@ -90,10 +94,11 @@ func TestPropGatherChargingInvariance(t *testing.T) {
 	charged := New(m, 1)
 	free := New(m, 1)
 	free.SetCharging(false)
-	a := charged.Gather(512, 32, arena, offs, mask)
-	b := free.Gather(512, 32, arena, offs, mask)
+	a, b := make([]uint64, lanes), make([]uint64, lanes)
+	charged.Gather(512, 32, arena, offs, mask, a)
+	free.Gather(512, 32, arena, offs, mask, b)
 	for i := 0; i < lanes; i++ {
-		if a.Lane(32, i) != b.Lane(32, i) {
+		if a[i] != b[i] {
 			t.Fatalf("lane %d differs between charged and uncharged gather", i)
 		}
 	}

@@ -52,7 +52,7 @@ func runProbeWorkload(e *Engine) {
 	for i := range offs {
 		offs[i] = i * 8
 	}
-	e.Gather(256, 32, a, offs, vec.Mask(0xFF))
+	e.Gather(256, 32, a, offs, vec.Mask(0xFF), make([]uint64, len(offs)))
 	e.OverlappedAccess(a.Addr(256), 128)
 }
 

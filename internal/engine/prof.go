@@ -73,7 +73,9 @@ func (e *Engine) SetPhase(ph Phase) Phase {
 // The handle caches below all use prof.Handle zero (the root) as the
 // "unresolved" sentinel: every engine leaf is a descendant of the root, so a
 // cached 0 can only mean "not yet resolved". Resolution allocates tree nodes
-// once per distinct leaf; the steady state is two array indexes.
+// once per distinct leaf; the steady state is two array indexes. Each
+// accessor is split into an inlined cache read and an out-of-line resolve,
+// so an attributed charge costs no extra call once its leaf is known.
 
 func (e *Engine) profPhaseHandle(ph Phase) prof.Handle {
 	h := e.profPhase[ph]
@@ -85,20 +87,28 @@ func (e *Engine) profPhaseHandle(ph Phase) prof.Handle {
 }
 
 func (e *Engine) profOpHandle(c arch.OpClass) prof.Handle {
-	h := e.profOp[e.phase][c]
-	if h == 0 {
-		h = e.prof.Child(e.profPhaseHandle(e.phase), c.String())
-		e.profOp[e.phase][c] = h
+	if h := e.profOp[e.phase][c]; h != 0 {
+		return h
 	}
+	return e.resolveOpHandle(c)
+}
+
+func (e *Engine) resolveOpHandle(c arch.OpClass) prof.Handle {
+	h := e.prof.Child(e.profPhaseHandle(e.phase), c.String())
+	e.profOp[e.phase][c] = h
 	return h
 }
 
 func (e *Engine) profFixedHandle() prof.Handle {
-	h := e.profFixed[e.phase]
-	if h == 0 {
-		h = e.prof.Child(e.profPhaseHandle(e.phase), "fixed")
-		e.profFixed[e.phase] = h
+	if h := e.profFixed[e.phase]; h != 0 {
+		return h
 	}
+	return e.resolveFixedHandle()
+}
+
+func (e *Engine) resolveFixedHandle() prof.Handle {
+	h := e.prof.Child(e.profPhaseHandle(e.phase), "fixed")
+	e.profFixed[e.phase] = h
 	return h
 }
 
@@ -106,11 +116,15 @@ func (e *Engine) profFixedHandle() prof.Handle {
 // served indexes Cache.Levels(), with len(levels) meaning DRAM and
 // len(levels)+1 the prefetched-stream pseudo level.
 func (e *Engine) profMemHandle(served int) prof.Handle {
-	h := e.profMem[e.phase][served]
-	if h == 0 {
-		h = e.prof.Child(e.profPhaseHandle(e.phase), e.memLeafNames[served])
-		e.profMem[e.phase][served] = h
+	if h := e.profMem[e.phase][served]; h != 0 {
+		return h
 	}
+	return e.resolveMemHandle(served)
+}
+
+func (e *Engine) resolveMemHandle(served int) prof.Handle {
+	h := e.prof.Child(e.profPhaseHandle(e.phase), e.memLeafNames[served])
+	e.profMem[e.phase][served] = h
 	return h
 }
 

@@ -91,8 +91,10 @@ func (s *Server) processReplicate(wi int, items []ReplicaItem) (int, float64) {
 // Replace stores (key, value), first deleting any existing version: the
 // index rejects duplicate 32-bit key hashes, so an overwrite must delete
 // the stale reference before reinserting. Returns whether a stale version
-// was replaced. The lookup is functional (uncharged); charged callers bill
-// the equivalent work via the repl* cost constants.
+// was replaced. The lookup runs the index's lookup template on worker 0's
+// engine with charging off: it charges no cycles (charged callers bill the
+// equivalent work via the repl* cost constants), but it still installs the
+// probed lines in that worker's simulated caches.
 func (s *Server) Replace(key, value []byte) (bool, error) {
 	replaced := false
 	e := s.engines[0]

@@ -170,8 +170,10 @@ func (s *Server) Set(key, value []byte) (uint32, error) {
 	return ref, nil
 }
 
-// Get performs a native single-key lookup (uncharged), for functional use
-// and tests.
+// Get looks up one key for functional use and tests. It runs the index's
+// lookup template on worker 0's engine with charging off, so it charges no
+// cycles, but it still installs the probed lines in that worker's simulated
+// caches, which later charged batches on worker 0 see.
 func (s *Server) Get(key []byte) ([]byte, bool) {
 	e := s.engines[0]
 	e.SetCharging(false)

@@ -22,6 +22,15 @@ func laneMismatch() {
 	_ = m
 }
 
+// setLaneMismatch writes a 16-bit lane into a register of 32-bit lanes in
+// place; the in-place form is checked like WithLane.
+func setLaneMismatch() uint64 {
+	v := vec.Set1(256, 32, 1)
+	v.SetLane(16, 0, 7) // want `lane-width mismatch: register of 32-bit lanes passed to 16-bit SetLane`
+	v.SetLane(32, 1, 9)
+	return v.Lane(32, 1)
+}
+
 func mixedWidths() {
 	a := vec.Set1(256, 32, 1)
 	b := vec.Set1(512, 32, 2)

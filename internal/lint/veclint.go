@@ -67,6 +67,7 @@ var vecSpecs = map[string]vecSpec{
 
 	"Vec.Lane":     {bitsArg: -1, laneArg: 0, maskArg: -1, recvOperand: true},
 	"Vec.WithLane": {bitsArg: -1, laneArg: 0, maskArg: -1, recvOperand: true, produces: 'v'},
+	"Vec.SetLane":  {bitsArg: -1, laneArg: 0, maskArg: -1, recvOperand: true},
 	"Vec.ToLanes":  {bitsArg: -1, laneArg: 0, maskArg: -1, recvOperand: true},
 
 	"Engine.Set1":         {bitsArg: 0, laneArg: 1, maskArg: -1, produces: 'v'},
@@ -79,7 +80,7 @@ var vecSpecs = map[string]vecSpec{
 	"Engine.Movemask":     {bitsArg: 0, laneArg: -1, maskArg: -1},
 	"Engine.Reduce":       {bitsArg: 0, laneArg: -1, maskArg: -1},
 	"Engine.VecHash":      {bitsArg: 0, laneArg: -1, maskArg: -1},
-	"Engine.Gather":       {bitsArg: 0, laneArg: 1, maskArg: 4, produces: 'v'},
+	"Engine.Gather":       {bitsArg: 0, laneArg: 1, maskArg: 4},
 	"Engine.Charge":       {bitsArg: 1, laneArg: -1, maskArg: -1, allowScalar: true},
 }
 

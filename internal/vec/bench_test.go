@@ -25,3 +25,31 @@ func BenchmarkMulLo(b *testing.B) {
 		MulLo(32, x, y)
 	}
 }
+
+// sink keeps the benchmarked results live.
+var sink uint64
+
+func BenchmarkLane(b *testing.B) {
+	x := FromLanes(512, 32, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	for i := 0; i < b.N; i++ {
+		sink += x.Lane(32, i&15)
+	}
+}
+
+func BenchmarkWithLane(b *testing.B) {
+	x := Zero(512)
+	for i := 0; i < b.N; i++ {
+		x = x.WithLane(32, i&15, uint64(i))
+	}
+	sink += x.Lane(32, 0)
+}
+
+func BenchmarkFromBytes(b *testing.B) {
+	raw := make([]byte, 64)
+	for i := range raw {
+		raw[i] = byte(i)
+	}
+	for i := 0; i < b.N; i++ {
+		sink += FromBytes(512, raw).Lane(64, i&7)
+	}
+}

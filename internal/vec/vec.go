@@ -8,20 +8,29 @@
 // masks. Cycle accounting lives in internal/engine, which wraps these ops
 // and charges costs from the architecture model.
 //
-// A Vec is a fixed 64-byte (512-bit) buffer plus an active width; narrower
-// registers (128-/256-bit) simply use a prefix of the buffer. Lane widths of
-// 16, 32 and 64 bits are supported, matching the paper's key/payload sizes.
+// A Vec holds 512 bits as eight little-endian 64-bit words plus an active
+// width; narrower registers (128-/256-bit) use the low words and keep the
+// rest zero. Lane widths of 16, 32 and 64 bits are supported, matching the
+// paper's key/payload sizes. Every lane width divides 64, so a lane never
+// straddles two words: lane access is a shift and a mask, a broadcast is
+// one word pattern, and compares and bitwise ops work a word at a time.
 package vec
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // MaxBytes is the widest register size in bytes (AVX-512).
 const MaxBytes = 64
 
-// Vec is a SIMD register of 128, 256 or 512 bits.
+// Vec is a SIMD register of 128, 256 or 512 bits. Byte j of the register is
+// byte j%8 of word j/8, so lane i of laneBits-wide lanes sits at byte offset
+// i*laneBits/8, little-endian, exactly as a vector load from memory sees it.
 type Vec struct {
 	bits int
-	b    [MaxBytes]byte
+	w    [MaxBytes / 8]uint64
 }
 
 // Mask is a per-lane predicate, lane i in bit i (like AVX-512 k-registers).
@@ -48,30 +57,30 @@ func NumLanes(bits, laneBits int) int {
 
 // Lane extracts lane i, interpreting the register as laneBits-wide lanes.
 func (v Vec) Lane(laneBits, i int) uint64 {
-	checkLane(laneBits)
-	n := v.bits / laneBits
-	if i < 0 || i >= n {
-		panic(fmt.Sprintf("vec: lane %d out of %d", i, n))
+	if !validLane(v.bits, laneBits, i) {
+		panic(laneError{v.bits, laneBits, i})
 	}
-	off := i * laneBits / 8
-	var out uint64
-	for b := 0; b < laneBits/8; b++ {
-		out |= uint64(v.b[off+b]) << (8 * b)
-	}
-	return out
+	bit := i * laneBits
+	return v.w[bit>>6] >> (bit & 63) & laneMask(laneBits)
 }
 
-// WithLane returns a copy of v with lane i replaced (laneBits-wide lanes).
+// SetLane replaces lane i (laneBits-wide lanes) in place with the low
+// laneBits of val. Register builders use it to fill a register without
+// copying it once per lane.
+func (v *Vec) SetLane(laneBits, i int, val uint64) {
+	if !validLane(v.bits, laneBits, i) {
+		panic(laneError{v.bits, laneBits, i})
+	}
+	w, sh := i*laneBits>>6, i*laneBits&63
+	v.w[w] ^= (v.w[w] ^ val<<sh) & (^uint64(0) >> (64 - laneBits) << sh)
+}
+
+// WithLane returns a copy of v with lane i replaced (laneBits-wide lanes);
+// it is the value form of SetLane.
+//
+//lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
 func (v Vec) WithLane(laneBits, i int, val uint64) Vec {
-	checkLane(laneBits)
-	n := v.bits / laneBits
-	if i < 0 || i >= n {
-		panic(fmt.Sprintf("vec: lane %d out of %d", i, n))
-	}
-	off := i * laneBits / 8
-	for b := 0; b < laneBits/8; b++ {
-		v.b[off+b] = byte(val >> (8 * b))
-	}
+	v.SetLane(laneBits, i, val)
 	return v
 }
 
@@ -79,8 +88,10 @@ func (v Vec) WithLane(laneBits, i int, val uint64) Vec {
 // (the _mm*_set1_epi* family).
 func Set1(bits, laneBits int, val uint64) Vec {
 	v := Zero(bits)
-	for i := 0; i < bits/laneBits; i++ {
-		v = v.WithLane(laneBits, i, val)
+	checkLane(laneBits)
+	p := broadcastWord(laneBits, val)
+	for j := 0; j < bits/64; j++ {
+		v.w[j] = p
 	}
 	return v
 }
@@ -96,7 +107,7 @@ func FromLanes(bits, laneBits int, vals []uint64) Vec {
 	}
 	v := Zero(bits)
 	for i, val := range vals {
-		v = v.WithLane(laneBits, i, val)
+		v.SetLane(laneBits, i, val)
 	}
 	return v
 }
@@ -109,7 +120,9 @@ func FromBytes(bits int, data []byte) Vec {
 		panic(fmt.Sprintf("vec: FromBytes got %d bytes for a %d-bit register", len(data), bits))
 	}
 	v := Vec{bits: bits}
-	copy(v.b[:], data)
+	for j := range bits / 64 {
+		v.w[j] = binary.LittleEndian.Uint64(data[8*j:])
+	}
 	return v
 }
 
@@ -131,7 +144,9 @@ func (v Vec) ToBytesInto(dst []byte) int {
 	if len(dst) < n {
 		panic(fmt.Sprintf("vec: ToBytesInto needs %d bytes, got %d", n, len(dst)))
 	}
-	copy(dst[:n], v.b[:n])
+	for j := range n / 8 {
+		binary.LittleEndian.PutUint64(dst[8*j:], v.w[j])
+	}
 	return n
 }
 
@@ -162,10 +177,24 @@ func (v Vec) ToLanesInto(laneBits int, dst []uint64) int {
 // lane i of a equals lane i of b (the _mm*_cmpeq_epi* family).
 func CmpEq(laneBits int, a, b Vec) Mask {
 	sameShape(a, b)
+	checkLane(laneBits)
+	lg := bits.TrailingZeros(uint(laneBits)) // log2 of the lane width
+	perWord := 64 >> lg
+	// high has the top bit of every lane set, low the other bits.
+	high := broadcastWord(laneBits, 1<<(laneBits-1))
+	low := ^high
 	var m Mask
-	for i := 0; i < a.bits/laneBits; i++ {
-		if a.Lane(laneBits, i) == b.Lane(laneBits, i) {
-			m |= 1 << i
+	for j := 0; j < a.bits/64; j++ {
+		x := a.w[j] ^ b.w[j]
+		if x == 0 {
+			m |= Mask(1<<perWord-1) << (j * perWord)
+			continue
+		}
+		// A lane's top bit of y is set iff the lane of x is non-zero: its
+		// low bits plus low carry into the top bit but never past it.
+		y := (x&low + low) | x
+		for eq := ^y & high; eq != 0; eq &= eq - 1 {
+			m |= 1 << (j*perWord + bits.TrailingZeros64(eq)>>lg)
 		}
 	}
 	return m
@@ -177,8 +206,8 @@ func CmpEq(laneBits int, a, b Vec) Mask {
 func And(a, b Vec) Vec {
 	sameShape(a, b)
 	out := Vec{bits: a.bits}
-	for i := 0; i < a.bits/8; i++ {
-		out.b[i] = a.b[i] & b.b[i]
+	for j := 0; j < a.bits/64; j++ {
+		out.w[j] = a.w[j] & b.w[j]
 	}
 	return out
 }
@@ -189,9 +218,8 @@ func And(a, b Vec) Vec {
 func Add(laneBits int, a, b Vec) Vec {
 	sameShape(a, b)
 	out := Zero(a.bits)
-	mask := laneMask(laneBits)
 	for i := 0; i < a.bits/laneBits; i++ {
-		out = out.WithLane(laneBits, i, (a.Lane(laneBits, i)+b.Lane(laneBits, i))&mask)
+		out.SetLane(laneBits, i, a.Lane(laneBits, i)+b.Lane(laneBits, i))
 	}
 	return out
 }
@@ -204,9 +232,8 @@ func Add(laneBits int, a, b Vec) Vec {
 func MulLo(laneBits int, a, b Vec) Vec {
 	sameShape(a, b)
 	out := Zero(a.bits)
-	mask := laneMask(laneBits)
 	for i := 0; i < a.bits/laneBits; i++ {
-		out = out.WithLane(laneBits, i, (a.Lane(laneBits, i)*b.Lane(laneBits, i))&mask)
+		out.SetLane(laneBits, i, a.Lane(laneBits, i)*b.Lane(laneBits, i))
 	}
 	return out
 }
@@ -217,7 +244,7 @@ func MulLo(laneBits int, a, b Vec) Vec {
 func ShiftRight(laneBits int, a Vec, n uint) Vec {
 	out := Zero(a.bits)
 	for i := 0; i < a.bits/laneBits; i++ {
-		out = out.WithLane(laneBits, i, a.Lane(laneBits, i)>>n)
+		out.SetLane(laneBits, i, a.Lane(laneBits, i)>>n)
 	}
 	return out
 }
@@ -228,8 +255,8 @@ func ShiftRight(laneBits int, a Vec, n uint) Vec {
 func Xor(a, b Vec) Vec {
 	sameShape(a, b)
 	out := Vec{bits: a.bits}
-	for i := 0; i < a.bits/8; i++ {
-		out.b[i] = a.b[i] ^ b.b[i]
+	for j := 0; j < a.bits/64; j++ {
+		out.w[j] = a.w[j] ^ b.w[j]
 	}
 	return out
 }
@@ -243,9 +270,9 @@ func Blend(laneBits int, mask Mask, a, b Vec) Vec {
 	out := Zero(a.bits)
 	for i := 0; i < a.bits/laneBits; i++ {
 		if mask.Test(i) {
-			out = out.WithLane(laneBits, i, b.Lane(laneBits, i))
+			out.SetLane(laneBits, i, b.Lane(laneBits, i))
 		} else {
-			out = out.WithLane(laneBits, i, a.Lane(laneBits, i))
+			out.SetLane(laneBits, i, a.Lane(laneBits, i))
 		}
 	}
 	return out
@@ -257,25 +284,14 @@ func (m Mask) Test(i int) bool { return m&(1<<i) != 0 }
 // Count returns the number of set bits (population count of the k-mask).
 //
 //lint:ignore reachlint ISA op driven by property tests: the lane-exact reference the vec tests check
-func (m Mask) Count() int {
-	n := 0
-	for v := m; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
+func (m Mask) Count() int { return bits.OnesCount32(uint32(m)) }
 
 // FirstSet returns the lowest set bit index, or -1 when empty.
 func (m Mask) FirstSet() int {
 	if m == 0 {
 		return -1
 	}
-	for i := 0; i < 32; i++ {
-		if m.Test(i) {
-			return i
-		}
-	}
-	return -1
+	return bits.TrailingZeros32(uint32(m))
 }
 
 // None reports whether no bit is set.
@@ -292,12 +308,17 @@ func LaneMaskAll(n int) Mask {
 	return Mask(1<<n) - 1
 }
 
-func laneMask(laneBits int) uint64 {
-	checkLane(laneBits)
-	if laneBits == 64 {
-		return ^uint64(0)
+// laneMask returns the low laneBits set; callers have checked laneBits.
+func laneMask(laneBits int) uint64 { return ^uint64(0) >> (64 - laneBits) }
+
+// broadcastWord returns the 64-bit word whose every laneBits-wide lane holds
+// the low laneBits of val; callers have checked laneBits.
+func broadcastWord(laneBits int, val uint64) uint64 {
+	p := val & laneMask(laneBits)
+	for l := laneBits; l < 64; l *= 2 {
+		p |= p << l
 	}
-	return (1 << laneBits) - 1
+	return p
 }
 
 func checkWidth(bits int) {
@@ -309,11 +330,27 @@ func checkWidth(bits int) {
 }
 
 func checkLane(laneBits int) {
-	switch laneBits {
-	case 16, 32, 64:
-	default:
+	if laneBits != 16 && laneBits != 32 && laneBits != 64 {
 		panic(fmt.Sprintf("vec: unsupported lane width %d bits", laneBits))
 	}
+}
+
+// validLane reports whether laneBits is a legal lane width and lane i of it
+// lies in a bits-wide register.
+func validLane(bits, laneBits, i int) bool {
+	return (laneBits == 16 || laneBits == 32 || laneBits == 64) && uint(i) < uint(bits) && i*laneBits < bits
+}
+
+// laneError is the panic value of a lane access with an illegal lane width
+// or index. Panicking with a value whose message is formatted only when
+// printed keeps Lane and SetLane small enough to inline.
+type laneError struct{ bits, laneBits, i int }
+
+func (e laneError) Error() string {
+	if e.laneBits != 16 && e.laneBits != 32 && e.laneBits != 64 {
+		return fmt.Sprintf("vec: unsupported lane width %d bits", e.laneBits)
+	}
+	return fmt.Sprintf("vec: lane %d out of %d", e.i, e.bits/e.laneBits)
 }
 
 func sameShape(a, b Vec) {
