@@ -71,6 +71,8 @@ func (v *Vec) SetLane(laneBits, i int, val uint64) {
 	if !validLane(v.bits, laneBits, i) {
 		panic(laneError{v.bits, laneBits, i})
 	}
+	// The lane mask is spelled out: a laneMask call would push SetLane past
+	// the inlining budget.
 	w, sh := i*laneBits>>6, i*laneBits&63
 	v.w[w] ^= (v.w[w] ^ val<<sh) & (^uint64(0) >> (64 - laneBits) << sh)
 }
@@ -120,7 +122,7 @@ func FromBytes(bits int, data []byte) Vec {
 		panic(fmt.Sprintf("vec: FromBytes got %d bytes for a %d-bit register", len(data), bits))
 	}
 	v := Vec{bits: bits}
-	for j := range bits / 64 {
+	for j := 0; j < bits/64; j++ {
 		v.w[j] = binary.LittleEndian.Uint64(data[8*j:])
 	}
 	return v
@@ -144,7 +146,7 @@ func (v Vec) ToBytesInto(dst []byte) int {
 	if len(dst) < n {
 		panic(fmt.Sprintf("vec: ToBytesInto needs %d bytes, got %d", n, len(dst)))
 	}
-	for j := range n / 8 {
+	for j := 0; j < n/8; j++ {
 		binary.LittleEndian.PutUint64(dst[8*j:], v.w[j])
 	}
 	return n

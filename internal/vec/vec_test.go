@@ -3,7 +3,16 @@ package vec
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestVecSize pins the register at 72 bytes (eight words plus the width):
+// templates pass registers by value, so a larger Vec costs every op.
+func TestVecSize(t *testing.T) {
+	if got := unsafe.Sizeof(Vec{}); got != 72 {
+		t.Errorf("unsafe.Sizeof(Vec{}) = %d, want 72", got)
+	}
+}
 
 func TestSet1AllLanes(t *testing.T) {
 	for _, bits := range []int{128, 256, 512} {
