@@ -332,7 +332,9 @@ func checkWidth(bits int) {
 }
 
 func checkLane(laneBits int) {
-	if laneBits != 16 && laneBits != 32 && laneBits != 64 {
+	switch laneBits {
+	case 16, 32, 64:
+	default:
 		panic(fmt.Sprintf("vec: unsupported lane width %d bits", laneBits))
 	}
 }
