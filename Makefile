@@ -38,8 +38,9 @@ bench:
 
 # Short native-fuzz pass over the delivery and Multi-Get paths, the cuckoo
 # insert path against its reference search, the vector register against its
-# byte-array reference, and the lint CFG builder (seed corpora under
-# testdata/fuzz/). Bump FUZZTIME for a longer hunt.
+# byte-array reference, the cache hierarchy against its reference LRU, and
+# the lint CFG builder (seed corpora under testdata/fuzz/). Bump FUZZTIME for
+# a longer hunt.
 fuzz-smoke:
 	$(GO) test ./internal/netsim -fuzz FuzzNetsimDeliver -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzMultiGet -fuzztime $(FUZZTIME)
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fault -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cuckoo -run '^$$' -fuzz FuzzInsertMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzVecMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzHierarchyMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzCFGBuild -fuzztime $(FUZZTIME)
 
 clean:

@@ -5,6 +5,7 @@ import (
 	"testing"
 )
 
+// benchHierarchy has Skylake cluster A's geometry (arch.SkylakeClusterA).
 func benchHierarchy() *Hierarchy {
 	return New(200,
 		Config{Name: "L1D", Size: 32 << 10, Assoc: 8, Latency: 4},
@@ -40,5 +41,37 @@ func BenchmarkTouchSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Touch(uint64(i%1024)*64, 64)
+	}
+}
+
+var sinkHierarchy *Hierarchy
+
+// BenchmarkNewHierarchy builds a Skylake-A hierarchy; its B/op is the host
+// footprint of one modelled hierarchy.
+func BenchmarkNewHierarchy(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkHierarchy = benchHierarchy()
+	}
+}
+
+// BenchmarkWarmTable32MB builds a fresh Skylake-A hierarchy and touches a
+// 32 MB table into it, the warm-up an engine gets before each measurement.
+func BenchmarkWarmTable32MB(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkHierarchy = benchHierarchy()
+		sinkHierarchy.Touch(1<<20, 32<<20)
+	}
+}
+
+// BenchmarkAccessRandom32MB charges 8-byte accesses at uniformly random
+// addresses of a 32 MB region, beyond the 27 MB L3: nearly every access
+// misses L1 and L2, and about a sixth go to DRAM once the L3 is full.
+func BenchmarkAccessRandom32MB(b *testing.B) {
+	h := benchHierarchy()
+	x := uint64(1)
+	for i := 0; i < b.N; i++ {
+		x = x*6364136223846793005 + 1442695040888963407 // 64-bit LCG
+		h.Access(1<<20+(x>>39)&^7, 8)                   // top 25 bits: 32 MB
 	}
 }

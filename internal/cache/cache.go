@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"simdhtbench/internal/mem"
 	"simdhtbench/internal/obs"
@@ -41,35 +42,56 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// hotLineNone is the sentinel for an empty per-level hot register; no real
-// line address can equal it (lines are line-aligned, so the low bits of a
-// valid line are zero).
+// maxAssoc is the most ways a level can have: a set's occupancy is one byte.
+const maxAssoc = 255
+
+// tagSpan is the first address a 32-bit line tag cannot hold (256 GiB).
+// Every simulated address comes from a mem.AddressSpace, which starts at
+// 1 MiB, so only a bug reaches it.
+const tagSpan = (1 << 32) * mem.LineSize
+
+// hotLineNone is the sentinel for an empty per-level hot register; no line
+// number can equal it (line numbers are 32-bit).
 const hotLineNone = ^uint64(0)
 
+// lineNumber returns the 32-bit tag of the line holding addr.
+func lineNumber(addr uint64) uint32 {
+	if addr >= tagSpan {
+		panic(fmt.Sprintf("cache: address %#x is at or beyond the 256 GiB a 32-bit line tag covers", addr))
+	}
+	return uint32(addr / mem.LineSize)
+}
+
 // level is one set-associative cache level with LRU replacement. All sets
-// live in one flat tag array — set i occupies tags[i*assoc : i*assoc+used[i]]
-// in recency order (offset 0 = most recently used) — so building a level is
-// two allocations regardless of set count and an access touches one
-// contiguous span. LRU stays a couple of element rotations. Levels whose set
-// count is a power of two index with a mask instead of a modulo.
+// live in one flat array of 32-bit line numbers — set i occupies
+// tags[i*assoc : i*assoc+used[i]] in recency order (offset 0 = most recently
+// used) — so building a level is two allocations regardless of set count and
+// an access touches one contiguous span. An access computes its set once:
+// with a mask when the set count is a power of two, else with a
+// multiply-high remainder, exact for every 32-bit line number.
 type level struct {
 	cfg     Config
-	tags    []uint64 // numSets*assoc line tags, each set MRU first
-	used    []int32  // resident lines per set
+	tags    []uint32 // numSets*assoc line numbers, each set MRU first
+	used    []uint8  // resident lines per set
 	numSets uint64
 	setMask uint64 // numSets-1 when numSets is a power of two, else 0
+	modMul  uint64 // ^uint64(0)/numSets + 1, the remainder's multiplier
 	assoc   int
 	stats   Stats
 
+	// empty holds until the first install; Touch warms an empty level in
+	// bulk.
+	empty bool
+
 	// hotLine short-circuits repeated accesses to the most recently
-	// accessed line: after any access (hit or install) that line is at the
-	// MRU position of its set, so the next access to the same line is a
-	// hit that needs no scan and no reorder.
+	// accessed line number: after any access (hit or install) that line is
+	// at the MRU position of its set, so the next access to the same line
+	// is a hit that needs no scan and no reorder.
 	hotLine uint64
 }
 
 func newLevel(cfg Config) *level {
-	if cfg.Size <= 0 || cfg.Assoc <= 0 {
+	if cfg.Size <= 0 || cfg.Assoc <= 0 || cfg.Assoc > maxAssoc {
 		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
 	}
 	lines := cfg.Size / mem.LineSize
@@ -79,10 +101,12 @@ func newLevel(cfg Config) *level {
 	}
 	l := &level{
 		cfg:     cfg,
-		tags:    make([]uint64, numSets*cfg.Assoc),
-		used:    make([]int32, numSets),
+		tags:    make([]uint32, numSets*cfg.Assoc),
+		used:    make([]uint8, numSets),
 		numSets: uint64(numSets),
+		modMul:  ^uint64(0)/uint64(numSets) + 1,
 		assoc:   cfg.Assoc,
+		empty:   true,
 		hotLine: hotLineNone,
 	}
 	if numSets&(numSets-1) == 0 {
@@ -91,62 +115,87 @@ func newLevel(cfg Config) *level {
 	return l
 }
 
-// setIndex maps a line address to its set.
-func (l *level) setIndex(line uint64) uint64 {
-	idx := line / mem.LineSize
+// setIndex maps a line number to its set: num % numSets, computed as
+// hi64((modMul·num mod 2^64) · numSets) when numSets is not a power of two.
+// With a 64-bit multiplier that remainder is exact for every 32-bit
+// numerator and divisor (Lemire, Kaser and Kurz, "Faster Remainder by
+// Direct Computation", 2019).
+func (l *level) setIndex(num uint32) uint64 {
 	if l.setMask != 0 {
-		return idx & l.setMask
+		return uint64(num) & l.setMask
 	}
-	return idx % l.numSets
+	hi, _ := bits.Mul64(l.modMul*uint64(num), l.numSets)
+	return hi
 }
 
-// access looks up a line address; on miss the line is installed, possibly
-// evicting the LRU way. Returns whether it hit and whether the install
-// evicted a resident line.
-func (l *level) access(line uint64) (hit, evicted bool) {
-	if line == l.hotLine {
+// access looks up a line number; on miss the line is installed in the same
+// set, possibly evicting the LRU way. Returns whether it hit and whether the
+// install evicted a resident line.
+func (l *level) access(num uint32) (hit, evicted bool) {
+	if uint64(num) == l.hotLine {
 		// The previous access left this line at its set's MRU position;
 		// nothing to scan or reorder.
 		l.stats.Hits++
 		return true, false
 	}
-	setIdx := l.setIndex(line)
-	base := setIdx * uint64(l.assoc)
-	set := l.tags[base : base+uint64(l.used[setIdx])]
-	for i, tag := range set {
-		if tag == line {
-			// Move to front (MRU).
-			copy(set[1:i+1], set[:i])
-			set[0] = line
-			l.stats.Hits++
-			l.hotLine = line
-			return true, false
-		}
+	l.hotLine = uint64(num)
+	s := l.setIndex(num)
+	set := l.tags[s*uint64(l.assoc):][:l.assoc]
+	live := set[:l.used[s]]
+	i := 0
+	for i < len(live) && live[i] != num {
+		i++
 	}
-	l.stats.Misses++
-	return false, l.install(line)
-}
-
-// install places a line at MRU, reporting whether the set was full and the
-// LRU way was evicted to make room.
-func (l *level) install(line uint64) (evicted bool) {
-	setIdx := l.setIndex(line)
-	base := setIdx * uint64(l.assoc)
-	n := int(l.used[setIdx])
-	if n < l.assoc {
-		l.used[setIdx] = int32(n + 1)
-		n++
-	} else {
+	switch {
+	case i < len(live):
+		l.stats.Hits++
+		hit = true
+	case len(live) < len(set):
+		l.stats.Misses++
+		l.used[s]++
+		l.empty = false
+	default:
+		l.stats.Misses++
+		i-- // the LRU way makes room
 		evicted = true
 	}
-	set := l.tags[base : base+uint64(n)]
-	copy(set[1:], set)
-	set[0] = line
-	l.hotLine = line
-	return evicted
+	// Shift the ways ahead of slot i back by one and put num at MRU.
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = num
+	return hit, evicted
 }
 
-// Hierarchy is an inclusive multi-level cache backed by DRAM.
+// bulkTouch installs the n > 0 consecutive line numbers from first, in order,
+// into an empty level, with the stats and end state of n accesses. Every
+// line misses, since the lines are distinct and the level starts empty.
+// Within any assoc·numSets consecutive lines each set receives exactly assoc
+// of them, so only the last min(n, assoc·numSets) survive: walking back from
+// the last line, each one goes straight to the next free slot of its set,
+// which is its final recency position.
+func (l *level) bulkTouch(first uint32, n int) {
+	l.stats.Misses += uint64(n)
+	keep := min(n, len(l.tags))
+	num := first + uint32(n-1)
+	l.hotLine = uint64(num)
+	s := l.setIndex(num)
+	for k := 0; k < keep; k++ {
+		l.tags[s*uint64(l.assoc)+uint64(l.used[s])] = num
+		l.used[s]++
+		num--
+		if s == 0 {
+			s = l.numSets
+		}
+		s--
+	}
+	l.empty = false
+}
+
+// Hierarchy is a multi-level cache backed by DRAM. Its levels are
+// independent: a miss installs the line in every level it probed, and no
+// level ever back-invalidates another (an L3 eviction leaves the line in L1
+// and L2), so no level's state depends on another's.
 type Hierarchy struct {
 	levels      []*level
 	dramLatency float64
@@ -156,8 +205,8 @@ type Hierarchy struct {
 	// node probe a shared table (full-subscription mode in the paper).
 	DRAMPenalty float64
 	// Probe, when non-nil, observes charged accesses level by level (obs
-	// layer). Touch — the uncharged warm-up path — stays silent so probes
-	// see only measured traffic.
+	// layer). Touch stays silent, so probes see only latency-charged
+	// traffic.
 	Probe obs.CacheProbe
 }
 
@@ -193,7 +242,7 @@ func (h *Hierarchy) Access(addr uint64, size int) float64 {
 // identical order — so profiled and unprofiled runs charge bit-identical
 // latencies.
 func (h *Hierarchy) AccessLineServed(line uint64) (cycles float64, served int) {
-	c, _, s := h.accessLineServed(mem.LineOf(line))
+	c, _, s := h.accessLineServed(line)
 	return c, s
 }
 
@@ -204,14 +253,15 @@ func (h *Hierarchy) AccessLineServed(line uint64) (cycles float64, served int) {
 // uncontended latency behind memory-level parallelism but cannot hide
 // bandwidth saturation, so the engine scales only the non-excess part.
 func (h *Hierarchy) AccessLineDetailServed(line uint64) (cycles, contentionExcess float64, served int) {
-	return h.accessLineServed(mem.LineOf(line))
+	return h.accessLineServed(line)
 }
 
-func (h *Hierarchy) accessLineServed(line uint64) (float64, float64, int) {
+func (h *Hierarchy) accessLineServed(addr uint64) (float64, float64, int) {
+	num := lineNumber(addr)
 	var cycles float64
 	for i, l := range h.levels {
 		cycles += l.cfg.Latency
-		hit, evicted := l.access(line)
+		hit, evicted := l.access(num)
 		if h.Probe != nil {
 			h.Probe.LevelAccess(l.cfg.Name, hit)
 			if evicted {
@@ -229,16 +279,29 @@ func (h *Hierarchy) accessLineServed(line uint64) (float64, float64, int) {
 	return cycles + h.dramLatency*h.DRAMPenalty, h.dramLatency * (h.DRAMPenalty - 1), len(h.levels)
 }
 
-// Touch installs a line in every level without charging latency. The
-// performance engine uses it to warm caches before a measured run, mirroring
-// the paper's discarded warm-up iterations.
+// Touch accesses every line of [addr, addr+size) in every level, installing
+// the ones that miss, without charging latency or firing the probe. Hits and
+// misses count in the level stats; DRAMAccesses does not move. It warms
+// caches before a measured run (the paper's discarded warm-up iterations),
+// and it is the path of every uncharged access and of the charged stream
+// accesses, whose cost the engine bills itself.
+//
+// Because the levels are independent, Touch walks one level at a time. A
+// level nothing has been installed in takes a range of more than one line
+// in bulk, in O(level capacity) rather than O(range).
 func (h *Hierarchy) Touch(addr uint64, size int) {
-	first := mem.LineOf(addr)
-	n := mem.LinesTouched(addr, size)
-	for i := 0; i < n; i++ {
-		line := first + uint64(i)*mem.LineSize
-		for _, l := range h.levels {
-			l.access(line) // warm-up install: stats reset later, probe not fired
+	if size <= 0 {
+		return
+	}
+	first, last := lineNumber(addr), lineNumber(addr+uint64(size-1))
+	n := int(last-first) + 1
+	for _, l := range h.levels {
+		if n > 1 && l.empty {
+			l.bulkTouch(first, n)
+			continue
+		}
+		for i := 0; i < n; i++ {
+			l.access(first + uint32(i))
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package cache
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"simdhtbench/internal/arch"
 	"simdhtbench/internal/mem"
 )
 
@@ -179,4 +183,88 @@ func TestLevels(t *testing.T) {
 	if _, ok := h.LevelStats("L9"); ok {
 		t.Error("LevelStats should report missing levels")
 	}
+}
+
+// TestSetIndexMatchesModulo checks the division-free set index against
+// num % numSets on every level of every arch model (the Skylake and Cascade
+// Lake L3s have 40,215, 28,299 and 49,152 sets) plus a one-set and a
+// direct-mapped level, at the edges of the set count and of the 32-bit line
+// range and at random line numbers.
+func TestSetIndexMatchesModulo(t *testing.T) {
+	cfgs := []Config{
+		{Name: "one-set", Size: 4 * mem.LineSize, Assoc: 4},
+		{Name: "direct", Size: 37 * mem.LineSize, Assoc: 1},
+	}
+	for _, m := range []*arch.Model{arch.SkylakeClusterA(), arch.SkylakeClusterB(), arch.CascadeLake(), arch.IceLake(), arch.Zen2()} {
+		for _, c := range m.Caches {
+			cfgs = append(cfgs, Config{Name: m.Name + " " + c.Name, Size: c.Size, Assoc: c.Assoc})
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, cfg := range cfgs {
+		l := newLevel(cfg)
+		s := uint32(l.numSets)
+		nums := []uint32{0, 1, s - 1, s, s + 1, math.MaxUint32}
+		for i := 0; i < 10000; i++ {
+			nums = append(nums, rng.Uint32())
+		}
+		for _, num := range nums {
+			if got, want := l.setIndex(num), uint64(num)%l.numSets; got != want {
+				t.Fatalf("%s (%d sets): setIndex(%d) = %d, want %d", cfg.Name, l.numSets, num, got, want)
+			}
+		}
+	}
+}
+
+// mustPanic runs f and returns the message it panicked with.
+func mustPanic(t *testing.T, what string, f func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s: no panic", what)
+		}
+		msg = fmt.Sprint(r)
+	}()
+	f()
+	return ""
+}
+
+// TestAddressBeyondTagRangePanics: a 32-bit line tag covers addresses below
+// 256 GiB. The last line below it is an ordinary access; every entry point
+// panics, naming the bound, on an address at or beyond it, including a
+// Touch or Access range whose last byte crosses it.
+func TestAddressBeyondTagRangePanics(t *testing.T) {
+	const top = 256 << 30
+	h := tiny()
+	if lat := h.Access(top-mem.LineSize, 8); lat != 4+12+100 {
+		t.Fatalf("last line below 256 GiB: latency %v, want a cold miss", lat)
+	}
+	for what, f := range map[string]func(){
+		"Access":                 func() { h.Access(top, 8) },
+		"Access crossing":        func() { h.Access(top-8, 16) },
+		"AccessLineServed":       func() { h.AccessLineServed(top + 1<<30) },
+		"AccessLineDetailServed": func() { h.AccessLineDetailServed(math.MaxUint64) },
+		"Touch":                  func() { h.Touch(top, 1) },
+		"Touch crossing":         func() { h.Touch(top-mem.LineSize, 2*mem.LineSize) },
+	} {
+		if msg := mustPanic(t, what, f); !strings.Contains(msg, "256 GiB") {
+			t.Errorf("%s panicked with %q, want it to name the 256 GiB bound", what, msg)
+		}
+	}
+}
+
+// TestNewRejectsInvalidConfig: a level needs a positive size and 1–255 ways
+// (a set's occupancy is one byte).
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "L1D", Size: 0, Assoc: 8},
+		{Name: "L1D", Size: 32 << 10, Assoc: 0},
+		{Name: "L1D", Size: 32 << 20, Assoc: 256},
+	} {
+		if msg := mustPanic(t, fmt.Sprintf("%+v", cfg), func() { New(100, cfg) }); !strings.Contains(msg, "invalid config") {
+			t.Errorf("%+v panicked with %q", cfg, msg)
+		}
+	}
+	New(100, Config{Name: "L1D", Size: 32 << 20, Assoc: 255})
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -18,6 +20,7 @@ type refLevel struct {
 	assoc   int
 	hits    uint64
 	misses  uint64
+	last    uint64 // line number of the latest access, or hotLineNone
 }
 
 func newRefLevel(cfg Config) *refLevel {
@@ -26,10 +29,11 @@ func newRefLevel(cfg Config) *refLevel {
 	if numSets == 0 {
 		numSets = 1
 	}
-	return &refLevel{sets: make([][]uint64, numSets), numSets: uint64(numSets), assoc: cfg.Assoc}
+	return &refLevel{sets: make([][]uint64, numSets), numSets: uint64(numSets), assoc: cfg.Assoc, last: hotLineNone}
 }
 
 func (r *refLevel) access(line uint64) (hit, evicted bool) {
+	r.last = line / mem.LineSize
 	idx := (line / mem.LineSize) % r.numSets
 	set := r.sets[idx]
 	for i, tag := range set {
@@ -79,7 +83,7 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 					line = uint64(rng.Intn(lines)) * mem.LineSize
 				}
 				prev = line
-				h1, e1 := fast.access(line)
+				h1, e1 := fast.access(uint32(line / mem.LineSize))
 				h2, e2 := ref.access(line)
 				if h1 != h2 || e1 != e2 {
 					t.Fatalf("%s step %d line %#x: fast (hit=%v evicted=%v) vs ref (hit=%v evicted=%v)",
@@ -90,19 +94,210 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 				t.Fatalf("%s stats: fast %d/%d vs ref %d/%d",
 					cfg.Name, fast.stats.Hits, fast.stats.Misses, ref.hits, ref.misses)
 			}
-			// Resident contents must agree set by set, in LRU order.
-			for s := uint64(0); s < fast.numSets; s++ {
-				got := fast.tags[s*uint64(fast.assoc) : s*uint64(fast.assoc)+uint64(fast.used[s])]
-				want := ref.sets[s]
-				if len(got) != len(want) {
-					t.Fatalf("%s set %d: %d resident vs %d", cfg.Name, s, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s set %d way %d: %#x vs %#x", cfg.Name, s, i, got[i], want[i])
-					}
-				}
+			if err := sameContents(fast, ref); err != nil {
+				t.Fatalf("%s: %v", cfg.Name, err)
 			}
 		})
+	}
+}
+
+// sameContents compares a level's resident lines with the reference's set
+// by set, in LRU order, as 32-bit line tags.
+func sameContents(fast *level, ref *refLevel) error {
+	for s := uint64(0); s < fast.numSets; s++ {
+		got := fast.tags[s*uint64(fast.assoc) : s*uint64(fast.assoc)+uint64(fast.used[s])]
+		want := ref.sets[s]
+		if len(got) != len(want) {
+			return fmt.Errorf("set %d: %d resident vs %d", s, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != uint32(want[i]/mem.LineSize) {
+				return fmt.Errorf("set %d way %d: tag %#x vs %#x", s, i, got[i], want[i]/mem.LineSize)
+			}
+		}
+	}
+	return nil
+}
+
+// refHierarchy runs refLevels the way Hierarchy runs its levels: a charged
+// access probes them in order until one hits and then goes to DRAM, and
+// Touch accesses every level line by line.
+type refHierarchy struct {
+	cfgs        []Config
+	levels      []*refLevel
+	dramLatency float64
+	penalty     float64
+	dram        uint64
+}
+
+// access charges one line and returns its latency, contention excess and
+// serving level, with the probe events Hierarchy must fire for it.
+func (r *refHierarchy) access(line uint64) (cycles, excess float64, served int, events []string) {
+	for i, l := range r.levels {
+		cycles += r.cfgs[i].Latency
+		hit, evicted := l.access(line)
+		events = append(events, fmt.Sprintf("%s:%v", r.cfgs[i].Name, hit))
+		if evicted {
+			events = append(events, "evict:"+r.cfgs[i].Name)
+		}
+		if hit {
+			return cycles, 0, i, events
+		}
+	}
+	r.dram++
+	events = append(events, "DRAM:true")
+	return cycles + r.dramLatency*r.penalty, r.dramLatency * (r.penalty - 1), len(r.levels), events
+}
+
+func (r *refHierarchy) touch(first uint64, n int) {
+	for i := 0; i < n; i++ {
+		for _, l := range r.levels {
+			l.access(first + uint64(i)*mem.LineSize)
+		}
+	}
+}
+
+// recProbe records the probe events of a charged access.
+type recProbe struct{ events []string }
+
+func (p *recProbe) LevelAccess(level string, hit bool) {
+	p.events = append(p.events, fmt.Sprintf("%s:%v", level, hit))
+}
+
+func (p *recProbe) Eviction(level string) { p.events = append(p.events, "evict:"+level) }
+
+// take returns the events recorded since the last call.
+func (p *recProbe) take() []string {
+	ev := p.events
+	p.events = nil
+	return ev
+}
+
+type progReader struct{ data []byte }
+
+func (r *progReader) done() bool { return len(r.data) == 0 }
+
+func (r *progReader) byte() byte {
+	if len(r.data) == 0 {
+		return 0
+	}
+	b := r.data[0]
+	r.data = r.data[1:]
+	return b
+}
+
+func (r *progReader) u16() int {
+	return int(r.byte()) | int(r.byte())<<8
+}
+
+// fuzzSetCounts are the set counts a fuzzed level picks from: a single set,
+// powers of two, and counts the multiply-high remainder serves.
+var fuzzSetCounts = []int{1, 2, 4, 16, 64, 3, 5, 7, 37, 100}
+
+// FuzzHierarchyMatchesReference builds a random geometry of one to three
+// levels (1–20 ways, set counts from fuzzSetCounts) and runs a random
+// program on it and on a refHierarchy: Access, AccessLineServed,
+// AccessLineDetailServed, Touch ranges up to three times the largest
+// level's capacity — on empty levels when the program starts with one — and
+// ResetStats. Lines come from a window of four capacities placed at the
+// bottom of the tag range, at 1 MiB, or at its top. Every step must agree
+// on latency, contention excess, serving level and probe events (evictions
+// included); at the end the per-level stats, DRAMAccesses, hot registers,
+// empty flags and the contents of every set must agree.
+func FuzzHierarchyMatchesReference(f *testing.F) {
+	f.Add([]byte{2, 7, 3, 4, 1, 9, 30, 0, 1, 3, 0, 0, 1, 200, 0, 0, 5, 0, 0, 0, 1, 40, 0, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		r := &progReader{data: prog}
+		ref := &refHierarchy{}
+		capLines := 0
+		for i := 1 + int(r.byte()%3); i > 0; i-- {
+			assoc := 1 + int(r.byte()%20)
+			sets := fuzzSetCounts[int(r.byte())%len(fuzzSetCounts)]
+			cfg := Config{Name: fmt.Sprintf("L%d", len(ref.cfgs)+1), Size: sets * assoc * mem.LineSize, Assoc: assoc, Latency: float64(1 + r.byte()%50)}
+			ref.cfgs = append(ref.cfgs, cfg)
+			ref.levels = append(ref.levels, newRefLevel(cfg))
+			capLines = max(capLines, sets*assoc)
+		}
+		ref.dramLatency = float64(100 + int(r.byte()))
+		ref.penalty = 1 + float64(r.byte()%4)/4
+		h := New(ref.dramLatency, ref.cfgs...)
+		h.DRAMPenalty = ref.penalty
+		probe := &recProbe{}
+		h.Probe = probe
+
+		const tagLines = uint64(math.MaxUint32) + 1
+		window := uint64(4*capLines + 8)
+		base := [...]uint64{0, (1 << 20) / mem.LineSize, tagLines - window}[r.byte()%3]
+		for step := 0; !r.done() && step < 256; step++ {
+			op := r.byte() % 6
+			line := base + uint64(r.u16())%window
+			addr := line*mem.LineSize + uint64(r.byte()%mem.LineSize)
+			switch op {
+			case 0: // Access of 1–256 bytes, clipped at the tag range
+				size := int(min(1+uint64(r.byte()), tagSpan-addr))
+				got := h.Access(addr, size)
+				var want float64
+				var events []string
+				for i, n := 0, mem.LinesTouched(addr, size); i < n; i++ {
+					c, _, _, ev := ref.access(mem.LineOf(addr) + uint64(i)*mem.LineSize)
+					want += c
+					events = append(events, ev...)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d: Access(%#x, %d) = %v, reference %v", step, addr, size, got, want)
+				}
+				checkEvents(t, step, probe.take(), events)
+			case 1, 2:
+				wantC, wantX, wantS, events := ref.access(line * mem.LineSize)
+				var gotC, gotX float64
+				var gotS int
+				if op == 1 {
+					gotC, gotS = h.AccessLineServed(addr)
+				} else {
+					gotC, gotX, gotS = h.AccessLineDetailServed(addr)
+				}
+				if math.Float64bits(gotC) != math.Float64bits(wantC) || gotS != wantS ||
+					(op == 2 && math.Float64bits(gotX) != math.Float64bits(wantX)) {
+					t.Fatalf("step %d op %d line %#x: (%v, %v, %d), reference (%v, %v, %d)",
+						step, op, line, gotC, gotX, gotS, wantC, wantX, wantS)
+				}
+				checkEvents(t, step, probe.take(), events)
+			case 3, 4: // Touch of up to three capacities, clipped at the tag range
+				n := 1 + r.u16()%(3*capLines)
+				n = int(min(uint64(n), tagLines-line))
+				h.Touch(addr, (n-1)*mem.LineSize+1)
+				ref.touch(line*mem.LineSize, n)
+				checkEvents(t, step, probe.take(), nil)
+			case 5:
+				h.ResetStats()
+				ref.dram = 0
+				for _, l := range ref.levels {
+					l.hits, l.misses = 0, 0
+				}
+			}
+		}
+
+		if h.DRAMAccesses() != ref.dram {
+			t.Fatalf("DRAMAccesses = %d, reference %d", h.DRAMAccesses(), ref.dram)
+		}
+		for i, l := range h.levels {
+			rl := ref.levels[i]
+			if st, _ := h.LevelStats(ref.cfgs[i].Name); st.Hits != rl.hits || st.Misses != rl.misses {
+				t.Fatalf("%s stats %d/%d, reference %d/%d", ref.cfgs[i].Name, st.Hits, st.Misses, rl.hits, rl.misses)
+			}
+			if l.hotLine != rl.last || l.empty != (rl.last == hotLineNone) {
+				t.Fatalf("%s hot register %#x empty=%v, reference last line %#x", ref.cfgs[i].Name, l.hotLine, l.empty, rl.last)
+			}
+			if err := sameContents(l, rl); err != nil {
+				t.Fatalf("%s: %v", ref.cfgs[i].Name, err)
+			}
+		}
+	})
+}
+
+func checkEvents(t *testing.T, step int, got, want []string) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("step %d: probe events %v, reference %v", step, got, want)
 	}
 }

@@ -241,12 +241,6 @@ func (e *Engine) MemAccess(addr uint64, size int) {
 	e.chargeMem(addr, size)
 }
 
-// Warm installs [addr, addr+size) into the caches without charging — the
-// warm-up primitive used to establish steady state before measurement.
-func (e *Engine) Warm(addr uint64, size int) {
-	e.Cache.Touch(addr, size)
-}
-
 // OverlappedAccess charges an access whose latency overlaps with independent
 // neighbours — e.g. the full-key verifications of a Multi-Get batch, where
 // the out-of-order window runs many independent item loads concurrently. As

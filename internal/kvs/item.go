@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 
+	"simdhtbench/internal/cache"
 	"simdhtbench/internal/mem"
 )
 
@@ -207,10 +208,10 @@ func (s *ItemStore) TouchLRU(ref uint32) {
 	s.lruPushFront(int32(ref))
 }
 
-// WarmHot installs up to maxBytes of item chunks into the engine's caches,
+// WarmHot installs up to maxBytes of item chunks into a cache hierarchy,
 // walking items in insertion order (the Multi-Get generators make low
 // ordinals hottest, as memslap/mutilate key generation does).
-func (s *ItemStore) WarmHot(e interface{ Warm(addr uint64, size int) }, maxBytes int) {
+func (s *ItemStore) WarmHot(h *cache.Hierarchy, maxBytes int) {
 	warmed := 0
 	for i := range s.items {
 		it := &s.items[i]
@@ -218,7 +219,7 @@ func (s *ItemStore) WarmHot(e interface{ Warm(addr uint64, size int) }, maxBytes
 			continue
 		}
 		sz := slabClassSizes[it.class]
-		e.Warm(it.addr, sz)
+		h.Touch(it.addr, sz)
 		warmed += sz
 		if warmed >= maxBytes {
 			return

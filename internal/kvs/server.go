@@ -354,7 +354,7 @@ func (s *Server) WarmCaches() {
 	hotBudget := (s.Arch.LastLevelCacheSize() * 3) / 4
 	for _, e := range s.engines {
 		s.Index.Warm(e)
-		s.Store.WarmHot(e, hotBudget)
+		s.Store.WarmHot(e.Cache, hotBudget)
 	}
 }
 
