@@ -36,11 +36,14 @@ bench:
 			--out .bench_build/results/$$w.json || exit 1; \
 	done
 
-# Short native-fuzz pass over the delivery and Multi-Get paths, the cuckoo
-# insert path against its reference search, the vector register against its
-# byte-array reference, the cache hierarchy against its reference LRU, and
-# the lint CFG builder (seed corpora under testdata/fuzz/). Bump FUZZTIME for
-# a longer hunt.
+# Short native-fuzz pass, one run per fuzzer: FuzzNetsimDeliver (message
+# delivery), FuzzMultiGet (the Multi-Get path), FuzzRingMembership (ring
+# Join/Leave histories and hash-keyed lookups), FuzzParseSpec (fault specs),
+# FuzzInsertMatchesReference (the cuckoo insert path against its reference
+# search), FuzzVecMatchesReference (the vector register against its
+# byte-array reference), FuzzHierarchyMatchesReference (the cache hierarchy
+# against its reference LRU) and FuzzCFGBuild (the lint CFG builder). Seed
+# corpora live under testdata/fuzz/. Bump FUZZTIME for a longer hunt.
 fuzz-smoke:
 	$(GO) test ./internal/netsim -fuzz FuzzNetsimDeliver -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzMultiGet -fuzztime $(FUZZTIME)

@@ -306,6 +306,43 @@ func (h *Hierarchy) Touch(addr uint64, size int) {
 	}
 }
 
+// Pristine reports whether the hierarchy is as New built it: nothing has
+// been installed in any level and no access went to DRAM.
+func (h *Hierarchy) Pristine() bool {
+	if h.dramAccess != 0 {
+		return false
+	}
+	for _, l := range h.levels {
+		if !l.empty {
+			return false
+		}
+	}
+	return true
+}
+
+// CopyFrom makes h's simulated state equal src's, whatever h held before:
+// each level's resident lines and their recency order, its stats, its
+// empty flag and its hot-line register, plus the DRAM access count. Every
+// later access then behaves on h exactly as it would on src. The DRAM
+// latency, DRAMPenalty and Probe stay h's own. It panics unless both
+// hierarchies have the same level configs, since only a bug pairs
+// different geometries.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	if len(h.levels) != len(src.levels) {
+		panic(fmt.Sprintf("cache: CopyFrom between hierarchies of %d and %d levels", len(h.levels), len(src.levels)))
+	}
+	for i, l := range h.levels {
+		s := src.levels[i]
+		if l.cfg != s.cfg {
+			panic(fmt.Sprintf("cache: CopyFrom between levels %+v and %+v", l.cfg, s.cfg))
+		}
+		copy(l.tags, s.tags)
+		copy(l.used, s.used)
+		l.stats, l.empty, l.hotLine = s.stats, s.empty, s.hotLine
+	}
+	h.dramAccess = src.dramAccess
+}
+
 // ResetStats clears statistics but keeps resident lines, so a measured run
 // can follow a warm-up without refilling the caches.
 func (h *Hierarchy) ResetStats() {

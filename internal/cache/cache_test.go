@@ -268,3 +268,126 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 	New(100, Config{Name: "L1D", Size: 32 << 20, Assoc: 255})
 }
+
+// copyGeometry is a three-level hierarchy with power-of-two and
+// multiply-high set counts (8, 5 and 37 sets).
+func copyGeometry() *Hierarchy {
+	return New(100,
+		Config{Name: "L1D", Size: 8 * 2 * mem.LineSize, Assoc: 2, Latency: 4},
+		Config{Name: "L2", Size: 5 * 4 * mem.LineSize, Assoc: 4, Latency: 12},
+		Config{Name: "L3", Size: 37 * 8 * mem.LineSize, Assoc: 8, Latency: 40},
+	)
+}
+
+// runProgram drives h with n random steps over lines [base, base+window):
+// charged line and range accesses, Touch ranges up to twice the L3's
+// capacity (in bulk while a level is empty) and an occasional ResetStats.
+// It returns every charged latency and serving level in order.
+func runProgram(h *Hierarchy, rng *rand.Rand, base, window uint64, n int) []float64 {
+	var out []float64
+	for i := 0; i < n; i++ {
+		addr := (base+uint64(rng.Int63n(int64(window))))*mem.LineSize + uint64(rng.Intn(mem.LineSize))
+		switch op := rng.Intn(10); {
+		case op < 5:
+			c, s := h.AccessLineServed(addr)
+			out = append(out, c, float64(s))
+		case op < 7:
+			out = append(out, h.Access(addr, 1+rng.Intn(200)))
+		case op < 9:
+			h.Touch(addr, 1+rng.Intn(2*37*8*mem.LineSize))
+		default:
+			h.ResetStats()
+		}
+	}
+	return out
+}
+
+// sameState compares two hierarchies' simulated state: per level the
+// resident lines of every set in recency order, the stats, the empty flag
+// and the hot register, plus the DRAM count.
+func sameState(got, want *Hierarchy) error {
+	if got.dramAccess != want.dramAccess {
+		return fmt.Errorf("DRAMAccesses %d, want %d", got.dramAccess, want.dramAccess)
+	}
+	for i, g := range got.levels {
+		w := want.levels[i]
+		if g.stats != w.stats || g.empty != w.empty || g.hotLine != w.hotLine {
+			return fmt.Errorf("%s: stats %+v empty=%v hot %#x, want %+v empty=%v hot %#x",
+				g.cfg.Name, g.stats, g.empty, g.hotLine, w.stats, w.empty, w.hotLine)
+		}
+		for s := uint64(0); s < g.numSets; s++ {
+			gl := g.tags[s*uint64(g.assoc):][:g.used[s]]
+			wl := w.tags[s*uint64(w.assoc):][:w.used[s]]
+			if fmt.Sprint(gl) != fmt.Sprint(wl) {
+				return fmt.Errorf("%s set %d: lines %v, want %v", g.cfg.Name, s, gl, wl)
+			}
+		}
+	}
+	return nil
+}
+
+// TestCopyFromMatchesReplay: a hierarchy that copies another's state ends
+// in the state a replay of the source's program reaches, and behaves like
+// that replay from then on. The destination is either pristine or has run
+// its own program over other lines first, so a stale hot register or a
+// stale set would show: the follow-up program starts with the lines the
+// destination's own program left hot.
+func TestCopyFromMatchesReplay(t *testing.T) {
+	const window = 3 * 37 * 8
+	for trial := int64(0); trial < 20; trial++ {
+		src, replay, dst := copyGeometry(), copyGeometry(), copyGeometry()
+		if !dst.Pristine() {
+			t.Fatal("a new hierarchy is not pristine")
+		}
+		steps := int(trial) * 10
+		runProgram(src, rand.New(rand.NewSource(trial)), 1<<14, window, steps)
+		runProgram(replay, rand.New(rand.NewSource(trial)), 1<<14, window, steps)
+		if trial%2 == 1 {
+			runProgram(dst, rand.New(rand.NewSource(trial+100)), 1<<16, window, 50)
+		}
+		var stale []uint64
+		for _, l := range dst.levels {
+			if l.hotLine != hotLineNone {
+				stale = append(stale, l.hotLine*mem.LineSize)
+			}
+		}
+		dst.CopyFrom(src)
+		if err := sameState(dst, replay); err != nil {
+			t.Fatalf("trial %d: after CopyFrom: %v", trial, err)
+		}
+		if dst.Pristine() != (steps == 0) || src.Pristine() != (steps == 0) {
+			t.Fatalf("trial %d: Pristine %v/%v after %d steps", trial, dst.Pristine(), src.Pristine(), steps)
+		}
+		for _, addr := range stale {
+			gc, gs := dst.AccessLineServed(addr)
+			wc, ws := replay.AccessLineServed(addr)
+			if gc != wc || gs != ws {
+				t.Fatalf("trial %d: stale hot line %#x: (%v, %d), replay (%v, %d)", trial, addr, gc, gs, wc, ws)
+			}
+		}
+		got := runProgram(dst, rand.New(rand.NewSource(trial+200)), 1<<14, window, 300)
+		want := runProgram(replay, rand.New(rand.NewSource(trial+200)), 1<<14, window, 300)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: latencies after CopyFrom diverge from the replay", trial)
+		}
+		if err := sameState(dst, replay); err != nil {
+			t.Fatalf("trial %d: after the follow-up program: %v", trial, err)
+		}
+	}
+}
+
+// TestCopyFromMismatchPanics: copying between different geometries is a
+// bug, so it panics instead of leaving a half-copied hierarchy.
+func TestCopyFromMismatchPanics(t *testing.T) {
+	other := New(100,
+		Config{Name: "L1D", Size: 8 * 2 * mem.LineSize, Assoc: 2, Latency: 4},
+		Config{Name: "L2", Size: 5 * 4 * mem.LineSize, Assoc: 2, Latency: 12},
+		Config{Name: "L3", Size: 37 * 8 * mem.LineSize, Assoc: 8, Latency: 40},
+	)
+	if msg := mustPanic(t, "mismatched level", func() { copyGeometry().CopyFrom(other) }); !strings.Contains(msg, "CopyFrom") {
+		t.Errorf("mismatched level panicked with %q", msg)
+	}
+	if msg := mustPanic(t, "level count", func() { copyGeometry().CopyFrom(tiny()) }); !strings.Contains(msg, "CopyFrom") {
+		t.Errorf("level count mismatch panicked with %q", msg)
+	}
+}

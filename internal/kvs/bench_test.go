@@ -85,3 +85,16 @@ func BenchmarkServerSet(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWarmCaches warms a fresh 4-worker Skylake-B server holding 10k
+// items: the index table and the hot items into every worker's hierarchy.
+// Building the server's engines stays outside the timer.
+func BenchmarkWarmCaches(b *testing.B) {
+	srv, _ := warmServer(b, 10000)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := NewServer(nil, srv.Arch, 4, 64, srv.Index, srv.Store)
+		b.StartTimer()
+		fresh.WarmCaches()
+	}
+}

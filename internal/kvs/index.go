@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"simdhtbench/internal/cache"
 	"simdhtbench/internal/cuckoo"
 	"simdhtbench/internal/engine"
 	"simdhtbench/internal/hashfn"
@@ -31,9 +32,10 @@ type Index interface {
 	// Width returns the widest vector width the lookups use (for frequency
 	// licensing); scalar backends return 64.
 	Width() int
-	// Warm installs the index's memory in the engine's caches (steady
-	// state for a long-running server).
-	Warm(e *engine.Engine)
+	// Warm installs the index's memory in a worker's cache hierarchy, the
+	// steady state of a long-running server. It only touches h, so a
+	// hierarchy warmed once can be copied into identical ones.
+	Warm(h *cache.Hierarchy)
 	// Delete removes the mapping for (hash32, key), verifying against the
 	// item's stored key where the index is lossy. Reports whether an entry
 	// was removed (used by LRU capacity eviction).
@@ -78,8 +80,8 @@ func newSIMDIndex(space *mem.AddressSpace, layout cuckoo.Layout, maxBatch int, s
 	}, nil
 }
 
-func (x *simdIndex) warm(e *engine.Engine) {
-	e.Cache.Touch(x.table.Arena.Base(), x.table.Arena.Size())
+func (x *simdIndex) warm(h *cache.Hierarchy) {
+	h.Touch(x.table.Arena.Base(), x.table.Arena.Size())
 }
 
 func (x *simdIndex) delete(hash32 uint32) bool {
@@ -166,7 +168,7 @@ func (x *HorizontalIndex) Width() int { return 256 }
 func (x *HorizontalIndex) Insert(hash32, ref uint32) error { return x.insert(hash32, ref) }
 
 // Warm implements Index.
-func (x *HorizontalIndex) Warm(e *engine.Engine) { x.warm(e) }
+func (x *HorizontalIndex) Warm(h *cache.Hierarchy) { x.warm(h) }
 
 // Delete implements Index. SIMD indexes store unique 32-bit hashes, so the
 // key argument needs no verification.
@@ -213,7 +215,7 @@ func (x *VerticalIndex) Width() int { return 512 }
 func (x *VerticalIndex) Insert(hash32, ref uint32) error { return x.insert(hash32, ref) }
 
 // Warm implements Index.
-func (x *VerticalIndex) Warm(e *engine.Engine) { x.warm(e) }
+func (x *VerticalIndex) Warm(h *cache.Hierarchy) { x.warm(h) }
 
 // Delete implements Index.
 func (x *VerticalIndex) Delete(_ *ItemStore, hash32 uint32, _ []byte) bool {

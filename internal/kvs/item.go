@@ -50,10 +50,11 @@ type Item struct {
 func (it *Item) Addr() uint64 { return it.addr }
 
 // ItemStore is the slab-backed object store. Items live in size-class slabs
-// carved out of simulated memory so index verification and LRU updates can
-// be charged through the cache model. Item references (uint32) index a
-// shared item table — the "shared array of object pointers" of Section
-// VI-B.
+// reserved in the simulated address space, so index verification and LRU
+// updates can be charged through the cache model; only the chunk addresses
+// are simulated, and each Item holds its own bytes. Item references
+// (uint32) index a shared item table — the "shared array of object
+// pointers" of Section VI-B.
 type ItemStore struct {
 	space   *mem.AddressSpace
 	classes []slabClass
@@ -73,7 +74,7 @@ type ItemStore struct {
 
 type slabClass struct {
 	chunkSize int
-	arenas    []*mem.Arena
+	slab      uint64 // base address of the current slab; 0 before the first
 	nextOff   int
 }
 
@@ -98,18 +99,23 @@ func NewItemStore(space *mem.AddressSpace) *ItemStore {
 //lint:ignore reachlint oracle a test compares against: the live-item count the index and eviction tests check hits against
 func (s *ItemStore) Count() int { return s.count }
 
-// Set stores a copy of (key, value) and returns its reference.
-func (s *ItemStore) Set(key, value []byte) (uint32, error) {
-	need := itemHeaderBytes + len(key) + len(value)
-	ci := -1
+// sizeClass returns the slab class of an object with the given key and
+// value lengths, or an error when it exceeds the largest class.
+func (s *ItemStore) sizeClass(keyLen, valLen int) (int, error) {
+	need := itemHeaderBytes + keyLen + valLen
 	for i, c := range s.classes {
 		if c.chunkSize >= need {
-			ci = i
-			break
+			return i, nil
 		}
 	}
-	if ci < 0 {
-		return NoRef, fmt.Errorf("kvs: object of %d bytes exceeds the largest slab class", need)
+	return -1, fmt.Errorf("kvs: object of %d bytes exceeds the largest slab class", need)
+}
+
+// Set stores a copy of (key, value) and returns its reference.
+func (s *ItemStore) Set(key, value []byte) (uint32, error) {
+	ci, err := s.sizeClass(len(key), len(value))
+	if err != nil {
+		return NoRef, err
 	}
 
 	var ref uint32
@@ -121,10 +127,7 @@ func (s *ItemStore) Set(key, value []byte) (uint32, error) {
 		ref = uint32(len(s.items) - 1)
 	}
 
-	addr, err := s.classes[ci].alloc(s.space)
-	if err != nil {
-		return NoRef, err
-	}
+	addr := s.classes[ci].alloc(s.space)
 	it := &s.items[ref]
 	*it = Item{
 		Key:   append([]byte(nil), key...),
@@ -140,18 +143,12 @@ func (s *ItemStore) Set(key, value []byte) (uint32, error) {
 }
 
 // NeedsEviction reports whether storing an object of the given key/value
-// size would exceed MaxBytes (when a cap is set).
+// size would exceed MaxBytes (when a cap is set). An object larger than
+// the largest slab class never needs eviction: no eviction makes room for
+// it, and Set rejects it.
 func (s *ItemStore) NeedsEviction(keyLen, valLen int) bool {
-	if s.MaxBytes <= 0 {
-		return false
-	}
-	need := itemHeaderBytes + keyLen + valLen
-	for _, c := range s.classes {
-		if c.chunkSize >= need {
-			return s.usedBytes+c.chunkSize > s.MaxBytes
-		}
-	}
-	return true
+	ci, err := s.sizeClass(keyLen, valLen)
+	return err == nil && s.MaxBytes > 0 && s.usedBytes+s.classes[ci].chunkSize > s.MaxBytes
 }
 
 // LRUTail returns the least-recently-used item's reference, or NoRef when
@@ -163,15 +160,16 @@ func (s *ItemStore) LRUTail() uint32 {
 	return uint32(s.lruTail)
 }
 
-func (c *slabClass) alloc(space *mem.AddressSpace) (uint64, error) {
-	if len(c.arenas) == 0 || c.nextOff+c.chunkSize > slabBytes {
-		c.arenas = append(c.arenas, space.Alloc(slabBytes))
+// alloc returns the address of the class's next chunk, reserving a new
+// slab when the current one is full.
+func (c *slabClass) alloc(space *mem.AddressSpace) uint64 {
+	if c.slab == 0 || c.nextOff+c.chunkSize > slabBytes {
+		c.slab = space.Reserve(slabBytes)
 		c.nextOff = 0
 	}
-	a := c.arenas[len(c.arenas)-1]
-	addr := a.Addr(c.nextOff)
+	addr := c.slab + uint64(c.nextOff)
 	c.nextOff += c.chunkSize
-	return addr, nil
+	return addr
 }
 
 // Get returns the item for ref, or nil when the reference is invalid.

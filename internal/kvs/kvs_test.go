@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"simdhtbench/internal/arch"
 	"simdhtbench/internal/des"
 	"simdhtbench/internal/engine"
+	"simdhtbench/internal/hashfn"
 	"simdhtbench/internal/mem"
 )
 
@@ -471,6 +473,39 @@ func TestCapacityEviction(t *testing.T) {
 	}
 }
 
+// TestOversizedSetKeepsStore: an object no slab class holds is rejected
+// before the eviction loop, so a capacity-bounded store keeps every item.
+func TestOversizedSetKeepsStore(t *testing.T) {
+	space := mem.NewAddressSpace()
+	store := NewItemStore(space)
+	store.MaxBytes = 64 * 200
+	idx, err := NewVerticalIndex(space, 1000, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(nil, arch.SkylakeClusterB(), 1, 64, idx, store)
+	var keys [][]byte
+	for i := 0; i < 100; i++ {
+		key := []byte(fmt.Sprintf("kept-key-%06d", i))
+		if _, err := srv.Set(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	_, err = srv.Set([]byte("big"), make([]byte, 9000))
+	if err == nil || !strings.Contains(err.Error(), "exceeds the largest slab class") {
+		t.Fatalf("oversized Set returned %v, want the slab-class error", err)
+	}
+	if srv.Evictions != 0 || store.Count() != 100 {
+		t.Fatalf("oversized Set left %d evictions and %d items, want 0 and 100", srv.Evictions, store.Count())
+	}
+	for _, k := range keys {
+		if _, ok := srv.Get(k); !ok {
+			t.Fatalf("key %q lost to an oversized Set", k)
+		}
+	}
+}
+
 func TestGetRefreshesLRUAgainstEviction(t *testing.T) {
 	pd := des.NewPartitioned(1, 1, 1e-6)
 	sim := pd.Sim(0)
@@ -553,10 +588,10 @@ func TestRingOwnershipStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := []byte("stable-key-000001")
-	s := r.Owner(key)
+	h := hashfn.HashBytes([]byte("stable-key-000001"))
+	s := owner(r, h)
 	for i := 0; i < 10; i++ {
-		if r.Owner(key) != s {
+		if owner(r, h) != s {
 			t.Fatal("ownership not stable")
 		}
 	}
@@ -569,7 +604,7 @@ func TestRingBalance(t *testing.T) {
 	r, _ := NewRing(4, 0)
 	counts := make([]int, 4)
 	for i := 0; i < 40000; i++ {
-		counts[r.Owner([]byte(fmt.Sprintf("balance-key-%08d", i)))]++
+		counts[owner(r, hashfn.HashBytes([]byte(fmt.Sprintf("balance-key-%08d", i))))]++
 	}
 	for s, c := range counts {
 		frac := float64(c) / 40000
@@ -587,8 +622,8 @@ func TestRingMinimalRemapping(t *testing.T) {
 	moved := 0
 	n := 20000
 	for i := 0; i < n; i++ {
-		key := []byte(fmt.Sprintf("remap-key-%08d", i))
-		if r4.Owner(key) != r5.Owner(key) {
+		h := hashfn.HashBytes([]byte(fmt.Sprintf("remap-key-%08d", i)))
+		if owner(r4, h) != owner(r5, h) {
 			moved++
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"simdhtbench/internal/arch"
+	"simdhtbench/internal/cache"
 	"simdhtbench/internal/engine"
 	"simdhtbench/internal/mem"
 )
@@ -198,9 +199,9 @@ func (x *MemC3Index) readKeyVersion(e *engine.Engine, hash32 uint32) uint64 {
 }
 
 // Warm implements Index.
-func (x *MemC3Index) Warm(e *engine.Engine) {
-	e.Cache.Touch(x.arena.Base(), x.arena.Size())
-	e.Cache.Touch(x.keyver.Base(), x.keyver.Size())
+func (x *MemC3Index) Warm(h *cache.Hierarchy) {
+	h.Touch(x.arena.Base(), x.arena.Size())
+	h.Touch(x.keyver.Base(), x.keyver.Size())
 }
 
 // Delete removes the entry whose tag matches and whose item key equals key.

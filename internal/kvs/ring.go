@@ -16,7 +16,10 @@ import (
 // A ring is immutable: membership changes (Join/Leave) return a new ring at
 // the next epoch, with only the departing/arriving server's vnode arcs
 // changing ownership (minimal remapping). Fleet-scale replication walks the
-// same ring for successor replicas via ReplicaOwners.
+// same ring for successor replicas via ReplicaOwners, whose first entry is
+// the key's primary owner. Lookups take the key's 64-bit
+// hashfn.HashBytes value rather than its bytes, so a caller that places
+// the same keys again (a fleet at every epoch) hashes each key once.
 type Ring struct {
 	points  []ringPoint
 	members []int // sorted distinct server ids
@@ -148,22 +151,12 @@ func (r *Ring) Leave(id int) (*Ring, error) {
 	return nr, nil
 }
 
-// Owner maps a key to its server: the first ring point clockwise from the
-// key's hash.
-func (r *Ring) Owner(key []byte) int {
-	h := hashfn.HashBytes(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].server
-}
-
-// ReplicaOwners returns the key's replica set: up to n distinct servers
-// collected by walking clockwise from the key's hash (the first is Owner).
-// When n exceeds the member count every member is returned. dst, when
-// non-nil, is reused to avoid allocation; the result is dst[:m].
-func (r *Ring) ReplicaOwners(key []byte, n int, dst []int) []int {
+// ReplicaOwners returns the replica set of the key whose hashfn.HashBytes
+// value is h: up to n distinct servers collected by walking clockwise from
+// h, the first being the key's primary owner (the server of the first ring
+// point at or after h, wrapping around). When n exceeds the member count every member is returned. dst,
+// when non-nil, is reused to avoid allocation; the result is dst[:m].
+func (r *Ring) ReplicaOwners(h uint64, n int, dst []int) []int {
 	if n < 1 {
 		n = 1
 	}
@@ -171,7 +164,6 @@ func (r *Ring) ReplicaOwners(key []byte, n int, dst []int) []int {
 		n = len(r.members)
 	}
 	dst = dst[:0]
-	h := hashfn.HashBytes(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	for scanned := 0; scanned < len(r.points) && len(dst) < n; scanned++ {
 		if i == len(r.points) {

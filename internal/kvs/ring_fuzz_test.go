@@ -3,15 +3,19 @@ package kvs
 import (
 	"fmt"
 	"testing"
+
+	"simdhtbench/internal/hashfn"
 )
 
 // FuzzRingMembership drives an arbitrary Join/Leave history over the ring —
 // each op byte encodes join/leave of a server id in [0, 16) — and checks
 // the membership invariants after every successful transition: epochs
-// advance by exactly one, members stay sorted and distinct, Owner and
-// ReplicaOwners never return a non-member or panic on clamped n, and the
-// ring converges: rebuilding a fresh ring over the surviving member set
-// places keys identically to the ring that got there incrementally.
+// advance by exactly one, members stay sorted and distinct, and
+// ReplicaOwners never returns a non-member or panics on clamped n, and its
+// rank-0 entry is the first ring point at or after the hash (checked at the
+// ends of the hash space and on both sides of ring points). The ring
+// converges: rebuilding a fresh ring over the surviving member set places
+// keys identically to the ring that got there incrementally.
 func FuzzRingMembership(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x02, 0x03, 0x05, 0x04}, uint8(3))             // joins then leaves
@@ -23,7 +27,11 @@ func FuzzRingMembership(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys := [][]byte{[]byte("k-alpha"), []byte("k-bravo"), []byte(""), []byte("k-\x00\xff")}
+		var keyHashes []uint64
+		for _, key := range []string{"k-alpha", "k-bravo", "", "k-\x00\xff"} {
+			keyHashes = append(keyHashes, hashfn.HashBytes([]byte(key)))
+		}
+		keyHashes = append(keyHashes, 0, 1, ^uint64(0))
 		for step, b := range ops {
 			id := int(b>>1) % 16
 			var next *Ring
@@ -53,12 +61,17 @@ func FuzzRingMembership(f *testing.F) {
 				}
 				inSet[m] = true
 			}
-			for _, key := range keys {
-				if !inSet[ring.Owner(key)] {
-					t.Fatalf("step %d: owner %d of %q not a member of %v", step, ring.Owner(key), key, members)
+			hs := keyHashes
+			for _, i := range []int{0, len(ring.points) / 2, len(ring.points) - 1} {
+				p := ring.points[i].hash
+				hs = append(hs, p-1, p, p+1)
+			}
+			for _, h := range hs {
+				if got, want := owner(ring, h), scanOwner(ring, h); got != want {
+					t.Fatalf("step %d: owner of %#x is %d, first point at or after it is on %d", step, h, got, want)
 				}
 				for _, n := range []int{0, 1, 3, len(members), len(members) + 5} {
-					owners := ring.ReplicaOwners(key, n, nil)
+					owners := ring.ReplicaOwners(h, n, nil)
 					want := n
 					if want < 1 {
 						want = 1
@@ -89,9 +102,9 @@ func FuzzRingMembership(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 64; i++ {
-			key := []byte(fmt.Sprintf("conv-key-%d", i))
-			if ring.Owner(key) != rebuilt.Owner(key) {
-				t.Fatalf("non-convergent: key %q owned by %d incrementally, %d rebuilt", key, ring.Owner(key), rebuilt.Owner(key))
+			h := hashfn.HashBytes([]byte(fmt.Sprintf("conv-key-%d", i)))
+			if owner(ring, h) != owner(rebuilt, h) {
+				t.Fatalf("non-convergent: hash %#x owned by %d incrementally, %d rebuilt", h, owner(ring, h), owner(rebuilt, h))
 			}
 		}
 	})

@@ -3,14 +3,32 @@ package kvs
 import (
 	"fmt"
 	"testing"
+
+	"simdhtbench/internal/hashfn"
 )
 
-func propKeys(n int) [][]byte {
-	keys := make([][]byte, n)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("prop-key-%012d", i))
+// propHashes returns the hashfn.HashBytes values of n distinct keys, the
+// form every ring lookup takes.
+func propHashes(n int) []uint64 {
+	hs := make([]uint64, n)
+	for i := range hs {
+		hs[i] = hashfn.HashBytes([]byte(fmt.Sprintf("prop-key-%012d", i)))
 	}
-	return keys
+	return hs
+}
+
+// owner returns the primary owner of the key hashing to h.
+func owner(r *Ring, h uint64) int { return r.ReplicaOwners(h, 1, nil)[0] }
+
+// scanOwner is owner's oracle: a linear scan for the first ring point at or
+// after h, wrapping to the first point.
+func scanOwner(r *Ring, h uint64) int {
+	for _, p := range r.points {
+		if p.hash >= h {
+			return p.server
+		}
+	}
+	return r.points[0].server
 }
 
 // Property: replica sets are distinct servers, lead with the primary owner,
@@ -22,41 +40,46 @@ func TestReplicaOwnersDistinctPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	var scratch []int
-	for _, key := range propKeys(5000) {
-		full := ring.ReplicaOwners(key, 8, nil)
+	hs := propHashes(5000)
+	for _, p := range ring.points[:16] {
+		hs = append(hs, p.hash-1, p.hash, p.hash+1)
+	}
+	hs = append(hs, 0, ^uint64(0))
+	for _, h := range hs {
+		full := ring.ReplicaOwners(h, 8, nil)
 		if len(full) != 8 {
-			t.Fatalf("key %q: %d replicas for n=8 over 8 servers", key, len(full))
+			t.Fatalf("hash %#x: %d replicas for n=8 over 8 servers", h, len(full))
 		}
 		seen := make(map[int]bool)
 		for _, s := range full {
 			if s < 0 || s >= 8 {
-				t.Fatalf("key %q: replica %d out of range", key, s)
+				t.Fatalf("hash %#x: replica %d out of range", h, s)
 			}
 			if seen[s] {
-				t.Fatalf("key %q: duplicate replica %d in %v", key, s, full)
+				t.Fatalf("hash %#x: duplicate replica %d in %v", h, s, full)
 			}
 			seen[s] = true
 		}
-		if full[0] != ring.Owner(key) {
-			t.Fatalf("key %q: rank-0 replica %d != owner %d", key, full[0], ring.Owner(key))
+		if want := scanOwner(ring, h); full[0] != want {
+			t.Fatalf("hash %#x: rank-0 replica %d != owner %d", h, full[0], want)
 		}
 		for n := 1; n < 8; n++ {
-			part := ring.ReplicaOwners(key, n, scratch)
+			part := ring.ReplicaOwners(h, n, scratch)
 			scratch = part
 			if len(part) != n {
-				t.Fatalf("key %q: %d replicas for n=%d", key, len(part), n)
+				t.Fatalf("hash %#x: %d replicas for n=%d", h, len(part), n)
 			}
 			for i := range part {
 				if part[i] != full[i] {
-					t.Fatalf("key %q: n=%d not a prefix of n=8: %v vs %v", key, n, part, full)
+					t.Fatalf("hash %#x: n=%d not a prefix of n=8: %v vs %v", h, n, part, full)
 				}
 			}
 		}
 		// Out-of-range requests clamp instead of panicking.
-		if got := ring.ReplicaOwners(key, 0, nil); len(got) != 1 {
+		if got := ring.ReplicaOwners(h, 0, nil); len(got) != 1 {
 			t.Fatalf("n=0 returned %v", got)
 		}
-		if got := ring.ReplicaOwners(key, 100, nil); len(got) != 8 {
+		if got := ring.ReplicaOwners(h, 100, nil); len(got) != 8 {
 			t.Fatalf("n=100 returned %d replicas", len(got))
 		}
 	}
@@ -90,14 +113,14 @@ func TestRingOwnershipStableAcrossIdenticalMemberships(t *testing.T) {
 	if got, want := fmt.Sprint(r.members), fmt.Sprint(base.members); got != want {
 		t.Fatalf("members %s, want %s", got, want)
 	}
-	for _, key := range propKeys(20000) {
-		if r.Owner(key) != base.Owner(key) {
-			t.Fatalf("key %q: owner %d via history, %d direct", key, r.Owner(key), base.Owner(key))
+	for _, h := range propHashes(20000) {
+		if owner(r, h) != owner(base, h) {
+			t.Fatalf("hash %#x: owner %d via history, %d direct", h, owner(r, h), owner(base, h))
 		}
-		a := r.ReplicaOwners(key, 3, nil)
-		b := base.ReplicaOwners(key, 3, nil)
+		a := r.ReplicaOwners(h, 3, nil)
+		b := base.ReplicaOwners(h, 3, nil)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("key %q: replicas %v via history, %v direct", key, a, b)
+			t.Fatalf("hash %#x: replicas %v via history, %v direct", h, a, b)
 		}
 	}
 }
@@ -111,7 +134,7 @@ func TestRingLeaveMinimalRemap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := propKeys(nKeys)
+	hs := propHashes(nKeys)
 	const leaver = 3
 	share := ownedShare(ring, leaver)
 	next, err := ring.Leave(leaver)
@@ -119,13 +142,13 @@ func TestRingLeaveMinimalRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved := 0
-	for _, key := range keys {
-		oldOwner, newOwner := ring.Owner(key), next.Owner(key)
+	for _, h := range hs {
+		oldOwner, newOwner := owner(ring, h), owner(next, h)
 		if oldOwner == newOwner {
 			continue
 		}
 		if oldOwner != leaver {
-			t.Fatalf("key %q moved %d->%d, but server %d left", key, oldOwner, newOwner, leaver)
+			t.Fatalf("hash %#x moved %d->%d, but server %d left", h, oldOwner, newOwner, leaver)
 		}
 		moved++
 	}
@@ -149,7 +172,7 @@ func TestRingJoinMinimalRemap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := propKeys(nKeys)
+	hs := propHashes(nKeys)
 	const joiner = 7
 	next, err := ring.Join(joiner)
 	if err != nil {
@@ -157,17 +180,17 @@ func TestRingJoinMinimalRemap(t *testing.T) {
 	}
 	share := ownedShare(next, joiner)
 	moved := 0
-	for _, key := range keys {
-		oldOwner, newOwner := ring.Owner(key), next.Owner(key)
+	for _, h := range hs {
+		oldOwner, newOwner := owner(ring, h), owner(next, h)
 		if oldOwner != newOwner {
 			if newOwner != joiner {
-				t.Fatalf("key %q moved %d->%d, but server %d joined", key, oldOwner, newOwner, joiner)
+				t.Fatalf("hash %#x moved %d->%d, but server %d joined", h, oldOwner, newOwner, joiner)
 			}
 			moved++
 		}
 		// R=3 replica sets: survivors are preserved, at most one new member.
-		oldSet := ring.ReplicaOwners(key, 3, nil)
-		newSet := next.ReplicaOwners(key, 3, nil)
+		oldSet := ring.ReplicaOwners(h, 3, nil)
+		newSet := next.ReplicaOwners(h, 3, nil)
 		fresh := 0
 		for _, s := range newSet {
 			found := false
@@ -180,12 +203,12 @@ func TestRingJoinMinimalRemap(t *testing.T) {
 			if !found {
 				fresh++
 				if s != joiner {
-					t.Fatalf("key %q: replica set gained %d, but server %d joined", key, s, joiner)
+					t.Fatalf("hash %#x: replica set gained %d, but server %d joined", h, s, joiner)
 				}
 			}
 		}
 		if fresh > 1 {
-			t.Fatalf("key %q: single join added %d replicas", key, fresh)
+			t.Fatalf("hash %#x: single join added %d replicas", h, fresh)
 		}
 	}
 	frac := float64(moved) / nKeys

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"simdhtbench/internal/arch"
+	"simdhtbench/internal/cache"
 	"simdhtbench/internal/des"
 	"simdhtbench/internal/engine"
 	"simdhtbench/internal/fault"
@@ -143,9 +144,13 @@ func NewServer(sim *des.Sim, model *arch.Model, workers, maxBatch int, index Ind
 // Set stores (key, value) and indexes it; used by the load phase and by a
 // Memcached "set" command. When the store is capacity-bounded
 // (ItemStore.MaxBytes), least-recently-used items are evicted — from both
-// the store and the index — to make room, as Memcached does. Returns the
-// item reference.
+// the store and the index — to make room, as Memcached does. An object
+// larger than the largest slab class is rejected before anything is
+// evicted. Returns the item reference.
 func (s *Server) Set(key, value []byte) (uint32, error) {
+	if _, err := s.Store.sizeClass(len(key), len(value)); err != nil {
+		return NoRef, err
+	}
 	h := Hash32(key)
 	for s.Store.NeedsEviction(len(key), len(value)) {
 		victim := s.Store.LRUTail()
@@ -350,11 +355,31 @@ func (s *Server) processChunk(wi int, keys [][]byte) MGetResult {
 // reaches (the hot set of a skewed key-value workload stays resident; see
 // Section V-B's discussion of temporal locality). The remaining warm-up
 // happens through the client's discarded warm-up requests.
+//
+// Every worker's hierarchy is built from the same arch model and warm-up
+// only touches the hierarchy (Touch fires no probe or profiler event), so
+// when every worker is still pristine the server warms worker 0 once and
+// copies its hierarchy into the others, which ends in exactly the state
+// warming each would. If any worker has already been used (Get runs on
+// worker 0), each worker is warmed in turn.
 func (s *Server) WarmCaches() {
 	hotBudget := (s.Arch.LastLevelCacheSize() * 3) / 4
+	warm := func(h *cache.Hierarchy) {
+		s.Index.Warm(h)
+		s.Store.WarmHot(h, hotBudget)
+	}
+	pristine := true
 	for _, e := range s.engines {
-		s.Index.Warm(e)
-		s.Store.WarmHot(e.Cache, hotBudget)
+		pristine = pristine && e.Cache.Pristine()
+	}
+	first := s.engines[0].Cache
+	warm(first)
+	for _, e := range s.engines[1:] {
+		if pristine {
+			e.Cache.CopyFrom(first)
+		} else {
+			warm(e.Cache)
+		}
 	}
 }
 

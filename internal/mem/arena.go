@@ -154,17 +154,25 @@ func NewAddressSpace() *AddressSpace {
 
 // Alloc returns a new arena of the given size, aligned to a cache line.
 func (s *AddressSpace) Alloc(size int) *Arena {
+	return NewArena(s.Reserve(size), size)
+}
+
+// Reserve claims size bytes of the address space, aligned to a cache line
+// exactly as Alloc would place them, and returns their base address. No
+// host memory backs them: it serves structures whose simulated addresses
+// the cache model charges but whose bytes live elsewhere.
+func (s *AddressSpace) Reserve(size int) uint64 {
 	if size < 0 {
 		panic(fmt.Sprintf("mem: negative allocation %d", size))
 	}
 	base := s.next
-	a := NewArena(base, size)
 	s.next += uint64(size)
-	// Round up to the next line so consecutive arenas never share a line.
+	// Round up to the next line so consecutive allocations never share a
+	// line.
 	if rem := s.next % LineSize; rem != 0 {
 		s.next += LineSize - rem
 	}
-	return a
+	return base
 }
 
 // LineOf returns the line-aligned address containing addr.

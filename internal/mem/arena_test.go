@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +105,32 @@ func TestAddressSpaceNoOverlap(t *testing.T) {
 	}
 	if b.Base()%LineSize != 0 {
 		t.Errorf("arena base %#x not line-aligned", b.Base())
+	}
+}
+
+// TestReserveMatchesAlloc: Reserve places a range exactly where Alloc would
+// place an arena of that size, so any interleaving of the two hands out the
+// same bases as an address space that only allocates arenas.
+func TestReserveMatchesAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		mixed, allocOnly := NewAddressSpace(), NewAddressSpace()
+		for i := 0; i < 40; i++ {
+			size := []int{0, 1, 63, 64, 65, 1 << 20, rng.Intn(5000)}[rng.Intn(7)]
+			want := allocOnly.Alloc(size).Base()
+			var got uint64
+			if rng.Intn(2) == 0 {
+				got = mixed.Reserve(size)
+			} else {
+				got = mixed.Alloc(size).Base()
+			}
+			if got != want {
+				t.Fatalf("trial %d step %d: size %d at %#x, Alloc-only space places it at %#x", trial, i, size, got, want)
+			}
+			if got%LineSize != 0 {
+				t.Fatalf("trial %d step %d: base %#x not line-aligned", trial, i, got)
+			}
+		}
 	}
 }
 

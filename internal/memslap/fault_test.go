@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"simdhtbench/internal/fault"
+	"simdhtbench/internal/hashfn"
 	"simdhtbench/internal/kvs"
 	"simdhtbench/internal/mem"
 	"simdhtbench/internal/workload"
@@ -116,7 +117,7 @@ func crashedMGet(t *testing.T, nservers, batch int, crashed ...int) (FleetResult
 	}
 	owned := map[int]int{}
 	for i := 0; i < batch; i++ {
-		owned[fleet.Ring.Owner(keys[zipf.Next()])]++
+		owned[fleet.Ring.ReplicaOwners(hashfn.HashBytes(keys[zipf.Next()]), 1, nil)[0]]++
 	}
 	if len(owned) != nservers {
 		t.Fatalf("batch does not span all %d servers: %v", nservers, owned)

@@ -70,9 +70,15 @@ type Fleet struct {
 
 	serverEPs []*netsim.Endpoint
 	keys      [][]byte // loaded keys, in load order (rebalance iteration order)
+	hashes    []uint64 // hashfn.HashBytes of each loaded key
+	// placement holds every loaded key's replica set under the current
+	// ring, Replication slots per key: key k's set is the first
+	// min(Replication, members) ids from placement[k*Replication], in
+	// ReplicaOwners order. f.Ring changes only in advanceRing, which
+	// rewrites the table in the same event, and only partition 0 reads or
+	// writes it, so every read equals a fresh lookup on f.Ring.
+	placement []int
 	repairing map[repairKey]bool
-	ownA      []int // ReplicaOwners scratch
-	ownB      []int
 
 	// Run counters, copied into FleetResults.
 	Epochs    uint64
@@ -90,7 +96,7 @@ type Fleet struct {
 
 type repairKey struct {
 	server int
-	key    string
+	key    int // index into keys
 }
 
 // NewFleet builds a fleet of the given servers with R-way replication on a
@@ -141,8 +147,6 @@ func NewFleet(sim *des.Sim, fabric *netsim.Fabric, servers []*kvs.Server, replic
 		ctrlEP:      fabric.EndpointAt("coordinator", 0),
 		serverEPs:   eps,
 		repairing:   make(map[repairKey]bool),
-		ownA:        make([]int, 0, replication+1),
-		ownB:        make([]int, 0, replication+1),
 	}, nil
 }
 
@@ -175,10 +179,15 @@ func (f *Fleet) LoadETC(count int, seed int64) ([][]byte, error) {
 }
 
 // load places loadRingKeys's sequence on the ring's replica sets and
-// records it as the fleet's key set.
+// records it as the fleet's key set, with each key's hash and replica set.
 func (f *Fleet) load(count int, item func(i int) (key, value []byte)) ([][]byte, error) {
-	keys, err := loadRingKeys(count, item, func(key, value []byte) (int, error) {
-		for _, s := range f.Ring.ReplicaOwners(key, f.Replication, f.ownA) {
+	R := f.Replication
+	hashes := make([]uint64, 0, count)
+	placement := make([]int, count*R)
+	keys, err := loadRingKeys(count, item, func(key, value []byte, h uint64) (int, error) {
+		at := len(hashes) * R
+		hashes = append(hashes, h)
+		for _, s := range f.Ring.ReplicaOwners(h, R, placement[at:at:at+R]) {
 			if _, err := f.Servers[s].Set(key, value); err != nil {
 				return s, err
 			}
@@ -188,8 +197,16 @@ func (f *Fleet) load(count int, item func(i int) (key, value []byte)) ([][]byte,
 	if err != nil {
 		return nil, err
 	}
-	f.keys = keys
+	f.keys, f.hashes, f.placement = keys, hashes, placement
 	return keys, nil
+}
+
+// owners returns key k's replica set under the current ring. It aliases the
+// placement table, so a caller that keeps it past the current event copies
+// it.
+func (f *Fleet) owners(k int) []int {
+	at := k * f.Replication
+	return f.placement[at : at+min(f.Replication, f.Ring.Servers())]
 }
 
 // Leave removes server id from the ring (next epoch), wipes its store —
@@ -242,8 +259,12 @@ func (f *Fleet) Join(id int) error {
 // foreground traffic for NICs and workers — nothing is teleported. A key
 // with no live donor is counted lost (with R=1 a wiped server's data is
 // simply gone until rewritten).
+//
+// The placement table supplies each key's old replica set; the new one is
+// computed from the key's stored hash and written back in its place.
 func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
-	old := f.Ring
+	R := f.Replication
+	oldM := min(R, f.Ring.Servers())
 	f.Ring = nr
 	f.Epochs++
 
@@ -254,9 +275,11 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 	var groups []*cmdGroup
 	groupIdx := make(map[[2]int]*cmdGroup)
 	moved, lost := 0, 0
-	for _, key := range f.keys {
-		oldSet := old.ReplicaOwners(key, f.Replication, f.ownA)
-		newSet := nr.ReplicaOwners(key, f.Replication, f.ownB)
+	oldSet := make([]int, 0, R)
+	for k, key := range f.keys {
+		at := k * R
+		oldSet = append(oldSet[:0], f.placement[at:at+oldM]...)
+		newSet := nr.ReplicaOwners(f.hashes[k], R, f.placement[at:at:at+R])
 		for _, d := range newSet {
 			if containsInt(oldSet, d) {
 				continue
@@ -577,12 +600,12 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	// idempotent.
 	startRead := func(clientEP *netsim.Endpoint, budget *retryBudget, seq int, closed bool) {
 		sent := sim.Now()
-		batch := make([][]byte, cfg.BatchSize)
+		batch := make([]int, cfg.BatchSize) // key indices
 		for i := range batch {
-			batch[i] = f.keys[zipf.Next()]
+			batch[i] = zipf.Next()
 		}
 		pos0 := make([][]int, len(servers))
-		fanout := ownerGroups(f.Ring, batch, pos0)
+		fanout := f.ownerGroups(batch, pos0)
 		resolved := make([]bool, len(batch))
 		remaining := len(batch)
 		foundTotal, servedKeys, missingKeys := 0, 0, 0
@@ -688,7 +711,7 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 		sendGroup = func(target, rank, attempt int, pos []int, hedged bool) {
 			sub := make([][]byte, len(pos))
 			for j, p := range pos {
-				sub[j] = batch[p]
+				sub[j] = f.keys[batch[p]]
 			}
 			reqBytes := requestBytes(sub)
 			// rotate advances this group to the next replica rank. It is
@@ -733,7 +756,7 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 						if resolved[p] {
 							continue
 						}
-						owners := f.Ring.ReplicaOwners(batch[p], R, f.ownA)
+						owners := f.owners(batch[p])
 						t := owners[nrank%len(owners)]
 						perServer[t] = append(perServer[t], p)
 						any = true
@@ -803,7 +826,7 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 						if resolved[p] {
 							continue
 						}
-						owners := f.Ring.ReplicaOwners(batch[p], R, f.ownA)
+						owners := f.owners(batch[p])
 						t := owners[hrank%len(owners)]
 						perServer[t] = append(perServer[t], p)
 						any = true
@@ -849,12 +872,15 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	startWrite := func(clientEP *netsim.Endpoint, budget *retryBudget, seq int, closed bool) {
 		sent := sim.Now()
 		writeSeq++
-		key := f.keys[zipf.Next()]
+		k := zipf.Next()
+		key := f.keys[k]
 		value := make([]byte, writeValueBytes)
 		for i := range value {
 			value[i] = byte('A' + (writeSeq+i)%26)
 		}
-		owners := f.Ring.ReplicaOwners(key, R, nil)
+		// The write's closures outlive the current epoch, so they keep a
+		// copy of its replica set.
+		owners := append([]int(nil), f.owners(k)...)
 		w := len(owners)/2 + 1 // majority quorum
 		acks := 0
 		finished := false
@@ -1117,11 +1143,11 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 // In-flight repairs are deduped per (server, key); the repairing map doubles
 // as the duplicate-completion guard, since both completion paths run at the
 // coordinator, where the map lives.
-func (f *Fleet) scheduleRepairs(target int, batch [][]byte, repairPos []int) {
+func (f *Fleet) scheduleRepairs(target int, batch []int, repairPos []int) {
 	count := 0
 	for _, p := range repairPos {
-		key := batch[p]
-		owners := f.Ring.ReplicaOwners(key, f.Replication, f.ownA)
+		k := batch[p]
+		owners := f.owners(k)
 		if !containsInt(owners, target) {
 			continue // ownership moved on; rebalance covers it
 		}
@@ -1135,12 +1161,12 @@ func (f *Fleet) scheduleRepairs(target int, batch [][]byte, repairPos []int) {
 		if donor < 0 {
 			continue
 		}
-		rk := repairKey{server: target, key: string(key)}
+		rk := repairKey{server: target, key: k}
 		if f.repairing[rk] {
 			continue
 		}
 		f.repairing[rk] = true
-		donor, target, key := donor, target, key
+		donor, target, key := donor, target, f.keys[k]
 		issued := false
 		f.ctrlEP.Send(f.serverEPs[donor], ctrlMsgBytes+ctrlKeyRefBytes, func() {
 			if issued {
@@ -1187,13 +1213,13 @@ func (f *Fleet) runRepair(donor, target int, key []byte, rk repairKey) {
 }
 
 // ownerGroups is the per-server split of a Multi-Get's request phase: it
-// appends each batch position, in key order, to the group of the key's
-// primary owner under ring, and returns how many servers own at least one
-// key.
-func ownerGroups(ring *kvs.Ring, batch [][]byte, groups [][]int) int {
+// appends each batch position, in key order, to the group of its key's
+// primary owner under the current ring, and returns how many servers own
+// at least one key. batch holds key indices.
+func (f *Fleet) ownerGroups(batch []int, groups [][]int) int {
 	fanout := 0
 	for i, k := range batch {
-		s := ring.Owner(k)
+		s := f.owners(k)[0]
 		if len(groups[s]) == 0 {
 			fanout++
 		}

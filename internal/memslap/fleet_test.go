@@ -9,13 +9,14 @@ import (
 	"simdhtbench/internal/arch"
 	"simdhtbench/internal/des"
 	"simdhtbench/internal/fault"
+	"simdhtbench/internal/hashfn"
 	"simdhtbench/internal/kvs"
 	"simdhtbench/internal/mem"
 	"simdhtbench/internal/netsim"
 )
 
 // buildFleet builds a loaded fleet on a one-worker partitioned engine.
-func buildFleet(t *testing.T, servers, items, replication int) *Fleet {
+func buildFleet(t testing.TB, servers, items, replication int) *Fleet {
 	t.Helper()
 	return buildFleetWorkers(t, 1, servers, items, replication)
 }
@@ -24,7 +25,7 @@ func buildFleet(t *testing.T, servers, items, replication int) *Fleet {
 // index with seed i+1, four workers and a 128-key batch cap. Every server's
 // index has room for the full key set: replication and rebalance may land
 // any key anywhere.
-func buildFleetWorkers(t *testing.T, simWorkers, servers, items, replication int) *Fleet {
+func buildFleetWorkers(t testing.TB, simWorkers, servers, items, replication int) *Fleet {
 	t.Helper()
 	fleet := buildFleetIndex(t, simWorkers, servers, replication, func(space *mem.AddressSpace, i int) (kvs.Index, error) {
 		return kvs.NewVerticalIndex(space, items, 128, int64(i+1))
@@ -39,7 +40,7 @@ func buildFleetWorkers(t *testing.T, simWorkers, servers, items, replication int
 // i) with four workers and a 128-key batch cap, on an engine with one
 // client/coordinator partition plus one per server, advanced by simWorkers
 // host goroutines.
-func buildFleetIndex(t *testing.T, simWorkers, servers, replication int, index func(space *mem.AddressSpace, i int) (kvs.Index, error)) *Fleet {
+func buildFleetIndex(t testing.TB, simWorkers, servers, replication int, index func(space *mem.AddressSpace, i int) (kvs.Index, error)) *Fleet {
 	t.Helper()
 	cfg := netsim.EDR()
 	pd := des.NewPartitioned(servers+1, simWorkers, cfg.SmallMessageLatency())
@@ -129,7 +130,7 @@ func TestLoadFleetReplicatesKeys(t *testing.T) {
 		}
 	}
 	for _, key := range keys {
-		owners := fleet.Ring.ReplicaOwners(key, 3, nil)
+		owners := fleet.Ring.ReplicaOwners(hashfn.HashBytes(key), 3, nil)
 		if len(owners) != 3 {
 			t.Fatalf("key %q: %d owners", key, len(owners))
 		}
@@ -238,7 +239,7 @@ func TestReadRepairHealsWipedReplica(t *testing.T) {
 	}
 	healed := 0
 	for _, key := range fleet.keys {
-		owners := fleet.Ring.ReplicaOwners(key, 2, nil)
+		owners := fleet.Ring.ReplicaOwners(hashfn.HashBytes(key), 2, nil)
 		for _, s := range owners {
 			if s == 0 {
 				if _, ok := fleet.Servers[0].Get(key); ok {
@@ -395,19 +396,17 @@ func TestLoadClusterTypedError(t *testing.T) {
 }
 
 // TestRingSplitPreservesKeys: the request phase's per-server split puts
-// every batch position, in key order, in the group of its primary owner, and
-// counts each owning server once.
+// every batch position, in key order, in the group of its key's primary
+// owner on the current ring, and counts each owning server once. The batch
+// repeats keys, as zipf draws do.
 func TestRingSplitPreservesKeys(t *testing.T) {
-	r, err := kvs.NewRing(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([][]byte, 50)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("split-key-%07d", i))
+	fleet := buildFleet(t, 3, 200, 2)
+	batch := make([]int, 50)
+	for i := range batch {
+		batch[i] = (i * 7) % 40
 	}
 	groups := make([][]int, 3)
-	fanout := ownerGroups(r, keys, groups)
+	fanout := fleet.ownerGroups(batch, groups)
 	total, owners := 0, 0
 	for s, g := range groups {
 		if len(g) > 0 {
@@ -415,18 +414,86 @@ func TestRingSplitPreservesKeys(t *testing.T) {
 		}
 		total += len(g)
 		for j, p := range g {
-			if r.Owner(keys[p]) != s {
-				t.Fatalf("key %q in the group of server %d, owner %d", keys[p], s, r.Owner(keys[p]))
+			key := fleet.keys[batch[p]]
+			if want := fleet.Ring.ReplicaOwners(hashfn.HashBytes(key), 1, nil)[0]; want != s {
+				t.Fatalf("key %q in the group of server %d, owner %d", key, s, want)
 			}
 			if j > 0 && g[j-1] >= p {
 				t.Fatalf("group %d out of key order: %v", s, g)
 			}
 		}
 	}
-	if total != len(keys) {
-		t.Errorf("split lost keys: %d of %d", total, len(keys))
+	if total != len(batch) {
+		t.Errorf("split lost keys: %d of %d", total, len(batch))
 	}
 	if fanout != owners {
 		t.Errorf("fanout = %d, want the %d owning servers", fanout, owners)
+	}
+}
+
+// checkPlacement fails unless every loaded key's stored hash is its
+// HashBytes value and its placement entry equals a fresh ReplicaOwners
+// lookup on the fleet's current ring.
+func checkPlacement(t *testing.T, f *Fleet, when string) {
+	t.Helper()
+	for k, key := range f.keys {
+		h := hashfn.HashBytes(key)
+		if f.hashes[k] != h {
+			t.Fatalf("%s: key %q stored hash %#x, want %#x", when, key, f.hashes[k], h)
+		}
+		want := f.Ring.ReplicaOwners(h, f.Replication, nil)
+		if got := f.owners(k); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: key %q placed on %v, the ring says %v", when, key, got, want)
+		}
+	}
+}
+
+// TestFleetPlacementTracksRing: after the load and after every Leave and
+// Join, each key's placement entry is what the current ring says — also on
+// a 3-server R=3 fleet whose ring drops below R members and grows back.
+func TestFleetPlacementTracksRing(t *testing.T) {
+	type op struct {
+		join bool
+		id   int
+	}
+	for _, tc := range []struct {
+		servers, items int
+		ops            []op
+	}{
+		{6, 1500, []op{{false, 2}, {false, 5}, {true, 2}, {false, 0}, {true, 5}, {true, 0}}},
+		{3, 500, []op{{false, 1}, {false, 0}, {true, 1}, {false, 2}, {true, 0}, {true, 2}}},
+	} {
+		fleet := buildFleet(t, tc.servers, tc.items, 3)
+		checkPlacement(t, fleet, fmt.Sprintf("%d servers, after load", tc.servers))
+		for step, o := range tc.ops {
+			var err error
+			if o.join {
+				err = fleet.Join(o.id)
+			} else {
+				err = fleet.Leave(o.id)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPlacement(t, fleet, fmt.Sprintf("%d servers, step %d (join=%v %d, %d members)",
+				tc.servers, step, o.join, o.id, fleet.Ring.Servers()))
+		}
+	}
+}
+
+// BenchmarkAdvanceRing times one Leave and one Join on an 8-server, R=3
+// fleet holding 20k keys: each installs a ring epoch and plans its
+// rebalance. The rebalance messages are queued and never run.
+func BenchmarkAdvanceRing(b *testing.B) {
+	fleet := buildFleet(b, 8, 20000, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := i % 8
+		if err := fleet.Leave(id); err != nil {
+			b.Fatal(err)
+		}
+		if err := fleet.Join(id); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

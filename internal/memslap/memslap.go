@@ -20,9 +20,10 @@ package memslap
 
 import (
 	"fmt"
+	"strconv"
 
 	"simdhtbench/internal/fault"
-	"simdhtbench/internal/kvs"
+	"simdhtbench/internal/hashfn"
 	"simdhtbench/internal/obs"
 )
 
@@ -61,12 +62,14 @@ type Config struct {
 }
 
 // loadRingKeys generates a deduplicated key sequence and hands each (key,
-// value) pair to place, which returns the failing server with its error.
-// item builds the i-th candidate; a candidate whose 32-bit hash repeats an
-// earlier key's is skipped, so every loaded key is retrievable through the
-// SIMD index (which resolves by full-key verification only within one
-// hash). Fleet.LoadFleet and Fleet.LoadETC share this loop.
-func loadRingKeys(count int, item func(i int) (key, value []byte), place func(key, value []byte) (int, error)) ([][]byte, error) {
+// value) pair with the key's hashfn.HashBytes value to place, which
+// returns the failing server with its error. item builds the i-th
+// candidate; a candidate whose 32-bit hash (kvs.Hash32, the mix of that
+// value) repeats an earlier key's is skipped, so every loaded key is
+// retrievable through the SIMD index (which resolves by full-key
+// verification only within one hash). Fleet.LoadFleet and Fleet.LoadETC
+// share this loop.
+func loadRingKeys(count int, item func(i int) (key, value []byte), place func(key, value []byte, h uint64) (int, error)) ([][]byte, error) {
 	keys := make([][]byte, 0, count)
 	seen := make(map[uint32]struct{}, count)
 	for i := 0; len(keys) < count; i++ {
@@ -75,12 +78,13 @@ func loadRingKeys(count int, item func(i int) (key, value []byte), place func(ke
 				Err: fmt.Errorf("too many 32-bit hash collisions")}
 		}
 		key, value := item(i)
-		h := kvs.Hash32(key)
-		if _, dup := seen[h]; dup {
+		h := hashfn.HashBytes(key)
+		h32 := hashfn.Mix64to32(h)
+		if _, dup := seen[h32]; dup {
 			continue
 		}
-		seen[h] = struct{}{}
-		if srv, err := place(key, value); err != nil {
+		seen[h32] = struct{}{}
+		if srv, err := place(key, value, h); err != nil {
 			return nil, &LoadError{Server: srv, Loaded: len(keys), Want: count, Err: err}
 		}
 		keys = append(keys, key)
@@ -88,12 +92,21 @@ func loadRingKeys(count int, item func(i int) (key, value []byte), place func(ke
 	return keys, nil
 }
 
-// makeKey renders the i-th memslap key: "key-" plus a zero-padded ordinal,
-// padded or cut to keyBytes.
+// makeKey renders the i-th memslap key (i >= 0): "key-" plus the ordinal
+// zero-padded to 12 digits, padded with 'x' or cut to keyBytes. It writes
+// the key into one allocation of keyBytes.
 func makeKey(i, keyBytes int) []byte {
-	base := fmt.Sprintf("key-%012d", i)
-	for len(base) < keyBytes {
-		base += "x"
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], uint64(i), 10)
+	key := make([]byte, keyBytes)
+	n := copy(key, "key-")
+	for pad := 12 - len(d); pad > 0 && n < keyBytes; pad-- {
+		key[n] = '0'
+		n++
 	}
-	return []byte(base[:keyBytes])
+	n += copy(key[n:], d)
+	for ; n < keyBytes; n++ {
+		key[n] = 'x'
+	}
+	return key
 }

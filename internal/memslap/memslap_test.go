@@ -2,6 +2,7 @@ package memslap
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"simdhtbench/internal/kvs"
@@ -113,6 +114,41 @@ func TestMakeKeyPadsToLength(t *testing.T) {
 	}
 	if string(makeKey(3, 20)) == string(makeKey(4, 20)) {
 		t.Error("distinct ordinals must give distinct keys")
+	}
+}
+
+// TestMakeKeyMatchesSprintf: makeKey renders exactly the bytes of the
+// Sprintf form it replaced ("key-%012d", padded with 'x' or cut) for
+// ordinals from 0 to 10^12-1 and key sizes from 1 to 40, in one
+// allocation.
+func TestMakeKeyMatchesSprintf(t *testing.T) {
+	ref := func(i, keyBytes int) string {
+		base := fmt.Sprintf("key-%012d", i)
+		for len(base) < keyBytes {
+			base += "x"
+		}
+		return base[:keyBytes]
+	}
+	var ords []int
+	for p := 1; p <= 1e12; p *= 10 {
+		ords = append(ords, p-1, p, p+1)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 300; i++ {
+		ords = append(ords, int(rng.Int63n(1e12)))
+	}
+	for keyBytes := 1; keyBytes <= 40; keyBytes++ {
+		for _, i := range ords {
+			if i >= 1e12 {
+				continue
+			}
+			if got, want := string(makeKey(i, keyBytes)), ref(i, keyBytes); got != want {
+				t.Fatalf("makeKey(%d, %d) = %q, want %q", i, keyBytes, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { makeKey(123456789, 20) }); n != 1 {
+		t.Errorf("makeKey made %v allocations, want 1", n)
 	}
 }
 
