@@ -78,6 +78,8 @@ func main() {
 
 	model, err := arch.ByName(*cpu)
 	h.Check(err)
+	pat, err := workload.ParsePattern(*pattern)
+	h.Check(err)
 	opts := experiments.Options{
 		Queries:   *queries,
 		Seed:      h.Seed,
@@ -158,10 +160,6 @@ func main() {
 			h.Check(err)
 			fmt.Fprint(h.Out, core.FormatListing(model, *keyBits, *valBits, model.Widths, rows))
 		case "run":
-			pat := workload.Uniform
-			if *pattern == "skewed" {
-				pat = workload.Skewed
-			}
 			spec, err := fault.ParseSpec(h.Faults)
 			h.Check(err)
 			params := core.Params{
@@ -193,10 +191,6 @@ func main() {
 				fmt.Fprintln(os.Stderr)
 			}
 		case "advise":
-			pat := workload.Uniform
-			if *pattern == "skewed" {
-				pat = workload.Skewed
-			}
 			recs, err := core.Advise(core.AdviseRequest{
 				Params: core.Params{
 					Arch: model, KeyBits: *keyBits, ValBits: *valBits,
@@ -208,7 +202,7 @@ func main() {
 			h.Check(err)
 			t := report.NewTable(
 				fmt.Sprintf("Design guidance: (K,V)=(%d,%d)b, %s HT, %s pattern, LF >= %.2f on %s",
-					*keyBits, *valBits, sizeArg(*size), *pattern, *lf, model.Name),
+					*keyBits, *valBits, sizeArg(*size), pat, *lf, model.Name),
 				"#", "Layout", "Best design", "M lookups/s/core", "Speedup", "Max LF")
 			for i, r := range recs {
 				design := r.Best.Choice.String()
@@ -230,10 +224,6 @@ func main() {
 			// later replay (a seed-stable capture of the workload).
 			if *keytrace == "" {
 				h.Fatal(fmt.Errorf("record requires -keytrace <output path>"))
-			}
-			pat := workload.Uniform
-			if *pattern == "skewed" {
-				pat = workload.Skewed
 			}
 			stored := make([]uint64, 0, 1<<16)
 			for i := uint64(2); len(stored) < 1<<16; i += 2 {

@@ -64,24 +64,27 @@ func lineNumber(addr uint64) uint32 {
 
 // level is one set-associative cache level with LRU replacement. All sets
 // live in one flat array of 32-bit line numbers — set i occupies
-// tags[i*assoc : i*assoc+used[i]] in recency order (offset 0 = most recently
-// used) — so building a level is two allocations regardless of set count and
-// an access touches one contiguous span. An access computes its set once:
-// with a mask when the set count is a power of two, else with a
-// multiply-high remainder, exact for every 32-bit line number.
+// tags[i*stride : i*stride+used[i]] in recency order (offset 0 = most
+// recently used) — so an access touches one contiguous span. The stride is
+// the most lines any set has held, so the array holds numSets·stride tags
+// rather than numSets·assoc: a level starts with stride 0 and no tags,
+// takes its first stride from a bulk warm-up or its first install, and then
+// widens by one only when an install would overflow a set that is full at
+// the current stride but below assoc. Sets never lose lines (an eviction
+// replaces one), so the stride always equals the fullest set's occupancy.
+// An access computes its set once: with a mask when the set count is a
+// power of two, else with a multiply-high remainder, exact for every 32-bit
+// line number.
 type level struct {
 	cfg     Config
-	tags    []uint32 // numSets*assoc line numbers, each set MRU first
+	tags    []uint32 // numSets*stride line numbers, each set MRU first
 	used    []uint8  // resident lines per set
 	numSets uint64
 	setMask uint64 // numSets-1 when numSets is a power of two, else 0
 	modMul  uint64 // ^uint64(0)/numSets + 1, the remainder's multiplier
 	assoc   int
+	stride  int // tag slots per set: the fullest set's occupancy, 0 until the first install
 	stats   Stats
-
-	// empty holds until the first install; Touch warms an empty level in
-	// bulk.
-	empty bool
 
 	// hotLine short-circuits repeated accesses to the most recently
 	// accessed line number: after any access (hit or install) that line is
@@ -101,12 +104,10 @@ func newLevel(cfg Config) *level {
 	}
 	l := &level{
 		cfg:     cfg,
-		tags:    make([]uint32, numSets*cfg.Assoc),
 		used:    make([]uint8, numSets),
 		numSets: uint64(numSets),
 		modMul:  ^uint64(0)/uint64(numSets) + 1,
 		assoc:   cfg.Assoc,
-		empty:   true,
 		hotLine: hotLineNone,
 	}
 	if numSets&(numSets-1) == 0 {
@@ -140,7 +141,7 @@ func (l *level) access(num uint32) (hit, evicted bool) {
 	}
 	l.hotLine = uint64(num)
 	s := l.setIndex(num)
-	set := l.tags[s*uint64(l.assoc):][:l.assoc]
+	set := l.tags[s*uint64(l.stride):][:l.stride]
 	live := set[:l.used[s]]
 	i := 0
 	for i < len(live) && live[i] != num {
@@ -150,10 +151,13 @@ func (l *level) access(num uint32) (hit, evicted bool) {
 	case i < len(live):
 		l.stats.Hits++
 		hit = true
-	case len(live) < len(set):
+	case len(live) < l.assoc:
 		l.stats.Misses++
+		if len(live) == l.stride {
+			l.grow(l.stride + 1)
+			set = l.tags[s*uint64(l.stride):][:l.stride]
+		}
 		l.used[s]++
-		l.empty = false
 	default:
 		l.stats.Misses++
 		i-- // the LRU way makes room
@@ -167,21 +171,36 @@ func (l *level) access(num uint32) (hit, evicted bool) {
 	return hit, evicted
 }
 
+// grow widens every set to stride tag slots, keeping each set's lines in
+// recency order.
+func (l *level) grow(stride int) {
+	//lint:ignore alloclint a level widens at most assoc times, each time to the occupancy its fullest set needs
+	tags := make([]uint32, l.numSets*uint64(stride))
+	for s := uint64(0); s < l.numSets; s++ {
+		copy(tags[s*uint64(stride):], l.tags[s*uint64(l.stride):][:l.used[s]])
+	}
+	l.tags, l.stride = tags, stride
+}
+
 // bulkTouch installs the n > 0 consecutive line numbers from first, in order,
-// into an empty level, with the stats and end state of n accesses. Every
-// line misses, since the lines are distinct and the level starts empty.
-// Within any assoc·numSets consecutive lines each set receives exactly assoc
-// of them, so only the last min(n, assoc·numSets) survive: walking back from
-// the last line, each one goes straight to the next free slot of its set,
-// which is its final recency position.
+// into a level at stride 0, with the stats and end state of n accesses.
+// Every line misses, since the lines are distinct and the level starts
+// empty. Within any assoc·numSets consecutive lines each set receives
+// exactly assoc of them, so only the last keep = min(n, assoc·numSets)
+// survive, and consecutive lines fall in consecutive sets, so the fullest
+// set holds ⌈keep/numSets⌉ of them, the stride the level takes. Walking back
+// from the last line, each survivor goes straight to the next free slot of
+// its set, which is its final recency position.
 func (l *level) bulkTouch(first uint32, n int) {
 	l.stats.Misses += uint64(n)
-	keep := min(n, len(l.tags))
+	sets := int(l.numSets)
+	keep := min(n, l.assoc*sets)
+	l.grow((keep + sets - 1) / sets)
 	num := first + uint32(n-1)
 	l.hotLine = uint64(num)
 	s := l.setIndex(num)
 	for k := 0; k < keep; k++ {
-		l.tags[s*uint64(l.assoc)+uint64(l.used[s])] = num
+		l.tags[s*uint64(l.stride)+uint64(l.used[s])] = num
 		l.used[s]++
 		num--
 		if s == 0 {
@@ -189,7 +208,6 @@ func (l *level) bulkTouch(first uint32, n int) {
 		}
 		s--
 	}
-	l.empty = false
 }
 
 // Hierarchy is a multi-level cache backed by DRAM. Its levels are
@@ -287,8 +305,8 @@ func (h *Hierarchy) accessLineServed(addr uint64) (float64, float64, int) {
 // accesses, whose cost the engine bills itself.
 //
 // Because the levels are independent, Touch walks one level at a time. A
-// level nothing has been installed in takes a range of more than one line
-// in bulk, in O(level capacity) rather than O(range).
+// level nothing has been installed in (stride 0) takes a range of more than
+// one line in bulk, in O(level capacity) rather than O(range).
 func (h *Hierarchy) Touch(addr uint64, size int) {
 	if size <= 0 {
 		return
@@ -296,7 +314,7 @@ func (h *Hierarchy) Touch(addr uint64, size int) {
 	first, last := lineNumber(addr), lineNumber(addr+uint64(size-1))
 	n := int(last-first) + 1
 	for _, l := range h.levels {
-		if n > 1 && l.empty {
+		if n > 1 && l.stride == 0 {
 			l.bulkTouch(first, n)
 			continue
 		}
@@ -313,7 +331,7 @@ func (h *Hierarchy) Pristine() bool {
 		return false
 	}
 	for _, l := range h.levels {
-		if !l.empty {
+		if l.stride != 0 {
 			return false
 		}
 	}
@@ -321,9 +339,9 @@ func (h *Hierarchy) Pristine() bool {
 }
 
 // CopyFrom makes h's simulated state equal src's, whatever h held before:
-// each level's resident lines and their recency order, its stats, its
-// empty flag and its hot-line register, plus the DRAM access count. Every
-// later access then behaves on h exactly as it would on src. The DRAM
+// each level's resident lines and their recency order, its stride, its
+// stats and its hot-line register, plus the DRAM access count. Every later
+// access then behaves on h exactly as it would on src. The DRAM
 // latency, DRAMPenalty and Probe stay h's own. It panics unless both
 // hierarchies have the same level configs, since only a bug pairs
 // different geometries.
@@ -336,9 +354,12 @@ func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 		if l.cfg != s.cfg {
 			panic(fmt.Sprintf("cache: CopyFrom between levels %+v and %+v", l.cfg, s.cfg))
 		}
+		if len(l.tags) != len(s.tags) {
+			l.tags = make([]uint32, len(s.tags))
+		}
 		copy(l.tags, s.tags)
 		copy(l.used, s.used)
-		l.stats, l.empty, l.hotLine = s.stats, s.empty, s.hotLine
+		l.stride, l.stats, l.hotLine = s.stride, s.stats, s.hotLine
 	}
 	h.dramAccess = src.dramAccess
 }

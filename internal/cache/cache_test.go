@@ -281,8 +281,8 @@ func copyGeometry() *Hierarchy {
 
 // runProgram drives h with n random steps over lines [base, base+window):
 // charged line and range accesses, Touch ranges up to twice the L3's
-// capacity (in bulk while a level is empty) and an occasional ResetStats.
-// It returns every charged latency and serving level in order.
+// capacity (in bulk while a level is at stride 0) and an occasional
+// ResetStats. It returns every charged latency and serving level in order.
 func runProgram(h *Hierarchy, rng *rand.Rand, base, window uint64, n int) []float64 {
 	var out []float64
 	for i := 0; i < n; i++ {
@@ -303,21 +303,21 @@ func runProgram(h *Hierarchy, rng *rand.Rand, base, window uint64, n int) []floa
 }
 
 // sameState compares two hierarchies' simulated state: per level the
-// resident lines of every set in recency order, the stats, the empty flag
-// and the hot register, plus the DRAM count.
+// stride, the resident lines of every set in recency order, the stats and
+// the hot register, plus the DRAM count.
 func sameState(got, want *Hierarchy) error {
 	if got.dramAccess != want.dramAccess {
 		return fmt.Errorf("DRAMAccesses %d, want %d", got.dramAccess, want.dramAccess)
 	}
 	for i, g := range got.levels {
 		w := want.levels[i]
-		if g.stats != w.stats || g.empty != w.empty || g.hotLine != w.hotLine {
-			return fmt.Errorf("%s: stats %+v empty=%v hot %#x, want %+v empty=%v hot %#x",
-				g.cfg.Name, g.stats, g.empty, g.hotLine, w.stats, w.empty, w.hotLine)
+		if g.stats != w.stats || g.stride != w.stride || len(g.tags) != len(w.tags) || g.hotLine != w.hotLine {
+			return fmt.Errorf("%s: stats %+v stride %d over %d tags hot %#x, want %+v stride %d over %d tags hot %#x",
+				g.cfg.Name, g.stats, g.stride, len(g.tags), g.hotLine, w.stats, w.stride, len(w.tags), w.hotLine)
 		}
 		for s := uint64(0); s < g.numSets; s++ {
-			gl := g.tags[s*uint64(g.assoc):][:g.used[s]]
-			wl := w.tags[s*uint64(w.assoc):][:w.used[s]]
+			gl := g.tags[s*uint64(g.stride):][:g.used[s]]
+			wl := w.tags[s*uint64(w.stride):][:w.used[s]]
 			if fmt.Sprint(gl) != fmt.Sprint(wl) {
 				return fmt.Errorf("%s set %d: lines %v, want %v", g.cfg.Name, s, gl, wl)
 			}
@@ -328,27 +328,40 @@ func sameState(got, want *Hierarchy) error {
 
 // TestCopyFromMatchesReplay: a hierarchy that copies another's state ends
 // in the state a replay of the source's program reaches, and behaves like
-// that replay from then on. The destination is either pristine or has run
-// its own program over other lines first, so a stale hot register or a
-// stale set would show: the follow-up program starts with the lines the
-// destination's own program left hot.
+// that replay from then on. The destination is pristine, holds one line
+// per level (stride 1), or has filled every level (stride assoc) and run
+// its own program over other lines, so copies land on destinations at a
+// narrower and at a wider stride than the source's, and a stale hot
+// register, set or stride would show: the follow-up program starts with
+// the lines the destination left hot.
 func TestCopyFromMatchesReplay(t *testing.T) {
 	const window = 3 * 37 * 8
-	for trial := int64(0); trial < 20; trial++ {
+	narrower, wider := 0, 0
+	for trial := int64(0); trial < 30; trial++ {
 		src, replay, dst := copyGeometry(), copyGeometry(), copyGeometry()
 		if !dst.Pristine() {
 			t.Fatal("a new hierarchy is not pristine")
 		}
-		steps := int(trial) * 10
+		steps := int(trial/3) * 10
 		runProgram(src, rand.New(rand.NewSource(trial)), 1<<14, window, steps)
 		runProgram(replay, rand.New(rand.NewSource(trial)), 1<<14, window, steps)
-		if trial%2 == 1 {
+		switch trial % 3 {
+		case 1:
+			dst.AccessLineServed(1 << 16 * mem.LineSize)
+		case 2:
+			dst.Touch(1<<16*mem.LineSize, 2*window*mem.LineSize)
 			runProgram(dst, rand.New(rand.NewSource(trial+100)), 1<<16, window, 50)
 		}
 		var stale []uint64
-		for _, l := range dst.levels {
+		for i, l := range dst.levels {
 			if l.hotLine != hotLineNone {
 				stale = append(stale, l.hotLine*mem.LineSize)
+			}
+			switch s := src.levels[i].stride; {
+			case l.stride != 0 && l.stride < s:
+				narrower++
+			case l.stride > s:
+				wider++
 			}
 		}
 		dst.CopyFrom(src)
@@ -372,6 +385,40 @@ func TestCopyFromMatchesReplay(t *testing.T) {
 		}
 		if err := sameState(dst, replay); err != nil {
 			t.Fatalf("trial %d: after the follow-up program: %v", trial, err)
+		}
+	}
+	if narrower == 0 || wider == 0 {
+		t.Fatalf("copied into %d levels at a narrower stride and %d at a wider one, want both", narrower, wider)
+	}
+}
+
+// TestTagsScaleWithFullestSet: when no set of a level has held more than k
+// lines, the level holds at most numSets·k tags, whether the lines came by
+// bulk Touch, line-by-line Touch, charged access or CopyFrom. A Skylake-A
+// hierarchy that has seen lines from a 4 MB range fills its L1 and L2 but
+// holds at most two lines in any set of its 11-way L3.
+func TestTagsScaleWithFullestSet(t *testing.T) {
+	h := benchHierarchy()
+	h.Touch(1<<20, 1<<20)
+	h.Touch(3<<20, 64<<10)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		h.AccessLineServed(1<<20 + uint64(rng.Intn(4<<20)))
+	}
+	copied := benchHierarchy()
+	copied.CopyFrom(h)
+	for _, hh := range []*Hierarchy{h, copied} {
+		for _, l := range hh.levels {
+			k := 0
+			for _, u := range l.used {
+				k = max(k, int(u))
+			}
+			if uint64(len(l.tags)) > l.numSets*uint64(k) {
+				t.Errorf("%s: %d tags, but no set of %d holds more than %d lines", l.cfg.Name, len(l.tags), l.numSets, k)
+			}
+			if l.cfg.Name == "L3" && k != 2 {
+				t.Errorf("L3: the fullest set holds %d lines, want 2", k)
+			}
 		}
 	}
 }

@@ -102,10 +102,10 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 }
 
 // sameContents compares a level's resident lines with the reference's set
-// by set, in LRU order, as 32-bit line tags.
+// by set, in LRU order, as 32-bit line tags, and checks its stride.
 func sameContents(fast *level, ref *refLevel) error {
 	for s := uint64(0); s < fast.numSets; s++ {
-		got := fast.tags[s*uint64(fast.assoc) : s*uint64(fast.assoc)+uint64(fast.used[s])]
+		got := fast.tags[s*uint64(fast.stride):][:fast.used[s]]
 		want := ref.sets[s]
 		if len(got) != len(want) {
 			return fmt.Errorf("set %d: %d resident vs %d", s, len(got), len(want))
@@ -115,6 +115,19 @@ func sameContents(fast *level, ref *refLevel) error {
 				return fmt.Errorf("set %d way %d: tag %#x vs %#x", s, i, got[i], want[i]/mem.LineSize)
 			}
 		}
+	}
+	return sameStride(fast, ref)
+}
+
+// sameStride checks that a level's stride is the occupancy of the
+// reference's fullest set and that it holds exactly numSets·stride tags.
+func sameStride(fast *level, ref *refLevel) error {
+	fullest := 0
+	for _, set := range ref.sets {
+		fullest = max(fullest, len(set))
+	}
+	if fast.stride != fullest || uint64(len(fast.tags)) != fast.numSets*uint64(fullest) {
+		return fmt.Errorf("stride %d over %d tags, want the fullest set's %d over %d sets", fast.stride, len(fast.tags), fullest, fast.numSets)
 	}
 	return nil
 }
@@ -194,18 +207,45 @@ func (r *progReader) u16() int {
 // powers of two, and counts the multiply-high remainder serves.
 var fuzzSetCounts = []int{1, 2, 4, 16, 64, 3, 5, 7, 37, 100}
 
+// growSeed is a program for one level of assoc ways over
+// fuzzSetCounts[setIdx] sets that charges assoc+1 lines of set 0, so the
+// level widens through every stride up to assoc and then evicts. With
+// copyAt in [0, assoc] it continues on a copy before charging line copyAt:
+// into a fresh hierarchy when into is 0, else into the spare.
+func growSeed(assoc, setIdx, copyAt int, into byte) []byte {
+	// One level at latency 1, DRAM latency 100 without penalty, lines from 1 MiB.
+	prog := []byte{0, byte(assoc - 1), byte(setIdx), 0, 0, 0, 1}
+	for k := 0; k <= assoc; k++ {
+		if k == copyAt {
+			prog = append(prog, 6, 0, 0, 0, into)
+		}
+		off := k * fuzzSetCounts[setIdx]
+		prog = append(prog, 1, byte(off), byte(off>>8), 0)
+	}
+	return prog
+}
+
 // FuzzHierarchyMatchesReference builds a random geometry of one to three
 // levels (1–20 ways, set counts from fuzzSetCounts) and runs a random
 // program on it and on a refHierarchy: Access, AccessLineServed,
 // AccessLineDetailServed, Touch ranges up to three times the largest
-// level's capacity — on empty levels when the program starts with one — and
-// ResetStats. Lines come from a window of four capacities placed at the
-// bottom of the tag range, at 1 MiB, or at its top. Every step must agree
-// on latency, contention excess, serving level and probe events (evictions
-// included); at the end the per-level stats, DRAMAccesses, hot registers,
-// empty flags and the contents of every set must agree.
+// level's capacity — on empty levels when the program starts with one —
+// ResetStats, and CopyFrom, after which the program continues on the copy.
+// The copy goes into a fresh hierarchy or into a spare of the same
+// geometry: at first one whose levels a Touch of twice their capacity
+// filled, later the hierarchy the previous copy left behind, so copies land
+// on destinations at a narrower, equal and wider stride. Lines come from a
+// window of four capacities placed at the bottom of the tag range, at
+// 1 MiB, or at its top. Every step must agree on latency, contention
+// excess, serving level and probe events (evictions included), and every
+// level's stride must be its fullest set's occupancy; at the end the
+// per-level stats, DRAMAccesses, hot registers and the contents of every
+// set must agree.
 func FuzzHierarchyMatchesReference(f *testing.F) {
 	f.Add([]byte{2, 7, 3, 4, 1, 9, 30, 0, 1, 3, 0, 0, 1, 200, 0, 0, 5, 0, 0, 0, 1, 40, 0, 0})
+	f.Add(growSeed(20, 9, -1, 0)) // 20 ways over 100 sets
+	f.Add(growSeed(11, 8, 5, 0))  // an L3-like 11 ways over 37 sets, copied into a fresh hierarchy halfway
+	f.Add(growSeed(8, 0, 3, 1))   // 8 ways over one set, copied into the full spare
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		r := &progReader{data: prog}
 		ref := &refHierarchy{}
@@ -220,16 +260,21 @@ func FuzzHierarchyMatchesReference(f *testing.F) {
 		}
 		ref.dramLatency = float64(100 + int(r.byte()))
 		ref.penalty = 1 + float64(r.byte()%4)/4
-		h := New(ref.dramLatency, ref.cfgs...)
-		h.DRAMPenalty = ref.penalty
 		probe := &recProbe{}
-		h.Probe = probe
+		build := func() *Hierarchy {
+			h := New(ref.dramLatency, ref.cfgs...)
+			h.DRAMPenalty = ref.penalty
+			h.Probe = probe
+			return h
+		}
+		h, spare := build(), build()
+		spare.Touch(0, 2*capLines*mem.LineSize)
 
 		const tagLines = uint64(math.MaxUint32) + 1
 		window := uint64(4*capLines + 8)
 		base := [...]uint64{0, (1 << 20) / mem.LineSize, tagLines - window}[r.byte()%3]
 		for step := 0; !r.done() && step < 256; step++ {
-			op := r.byte() % 6
+			op := r.byte() % 7
 			line := base + uint64(r.u16())%window
 			addr := line*mem.LineSize + uint64(r.byte()%mem.LineSize)
 			switch op {
@@ -274,6 +319,18 @@ func FuzzHierarchyMatchesReference(f *testing.F) {
 				for _, l := range ref.levels {
 					l.hits, l.misses = 0, 0
 				}
+			case 6:
+				dst := spare
+				if r.byte()%2 == 0 {
+					dst = build()
+				}
+				dst.CopyFrom(h)
+				h, spare = dst, h
+			}
+			for i, l := range h.levels {
+				if err := sameStride(l, ref.levels[i]); err != nil {
+					t.Fatalf("step %d %s: %v", step, ref.cfgs[i].Name, err)
+				}
 			}
 		}
 
@@ -285,8 +342,8 @@ func FuzzHierarchyMatchesReference(f *testing.F) {
 			if st, _ := h.LevelStats(ref.cfgs[i].Name); st.Hits != rl.hits || st.Misses != rl.misses {
 				t.Fatalf("%s stats %d/%d, reference %d/%d", ref.cfgs[i].Name, st.Hits, st.Misses, rl.hits, rl.misses)
 			}
-			if l.hotLine != rl.last || l.empty != (rl.last == hotLineNone) {
-				t.Fatalf("%s hot register %#x empty=%v, reference last line %#x", ref.cfgs[i].Name, l.hotLine, l.empty, rl.last)
+			if l.hotLine != rl.last {
+				t.Fatalf("%s hot register %#x, reference last line %#x", ref.cfgs[i].Name, l.hotLine, rl.last)
 			}
 			if err := sameContents(l, rl); err != nil {
 				t.Fatalf("%s: %v", ref.cfgs[i].Name, err)

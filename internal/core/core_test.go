@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -184,6 +185,27 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Params{Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32}); err == nil {
 		t.Error("missing table size accepted")
+	}
+	// A NaN, negative or above-1 load factor and a NaN hit rate fail
+	// before the fill, naming the field, in both entry points.
+	for _, c := range []struct {
+		lf, hit float64
+		field   string
+	}{
+		{math.NaN(), 0.9, "LoadFactor"},
+		{-0.5, 0.9, "LoadFactor"},
+		{1.5, 0.9, "LoadFactor"},
+		{0.9, math.NaN(), "HitRate"},
+	} {
+		p := Params{Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32,
+			TableBytes: 1 << 16, Queries: 100, LoadFactor: c.lf, HitRate: c.hit}
+		_, err := Run(p)
+		_, errMixed := RunMixed(p, 0.1)
+		for _, err := range []error{err, errMixed} {
+			if err == nil || !strings.Contains(err.Error(), "Params."+c.field) {
+				t.Errorf("LoadFactor %v HitRate %v: error %v, want one naming Params.%s", c.lf, c.hit, err, c.field)
+			}
+		}
 	}
 }
 

@@ -92,11 +92,12 @@ type Params struct {
 	// power-of-two bucket count.
 	TableBytes int
 
-	// LoadFactor is the fill target (fraction of slots occupied).
+	// LoadFactor is the fill target (fraction of slots occupied), in
+	// (0,1]. Zero defaults to 0.9.
 	LoadFactor float64
 
 	// HitRate is the query selectivity: the fraction of queried keys
-	// present in the table.
+	// present in the table, in [0,1]. Zero defaults to 0.9.
 	HitRate float64
 
 	// Pattern and ZipfTheta configure the access distribution.
@@ -179,11 +180,17 @@ func (p Params) withDefaults() (Params, error) {
 	if p.Cores <= 0 {
 		p.Cores = p.Arch.Cores
 	}
-	if p.LoadFactor <= 0 {
+	if p.LoadFactor == 0 {
 		p.LoadFactor = 0.9
+	}
+	if !(p.LoadFactor > 0 && p.LoadFactor <= 1) {
+		return p, fmt.Errorf("core: Params.LoadFactor %v outside (0,1]", p.LoadFactor)
 	}
 	if p.HitRate == 0 {
 		p.HitRate = 0.9
+	}
+	if !(p.HitRate >= 0 && p.HitRate <= 1) {
+		return p, fmt.Errorf("core: Params.HitRate %v outside [0,1]", p.HitRate)
 	}
 	if len(p.Widths) == 0 {
 		p.Widths = p.Arch.Widths

@@ -123,12 +123,12 @@ func TestHandleMGetChunksOversizedBatches(t *testing.T) {
 
 func TestApplyPressureIsTransient(t *testing.T) {
 	_, srv, keys := faultServer(t, 100, 32)
-	before := srv.Store.Count()
+	before := liveItems(srv.Store)
 	inserted, failed := srv.ApplyPressure(16)
 	if inserted != 16 || failed != 0 {
 		t.Fatalf("ApplyPressure = (%d, %d), want (16, 0)", inserted, failed)
 	}
-	if got := srv.Store.Count(); got != before {
+	if got := liveItems(srv.Store); got != before {
 		t.Errorf("store count %d after pressure, want %d (items must be removed again)", got, before)
 	}
 	if srv.PressureInserted != 16 {

@@ -63,7 +63,6 @@ type ItemStore struct {
 
 	lruHead int32
 	lruTail int32
-	count   int
 
 	// MaxBytes caps the memory charged to items (chunk sizes); 0 means
 	// unbounded. The server evicts from the LRU tail to respect it, which
@@ -93,11 +92,6 @@ func NewItemStore(space *mem.AddressSpace) *ItemStore {
 	}
 	return &ItemStore{space: space, classes: classes, lruHead: -1, lruTail: -1}
 }
-
-// Count returns the number of live items.
-//
-//lint:ignore reachlint oracle a test compares against: the live-item count the index and eviction tests check hits against
-func (s *ItemStore) Count() int { return s.count }
 
 // sizeClass returns the slab class of an object with the given key and
 // value lengths, or an error when it exceeds the largest class.
@@ -136,7 +130,6 @@ func (s *ItemStore) Set(key, value []byte) (uint32, error) {
 		class: int8(ci),
 		used:  true,
 	}
-	s.count++
 	s.usedBytes += s.classes[ci].chunkSize
 	s.lruPushFront(int32(ref))
 	return ref, nil
@@ -192,7 +185,6 @@ func (s *ItemStore) Delete(ref uint32) error {
 	s.usedBytes -= s.classes[it.class].chunkSize
 	*it = Item{lruPrev: -1, lruNext: -1}
 	s.free = append(s.free, ref)
-	s.count--
 	return nil
 }
 

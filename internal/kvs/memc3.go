@@ -24,7 +24,6 @@ type MemC3Index struct {
 	keyver     *mem.Arena // striped key-version counters (optimistic reads)
 	bucketBits int
 	rng        *rand.Rand
-	count      int
 }
 
 const (
@@ -60,11 +59,6 @@ func (x *MemC3Index) Name() string { return "MemC3" }
 
 // Width implements Index (scalar backend).
 func (x *MemC3Index) Width() int { return arch.WidthScalar }
-
-// Count returns the number of stored entries.
-//
-//lint:ignore reachlint oracle a test compares against: the entry count the occupancy test measures
-func (x *MemC3Index) Count() int { return x.count }
 
 // tagOf derives the 8-bit tag; tag 0 marks an empty slot, so tags are
 // remapped into [1,255].
@@ -110,7 +104,6 @@ func (x *MemC3Index) Insert(hash32, ref uint32) error {
 		for s := 0; s < memc3Slots; s++ {
 			if x.tagAt(b, s) == 0 {
 				x.setSlot(b, s, tag, ptr)
-				x.count++
 				return nil
 			}
 		}
@@ -130,7 +123,6 @@ func (x *MemC3Index) Insert(hash32, ref uint32) error {
 		for s := 0; s < memc3Slots; s++ {
 			if x.tagAt(b, s) == 0 {
 				x.setSlot(b, s, curTag, curPtr)
-				x.count++
 				return nil
 			}
 		}
@@ -220,7 +212,6 @@ func (x *MemC3Index) Delete(store *ItemStore, hash32 uint32, key []byte) bool {
 			it := store.Get(uint32(ptr - 1))
 			if it != nil && string(it.Key) == string(key) {
 				x.setSlot(b, s, 0, 0)
-				x.count--
 				return true
 			}
 		}

@@ -45,6 +45,17 @@ func (p Pattern) String() string {
 	}
 }
 
+// ParsePattern returns the built-in pattern whose String is name, or an
+// error for any other name.
+func ParsePattern(name string) (Pattern, error) {
+	for _, p := range []Pattern{Uniform, Skewed} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return Uniform, fmt.Errorf("workload: unknown pattern %q (want uniform or skewed)", name)
+}
+
 // DefaultZipfTheta is the Zipfian exponent used by mutilate and YCSB.
 const DefaultZipfTheta = 0.99
 
@@ -69,7 +80,7 @@ func New(stored []uint64, cfg Config) (Generator, error) {
 	if len(stored) == 0 {
 		return nil, fmt.Errorf("workload: no stored keys")
 	}
-	if cfg.HitRate < 0 || cfg.HitRate > 1 {
+	if !(cfg.HitRate >= 0 && cfg.HitRate <= 1) {
 		return nil, fmt.Errorf("workload: hit rate %v outside [0,1]", cfg.HitRate)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))

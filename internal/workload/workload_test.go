@@ -149,6 +149,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(storedKeys(10), Config{Pattern: Uniform, HitRate: 1.5, KeyBits: 32}); err == nil {
 		t.Error("hit rate > 1 accepted")
 	}
+	if _, err := New(storedKeys(10), Config{Pattern: Uniform, HitRate: math.NaN(), KeyBits: 32}); err == nil {
+		t.Error("NaN hit rate accepted")
+	}
 	if _, err := New(storedKeys(10), Config{Pattern: Pattern(99), KeyBits: 32}); err == nil {
 		t.Error("unknown pattern accepted")
 	}
@@ -157,6 +160,14 @@ func TestConfigValidation(t *testing.T) {
 func TestPatternString(t *testing.T) {
 	if Uniform.String() != "uniform" || Skewed.String() != "skewed" {
 		t.Error("pattern names wrong")
+	}
+	for _, want := range []Pattern{Uniform, Skewed} {
+		if got, err := ParsePattern(want.String()); got != want || err != nil {
+			t.Errorf("ParsePattern(%q) = %v, %v", want.String(), got, err)
+		}
+	}
+	if _, err := ParsePattern("zipf"); err == nil {
+		t.Error(`ParsePattern("zipf") accepted an unknown pattern`)
 	}
 }
 
