@@ -351,6 +351,40 @@ func TestServerSetGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServerGetAllocFree pins the one-key lookup behind Get (and Replace)
+// at zero allocations on every backend, for a hit and a miss.
+func TestServerGetAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(space *mem.AddressSpace) (Index, error)
+	}{
+		{"memc3", func(space *mem.AddressSpace) (Index, error) { return NewMemC3Index(space, 1000, 1), nil }},
+		{"horizontal", func(space *mem.AddressSpace) (Index, error) { return NewHorizontalIndex(space, 1000, 64, 1) }},
+		{"vertical", func(space *mem.AddressSpace) (Index, error) { return NewVerticalIndex(space, 1000, 64, 1) }},
+	} {
+		space := mem.NewAddressSpace()
+		idx, err := tc.mk(space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(nil, arch.SkylakeClusterB(), 2, 64, idx, NewItemStore(space))
+		hit, miss := []byte("hello-key-000001"), []byte("missing-key-0001")
+		if _, err := srv.Set(hit, []byte("world")); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := srv.Get(hit); !ok {
+				t.Fatal("stored key not found")
+			}
+			if _, ok := srv.Get(miss); ok {
+				t.Fatal("missing key found")
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Get allocates %.1f times per hit and miss, want 0", tc.name, allocs)
+		}
+	}
+}
+
 func TestServerHandleMGet(t *testing.T) {
 	pd := des.NewPartitioned(1, 1, 1e-6)
 	sim := pd.Sim(0)

@@ -97,21 +97,15 @@ func (s *Server) processReplicate(wi int, items []ReplicaItem) (int, float64) {
 // probed lines in that worker's simulated caches.
 func (s *Server) Replace(key, value []byte) (bool, error) {
 	replaced := false
-	e := s.engines[0]
-	e.SetCharging(false)
-	keys := [][]byte{key}
-	hashes := []uint32{Hash32(key)}
-	refs := []uint32{NoRef}
-	s.Index.LookupBatch(e, s.Store, keys, hashes, refs)
-	e.SetCharging(true)
-	if refs[0] != NoRef {
-		s.Index.Delete(s.Store, hashes[0], key)
-		if err := s.Store.Delete(refs[0]); err != nil {
+	h := Hash32(key)
+	if ref := s.lookupOne(key, h); ref != NoRef {
+		s.Index.Delete(s.Store, h, key)
+		if err := s.Store.Delete(ref); err != nil {
 			return false, err
 		}
 		replaced = true
 	}
-	_, err := s.Set(key, value)
+	_, err := s.set(key, value, h)
 	return replaced, err
 }
 

@@ -74,6 +74,12 @@ type Server struct {
 	hashScr    [][]uint32
 	maxBatch   int
 
+	// One-key scratch for Get and Replace. Both run only on the server's
+	// own partition, one call at a time, so one set serves every call.
+	oneKey  [1][]byte
+	oneHash [1]uint32
+	oneRef  [1]uint32
+
 	// Accumulated stats.
 	Batches     uint64
 	KeysServed  uint64
@@ -148,10 +154,14 @@ func NewServer(sim *des.Sim, model *arch.Model, workers, maxBatch int, index Ind
 // larger than the largest slab class is rejected before anything is
 // evicted. Returns the item reference.
 func (s *Server) Set(key, value []byte) (uint32, error) {
+	return s.set(key, value, Hash32(key))
+}
+
+// set is Set for a key whose Hash32 the caller has already computed.
+func (s *Server) set(key, value []byte, h uint32) (uint32, error) {
 	if _, err := s.Store.sizeClass(len(key), len(value)); err != nil {
 		return NoRef, err
 	}
-	h := Hash32(key)
 	for s.Store.NeedsEviction(len(key), len(value)) {
 		victim := s.Store.LRUTail()
 		if victim == NoRef {
@@ -180,17 +190,24 @@ func (s *Server) Set(key, value []byte) (uint32, error) {
 // cycles, but it still installs the probed lines in that worker's simulated
 // caches, which later charged batches on worker 0 see.
 func (s *Server) Get(key []byte) ([]byte, bool) {
-	e := s.engines[0]
-	e.SetCharging(false)
-	defer e.SetCharging(true)
-	keys := [][]byte{key}
-	hashes := []uint32{Hash32(key)}
-	refs := []uint32{NoRef}
-	s.Index.LookupBatch(e, s.Store, keys, hashes, refs)
-	if refs[0] == NoRef {
+	ref := s.lookupOne(key, Hash32(key))
+	if ref == NoRef {
 		return nil, false
 	}
-	return s.Store.Get(refs[0]).Value, true
+	return s.Store.Get(ref).Value, true
+}
+
+// lookupOne resolves one key with hash h through the index's lookup
+// template on worker 0's engine with charging off, using the server's
+// one-key scratch, and returns its item reference or NoRef.
+func (s *Server) lookupOne(key []byte, h uint32) uint32 {
+	e := s.engines[0]
+	e.SetCharging(false)
+	s.oneKey[0], s.oneHash[0], s.oneRef[0] = key, h, NoRef
+	s.Index.LookupBatch(e, s.Store, s.oneKey[:], s.oneHash[:], s.oneRef[:])
+	e.SetCharging(true)
+	s.oneKey[0] = nil // keep no reference to the caller's key
+	return s.oneRef[0]
 }
 
 // HandleMGet schedules a Multi-Get batch: it waits for a free worker,
