@@ -3,7 +3,6 @@ package memslap
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"simdhtbench/internal/des"
@@ -80,18 +79,10 @@ type Fleet struct {
 	placement []int
 	repairing map[repairKey]bool
 
-	// Run counters, copied into FleetResults.
-	Epochs    uint64
-	KeysMoved uint64 // ownership transfers enqueued by rebalance
-	KeysLost  uint64 // keys whose last live replica vanished (no donor)
-	Repairs   uint64 // read-repair writes acknowledged
-	Failovers uint64 // sub-batch retries rotated to the next replica
-
-	// Overload-control counters (armed by the fault plan's hedge=/budget=
-	// keys), copied into FleetResults.
-	Hedges       uint64 // hedged duplicate reads issued after the hedge delay
-	HedgeWins    uint64 // hedges whose response resolved keys before the primary
-	BudgetDenied uint64 // retries forgone because the client budget was empty
+	// counts is what the current run has counted, the control plane's ring
+	// and repair counters included; RunFleet zeroes it and computes
+	// FleetResults from it.
+	counts fleetCounters
 }
 
 type repairKey struct {
@@ -254,11 +245,11 @@ func (f *Fleet) Join(id int) error {
 // message to the source server. The source resolves its local store,
 // streams what it has in rebalanceBatchItems-sized messages through the
 // destination's charged HandleReplicate, and reports back how many keys
-// were missing; the coordinator then corrects KeysMoved/KeysLost and fires
-// RebalanceDone when the last group completes. Transfers compete with
-// foreground traffic for NICs and workers — nothing is teleported. A key
-// with no live donor is counted lost (with R=1 a wiped server's data is
-// simply gone until rewritten).
+// were missing; the coordinator then corrects the moved and lost counts
+// and fires RebalanceDone when the last group completes. Transfers compete
+// with foreground traffic for NICs and workers — nothing is teleported. A
+// key with no live donor is counted lost (with R=1 a wiped server's data
+// is simply gone until rewritten).
 //
 // The placement table supplies each key's old replica set; the new one is
 // computed from the key's stored hash and written back in its place.
@@ -266,7 +257,7 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 	R := f.Replication
 	oldM := min(R, f.Ring.Servers())
 	f.Ring = nr
-	f.Epochs++
+	f.counts.epochs++
 
 	type cmdGroup struct {
 		src, dst int
@@ -306,8 +297,8 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 			moved++
 		}
 	}
-	f.KeysMoved += uint64(moved)
-	f.KeysLost += uint64(lost)
+	f.counts.keysMoved += uint64(moved)
+	f.counts.keysLost += uint64(lost)
 	start := f.Sim.Now()
 	epoch := nr.Epoch()
 	if f.Probe != nil {
@@ -332,8 +323,8 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 			started = true
 			f.runTransfer(g.src, g.dst, g.keys, func(shipped, missing int) {
 				// Completion, delivered back at the coordinator.
-				f.KeysMoved -= uint64(missing)
-				f.KeysLost += uint64(missing)
+				f.counts.keysMoved -= uint64(missing)
+				f.counts.keysLost += uint64(missing)
 				movedTotal -= missing
 				outstanding--
 				if outstanding == 0 && f.Probe != nil {
@@ -515,536 +506,26 @@ func (r FleetResults) String() string {
 // arrivals and fault-driven membership churn. See FleetConfig for the
 // semantics of each knob.
 func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
-	servers := f.Servers
-	if cfg.Clients <= 0 || cfg.BatchSize <= 0 || cfg.Requests <= 0 {
-		return FleetResults{}, &ConfigError{Field: "clients/batch/requests", Reason: "must be positive"}
+	if err := cfg.validate(f); err != nil {
+		return FleetResults{}, err
 	}
-	if len(f.keys) == 0 {
-		return FleetResults{}, &ConfigError{Field: "keys", Reason: "LoadFleet must run before RunFleet"}
-	}
-	if cfg.ArrivalRate < 0 {
-		return FleetResults{}, &ConfigError{Field: "arrival rate", Reason: "must be non-negative"}
-	}
-	if cfg.WriteFraction < 0 || cfg.WriteFraction >= 1 {
-		return FleetResults{}, &ConfigError{Field: "write fraction", Reason: "must be in [0, 1)"}
-	}
-	if cfg.Churn {
-		if cfg.ArrivalRate <= 0 {
-			return FleetResults{}, &ConfigError{Field: "churn", Reason: "requires open-loop arrivals (ArrivalRate > 0)"}
-		}
-		if cfg.Faults == nil || cfg.Faults.Spec().CrashPeriod <= 0 {
-			return FleetResults{}, &ConfigError{Field: "churn", Reason: "requires a fault plan with crash windows (the churn schedule)"}
-		}
-	}
-	warmup := cfg.Requests / warmupDivisor
 	f.Probe = cfg.FleetProbe
-
-	sim, fabric, plan := f.Sim, f.Fabric, cfg.Faults
-	for _, srv := range servers {
+	for _, srv := range f.Servers {
 		srv.WarmCaches()
 	}
-
-	total := warmup + cfg.Requests
-	issued, completed := 0, 0
-	var latencies, queueDelays []float64
-	var phases kvs.PhaseBreakdown
-	var phaseResponses int
-	var hits, served, returned uint64
-	var retries, timeouts, degraded, missing uint64
-	var writesDone, writesFailed uint64
-	var fanoutSum int
-	var measStart, measEnd float64
-	var firstArr, lastArr float64
-	arrCount := 0
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf, err := workload.NewZipf(len(f.keys), workload.DefaultZipfTheta, rng)
+	r, err := newFleetRun(f, cfg)
 	if err != nil {
 		return FleetResults{}, err
 	}
-
-	// Pressure bursts run on each server's own partition with the server's
-	// own probe, out of reach of the coordinator's progress count. When the
-	// last request completes, the coordinator posts each pressured server a
-	// stop signal through the engine rather than the fabric: it ends the
-	// experiment, it is not modelled traffic, and a fabric fault must not
-	// drop it. Unarmed runs schedule and post nothing.
-	var stopPressure []func()
-	for i, srv := range servers {
-		stopped := false
-		if schedulePressure(srv, func() bool { return stopped }) {
-			part := i + 1
-			stopPressure = append(stopPressure, func() {
-				f.pd.Post(0, part, sim.Now()+f.pd.Lookahead(), func() { stopped = true })
-			})
-		}
-	}
-	complete := func() {
-		completed++
-		if completed == total {
-			for _, stop := range stopPressure {
-				stop()
-			}
-		}
-	}
-
-	R := f.Replication
-	writeSeq := 0
-
-	var issueClosed func(clientEP *netsim.Endpoint, budget *retryBudget)
-
-	// startRead issues one replicated Multi-Get. Sub-batches go to each
-	// key's primary replica first; on timeout the unresolved keys rotate to
-	// their next replica rank (failover), bounded by the plan's retry
-	// budget. Per-key resolution makes duplicate and stale deliveries
-	// idempotent.
-	startRead := func(clientEP *netsim.Endpoint, budget *retryBudget, seq int, closed bool) {
-		sent := sim.Now()
-		batch := make([]int, cfg.BatchSize) // key indices
-		for i := range batch {
-			batch[i] = zipf.Next()
-		}
-		pos0 := make([][]int, len(servers))
-		fanout := f.ownerGroups(batch, pos0)
-		resolved := make([]bool, len(batch))
-		remaining := len(batch)
-		foundTotal, servedKeys, missingKeys := 0, 0, 0
-		reqRetries, reqTimeouts := 0, 0
-		serviceMax := 0.0
-
-		finish := func() {
-			complete()
-			if missingKeys > 0 && cfg.FaultProbe != nil {
-				cfg.FaultProbe.BatchDegraded(servedKeys, missingKeys, sim.Now())
-			}
-			if seq > warmup {
-				latencies = append(latencies, sim.Now()-sent)
-				queueDelays = append(queueDelays, math.Max(0, sim.Now()-sent-serviceMax))
-				hits += uint64(foundTotal)
-				served += uint64(len(batch))
-				returned += uint64(servedKeys)
-				retries += uint64(reqRetries)
-				timeouts += uint64(reqTimeouts)
-				if missingKeys > 0 {
-					degraded++
-					missing += uint64(missingKeys)
-				}
-				fanoutSum += fanout
-				measEnd = sim.Now()
-			} else if seq == warmup {
-				// Server stats are not reset here: the coordinator may not
-				// touch them, and the shed/high-water counters FleetResults
-				// reads accumulate over the whole run.
-				measStart = sim.Now()
-			}
-			if closed {
-				issueClosed(clientEP, budget)
-			}
-		}
-
-		anyLive := func(pos []int) bool {
-			for _, p := range pos {
-				if !resolved[p] {
-					return true
-				}
-			}
-			return false
-		}
-
-		abandon := func(pos []int) {
-			progressed := false
-			for _, p := range pos {
-				if resolved[p] {
-					continue
-				}
-				resolved[p] = true
-				remaining--
-				missingKeys++
-				progressed = true
-			}
-			if progressed && remaining == 0 {
-				finish()
-			}
-		}
-
-		resolveServed := func(target, rank int, pos []int, res kvs.MGetResult) {
-			var repairPos []int
-			progressed := false
-			for j, p := range pos {
-				if resolved[p] {
-					continue
-				}
-				resolved[p] = true
-				remaining--
-				servedKeys++
-				progressed = true
-				if res.Values[j] != nil {
-					foundTotal++
-				} else {
-					// Every key drawn is loaded, so a miss is divergence.
-					repairPos = append(repairPos, p)
-				}
-			}
-			if t := res.Breakdown.Total(); t > serviceMax {
-				serviceMax = t
-			}
-			if progressed && seq > warmup {
-				phases.Pre += res.Breakdown.Pre
-				phases.Lookup += res.Breakdown.Lookup
-				phases.Post += res.Breakdown.Post
-				phaseResponses++
-			}
-			if f.Probe != nil {
-				f.Probe.ReplicaRead(rank)
-			}
-			if len(repairPos) > 0 {
-				f.scheduleRepairs(target, batch, repairPos)
-			}
-			// A duplicate or post-abandon (stale) delivery resolves nothing
-			// and must not re-enter finish.
-			if progressed && remaining == 0 {
-				finish()
-			}
-		}
-
-		var sendGroup func(target, rank, attempt int, pos []int, hedged bool)
-		sendGroup = func(target, rank, attempt int, pos []int, hedged bool) {
-			sub := make([][]byte, len(pos))
-			for j, p := range pos {
-				sub[j] = f.keys[batch[p]]
-			}
-			reqBytes := requestBytes(sub)
-			// rotate advances this group to the next replica rank. It is
-			// shared by the timeout and the rejected-response (server shed)
-			// paths; the flag keeps whichever fires second from rotating the
-			// same group twice. Every rotation must be covered by the
-			// client's retry budget: an empty bucket abandons instead of
-			// amplifying the overload that emptied it.
-			rotated := false
-			rotate := func() {
-				rotated = true
-				if attempt >= plan.MaxRetries() {
-					abandon(pos)
-					return
-				}
-				if !budget.spend() {
-					f.BudgetDenied++
-					if cfg.OverloadProbe != nil {
-						cfg.OverloadProbe.BudgetDenied(sim.Now())
-					}
-					abandon(pos)
-					return
-				}
-				next := attempt + 1
-				nrank := rank + 1
-				reqRetries++
-				f.Failovers++
-				if f.Probe != nil {
-					f.Probe.Failover(nrank, sim.Now())
-				}
-				backoff := plan.BackoffFor(next)
-				if cfg.FaultProbe != nil {
-					cfg.FaultProbe.RetryScheduled(next, backoff, sim.Now())
-				}
-				sim.After(backoff, func() {
-					// Regroup the still-unresolved keys by their
-					// rank-nrank replica under the *current* ring, so
-					// failover routes around membership changes too.
-					perServer := make([][]int, len(servers))
-					any := false
-					for _, p := range pos {
-						if resolved[p] {
-							continue
-						}
-						owners := f.owners(batch[p])
-						t := owners[nrank%len(owners)]
-						perServer[t] = append(perServer[t], p)
-						any = true
-					}
-					if !any {
-						return
-					}
-					for s := 0; s < len(servers); s++ {
-						if len(perServer[s]) > 0 {
-							sendGroup(s, nrank, next, perServer[s], false)
-						}
-					}
-				})
-			}
-			clientEP.Send(f.serverEPs[target], reqBytes, func() {
-				servers[target].HandleMGet(sub, func(res kvs.MGetResult) {
-					f.serverEPs[target].Send(clientEP, res.RespBytes, func() {
-						if res.Rejected {
-							// A shed is an explicit "try elsewhere": fail over
-							// now instead of burning the rest of the timeout.
-							// Hedge responses never rotate (the attempt they
-							// hedge owns recovery), and a group that already
-							// rotated or fully resolved ignores the shed.
-							if hedged || rotated || !anyLive(pos) {
-								return
-							}
-							if cfg.OverloadProbe != nil {
-								cfg.OverloadProbe.RejectedObserved(rank, sim.Now())
-							}
-							rotate()
-							return
-						}
-						if hedged && anyLive(pos) {
-							// The hedge arrived while keys were still open —
-							// it beat the attempt it was hedging.
-							f.HedgeWins++
-							if cfg.OverloadProbe != nil {
-								cfg.OverloadProbe.HedgeWon(rank, sim.Now())
-							}
-						}
-						resolveServed(target, rank, pos, res)
-					})
-				})
-			})
-			if plan == nil || hedged {
-				// Hedges carry no timeout and never re-hedge: the hedged
-				// attempt's own protocol owns recovery, so a lost hedge
-				// costs one duplicate request and nothing else.
-				return
-			}
-			if hd := plan.HedgeDelay(); hd > 0 && attempt == 0 && R > 1 {
-				// Deterministic hedged read: after the hedge delay, keys
-				// still unresolved get one duplicate read at the next
-				// replica rank. First response wins through the same
-				// per-key idempotent resolution failover uses; hedges spend
-				// no retry budget and count toward no retry bound. Without
-				// a second replica a hedge would re-ask the same server, so
-				// R=1 fleets never hedge.
-				sim.After(hd, func() {
-					if rotated || !anyLive(pos) {
-						return
-					}
-					hrank := rank + 1
-					perServer := make([][]int, len(servers))
-					any := false
-					for _, p := range pos {
-						if resolved[p] {
-							continue
-						}
-						owners := f.owners(batch[p])
-						t := owners[hrank%len(owners)]
-						perServer[t] = append(perServer[t], p)
-						any = true
-					}
-					if !any {
-						return
-					}
-					f.Hedges++
-					if cfg.OverloadProbe != nil {
-						cfg.OverloadProbe.HedgeFired(hrank, sim.Now())
-					}
-					for s := 0; s < len(servers); s++ {
-						if len(perServer[s]) > 0 {
-							sendGroup(s, hrank, attempt, perServer[s], true)
-						}
-					}
-				})
-			}
-			sim.After(plan.Timeout(), func() {
-				if rotated || !anyLive(pos) {
-					return
-				}
-				reqTimeouts++
-				if cfg.FaultProbe != nil {
-					cfg.FaultProbe.TimeoutFired(attempt, sim.Now())
-				}
-				rotate()
-			})
-		}
-
-		// Iterate sub-batches in server order (not map order) so the issue
-		// sequence — and with it every fault-RNG draw — is deterministic.
-		for s := 0; s < len(servers); s++ {
-			if len(pos0[s]) > 0 {
-				sendGroup(s, 0, 0, pos0[s], false)
-			}
-		}
-	}
-
-	// startWrite issues one quorum write: the value goes to all R replicas
-	// of a zipf-drawn key; the request completes at a majority of acks (or
-	// degrades on timeout under an armed plan).
-	startWrite := func(clientEP *netsim.Endpoint, budget *retryBudget, seq int, closed bool) {
-		sent := sim.Now()
-		writeSeq++
-		k := zipf.Next()
-		key := f.keys[k]
-		value := make([]byte, writeValueBytes)
-		for i := range value {
-			value[i] = byte('A' + (writeSeq+i)%26)
-		}
-		// The write's closures outlive the current epoch, so they keep a
-		// copy of its replica set.
-		owners := append([]int(nil), f.owners(k)...)
-		w := len(owners)/2 + 1 // majority quorum
-		acks := 0
-		finished := false
-		finishWrite := func(ok bool) {
-			finished = true
-			complete()
-			if ok && f.Probe != nil {
-				f.Probe.QuorumWrite(acks, sim.Now())
-			}
-			if seq > warmup {
-				latencies = append(latencies, sim.Now()-sent)
-				fanoutSum += len(owners)
-				if ok {
-					writesDone++
-				} else {
-					writesFailed++
-					degraded++
-					timeouts++
-				}
-				measEnd = sim.Now()
-			} else if seq == warmup {
-				measStart = sim.Now()
-			}
-			if closed {
-				issueClosed(clientEP, budget)
-			}
-		}
-		bytes := len(key) + len(value) + replicaItemOverheadBytes
-		for _, s := range owners {
-			s := s
-			acked := false
-			clientEP.Send(f.serverEPs[s], bytes, func() {
-				servers[s].HandleReplicate([]kvs.ReplicaItem{{Key: key, Value: value}}, func(applied int) {
-					f.serverEPs[s].Send(clientEP, replicaAckBytes, func() {
-						if acked {
-							return // duplicate delivery
-						}
-						acked = true
-						acks++
-						if !finished && acks >= w {
-							finishWrite(true)
-						}
-					})
-				})
-			})
-		}
-		if plan != nil {
-			sim.After(plan.Timeout()*float64(plan.MaxRetries()+1), func() {
-				if !finished {
-					if cfg.FaultProbe != nil {
-						cfg.FaultProbe.TimeoutFired(0, sim.Now())
-					}
-					finishWrite(false)
-				}
-			})
-		}
-	}
-
-	issue := func(clientEP *netsim.Endpoint, budget *retryBudget, seq int, closed bool) {
-		if cfg.WriteFraction > 0 && rng.Float64() < cfg.WriteFraction {
-			startWrite(clientEP, budget, seq, closed)
-		} else {
-			startRead(clientEP, budget, seq, closed)
-		}
-	}
-	issueClosed = func(clientEP *netsim.Endpoint, budget *retryBudget) {
-		if issued >= total {
-			return
-		}
-		issued++
-		issue(clientEP, budget, issued, true)
-	}
-
-	if cfg.ArrivalRate > 0 {
-		arrRng := rand.New(rand.NewSource(cfg.Seed + arrivalSeedOffset))
-		clientEPs := make([]*netsim.Endpoint, cfg.Clients)
-		clientBudgets := make([]*retryBudget, cfg.Clients)
-		for c := range clientEPs {
-			clientEPs[c] = fabric.Endpoint(fmt.Sprintf("client-%d", c))
-			clientBudgets[c] = newRetryBudget(plan.RetryBudget())
-		}
-		draw := func() float64 {
-			if cfg.DeterministicArrivals {
-				return 1 / cfg.ArrivalRate
-			}
-			return arrRng.ExpFloat64() / cfg.ArrivalRate
-		}
-		var arrive func(at float64)
-		arrive = func(at float64) {
-			if issued >= total {
-				return
-			}
-			issued++
-			seq := issued
-			if seq == warmup+1 {
-				firstArr = at
-			}
-			if seq > warmup {
-				lastArr = at
-				arrCount++
-			}
-			issue(clientEPs[(seq-1)%cfg.Clients], clientBudgets[(seq-1)%cfg.Clients], seq, false)
-			next := at + draw()
-			sim.At(next, func() { arrive(next) })
-		}
-		first := draw()
-		sim.At(first, func() { arrive(first) })
-	} else {
-		for c := 0; c < cfg.Clients; c++ {
-			// Each client thread owns its retry budget, as each would in a
-			// real client process.
-			issueClosed(fabric.Endpoint(fmt.Sprintf("client-%d", c)), newRetryBudget(plan.RetryBudget()))
-		}
-	}
-
+	r.armPressure()
+	r.start()
 	maxEpochs := 0
 	if cfg.Churn {
-		spec := plan.Spec()
-		churnN := min(maxChurnServers, f.Ring.Servers()-1)
-		horizon := float64(total)/cfg.ArrivalRate*4 + spec.CrashPeriod
-		maxEpochs = (int(horizon/spec.CrashPeriod) + 2) * churnN * 2
-		stop := func() bool { return completed >= total }
-		for i := 0; i < churnN; i++ {
-			// The schedule mirrors server i's own crash windows (same
-			// golden-ratio stagger the per-server plans use), so ring
-			// epochs line up with the request drops CrashedAt produces.
-			pi := plan.ForServer(i)
-			var window func(k int)
-			window = func(k int) {
-				start, dur, ok := pi.CrashWindow(k)
-				if !ok {
-					return
-				}
-				if start <= sim.Now() {
-					window(k + 1)
-					return
-				}
-				i := i
-				sim.At(start, func() {
-					if stop() {
-						return
-					}
-					if f.Ring.Servers() > 1 && f.Ring.HasMember(i) {
-						if err := f.Leave(i); err != nil {
-							return
-						}
-					}
-					sim.At(start+dur, func() {
-						if !f.Ring.HasMember(i) {
-							_ = f.Join(i)
-						}
-						if stop() {
-							return
-						}
-						window(k + 1)
-					})
-				})
-			}
-			window(1)
-		}
+		maxEpochs = r.scheduleChurn()
 	}
 
-	budget := uint64(total)*eventBudgetPerRequest + eventBudgetSlack
-	budget += uint64(total) * uint64(cfg.BatchSize) * 2 // failover + repair ceiling
+	budget := uint64(r.total)*eventBudgetPerRequest + eventBudgetSlack
+	budget += uint64(r.total) * uint64(cfg.BatchSize) * 2 // failover + repair ceiling
 	budget += uint64(maxEpochs+1) * uint64(len(f.keys)+1024) * eventBudgetPerMovedKey
 	// The engine enforces the budget between time windows, so every
 	// partition stops at the same horizon; the partition sims' own budgets
@@ -1052,16 +533,95 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	f.pd.SetEventBudget(budget)
 	f.pd.Run()
 	if f.pd.BudgetExhausted() {
-		return FleetResults{}, fmt.Errorf("memslap: watchdog: event budget %d exhausted after %d of %d requests — runaway fault/retry/rebalance loop", budget, completed, total)
+		return FleetResults{}, fmt.Errorf("memslap: watchdog: event budget %d exhausted after %d of %d requests — runaway fault/retry/rebalance loop", budget, r.completed, r.total)
 	}
-	if completed < total {
-		return FleetResults{}, fmt.Errorf("memslap: deadlock — completed %d of %d requests", completed, total)
+	if r.completed < r.total {
+		return FleetResults{}, fmt.Errorf("memslap: deadlock — completed %d of %d requests", r.completed, r.total)
 	}
+	return r.results(), nil
+}
 
-	elapsed := measEnd - measStart
+// validate rejects a config RunFleet cannot run on f.
+func (cfg FleetConfig) validate(f *Fleet) error {
+	if cfg.Clients <= 0 || cfg.BatchSize <= 0 || cfg.Requests <= 0 {
+		return &ConfigError{Field: "clients/batch/requests", Reason: "must be positive"}
+	}
+	if len(f.keys) == 0 {
+		return &ConfigError{Field: "keys", Reason: "LoadFleet must run before RunFleet"}
+	}
+	if cfg.ArrivalRate < 0 {
+		return &ConfigError{Field: "arrival rate", Reason: "must be non-negative"}
+	}
+	if cfg.WriteFraction < 0 || cfg.WriteFraction >= 1 {
+		return &ConfigError{Field: "write fraction", Reason: "must be in [0, 1)"}
+	}
+	if cfg.Churn {
+		if cfg.ArrivalRate <= 0 {
+			return &ConfigError{Field: "churn", Reason: "requires open-loop arrivals (ArrivalRate > 0)"}
+		}
+		if cfg.Faults == nil || cfg.Faults.Spec().CrashPeriod <= 0 {
+			return &ConfigError{Field: "churn", Reason: "requires a fault plan with crash windows (the churn schedule)"}
+		}
+	}
+	return nil
+}
+
+// scheduleChurn arms the rolling failures and returns the most ring epochs
+// they can install. The schedule mirrors each churn server's own crash
+// windows (the same golden-ratio stagger the per-server plans use), so ring
+// epochs line up with the request drops CrashedAt produces.
+func (r *fleetRun) scheduleChurn() int {
+	f, sim, plan := r.f, r.sim, r.plan
+	spec := plan.Spec()
+	churnN := min(maxChurnServers, f.Ring.Servers()-1)
+	horizon := float64(r.total)/r.cfg.ArrivalRate*4 + spec.CrashPeriod
+	stop := func() bool { return r.completed >= r.total }
+	for i := 0; i < churnN; i++ {
+		pi := plan.ForServer(i)
+		var window func(k int)
+		window = func(k int) {
+			start, dur, ok := pi.CrashWindow(k)
+			if !ok {
+				return
+			}
+			if start <= sim.Now() {
+				window(k + 1)
+				return
+			}
+			sim.At(start, func() {
+				if stop() {
+					return
+				}
+				if f.Ring.Servers() > 1 && f.Ring.HasMember(i) {
+					if err := f.Leave(i); err != nil {
+						return
+					}
+				}
+				sim.At(start+dur, func() {
+					if !f.Ring.HasMember(i) {
+						_ = f.Join(i)
+					}
+					if stop() {
+						return
+					}
+					window(k + 1)
+				})
+			})
+		}
+		window(1)
+	}
+	return (int(horizon/spec.CrashPeriod) + 2) * churnN * 2
+}
+
+// results computes FleetResults from the run's counters, its latency
+// samples and the servers' own counters.
+func (r *fleetRun) results() FleetResults {
+	f, c := r.f, &r.f.counts
+	elapsed := r.measEnd - r.measStart
 	if elapsed <= 0 {
 		elapsed = math.SmallestNonzeroFloat64
 	}
+	latencies := r.latencies
 	sort.Float64s(latencies)
 	var sum float64
 	for _, l := range latencies {
@@ -1069,39 +629,39 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	}
 	n := len(latencies)
 	out := FleetResults{
-		Backend:        servers[0].Index.Name(),
-		Servers:        len(servers),
-		Replication:    R,
-		BatchSize:      cfg.BatchSize,
+		Backend:        f.Servers[0].Index.Name(),
+		Servers:        len(f.Servers),
+		Replication:    f.Replication,
+		BatchSize:      r.cfg.BatchSize,
 		Requests:       n,
-		ThroughputKeys: float64(served) / elapsed,
+		ThroughputKeys: float64(c.keysRequested) / elapsed,
 		AvgLatency:     sum / float64(n),
 		P50Latency:     latencies[min(n-1, n*50/100)],
 		P99Latency:     latencies[min(n-1, n*99/100)],
 		P999Latency:    latencies[min(n-1, n*999/1000)],
-		HitRate:        float64(hits) / float64(served),
-		AvgFanout:      float64(fanoutSum) / float64(n),
-		Retries:        retries,
-		Timeouts:       timeouts,
-		Degraded:       degraded,
-		KeysMissing:    missing,
-		GoodputKeys:    float64(returned) / elapsed,
-		Epochs:         f.Epochs,
-		KeysMoved:      f.KeysMoved,
-		KeysLost:       f.KeysLost,
-		Repairs:        f.Repairs,
-		Failovers:      f.Failovers,
-		Writes:         writesDone,
-		WritesFailed:   writesFailed,
-		Hedges:         f.Hedges,
-		HedgeWins:      f.HedgeWins,
-		BudgetDenied:   f.BudgetDenied,
+		HitRate:        float64(c.keysFound) / float64(c.keysRequested),
+		AvgFanout:      float64(c.fanout) / float64(n),
+		Retries:        c.retries,
+		Timeouts:       c.timeouts,
+		Degraded:       c.degraded,
+		KeysMissing:    c.keysMissing,
+		GoodputKeys:    float64(c.keysReturned) / elapsed,
+		Epochs:         c.epochs,
+		KeysMoved:      c.keysMoved,
+		KeysLost:       c.keysLost,
+		Repairs:        c.repairs,
+		Failovers:      c.failovers,
+		Writes:         c.writes,
+		WritesFailed:   c.writesFailed,
+		Hedges:         c.hedges,
+		HedgeWins:      c.hedgeWins,
+		BudgetDenied:   c.budgetDenied,
 	}
-	if phaseResponses > 0 {
-		n := float64(phaseResponses)
-		out.Breakdown = kvs.PhaseBreakdown{Pre: phases.Pre / n, Lookup: phases.Lookup / n, Post: phases.Post / n}
+	if c.phaseResponses > 0 {
+		n := float64(c.phaseResponses)
+		out.Breakdown = kvs.PhaseBreakdown{Pre: c.phases.Pre / n, Lookup: c.phases.Lookup / n, Post: c.phases.Post / n}
 	}
-	for _, srv := range servers {
+	for _, srv := range f.Servers {
 		out.ShedQueueFull += srv.ShedQueueFull
 		out.ShedDeadline += srv.ShedDeadline
 		if hw := srv.Workers.QueueHighWater(); hw > out.QueueHighWater {
@@ -1109,28 +669,27 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 		}
 		out.WorkerUtil += srv.Workers.Utilization()
 	}
-	out.WorkerUtil /= float64(len(servers))
-	if cfg.OverloadProbe != nil {
+	out.WorkerUtil /= float64(len(f.Servers))
+	if r.cfg.OverloadProbe != nil {
 		// Report per-server high-water marks in server order so the gauge's
 		// Max fold — and the rendered metric — is deterministic.
-		for _, srv := range servers {
-			cfg.OverloadProbe.QueueHighWater(srv.Workers.QueueHighWater())
+		for _, srv := range f.Servers {
+			r.cfg.OverloadProbe.QueueHighWater(srv.Workers.QueueHighWater())
 		}
 	}
-	if len(queueDelays) > 0 {
-		sort.Float64s(queueDelays)
+	if qn := len(r.queueDelays); qn > 0 {
+		sort.Float64s(r.queueDelays)
 		var qsum float64
-		for _, q := range queueDelays {
+		for _, q := range r.queueDelays {
 			qsum += q
 		}
-		qn := len(queueDelays)
 		out.AvgQueueDelay = qsum / float64(qn)
-		out.P99QueueDelay = queueDelays[min(qn-1, qn*99/100)]
+		out.P99QueueDelay = r.queueDelays[min(qn-1, qn*99/100)]
 	}
-	if arrCount > 1 && lastArr > firstArr {
-		out.MeasuredRate = float64(arrCount-1) / (lastArr - firstArr)
+	if r.arrCount > 1 && r.lastArr > r.firstArr {
+		out.MeasuredRate = float64(r.arrCount-1) / (r.lastArr - r.firstArr)
 	}
-	return out, nil
+	return out
 }
 
 // scheduleRepairs fires read-repair for divergent keys: a replica returned
@@ -1204,26 +763,10 @@ func (f *Fleet) runRepair(donor, target int, key []byte, rk repairKey) {
 		f.Servers[target].HandleReplicate([]kvs.ReplicaItem{item}, func(applied int) {
 			f.serverEPs[target].Send(f.ctrlEP, replicaAckBytes, func() {
 				if f.repairing[rk] {
-					f.Repairs++
+					f.counts.repairs++
 					delete(f.repairing, rk)
 				}
 			})
 		})
 	})
-}
-
-// ownerGroups is the per-server split of a Multi-Get's request phase: it
-// appends each batch position, in key order, to the group of its key's
-// primary owner under the current ring, and returns how many servers own
-// at least one key. batch holds key indices.
-func (f *Fleet) ownerGroups(batch []int, groups [][]int) int {
-	fanout := 0
-	for i, k := range batch {
-		s := f.owners(k)[0]
-		if len(groups[s]) == 0 {
-			fanout++
-		}
-		groups[s] = append(groups[s], i)
-	}
-	return fanout
 }

@@ -395,39 +395,64 @@ func TestLoadClusterTypedError(t *testing.T) {
 	}
 }
 
-// TestRingSplitPreservesKeys: the request phase's per-server split puts
-// every batch position, in key order, in the group of its key's primary
-// owner on the current ring, and counts each owning server once. The batch
-// repeats keys, as zipf draws do.
+// TestRingSplitPreservesKeys: a read's counting pass lays out every
+// unresolved batch position, in key order, in the group of the server
+// holding its key's replica at the given rank on the current ring, with
+// the matching key beside it, and counts each owning server once. The
+// batch repeats keys, as zipf draws do, and some positions are already
+// resolved, as when a retry regroups a sub-batch.
 func TestRingSplitPreservesKeys(t *testing.T) {
 	fleet := buildFleet(t, 3, 200, 2)
-	batch := make([]int, 50)
-	for i := range batch {
-		batch[i] = (i * 7) % 40
+	r, err := newFleetRun(fleet, FleetConfig{Config: Config{Clients: 1, BatchSize: 50, Requests: 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	groups := make([][]int, 3)
-	fanout := fleet.ownerGroups(batch, groups)
-	total, owners := 0, 0
-	for s, g := range groups {
-		if len(g) > 0 {
-			owners++
-		}
-		total += len(g)
-		for j, p := range g {
-			key := fleet.keys[batch[p]]
-			if want := fleet.Ring.ReplicaOwners(hashfn.HashBytes(key), 1, nil)[0]; want != s {
-				t.Fatalf("key %q in the group of server %d, owner %d", key, s, want)
-			}
-			if j > 0 && g[j-1] >= p {
-				t.Fatalf("group %d out of key order: %v", s, g)
+	q := &readReq{r: r, keys: make([]int, 50), resolved: make([]bool, 50)}
+	for i := range q.keys {
+		q.keys[i] = (i * 7) % 40
+		q.resolved[i] = i%5 == 3
+	}
+	for rank := 0; rank < 3; rank++ {
+		slab, keys, ends, groups := q.group(r.all, rank)
+		var want []int
+		for p, done := range q.resolved {
+			if !done {
+				want = append(want, p)
 			}
 		}
-	}
-	if total != len(batch) {
-		t.Errorf("split lost keys: %d of %d", total, len(batch))
-	}
-	if fanout != owners {
-		t.Errorf("fanout = %d, want the %d owning servers", fanout, owners)
+		if len(slab) != len(want) || len(keys) != len(want) {
+			t.Fatalf("rank %d: %d positions and %d keys laid out, want %d", rank, len(slab), len(keys), len(want))
+		}
+		owners, from := 0, 0
+		for s, to := range ends {
+			if to > from {
+				owners++
+			}
+			for j := from; j < to; j++ {
+				p := slab[j]
+				if q.resolved[p] {
+					t.Fatalf("rank %d: resolved position %d regrouped", rank, p)
+				}
+				key := fleet.keys[q.keys[p]]
+				if string(keys[j]) != string(key) {
+					t.Fatalf("rank %d: slab key %q beside position %d, whose key is %q", rank, keys[j], p, key)
+				}
+				set := fleet.Ring.ReplicaOwners(hashfn.HashBytes(key), 2, nil)
+				if want := set[rank%len(set)]; want != s {
+					t.Fatalf("rank %d: key %q in the group of server %d, rank-%d owner %d", rank, key, s, rank, want)
+				}
+				if j > from && slab[j-1] >= p {
+					t.Fatalf("rank %d: group %d out of key order: %v", rank, s, slab[from:to])
+				}
+			}
+			from = to
+		}
+		if from != len(want) {
+			t.Errorf("rank %d: groups end at %d of %d positions", rank, from, len(want))
+		}
+		if groups != owners {
+			t.Errorf("rank %d: %d groups reported, want the %d owning servers", rank, groups, owners)
+		}
 	}
 }
 
