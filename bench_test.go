@@ -298,6 +298,7 @@ func BenchmarkFleetStudyPoint(b *testing.B) {
 			Items: 20000, Workers: 4, Clients: 8, Requests: 1200,
 			Batches: []int{16}, Seed: 7,
 		},
+		WriteFraction: 0.05,
 	}
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.FleetStudyPoint(8, opts)
@@ -324,6 +325,7 @@ func BenchmarkParallelFleetScaling(b *testing.B) {
 			Items: 20000, Workers: 4, Clients: 8, Requests: 1200,
 			Batches: []int{16}, Seed: 7,
 		},
+		WriteFraction: 0.05,
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("simworkers=%d", workers), func(b *testing.B) {

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
 
 	"simdhtbench/internal/fault"
+	"simdhtbench/internal/memslap"
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/obs/prof"
 )
@@ -174,9 +177,10 @@ func runFleetStudyObs(t *testing.T, spec string, parallel, simWorkers int) study
 	set := prof.NewSet()
 	col.EnableProfiling(set)
 	o := FleetOptions{
-		KVSOptions:  kvsObsOptions(parallel, col),
-		FleetSizes:  []int{3, 5},
-		ArrivalRate: 2e5,
+		KVSOptions:    kvsObsOptions(parallel, col),
+		FleetSizes:    []int{3, 5},
+		ArrivalRate:   2e5,
+		WriteFraction: 0.05,
 	}
 	o.Requests = 60
 	o.Faults = fs
@@ -244,9 +248,10 @@ func TestFleetPartitionedMachineryBites(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := FleetOptions{
-		KVSOptions:  KVSOptions{Items: 2000, Workers: 2, Clients: 2, Requests: 60, Batches: []int{8}, Seed: 7},
-		FleetSizes:  []int{5},
-		ArrivalRate: 2e5,
+		KVSOptions:    KVSOptions{Items: 2000, Workers: 2, Clients: 2, Requests: 60, Batches: []int{8}, Seed: 7},
+		FleetSizes:    []int{5},
+		ArrivalRate:   2e5,
+		WriteFraction: 0.05,
 	}
 	o.Faults = spec
 	o.SimWorkers = 2
@@ -259,6 +264,47 @@ func TestFleetPartitionedMachineryBites(t *testing.T) {
 	}
 	if res.Failovers == 0 {
 		t.Error("no failovers — fault streams not engaged")
+	}
+}
+
+// TestFleetStudyRatesHonoured: the fleet study runs the write fraction and
+// arrival rate it is given. A write fraction of 0 is a read-only fleet, and
+// a write fraction or arrival rate that is negative, NaN or infinite fails
+// with a *memslap.ConfigError naming it instead of running something else.
+func TestFleetStudyRatesHonoured(t *testing.T) {
+	o := FleetOptions{
+		KVSOptions:  KVSOptions{Items: 2000, Workers: 2, Clients: 2, Requests: 60, Batches: []int{8}, Seed: 7},
+		FleetSizes:  []int{3},
+		ArrivalRate: 2e5,
+	}
+	for _, tc := range []struct {
+		writes float64
+		some   bool
+	}{{0, false}, {0.2, true}} {
+		o.WriteFraction = tc.writes
+		res, err := FleetStudyPoint(3, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Writes + res.WritesFailed; (n > 0) != tc.some {
+			t.Errorf("write fraction %g issued %d quorum writes", tc.writes, n)
+		}
+	}
+	for _, tc := range []struct {
+		field        string
+		rate, writes float64
+	}{
+		{"write fraction", 2e5, -1},
+		{"write fraction", 2e5, math.NaN()},
+		{"arrival rate", -5, 0.05},
+		{"arrival rate", math.NaN(), 0.05},
+		{"arrival rate", math.Inf(1), 0.05},
+	} {
+		o.ArrivalRate, o.WriteFraction = tc.rate, tc.writes
+		var cfgErr *memslap.ConfigError
+		if _, err := FleetStudy(o); !errors.As(err, &cfgErr) || cfgErr.Field != tc.field {
+			t.Errorf("arrival rate %g, write fraction %g: got %v, want a *memslap.ConfigError on %s", tc.rate, tc.writes, err, tc.field)
+		}
 	}
 }
 

@@ -23,10 +23,10 @@ type FleetOptions struct {
 	Replication int
 	// ArrivalRate is the aggregate open-loop Multi-Get arrival rate in
 	// requests/s of virtual time, held constant across fleet sizes so wider
-	// fleets see proportionally less load per server (default 200k).
+	// fleets see proportionally less load per server (0 picks 200k).
 	ArrivalRate float64
-	// WriteFraction routes this share of requests through quorum writes
-	// (default 0.05).
+	// WriteFraction routes this share of requests through quorum writes;
+	// 0 issues none (kvsbench's -write-frac defaults to 0.05).
 	WriteFraction float64
 }
 
@@ -53,13 +53,8 @@ func (o FleetOptions) withFleetDefaults() FleetOptions {
 	if o.Replication <= 0 {
 		o.Replication = 3
 	}
-	if o.ArrivalRate <= 0 {
+	if o.ArrivalRate == 0 {
 		o.ArrivalRate = 2e5
-	}
-	if o.WriteFraction < 0 {
-		o.WriteFraction = 0
-	} else if o.WriteFraction == 0 {
-		o.WriteFraction = 0.05
 	}
 	return o
 }

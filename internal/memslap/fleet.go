@@ -467,6 +467,13 @@ type FleetResults struct {
 	KeysMissing uint64
 	GoodputKeys float64
 
+	// Key accounting of the measured reads: a requested key is either
+	// returned (a server answered for it, hit or miss) or missing, and
+	// RunFleet fails a run where KeysRequested != KeysReturned +
+	// KeysMissing.
+	KeysRequested uint64
+	KeysReturned  uint64
+
 	// Open-loop accounting. QueueDelay is end-to-end latency minus the
 	// slowest sub-batch's service time — the time a request spent waiting
 	// on NICs, worker queues, retries and backoffs.
@@ -538,6 +545,10 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	if r.completed < r.total {
 		return FleetResults{}, fmt.Errorf("memslap: deadlock — completed %d of %d requests", r.completed, r.total)
 	}
+	if c := f.counts; c.keysRequested != c.keysReturned+c.keysMissing {
+		return FleetResults{}, fmt.Errorf("memslap: key accounting: %d keys requested, but %d returned + %d missing",
+			c.keysRequested, c.keysReturned, c.keysMissing)
+	}
 	return r.results(), nil
 }
 
@@ -549,11 +560,12 @@ func (cfg FleetConfig) validate(f *Fleet) error {
 	if len(f.keys) == 0 {
 		return &ConfigError{Field: "keys", Reason: "LoadFleet must run before RunFleet"}
 	}
-	if cfg.ArrivalRate < 0 {
-		return &ConfigError{Field: "arrival rate", Reason: "must be non-negative"}
+	// Negated range tests, so NaN fails them too.
+	if !(cfg.ArrivalRate >= 0 && cfg.ArrivalRate <= math.MaxFloat64) {
+		return &ConfigError{Field: "arrival rate", Reason: fmt.Sprintf("%g is not finite and non-negative", cfg.ArrivalRate)}
 	}
-	if cfg.WriteFraction < 0 || cfg.WriteFraction >= 1 {
-		return &ConfigError{Field: "write fraction", Reason: "must be in [0, 1)"}
+	if !(cfg.WriteFraction >= 0 && cfg.WriteFraction < 1) {
+		return &ConfigError{Field: "write fraction", Reason: fmt.Sprintf("%g is not in [0, 1)", cfg.WriteFraction)}
 	}
 	if cfg.Churn {
 		if cfg.ArrivalRate <= 0 {
@@ -646,6 +658,8 @@ func (r *fleetRun) results() FleetResults {
 		Degraded:       c.degraded,
 		KeysMissing:    c.keysMissing,
 		GoodputKeys:    float64(c.keysReturned) / elapsed,
+		KeysRequested:  c.keysRequested,
+		KeysReturned:   c.keysReturned,
 		Epochs:         c.epochs,
 		KeysMoved:      c.keysMoved,
 		KeysLost:       c.keysLost,

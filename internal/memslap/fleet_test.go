@@ -336,12 +336,25 @@ func TestFleetConfigErrors(t *testing.T) {
 	if !errors.As(err, &cfgErr) {
 		t.Errorf("churn without open loop: got %v, want *ConfigError", err)
 	}
-	_, err = RunFleet(fleet, FleetConfig{
-		Config:        Config{Clients: 2, BatchSize: 8, Requests: 10, KeyBytes: 20},
-		WriteFraction: 1.5,
-	})
-	if !errors.As(err, &cfgErr) {
-		t.Errorf("write fraction 1.5: got %v, want *ConfigError", err)
+	// Out-of-range, NaN and infinite rates and fractions are rejected by
+	// name, not run as something else.
+	base := Config{Clients: 2, BatchSize: 8, Requests: 10, KeyBytes: 20}
+	for _, tc := range []struct {
+		field  string
+		rate   float64
+		writes float64
+	}{
+		{"write fraction", 0, 1.5},
+		{"write fraction", 0, -0.1},
+		{"write fraction", 0, math.NaN()},
+		{"arrival rate", -5, 0},
+		{"arrival rate", math.NaN(), 0},
+		{"arrival rate", math.Inf(1), 0},
+	} {
+		_, err := RunFleet(fleet, FleetConfig{Config: base, ArrivalRate: tc.rate, WriteFraction: tc.writes})
+		if !errors.As(err, &cfgErr) || cfgErr.Field != tc.field {
+			t.Errorf("arrival rate %g, write fraction %g: got %v, want a *ConfigError on %s", tc.rate, tc.writes, err, tc.field)
+		}
 	}
 	sim := des.NewPartitioned(1, 1, 1e-6).Sim(0) // its fabric stays unpartitioned
 	fabric := netsim.New(sim, netsim.EDR())
