@@ -420,9 +420,9 @@ func TestRingSplitPreservesKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := &readReq{r: r, keys: make([]int, 50), resolved: make([]bool, 50)}
-	for i := range q.keys {
-		q.keys[i] = (i * 7) % 40
+	q := &readReq{r: r, batch: make([]int, 50), resolved: make([]bool, 50)}
+	for i := range q.batch {
+		q.batch[i] = (i * 7) % 40
 		q.resolved[i] = i%5 == 3
 	}
 	for rank := 0; rank < 3; rank++ {
@@ -446,7 +446,7 @@ func TestRingSplitPreservesKeys(t *testing.T) {
 				if q.resolved[p] {
 					t.Fatalf("rank %d: resolved position %d regrouped", rank, p)
 				}
-				key := fleet.keys[q.keys[p]]
+				key := fleet.keys[q.batch[p]]
 				if string(keys[j]) != string(key) {
 					t.Fatalf("rank %d: slab key %q beside position %d, whose key is %q", rank, keys[j], p, key)
 				}

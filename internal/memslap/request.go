@@ -133,17 +133,21 @@ func (r *fleetRun) start() {
 			ep:     r.f.Fabric.Endpoint(fmt.Sprintf("client-%d", c)),
 			budget: newRetryBudget(r.plan.RetryBudget()),
 		}
-		if r.cfg.ArrivalRate == 0 {
+		if r.closedLoop() {
 			r.issueClosed(&r.clients[c])
 		}
 	}
-	if r.cfg.ArrivalRate > 0 {
+	if !r.closedLoop() {
 		r.arrRng = rand.New(rand.NewSource(r.cfg.Seed + arrivalSeedOffset))
 		r.arriveFn = r.arrive
 		r.nextArrival = r.interArrival()
 		r.sim.At(r.nextArrival, r.arriveFn)
 	}
 }
+
+// closedLoop reports whether each client issues its next request when its
+// last one finishes, rather than on the arrival process's schedule.
+func (r *fleetRun) closedLoop() bool { return r.cfg.ArrivalRate == 0 }
 
 func (r *fleetRun) interArrival() float64 {
 	if r.cfg.DeterministicArrivals {
@@ -167,7 +171,7 @@ func (r *fleetRun) arrive() {
 		r.lastArr = at
 		r.arrCount++
 	}
-	r.issue(&r.clients[(seq-1)%len(r.clients)], seq, false)
+	r.issue(&r.clients[(seq-1)%len(r.clients)], seq)
 	r.nextArrival = at + r.interArrival()
 	r.sim.At(r.nextArrival, r.arriveFn)
 }
@@ -178,16 +182,16 @@ func (r *fleetRun) issueClosed(cl *client) {
 		return
 	}
 	r.issued++
-	r.issue(cl, r.issued, true)
+	r.issue(cl, r.issued)
 }
 
 // issue starts request seq as a quorum write with probability
 // WriteFraction, else as a read. A zero fraction draws nothing.
-func (r *fleetRun) issue(cl *client, seq int, closed bool) {
+func (r *fleetRun) issue(cl *client, seq int) {
 	if r.cfg.WriteFraction > 0 && r.rng.Float64() < r.cfg.WriteFraction {
-		r.startWrite(cl, seq, closed)
+		r.startWrite(cl, seq)
 	} else {
-		r.startRead(cl, seq, closed)
+		r.startRead(cl, seq)
 	}
 }
 
@@ -228,13 +232,12 @@ func (r *fleetRun) measured(seq int, sent float64) bool {
 // and one slow to answer is hedged to the next rank. Each key resolves
 // once, so duplicate, stale and losing responses resolve nothing.
 type readReq struct {
-	r      *fleetRun
-	cl     *client
-	seq    int
-	closed bool
-	sent   float64
+	r    *fleetRun
+	cl   *client
+	seq  int
+	sent float64
 
-	keys      []int  // key index per batch position
+	batch     []int  // key index per batch position
 	resolved  []bool // per batch position
 	remaining int
 
@@ -244,12 +247,12 @@ type readReq struct {
 	serviceMax               float64 // slowest sub-batch service time seen
 }
 
-func (r *fleetRun) startRead(cl *client, seq int, closed bool) {
+func (r *fleetRun) startRead(cl *client, seq int) {
 	n := r.cfg.BatchSize
-	q := &readReq{r: r, cl: cl, seq: seq, closed: closed, sent: r.sim.Now(),
-		keys: make([]int, n), resolved: make([]bool, n), remaining: n}
-	for i := range q.keys {
-		q.keys[i] = r.zipf.Next()
+	q := &readReq{r: r, cl: cl, seq: seq, sent: r.sim.Now(),
+		batch: make([]int, n), resolved: make([]bool, n), remaining: n}
+	for i := range q.batch {
+		q.batch[i] = r.zipf.Next()
 	}
 	q.fanout = q.send(r.all, 0, 0, false)
 }
@@ -284,7 +287,7 @@ func (q *readReq) group(pos []int, rank int) (slab []int, keys [][]byte, ends []
 	for _, p := range pos {
 		if !q.resolved[p] {
 			s := q.owner(p, rank)
-			slab[ends[s]], keys[ends[s]] = p, f.keys[q.keys[p]]
+			slab[ends[s]], keys[ends[s]] = p, f.keys[q.batch[p]]
 			ends[s]++
 		}
 	}
@@ -294,7 +297,7 @@ func (q *readReq) group(pos []int, rank int) (slab []int, keys [][]byte, ends []
 // owner is the server holding position p's key at replica rank rank (mod
 // the replica set's size) under the current ring.
 func (q *readReq) owner(p, rank int) int {
-	owners := q.r.f.owners(q.keys[p])
+	owners := q.r.f.owners(q.batch[p])
 	return owners[rank%len(owners)]
 }
 
@@ -384,7 +387,7 @@ func (q *readReq) resolve(sb *subBatch, res kvs.MGetResult) {
 		f.Probe.ReplicaRead(sb.rank)
 	}
 	if len(repair) > 0 {
-		f.scheduleRepairs(sb.target, q.keys, repair)
+		f.scheduleRepairs(sb.target, q.batch, repair)
 	}
 	if progressed && q.remaining == 0 {
 		q.finish()
@@ -400,7 +403,7 @@ func (q *readReq) finish() {
 	if r.measured(q.seq, q.sent) {
 		r.queueDelays = append(r.queueDelays, math.Max(0, r.sim.Now()-q.sent-q.serviceMax))
 		c := &r.f.counts
-		c.keysRequested += uint64(len(q.keys))
+		c.keysRequested += uint64(len(q.batch))
 		c.keysReturned += uint64(q.returned)
 		c.keysFound += uint64(q.found)
 		c.retries += uint64(q.retries)
@@ -411,7 +414,7 @@ func (q *readReq) finish() {
 		}
 		c.fanout += uint64(q.fanout)
 	}
-	if q.closed {
+	if r.closedLoop() {
 		r.issueClosed(q.cl)
 	}
 }
@@ -574,7 +577,6 @@ type writeReq struct {
 	r        *fleetRun
 	cl       *client
 	seq      int
-	closed   bool
 	sent     float64
 	item     [1]kvs.ReplicaItem // what every replica applies, read on its partition
 	replicas []replicaWrite     // the key's replica set when the write was issued
@@ -593,7 +595,7 @@ type replicaWrite struct {
 	ack     func()    // onAck, bound once for every apply
 }
 
-func (r *fleetRun) startWrite(cl *client, seq int, closed bool) {
+func (r *fleetRun) startWrite(cl *client, seq int) {
 	f := r.f
 	r.writeSeq++
 	k := r.zipf.Next()
@@ -603,7 +605,7 @@ func (r *fleetRun) startWrite(cl *client, seq int, closed bool) {
 		value[i] = byte('A' + (r.writeSeq+i)%26)
 	}
 	owners := f.owners(k)
-	w := &writeReq{r: r, cl: cl, seq: seq, closed: closed, sent: r.sim.Now(),
+	w := &writeReq{r: r, cl: cl, seq: seq, sent: r.sim.Now(),
 		replicas: make([]replicaWrite, len(owners)), quorum: len(owners)/2 + 1}
 	w.item[0] = kvs.ReplicaItem{Key: key, Value: value}
 	bytes := len(key) + len(value) + replicaItemOverheadBytes
@@ -668,7 +670,7 @@ func (w *writeReq) finish(ok bool) {
 			c.timeouts++
 		}
 	}
-	if w.closed {
+	if r.closedLoop() {
 		r.issueClosed(w.cl)
 	}
 }
