@@ -16,6 +16,15 @@
 // warm-up fraction, then measures server-side Get throughput (keys/second of
 // virtual time), the end-to-end Multi-Get latency distribution and the
 // server's per-batch phase breakdown.
+//
+// RunFleet is a short driver over typed request state (request.go): a
+// fleetRun per call holds the config, the random streams and the clients;
+// each read (readReq), each of its per-server attempts (subBatch) and each
+// quorum write (writeReq) is a struct whose methods issue, send, take a
+// response, time out, hedge, rotate to the next replica and finish, with
+// their event callbacks bound once when the struct is created. FleetResults
+// is computed from one counter struct, and every run checks that the keys
+// requested equal the keys returned plus KeysMissing.
 package memslap
 
 import (
