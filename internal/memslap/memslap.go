@@ -17,7 +17,7 @@
 // virtual time), the end-to-end Multi-Get latency distribution and the
 // server's per-batch phase breakdown.
 //
-// RunFleet is a short driver over typed request state (request.go): a
+// RunFleet keeps each request's state in typed structs (request.go): a
 // fleetRun per call holds the config, the random streams and the clients;
 // each read (readReq), each of its per-server attempts (subBatch) and each
 // quorum write (writeReq) is a struct whose methods issue, send, take a
