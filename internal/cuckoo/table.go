@@ -418,9 +418,16 @@ const fillBatch = 16
 // an insert failed or the key space ran out, may have drawn up to 15 keys it
 // never inserted; a caller that keeps drawing from rng after such a fill
 // sees different keys than it would after a key-at-a-time fill.
+//
+// The returned list has room for every slot, so a caller that tops the
+// table up with further inserts (a charged fill from lf to a higher load)
+// appends to it in place. Growing it by copying would hold two lists for a
+// moment, and on a table of millions of slots whether the garbage collector
+// ran before or after that copy decided the process's peak heap: simbench's
+// update-dram peak RSS flipped between about 128 and 165 MB from run to run.
 func (t *Table) FillRandom(lf float64, rng *rand.Rand) ([]uint64, float64) {
 	target := int(lf * float64(t.L.Slots()))
-	keys := make([]uint64, 0, target)
+	keys := make([]uint64, 0, max(target, t.L.Slots()))
 	var batch [fillBatch]uint64
 	for t.count < target {
 		drawn := batch[:min(fillBatch, target-t.count)]
