@@ -230,6 +230,16 @@ func TestFillRandomTargetsLoadFactor(t *testing.T) {
 	}
 }
 
+// TestFillRandomLeavesRoomForTopUp: the returned list has room for every
+// slot, so a caller that tops the table up appends to it without a copy.
+func TestFillRandomLeavesRoomForTopUp(t *testing.T) {
+	tb := newTable(t, Layout{N: 2, M: 4, KeyBits: 32, ValBits: 32, BucketBits: 9})
+	keys, _ := tb.FillRandom(0.5, rand.New(rand.NewSource(5)))
+	if cap(keys) < tb.L.Slots() {
+		t.Errorf("FillRandom returned capacity %d, want room for all %d slots", cap(keys), tb.L.Slots())
+	}
+}
+
 // TestForEachVisitsAll: every key FillRandom reports is stored, with its
 // payload, and the table holds nothing else.
 func TestForEachVisitsAll(t *testing.T) {
