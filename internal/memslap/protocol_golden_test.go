@@ -142,6 +142,11 @@ func TestFleetProtocolGolden(t *testing.T) {
 				t.Errorf("%d workers: no %s", workers, c.name)
 			}
 		}
+		// A hedge wins at most once: every win is a hedged duplicate that
+		// was issued and counted.
+		if res.HedgeWins > res.Hedges {
+			t.Errorf("%d workers: %d hedge wins exceed %d hedges", workers, res.HedgeWins, res.Hedges)
+		}
 		if *update && workers == 1 {
 			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 				t.Fatal(err)
