@@ -505,11 +505,15 @@ func (sb *subBatch) onHedge() {
 	if sb.rotated || !q.anyLive(sb.pos) {
 		return
 	}
-	r.f.counts.hedges++
-	if r.cfg.OverloadProbe != nil {
-		r.cfg.OverloadProbe.HedgeFired(sb.rank+1, r.sim.Now())
+	// One firing sends a hedge sub-batch to each next-rank owner; each is
+	// a hedged duplicate read and may win on its own.
+	n := q.send(sb.pos, sb.rank+1, sb.attempt, true)
+	r.f.counts.hedges += uint64(n)
+	if p := r.cfg.OverloadProbe; p != nil {
+		for range n {
+			p.HedgeFired(sb.rank+1, r.sim.Now())
+		}
 	}
-	q.send(sb.pos, sb.rank+1, sb.attempt, true)
 }
 
 func (sb *subBatch) onTimeout() {
