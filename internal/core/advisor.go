@@ -30,7 +30,6 @@ type Recommendation struct {
 	Layout       cuckoo.Layout
 	MaxLF        float64     // empirical maximum load factor of the variant
 	Best         Measurement // highest-throughput variant (SIMD or scalar)
-	ScalarPerSec float64
 	Speedup      float64
 	BestIsScalar bool
 }
@@ -101,7 +100,6 @@ func Advise(req AdviseRequest) ([]Recommendation, error) {
 				Layout:       r.Layout,
 				MaxLF:        maxLF,
 				Best:         best,
-				ScalarPerSec: r.Scalar.LookupsPerSec,
 				Speedup:      speedup,
 				BestIsScalar: isScalar,
 			})

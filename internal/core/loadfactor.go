@@ -12,7 +12,6 @@ import (
 type LoadFactorPoint struct {
 	N, M       int
 	MaxLF      float64
-	Slots      int
 	Bucketized bool
 }
 
@@ -25,7 +24,6 @@ func LoadFactorStudy(variants [][2]int, bucketBits, trials int, seed int64) ([]L
 	for _, nm := range variants {
 		n, m := nm[0], nm[1]
 		var sum float64
-		var slots int
 		for trial := 0; trial < trials; trial++ {
 			l := cuckoo.Layout{N: n, M: m, KeyBits: 32, ValBits: 32, BucketBits: bucketBits}
 			if err := l.Validate(); err != nil {
@@ -39,12 +37,10 @@ func LoadFactorStudy(variants [][2]int, bucketBits, trials int, seed int64) ([]L
 			rng := rand.New(rand.NewSource(seed + int64(trial)))
 			_, lf := t.FillRandom(1.0, rng) // fill to failure
 			sum += lf
-			slots = l.Slots()
 		}
 		points = append(points, LoadFactorPoint{
 			N: n, M: m,
 			MaxLF:      sum / float64(trials),
-			Slots:      slots,
 			Bucketized: m > 1,
 		})
 	}

@@ -50,7 +50,6 @@ const none Handle = -1
 // render order.
 type node struct {
 	name        string
-	parent      Handle
 	firstChild  Handle
 	lastChild   Handle
 	nextSibling Handle
@@ -72,7 +71,7 @@ type Profiler struct {
 
 func newProfiler(path []string, unit string) *Profiler {
 	p := &Profiler{path: append([]string(nil), path...), unit: unit}
-	p.nodes = append(p.nodes, node{parent: none, firstChild: none, lastChild: none, nextSibling: none})
+	p.nodes = append(p.nodes, node{firstChild: none, lastChild: none, nextSibling: none})
 	return p
 }
 
@@ -87,7 +86,7 @@ func (p *Profiler) Child(parent Handle, name string) Handle {
 	}
 	h := Handle(len(p.nodes))
 	//lint:ignore alloclint handle resolution runs once per distinct leaf; hot paths hit the cached-handle fast path
-	p.nodes = append(p.nodes, node{name: name, parent: parent, firstChild: none, lastChild: none, nextSibling: none})
+	p.nodes = append(p.nodes, node{name: name, firstChild: none, lastChild: none, nextSibling: none})
 	if p.nodes[parent].firstChild == none {
 		p.nodes[parent].firstChild = h
 	} else {

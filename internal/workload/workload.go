@@ -175,7 +175,6 @@ func (m *missGen) next() uint64 {
 // standard 0.99 exponent.
 type Zipf struct {
 	n            int
-	theta        float64
 	alpha        float64
 	zetan, eta   float64
 	halfPowTheta float64
@@ -193,7 +192,6 @@ func NewZipf(n int, theta float64, rng *rand.Rand) (*Zipf, error) {
 	zetan := zeta(n, theta)
 	z := &Zipf{
 		n:            n,
-		theta:        theta,
 		alpha:        1.0 / (1.0 - theta),
 		zetan:        zetan,
 		eta:          (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/zetan),
