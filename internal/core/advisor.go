@@ -56,7 +56,7 @@ var adviseVariants = [][2]int{
 // are considered for bucketized layouts.
 func Advise(req AdviseRequest) ([]Recommendation, error) {
 	p := req.Params
-	if req.MinLoadFactor <= 0 || req.MinLoadFactor > 1 {
+	if !(req.MinLoadFactor > 0 && req.MinLoadFactor <= 1) {
 		return nil, fmt.Errorf("core: MinLoadFactor %v outside (0,1]", req.MinLoadFactor)
 	}
 	if p.Arch == nil {

@@ -316,8 +316,14 @@ func TestRunMixedErodesSIMDAdvantage(t *testing.T) {
 }
 
 func TestRunMixedValidation(t *testing.T) {
-	if _, err := RunMixed(Params{Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32, TableBytes: 1 << 16}, 1.5); err == nil {
+	p := Params{Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32, TableBytes: 1 << 16}
+	if _, err := RunMixed(p, 1.5); err == nil {
 		t.Error("update fraction > 1 accepted")
+	}
+	// Every draw compared against NaN is false, so a NaN fraction would run
+	// the read-only workload.
+	if _, err := RunMixed(p, math.NaN()); err == nil {
+		t.Error("NaN update fraction accepted")
 	}
 }
 
@@ -469,5 +475,16 @@ func TestAdviseValidation(t *testing.T) {
 		MinLoadFactor: 0.9,
 	}); err == nil {
 		t.Error("missing arch accepted")
+	}
+	// A NaN occupancy is rejected by Advise itself, before any probe.
+	_, err := Advise(AdviseRequest{
+		Params: Params{
+			Arch: arch.SkylakeClusterA(), KeyBits: 32, ValBits: 32,
+			TableBytes: 1 << 16, Queries: 200, Seed: 1,
+		},
+		MinLoadFactor: math.NaN(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "MinLoadFactor") {
+		t.Errorf("NaN MinLoadFactor: got %v, want an error naming MinLoadFactor", err)
 	}
 }

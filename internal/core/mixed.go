@@ -22,7 +22,7 @@ import (
 // the lost batching efficiency — and shows how quickly the SIMD advantage
 // erodes as the update fraction grows.
 func RunMixed(p Params, updateFraction float64) (*Result, error) {
-	if updateFraction < 0 || updateFraction > 1 {
+	if !(updateFraction >= 0 && updateFraction <= 1) {
 		return nil, fmt.Errorf("core: update fraction %v outside [0,1]", updateFraction)
 	}
 	p, err := p.withDefaults()
