@@ -34,7 +34,6 @@ func (t *Table) InsertCharged(e *engine.Engine, key, val uint64) error {
 			e.Charge(arch.OpScalarLoadOp, arch.WidthScalar)
 			e.MemAccess(t.Arena.Addr(t.keyOff(b, s)), t.L.KeyBits/8)
 			e.ScalarCompare()
-			//lint:ignore chargelint slot read charged by the MemAccess two lines above
 			k := t.keyAt(b, s)
 			if k == key || k == 0 {
 				// Update in place or claim the empty slot: one store.

@@ -137,6 +137,43 @@ func f() time.Time {
 	}
 }
 
+// TestStaleSuppressionReported checks that a //lint:ignore naming an
+// analyzer of the run that found nothing on the directive's line or the next
+// is reported, while a load-bearing directive, a directive naming an
+// analyzer outside the run and a reachlint root directive are not.
+func TestStaleSuppressionReported(t *testing.T) {
+	loader, _ := sharedLoader(t)
+	fn := filepath.Join(t.TempDir(), "stale.go")
+	src := `package lintcase
+
+import "time"
+
+//lint:ignore reachlint fixture: a root, not a suppression
+func F() time.Time {
+	//lint:ignore determlint profiling-only timestamp
+	start := time.Now()
+	//lint:ignore determlint stale: nothing on the next line reads a clock
+	_ = start
+	//lint:ignore chargelint names an analyzer this run leaves out
+	return start
+}
+`
+	if err := os.WriteFile(fn, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mod, err := loader.LoadSynthetic("simdhtbench/internal/experiments/stalecase", fn)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	diags := lint.Run(mod, []*lint.Analyzer{lint.DetermLint, lint.ReachLint})
+	if len(diags) != 1 {
+		t.Fatalf("got %d diagnostics, want 1 (the stale determlint directive):\n%s", len(diags), renderAll(diags))
+	}
+	if d := diags[0]; d.Analyzer != "lint" || d.Pos.Line != 9 || !strings.Contains(d.Message, "determlint suppresses nothing") {
+		t.Errorf("diagnostic = %s, want the stale determlint directive on line 9", d)
+	}
+}
+
 // TestMultiAnalyzerSuppression checks that one //lint:ignore line with a
 // comma-separated analyzer list silences findings from every listed analyzer
 // on the next line — and that the same code without the suppression yields

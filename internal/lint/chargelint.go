@@ -30,9 +30,10 @@ import (
 // functional mutation whose equivalent work the kernel charges explicitly)
 // carry a //lint:ignore chargelint annotation with the reason.
 var ChargeLint = &Analyzer{
-	Name: "chargelint",
-	Doc:  "charged kernels must bill all simulated-memory traffic through the engine",
-	Run:  runChargeLint,
+	Name:  "chargelint",
+	Doc:   "charged kernels must bill all simulated-memory traffic through the engine",
+	Scope: chargeScope,
+	Run:   runChargeLint,
 }
 
 var chargeScope = []string{

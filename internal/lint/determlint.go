@@ -26,9 +26,10 @@ import (
 // (see obsWallClockAllowed). Everything else in internal/obs — the
 // deterministic metrics/trace artifacts — is linted like the rest.
 var DetermLint = &Analyzer{
-	Name: "determlint",
-	Doc:  "experiment/report code must be deterministic at any worker count",
-	Run:  runDetermLint,
+	Name:  "determlint",
+	Doc:   "experiment/report code must be deterministic at any worker count",
+	Scope: determScope,
+	Run:   runDetermLint,
 }
 
 var determScope = []string{

@@ -34,7 +34,10 @@
 //
 // The reason is mandatory: a suppression without one is itself reported.
 // One line can name several comma-separated analyzers when a single site
-// legitimately trips more than one check.
+// legitimately trips more than one check. A suppression that names an
+// analyzer of the run, sits in a package that analyzer checks, and covers
+// none of its findings is stale, and is reported too. reachlint directives
+// are exempt: they mark roots, not findings.
 package lint
 
 import (
@@ -89,7 +92,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(*Pass)
+	// Scope lists the package path prefixes the analyzer checks; nil
+	// checks every package.
+	Scope []string
+	Run   func(*Pass)
+}
+
+// checks reports whether the analyzer checks the package at path.
+func (a *Analyzer) checks(path string) bool {
+	return a.Scope == nil || inScope(path, a.Scope...)
 }
 
 // All returns the full analyzer suite in deterministic order: alloclint,
@@ -102,14 +113,16 @@ func All() []*Analyzer {
 
 // Run executes the analyzers over the module's packages, applies
 // //lint:ignore suppressions, and returns the surviving diagnostics sorted
-// by position. Suppressions lacking a reason are reported under the "lint"
-// analyzer name.
+// by position. Suppressions lacking a reason, and stale suppressions (see
+// the package doc), are reported under the "lint" analyzer name.
 func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	universe := m.Universe()
+	ran := make(map[string]*Analyzer, len(analyzers))
 	for _, a := range analyzers {
 		pass := &Pass{Module: m, Universe: universe, analyzer: a, diags: &diags}
 		a.Run(pass)
+		ran[a.Name] = a
 	}
 
 	supps, badSupps := collectSuppressions(m)
@@ -117,8 +130,17 @@ func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 
 	kept := diags[:0]
 	for _, d := range diags {
-		if !suppressed(supps, d) {
+		if !suppress(supps, d) {
 			kept = append(kept, d)
+		}
+	}
+	for _, s := range supps {
+		if a := ran[s.analyzer]; a != nil && a != ReachLint && a.checks(s.pkg) && !s.used {
+			kept = append(kept, Diagnostic{
+				Pos:      s.pos,
+				Analyzer: "lint",
+				Message:  fmt.Sprintf("//lint:ignore %s suppresses nothing: no %s finding on this line or the next", s.analyzer, s.analyzer),
+			})
 		}
 	}
 	diags = kept
@@ -148,10 +170,12 @@ func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 	return out
 }
 
-// suppression is one parsed //lint:ignore comment.
+// suppression is one analyzer named by a parsed //lint:ignore comment.
 type suppression struct {
-	line     int
+	pos      token.Position
+	pkg      string // import path of the directive's package
 	analyzer string
+	used     bool // it covered at least one finding
 }
 
 const ignorePrefix = "//lint:ignore"
@@ -159,8 +183,8 @@ const ignorePrefix = "//lint:ignore"
 // collectSuppressions scans every file's comments for //lint:ignore
 // directives. Directives without a written reason are returned as
 // diagnostics instead of suppressions.
-func collectSuppressions(m *Module) (map[string][]suppression, []Diagnostic) {
-	supps := make(map[string][]suppression)
+func collectSuppressions(m *Module) ([]suppression, []Diagnostic) {
+	var supps []suppression
 	var bad []Diagnostic
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
@@ -184,7 +208,7 @@ func collectSuppressions(m *Module) (map[string][]suppression, []Diagnostic) {
 					// site: //lint:ignore alloclint,chargelint reason.
 					for _, name := range strings.Split(fields[0], ",") {
 						if name = strings.TrimSpace(name); name != "" {
-							supps[pos.Filename] = append(supps[pos.Filename], suppression{line: pos.Line, analyzer: name})
+							supps = append(supps, suppression{pos: pos, pkg: pkg.Path, analyzer: name})
 						}
 					}
 				}
@@ -194,13 +218,19 @@ func collectSuppressions(m *Module) (map[string][]suppression, []Diagnostic) {
 	return supps, bad
 }
 
-func suppressed(supps map[string][]suppression, d Diagnostic) bool {
-	for _, s := range supps[d.Pos.Filename] {
-		if s.analyzer == d.Analyzer && (s.line == d.Pos.Line || s.line == d.Pos.Line-1) {
-			return true
+// suppress reports whether a suppression covers d (same file and analyzer,
+// on d's line or the line above) and marks every one that does as used.
+func suppress(supps []suppression, d Diagnostic) bool {
+	covered := false
+	for i := range supps {
+		s := &supps[i]
+		if s.analyzer == d.Analyzer && s.pos.Filename == d.Pos.Filename &&
+			(s.pos.Line == d.Pos.Line || s.pos.Line == d.Pos.Line-1) {
+			s.used = true
+			covered = true
 		}
 	}
-	return false
+	return covered
 }
 
 // inScope reports whether the package path lies under one of the given
