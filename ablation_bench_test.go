@@ -160,7 +160,7 @@ func BenchmarkSimulatorOverhead(b *testing.B) {
 func BenchmarkClusterScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab, err := experiments.ClusterStudy(experiments.KVSOptions{
-			Items: 30000, Requests: 400, Batches: []int{16}, Seed: 7,
+			Items: 30000, Workers: 26, Clients: 26, Requests: 400, Batches: []int{16}, Seed: 7,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -38,7 +38,7 @@ func tableRows(t *report.Table) int {
 var benchOpts = experiments.Options{Queries: 1500, Seed: 1}
 
 // kvsBenchOpts trims the Section VI stack for benchmark iterations.
-var kvsBenchOpts = experiments.KVSOptions{Items: 60000, Requests: 600, Seed: 7}
+var kvsBenchOpts = experiments.KVSOptions{Items: 60000, Workers: 26, Clients: 26, Requests: 600, Seed: 7}
 
 // BenchmarkTable1Registry regenerates Table I (the design registry).
 func BenchmarkTable1Registry(b *testing.B) {
@@ -298,6 +298,8 @@ func BenchmarkFleetStudyPoint(b *testing.B) {
 			Items: 20000, Workers: 4, Clients: 8, Requests: 1200,
 			Batches: []int{16}, Seed: 7,
 		},
+		Replication:   3,
+		ArrivalRate:   2e5,
 		WriteFraction: 0.05,
 	}
 	for i := 0; i < b.N; i++ {
@@ -325,6 +327,8 @@ func BenchmarkParallelFleetScaling(b *testing.B) {
 			Items: 20000, Workers: 4, Clients: 8, Requests: 1200,
 			Batches: []int{16}, Seed: 7,
 		},
+		Replication:   3,
+		ArrivalRate:   2e5,
 		WriteFraction: 0.05,
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -366,7 +370,6 @@ func BenchmarkOverloadStudyPoint(b *testing.B) {
 			Batches: []int{64}, Seed: 7,
 		},
 		Servers:     4,
-		Replication: 2,
 		Multipliers: []float64{2},
 	}
 	for i := 0; i < b.N; i++ {

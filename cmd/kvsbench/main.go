@@ -52,9 +52,12 @@ import (
 )
 
 func main() {
+	def := experiments.DefaultKVSOptions()
+	defFleet := experiments.DefaultFleetOptions()
+	defOverload := experiments.DefaultOverloadOptions()
 	h := cli.New(cli.Tool{
 		Name:          "kvsbench",
-		Seed:          7,
+		Seed:          def.Seed,
 		SeedHelp:      "random seed",
 		TraceHelp:     "write a Chrome trace_event JSON file (virtual time = DES clock)",
 		ProfileHelp:   "emit the deterministic time account: 'cycles' writes folded flamegraph stacks (unit: virtual microseconds) to stdout and the breakdown table to stderr; report tables move to stderr",
@@ -64,24 +67,24 @@ func main() {
 		FaultSeedHelp: "fault plan RNG seed (0 = -seed); all fault timing is virtual, so output stays deterministic",
 	})
 	var (
-		items      = flag.Int("items", 200000, "stored key-value items (paper: 2M)")
-		workers    = flag.Int("workers", 26, "server worker threads")
-		clients    = flag.Int("clients", 26, "memslap client threads")
-		requests   = flag.Int("requests", 3000, "measured Multi-Gets per configuration")
-		batches    = flag.String("batches", "16,64", "comma-separated Multi-Get sizes")
+		items      = flag.Int("items", def.Items, "stored key-value items (paper: 2M)")
+		workers    = flag.Int("workers", def.Workers, "server worker threads")
+		clients    = flag.Int("clients", def.Clients, "memslap client threads")
+		requests   = flag.Int("requests", def.Requests, "measured Multi-Gets per configuration")
+		batches    = flag.String("batches", joinList(def.Batches), "comma-separated Multi-Get sizes")
 		backend    = flag.String("backend", "vertical", "single: memc3|horizontal|vertical")
 		batch      = flag.Int("batch", 16, "single: Multi-Get size")
-		simWorkers = flag.Int("simworkers", 1, "host workers advancing one simulation's partitions in parallel (1 = serial); output is identical at every setting")
+		simWorkers = flag.Int("simworkers", def.SimWorkers, "host workers advancing one simulation's partitions in parallel (1 = serial); output is identical at every setting")
 
 		fleetCmd    = flag.Bool("fleet", false, "run the fleet-scale replication study (same as the `fleet` command)")
-		fleetSizes  = flag.String("fleet-sizes", "3,8,16,32,64", "fleet: comma-separated server counts")
-		replication = flag.Int("replication", 3, "fleet: replica-set width R (clamped to each fleet size); overload: replica width (default 2 there)")
-		arrivalRate = flag.Float64("arrival-rate", 2e5, "fleet: aggregate open-loop Multi-Get arrival rate (requests/s of virtual time)")
-		writeFrac   = flag.Float64("write-frac", 0.05, "fleet: fraction of requests issued as quorum writes")
+		fleetSizes  = flag.String("fleet-sizes", joinList(defFleet.FleetSizes), "fleet: comma-separated server counts")
+		replication = flag.Int("replication", defFleet.Replication, "fleet: replica-set width R (clamped to each fleet size)")
+		arrivalRate = flag.Float64("arrival-rate", defFleet.ArrivalRate, "fleet: aggregate open-loop Multi-Get arrival rate (requests/s of virtual time)")
+		writeFrac   = flag.Float64("write-frac", defFleet.WriteFraction, "fleet: fraction of requests issued as quorum writes")
 
 		overloadCmd     = flag.Bool("overload", false, "run the metastable-overload study (same as the `overload` command)")
-		overloadServers = flag.Int("overload-servers", 4, "overload: fleet width")
-		overloadMults   = flag.String("overload-mults", "0.5,0.75,1,1.5,2", "overload: comma-separated offered-load multipliers of measured capacity")
+		overloadServers = flag.Int("overload-servers", defOverload.Servers, "overload: fleet width")
+		overloadMults   = flag.String("overload-mults", joinList(defOverload.Multipliers), "overload: comma-separated offered-load multipliers of measured capacity")
 	)
 	flag.Parse()
 	h.Start()
@@ -121,7 +124,7 @@ func main() {
 			args = args[:1] // bare `kvsbench -overload` runs only the overload study
 		}
 	}
-	sizes, err := parseList(*fleetSizes, "batch size", strconv.Atoi)
+	sizes, err := parseList(*fleetSizes, "fleet size", strconv.Atoi)
 	h.Check(err)
 	mults, err := parseList(*overloadMults, "load multiplier", parseFloat)
 	h.Check(err)
@@ -132,14 +135,9 @@ func main() {
 		ArrivalRate:   *arrivalRate,
 		WriteFraction: *writeFrac,
 	}
-	overloadRepl := *replication
-	if overloadRepl > 2 && !isFlagSet("replication") {
-		overloadRepl = 0 // overload default R=2 unless -replication given
-	}
 	overloadOpts := experiments.OverloadOptions{
 		KVSOptions:  opts,
 		Servers:     *overloadServers,
-		Replication: overloadRepl,
 		Multipliers: mults,
 	}
 	for _, cmd := range args {
@@ -192,19 +190,8 @@ func main() {
 	h.Finish("")
 }
 
-// isFlagSet reports whether the named flag was given explicitly.
-func isFlagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// parseList parses a comma-separated list of positive values; what names
-// the element kind in the error.
+// parseList parses a comma-separated list of numbers; what names the
+// element kind in the error. The studies validate the values.
 func parseList[T int | float64](s, what string, parse func(string) (T, error)) ([]T, error) {
 	var out []T
 	for _, part := range strings.Split(s, ",") {
@@ -213,12 +200,21 @@ func parseList[T int | float64](s, what string, parse func(string) (T, error)) (
 			continue
 		}
 		v, err := parse(part)
-		if err != nil || v <= 0 {
+		if err != nil {
 			return nil, fmt.Errorf("invalid %s %q", what, part)
 		}
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// joinList renders a list default in the form parseList reads.
+func joinList[T int | float64](vs []T) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = fmt.Sprint(v)
+	}
+	return strings.Join(parts, ",")
 }
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

@@ -44,9 +44,10 @@ import (
 )
 
 func main() {
+	def := experiments.DefaultOptions()
 	h := cli.New(cli.Tool{
 		Name:          "simdhtbench",
-		Seed:          1,
+		Seed:          def.Seed,
 		SeedHelp:      "base random seed",
 		TraceHelp:     "write a Chrome trace_event JSON file (virtual time = engine cycles)",
 		ProfileHelp:   "emit the deterministic cycle account: 'cycles' writes folded flamegraph stacks to stdout (pipe into flamegraph.pl) and the breakdown table to stderr; experiment tables move to stderr",
@@ -57,7 +58,7 @@ func main() {
 	})
 	var (
 		cpu     = flag.String("cpu", "skylake-a", "CPU model: skylake-a, skylake-b, cascadelake, icelake, zen2")
-		queries = flag.Int("queries", 6000, "measured queries per configuration")
+		queries = flag.Int("queries", def.Queries, "measured queries per configuration")
 
 		n        = flag.Int("n", 2, "validate/run: number of hash functions (N)")
 		m        = flag.Int("m", 4, "validate/run: slots per bucket (m; 1 = non-bucketized)")

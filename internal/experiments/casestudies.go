@@ -15,7 +15,9 @@ import (
 // Observation ②) and (K,V) = (16,32) over a (2,8) BCHT against the (32,32)
 // reference, at a 512 KB-class table, LF=90%, hit=90%.
 func Fig7a(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	m := arch.SkylakeClusterA()
 	t := report.NewTable("Fig. 7a / Case Study 2: variable key/payload widths, 512KB-class HT on Skylake",
 		"(K,V) bits", "Layout", "Pattern", "Scalar M/s", "SIMD design", "SIMD M/s", "Speedup")
@@ -78,7 +80,9 @@ func Fig7a(o Options) (*report.Table, error) {
 // buckets in parallel), at 20 and 40 concurrent cores, 1 MB and 16 MB
 // tables.
 func Fig7b(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	m := arch.SkylakeClusterA()
 	t := report.NewTable("Fig. 7b / Case Study 3: AVX2 vs AVX-512 on Skylake, uniform, LF=90%, hit=90%",
 		"HT Size", "Cores", "Layout", "AVX2 M/s", "AVX-512 M/s", "512/256 gain")
@@ -137,7 +141,9 @@ func Fig7b(o Options) (*report.Table, error) {
 // horizontal SIMD on a (2,4) BCHT and vertical SIMD on a 3-way cuckoo HT —
 // at 1 MB and 16 MB, uniform and skewed.
 func Fig8(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	t := report.NewTable("Fig. 8 / Case Study 4: Skylake vs Cascade Lake, LF=90%, hit=90%",
 		"Arch", "HT Size", "Pattern", "Design", "Scalar M/s", "SIMD M/s", "Speedup")
 	var jobs []sweep.Job[[]string]
@@ -196,7 +202,9 @@ func shortArch(m *arch.Model) string {
 // (2,2) BCHT vs 2-way cuckoo HT on Skylake (1 MB), and (3,2) BCHT vs 3-way
 // cuckoo HT on Cascade Lake (16 MB), all with AVX-512.
 func Fig9(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	t := report.NewTable("Fig. 9 / Case Study 5: vertical SIMD over BCHT (selective gathers, AVX-512)",
 		"Arch", "HT Size", "Layout", "Scalar M/s", "Vertical M/s", "Speedup")
 	type cfg struct {

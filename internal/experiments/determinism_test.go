@@ -39,7 +39,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 func renderFig2(t *testing.T, parallel int) []byte {
 	t.Helper()
-	tbl, err := Fig2(Options{Seed: 1, Parallel: parallel})
+	tbl, err := Fig2(Options{Queries: 6000, Seed: 1, Parallel: parallel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,20 +17,23 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"simdhtbench/internal/arch"
 	"simdhtbench/internal/core"
+	"simdhtbench/internal/memslap"
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/report"
 	"simdhtbench/internal/sweep"
 	"simdhtbench/internal/workload"
 )
 
-// Options trims experiment size for quick runs; zero values pick the
-// defaults used in EXPERIMENTS.md.
+// Options sizes the micro-benchmark studies. DefaultOptions holds the
+// values simdhtbench runs by default; every study rejects a non-positive
+// Queries with a *memslap.ConfigError before it measures anything.
 type Options struct {
-	Queries int   // measured queries per configuration (default 6000)
-	Seed    int64 // base seed (default 1)
+	Queries int   // measured queries per configuration
+	Seed    int64 // base seed
 
 	// Parallel is the sweep worker count: 0 fans configurations out across
 	// all cores (GOMAXPROCS), 1 runs them sequentially on the calling
@@ -52,14 +55,28 @@ type Options struct {
 	Heartbeat *obs.Heartbeat
 }
 
-func (o Options) withDefaults() Options {
-	if o.Queries <= 0 {
-		o.Queries = 6000
+// DefaultOptions returns the options simdhtbench runs by default, the
+// sizes EXPERIMENTS.md records.
+func DefaultOptions() Options {
+	return Options{Queries: 6000, Seed: 1}
+}
+
+func (o Options) validate() error {
+	return positive("queries", o.Queries)
+}
+
+// positive returns a *memslap.ConfigError naming field unless vs holds at
+// least one value and every value is positive and finite (so not NaN).
+func positive[T int | float64](field string, vs ...T) error {
+	if len(vs) == 0 {
+		return &memslap.ConfigError{Field: field, Reason: "none given"}
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
+	for _, v := range vs {
+		if f := float64(v); !(f > 0 && f <= math.MaxFloat64) {
+			return &memslap.ConfigError{Field: field, Reason: fmt.Sprintf("%v is not positive and finite", v)}
+		}
 	}
-	return o
+	return nil
 }
 
 // fanOut runs the jobs through the sweep runner at the requested
@@ -101,7 +118,9 @@ func Table1() *report.Table {
 // sweep job (its trial seeds depend only on (N, m, trial), so the fan-out
 // preserves the sequential numbers exactly).
 func Fig2(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	variants := core.Fig2Variants()
 	jobs := make([]sweep.Job[core.LoadFactorPoint], len(variants))
 	for i, nm := range variants {
@@ -191,7 +210,9 @@ func gridJobs(m *arch.Model, pattern workload.Pattern, tableBytes int, o Options
 // over the (N, m) grid, 1 MB HT, (32,32), LF=90%, hit rate 90%, uniform and
 // skewed, on Skylake Cluster A.
 func Fig5(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	m := arch.SkylakeClusterA()
 	t := report.NewTable("Fig. 5 / Case Study 1a: SIMD approaches on Skylake, 1MB HT, (32,32)b, LF=90%, hit=90%",
 		"(N,m)", "Pattern", "LF", "Scalar M/s", "Best SIMD", "Speedup")
@@ -210,7 +231,9 @@ func Fig5(o Options) (*report.Table, error) {
 // Fig6 reproduces Case Study ①(b): lookup performance and SIMD benefit as
 // the hash-table size sweeps 256 KB → 64 MB (uniform pattern).
 func Fig6(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	m := arch.SkylakeClusterA()
 	t := report.NewTable("Fig. 6 / Case Study 1b: HT size sweep on Skylake, uniform, LF=90%, hit=90%",
 		"HT Size", "Layout", "Scalar M/s", "Best SIMD", "Speedup")
@@ -262,7 +285,9 @@ func sizeLabel(sz int) string {
 // slots-per-bucket rows against N-way columns, each cell carrying the best
 // SIMD throughput and its speedup over scalar for the given pattern.
 func Fig5Grid(pattern workload.Pattern, o Options) (*report.Grid, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	m := arch.SkylakeClusterA()
 	type cell struct {
 		row, col, value string

@@ -20,7 +20,7 @@ func rows(t *report.Table) int {
 // Small options keep the full-suite test run fast; the shapes asserted here
 // are the coarse ones that must hold even at reduced query counts.
 var testOpts = Options{Queries: 800, Seed: 1}
-var testKVS = KVSOptions{Items: 40000, Requests: 400, Batches: []int{16}, Seed: 7}
+var testKVS = KVSOptions{Items: 40000, Workers: 26, Clients: 26, Requests: 400, Batches: []int{16}, Seed: 7}
 
 // skipHeavyUnderRace exempts the few tests dominated by sequential multi-MB
 // table fills from the race-detector run; see race_test.go.
@@ -39,7 +39,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig2ShapeHolds(t *testing.T) {
-	tab, err := Fig2(Options{Seed: 1})
+	tab, err := Fig2(Options{Queries: 6000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestETCStudy(t *testing.T) {
 }
 
 func TestClusterStudy(t *testing.T) {
-	tab, err := ClusterStudy(KVSOptions{Items: 20000, Requests: 200, Batches: []int{16}, Seed: 7})
+	tab, err := ClusterStudy(KVSOptions{Items: 20000, Workers: 26, Clients: 26, Requests: 200, Batches: []int{16}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

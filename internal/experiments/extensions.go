@@ -21,7 +21,9 @@ import (
 // vectors and smaller loads. The effect is largest for narrow keys — the
 // (2,8) table of 16-bit keys probes in 128 bits instead of 512.
 func SplitBucket(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	m := arch.SkylakeClusterA()
 	t := report.NewTable("Extension: split vs interleaved bucket layout (horizontal SIMD, Skylake, uniform)",
 		"Layout", "(K,V) bits", "Arrangement", "Scalar M/s", "Best SIMD", "SIMD M/s", "Speedup")
@@ -87,7 +89,9 @@ func SplitBucket(o Options) (*report.Table, error) {
 // scalar cuckoo insert path and fragment SIMD batches, so the SIMD
 // advantage decays with the update fraction.
 func MixedWorkload(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	m := arch.SkylakeClusterA()
 	t := report.NewTable("Extension (paper future work): mixed read/update workloads, 3-way cuckoo HT, 1MB, Skylake",
 		"Update fraction", "Scalar Mops/s", "Best SIMD Mops/s", "Speedup")
@@ -137,7 +141,9 @@ func MixedWorkload(o Options) (*report.Table, error) {
 // SIMD win (AMAC gets it too) from the instruction-reduction component
 // (SIMD only).
 func AMACStudy(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	m := arch.SkylakeClusterA()
 	t := report.NewTable("Extension: scalar vs AMAC (group prefetching) vs SIMD, 3-way cuckoo HT, uniform",
 		"HT Size", "Scalar M/s", "AMAC M/s", "Best SIMD M/s", "AMAC/Scalar", "SIMD/AMAC")
@@ -191,7 +197,9 @@ func AMACStudy(o Options) (*report.Table, error) {
 // becomes the design of choice, inverting the paper's Skylake guidance.
 // Each architecture is one sweep job running both recommended designs.
 func EmergingArchitectures(o Options) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	t := report.NewTable("Extension: the recommended designs on emerging architectures (1MB HT, uniform, LF=90%)",
 		"Arch", "Scalar M/s", "(2,4) Hor M/s", "3-way Ver M/s", "Hor speedup", "Ver speedup", "Best")
 	models := []*arch.Model{arch.SkylakeClusterA(), arch.CascadeLake(), arch.IceLake(), arch.Zen2()}

@@ -25,7 +25,9 @@ var FaultSweepRates = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2}
 // obs artifacts behind it — are byte-identical at every Parallel and
 // SimWorkers setting.
 func FaultSweep(o KVSOptions) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	batch := o.Batches[0]
 	backends := KVSBackends()
 

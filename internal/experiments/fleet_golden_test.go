@@ -179,6 +179,7 @@ func runFleetStudyObs(t *testing.T, spec string, parallel, simWorkers int) study
 	o := FleetOptions{
 		KVSOptions:    kvsObsOptions(parallel, col),
 		FleetSizes:    []int{3, 5},
+		Replication:   3,
 		ArrivalRate:   2e5,
 		WriteFraction: 0.05,
 	}
@@ -250,6 +251,7 @@ func TestFleetPartitionedMachineryBites(t *testing.T) {
 	o := FleetOptions{
 		KVSOptions:    KVSOptions{Items: 2000, Workers: 2, Clients: 2, Requests: 60, Batches: []int{8}, Seed: 7},
 		FleetSizes:    []int{5},
+		Replication:   3,
 		ArrivalRate:   2e5,
 		WriteFraction: 0.05,
 	}
@@ -275,6 +277,7 @@ func TestFleetStudyRatesHonoured(t *testing.T) {
 	o := FleetOptions{
 		KVSOptions:  KVSOptions{Items: 2000, Workers: 2, Clients: 2, Requests: 60, Batches: []int{8}, Seed: 7},
 		FleetSizes:  []int{3},
+		Replication: 3,
 		ArrivalRate: 2e5,
 	}
 	for _, tc := range []struct {

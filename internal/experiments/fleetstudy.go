@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"simdhtbench/internal/fault"
@@ -10,24 +11,54 @@ import (
 	"simdhtbench/internal/sweep"
 )
 
-// FleetOptions sizes the fleet-scale replication study. Zero values pick a
-// laptop-scale default; the interesting axis is fleet width under a fixed
-// aggregate open-loop arrival rate with rolling failures.
+// FleetOptions sizes the fleet-scale replication study; the interesting
+// axis is fleet width under a fixed aggregate open-loop arrival rate with
+// rolling failures. DefaultFleetOptions holds the laptop-scale values
+// kvsbench runs by default. The study rejects what KVSOptions rejects, an
+// empty or non-positive fleet size, a non-positive replication, an arrival
+// rate that is not positive and finite, and a write fraction outside
+// [0, 1), with a *memslap.ConfigError naming the field.
 type FleetOptions struct {
 	KVSOptions
 
-	// FleetSizes is the server-count axis (default 3, 8, 16, 32, 64).
+	// FleetSizes is the server-count axis.
 	FleetSizes []int
-	// Replication is the replica-set width R (default 3, clamped to the
-	// fleet size per point).
+	// Replication is the replica-set width R, clamped to the fleet size
+	// per point.
 	Replication int
 	// ArrivalRate is the aggregate open-loop Multi-Get arrival rate in
 	// requests/s of virtual time, held constant across fleet sizes so wider
-	// fleets see proportionally less load per server (0 picks 200k).
+	// fleets see proportionally less load per server.
 	ArrivalRate float64
 	// WriteFraction routes this share of requests through quorum writes;
-	// 0 issues none (kvsbench's -write-frac defaults to 0.05).
+	// 0 issues none.
 	WriteFraction float64
+}
+
+// DefaultFleetOptions returns the options `kvsbench fleet` runs by default.
+func DefaultFleetOptions() FleetOptions {
+	return FleetOptions{
+		KVSOptions:    DefaultKVSOptions(),
+		FleetSizes:    []int{3, 8, 16, 32, 64},
+		Replication:   3,
+		ArrivalRate:   2e5,
+		WriteFraction: 0.05,
+	}
+}
+
+func (o FleetOptions) validate() error {
+	if err := cmp.Or(
+		o.KVSOptions.validate(),
+		positive("fleet size", o.FleetSizes...),
+		positive("replication", o.Replication),
+		positive("arrival rate", o.ArrivalRate),
+	); err != nil {
+		return err
+	}
+	if !(o.WriteFraction >= 0 && o.WriteFraction < 1) {
+		return &memslap.ConfigError{Field: "write fraction", Reason: fmt.Sprintf("%g is not in [0, 1)", o.WriteFraction)}
+	}
+	return nil
 }
 
 // defaultFleetFaultSpec drives the rolling failures when FleetOptions leaves
@@ -38,32 +69,14 @@ type FleetOptions struct {
 // each churn server fails a couple of times per run.
 const defaultFleetFaultSpec = "drop=0.002,crash=5ms:1ms,timeout=100µs,retries=3,backoff=20µs"
 
-func (o FleetOptions) withFleetDefaults() FleetOptions {
-	o.KVSOptions = o.KVSOptions.withDefaults()
-	if o.Items == 200000 && len(o.FleetSizes) == 0 {
-		// The KVS default working set is sized for a 3-point cluster sweep;
-		// a five-point replicated fleet sweep rebalances R copies of it on
-		// every membership epoch, so the default fleet study uses a lighter
-		// set. An explicit -items always wins.
-		o.Items = 50000
-	}
-	if len(o.FleetSizes) == 0 {
-		o.FleetSizes = []int{3, 8, 16, 32, 64}
-	}
-	if o.Replication <= 0 {
-		o.Replication = 3
-	}
-	if o.ArrivalRate == 0 {
-		o.ArrivalRate = 2e5
-	}
-	return o
-}
-
 // FleetStudyPoint runs one fleet size of the study: an open-loop, R-way
 // replicated Multi-Get run with quorum writes and fault-driven membership
-// churn, on its own hermetic simulation.
+// churn, on its own hermetic simulation. o.FleetSizes is not read.
 func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error) {
-	o = o.withFleetDefaults()
+	o.FleetSizes = []int{nservers}
+	if err := o.validate(); err != nil {
+		return memslap.FleetResults{}, err
+	}
 	spec := o.Faults
 	if !spec.Enabled() {
 		parsed, err := fault.ParseSpec(defaultFleetFaultSpec)
@@ -73,7 +86,7 @@ func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error)
 		spec = parsed
 	}
 	col := o.Obs.Scope("config", fmt.Sprintf("fleet n=%d", nservers))
-	plan := spec.NewPlan(o.FaultSeed)
+	plan := o.faultPlan(spec)
 	var faultProbe obs.FaultProbe
 	if plan != nil {
 		faultProbe = col.FaultProbe()
@@ -112,7 +125,9 @@ func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error)
 // Each fleet size is one hermetic sweep job; tables and obs artifacts are
 // byte-identical at any Parallel setting.
 func FleetStudy(o FleetOptions) (*report.Table, error) {
-	o = o.withFleetDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	jobs := make([]sweep.Job[memslap.FleetResults], len(o.FleetSizes))
 	for i, n := range o.FleetSizes {
 		n := n

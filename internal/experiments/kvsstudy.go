@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"simdhtbench/internal/fault"
@@ -10,15 +11,18 @@ import (
 	"simdhtbench/internal/sweep"
 )
 
-// KVSOptions sizes the Section VI key-value-store validation. Zero values
-// pick a laptop-scale default; the paper's configuration is 2M items, 26
-// workers/clients on Cluster B with 20 B keys and 32 B values.
+// KVSOptions sizes the Section VI key-value-store validation.
+// DefaultKVSOptions holds the laptop-scale values kvsbench runs by default;
+// the paper's configuration is 2M items, 26 workers/clients on Cluster B
+// with 20 B keys and 32 B values. Every study rejects a non-positive count
+// or an empty batch list with a *memslap.ConfigError naming the field
+// before it simulates anything.
 type KVSOptions struct {
-	Items    int   // stored items (default 200k; paper 2M)
-	Workers  int   // server worker threads (default 26)
-	Clients  int   // memslap client threads (default 26)
-	Requests int   // measured Multi-Gets per configuration (default 3000)
-	Batches  []int // Multi-Get sizes (default 16, 64)
+	Items    int   // stored items (paper 2M)
+	Workers  int   // server worker threads
+	Clients  int   // memslap client threads
+	Requests int   // measured Multi-Gets per configuration
+	Batches  []int // Multi-Get sizes
 	Seed     int64
 
 	// Parallel is the sweep worker count for fanning out (batch, backend)
@@ -61,29 +65,27 @@ type KVSOptions struct {
 	Heartbeat *obs.Heartbeat
 }
 
-func (o KVSOptions) withDefaults() KVSOptions {
-	if o.Items <= 0 {
-		o.Items = 200000
+// DefaultKVSOptions returns the options kvsbench runs by default.
+func DefaultKVSOptions() KVSOptions {
+	return KVSOptions{
+		Items: 200000, Workers: 26, Clients: 26, Requests: 3000,
+		Batches: []int{16, 64}, Seed: 7, SimWorkers: 1,
 	}
-	if o.Workers <= 0 {
-		o.Workers = 26
-	}
-	if o.Clients <= 0 {
-		o.Clients = 26
-	}
-	if o.Requests <= 0 {
-		o.Requests = 3000
-	}
-	if len(o.Batches) == 0 {
-		o.Batches = []int{16, 64}
-	}
-	if o.Seed == 0 {
-		o.Seed = 7
-	}
-	if o.FaultSeed == 0 {
-		o.FaultSeed = o.Seed
-	}
-	return o
+}
+
+func (o KVSOptions) validate() error {
+	return cmp.Or(
+		positive("items", o.Items),
+		positive("workers", o.Workers),
+		positive("clients", o.Clients),
+		positive("requests", o.Requests),
+		positive("batch size", o.Batches...),
+	)
+}
+
+// faultPlan compiles spec with FaultSeed, or with Seed when FaultSeed is 0.
+func (o KVSOptions) faultPlan(spec fault.Spec) *fault.Plan {
+	return spec.NewPlan(cmp.Or(o.FaultSeed, o.Seed))
 }
 
 // KVSBackends returns the three backends of Fig. 11 in paper order.
@@ -92,8 +94,13 @@ func KVSBackends() []string {
 }
 
 // RunKVS executes one memslap Multi-Get run against a freshly built server
-// with the named backend ("memc3", "horizontal", "vertical").
+// with the named backend ("memc3", "horizontal", "vertical") at Multi-Get
+// size batch; o.Batches is not read.
 func RunKVS(backend string, batch int, o KVSOptions) (memslap.FleetResults, error) {
+	o.Batches = []int{batch}
+	if err := o.validate(); err != nil {
+		return memslap.FleetResults{}, err
+	}
 	return runKVSWith(backend, batch, o, false)
 }
 
@@ -102,7 +109,6 @@ func RunKVS(backend string, batch int, o KVSOptions) (memslap.FleetResults, erro
 // Facebook-ETC item sizes instead of the fixed memslap 20 B/32 B items. The
 // server's index holds o.Items keys and caps batches at max(batch, 128).
 func runKVSWith(backend string, batch int, o KVSOptions, etc bool) (memslap.FleetResults, error) {
-	o = o.withDefaults()
 	scope := fmt.Sprintf("%s b=%d", backend, batch)
 	if etc {
 		scope += " etc" // keep ETC series distinct from a same-run Fig. 11
@@ -114,7 +120,7 @@ func runKVSWith(backend string, batch int, o KVSOptions, etc bool) (memslap.Flee
 		scope += " faults=" + o.Faults.String()
 	}
 	col := o.Obs.Scope("config", scope)
-	plan := o.Faults.NewPlan(o.FaultSeed)
+	plan := o.faultPlan(o.Faults)
 	var faultProbe obs.FaultProbe
 	if plan != nil {
 		// Only an armed plan registers fault series: a fault-free run's
@@ -177,7 +183,9 @@ func kvsSweep(o KVSOptions, etc bool) ([][]memslap.FleetResults, error) {
 // Get throughput (throughput of the hash-table-lookup phase, as the paper
 // measures it) for MemC3 vs the two SIMD-aware backends.
 func Fig11a(o KVSOptions) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	results, err := kvsSweep(o, false)
 	if err != nil {
 		return nil, err
@@ -206,7 +214,9 @@ func Fig11a(o KVSOptions) (*report.Table, error) {
 // Multi-Get request — pre-processing, hash-table lookup and post-processing
 // sub-phases of the server data access phase.
 func Fig11b(o KVSOptions) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	results, err := kvsSweep(o, false)
 	if err != nil {
 		return nil, err
@@ -238,7 +248,9 @@ func Fig11b(o KVSOptions) (*report.Table, error) {
 // lookup phase into response assembly, so the SIMD edge shrinks relative to
 // Fig. 11; the study quantifies by how much.
 func ETCStudy(o KVSOptions) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	results, err := kvsSweep(o, true)
 	if err != nil {
 		return nil, err
@@ -270,7 +282,9 @@ func ETCStudy(o KVSOptions) (*report.Table, error) {
 // Each (servers, batch) point is one sweep job owning its whole simulated
 // cluster: an unreplicated, fault-free, closed-loop memslap.Fleet.
 func ClusterStudy(o KVSOptions) (*report.Table, error) {
-	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	type point struct {
 		nservers, batch int
 	}

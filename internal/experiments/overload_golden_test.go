@@ -11,7 +11,7 @@ import (
 
 // overloadObsOptions mirrors the ci.sh overload smoke: `kvsbench -items 2000
 // -workers 2 -clients 4 -requests 400 -batches 8 -seed 7 -overload-servers 2
-// -replication 2 -overload-mults 0.5,1,1.5,2 -trace -metrics overload`.
+// -overload-mults 0.5,1,1.5,2 -trace -metrics overload`.
 func overloadObsOptions(parallel int, col *obs.Collector) OverloadOptions {
 	return OverloadOptions{
 		KVSOptions: KVSOptions{
@@ -19,7 +19,6 @@ func overloadObsOptions(parallel int, col *obs.Collector) OverloadOptions {
 			Batches: []int{8}, Seed: 7, Parallel: parallel, Obs: col,
 		},
 		Servers:     2,
-		Replication: 2,
 		Multipliers: []float64{0.5, 1, 1.5, 2},
 	}
 }

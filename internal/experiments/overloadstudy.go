@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -47,39 +48,48 @@ const (
 	// every worker queue, so measured goodput is the service capacity, not
 	// a concurrency artifact.
 	overloadSaturationClients = 8
+	// overloadReplication is the replica-set width R, clamped to the fleet
+	// width: failover and hedged reads need a second replica.
+	overloadReplication = 2
 )
 
-// OverloadOptions sizes the metastable-overload study. Zero values pick a
-// laptop-scale default; the interesting axis is offered load as a multiple
-// of measured capacity, with the overload controls off versus on.
+// OverloadOptions sizes the metastable-overload study; the interesting axis
+// is offered load as a multiple of measured capacity, with the overload
+// controls off versus on. DefaultOverloadOptions holds the laptop-scale
+// values kvsbench runs by default. The study rejects what KVSOptions
+// rejects, a non-positive Servers, and an empty Multipliers or one that is
+// not positive and finite, with a *memslap.ConfigError naming the field.
 type OverloadOptions struct {
 	KVSOptions
 
-	// Servers is the fleet width (default 4).
+	// Servers is the fleet width.
 	Servers int
-	// Replication is the replica-set width R (default 2, clamped to the
-	// fleet size) — failover and hedged reads need a second replica.
-	Replication int
 	// Multipliers is the offered-load axis, as multiples of the measured
-	// closed-loop capacity (default 0.5, 0.75, 1, 1.5, 2).
+	// closed-loop capacity.
 	Multipliers []float64
 }
 
-func (o OverloadOptions) withOverloadDefaults() OverloadOptions {
-	o.KVSOptions = o.KVSOptions.withDefaults()
-	if o.Servers <= 0 {
-		o.Servers = 4
+// DefaultOverloadOptions returns the options `kvsbench overload` runs by
+// default.
+func DefaultOverloadOptions() OverloadOptions {
+	return OverloadOptions{
+		KVSOptions:  DefaultKVSOptions(),
+		Servers:     4,
+		Multipliers: []float64{0.5, 0.75, 1, 1.5, 2},
 	}
-	if o.Replication <= 0 {
-		o.Replication = 2
-	}
-	if o.Replication > o.Servers {
-		o.Replication = o.Servers
-	}
-	if len(o.Multipliers) == 0 {
-		o.Multipliers = []float64{0.5, 0.75, 1, 1.5, 2}
-	}
-	return o
+}
+
+func (o OverloadOptions) validate() error {
+	return cmp.Or(
+		o.KVSOptions.validate(),
+		positive("servers", o.Servers),
+		positive("load multiplier", o.Multipliers...),
+	)
+}
+
+// replication is the study's replica-set width at o.Servers.
+func (o OverloadOptions) replication() int {
+	return min(overloadReplication, o.Servers)
 }
 
 // OverloadPoint is one cell of the sweep: one offered-load multiplier in
@@ -145,7 +155,7 @@ func deriveOverloadSpecs(baselineP99, capacityReq float64, servers int) (off, on
 // protocol and the server admission controls — overload is the only adversary.
 func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clients int, scope string) (memslap.FleetResults, error) {
 	col := o.Obs.Scope("config", scope)
-	plan := spec.NewPlan(o.FaultSeed)
+	plan := o.faultPlan(spec)
 	var faultProbe obs.FaultProbe
 	if plan != nil {
 		faultProbe = col.FaultProbe()
@@ -155,9 +165,10 @@ func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clien
 		overloadProbe = col.OverloadProbe()
 	}
 
+	repl := o.replication()
 	fleet, err := newFleet(o.KVSOptions, col, plan, overloadProbe, fleetShape{
-		backend: "vertical", servers: o.Servers, replication: o.Replication,
-		capacity: replicatedCapacity(o.Items, o.Servers, o.Replication), batchCap: fleetBatchCap,
+		backend: "vertical", servers: o.Servers, replication: repl,
+		capacity: replicatedCapacity(o.Items, o.Servers, repl), batchCap: fleetBatchCap,
 	})
 	if err != nil {
 		return memslap.FleetResults{}, err
@@ -187,7 +198,9 @@ func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clien
 // points fan out as hermetic jobs, so every artifact is byte-identical at
 // any Parallel setting.
 func OverloadStudyResult(o OverloadOptions) (OverloadResult, error) {
-	o = o.withOverloadDefaults()
+	if err := o.validate(); err != nil {
+		return OverloadResult{}, err
+	}
 	// Baseline: the configured (light) client count, closed loop — healthy
 	// tail latency for the timeout/hedge derivation.
 	base, err := runOverloadFleet(o, fault.Spec{}, 0, o.Clients, "overload baseline")
@@ -260,7 +273,6 @@ func OverloadStudyResult(o OverloadOptions) (OverloadResult, error) {
 // for a 16-byte reject, retries are budgeted, and goodput holds at or
 // above capacity.
 func OverloadStudy(o OverloadOptions) (*report.Table, error) {
-	o = o.withOverloadDefaults()
 	res, err := OverloadStudyResult(o)
 	if err != nil {
 		return nil, err
@@ -271,10 +283,9 @@ func OverloadStudy(o OverloadOptions) (*report.Table, error) {
 // OverloadTable renders an already-computed study result (OverloadStudy in
 // one call; split out so tests and tools can keep the structured result).
 func OverloadTable(o OverloadOptions, res OverloadResult) *report.Table {
-	o = o.withOverloadDefaults()
 	t := report.NewTable(
 		fmt.Sprintf("Extension: metastable overload and graceful degradation (%d servers, R=%d, capacity %.3f Mkeys/s; off=%s; on=%s)",
-			o.Servers, o.Replication, res.CapacityKeys/1e6, res.OffSpec.String(), res.OnSpec.String()),
+			o.Servers, o.replication(), res.CapacityKeys/1e6, res.OffSpec.String(), res.OnSpec.String()),
 		"Controls", "Offered (x)", "Offered (req/s)", "Goodput (Mkeys/s)", "p99 (us)", "p999 (us)",
 		"Timeouts", "Retries", "Degraded", "ShedQ", "ShedDL", "Hedges", "HedgeWins", "BudgetDenied")
 	for _, p := range res.Points {
