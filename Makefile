@@ -42,8 +42,10 @@ bench:
 # FuzzInsertMatchesReference (the cuckoo insert path against its reference
 # search), FuzzVecMatchesReference (the vector register against its
 # byte-array reference), FuzzHierarchyMatchesReference (the cache hierarchy
-# against its reference LRU) and FuzzCFGBuild (the lint CFG builder). Seed
-# corpora live under testdata/fuzz/. Bump FUZZTIME for a longer hunt.
+# against its reference LRU), FuzzCFGBuild (the lint CFG builder) and
+# FuzzStudyOptions (the KVS study entries' option validation). Seed corpora
+# live under testdata/fuzz/ or in the targets' f.Add calls. Bump FUZZTIME
+# for a longer hunt.
 fuzz-smoke:
 	$(GO) test ./internal/netsim -fuzz FuzzNetsimDeliver -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzMultiGet -fuzztime $(FUZZTIME)
@@ -53,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzVecMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzHierarchyMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzCFGBuild -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzStudyOptions -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...
