@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"simdhtbench/internal/memslap"
+	"simdhtbench/internal/obs"
 	"simdhtbench/internal/report"
 	"simdhtbench/internal/workload"
 )
@@ -258,6 +262,96 @@ func TestFig5GridShape(t *testing.T) {
 	for _, want := range []string{"m=1", "m=8", "N=2", "N=4", "M/s"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("grid missing %q", want)
+		}
+	}
+}
+
+// TestStudyOptionsRejectedByName: zero is a value, not "use the default".
+// Each study entry rejects a count that is not positive, an empty list, and
+// a rate or multiplier that is not positive and finite with a
+// *memslap.ConfigError naming the option, before it builds anything that
+// reports to its collector.
+func TestStudyOptionsRejectedByName(t *testing.T) {
+	kvs := KVSOptions{Items: 2000, Workers: 2, Clients: 2, Requests: 20, Batches: []int{8}, Seed: 7}
+	fleet := FleetOptions{KVSOptions: kvs, FleetSizes: []int{3}, Replication: 3, ArrivalRate: 2e5, WriteFraction: 0.05}
+	overload := OverloadOptions{KVSOptions: kvs, Servers: 2, Multipliers: []float64{1}}
+	for _, tc := range []struct {
+		field string // also the kvsbench or simdhtbench input the case mirrors
+		run   func(col *obs.Collector) error
+	}{
+		{"items", func(col *obs.Collector) error {
+			o := kvs
+			o.Items, o.Obs = 0, col
+			_, err := RunKVS("vertical", 8, o)
+			return err
+		}},
+		{"workers", func(col *obs.Collector) error {
+			o := kvs
+			o.Workers, o.Obs = 0, col
+			_, err := RunKVS("vertical", 8, o)
+			return err
+		}},
+		{"clients", func(col *obs.Collector) error {
+			o := kvs
+			o.Clients, o.Obs = 0, col
+			_, err := RunKVS("vertical", 8, o)
+			return err
+		}},
+		{"requests", func(col *obs.Collector) error {
+			o := kvs
+			o.Requests, o.Obs = 0, col
+			_, err := RunKVS("vertical", 8, o)
+			return err
+		}},
+		{"batch size", func(col *obs.Collector) error {
+			o := kvs
+			o.Batches, o.Obs = nil, col
+			_, err := Fig11a(o)
+			return err
+		}},
+		{"replication", func(col *obs.Collector) error {
+			o := fleet
+			o.Replication, o.Obs = 0, col
+			_, err := FleetStudy(o)
+			return err
+		}},
+		{"arrival rate", func(col *obs.Collector) error {
+			o := fleet
+			o.ArrivalRate, o.Obs = 0, col
+			_, err := FleetStudy(o)
+			return err
+		}},
+		{"fleet size", func(col *obs.Collector) error {
+			o := fleet
+			o.FleetSizes, o.Obs = []int{3, 0}, col
+			_, err := FleetStudy(o)
+			return err
+		}},
+		{"servers", func(col *obs.Collector) error {
+			o := overload
+			o.Servers, o.Obs = 0, col
+			_, err := OverloadStudy(o)
+			return err
+		}},
+		{"load multiplier", func(col *obs.Collector) error {
+			o := overload
+			o.Multipliers, o.Obs = []float64{1, math.NaN()}, col
+			_, err := OverloadStudy(o)
+			return err
+		}},
+		{"queries", func(col *obs.Collector) error {
+			_, err := Fig9(Options{Queries: -5, Seed: 1, Obs: col})
+			return err
+		}},
+	} {
+		col := obs.NewCollector()
+		err := tc.run(col)
+		var cfgErr *memslap.ConfigError
+		if !errors.As(err, &cfgErr) || cfgErr.Field != tc.field {
+			t.Errorf("%s: got %v, want a *memslap.ConfigError on %s", tc.field, err, tc.field)
+		}
+		if n := len(col.Registry.Snapshot()); n != 0 {
+			t.Errorf("%s: %d metric series recorded before the rejection", tc.field, n)
 		}
 	}
 }
