@@ -273,72 +273,52 @@ func TestFig5GridShape(t *testing.T) {
 // reports to its collector.
 func TestStudyOptionsRejectedByName(t *testing.T) {
 	kvs := KVSOptions{Items: 2000, Workers: 2, Clients: 2, Requests: 20, Batches: []int{8}, Seed: 7}
-	fleet := FleetOptions{KVSOptions: kvs, FleetSizes: []int{3}, Replication: 3, ArrivalRate: 2e5, WriteFraction: 0.05}
-	overload := OverloadOptions{KVSOptions: kvs, Servers: 2, Multipliers: []float64{1}}
+	single := func(set func(*KVSOptions)) func(*obs.Collector) error {
+		return func(col *obs.Collector) error {
+			o := kvs
+			o.Obs = col
+			set(&o)
+			_, err := RunKVS("vertical", 8, o)
+			return err
+		}
+	}
+	fleet := func(set func(*FleetOptions)) func(*obs.Collector) error {
+		return func(col *obs.Collector) error {
+			o := FleetOptions{KVSOptions: kvs, FleetSizes: []int{3}, Replication: 3, ArrivalRate: 2e5, WriteFraction: 0.05}
+			o.Obs = col
+			set(&o)
+			_, err := FleetStudy(o)
+			return err
+		}
+	}
+	overload := func(set func(*OverloadOptions)) func(*obs.Collector) error {
+		return func(col *obs.Collector) error {
+			o := OverloadOptions{KVSOptions: kvs, Servers: 2, Multipliers: []float64{1}}
+			o.Obs = col
+			set(&o)
+			_, err := OverloadStudy(o)
+			return err
+		}
+	}
 	for _, tc := range []struct {
-		field string // also the kvsbench or simdhtbench input the case mirrors
-		run   func(col *obs.Collector) error
+		field string
+		run   func(*obs.Collector) error
 	}{
-		{"items", func(col *obs.Collector) error {
-			o := kvs
-			o.Items, o.Obs = 0, col
-			_, err := RunKVS("vertical", 8, o)
-			return err
-		}},
-		{"workers", func(col *obs.Collector) error {
-			o := kvs
-			o.Workers, o.Obs = 0, col
-			_, err := RunKVS("vertical", 8, o)
-			return err
-		}},
-		{"clients", func(col *obs.Collector) error {
-			o := kvs
-			o.Clients, o.Obs = 0, col
-			_, err := RunKVS("vertical", 8, o)
-			return err
-		}},
-		{"requests", func(col *obs.Collector) error {
-			o := kvs
-			o.Requests, o.Obs = 0, col
-			_, err := RunKVS("vertical", 8, o)
-			return err
-		}},
+		{"items", single(func(o *KVSOptions) { o.Items = 0 })},
+		{"workers", single(func(o *KVSOptions) { o.Workers = 0 })},
+		{"clients", single(func(o *KVSOptions) { o.Clients = 0 })},
+		{"requests", single(func(o *KVSOptions) { o.Requests = 0 })},
 		{"batch size", func(col *obs.Collector) error {
 			o := kvs
 			o.Batches, o.Obs = nil, col
 			_, err := Fig11a(o)
 			return err
 		}},
-		{"replication", func(col *obs.Collector) error {
-			o := fleet
-			o.Replication, o.Obs = 0, col
-			_, err := FleetStudy(o)
-			return err
-		}},
-		{"arrival rate", func(col *obs.Collector) error {
-			o := fleet
-			o.ArrivalRate, o.Obs = 0, col
-			_, err := FleetStudy(o)
-			return err
-		}},
-		{"fleet size", func(col *obs.Collector) error {
-			o := fleet
-			o.FleetSizes, o.Obs = []int{3, 0}, col
-			_, err := FleetStudy(o)
-			return err
-		}},
-		{"servers", func(col *obs.Collector) error {
-			o := overload
-			o.Servers, o.Obs = 0, col
-			_, err := OverloadStudy(o)
-			return err
-		}},
-		{"load multiplier", func(col *obs.Collector) error {
-			o := overload
-			o.Multipliers, o.Obs = []float64{1, math.NaN()}, col
-			_, err := OverloadStudy(o)
-			return err
-		}},
+		{"replication", fleet(func(o *FleetOptions) { o.Replication = 0 })},
+		{"arrival rate", fleet(func(o *FleetOptions) { o.ArrivalRate = 0 })},
+		{"fleet size", fleet(func(o *FleetOptions) { o.FleetSizes = []int{3, 0} })},
+		{"servers", overload(func(o *OverloadOptions) { o.Servers = 0 })},
+		{"load multiplier", overload(func(o *OverloadOptions) { o.Multipliers = []float64{1, math.NaN()} })},
 		{"queries", func(col *obs.Collector) error {
 			_, err := Fig9(Options{Queries: -5, Seed: 1, Obs: col})
 			return err

@@ -98,11 +98,6 @@ type Analyzer struct {
 	Run   func(*Pass)
 }
 
-// checks reports whether the analyzer checks the package at path.
-func (a *Analyzer) checks(path string) bool {
-	return a.Scope == nil || inScope(path, a.Scope...)
-}
-
 // All returns the full analyzer suite in deterministic order: alloclint,
 // chargelint, determlint, parlint, problint, reachlint and veclint. Together
 // with the framework's built-in suppression-hygiene check (reported under
@@ -135,7 +130,8 @@ func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 		}
 	}
 	for _, s := range supps {
-		if a := ran[s.analyzer]; a != nil && a != ReachLint && a.checks(s.pkg) && !s.used {
+		a := ran[s.analyzer]
+		if a != nil && a != ReachLint && !s.used && (a.Scope == nil || inScope(s.pkg, a.Scope...)) {
 			kept = append(kept, Diagnostic{
 				Pos:      s.pos,
 				Analyzer: "lint",
