@@ -37,8 +37,10 @@ bench:
 	done
 
 # Short native-fuzz pass, one run per fuzzer: FuzzNetsimDeliver (message
-# delivery), FuzzMultiGet (the Multi-Get path), FuzzRingMembership (ring
-# Join/Leave histories and hash-keyed lookups), FuzzParseSpec (fault specs),
+# delivery), FuzzMultiGet (the Multi-Get path), FuzzFindMatchesLookupBatch
+# (the functional one-key Index.Find against the charged LookupBatch),
+# FuzzRingMembership (ring Join/Leave histories and hash-keyed lookups),
+# FuzzParseSpec (fault specs),
 # FuzzInsertMatchesReference (the cuckoo insert path against its reference
 # search), FuzzVecMatchesReference (the vector register against its
 # byte-array reference), FuzzHierarchyMatchesReference (the cache hierarchy
@@ -49,6 +51,7 @@ bench:
 fuzz-smoke:
 	$(GO) test ./internal/netsim -fuzz FuzzNetsimDeliver -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzMultiGet -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kvs -run '^$$' -fuzz FuzzFindMatchesLookupBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzRingMembership -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cuckoo -run '^$$' -fuzz FuzzInsertMatchesReference -fuzztime $(FUZZTIME)

@@ -6,6 +6,7 @@ import (
 
 	"simdhtbench/internal/arch"
 	"simdhtbench/internal/des"
+	"simdhtbench/internal/engine"
 	"simdhtbench/internal/mem"
 )
 
@@ -85,6 +86,122 @@ func FuzzMultiGet(f *testing.F) {
 		}
 		if res.Found != found {
 			t.Fatalf("Found = %d, want %d", res.Found, found)
+		}
+	})
+}
+
+// findPool is FuzzFindMatchesLookupBatch's key pool: four keys with
+// distinct hashes and two pairs whose 32-bit hashes collide.
+var findPool = [][]byte{
+	[]byte("key-0"), []byte("key-1"), []byte("key-2"), []byte("key-3"),
+	[]byte("key-64797"), []byte("key-99085"), // Hash32 0xf6b5e1c3
+	[]byte("key-26158"), []byte("key-113740"), // Hash32 0x8c8460ad
+}
+
+// FuzzFindMatchesLookupBatch runs random Set/Replace/Delete/Get programs
+// on each backend over findPool; each program byte pair is an op and a key.
+// After every step, for every key of the pool, Index.Find must return the
+// ref a charged one-key LookupBatch returns on a spare engine, and both
+// must agree with a map oracle of what the server stores. A SIMD index
+// keeps one key per 32-bit hash, so Set and Replace must reject a key
+// whose hash partner is stored; MemC3 verifies full keys and keeps both.
+// Set is the load-phase insert and runs only on absent keys, and Delete
+// only on stored keys, as the server's callers use them.
+func FuzzFindMatchesLookupBatch(f *testing.F) {
+	for i := 4; i < len(findPool); i += 2 {
+		if Hash32(findPool[i]) != Hash32(findPool[i+1]) {
+			f.Fatalf("pool keys %q and %q no longer collide", findPool[i], findPool[i+1])
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 3, 0, 3, 2})             // set, set, get hit, get miss
+	f.Add([]byte{0, 4, 0, 5, 1, 5, 2, 4, 0, 5, 3, 5}) // a colliding pair: set, set, replace, delete, set, get
+	f.Add([]byte{1, 6, 1, 6, 1, 7, 2, 6, 1, 7, 2, 7}) // replace fresh and over, across a colliding pair
+	f.Add([]byte{0, 0, 2, 0, 0, 0, 1, 0, 2, 0, 3, 0}) // set, delete, set again, replace, delete, get
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 256 {
+			prog = prog[:256]
+		}
+		for _, tc := range testBackends {
+			srv := backendServer(t, tc.mk, 2)
+			_, memc3 := srv.Index.(*MemC3Index)
+			spare := engine.New(arch.SkylakeClusterB(), 1)
+			oracle := map[string]string{}
+			// partnerStored reports whether another key with k's 32-bit
+			// hash is stored.
+			partnerStored := func(k []byte) bool {
+				for _, p := range findPool {
+					if _, ok := oracle[string(p)]; ok && string(p) != string(k) && Hash32(p) == Hash32(k) {
+						return true
+					}
+				}
+				return false
+			}
+			var refs [1]uint32
+			lookup := func(k []byte) uint32 {
+				srv.Index.LookupBatch(spare, srv.Store, [][]byte{k}, []uint32{Hash32(k)}, refs[:])
+				return refs[0]
+			}
+			for i := 0; i+1 < len(prog); i += 2 {
+				k := findPool[int(prog[i+1])%len(findPool)]
+				v := fmt.Sprintf("value-%d", i)
+				_, stored := oracle[string(k)]
+				rejects := !memc3 && partnerStored(k)
+				step := fmt.Sprintf("%s step %d", tc.name, i/2)
+				switch prog[i] % 4 {
+				case 0: // Set
+					if stored {
+						continue
+					}
+					_, err := srv.Set(k, []byte(v))
+					if (err != nil) != rejects {
+						t.Fatalf("%s: Set(%q) = %v, want rejected %v", step, k, err, rejects)
+					}
+					if err == nil {
+						oracle[string(k)] = v
+					}
+				case 1: // Replace
+					replaced, err := srv.Replace(k, []byte(v))
+					if (err != nil) != rejects || replaced != stored {
+						t.Fatalf("%s: Replace(%q) = (%v, %v), want replaced %v, rejected %v", step, k, replaced, err, stored, rejects)
+					}
+					if err == nil {
+						oracle[string(k)] = v
+					}
+				case 2: // Delete
+					if !stored {
+						continue
+					}
+					ref := lookup(k)
+					if !srv.Index.Delete(srv.Store, Hash32(k), k) {
+						t.Fatalf("%s: Delete(%q) found no entry", step, k)
+					}
+					if err := srv.Store.Delete(ref); err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+					delete(oracle, string(k))
+				case 3: // Get, checked with every key below
+				}
+				for _, k := range findPool {
+					want, stored := oracle[string(k)]
+					h := Hash32(k)
+					found, charged := srv.Index.Find(srv.Store, h, k), lookup(k)
+					if found != charged {
+						t.Fatalf("%s: Find(%q) = %d, one-key LookupBatch = %d", step, k, found, charged)
+					}
+					if (found != NoRef) != stored {
+						t.Fatalf("%s: Find(%q) = %d, oracle stored %v", step, k, found, stored)
+					}
+					if got, ok := srv.Get(k); ok != stored || string(got) != want {
+						t.Fatalf("%s: Get(%q) = (%q, %v), oracle (%q, %v)", step, k, got, ok, want, stored)
+					}
+				}
+			}
+			for wi, e := range srv.engines {
+				if !e.Cache.Pristine() {
+					t.Fatalf("%s: worker %d's caches were touched by side-path lookups", tc.name, wi)
+				}
+			}
 		}
 	})
 }

@@ -16,9 +16,10 @@ import (
 const memcmpCyclesPerByte = 0.25
 
 // Index is a pluggable hash-table backend for the KVS server. An index maps
-// a 32-bit key hash to an item reference; LookupBatch resolves a Multi-Get
+// a 32-bit key hash to an item reference. LookupBatch resolves a Multi-Get
 // batch, charging all work (probing and full-key verification) to the
-// worker's engine.
+// worker's engine. Find resolves one key functionally, for the server's side
+// paths (Get and Replace): it runs no engine and touches no simulated cache.
 type Index interface {
 	// Name identifies the backend in reports, e.g. "MemC3".
 	Name() string
@@ -29,6 +30,12 @@ type Index interface {
 	// their 32-bit hashes arrive pre-parsed (the pre-processing phase).
 	// Returns the number of hits.
 	LookupBatch(e *engine.Engine, store *ItemStore, keys [][]byte, hashes []uint32, refs []uint32) int
+	// Find returns the reference of the item whose key equals key, or
+	// NoRef. It probes the same entries LookupBatch would, in the same
+	// order, and checks the full key at the item, so it returns the ref a
+	// one-key LookupBatch returns; but it is uncharged and leaves every
+	// cache hierarchy alone.
+	Find(store *ItemStore, hash32 uint32, key []byte) uint32
 	// Width returns the widest vector width the lookups use (for frequency
 	// licensing); scalar backends return 64.
 	Width() int
@@ -84,23 +91,40 @@ func (x *simdIndex) warm(h *cache.Hierarchy) {
 	h.Touch(x.table.Arena.Base(), x.table.Arena.Size())
 }
 
-func (x *simdIndex) delete(hash32 uint32) bool {
-	key := uint64(hash32)
-	if key == 0 {
-		key = 1
+// tableKey is the cuckoo-table key of a 32-bit hash: 0 is the table's
+// empty-slot sentinel, so hash 0 is remapped to 1 (the full-key check at
+// the item disambiguates).
+func tableKey(hash32 uint32) uint64 {
+	if hash32 == 0 {
+		return 1
 	}
-	return x.table.Delete(key)
+	return uint64(hash32)
+}
+
+func (x *simdIndex) delete(hash32 uint32) bool {
+	return x.table.Delete(tableKey(hash32))
 }
 
 func (x *simdIndex) insert(hash32, ref uint32) error {
-	key := uint64(hash32)
-	if key == 0 {
-		key = 1 // 0 is the empty-slot sentinel; remap (verification disambiguates)
-	}
+	key := tableKey(hash32)
 	if _, exists := x.table.Lookup(key); exists {
 		return fmt.Errorf("kvs: 32-bit hash collision on %#x; the loader must deduplicate hashes", hash32)
 	}
 	return x.table.Insert(key, uint64(ref))
+}
+
+// find is Index.Find over the table's shadow keys: the uncharged
+// cuckoo.Table.Lookup, then the full-key check at the item.
+func (x *simdIndex) find(store *ItemStore, hash32 uint32, key []byte) uint32 {
+	v, ok := x.table.Lookup(tableKey(hash32))
+	if !ok {
+		return NoRef
+	}
+	ref := uint32(v)
+	if it := store.Get(ref); it == nil || !bytes.Equal(it.Key, key) {
+		return NoRef
+	}
+	return ref
 }
 
 // stage writes the batch's hashes into the scratch stream (the parsed
@@ -111,11 +135,7 @@ func (x *simdIndex) stage(hashes []uint32) {
 		panic(fmt.Sprintf("kvs: batch of %d exceeds index scratch %d", len(hashes), x.maxBatch))
 	}
 	for i, h := range hashes {
-		k := uint64(h)
-		if k == 0 {
-			k = 1
-		}
-		x.scratch.Arena.WriteUint(x.scratch.Off(i), 32, k)
+		x.scratch.Arena.WriteUint(x.scratch.Off(i), 32, tableKey(h))
 	}
 }
 
@@ -176,6 +196,11 @@ func (x *HorizontalIndex) Delete(_ *ItemStore, hash32 uint32, _ []byte) bool {
 	return x.delete(hash32)
 }
 
+// Find implements Index.
+func (x *HorizontalIndex) Find(store *ItemStore, hash32 uint32, key []byte) uint32 {
+	return x.find(store, hash32, key)
+}
+
 // LookupBatch implements Index.
 //
 //lint:hotpath zero-alloc steady state pinned by AllocsPerRun tests
@@ -220,6 +245,11 @@ func (x *VerticalIndex) Warm(h *cache.Hierarchy) { x.warm(h) }
 // Delete implements Index.
 func (x *VerticalIndex) Delete(_ *ItemStore, hash32 uint32, _ []byte) bool {
 	return x.delete(hash32)
+}
+
+// Find implements Index.
+func (x *VerticalIndex) Find(store *ItemStore, hash32 uint32, key []byte) uint32 {
+	return x.find(store, hash32, key)
 }
 
 // LookupBatch implements Index.

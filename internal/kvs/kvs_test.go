@@ -351,23 +351,34 @@ func TestServerSetGetRoundTrip(t *testing.T) {
 	}
 }
 
+// testBackends builds each index backend with room for 1000 items and
+// batches of up to 64 keys.
+var testBackends = []struct {
+	name string
+	mk   func(space *mem.AddressSpace) (Index, error)
+}{
+	{"memc3", func(space *mem.AddressSpace) (Index, error) { return NewMemC3Index(space, 1000, 1), nil }},
+	{"horizontal", func(space *mem.AddressSpace) (Index, error) { return NewHorizontalIndex(space, 1000, 64, 1) }},
+	{"vertical", func(space *mem.AddressSpace) (Index, error) { return NewVerticalIndex(space, 1000, 64, 1) }},
+}
+
+// backendServer builds an empty server on a fresh address space with the
+// given number of workers over one of testBackends' indexes.
+func backendServer(t testing.TB, mk func(*mem.AddressSpace) (Index, error), workers int) *Server {
+	t.Helper()
+	space := mem.NewAddressSpace()
+	idx, err := mk(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewServer(nil, arch.SkylakeClusterB(), workers, 64, idx, NewItemStore(space))
+}
+
 // TestServerGetAllocFree pins the one-key lookup behind Get (and Replace)
 // at zero allocations on every backend, for a hit and a miss.
 func TestServerGetAllocFree(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(space *mem.AddressSpace) (Index, error)
-	}{
-		{"memc3", func(space *mem.AddressSpace) (Index, error) { return NewMemC3Index(space, 1000, 1), nil }},
-		{"horizontal", func(space *mem.AddressSpace) (Index, error) { return NewHorizontalIndex(space, 1000, 64, 1) }},
-		{"vertical", func(space *mem.AddressSpace) (Index, error) { return NewVerticalIndex(space, 1000, 64, 1) }},
-	} {
-		space := mem.NewAddressSpace()
-		idx, err := tc.mk(space)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(nil, arch.SkylakeClusterB(), 2, 64, idx, NewItemStore(space))
+	for _, tc := range testBackends {
+		srv := backendServer(t, tc.mk, 2)
 		hit, miss := []byte("hello-key-000001"), []byte("missing-key-0001")
 		if _, err := srv.Set(hit, []byte("world")); err != nil {
 			t.Fatal(err)
@@ -382,6 +393,46 @@ func TestServerGetAllocFree(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: Get allocates %.1f times per hit and miss, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestSideLookupsLeaveCachesPristine: Get (a hit and a miss) and Replace
+// (a fresh key and an overwrite) are functional side paths, so on a server
+// whose workers are all pristine they charge no worker and leave every
+// worker's cache hierarchy pristine, on every backend.
+func TestSideLookupsLeaveCachesPristine(t *testing.T) {
+	for _, tc := range testBackends {
+		srv := backendServer(t, tc.mk, 3)
+		pristine := func(after string) {
+			t.Helper()
+			for wi, e := range srv.engines {
+				if !e.Cache.Pristine() || e.Cycles() != 0 {
+					t.Fatalf("%s: after %s, worker %d has pristine caches %v and %v cycles, want true and 0",
+						tc.name, after, wi, e.Cache.Pristine(), e.Cycles())
+				}
+			}
+		}
+		stored := []byte("stored-key-00001")
+		if _, err := srv.Set(stored, []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+		pristine("Set")
+		if v, ok := srv.Get(stored); !ok || string(v) != "v1" {
+			t.Fatalf("%s: Get of a stored key = (%q, %v)", tc.name, v, ok)
+		}
+		pristine("a Get hit")
+		if _, ok := srv.Get([]byte("missing-key-0001")); ok {
+			t.Fatalf("%s: missing key found", tc.name)
+		}
+		pristine("a Get miss")
+		if replaced, err := srv.Replace([]byte("fresh-key-000001"), []byte("v2")); err != nil || replaced {
+			t.Fatalf("%s: Replace of a fresh key = (%v, %v)", tc.name, replaced, err)
+		}
+		pristine("a fresh Replace")
+		if replaced, err := srv.Replace(stored, []byte("v3")); err != nil || !replaced {
+			t.Fatalf("%s: Replace of a stored key = (%v, %v)", tc.name, replaced, err)
+		}
+		pristine("an overwriting Replace")
 	}
 }
 

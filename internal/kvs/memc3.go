@@ -1,6 +1,7 @@
 package kvs
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 
@@ -196,11 +197,30 @@ func (x *MemC3Index) Warm(h *cache.Hierarchy) {
 	h.Touch(x.keyver.Base(), x.keyver.Size())
 }
 
+// Find implements Index: the two-bucket tag scan, verified at the item.
+func (x *MemC3Index) Find(store *ItemStore, hash32 uint32, key []byte) uint32 {
+	if _, _, ref, ok := x.slotOf(store, hash32, key); ok {
+		return ref
+	}
+	return NoRef
+}
+
 // Delete removes the entry whose tag matches and whose item key equals key.
 func (x *MemC3Index) Delete(store *ItemStore, hash32 uint32, key []byte) bool {
+	b, s, _, ok := x.slotOf(store, hash32, key)
+	if ok {
+		x.setSlot(b, s, 0, 0)
+	}
+	return ok
+}
+
+// slotOf finds the entry whose tag matches hash32's and whose item key
+// equals key, scanning the primary bucket's slots and then the alternate's,
+// the order LookupBatch probes them in. It is uncharged.
+func (x *MemC3Index) slotOf(store *ItemStore, hash32 uint32, key []byte) (b, s int, ref uint32, ok bool) {
 	tag := tagOf(hash32)
 	b1 := x.bucketOf(hash32)
-	for _, b := range []int{b1, x.altBucket(b1, tag)} {
+	for _, b := range [2]int{b1, x.altBucket(b1, tag)} {
 		for s := 0; s < memc3Slots; s++ {
 			if x.tagAt(b, s) != tag {
 				continue
@@ -209,14 +229,13 @@ func (x *MemC3Index) Delete(store *ItemStore, hash32 uint32, key []byte) bool {
 			if ptr == 0 {
 				continue
 			}
-			it := store.Get(uint32(ptr - 1))
-			if it != nil && string(it.Key) == string(key) {
-				x.setSlot(b, s, 0, 0)
-				return true
+			ref := uint32(ptr - 1)
+			if it := store.Get(ref); it != nil && bytes.Equal(it.Key, key) {
+				return b, s, ref, true
 			}
 		}
 	}
-	return false
+	return 0, 0, NoRef, false
 }
 
 var _ Index = (*MemC3Index)(nil)

@@ -4,7 +4,10 @@ package kvs
 // writes, rebalance transfers and read-repair, plus the wipe that models a
 // crashed server restarting cold. The apply path is charged through a
 // worker engine like HandleMGet — rebalance storms compete with foreground
-// traffic for workers and cycles instead of teleporting data.
+// traffic for workers and cycles instead of teleporting data. The charge
+// is the named repl* constants below; the store and index work under it
+// (Replace's lookup, delete and insert) is functional, so it charges
+// nothing twice and leaves the worker's simulated caches alone.
 
 // Per-item replica-apply cost constants (cycles). Parsing covers the
 // set-command demarshalling; the store copy scales with value bytes; the
@@ -91,14 +94,13 @@ func (s *Server) processReplicate(wi int, items []ReplicaItem) (int, float64) {
 // Replace stores (key, value), first deleting any existing version: the
 // index rejects duplicate 32-bit key hashes, so an overwrite must delete
 // the stale reference before reinserting. Returns whether a stale version
-// was replaced. The lookup runs the index's lookup template on worker 0's
-// engine with charging off: it charges no cycles (charged callers bill the
-// equivalent work via the repl* cost constants), but it still installs the
-// probed lines in that worker's simulated caches.
+// was replaced. Its lookup is functional (Index.Find): it charges no cycles
+// (charged callers bill the equivalent work via the repl* cost constants)
+// and leaves every worker's simulated caches as they were.
 func (s *Server) Replace(key, value []byte) (bool, error) {
 	replaced := false
 	h := Hash32(key)
-	if ref := s.lookupOne(key, h); ref != NoRef {
+	if ref := s.Index.Find(s.Store, h, key); ref != NoRef {
 		s.Index.Delete(s.Store, h, key)
 		if err := s.Store.Delete(ref); err != nil {
 			return false, err

@@ -74,12 +74,6 @@ type Server struct {
 	hashScr    [][]uint32
 	maxBatch   int
 
-	// One-key scratch for Get and Replace. Both run only on the server's
-	// own partition, one call at a time, so one set serves every call.
-	oneKey  [1][]byte
-	oneHash [1]uint32
-	oneRef  [1]uint32
-
 	// Accumulated stats.
 	Batches     uint64
 	KeysServed  uint64
@@ -185,29 +179,17 @@ func (s *Server) set(key, value []byte, h uint32) (uint32, error) {
 	return ref, nil
 }
 
-// Get looks up one key for functional use and tests. It runs the index's
-// lookup template on worker 0's engine with charging off, so it charges no
-// cycles, but it still installs the probed lines in that worker's simulated
-// caches, which later charged batches on worker 0 see.
+// Get looks up one key on a side path: the fleet's rebalance and repair
+// reads, and tests. The lookup is functional (Index.Find): it uses no
+// worker, charges no cycles and leaves every worker's simulated caches as
+// they were. Only Multi-Get batches (HandleMGet) run the charged lookup
+// templates.
 func (s *Server) Get(key []byte) ([]byte, bool) {
-	ref := s.lookupOne(key, Hash32(key))
+	ref := s.Index.Find(s.Store, Hash32(key), key)
 	if ref == NoRef {
 		return nil, false
 	}
 	return s.Store.Get(ref).Value, true
-}
-
-// lookupOne resolves one key with hash h through the index's lookup
-// template on worker 0's engine with charging off, using the server's
-// one-key scratch, and returns its item reference or NoRef.
-func (s *Server) lookupOne(key []byte, h uint32) uint32 {
-	e := s.engines[0]
-	e.SetCharging(false)
-	s.oneKey[0], s.oneHash[0], s.oneRef[0] = key, h, NoRef
-	s.Index.LookupBatch(e, s.Store, s.oneKey[:], s.oneHash[:], s.oneRef[:])
-	e.SetCharging(true)
-	s.oneKey[0] = nil // keep no reference to the caller's key
-	return s.oneRef[0]
 }
 
 // HandleMGet schedules a Multi-Get batch: it waits for a free worker,
@@ -377,8 +359,9 @@ func (s *Server) processChunk(wi int, keys [][]byte) MGetResult {
 // only touches the hierarchy (Touch fires no probe or profiler event), so
 // when every worker is still pristine the server warms worker 0 once and
 // copies its hierarchy into the others, which ends in exactly the state
-// warming each would. If any worker has already been used (Get runs on
-// worker 0), each worker is warmed in turn.
+// warming each would. If any worker has already served a batch, each
+// worker is warmed in turn. Side-path lookups (Get, Replace) touch no
+// cache, so they never force that fallback.
 func (s *Server) WarmCaches() {
 	hotBudget := (s.Arch.LastLevelCacheSize() * 3) / 4
 	warm := func(h *cache.Hierarchy) {

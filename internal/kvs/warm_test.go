@@ -44,14 +44,17 @@ func warmEachWorker(s *Server) {
 // a server warmed by WarmCaches cost the same cycles and leave the same
 // per-level stats as on a twin warmed worker by worker — on the pristine
 // path, where WarmCaches copies worker 0's hierarchy, and on the fallback
-// after a Get has touched worker 0.
+// after a charged batch has touched worker 0.
 func TestWarmCachesCopyMatchesPerWorkerWarm(t *testing.T) {
-	for _, getFirst := range []bool{false, true} {
+	for _, usedFirst := range []bool{false, true} {
 		got, keys := warmServer(t, 3000)
 		want, _ := warmServer(t, 3000)
-		if getFirst {
-			got.Get(keys[17])
-			want.Get(keys[17])
+		if usedFirst {
+			got.processBatch(0, keys[17:18])
+			want.processBatch(0, keys[17:18])
+			if got.engines[0].Cache.Pristine() {
+				t.Fatal("a charged batch left worker 0 pristine")
+			}
 		}
 		got.WarmCaches()
 		warmEachWorker(want)
@@ -62,21 +65,21 @@ func TestWarmCachesCopyMatchesPerWorkerWarm(t *testing.T) {
 			batch = append(batch, []byte("absent-key-1"), []byte("absent-key-2"))
 			g, w := got.processBatch(wi, batch), want.processBatch(wi, batch)
 			if g.Breakdown != w.Breakdown || g.Found != w.Found {
-				t.Fatalf("get first %v, worker %d: batch %+v found %d, per-worker warm %+v found %d",
-					getFirst, wi, g.Breakdown, g.Found, w.Breakdown, w.Found)
+				t.Fatalf("used first %v, worker %d: batch %+v found %d, per-worker warm %+v found %d",
+					usedFirst, wi, g.Breakdown, g.Found, w.Breakdown, w.Found)
 			}
 		}
 		for wi, e := range got.engines {
 			we := want.engines[wi]
 			if e.Cycles() != we.Cycles() || e.Cache.DRAMAccesses() != we.Cache.DRAMAccesses() {
-				t.Fatalf("get first %v, worker %d: %v cycles, %d DRAM fills; per-worker warm %v, %d",
-					getFirst, wi, e.Cycles(), e.Cache.DRAMAccesses(), we.Cycles(), we.Cache.DRAMAccesses())
+				t.Fatalf("used first %v, worker %d: %v cycles, %d DRAM fills; per-worker warm %v, %d",
+					usedFirst, wi, e.Cycles(), e.Cache.DRAMAccesses(), we.Cycles(), we.Cache.DRAMAccesses())
 			}
 			for _, name := range e.Cache.Levels() {
 				gs, _ := e.Cache.LevelStats(name)
 				ws, _ := we.Cache.LevelStats(name)
 				if gs != ws {
-					t.Fatalf("get first %v, worker %d, %s: stats %+v, per-worker warm %+v", getFirst, wi, name, gs, ws)
+					t.Fatalf("used first %v, worker %d, %s: stats %+v, per-worker warm %+v", usedFirst, wi, name, gs, ws)
 				}
 			}
 		}
