@@ -226,6 +226,7 @@ func main() {
 			if *keytrace == "" {
 				h.Fatal(fmt.Errorf("record requires -keytrace <output path>"))
 			}
+			h.Check(opts.Validate())
 			stored := make([]uint64, 0, 1<<16)
 			for i := uint64(2); len(stored) < 1<<16; i += 2 {
 				stored = append(stored, i)

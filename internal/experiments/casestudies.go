@@ -15,7 +15,7 @@ import (
 // Observation ②) and (K,V) = (16,32) over a (2,8) BCHT against the (32,32)
 // reference, at a 512 KB-class table, LF=90%, hit=90%.
 func Fig7a(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	m := arch.SkylakeClusterA()
@@ -80,7 +80,7 @@ func Fig7a(o Options) (*report.Table, error) {
 // buckets in parallel), at 20 and 40 concurrent cores, 1 MB and 16 MB
 // tables.
 func Fig7b(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	m := arch.SkylakeClusterA()
@@ -141,7 +141,7 @@ func Fig7b(o Options) (*report.Table, error) {
 // horizontal SIMD on a (2,4) BCHT and vertical SIMD on a 3-way cuckoo HT —
 // at 1 MB and 16 MB, uniform and skewed.
 func Fig8(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	t := report.NewTable("Fig. 8 / Case Study 4: Skylake vs Cascade Lake, LF=90%, hit=90%",
@@ -202,7 +202,7 @@ func shortArch(m *arch.Model) string {
 // (2,2) BCHT vs 2-way cuckoo HT on Skylake (1 MB), and (3,2) BCHT vs 3-way
 // cuckoo HT on Cascade Lake (16 MB), all with AVX-512.
 func Fig9(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	t := report.NewTable("Fig. 9 / Case Study 5: vertical SIMD over BCHT (selective gathers, AVX-512)",

@@ -61,7 +61,10 @@ func DefaultOptions() Options {
 	return Options{Queries: 6000, Seed: 1}
 }
 
-func (o Options) validate() error {
+// Validate returns a *memslap.ConfigError naming the field when o cannot
+// run (a non-positive Queries). Every study calls it before it measures
+// anything, and simdhtbench's record command before it creates its trace.
+func (o Options) Validate() error {
 	return positive("queries", o.Queries)
 }
 
@@ -118,7 +121,7 @@ func Table1() *report.Table {
 // sweep job (its trial seeds depend only on (N, m, trial), so the fan-out
 // preserves the sequential numbers exactly).
 func Fig2(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	variants := core.Fig2Variants()
@@ -210,7 +213,7 @@ func gridJobs(m *arch.Model, pattern workload.Pattern, tableBytes int, o Options
 // over the (N, m) grid, 1 MB HT, (32,32), LF=90%, hit rate 90%, uniform and
 // skewed, on Skylake Cluster A.
 func Fig5(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	m := arch.SkylakeClusterA()
@@ -231,7 +234,7 @@ func Fig5(o Options) (*report.Table, error) {
 // Fig6 reproduces Case Study ①(b): lookup performance and SIMD benefit as
 // the hash-table size sweeps 256 KB → 64 MB (uniform pattern).
 func Fig6(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	m := arch.SkylakeClusterA()
@@ -285,7 +288,7 @@ func sizeLabel(sz int) string {
 // slots-per-bucket rows against N-way columns, each cell carrying the best
 // SIMD throughput and its speedup over scalar for the given pattern.
 func Fig5Grid(pattern workload.Pattern, o Options) (*report.Grid, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	m := arch.SkylakeClusterA()

@@ -21,7 +21,7 @@ import (
 // vectors and smaller loads. The effect is largest for narrow keys — the
 // (2,8) table of 16-bit keys probes in 128 bits instead of 512.
 func SplitBucket(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	m := arch.SkylakeClusterA()
@@ -89,7 +89,7 @@ func SplitBucket(o Options) (*report.Table, error) {
 // scalar cuckoo insert path and fragment SIMD batches, so the SIMD
 // advantage decays with the update fraction.
 func MixedWorkload(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	m := arch.SkylakeClusterA()
@@ -141,7 +141,7 @@ func MixedWorkload(o Options) (*report.Table, error) {
 // SIMD win (AMAC gets it too) from the instruction-reduction component
 // (SIMD only).
 func AMACStudy(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	m := arch.SkylakeClusterA()
@@ -197,7 +197,7 @@ func AMACStudy(o Options) (*report.Table, error) {
 // becomes the design of choice, inverting the paper's Skylake guidance.
 // Each architecture is one sweep job running both recommended designs.
 func EmergingArchitectures(o Options) (*report.Table, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	t := report.NewTable("Extension: the recommended designs on emerging architectures (1MB HT, uniform, LF=90%)",

@@ -174,6 +174,21 @@ if grep -q "Sim Mlookups/s" "$tmp/simspeed.out"; then
     exit 1
 fi
 
+# Option smoke: record rejects a bad -queries by name before it creates its
+# trace file. The binary is built, not run through go run, so a panic (exit
+# status 2) cannot pass for the typed rejection (exit status 1).
+echo "==> option smoke (record -queries -5)"
+$GO build -o "$tmp/simdhtbench" ./cmd/simdhtbench
+status=0
+"$tmp/simdhtbench" -keytrace "$tmp/record.trace" -queries -5 record \
+    2> "$tmp/record.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "invalid config queries" "$tmp/record.err" \
+    || [ -e "$tmp/record.trace" ]; then
+    echo "ci.sh: record -queries -5 exited $status without a clean queries rejection:" >&2
+    cat "$tmp/record.err" >&2
+    exit 1
+fi
+
 # Short fuzz of the delivery and Multi-Get paths (seed corpora replay plus a
 # few seconds of mutation).
 echo "==> fuzz smoke"
