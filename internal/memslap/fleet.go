@@ -528,7 +528,8 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	r.start()
 	maxEpochs := 0
 	if cfg.Churn {
-		maxEpochs = r.scheduleChurn()
+		r.scheduleChurn()
+		maxEpochs, _ = cfg.churnEpochBound(f) // validate checked that it fits
 	}
 
 	budget := uint64(r.total)*eventBudgetPerRequest + eventBudgetSlack
@@ -574,19 +575,42 @@ func (cfg FleetConfig) validate(f *Fleet) error {
 		if cfg.Faults == nil || cfg.Faults.Spec().CrashPeriod <= 0 {
 			return &ConfigError{Field: "churn", Reason: "requires a fault plan with crash windows (the churn schedule)"}
 		}
+		if _, ok := cfg.churnEpochBound(f); !ok {
+			return &ConfigError{Field: "arrival rate", Reason: fmt.Sprintf(
+				"%g req/s spreads %d requests over more crash periods than the churn watchdog's event budget can count",
+				cfg.ArrivalRate, cfg.Requests)}
+		}
 	}
 	return nil
 }
 
-// scheduleChurn arms the rolling failures and returns the most ring epochs
-// they can install. The schedule mirrors each churn server's own crash
-// windows (the same golden-ratio stagger the per-server plans use), so ring
-// epochs line up with the request drops CrashedAt produces.
-func (r *fleetRun) scheduleChurn() int {
-	f, sim, plan := r.f, r.sim, r.plan
-	spec := plan.Spec()
+// maxChurnBudget caps the watchdog events a churn run may reserve for
+// rebalancing, so the budget RunFleet sums stays far inside uint64.
+const maxChurnBudget = 1 << 62
+
+// churnEpochBound returns the most ring epochs a churn run can install: a
+// leave and a join per crash window of each churn server, over four times
+// the arrival span plus two windows. It reports false when the rebalance
+// budget those epochs need exceeds maxChurnBudget, as it does at arrival
+// rates so low that the span holds more crash periods than an int counts.
+func (cfg FleetConfig) churnEpochBound(f *Fleet) (int, bool) {
+	period := cfg.Faults.Spec().CrashPeriod
 	churnN := min(maxChurnServers, f.Ring.Servers()-1)
-	horizon := float64(r.total)/r.cfg.ArrivalRate*4 + spec.CrashPeriod
+	total := cfg.Requests + cfg.Requests/warmupDivisor
+	windows := (float64(total)/cfg.ArrivalRate*4 + period) / period
+	if !((windows+3)*float64(churnN*2)*float64(len(f.keys)+1024)*eventBudgetPerMovedKey <= maxChurnBudget) {
+		return 0, false
+	}
+	return (int(windows) + 2) * churnN * 2, true
+}
+
+// scheduleChurn arms the rolling failures. The schedule mirrors each churn
+// server's own crash windows (the same golden-ratio stagger the per-server
+// plans use), so ring epochs line up with the request drops CrashedAt
+// produces.
+func (r *fleetRun) scheduleChurn() {
+	f, sim, plan := r.f, r.sim, r.plan
+	churnN := min(maxChurnServers, f.Ring.Servers()-1)
 	stop := func() bool { return r.completed >= r.total }
 	for i := 0; i < churnN; i++ {
 		pi := plan.ForServer(i)
@@ -622,7 +646,6 @@ func (r *fleetRun) scheduleChurn() int {
 		}
 		window(1)
 	}
-	return (int(horizon/spec.CrashPeriod) + 2) * churnN * 2
 }
 
 // results computes FleetResults from the run's counters, its latency

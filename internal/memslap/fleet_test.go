@@ -337,23 +337,33 @@ func TestFleetConfigErrors(t *testing.T) {
 		t.Errorf("churn without open loop: got %v, want *ConfigError", err)
 	}
 	// Out-of-range, NaN and infinite rates and fractions are rejected by
-	// name, not run as something else.
-	base := Config{Clients: 2, BatchSize: 8, Requests: 10, KeyBytes: 20}
+	// name, not run as something else. So is a churn run whose arrival
+	// rate is so low that its crash windows outnumber what the watchdog's
+	// event budget can count.
+	spec, err := fault.ParseSpec("crash=100µs:30µs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{Clients: 2, BatchSize: 8, Requests: 2400, KeyBytes: 20, Faults: spec.NewPlan(1)}
 	for _, tc := range []struct {
 		field  string
 		rate   float64
 		writes float64
+		churn  bool
 	}{
-		{"write fraction", 0, 1.5},
-		{"write fraction", 0, -0.1},
-		{"write fraction", 0, math.NaN()},
-		{"arrival rate", -5, 0},
-		{"arrival rate", math.NaN(), 0},
-		{"arrival rate", math.Inf(1), 0},
+		{"write fraction", 0, 1.5, false},
+		{"write fraction", 0, -0.1, false},
+		{"write fraction", 0, math.NaN(), false},
+		{"arrival rate", -5, 0, false},
+		{"arrival rate", math.NaN(), 0, false},
+		{"arrival rate", math.Inf(1), 0, false},
+		{"arrival rate", 1e-15, 0, true},
+		{"arrival rate", 1e-300, 0, true},
 	} {
-		_, err := RunFleet(fleet, FleetConfig{Config: base, ArrivalRate: tc.rate, WriteFraction: tc.writes})
+		_, err := RunFleet(fleet, FleetConfig{Config: base, ArrivalRate: tc.rate, WriteFraction: tc.writes, Churn: tc.churn})
 		if !errors.As(err, &cfgErr) || cfgErr.Field != tc.field {
-			t.Errorf("arrival rate %g, write fraction %g: got %v, want a *ConfigError on %s", tc.rate, tc.writes, err, tc.field)
+			t.Errorf("arrival rate %g, write fraction %g, churn %v: got %v, want a *ConfigError on %s",
+				tc.rate, tc.writes, tc.churn, err, tc.field)
 		}
 	}
 	sim := des.NewPartitioned(1, 1, 1e-6).Sim(0) // its fabric stays unpartitioned
