@@ -47,7 +47,7 @@ func FuzzStudyOptions(f *testing.F) {
 		{2, 64, 2, 4, 16, 8, 2, 2, 2e5, 0.05, nan, 7}, // -overload -overload-mults NaN
 		{2, 64, 2, 4, 16, 8, 2, 2, 2e5, 0.05, -inf, 7},
 		{2, -5, -1, -3, -16, -8, -2, -1, -5, 0.05, 0, -1},
-		{0, 12, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 52}, // the index fills at 11 of 12 keys
+		{0, 12, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 52}, // single: runs; its 16-slot index once filled at 11 of 12 keys
 	} {
 		f.Add(in.study, in.items, in.workers, in.clients, in.requests, in.batch, in.servers, in.repl,
 			in.rate, in.writes, in.mult, in.seed)

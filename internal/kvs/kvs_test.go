@@ -242,6 +242,56 @@ func TestVerticalIndexBehaviour(t *testing.T) {
 	})
 }
 
+// TestSIMDIndexHoldsCapacity fills each SIMD index to its capacity for
+// every capacity from 1 to 2048 — the small ones and the top tenth below
+// each power of two included — at eight seeds: sizeLayout must leave enough
+// headroom for the last key to place. Neither the table's hash seed nor the
+// key sequence depends on the capacity, so a fill to the largest capacity of
+// a layout passes through the fill of every smaller capacity sized to that
+// layout; the test runs that one fill per layout.
+func TestSIMDIndexHoldsCapacity(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n, m  int
+		build func(space *mem.AddressSpace, capacity int, seed int64) (Index, error)
+	}{
+		{"horizontal", 2, 4, func(space *mem.AddressSpace, capacity int, seed int64) (Index, error) {
+			return NewHorizontalIndex(space, capacity, 16, seed)
+		}},
+		{"vertical", 3, 1, func(space *mem.AddressSpace, capacity int, seed int64) (Index, error) {
+			return NewVerticalIndex(space, capacity, 16, seed)
+		}},
+	} {
+		// The largest capacity sized to each layout, in capacity order.
+		var fills []int
+		for c := 1; c <= 2048; c++ {
+			if c == 2048 || sizeLayout(tc.n, tc.m, c+1) != sizeLayout(tc.n, tc.m, c) {
+				fills = append(fills, c)
+			}
+		}
+		for seed := int64(1); seed <= 8; seed++ {
+			for _, capacity := range fills {
+				x, err := tc.build(mem.NewAddressSpace(), capacity, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed))
+				seen := map[uint32]bool{0: true, 1: true} // tableKey maps 0 to 1
+				for i := 0; i < capacity; i++ {
+					h := rng.Uint32()
+					for seen[h] {
+						h = rng.Uint32()
+					}
+					seen[h] = true
+					if err := x.Insert(h, uint32(i)); err != nil {
+						t.Fatalf("%s seed %d: capacity %d (%d slots) full after %d keys: %v", tc.name, seed, capacity, sizeLayout(tc.n, tc.m, capacity).Slots(), i, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMemC3TagCollisionVerification(t *testing.T) {
 	// Two keys engineered into the same bucket with the same tag: the full
 	// key verification must disambiguate them.
