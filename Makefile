@@ -44,8 +44,10 @@ bench:
 # FuzzInsertMatchesReference (the cuckoo insert path against its reference
 # search), FuzzVecMatchesReference (the vector register against its
 # byte-array reference), FuzzHierarchyMatchesReference (the cache hierarchy
-# against its reference LRU), FuzzCFGBuild (the lint CFG builder) and
-# FuzzStudyOptions (the KVS study entries' option validation). Seed corpora
+# against its reference LRU), FuzzPartitionedMatchesReference (the DES
+# engine against its reference window loop and merge), FuzzCFGBuild (the
+# lint CFG builder) and FuzzStudyOptions (the KVS study entries' option
+# validation). Seed corpora
 # live under testdata/fuzz/ or in the targets' f.Add calls. Bump FUZZTIME
 # for a longer hunt.
 fuzz-smoke:
@@ -57,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cuckoo -run '^$$' -fuzz FuzzInsertMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzVecMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzHierarchyMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/des -run '^$$' -fuzz FuzzPartitionedMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzCFGBuild -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzStudyOptions -fuzztime $(FUZZTIME)
 

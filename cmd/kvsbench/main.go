@@ -67,14 +67,13 @@ func main() {
 		FaultSeedHelp: "fault plan RNG seed (0 = -seed); all fault timing is virtual, so output stays deterministic",
 	})
 	var (
-		items      = flag.Int("items", def.Items, "stored key-value items (paper: 2M)")
-		workers    = flag.Int("workers", def.Workers, "server worker threads")
-		clients    = flag.Int("clients", def.Clients, "memslap client threads")
-		requests   = flag.Int("requests", def.Requests, "measured Multi-Gets per configuration")
-		batches    = flag.String("batches", joinList(def.Batches), "comma-separated Multi-Get sizes")
-		backend    = flag.String("backend", "vertical", "single: memc3|horizontal|vertical")
-		batch      = flag.Int("batch", 16, "single: Multi-Get size")
-		simWorkers = flag.Int("simworkers", def.SimWorkers, "host workers advancing one simulation's partitions in parallel (1 = serial); output is identical at every setting")
+		items    = flag.Int("items", def.Items, "stored key-value items (paper: 2M)")
+		workers  = flag.Int("workers", def.Workers, "server worker threads")
+		clients  = flag.Int("clients", def.Clients, "memslap client threads")
+		requests = flag.Int("requests", def.Requests, "measured Multi-Gets per configuration")
+		batches  = flag.String("batches", joinList(def.Batches), "comma-separated Multi-Get sizes")
+		backend  = flag.String("backend", "vertical", "single: memc3|horizontal|vertical")
+		batch    = flag.Int("batch", 16, "single: Multi-Get size")
 
 		fleetCmd    = flag.Bool("fleet", false, "run the fleet-scale replication study (same as the `fleet` command)")
 		fleetSizes  = flag.String("fleet-sizes", joinList(defFleet.FleetSizes), "fleet: comma-separated server counts")
@@ -94,19 +93,18 @@ func main() {
 	batchSizes, err := parseList(*batches, "batch size", strconv.Atoi)
 	h.Check(err)
 	opts := experiments.KVSOptions{
-		Items:      *items,
-		Workers:    *workers,
-		Clients:    *clients,
-		Requests:   *requests,
-		Batches:    batchSizes,
-		Seed:       h.Seed,
-		Parallel:   h.Parallel,
-		SimWorkers: *simWorkers,
-		Faults:     spec,
-		FaultSeed:  h.FaultSeed,
-		OnSweep:    h.OnSweep(),
-		Obs:        h.Col,
-		Heartbeat:  h.Heartbeat,
+		Items:     *items,
+		Workers:   *workers,
+		Clients:   *clients,
+		Requests:  *requests,
+		Batches:   batchSizes,
+		Seed:      h.Seed,
+		Parallel:  h.Parallel,
+		Faults:    spec,
+		FaultSeed: h.FaultSeed,
+		OnSweep:   h.OnSweep(),
+		Obs:       h.Col,
+		Heartbeat: h.Heartbeat,
 	}
 	args := flag.Args()
 	if len(args) == 0 {

@@ -36,8 +36,7 @@ func main() {
 	fmt.Println()
 
 	for _, nservers := range []int{1, 2, 4} {
-		// One partition for the clients plus one per server, advanced by a
-		// single host worker.
+		// One partition for the clients plus one per server.
 		net := netsim.EDR()
 		pd := des.NewPartitioned(nservers+1, 1, net.SmallMessageLatency())
 		fabric := netsim.New(pd.Sim(0), net)

@@ -35,8 +35,7 @@ func main() {
 	fmt.Println()
 
 	for _, backend := range []string{"memc3", "horizontal", "vertical"} {
-		// Partition 0 runs the clients, partition 1 the server, advanced
-		// by a single host worker.
+		// Partition 0 runs the clients, partition 1 the server.
 		net := netsim.EDR()
 		pd := des.NewPartitioned(2, 1, net.SmallMessageLatency())
 		fabric := netsim.New(pd.Sim(0), net)

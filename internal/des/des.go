@@ -109,7 +109,8 @@ type event struct {
 // cross-partition merge depends on this: it inserts merged remote events into
 // the destination heap in (timestamp, source partition, source seq) order, so
 // the destination's locally assigned seqs reproduce the canonical order
-// bitwise at any host worker count. Pinned by TestEventHeapFIFOTieBreak.
+// bitwise, whatever order the sources posted in. Pinned by
+// TestEventHeapFIFOTieBreak.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {

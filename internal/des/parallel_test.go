@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -76,78 +77,110 @@ func TestRunUntilBudgetExhausted(t *testing.T) {
 	}
 }
 
-// buildPingPong wires a P-partition engine where every partition runs a
-// local event chain and periodically posts cross-partition messages to its
-// neighbor, recording each dispatch into a per-partition log (single
-// writer). Equal-timestamp cross sends from different partitions exercise
-// the canonical tie-break.
-func buildPingPong(parts, workers int, rounds int) (*Partitioned, [][]string) {
+// buildPingPong wires a ping-pong program onto a P-partition engine: every
+// partition runs a local event chain and periodically posts
+// cross-partition messages to its neighbor, recording each dispatch into a
+// per-partition log. Equal-timestamp cross sends from different partitions
+// exercise the canonical tie-break.
+func buildPingPong(e engine, parts, rounds int) [][]string {
 	const lookahead = 1e-6
-	pd := NewPartitioned(parts, workers, lookahead)
 	logs := make([][]string, parts)
 	// hop(p, r) builds the event that runs ON partition p at round r: it logs
-	// into p's own slice (single writer), schedules a local successor inside
-	// the window, and posts round r+1 to the neighbor exactly one lookahead
-	// out — the tightest legal arrival, always a window-boundary tie across
+	// into p's own slice, schedules a local successor inside the window, and
+	// posts round r+1 to the neighbor exactly one lookahead out — the
+	// tightest legal arrival, always a window-boundary tie across
 	// partitions.
 	var hop func(p, r int) func()
 	hop = func(p, r int) func() {
 		return func() {
-			logs[p] = append(logs[p], fmt.Sprintf("p%d r%d t%.9f", p, r, pd.Sim(p).Now()))
+			logs[p] = append(logs[p], fmt.Sprintf("p%d r%d t%.9f", p, r, e.Sim(p).Now()))
 			if r >= rounds {
 				return
 			}
-			pd.Sim(p).After(lookahead/4, func() {
+			e.Sim(p).After(lookahead/4, func() {
 				logs[p] = append(logs[p], fmt.Sprintf("p%d r%d local", p, r))
 			})
 			dst := (p + 1) % parts
-			pd.Post(p, dst, pd.Sim(p).Now()+lookahead, hop(dst, r+1))
+			e.Post(p, dst, e.Sim(p).Now()+lookahead, hop(dst, r+1))
 		}
 	}
 	for p := 0; p < parts; p++ {
-		pd.Sim(p).At(float64(p)*lookahead/8, hop(p, 0))
+		e.Sim(p).At(float64(p)*lookahead/8, hop(p, 0))
 	}
-	return pd, logs
+	return logs
 }
 
-// TestPartitionedDeterministicAcrossWorkers pins the engine's core
-// guarantee: the executed event order — including cross-partition
-// timestamp ties — is identical at any host worker count.
+// checkLogs fails unless two runs' per-partition logs are identical.
+func checkLogs(t *testing.T, label string, got, want [][]string) {
+	t.Helper()
+	for p := range want {
+		if len(got[p]) != len(want[p]) {
+			t.Fatalf("%s: partition %d ran %d events, want %d", label, p, len(got[p]), len(want[p]))
+		}
+		for i := range want[p] {
+			if got[p][i] != want[p][i] {
+				t.Fatalf("%s: partition %d event %d = %q, want %q", label, p, i, got[p][i], want[p][i])
+			}
+		}
+	}
+}
+
+// TestPartitionedDeterministicAcrossWorkers pins the engine's executed
+// event order, including cross-partition timestamp ties, to the reference
+// merge (refPartitioned), whatever workers value NewPartitioned is given:
+// the argument is ignored.
 func TestPartitionedDeterministicAcrossWorkers(t *testing.T) {
 	const parts, rounds = 5, 40
-	ref, refLogs := buildPingPong(parts, 1, rounds)
+	ref := newRefPartitioned(parts, 1e-6)
+	refLogs := buildPingPong(ref, parts, rounds)
 	ref.Run()
-	for _, workers := range []int{2, 3, 5} {
-		pd, logs := buildPingPong(parts, workers, rounds)
+	for _, workers := range []int{1, 2, 3, 5} {
+		pd := NewPartitioned(parts, workers, 1e-6)
+		logs := buildPingPong(pd, parts, rounds)
 		pd.Run()
 		if pd.Dispatched() != ref.Dispatched() {
 			t.Fatalf("workers=%d dispatched %d, want %d", workers, pd.Dispatched(), ref.Dispatched())
 		}
-		for p := range logs {
-			if len(logs[p]) != len(refLogs[p]) {
-				t.Fatalf("workers=%d partition %d ran %d events, want %d", workers, p, len(logs[p]), len(refLogs[p]))
-			}
-			for i := range logs[p] {
-				if logs[p][i] != refLogs[p][i] {
-					t.Fatalf("workers=%d partition %d event %d = %q, want %q", workers, p, i, logs[p][i], refLogs[p][i])
-				}
-			}
-		}
+		checkLogs(t, fmt.Sprintf("workers=%d", workers), logs, refLogs)
 	}
 }
 
-// TestPartitionedBudgetResumable pins the satellite-5 contract at the
-// engine level: budget exhaustion stops every partition at the same window
-// boundary, leaving the horizon protocol consistent — so raising the budget
-// and calling Run again continues exactly where a fresh run with the larger
-// budget would be.
+// TestPartitionedRunsOnCallingGoroutine: Run starts no goroutine, even on an
+// engine built with more partitions and a workers argument above one. Every
+// event sees the goroutine count from before Run.
+func TestPartitionedRunsOnCallingGoroutine(t *testing.T) {
+	pd := NewPartitioned(9, 8, 1e-6)
+	before := runtime.NumGoroutine()
+	seen := 0
+	for p := 0; p < pd.Parts(); p++ {
+		for i := 0; i < 3; i++ {
+			pd.Sim(p).At(float64(i)*1e-6, func() {
+				if n := runtime.NumGoroutine(); n != before {
+					t.Errorf("partition %d event saw %d goroutines, %d before Run", p, n, before)
+				}
+				seen++
+			})
+		}
+	}
+	pd.Run()
+	if seen != 27 {
+		t.Fatalf("ran %d of 27 events", seen)
+	}
+}
+
+// TestPartitionedBudgetResumable pins the engine's budget contract: budget
+// exhaustion stops every partition at the same window boundary, leaving the
+// horizon protocol consistent — so raising the budget and calling Run again
+// continues exactly where a fresh run with the larger budget would be.
 func TestPartitionedBudgetResumable(t *testing.T) {
 	const parts, rounds = 4, 60
-	one, oneLogs := buildPingPong(parts, 2, rounds)
+	one := NewPartitioned(parts, 1, 1e-6)
+	oneLogs := buildPingPong(one, parts, rounds)
 	one.SetEventBudget(5000)
 	one.Run()
 
-	two, twoLogs := buildPingPong(parts, 2, rounds)
+	two := NewPartitioned(parts, 1, 1e-6)
+	twoLogs := buildPingPong(two, parts, rounds)
 	two.SetEventBudget(100)
 	two.Run()
 	if !two.BudgetExhausted() {
@@ -159,43 +192,32 @@ func TestPartitionedBudgetResumable(t *testing.T) {
 	if one.Dispatched() != two.Dispatched() {
 		t.Fatalf("resumed run dispatched %d, fresh run %d", two.Dispatched(), one.Dispatched())
 	}
-	for p := range oneLogs {
-		if len(oneLogs[p]) != len(twoLogs[p]) {
-			t.Fatalf("partition %d: resumed ran %d events, fresh %d", p, len(twoLogs[p]), len(oneLogs[p]))
-		}
-		for i := range oneLogs[p] {
-			if oneLogs[p][i] != twoLogs[p][i] {
-				t.Fatalf("partition %d event %d: resumed %q, fresh %q", p, i, twoLogs[p][i], oneLogs[p][i])
-			}
-		}
-	}
+	checkLogs(t, "resumed", twoLogs, oneLogs)
 }
 
 // TestPartitionedBudgetExhausted mirrors the serial watchdog test: a
-// runaway loop stops at (or just past — window granularity) the budget,
-// deterministically at any worker count.
+// runaway loop stops at (or just past — window granularity) the budget, at
+// the same event count as the reference engine.
 func TestPartitionedBudgetExhausted(t *testing.T) {
 	var counts []uint64
-	for _, workers := range []int{1, 2} {
-		pd := NewPartitioned(2, workers, 1e-6)
+	for _, e := range []engine{NewPartitioned(2, 1, 1e-6), newRefPartitioned(2, 1e-6)} {
 		for p := 0; p < 2; p++ {
-			p := p
 			var tick func()
-			tick = func() { pd.Sim(p).After(1e-6, tick) }
-			pd.Sim(p).After(1e-6, tick)
+			tick = func() { e.Sim(p).After(1e-6, tick) }
+			e.Sim(p).After(1e-6, tick)
 		}
-		pd.SetEventBudget(100)
-		pd.Run()
-		if !pd.BudgetExhausted() {
-			t.Fatalf("workers=%d: BudgetExhausted must report true", workers)
+		e.SetEventBudget(100)
+		e.Run()
+		if !e.BudgetExhausted() {
+			t.Fatalf("%T: BudgetExhausted must report true", e)
 		}
-		if pd.Dispatched() < 100 {
-			t.Fatalf("workers=%d: dispatched %d, want >= budget 100", workers, pd.Dispatched())
+		if e.Dispatched() < 100 {
+			t.Fatalf("%T: dispatched %d, want >= budget 100", e, e.Dispatched())
 		}
-		counts = append(counts, pd.Dispatched())
+		counts = append(counts, e.Dispatched())
 	}
 	if counts[0] != counts[1] {
-		t.Fatalf("budget cutoff diverges across workers: %v", counts)
+		t.Fatalf("budget cutoff %d diverges from the reference's %d", counts[0], counts[1])
 	}
 }
 
@@ -216,10 +238,8 @@ func TestPostLookaheadViolationPanics(t *testing.T) {
 }
 
 // TestPartitionedMergeAllocs pins the steady-state allocation contract of
-// the window loop: once outboxes, merge scratch and event heaps have
-// reached their high-water marks, a window with a cross-partition send
-// allocates nothing (single-worker engine; the worker channels are a
-// per-Run, not per-window, cost).
+// the window loop: once the outbox and the event heaps have reached their
+// high-water marks, a window with a cross-partition send allocates nothing.
 func TestPartitionedMergeAllocs(t *testing.T) {
 	pd := NewPartitioned(2, 1, 1e-6)
 	deliver := func() {}

@@ -11,14 +11,12 @@ import (
 // runClusterStudyObs mirrors the ci.sh cluster smoke: `kvsbench -items 2000
 // -workers 2 -clients 2 -requests 20 -batches 8 -seed 7 cluster`, with
 // tracing, metrics and profiling on.
-func runClusterStudyObs(t *testing.T, parallel, simWorkers int) studyArtifacts {
+func runClusterStudyObs(t *testing.T, parallel int) studyArtifacts {
 	t.Helper()
 	col := obs.NewCollector()
 	set := prof.NewSet()
 	col.EnableProfiling(set)
-	o := kvsObsOptions(parallel, col)
-	o.SimWorkers = simWorkers
-	tbl, err := ClusterStudy(o)
+	tbl, err := ClusterStudy(kvsObsOptions(parallel, col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,10 +25,10 @@ func runClusterStudyObs(t *testing.T, parallel, simWorkers int) studyArtifacts {
 
 // TestClusterStudyGolden pins the consistent-hashing cluster study's table,
 // and that its table, trace, metrics and folded profile are byte-identical
-// at every golden (-parallel, -simworkers) composition.
+// at every golden -parallel setting.
 func TestClusterStudyGolden(t *testing.T) {
-	a := checkCompositions(t, func(parallel, simWorkers int) studyArtifacts {
-		return runClusterStudyObs(t, parallel, simWorkers)
+	a := checkCompositions(t, func(parallel int) studyArtifacts {
+		return runClusterStudyObs(t, parallel)
 	})
 	checkGolden(t, "cluster_study_table.golden.txt", a.table)
 }

@@ -19,8 +19,8 @@ const faultSpecCLI = "drop=0.15,crash=20µs:10µs,slow=4x@15µs:5µs,pressure=50
 
 // runFaultSweepObs mirrors `kvsbench -items 2000 -workers 2 -clients 2
 // -requests 20 -batches 8 -seed 7 -faults '<spec>' -trace -metrics
-// fault-sweep` at the given -parallel and -simworkers.
-func runFaultSweepObs(t *testing.T, parallel, simWorkers int) studyArtifacts {
+// fault-sweep` at the given -parallel.
+func runFaultSweepObs(t *testing.T, parallel int) studyArtifacts {
 	t.Helper()
 	spec, err := fault.ParseSpec(faultSpecCLI)
 	if err != nil {
@@ -28,7 +28,6 @@ func runFaultSweepObs(t *testing.T, parallel, simWorkers int) studyArtifacts {
 	}
 	col := obs.NewCollector()
 	o := kvsObsOptions(parallel, col)
-	o.SimWorkers = simWorkers
 	o.Faults = spec
 	tbl, err := FaultSweep(o)
 	if err != nil {
@@ -39,11 +38,11 @@ func runFaultSweepObs(t *testing.T, parallel, simWorkers int) studyArtifacts {
 
 // TestObsGoldenFaultSweep pins the fault sweep's three artifacts and checks
 // the tentpole determinism contract: with a fault plan active, the table,
-// metrics CSV and trace JSON are byte-identical at every golden
-// (-parallel, -simworkers) composition.
+// metrics CSV and trace JSON are byte-identical at every golden -parallel
+// setting.
 func TestObsGoldenFaultSweep(t *testing.T) {
-	a := checkCompositions(t, func(parallel, simWorkers int) studyArtifacts {
-		return runFaultSweepObs(t, parallel, simWorkers)
+	a := checkCompositions(t, func(parallel int) studyArtifacts {
+		return runFaultSweepObs(t, parallel)
 	})
 	checkGolden(t, "fault_sweep_table.golden.txt", a.table)
 	checkTraceGolden(t, "fault_sweep", a.trace)

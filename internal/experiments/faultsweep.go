@@ -22,8 +22,7 @@ var FaultSweepRates = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2}
 //
 // Every (backend, rate) point is one hermetic sweep job with its own
 // one-server fleet, and all fault timing is virtual, so the table — and the
-// obs artifacts behind it — are byte-identical at every Parallel and
-// SimWorkers setting.
+// obs artifacts behind it — are byte-identical at every Parallel setting.
 func FaultSweep(o KVSOptions) (*report.Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err

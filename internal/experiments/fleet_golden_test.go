@@ -41,22 +41,21 @@ func renderStudy(t *testing.T, col *obs.Collector, set *prof.Set, fprint func(*b
 	return studyArtifacts{table: tbl.Bytes(), trace: tr, metrics: ms, folded: fb.Bytes()}
 }
 
-// goldenCompositions are the (-parallel, -simworkers) settings the
-// fleet-engine studies must agree at. -simworkers only changes how many host
-// goroutines advance the fixed partition set and -parallel only how many
-// sweep points run at once, so every composition must render byte-identical
-// artifacts. The first one is what the golden tests pin.
-var goldenCompositions = []struct{ parallel, simWorkers int }{{1, 1}, {4, 8}, {16, 2}}
+// goldenCompositions are the -parallel settings the fleet-engine studies
+// must agree at. -parallel only changes how many sweep points run at once,
+// so every setting must render byte-identical artifacts. The first one is
+// what the golden tests pin.
+var goldenCompositions = []int{1, 4, 16}
 
 // checkCompositions runs a study at every golden composition and fails on
 // any artifact that differs from the first composition's. It returns the
 // first composition's artifacts.
-func checkCompositions(t *testing.T, run func(parallel, simWorkers int) studyArtifacts) studyArtifacts {
+func checkCompositions(t *testing.T, run func(parallel int) studyArtifacts) studyArtifacts {
 	t.Helper()
-	base := run(goldenCompositions[0].parallel, goldenCompositions[0].simWorkers)
-	for _, c := range goldenCompositions[1:] {
-		got := run(c.parallel, c.simWorkers)
-		label := fmt.Sprintf("-parallel %d -simworkers %d", c.parallel, c.simWorkers)
+	base := run(goldenCompositions[0])
+	for _, parallel := range goldenCompositions[1:] {
+		got := run(parallel)
+		label := fmt.Sprintf("-parallel %d", parallel)
 		for _, a := range []struct {
 			name      string
 			want, got []byte
@@ -67,7 +66,7 @@ func checkCompositions(t *testing.T, run func(parallel, simWorkers int) studyArt
 			{"folded profile", base.folded, got.folded},
 		} {
 			if !bytes.Equal(a.want, a.got) {
-				t.Errorf("%s %s diverges from -parallel 1 -simworkers 1", label, a.name)
+				t.Errorf("%s %s diverges from -parallel 1", label, a.name)
 			}
 		}
 	}
@@ -81,17 +80,17 @@ func checkCompositions(t *testing.T, run func(parallel, simWorkers int) studyArt
 
 // TestParallelDESBitIdentical is the determinism gate of the partitioned
 // engine: the fleet and overload studies render byte-identical tables,
-// trace JSON, metrics CSV and folded profiles at every golden
-// (-parallel, -simworkers) composition.
+// trace JSON, metrics CSV and folded profiles at every golden -parallel
+// setting.
 func TestParallelDESBitIdentical(t *testing.T) {
 	t.Run("fleet", func(t *testing.T) {
-		checkCompositions(t, func(parallel, simWorkers int) studyArtifacts {
-			return runFleetStudyObs(t, fleetSpecCLI, parallel, simWorkers)
+		checkCompositions(t, func(parallel int) studyArtifacts {
+			return runFleetStudyObs(t, fleetSpecCLI, parallel)
 		})
 	})
 	t.Run("overload", func(t *testing.T) {
-		checkCompositions(t, func(parallel, simWorkers int) studyArtifacts {
-			_, a := runOverloadStudyObs(t, parallel, simWorkers)
+		checkCompositions(t, func(parallel int) studyArtifacts {
+			_, a := runOverloadStudyObs(t, parallel)
 			return a
 		})
 	})
@@ -167,7 +166,7 @@ func checkTraceGolden(t *testing.T, stem string, traceJSON []byte) {
 // runFleetStudyObs mirrors `kvsbench -fleet -items 2000 -workers 2
 // -clients 2 -requests 60 -batches 8 -seed 7 -fleet-sizes 3,5
 // -arrival-rate 200000 -faults '<spec>' -trace -metrics`, with profiling on.
-func runFleetStudyObs(t *testing.T, spec string, parallel, simWorkers int) studyArtifacts {
+func runFleetStudyObs(t *testing.T, spec string, parallel int) studyArtifacts {
 	t.Helper()
 	fs, err := fault.ParseSpec(spec)
 	if err != nil {
@@ -185,7 +184,6 @@ func runFleetStudyObs(t *testing.T, spec string, parallel, simWorkers int) study
 	}
 	o.Requests = 60
 	o.Faults = fs
-	o.SimWorkers = simWorkers
 	tbl, err := FleetStudy(o)
 	if err != nil {
 		t.Fatal(err)
@@ -195,10 +193,10 @@ func runFleetStudyObs(t *testing.T, spec string, parallel, simWorkers int) study
 
 // TestObsGoldenFleetStudy pins the fleet study's table, trace and metrics
 // CSV: replicated reads, quorum writes, failovers and rebalance storms. That
-// every (-parallel, -simworkers) composition renders the same bytes is
+// every -parallel setting renders the same bytes is
 // TestParallelDESBitIdentical's job.
 func TestObsGoldenFleetStudy(t *testing.T) {
-	a := runFleetStudyObs(t, fleetSpecCLI, 1, 1)
+	a := runFleetStudyObs(t, fleetSpecCLI, 1)
 	checkGolden(t, "fleet_study_table.golden.txt", a.table)
 	checkTraceGolden(t, "fleet_study", a.trace)
 	checkGolden(t, "fleet_study_metrics.golden.csv", a.metrics)
@@ -226,8 +224,8 @@ func TestObsGoldenFleetStudy(t *testing.T) {
 // composition.
 func TestFleetPressureServerLocal(t *testing.T) {
 	const spec = "drop=0.05,crash=100µs:30µs,pressure=50@20µs,timeout=10µs,retries=2,backoff=5µs"
-	a := checkCompositions(t, func(parallel, simWorkers int) studyArtifacts {
-		return runFleetStudyObs(t, spec, parallel, simWorkers)
+	a := checkCompositions(t, func(parallel int) studyArtifacts {
+		return runFleetStudyObs(t, spec, parallel)
 	})
 	pressured := false
 	for _, line := range strings.Split(string(a.metrics), "\n") {
@@ -256,7 +254,6 @@ func TestFleetPartitionedMachineryBites(t *testing.T) {
 		WriteFraction: 0.05,
 	}
 	o.Faults = spec
-	o.SimWorkers = 2
 	res, err := FleetStudyPoint(5, o)
 	if err != nil {
 		t.Fatal(err)

@@ -29,19 +29,11 @@ type KVSOptions struct {
 	// configurations: 0 = all cores, 1 = sequential. Each job builds its own
 	// discrete-event simulation, fabric, item store and server (with that
 	// server's per-worker engines), so results are bit-identical at every
-	// setting.
+	// setting. Every KVS study runs a memslap.Fleet on the partitioned
+	// engine (internal/des.Partitioned), one per job: clients and
+	// coordinator on partition 0, one partition per server — Fig. 11, ETC
+	// and the fault sweep on a one-server fleet.
 	Parallel int
-
-	// SimWorkers is the host goroutine count advancing each simulation.
-	// Every KVS study runs a memslap.Fleet on the partitioned engine
-	// (internal/des.Partitioned): clients and coordinator on partition 0,
-	// one partition per server, under conservative lookahead windows —
-	// Fig. 11, ETC and the fault sweep on a one-server fleet. The partition
-	// count is fixed by the fleet size, so artifacts are byte-identical at
-	// every SimWorkers value — only wall-clock changes. ≤ 0 means one
-	// worker. Composes with Parallel: each sweep job gets its own engine
-	// and worker set.
-	SimWorkers int
 
 	// OnSweep, when non-nil, observes sweep timing stats (CLI -sweepstats).
 	OnSweep func(*sweep.Stats)
@@ -60,8 +52,9 @@ type KVSOptions struct {
 	// FaultSeed seeds the fault plan's RNG; 0 falls back to Seed.
 	FaultSeed int64
 
-	// Heartbeat, when non-nil, ticks once per dispatched DES event —
-	// periodic stderr progress for long runs, never in deterministic output.
+	// Heartbeat, when non-nil, ticks once per dispatched DES event, on
+	// every partition — periodic stderr progress for long runs, never in
+	// deterministic output.
 	Heartbeat *obs.Heartbeat
 }
 
@@ -69,7 +62,7 @@ type KVSOptions struct {
 func DefaultKVSOptions() KVSOptions {
 	return KVSOptions{
 		Items: 200000, Workers: 26, Clients: 26, Requests: 3000,
-		Batches: []int{16, 64}, Seed: 7, SimWorkers: 1,
+		Batches: []int{16, 64}, Seed: 7,
 	}
 }
 

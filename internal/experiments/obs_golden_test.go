@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"simdhtbench/internal/obs"
@@ -77,8 +80,8 @@ func kvsObsOptions(parallel int, col *obs.Collector) KVSOptions {
 }
 
 // runFig11aStudy runs Fig. 11a at kvsObsOptions' scale and the given
-// -parallel and -simworkers, with -profile cycles when profile is set.
-func runFig11aStudy(t *testing.T, parallel, simWorkers int, profile bool) studyArtifacts {
+// -parallel, with -profile cycles when profile is set.
+func runFig11aStudy(t *testing.T, parallel int, profile bool) studyArtifacts {
 	t.Helper()
 	col := obs.NewCollector()
 	var set *prof.Set
@@ -86,9 +89,7 @@ func runFig11aStudy(t *testing.T, parallel, simWorkers int, profile bool) studyA
 		set = prof.NewSet()
 		col.EnableProfiling(set)
 	}
-	o := kvsObsOptions(parallel, col)
-	o.SimWorkers = simWorkers
-	tbl, err := Fig11a(o)
+	tbl, err := Fig11a(kvsObsOptions(parallel, col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +110,47 @@ func bareFig11aTable(t *testing.T) []byte {
 }
 
 // TestObsGoldenFig11a pins Fig. 11a's trace and metrics, checks that they
-// and the table are byte-identical at every golden (-parallel, -simworkers)
-// composition, and that attaching obs changes no table cell.
+// and the table are byte-identical at every golden -parallel setting, and
+// that attaching obs changes no table cell.
 func TestObsGoldenFig11a(t *testing.T) {
-	a := checkCompositions(t, func(parallel, simWorkers int) studyArtifacts {
-		return runFig11aStudy(t, parallel, simWorkers, false)
+	a := checkCompositions(t, func(parallel int) studyArtifacts {
+		return runFig11aStudy(t, parallel, false)
 	})
 	if !bytes.Equal(bareFig11aTable(t), a.table) {
 		t.Error("attaching obs changed the fig11a table")
 	}
 	checkTraceGolden(t, "obs_fig11a", a.trace)
 	checkGolden(t, "obs_fig11a_metrics.golden.csv", a.metrics)
+}
+
+// TestHeartbeatCountsEveryEvent: -heartbeat ticks once per dispatched DES
+// event on every partition, so a study run with an every-1 heartbeat ends
+// at ticks= equal to des_events_total summed over its part= scopes.
+func TestHeartbeatCountsEveryEvent(t *testing.T) {
+	var beats bytes.Buffer
+	col := obs.NewCollector()
+	o := kvsObsOptions(1, col)
+	o.Heartbeat = obs.NewHeartbeat(1, &beats)
+	if _, err := Fig11a(o); err != nil {
+		t.Fatal(err)
+	}
+	_, metrics := renderObs(t, col)
+	events := 0
+	for _, line := range strings.Split(string(metrics), "\n") {
+		f := strings.Split(line, ",")
+		if len(f) == 5 && f[1] == "des_events_total" && strings.Contains(f[2], "part=") {
+			n, err := strconv.Atoi(f[4])
+			if err != nil {
+				t.Fatal(err)
+			}
+			events += n
+		}
+	}
+	ticks := regexp.MustCompile(`ticks=(\d+)`).FindAllStringSubmatch(beats.String(), -1)
+	if events == 0 || len(ticks) == 0 {
+		t.Fatalf("%d events, %d heartbeat lines", events, len(ticks))
+	}
+	if last := ticks[len(ticks)-1][1]; last != strconv.Itoa(events) {
+		t.Errorf("last heartbeat at ticks=%s, want the %d events dispatched across partitions", last, events)
+	}
 }

@@ -23,13 +23,12 @@ func overloadObsOptions(parallel int, col *obs.Collector) OverloadOptions {
 	}
 }
 
-func runOverloadStudyObs(t *testing.T, parallel, simWorkers int) (OverloadResult, studyArtifacts) {
+func runOverloadStudyObs(t *testing.T, parallel int) (OverloadResult, studyArtifacts) {
 	t.Helper()
 	col := obs.NewCollector()
 	set := prof.NewSet()
 	col.EnableProfiling(set)
 	o := overloadObsOptions(parallel, col)
-	o.SimWorkers = simWorkers
 	res, err := OverloadStudyResult(o)
 	if err != nil {
 		t.Fatal(err)
@@ -39,10 +38,10 @@ func runOverloadStudyObs(t *testing.T, parallel, simWorkers int) (OverloadResult
 
 // TestObsGoldenOverloadStudy pins the overload study's table, trace and
 // metrics CSV: admission sheds, rejected-response failover, retry budgets
-// and hedged reads. That every (-parallel, -simworkers) composition renders
-// the same bytes is TestParallelDESBitIdentical's job.
+// and hedged reads. That every -parallel setting renders the same bytes is
+// TestParallelDESBitIdentical's job.
 func TestObsGoldenOverloadStudy(t *testing.T) {
-	res, a := runOverloadStudyObs(t, 1, 1)
+	res, a := runOverloadStudyObs(t, 1)
 	checkGolden(t, "overload_study_table.golden.txt", a.table)
 	checkTraceGolden(t, "overload_study", a.trace)
 	checkGolden(t, "overload_study_metrics.golden.csv", a.metrics)

@@ -29,39 +29,36 @@ type fleetShape struct {
 
 // newFleet builds and loads the hermetic simulation of one study point:
 // shape.servers servers with R-way replication on servers+1 partitions
-// (clients and coordinator on partition 0, server i on partition i+1),
-// advanced by o.SimWorkers host goroutines (≤ 0 means one) with lookahead =
-// the fabric's small-message latency. Server i holds a shape.backend index
-// of shape.capacity seeded o.Seed+i, o.Workers workers and a
-// shape.batchCap-key batch cap, and runs plan.ForServer(i); the fleet loads
-// o.Items items (Fleet.LoadETC for an ETC shape, Fleet.LoadFleet's 20 B/32 B
-// items otherwise). It wires the per-partition state that keeps artifacts
-// byte-identical at any worker count:
+// (clients and coordinator on partition 0, server i on partition i+1) with
+// lookahead = the fabric's small-message latency. Server i holds a
+// shape.backend index of shape.capacity seeded o.Seed+i, o.Workers workers
+// and a shape.batchCap-key batch cap, and runs plan.ForServer(i); the fleet
+// loads o.Items items (Fleet.LoadETC for an ETC shape, Fleet.LoadFleet's
+// 20 B/32 B items otherwise). The artifacts follow the partition
+// decomposition:
 //
-//   - each partition gets its own SimProbe and NetProbe under a "part" scope
-//     (the des_now_seconds gauge is last-write-wins and the net profiler
-//     keeps per-hop state, so both need a single writer),
+//   - each partition gets its own SimProbe and NetProbe under a "part"
+//     scope, so event, clock and message series are per partition,
 //   - each partition gets its own fabric fault stream (fault.Plan.
 //     ForPartition), so message-fault draws follow the partition's own
-//     deterministic send order instead of a shared RNG, and
-//   - each server gets its own "server" scope: crash-drop instants,
-//     pressure bursts, batch spans and worker-queue waits are emitted from
-//     the server's partition, so each server needs single-writer probe and
-//     profiler instances.
+//     send order instead of a shared RNG,
+//   - each server gets its own "server" scope for its crash-drop instants,
+//     pressure bursts, batch spans and worker-queue waits, and
+//   - o.Heartbeat, when set, ticks on every partition, once per dispatched
+//     event.
 //
-// overload, when non-nil, is every server's OverloadProbe. It is shared
-// across partitions on purpose: it emits only atomic counter increments and
-// a CAS max gauge — commutative, race-free, and byte-identical at any
-// worker count.
+// overload, when non-nil, is every server's OverloadProbe, shared across
+// partitions: it emits only counter increments and a max gauge, which
+// commute.
 func newFleet(o KVSOptions, col *obs.Collector, plan *fault.Plan, overload obs.OverloadProbe, shape fleetShape) (*memslap.Fleet, error) {
 	cfg := netsim.EDR()
-	pd := des.NewPartitioned(shape.servers+1, o.SimWorkers, cfg.SmallMessageLatency())
-	pd.Sim(0).Heartbeat = o.Heartbeat // stderr-only liveness; one partition at most
+	pd := des.NewPartitioned(shape.servers+1, 1, cfg.SmallMessageLatency())
 	fabric := netsim.New(pd.Sim(0), cfg)
 	fabric.Partition(pd)
 	for p := 0; p < pd.Parts(); p++ {
 		pc := col.Scope("part", fmt.Sprintf("p%d", p))
 		pd.Sim(p).Probe = pc.SimProbe()
+		pd.Sim(p).Heartbeat = o.Heartbeat
 		fabric.SetPartitionProbe(p, pc.NetProbe())
 		if plan != nil {
 			fabric.SetPartitionFaults(p, plan.ForPartition(p), pc.FaultProbe())

@@ -58,11 +58,11 @@ func TestProfGoldenFig7a(t *testing.T) {
 
 // TestProfGoldenFig11a pins the `kvsbench ... -profile cycles fig11a` time
 // account at laptop scale, checks that every artifact is byte-identical at
-// every golden (-parallel, -simworkers) composition, and that profiling
-// changes no table cell, trace event or metric (the obs goldens).
+// every golden -parallel setting, and that profiling changes no table
+// cell, trace event or metric (the obs goldens).
 func TestProfGoldenFig11a(t *testing.T) {
-	a := checkCompositions(t, func(parallel, simWorkers int) studyArtifacts {
-		return runFig11aStudy(t, parallel, simWorkers, true)
+	a := checkCompositions(t, func(parallel int) studyArtifacts {
+		return runFig11aStudy(t, parallel, true)
 	})
 	if !bytes.Equal(bareFig11aTable(t), a.table) {
 		t.Error("enabling profiling changed the fig11a table")

@@ -342,11 +342,9 @@ func (p *Plan) ForServer(i int) *Plan {
 }
 
 // ForPartition derives the message-fault stream for sends originating on
-// simulation partition i of a partitioned fabric. Each partition needs its
-// own seeded RNG — fault draws happen concurrently across partitions, and a
-// per-partition stream keeps the draw sequence a function of the partition's
-// own deterministic send order, independent of the host worker count. The
-// salt is distinct from ForServer's so a partition's message stream never
+// simulation partition i of a partitioned fabric. Each partition has its
+// own seeded RNG, so its draw sequence is a function of the partition's own
+// send order. The salt is distinct from ForServer's so a partition's message stream never
 // collides with a server's crash/slow/pressure stream, and window phases are
 // not staggered: crash and slow windows belong to the per-server plans, not
 // the fabric.

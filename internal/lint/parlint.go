@@ -6,7 +6,7 @@ import (
 )
 
 // ParLint guards the determinism contract of worker-pool code (the sweep
-// runner, and the window workers des.Partitioned spawns): a goroutine body
+// runner): a goroutine body
 // spawned with `go func...` must not write to state shared with other
 // workers except through the canonical-order merge — in practice, an index
 // write into a shared slice where each worker owns distinct slots

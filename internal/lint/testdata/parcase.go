@@ -133,12 +133,12 @@ func localDerived(n int) []stats {
 	return out
 }
 
-// partitionWorkers mirrors the des.Partitioned window loop: persistent
-// workers striped over partitions, fed window horizons over channels. The
+// partitionWorkers is a striped worker pool: persistent workers own the
+// partitions p ≡ w (mod workers) and are fed rounds over channels. The
 // striped counts write is the sanctioned per-slot shape; the shared arrival
-// map is the planted cross-partition violation — merged state must flow
-// through per-slot slices (or a channel) and be combined in canonical order
-// by the driver, never written from two partition workers.
+// map is the planted violation — merged state must flow through per-slot
+// slices (or a channel) and be combined in canonical order by the driver,
+// never written from two workers.
 func partitionWorkers(parts, workers int) []uint64 {
 	counts := make([]uint64, parts)
 	arrivals := make(map[int]uint64, parts)

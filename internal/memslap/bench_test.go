@@ -17,7 +17,7 @@ import (
 type runFleetBench struct {
 	name                                   string
 	servers, replication, workers, clients int
-	batch, items, requests, simWorkers     int
+	batch, items, requests                 int
 	arrival, writes                        float64
 	faults                                 string
 	churn                                  bool
@@ -25,10 +25,10 @@ type runFleetBench struct {
 
 var runFleetBenches = []runFleetBench{
 	{name: "fleet-churn", servers: 8, replication: 3, workers: 4, clients: 8, batch: 16,
-		items: 20000, requests: 2400, simWorkers: 2, arrival: 2e5, writes: 0.05,
+		items: 20000, requests: 2400, arrival: 2e5, writes: 0.05,
 		faults: "drop=0.002,crash=5ms:1ms,timeout=100µs,retries=3,backoff=20µs", churn: true},
 	{name: "overload-2x", servers: 4, replication: 2, workers: 4, clients: 32, batch: 64,
-		items: 20000, requests: 2000, simWorkers: 2, arrival: 3.5546806e6,
+		items: 20000, requests: 2000, arrival: 3.5546806e6,
 		faults: "timeout=80µs,retries=3,backoff=20µs,qdepth=13,qdeadline=60µs,budget=10,hedge=40µs"},
 }
 
@@ -41,7 +41,7 @@ func (c runFleetBench) build(b *testing.B, seed int64) (*Fleet, *fault.Plan) {
 	}
 	plan := spec.NewPlan(seed)
 	netCfg := netsim.EDR()
-	pd := des.NewPartitioned(c.servers+1, c.simWorkers, netCfg.SmallMessageLatency())
+	pd := des.NewPartitioned(c.servers+1, 1, netCfg.SmallMessageLatency())
 	fabric := netsim.New(pd.Sim(0), netCfg)
 	fabric.Partition(pd)
 	for p := 0; p < pd.Parts(); p++ {

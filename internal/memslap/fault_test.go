@@ -94,7 +94,7 @@ func TestRunFaultDeterministic(t *testing.T) {
 // the clock starts past the always-healthy first period.
 func crashedMGet(t *testing.T, nservers, batch int, crashed ...int) (FleetResults, map[int]int) {
 	t.Helper()
-	fleet := buildFleetIndex(t, 1, nservers, 1, func(space *mem.AddressSpace, i int) (kvs.Index, error) {
+	fleet := buildFleetIndex(t, nservers, 1, func(space *mem.AddressSpace, i int) (kvs.Index, error) {
 		return kvs.NewVerticalIndex(space, 600, 64, int64(i)+1)
 	})
 	if _, err := fleet.LoadFleet(400, 20, 32); err != nil {

@@ -50,9 +50,9 @@ const (
 // coordinator and all fleet counters live on partition 0 (Sim, ctrlEP);
 // server i runs on partition i+1. Coordinator-to-server state changes
 // (wipe, rebalance transfers, read-repair) travel as control messages, so
-// every partition only ever touches its own state and results are
-// byte-identical at any host worker count. Replicated writes commit at a
-// majority of their replicas.
+// every partition only ever touches its own state and every cross-partition
+// effect arrives at least one lookahead later. Replicated writes commit at
+// a majority of their replicas.
 type Fleet struct {
 	Sim         *des.Sim // partition 0: clients and coordinator
 	Fabric      *netsim.Fabric

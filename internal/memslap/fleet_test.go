@@ -15,19 +15,13 @@ import (
 	"simdhtbench/internal/netsim"
 )
 
-// buildFleet builds a loaded fleet on a one-worker partitioned engine.
+// buildFleet builds a loaded fleet whose server i has a vertical index with
+// seed i+1, four workers and a 128-key batch cap. Every server's index has
+// room for the full key set: replication and rebalance may land any key
+// anywhere.
 func buildFleet(t testing.TB, servers, items, replication int) *Fleet {
 	t.Helper()
-	return buildFleetWorkers(t, 1, servers, items, replication)
-}
-
-// buildFleetWorkers builds a loaded fleet whose server i has a vertical
-// index with seed i+1, four workers and a 128-key batch cap. Every server's
-// index has room for the full key set: replication and rebalance may land
-// any key anywhere.
-func buildFleetWorkers(t testing.TB, simWorkers, servers, items, replication int) *Fleet {
-	t.Helper()
-	fleet := buildFleetIndex(t, simWorkers, servers, replication, func(space *mem.AddressSpace, i int) (kvs.Index, error) {
+	fleet := buildFleetIndex(t, servers, replication, func(space *mem.AddressSpace, i int) (kvs.Index, error) {
 		return kvs.NewVerticalIndex(space, items, 128, int64(i+1))
 	})
 	if _, err := fleet.LoadFleet(items, 20, 32); err != nil {
@@ -38,12 +32,11 @@ func buildFleetWorkers(t testing.TB, simWorkers, servers, items, replication int
 
 // buildFleetIndex builds an unloaded fleet whose server i runs index(space,
 // i) with four workers and a 128-key batch cap, on an engine with one
-// client/coordinator partition plus one per server, advanced by simWorkers
-// host goroutines.
-func buildFleetIndex(t testing.TB, simWorkers, servers, replication int, index func(space *mem.AddressSpace, i int) (kvs.Index, error)) *Fleet {
+// client/coordinator partition plus one per server.
+func buildFleetIndex(t testing.TB, servers, replication int, index func(space *mem.AddressSpace, i int) (kvs.Index, error)) *Fleet {
 	t.Helper()
 	cfg := netsim.EDR()
-	pd := des.NewPartitioned(servers+1, simWorkers, cfg.SmallMessageLatency())
+	pd := des.NewPartitioned(servers+1, 1, cfg.SmallMessageLatency())
 	fabric := netsim.New(pd.Sim(0), cfg)
 	fabric.Partition(pd)
 	srvs := make([]*kvs.Server, servers)
@@ -65,29 +58,26 @@ func buildFleetIndex(t testing.TB, simWorkers, servers, replication int, index f
 // The differential wall: a zero-fault, closed-loop, replication=1 fleet
 // must reproduce, bit for bit, the results the retired serial multi-server
 // driver (RunCluster) measured on the same fixture. Its results are kept as
-// exact hexadecimal literals, so the oracle outlives its code; the fleet
-// must match them at every host worker count.
+// exact hexadecimal literals, so the oracle outlives its code.
 func checkFleetDifferential(t *testing.T, servers, items int, cfg Config, want FleetResults) {
 	t.Helper()
-	for _, workers := range []int{1, 2} {
-		got, err := RunFleet(buildFleetWorkers(t, workers, servers, items, 1), FleetConfig{Config: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Epochs != 0 || got.KeysMoved != 0 || got.Repairs != 0 || got.Failovers != 0 || got.Writes != 0 {
-			t.Fatalf("quiescent fleet reported churn activity: %+v", got)
-		}
-		// The serial driver reported only these fields.
-		shared := FleetResults{
-			Servers: got.Servers, BatchSize: got.BatchSize, Requests: got.Requests,
-			ThroughputKeys: got.ThroughputKeys, AvgLatency: got.AvgLatency, P99Latency: got.P99Latency,
-			HitRate: got.HitRate, AvgFanout: got.AvgFanout,
-			Retries: got.Retries, Timeouts: got.Timeouts, Degraded: got.Degraded,
-			KeysMissing: got.KeysMissing, GoodputKeys: got.GoodputKeys,
-		}
-		if shared != want {
-			t.Fatalf("fleet (R=1, closed loop, no faults, %d workers) diverged from the recorded RunCluster results:\n fleet  %+v\n legacy %+v", workers, shared, want)
-		}
+	got, err := RunFleet(buildFleet(t, servers, items, 1), FleetConfig{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Epochs != 0 || got.KeysMoved != 0 || got.Repairs != 0 || got.Failovers != 0 || got.Writes != 0 {
+		t.Fatalf("quiescent fleet reported churn activity: %+v", got)
+	}
+	// The serial driver reported only these fields.
+	shared := FleetResults{
+		Servers: got.Servers, BatchSize: got.BatchSize, Requests: got.Requests,
+		ThroughputKeys: got.ThroughputKeys, AvgLatency: got.AvgLatency, P99Latency: got.P99Latency,
+		HitRate: got.HitRate, AvgFanout: got.AvgFanout,
+		Retries: got.Retries, Timeouts: got.Timeouts, Degraded: got.Degraded,
+		KeysMissing: got.KeysMissing, GoodputKeys: got.GoodputKeys,
+	}
+	if shared != want {
+		t.Fatalf("fleet (R=1, closed loop, no faults) diverged from the recorded RunCluster results:\n fleet  %+v\n legacy %+v", shared, want)
 	}
 }
 

@@ -162,7 +162,7 @@ func TestResultsString(t *testing.T) {
 }
 
 func TestLoadETCVariableSizes(t *testing.T) {
-	fleet := buildFleetIndex(t, 1, 1, 1, func(space *mem.AddressSpace, _ int) (kvs.Index, error) {
+	fleet := buildFleetIndex(t, 1, 1, func(space *mem.AddressSpace, _ int) (kvs.Index, error) {
 		return kvs.NewVerticalIndex(space, 2000, 128, 1)
 	})
 	keys, err := fleet.LoadETC(2000, 5)
@@ -185,7 +185,7 @@ func TestLoadETCVariableSizes(t *testing.T) {
 }
 
 func TestRunWithETCKeys(t *testing.T) {
-	fleet := buildFleetIndex(t, 1, 1, 1, func(space *mem.AddressSpace, _ int) (kvs.Index, error) {
+	fleet := buildFleetIndex(t, 1, 1, func(space *mem.AddressSpace, _ int) (kvs.Index, error) {
 		return kvs.NewHorizontalIndex(space, 3000, 128, 1)
 	})
 	if _, err := fleet.LoadETC(3000, 6); err != nil {
@@ -230,28 +230,26 @@ func TestRunClusterCompletes(t *testing.T) {
 // pipeline the retired serial driver (memslap.Run) measured: the same keys
 // on the same single server, the same zipf draws and the same message
 // sequence. Its results on this fixture are kept as exact hexadecimal
-// literals, and the fleet must match them bitwise at any host worker count.
+// literals, and the fleet must match them bitwise.
 func TestRunClusterSingleServerMatchesRun(t *testing.T) {
 	cfg := Config{Clients: 4, BatchSize: 8, Requests: 200, KeyBytes: 20, Seed: 5}
 	want := FleetResults{
 		Requests: 200, ThroughputKeys: 0x1.965b58260b555p+23, AvgLatency: 0x1.42470338d80c6p-19,
 		P99Latency: 0x1.48c49ac30c598p-19, HitRate: 0x1p+00,
 	}
-	for _, workers := range []int{1, 2} {
-		got, err := RunFleet(buildFleetWorkers(t, workers, 1, 2000, 1), FleetConfig{Config: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared := FleetResults{
-			Requests: got.Requests, ThroughputKeys: got.ThroughputKeys, AvgLatency: got.AvgLatency,
-			P99Latency: got.P99Latency, HitRate: got.HitRate,
-		}
-		if shared != want {
-			t.Fatalf("one-server fleet (%d workers) diverged from the recorded Run results:\n fleet %+v\n run   %+v", workers, shared, want)
-		}
-		if got.AvgFanout != 1.0 {
-			t.Errorf("single-server fanout %.2f, want 1.0", got.AvgFanout)
-		}
+	got, err := RunFleet(buildFleet(t, 1, 2000, 1), FleetConfig{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := FleetResults{
+		Requests: got.Requests, ThroughputKeys: got.ThroughputKeys, AvgLatency: got.AvgLatency,
+		P99Latency: got.P99Latency, HitRate: got.HitRate,
+	}
+	if shared != want {
+		t.Fatalf("one-server fleet diverged from the recorded Run results:\n fleet %+v\n run   %+v", shared, want)
+	}
+	if got.AvgFanout != 1.0 {
+		t.Errorf("single-server fanout %.2f, want 1.0", got.AvgFanout)
 	}
 }
 

@@ -24,14 +24,14 @@ var update = flag.Bool("update", false, "rewrite golden files")
 const protocolSpec = "drop=0.02,dup=0.05,delayp=0.05,delay=4us,crash=400us:120us,timeout=30us,retries=2,backoff=5us,qdepth=1,budget=4,hedge=10us"
 
 // protocolRun drives a 4-server, R=2 open-loop fleet with quorum writes
-// under protocolSpec on simWorkers host goroutines and renders everything
-// the run leaves behind: every FleetResults field at full precision, the
-// summed server counters, the fabric counters, the dispatched event count
-// and the client-side fleet, fault and overload probe metrics.
-func protocolRun(t *testing.T, simWorkers int) (FleetResults, *Fleet, []byte) {
+// under protocolSpec and renders everything the run leaves behind: every
+// FleetResults field at full precision, the summed server counters, the
+// fabric counters, the dispatched event count and the client-side fleet,
+// fault and overload probe metrics.
+func protocolRun(t *testing.T) (FleetResults, *Fleet, []byte) {
 	t.Helper()
 	plan := mustSpec(t, protocolSpec).NewPlan(21)
-	fleet := buildFleetWorkers(t, simWorkers, 4, 1200, 2)
+	fleet := buildFleet(t, 4, 1200, 2)
 	armFabric(fleet, plan)
 	for i, srv := range fleet.Servers {
 		srv.Faults = plan.ForServer(i)
@@ -117,50 +117,47 @@ func writeFields(b *bytes.Buffer, prefix string, v reflect.Value) {
 // TestFleetProtocolGolden pins the client protocol's fault and overload
 // paths on a replicated fleet — paths the experiment goldens leave
 // unexercised (duplicated and delayed messages through R ≥ 2, hedges that
-// win, failed quorum writes) — at one and four host workers. Each path
-// must actually fire, and both worker counts must render the committed
-// golden byte for byte.
+// win, failed quorum writes). Each path must actually fire, and the run
+// must render the committed golden byte for byte.
 func TestFleetProtocolGolden(t *testing.T) {
 	const golden = "testdata/fleet_protocol.golden.txt"
-	for _, workers := range []int{1, 4} {
-		res, fleet, got := protocolRun(t, workers)
-		for _, c := range []struct {
-			name string
-			n    uint64
-		}{
-			{"hedges", res.Hedges},
-			{"hedge wins", res.HedgeWins},
-			{"failovers", res.Failovers},
-			{"budget denials", res.BudgetDenied},
-			{"sheds", res.ShedQueueFull + res.ShedDeadline},
-			{"failed writes", res.WritesFailed},
-			{"epochs", res.Epochs},
-			{"duplicated messages", fleet.Fabric.MessagesDuplicated()},
-			{"delayed messages", fleet.Fabric.MessagesDelayed()},
-		} {
-			if c.n == 0 {
-				t.Errorf("%d workers: no %s", workers, c.name)
-			}
+	res, fleet, got := protocolRun(t)
+	for _, c := range []struct {
+		name string
+		n    uint64
+	}{
+		{"hedges", res.Hedges},
+		{"hedge wins", res.HedgeWins},
+		{"failovers", res.Failovers},
+		{"budget denials", res.BudgetDenied},
+		{"sheds", res.ShedQueueFull + res.ShedDeadline},
+		{"failed writes", res.WritesFailed},
+		{"epochs", res.Epochs},
+		{"duplicated messages", fleet.Fabric.MessagesDuplicated()},
+		{"delayed messages", fleet.Fabric.MessagesDelayed()},
+	} {
+		if c.n == 0 {
+			t.Errorf("no %s", c.name)
 		}
-		// A hedge wins at most once: every win is a hedged duplicate that
-		// was issued and counted.
-		if res.HedgeWins > res.Hedges {
-			t.Errorf("%d workers: %d hedge wins exceed %d hedges", workers, res.HedgeWins, res.Hedges)
+	}
+	// A hedge wins at most once: every win is a hedged duplicate that was
+	// issued and counted.
+	if res.HedgeWins > res.Hedges {
+		t.Errorf("%d hedge wins exceed %d hedges", res.HedgeWins, res.Hedges)
+	}
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		if *update && workers == 1 {
-			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create it)", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%d workers: protocol run differs from %s:\n%s", workers, golden, got)
-		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("protocol run differs from %s:\n%s", golden, got)
 	}
 }

@@ -18,9 +18,9 @@ import (
 // is created, and nothing is recycled: a fabric message or a server queue
 // may still reach a finished request (a duplicated request is still served,
 // a stale response still counts a replica read), and a server partition
-// reads a sub-batch's keys and result callback from another host goroutine
-// until it has processed every delivery, so only the garbage collector can
-// tell when a request is unreachable.
+// holds a sub-batch's keys and result callback until it has processed every
+// delivery, so only the garbage collector can tell when a request is
+// unreachable.
 
 // fleetCounters is everything a fleet counts; RunFleet computes
 // FleetResults from it, the latency samples and the servers' own counters.

@@ -168,9 +168,8 @@ func (f *Fabric) EndpointAt(name string, part int) *Endpoint {
 // logical message, drawn in a fixed order (drop, then delay, then
 // duplicate) from the plan's seeded RNG, so a faulty fabric replays
 // exactly. probe, when non-nil, observes each injected fault. Each
-// partition needs its own plan (its own seeded RNG stream) — fault draws
-// happen concurrently across partitions, and per-partition streams are also
-// what keeps the draw sequence independent of the host worker count.
+// partition takes its own plan (its own seeded RNG stream), so its draw
+// sequence follows its own send order.
 func (f *Fabric) SetPartitionFaults(part int, plan *fault.Plan, probe obs.FaultProbe) {
 	f.slots[part].faults = plan
 	f.slots[part].faultProbe = probe
@@ -178,14 +177,14 @@ func (f *Fabric) SetPartitionFaults(part int, plan *fault.Plan, probe obs.FaultP
 
 // SetPartitionProbe observes sends originating on the given partition (0 on
 // an unpartitioned fabric). Each partition needs its own probe instance:
-// obs.NetProbe keeps per-hop state that must stay single-writer.
+// obs.NetProbe keeps per-hop state, which sends from different partitions
+// must not share.
 func (f *Fabric) SetPartitionProbe(part int, probe obs.NetProbe) {
 	f.slots[part].probe = probe
 }
 
 // MessagesSent returns the total messages injected: the per-partition
-// counts summed in partition order (read after Run, when the barrier has
-// published every slot).
+// counts summed in partition order.
 func (f *Fabric) MessagesSent() uint64 {
 	var n uint64
 	for i := range f.slots {

@@ -51,10 +51,9 @@ type Manifest struct {
 
 // ExcludedConfigFlags are the flag names FlagConfig drops from the manifest
 // Config: output paths (and the manifest itself) vary between otherwise-
-// identical runs, and the host-parallelism knobs (-parallel sweep fan-out,
-// -simworkers partition workers) are proven output-invariant — obsdiff
-// between runs at different worker counts must come back clean, which is
-// the determinism check ci.sh performs.
+// identical runs, and the -parallel sweep fan-out is proven
+// output-invariant — obsdiff between runs at different worker counts must
+// come back clean, which is the determinism check ci.sh performs.
 var ExcludedConfigFlags = map[string]bool{
 	"manifest":   true,
 	"trace":      true,
@@ -62,7 +61,6 @@ var ExcludedConfigFlags = map[string]bool{
 	"cpuprofile": true,
 	"memprofile": true,
 	"parallel":   true,
-	"simworkers": true,
 }
 
 // FlagConfig captures every flag of fs (set or default) as a name→value map,

@@ -62,7 +62,7 @@ check_study_goldens() {
 # CLI smoke: run both binaries end-to-end with -trace/-metrics and diff the
 # artifacts against the committed goldens, so the flag plumbing (not just the
 # library path the Go tests exercise) is pinned byte-for-byte. Fig. 11a runs
-# at two (-parallel, -simworkers) compositions.
+# at -parallel 1 and 4.
 echo "==> CLI smoke (-trace/-metrics vs goldens)"
 $GO run ./cmd/simdhtbench -queries 400 -seed 1 \
     -trace "$tmp/fig7a.json" -metrics "$tmp/fig7a.csv" fig7a >/dev/null
@@ -70,13 +70,13 @@ diff "$tmp/fig7a.json" internal/experiments/testdata/obs_fig7a_trace.golden.json
 diff "$tmp/fig7a.csv" internal/experiments/testdata/obs_fig7a_metrics.golden.csv
 run_fig11a() {
     $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
-        -batches 8 -seed 7 -parallel "$1" -simworkers "$2" \
-        -trace "$3.json" -metrics "$3.csv" fig11a >/dev/null
-    diff "$3.csv" internal/experiments/testdata/obs_fig11a_metrics.golden.csv
-    check_trace_golden "$3.json" obs_fig11a
+        -batches 8 -seed 7 -parallel "$1" \
+        -trace "$2.json" -metrics "$2.csv" fig11a >/dev/null
+    diff "$2.csv" internal/experiments/testdata/obs_fig11a_metrics.golden.csv
+    check_trace_golden "$2.json" obs_fig11a
 }
-run_fig11a 1 1 "$tmp/fig11a1"
-run_fig11a 4 2 "$tmp/fig11a4"
+run_fig11a 1 "$tmp/fig11a1"
+run_fig11a 4 "$tmp/fig11a4"
 
 # Profiler smoke: two identical -profile cycles runs must produce
 # byte-identical folded cycle accounts on stdout, and obsdiff must report
@@ -96,71 +96,71 @@ diff "$tmp/folded1.txt" "$tmp/folded4.txt" # cycle account is -parallel invarian
 $GO run ./cmd/obsdiff "$tmp/run1.json" "$tmp/run2.json" >/dev/null
 
 # Fault-injection smoke: the fault-sweep experiment under an armed plan must
-# reproduce its goldens byte-for-byte — table, metrics CSV and trace — at two
-# (-parallel, -simworkers) compositions, exactly as the deterministic-faults
-# golden test pins them.
-echo "==> CLI smoke (fault-sweep vs goldens, -parallel 1 -simworkers 1 and -parallel 4 -simworkers 2)"
+# reproduce its goldens byte-for-byte — table, metrics CSV and trace — at
+# -parallel 1 and 4, exactly as the deterministic-faults golden test pins
+# them.
+echo "==> CLI smoke (fault-sweep vs goldens, -parallel 1 and -parallel 4)"
 run_faults() {
     $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
-        -batches 8 -seed 7 -parallel "$1" -simworkers "$2" \
+        -batches 8 -seed 7 -parallel "$1" \
         -faults 'drop=0.15,crash=20µs:10µs,slow=4x@15µs:5µs,pressure=50@10µs,timeout=10µs,retries=1,backoff=5µs' \
-        -trace "$3.json" -metrics "$3.csv" fault-sweep > "$3.txt"
-    check_study_goldens fault_sweep "$3"
+        -trace "$2.json" -metrics "$2.csv" fault-sweep > "$2.txt"
+    check_study_goldens fault_sweep "$2"
 }
-run_faults 1 1 "$tmp/faults1"
-run_faults 4 2 "$tmp/faults4"
+run_faults 1 "$tmp/faults1"
+run_faults 4 "$tmp/faults4"
 
 # Fleet smoke: the fleet-scale replication study (replicated reads, quorum
 # writes, failover, fault-driven rebalance storms) must reproduce its goldens
-# byte-for-byte through the CLI at two (-parallel, -simworkers) compositions —
-# the determinism contract the fleet golden test pins.
-echo "==> CLI smoke (fleet vs goldens, -parallel 1 -simworkers 1 and -parallel 4 -simworkers 8)"
+# byte-for-byte through the CLI at -parallel 1 and 4 — the determinism
+# contract the fleet golden test pins.
+echo "==> CLI smoke (fleet vs goldens, -parallel 1 and -parallel 4)"
 fleet_cli() {
     $GO run ./cmd/kvsbench -fleet -items 2000 -workers 2 -clients 2 \
         -requests 60 -batches 8 -seed 7 -fleet-sizes 3,5 -arrival-rate 200000 \
         -faults 'drop=0.05,crash=100µs:30µs,timeout=10µs,retries=2,backoff=5µs' "$@"
 }
 run_fleet() {
-    fleet_cli -parallel "$1" -simworkers "$2" -trace "$3.json" -metrics "$3.csv" > "$3.txt"
+    fleet_cli -parallel "$1" -trace "$2.json" -metrics "$2.csv" > "$2.txt"
 }
-run_fleet 1 1 "$tmp/fleet1"
+run_fleet 1 "$tmp/fleet1"
 check_study_goldens fleet_study "$tmp/fleet1"
-run_fleet 4 8 "$tmp/fleet8"
-check_study_goldens fleet_study "$tmp/fleet8"
-# Manifest diff through obsdiff: one host worker vs eight must produce a
+run_fleet 4 "$tmp/fleet4"
+check_study_goldens fleet_study "$tmp/fleet4"
+# Manifest diff through obsdiff: one sweep worker vs four must produce a
 # zero-delta run manifest (config, seeds, artifact digests, metric snapshot;
 # wall-clock fields are ignored by design).
-fleet_cli -simworkers 1 -manifest "$tmp/fleetm1.json" > /dev/null 2>&1
-fleet_cli -simworkers 8 -manifest "$tmp/fleetm8.json" > /dev/null 2>&1
-$GO run ./cmd/obsdiff "$tmp/fleetm1.json" "$tmp/fleetm8.json" >/dev/null
+fleet_cli -parallel 1 -manifest "$tmp/fleetm1.json" > /dev/null 2>&1
+fleet_cli -parallel 4 -manifest "$tmp/fleetm4.json" > /dev/null 2>&1
+$GO run ./cmd/obsdiff "$tmp/fleetm1.json" "$tmp/fleetm4.json" >/dev/null
 
 # Overload smoke: the metastable-overload study (admission control, queue
 # deadlines, retry budgets, hedged reads vs the controls-off collapse) must
-# reproduce its goldens byte-for-byte at the same two compositions.
-echo "==> CLI smoke (overload vs goldens, -parallel 1 -simworkers 1 and -parallel 4 -simworkers 8)"
+# reproduce its goldens byte-for-byte at -parallel 1 and 4.
+echo "==> CLI smoke (overload vs goldens, -parallel 1 and -parallel 4)"
 run_overload() {
     $GO run ./cmd/kvsbench -overload -items 2000 -workers 2 -clients 4 \
         -requests 400 -batches 8 -seed 7 -overload-servers 2 \
         -overload-mults 0.5,1,1.5,2 \
-        -parallel "$1" -simworkers "$2" -trace "$3.json" -metrics "$3.csv" > "$3.txt"
+        -parallel "$1" -trace "$2.json" -metrics "$2.csv" > "$2.txt"
 }
-run_overload 1 1 "$tmp/overload1"
+run_overload 1 "$tmp/overload1"
 check_study_goldens overload_study "$tmp/overload1"
-run_overload 4 8 "$tmp/overload8"
-check_study_goldens overload_study "$tmp/overload8"
+run_overload 4 "$tmp/overload4"
+check_study_goldens overload_study "$tmp/overload4"
 
 # Cluster smoke: the consistent-hashing cluster study (unreplicated,
 # closed-loop fleets of 1, 2 and 4 servers) must reproduce its table golden
-# byte-for-byte through the CLI at two (-parallel, -simworkers) compositions.
-echo "==> CLI smoke (cluster vs golden, -parallel 1 -simworkers 1 and -parallel 4 -simworkers 2)"
+# byte-for-byte through the CLI at -parallel 1 and 4.
+echo "==> CLI smoke (cluster vs golden, -parallel 1 and -parallel 4)"
 run_cluster() {
     $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
-        -batches 8 -seed 7 -parallel "$1" -simworkers "$2" cluster > "$3.txt"
-    sed '$d' "$3.txt" > "$3.table" # emit() ends with one blank line
-    diff "$3.table" internal/experiments/testdata/cluster_study_table.golden.txt
+        -batches 8 -seed 7 -parallel "$1" cluster > "$2.txt"
+    sed '$d' "$2.txt" > "$2.table" # emit() ends with one blank line
+    diff "$2.table" internal/experiments/testdata/cluster_study_table.golden.txt
 }
-run_cluster 1 1 "$tmp/cluster1"
-run_cluster 4 2 "$tmp/cluster4"
+run_cluster 1 "$tmp/cluster1"
+run_cluster 4 "$tmp/cluster4"
 
 # Sim-speed smoke: -simspeed must print the simulator-throughput table to
 # stderr while leaving stdout (the deterministic tables) untouched by any
