@@ -138,23 +138,26 @@ func main() {
 		Servers:     *overloadServers,
 		Multipliers: mults,
 	}
+	// Fig. 11a and 11b render one sweep, simulated at most once per
+	// invocation so its runs land in the collector once.
+	var fig11 *experiments.Fig11Result
+	fig11Result := func() experiments.Fig11Result {
+		if fig11 == nil {
+			res, err := experiments.Fig11StudyResult(opts)
+			h.Check(err)
+			fig11 = &res
+		}
+		return *fig11
+	}
 	for _, cmd := range args {
 		switch cmd {
 		case "all":
-			t, err := experiments.Fig11a(opts)
-			h.Check(err)
-			h.Emit(t)
-			t, err = experiments.Fig11b(opts)
-			h.Check(err)
-			h.Emit(t)
+			h.Emit(experiments.Fig11aTable(fig11Result()))
+			h.Emit(experiments.Fig11bTable(fig11Result()))
 		case "fig11a":
-			t, err := experiments.Fig11a(opts)
-			h.Check(err)
-			h.Emit(t)
+			h.Emit(experiments.Fig11aTable(fig11Result()))
 		case "fig11b":
-			t, err := experiments.Fig11b(opts)
-			h.Check(err)
-			h.Emit(t)
+			h.Emit(experiments.Fig11bTable(fig11Result()))
 		case "etc":
 			t, err := experiments.ETCStudy(opts)
 			h.Check(err)

@@ -13,19 +13,23 @@ import (
 
 // refCase is one configuration of the insert-vs-reference differential.
 type refCase struct {
-	layout Layout
-	seed   int64
-	lf     float64 // fill target; 1.0 fills to failure
-	cap    int     // maxBFSNodes of both tables
+	layout  Layout
+	seed    int64
+	lf      float64 // fill target; 1.0 fills to failure
+	cap     int     // maxBFSNodes of both tables
+	prefill int     // keys both tables hold before the fill
 }
 
 func (c refCase) String() string {
-	return fmt.Sprintf("%s seed=%d lf=%.2f cap=%d", c.layout, c.seed, c.lf, c.cap)
+	return fmt.Sprintf("%s seed=%d lf=%.2f cap=%d prefill=%d", c.layout, c.seed, c.lf, c.cap, c.prefill)
 }
 
 // refCaseFrom maps raw (fuzzed or drawn) values onto a valid case: N 2–4,
 // M 1–8, key and payload widths 16/32/64, split or interleaved, 3–10 bucket
-// bits, a target up to load factor 1.0 and a cap of 1–2048 buckets.
+// bits, a target up to load factor 1.0, a cap of 1–2048 buckets (capacity's
+// low 11 bits) and 0–31 keys put in before the fill (its top 5 bits, so
+// every corpus entry, all of whose capacities are below 2048, still fills
+// an empty table).
 func refCaseFrom(n, m, widths, bucketBits uint8, split bool, seed int64, lfPct uint8, capacity uint16) refCase {
 	w := []int{16, 32, 64}
 	l := Layout{
@@ -36,7 +40,8 @@ func refCaseFrom(n, m, widths, bucketBits uint8, split bool, seed int64, lfPct u
 		BucketBits: 3 + int(bucketBits%8),
 	}
 	l.Split = split && l.M > 1
-	return refCase{layout: l, seed: seed, lf: float64(lfPct%101) / 100, cap: 1 + int(capacity)%DefaultMaxBFSNodes}
+	return refCase{layout: l, seed: seed, lf: float64(lfPct%101) / 100,
+		cap: 1 + int(capacity)%DefaultMaxBFSNodes, prefill: int(capacity) / DefaultMaxBFSNodes}
 }
 
 // newRefPair builds two identical tables, each first in its own address
@@ -68,9 +73,11 @@ func arenaBytes(t *Table) []byte { return t.Arena.Bytes(0, t.Arena.Size()) }
 // must match, and after every charged one the two engines' cycles, memory
 // cycles, op count and per-class cycles.
 //
-// Fill: FillRandom on fresh tables must return the reference's keys and
-// load factor, leave identical tables, and — when it reaches its target —
-// leave rng exactly where the one-key-at-a-time fill leaves it.
+// Fill: fresh tables first take c.prefill odd keys (never a fill's draw)
+// whose payloads are not PayloadFor. FillRandom must then return the
+// reference's keys and load factor, leave identical tables in which every
+// pre-filled key looks up its own payload, and — when it reaches its target
+// — leave rng exactly where the one-key-at-a-time fill leaves it.
 func checkInsertMatchesReference(t *testing.T, c refCase) refFound {
 	t.Helper()
 	a, ref := newRefPair(t, c)
@@ -120,6 +127,19 @@ func checkInsertMatchesReference(t *testing.T, c refCase) refFound {
 	}
 
 	a, ref2 := newRefPair(t, c)
+	pre := map[uint64]uint64{}
+	for range c.prefill {
+		key := rng.Uint64()&c.layout.KeyMask() | 1
+		val := PayloadFor(key, c.layout.ValBits) ^ 1
+		errA, errB := a.Insert(key, val), ref2.insert(key, val)
+		if fmt.Sprint(errA) != fmt.Sprint(errB) {
+			t.Fatalf("%v: pre-fill insert of %#x: err %v, reference %v", c, key, errA, errB)
+		}
+		if errA != nil {
+			break
+		}
+		pre[key] = val
+	}
 	rngA, rngB := rand.New(rand.NewSource(c.seed+1)), rand.New(rand.NewSource(c.seed+1))
 	keysA, lfA := a.FillRandom(c.lf, rngA)
 	keysB, lfB := ref2.fillRandom(c.lf, rngB)
@@ -128,6 +148,11 @@ func checkInsertMatchesReference(t *testing.T, c refCase) refFound {
 	}
 	if !bytes.Equal(arenaBytes(a), arenaBytes(ref2.Table)) {
 		t.Fatalf("%v: FillRandom tables diverge", c)
+	}
+	for key, val := range pre {
+		if got, ok := a.Lookup(key); !ok || got != val {
+			t.Fatalf("%v: pre-filled key %#x looks up (%#x, %v) after FillRandom, want %#x", c, key, got, ok, val)
+		}
 	}
 	if a.Count() >= target && rngA.Uint64() != rngB.Uint64() {
 		t.Fatalf("%v: FillRandom reached its target but left rng elsewhere", c)
@@ -142,9 +167,10 @@ func checkInsertMatchesReference(t *testing.T, c refCase) refFound {
 
 // TestInsertMatchesReference checks the generation-time eviction search
 // against the dequeue-time reference over random layouts at caps of 4, 16,
-// 64 and the default, and requires the reference to have ended each way it
-// can: found by dequeue within and past the modelled-count bound, and found
-// by the sweep below and past the cap.
+// 64 and the default, every other case filling a table that already holds
+// 1–8 keys, and requires the reference to have ended each way it can: found
+// by dequeue within and past the modelled-count bound, and found by the
+// sweep below and past the cap.
 func TestInsertMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	caps := []int{4, 16, 64, DefaultMaxBFSNodes}
@@ -153,6 +179,9 @@ func TestInsertMatchesReference(t *testing.T) {
 		c := refCaseFrom(uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)),
 			uint8(rng.Intn(256)), rng.Intn(2) == 0, rng.Int63(), uint8(50+rng.Intn(51)), 0)
 		c.cap = caps[i%len(caps)]
+		if i%2 == 1 {
+			c.prefill = 1 + i/2%8
+		}
 		f := checkInsertMatchesReference(t, c)
 		total.dequeued += f.dequeued
 		total.dequeuedDeep += f.dequeuedDeep
@@ -165,12 +194,13 @@ func TestInsertMatchesReference(t *testing.T) {
 	t.Logf("reference search endings: %+v", total)
 }
 
-// FuzzInsertMatchesReference fuzzes the layout, seed, fill target and cap
-// of the insert-vs-reference differential.
+// FuzzInsertMatchesReference fuzzes the layout, seed, fill target, cap and
+// pre-filled key count of the insert-vs-reference differential.
 func FuzzInsertMatchesReference(f *testing.F) {
-	f.Add(uint8(1), uint8(0), uint8(4), uint8(5), false, int64(1), uint8(100), uint16(3))   // (3,1) 32/32 to failure, cap 4
-	f.Add(uint8(0), uint8(3), uint8(8), uint8(4), true, int64(7), uint8(95), uint16(15))    // split (2,4) 64/64, cap 16
-	f.Add(uint8(2), uint8(7), uint8(0), uint8(2), false, int64(42), uint8(100), uint16(63)) // (4,8) 16/16, cap 64
+	f.Add(uint8(1), uint8(0), uint8(4), uint8(5), false, int64(1), uint8(100), uint16(3))          // (3,1) 32/32 to failure, cap 4
+	f.Add(uint8(0), uint8(3), uint8(8), uint8(4), true, int64(7), uint8(95), uint16(15))           // split (2,4) 64/64, cap 16
+	f.Add(uint8(2), uint8(7), uint8(0), uint8(2), false, int64(42), uint8(100), uint16(63))        // (4,8) 16/16, cap 64
+	f.Add(uint8(0), uint8(0), uint8(4), uint8(3), false, int64(3), uint8(100), uint16(6<<11|2047)) // (2,1) 32/32 to failure after 6 keys
 	f.Fuzz(func(t *testing.T, n, m, widths, bucketBits uint8, split bool, seed int64, lfPct uint8, capacity uint16) {
 		checkInsertMatchesReference(t, refCaseFrom(n, m, widths, bucketBits, split, seed, lfPct, capacity))
 	})

@@ -1,6 +1,7 @@
 package cuckoo
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -41,13 +42,19 @@ type Table struct {
 	count       int
 	maxBFSNodes int
 
-	// shadowKeys mirrors every slot's stored key (post-truncation, exactly
-	// the value Arena.ReadUint would decode), indexed b*M+s. setSlot — the
-	// sole writer of table bytes — keeps it coherent, which turns the
-	// functional key reads that dominate fill and BFS (keyAt) into a single
-	// slice index instead of a width-dispatched arena decode. The arena
-	// remains authoritative: every charged load still reads table bytes.
+	// shadowKeys holds every slot's stored key (post-truncation, exactly
+	// the value Arena.ReadUint would decode), indexed b*M+s. setSlot, the
+	// sole writer of slots, keeps it current, which turns the functional
+	// key reads that dominate fill and BFS (keyAt) into a single slice
+	// index instead of a width-dispatched arena decode.
+	//
+	// Outside a fill the arena and the shadow agree, and every charged
+	// load reads table bytes. Inside a fill into an empty table (filling)
+	// the shadow alone is authoritative: setSlot writes no arena byte, every
+	// stored key is one the fill drew, with payload PayloadFor, and
+	// FillRandom writes the arena from the shadow when it returns.
 	shadowKeys []uint64
+	filling    bool
 
 	// Precomputed layout strides (resolved once in New), so keyOff and
 	// valOff, the one slot-offset rule every template, the fill and the
@@ -79,8 +86,8 @@ type Table struct {
 	lastMoves    []move
 	lastBFSNodes int
 
-	// touchSink accumulates the values FillRandom's batch loads read; it is
-	// never used otherwise.
+	// touchSink accumulates the shadow keys FillRandom's batch loads read
+	// (touchCandidates); it is never used otherwise.
 	touchSink uint64
 }
 
@@ -147,11 +154,14 @@ func (t *Table) valAt(b, s int) uint64 {
 }
 
 func (t *Table) setSlot(b, s int, key, val uint64) {
+	// Record exactly what a ReadUint of the slot returns: WriteUint stores
+	// the low KeyBits, so the shadow holds the truncated value.
+	t.shadowKeys[b*t.L.M+s] = key & t.L.KeyMask()
+	if t.filling {
+		return // FillRandom writes the arena when it returns
+	}
 	t.Arena.WriteUint(t.keyOff(b, s), t.L.KeyBits, key)
 	t.Arena.WriteUint(t.valOff(b, s), t.L.ValBits, val)
-	// Mirror exactly what a ReadUint of the slot would return: WriteUint
-	// stores the low KeyBits, so the shadow records the truncated value.
-	t.shadowKeys[b*t.L.M+s] = key & t.L.KeyMask()
 }
 
 // Lookup finds key and returns its payload. This is the native, uncharged
@@ -375,7 +385,14 @@ func (t *Table) applyPath(queue []pathEntry, leaf, free int) (int, int, bool) {
 	for e.parent >= 0 {
 		p := queue[e.parent]
 		k := t.keyAt(p.bucket, e.parentSlot)
-		v := t.valAt(p.bucket, e.parentSlot)
+		var v uint64
+		if t.filling {
+			// The arena holds no payload yet, and every stored key is
+			// one the fill drew.
+			v = PayloadFor(k, t.L.ValBits)
+		} else {
+			v = t.valAt(p.bucket, e.parentSlot)
+		}
 		// The key moving into freeB must indeed hash there.
 		if !t.hashesTo(k, freeB) {
 			panic(fmt.Sprintf("cuckoo: BFS path corrupt: key %#x does not hash to bucket %d", k, freeB))
@@ -419,6 +436,13 @@ const fillBatch = 16
 // never inserted; a caller that keeps drawing from rng after such a fill
 // sees different keys than it would after a key-at-a-time fill.
 //
+// A fill into an empty table keeps its slots only in the shadow keys while
+// it inserts (see shadowKeys), so each insert misses on one array instead of
+// two, and writes the arena in one sequential pass in bucket order when it
+// returns, on every return path. A fill into a table that already holds
+// keys writes the arena at every insert, as Insert does: its relocations
+// must carry payloads that are not PayloadFor.
+//
 // The returned list has room for every slot, so a caller that tops the
 // table up with further inserts (a charged fill from lf to a higher load)
 // appends to it in place. Growing it by copying would hold two lists for a
@@ -426,6 +450,10 @@ const fillBatch = 16
 // ran before or after that copy decided the process's peak heap: simbench's
 // update-dram peak RSS flipped between about 128 and 165 MB from run to run.
 func (t *Table) FillRandom(lf float64, rng *rand.Rand) ([]uint64, float64) {
+	if t.count == 0 {
+		t.filling = true
+		defer t.writeFilled()
+	}
 	target := int(lf * float64(t.L.Slots()))
 	keys := make([]uint64, 0, max(target, t.L.Slots()))
 	var batch [fillBatch]uint64
@@ -442,10 +470,9 @@ func (t *Table) FillRandom(lf float64, rng *rand.Rand) ([]uint64, float64) {
 			// Duplicate draws are detected by the table itself instead of
 			// a side map (which dominated large fills): inserting a present
 			// key takes Insert's update-in-place path — it rewrites the
-			// identical slot bytes (PayloadFor is deterministic) and leaves
-			// count unchanged — so table state, RNG stream, and the
-			// returned key list are all exactly what the map-based
-			// formulation produced.
+			// identical slot (PayloadFor is deterministic) and leaves count
+			// unchanged — so table state, RNG stream, and the returned key
+			// list are all exactly what the map-based formulation produced.
 			before := t.count
 			if err := t.Insert(key, PayloadFor(key, t.L.ValBits)); err != nil {
 				return keys, t.LoadFactor()
@@ -463,14 +490,47 @@ func (t *Table) FillRandom(lf float64, rng *rand.Rand) ([]uint64, float64) {
 	return keys, t.LoadFactor()
 }
 
-// touchCandidates loads the first shadow key and the first arena byte of
-// each of key's candidate buckets, so their cache misses are in flight
-// before Insert reads them. The loads feed touchSink, which keeps the
-// compiler from dropping them.
+// touchCandidates loads the first shadow key of each of key's candidate
+// buckets, so their cache misses are in flight before Insert reads them.
+// The loads feed touchSink, which keeps the compiler from dropping them. It
+// loads no arena byte: a fill into an empty table writes the arena only
+// when it returns. (A fill into a non-empty table, which only tests make,
+// writes the arena at each insert without a prefetch.)
 func (t *Table) touchCandidates(key uint64) {
 	for i := 0; i < t.L.N; i++ {
-		b := t.Bucket(i, key)
-		t.touchSink += t.shadowKeys[b*t.L.M] + uint64(t.Arena.Bytes(t.keyOff(b, 0), 1)[0])
+		t.touchSink += t.shadowKeys[t.Bucket(i, key)*t.L.M]
+	}
+}
+
+// writeFilled ends a fill into an empty table: it writes each occupied
+// slot's key and PayloadFor payload into the arena in one pass in bucket
+// order, through one slice of the table bytes rather than a bounds-checked
+// Arena.WriteUint per field (which took twice as long on a 32 MB table).
+// Empty slots keep their zero bytes, since the table was empty.
+func (t *Table) writeFilled() {
+	t.filling = false
+	data := t.Arena.Bytes(0, t.L.TableBytes())
+	m, kb, vb := t.L.M, t.L.KeyBits, t.L.ValBits
+	for b := range t.L.Buckets() {
+		for s, k := range t.shadowKeys[b*m : b*m+m] {
+			if k != 0 {
+				putUint(data[t.keyOff(b, s):], kb, k)
+				putUint(data[t.valOff(b, s):], vb, PayloadFor(k, vb))
+			}
+		}
+	}
+}
+
+// putUint stores the low bits (16, 32 or 64) of v little-endian at b[0:],
+// as mem.Arena.WriteUint does.
+func putUint(b []byte, bits int, v uint64) {
+	switch bits {
+	case 16:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 32:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
 	}
 }
 

@@ -83,8 +83,9 @@ func (p *fuzzProgram) tryPost(src int, at float64) (outcome string) {
 }
 
 // runFuzzProgram drives e through data's program and returns the state
-// after each Run: every partition's log, Dispatched and BudgetExhausted.
-func runFuzzProgram(e engine, parts int, data []byte) []string {
+// after each Run: every partition's log, Dispatched and BudgetExhausted. It
+// fails t when a Run reports an exhausted budget with no event pending.
+func runFuzzProgram(t *testing.T, e engine, parts int, data []byte) []string {
 	p := &fuzzProgram{e: e, parts: parts, data: data, logs: make([][]string, parts)}
 	for n := p.next() % 8; n > 0; n-- {
 		part := p.next() % parts
@@ -107,6 +108,10 @@ func runFuzzProgram(e engine, parts int, data []byte) []string {
 		if msg := run(e); msg != "" {
 			return append(states, msg)
 		}
+		if e.BudgetExhausted() && !pending(e, parts) {
+			t.Fatalf("%T, %d partitions: Run %d reports an exhausted budget with no event pending",
+				e, parts, len(states)+1)
+		}
 		states = append(states, fmt.Sprintf("dispatched %d exhausted %v logs %q", e.Dispatched(), e.BudgetExhausted(), p.logs))
 		if rounds == 1 {
 			break
@@ -123,6 +128,16 @@ func runFuzzProgram(e engine, parts int, data []byte) []string {
 		}
 	}
 	return states
+}
+
+// pending reports whether any of e's partitions holds an event.
+func pending(e engine, parts int) bool {
+	for i := range parts {
+		if _, ok := e.Sim(i).NextEventAt(); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // run runs e and returns the message of a panic that escapes Run, or "".
@@ -142,15 +157,16 @@ func run(e engine) (msg string) {
 // equal-timestamp ties from several sources, posts before Run and during a
 // budget pause in arbitrary source order, and budget pauses with resume.
 // After every Run each partition's event log, Dispatched and
-// BudgetExhausted must agree. A post inside the window must panic on both.
+// BudgetExhausted must agree, and an exhausted budget must leave an event
+// pending. A post inside the window must panic on both.
 func FuzzPartitionedMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		parts := 1 + int(data[0])%8
-		got := runFuzzProgram(NewPartitioned(parts, 1, fuzzLookahead), parts, data[1:])
-		want := runFuzzProgram(newRefPartitioned(parts, fuzzLookahead), parts, data[1:])
+		got := runFuzzProgram(t, NewPartitioned(parts, 1, fuzzLookahead), parts, data[1:])
+		want := runFuzzProgram(t, newRefPartitioned(parts, fuzzLookahead), parts, data[1:])
 		if !slices.Equal(got, want) {
 			for i := range min(len(got), len(want)) {
 				if got[i] != want[i] {

@@ -86,8 +86,8 @@ func (pd *Partitioned) SetEventBudget(n uint64) { pd.budget = n }
 // Dispatched returns the events dispatched across all partitions.
 func (pd *Partitioned) Dispatched() uint64 { return pd.dispatched }
 
-// BudgetExhausted reports whether the watchdog stopped the run with events
-// still pending.
+// BudgetExhausted reports whether the watchdog stopped the latest Run with
+// events still pending; each Run clears it when it starts.
 func (pd *Partitioned) BudgetExhausted() bool { return pd.exhausted }
 
 // Post buffers a cross-partition event: partition src, executing the current
@@ -114,6 +114,7 @@ func (pd *Partitioned) Run() {
 	// them first is safe — and necessary: a program whose only pending work
 	// is posted (a closed-loop client's opening requests, say) would
 	// otherwise look finished.
+	pd.exhausted = false
 	pd.merge()
 	for {
 		h, ok := pd.nextHorizon()

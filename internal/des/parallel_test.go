@@ -193,6 +193,9 @@ func TestPartitionedBudgetResumable(t *testing.T) {
 		t.Fatalf("resumed run dispatched %d, fresh run %d", two.Dispatched(), one.Dispatched())
 	}
 	checkLogs(t, "resumed", twoLogs, oneLogs)
+	if two.BudgetExhausted() {
+		t.Error("BudgetExhausted still reports true after a resumed run drained every event")
+	}
 }
 
 // TestPartitionedBudgetExhausted mirrors the serial watchdog test: a

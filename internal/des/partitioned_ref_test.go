@@ -55,6 +55,7 @@ func (r *refPartitioned) Post(src, dst int, at float64, fn func()) {
 }
 
 func (r *refPartitioned) Run() {
+	r.exhausted = false
 	r.merge()
 	for {
 		var h float64

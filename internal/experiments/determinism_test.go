@@ -66,12 +66,12 @@ func kvsGoldenOptions(parallel int) KVSOptions {
 
 func renderFig11b(t *testing.T, parallel int) []byte {
 	t.Helper()
-	tbl, err := Fig11b(kvsGoldenOptions(parallel))
+	res, err := Fig11StudyResult(kvsGoldenOptions(parallel))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	tbl.Fprint(&buf)
+	Fig11bTable(res).Fprint(&buf)
 	return buf.Bytes()
 }
 
@@ -90,7 +90,7 @@ func TestSweepStatsObserved(t *testing.T) {
 	var jobs, calls int
 	o := kvsGoldenOptions(8)
 	o.OnSweep = func(s *sweep.Stats) { calls++; jobs += len(s.Jobs) }
-	tbl, err := Fig11b(o)
+	res, err := Fig11StudyResult(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSweepStatsObserved(t *testing.T) {
 		t.Errorf("observed %d job stats, want 6", jobs)
 	}
 	var buf bytes.Buffer
-	tbl.Fprint(&buf)
+	Fig11bTable(res).Fprint(&buf)
 	if !bytes.Equal(buf.Bytes(), renderFig11b(t, 8)) {
 		t.Error("attaching OnSweep changed the rendered table")
 	}

@@ -159,20 +159,22 @@ func TestRunKVSUnknownBackend(t *testing.T) {
 }
 
 func TestFig11aTable(t *testing.T) {
-	tab, err := Fig11a(testKVS)
+	res, err := Fig11StudyResult(testKVS)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := Fig11aTable(res)
 	if rows(tab) != 3 {
 		t.Errorf("Fig11a rows = %d, want 3 (one batch x three backends)", rows(tab))
 	}
 }
 
 func TestFig11bTable(t *testing.T) {
-	tab, err := Fig11b(testKVS)
+	res, err := Fig11StudyResult(testKVS)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := Fig11bTable(res)
 	if rows(tab) != 3 {
 		t.Errorf("Fig11b rows = %d, want 3", rows(tab))
 	}
@@ -311,7 +313,7 @@ func TestStudyOptionsRejectedByName(t *testing.T) {
 		{"batch size", func(col *obs.Collector) error {
 			o := kvs
 			o.Batches, o.Obs = nil, col
-			_, err := Fig11a(o)
+			_, err := Fig11StudyResult(o)
 			return err
 		}},
 		{"replication", fleet(func(o *FleetOptions) { o.Replication = 0 })},

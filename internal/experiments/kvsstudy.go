@@ -172,22 +172,37 @@ func kvsSweep(o KVSOptions, etc bool) ([][]memslap.FleetResults, error) {
 	return out, nil
 }
 
-// Fig11a reproduces Fig. 11a: end-to-end Multi-Get latency and server-side
-// Get throughput (throughput of the hash-table-lookup phase, as the paper
-// measures it) for MemC3 vs the two SIMD-aware backends.
-func Fig11a(o KVSOptions) (*report.Table, error) {
+// Fig11Result is one Fig. 11 sweep: a memslap run per (batch, backend)
+// pair, Runs[batch][backend] in the order of Batches and KVSBackends().
+// Fig11aTable and Fig11bTable both render it, so a CLI run that prints both
+// figures simulates, and records into its collector, each run once.
+type Fig11Result struct {
+	Batches []int
+	Runs    [][]memslap.FleetResults
+}
+
+// Fig11StudyResult runs the Fig. 11 sweep: one-server Multi-Get runs of
+// MemC3 and the two SIMD-aware backends at every batch size of o.
+func Fig11StudyResult(o KVSOptions) (Fig11Result, error) {
 	if err := o.validate(); err != nil {
-		return nil, err
+		return Fig11Result{}, err
 	}
-	results, err := kvsSweep(o, false)
+	runs, err := kvsSweep(o, false)
 	if err != nil {
-		return nil, err
+		return Fig11Result{}, err
 	}
+	return Fig11Result{Batches: o.Batches, Runs: runs}, nil
+}
+
+// Fig11aTable renders Fig. 11a: end-to-end Multi-Get latency and
+// server-side Get throughput (throughput of the hash-table-lookup phase, as
+// the paper measures it) for MemC3 vs the two SIMD-aware backends.
+func Fig11aTable(fig Fig11Result) *report.Table {
 	t := report.NewTable("Fig. 11a: RDMA-Memcached Multi-Get — end-to-end latency & server-side Get throughput",
 		"Batch", "Backend", "E2E avg (us)", "E2E p99 (us)", "Server Get thr (M/s)", "Thr vs MemC3", "Lat gain vs MemC3")
-	for bi, batch := range o.Batches {
+	for bi, batch := range fig.Batches {
 		var baseThr, baseLat float64
-		for i, res := range results[bi] {
+		for i, res := range fig.Runs[bi] {
 			lookupThr := float64(batch) / res.Breakdown.Lookup
 			if i == 0 { // memc3 leads KVSBackends()
 				baseThr, baseLat = lookupThr, res.AvgLatency
@@ -200,25 +215,18 @@ func Fig11a(o KVSOptions) (*report.Table, error) {
 				fmt.Sprintf("%.0f%%", (1-res.AvgLatency/baseLat)*100))
 		}
 	}
-	return t, nil
+	return t
 }
 
-// Fig11b reproduces Fig. 11b: the server-side timewise breakdown per
+// Fig11bTable renders Fig. 11b: the server-side timewise breakdown per
 // Multi-Get request — pre-processing, hash-table lookup and post-processing
 // sub-phases of the server data access phase.
-func Fig11b(o KVSOptions) (*report.Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	results, err := kvsSweep(o, false)
-	if err != nil {
-		return nil, err
-	}
+func Fig11bTable(fig Fig11Result) *report.Table {
 	t := report.NewTable("Fig. 11b: server-side per-batch phase breakdown",
 		"Batch", "Backend", "Pre (us)", "Lookup (us)", "Post (us)", "Data access (us)", "vs MemC3")
-	for bi, batch := range o.Batches {
+	for bi, batch := range fig.Batches {
 		var base float64
-		for i, res := range results[bi] {
+		for i, res := range fig.Runs[bi] {
 			total := res.Breakdown.Total()
 			if i == 0 {
 				base = total
@@ -231,7 +239,7 @@ func Fig11b(o KVSOptions) (*report.Table, error) {
 				fmt.Sprintf("%.0f%%", total/base*100))
 		}
 	}
-	return t, nil
+	return t
 }
 
 // ETCStudy runs the Multi-Get comparison with Facebook-ETC item sizes

@@ -89,23 +89,23 @@ func runFig11aStudy(t *testing.T, parallel int, profile bool) studyArtifacts {
 		set = prof.NewSet()
 		col.EnableProfiling(set)
 	}
-	tbl, err := Fig11a(kvsObsOptions(parallel, col))
+	res, err := Fig11StudyResult(kvsObsOptions(parallel, col))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return renderStudy(t, col, set, func(b *bytes.Buffer) { tbl.Fprint(b) })
+	return renderStudy(t, col, set, func(b *bytes.Buffer) { Fig11aTable(res).Fprint(b) })
 }
 
 // bareFig11aTable renders Fig. 11a at kvsObsOptions' scale with no
 // collector attached.
 func bareFig11aTable(t *testing.T) []byte {
 	t.Helper()
-	tbl, err := Fig11a(kvsObsOptions(1, nil))
+	res, err := Fig11StudyResult(kvsObsOptions(1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	tbl.Fprint(&buf)
+	Fig11aTable(res).Fprint(&buf)
 	return buf.Bytes()
 }
 
@@ -131,7 +131,7 @@ func TestHeartbeatCountsEveryEvent(t *testing.T) {
 	col := obs.NewCollector()
 	o := kvsObsOptions(1, col)
 	o.Heartbeat = obs.NewHeartbeat(1, &beats)
-	if _, err := Fig11a(o); err != nil {
+	if _, err := Fig11StudyResult(o); err != nil {
 		t.Fatal(err)
 	}
 	_, metrics := renderObs(t, col)

@@ -22,9 +22,16 @@ $GO vet ./...
 # The static-analysis suite runs in -json mode against the committed
 # count baseline (any analyzer exceeding its baseline count fails); the
 # machine-readable report is archived in the scratch dir for inspection.
+# The scratch dir is removed when every check passes and kept, with its
+# path on stderr, when one fails.
 echo "==> simdhtlint (vs lint_baseline.json)"
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+trap 'status=$?
+if [ "$status" -eq 0 ]; then
+    rm -rf "$tmp"
+else
+    echo "ci.sh: failed (exit $status); scratch files kept in $tmp" >&2
+fi' EXIT
 $GO run ./cmd/simdhtlint -C . -json -baseline lint_baseline.json > "$tmp/lint.json"
 
 echo "==> go test"
@@ -62,21 +69,24 @@ check_study_goldens() {
 # CLI smoke: run both binaries end-to-end with -trace/-metrics and diff the
 # artifacts against the committed goldens, so the flag plumbing (not just the
 # library path the Go tests exercise) is pinned byte-for-byte. Fig. 11a runs
-# at -parallel 1 and 4.
+# at -parallel 1 and 4. `kvsbench all` prints Fig. 11a and 11b from one
+# sweep, so its metrics and trace must be Fig. 11a's too: a second sweep
+# would count every event twice.
 echo "==> CLI smoke (-trace/-metrics vs goldens)"
 $GO run ./cmd/simdhtbench -queries 400 -seed 1 \
     -trace "$tmp/fig7a.json" -metrics "$tmp/fig7a.csv" fig7a >/dev/null
 diff "$tmp/fig7a.json" internal/experiments/testdata/obs_fig7a_trace.golden.json
 diff "$tmp/fig7a.csv" internal/experiments/testdata/obs_fig7a_metrics.golden.csv
-run_fig11a() {
+run_fig11() {
     $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
         -batches 8 -seed 7 -parallel "$1" \
-        -trace "$2.json" -metrics "$2.csv" fig11a >/dev/null
+        -trace "$2.json" -metrics "$2.csv" "$3" >/dev/null
     diff "$2.csv" internal/experiments/testdata/obs_fig11a_metrics.golden.csv
     check_trace_golden "$2.json" obs_fig11a
 }
-run_fig11a 1 "$tmp/fig11a1"
-run_fig11a 4 "$tmp/fig11a4"
+run_fig11 1 "$tmp/fig11a1" fig11a
+run_fig11 4 "$tmp/fig11a4" fig11a
+run_fig11 1 "$tmp/all1" all
 
 # Profiler smoke: two identical -profile cycles runs must produce
 # byte-identical folded cycle accounts on stdout, and obsdiff must report
