@@ -26,6 +26,18 @@ func rows(t *report.Table) int {
 var testOpts = Options{Queries: 800, Seed: 1}
 var testKVS = KVSOptions{Items: 40000, Workers: 26, Clients: 26, Requests: 400, Batches: []int{16}, Seed: 7}
 
+// checkTableGolden pins a study's rendered table against testdata/name, so
+// a cost-model or refactoring change that moves any cell fails here, not
+// only one that changes the row count. Regenerate one by naming its test:
+//
+//	go test ./internal/experiments -run '^TestFig8Runs$' -update
+func checkTableGolden(t *testing.T, name string, tab *report.Table) {
+	t.Helper()
+	var buf bytes.Buffer
+	tab.Fprint(&buf)
+	checkGolden(t, name, buf.Bytes())
+}
+
 // skipHeavyUnderRace exempts the few tests dominated by sequential multi-MB
 // table fills from the race-detector run; see race_test.go.
 func skipHeavyUnderRace(t *testing.T) {
@@ -78,6 +90,20 @@ func TestFig5Runs(t *testing.T) {
 	if rows(tab) != 18 {
 		t.Errorf("Fig5 rows = %d, want 18", rows(tab))
 	}
+	// The golden is `simdhtbench -queries 800 -seed 1 fig5`'s stdout: the
+	// table and both grids, each followed by a blank line.
+	var buf bytes.Buffer
+	tab.Fprint(&buf)
+	buf.WriteString("\n")
+	for _, p := range []workload.Pattern{workload.Uniform, workload.Skewed} {
+		g, err := Fig5Grid(p, testOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Fprint(&buf)
+		buf.WriteString("\n")
+	}
+	checkGolden(t, "fig5_q800_seed1.golden", buf.Bytes())
 }
 
 func TestFig6SpeedupDecays(t *testing.T) {
@@ -89,6 +115,7 @@ func TestFig6SpeedupDecays(t *testing.T) {
 	if rows(tab) != 10 {
 		t.Fatalf("Fig6 rows = %d, want 10", rows(tab))
 	}
+	checkTableGolden(t, "fig6_q800_seed1.golden", tab)
 }
 
 func TestFig7aRuns(t *testing.T) {
@@ -99,6 +126,7 @@ func TestFig7aRuns(t *testing.T) {
 	if rows(tab) != 8 {
 		t.Errorf("Fig7a rows = %d, want 8", rows(tab))
 	}
+	checkTableGolden(t, "fig7a_q800_seed1.golden", tab)
 }
 
 func TestFig7bRuns(t *testing.T) {
@@ -110,6 +138,7 @@ func TestFig7bRuns(t *testing.T) {
 	if rows(tab) != 8 {
 		t.Errorf("Fig7b rows = %d, want 8", rows(tab))
 	}
+	checkTableGolden(t, "fig7b_q800_seed1.golden", tab)
 }
 
 func TestFig8Runs(t *testing.T) {
@@ -121,6 +150,7 @@ func TestFig8Runs(t *testing.T) {
 	if rows(tab) != 16 {
 		t.Errorf("Fig8 rows = %d, want 16", rows(tab))
 	}
+	checkTableGolden(t, "fig8_q800_seed1.golden", tab)
 }
 
 func TestFig9Runs(t *testing.T) {
@@ -131,6 +161,7 @@ func TestFig9Runs(t *testing.T) {
 	if rows(tab) != 4 {
 		t.Errorf("Fig9 rows = %d, want 4", rows(tab))
 	}
+	checkTableGolden(t, "fig9_q800_seed1.golden", tab)
 }
 
 func TestRunKVSBackends(t *testing.T) {
@@ -200,6 +231,7 @@ func TestSplitBucketStudy(t *testing.T) {
 	if rows(tab) != 6 {
 		t.Errorf("SplitBucket rows = %d, want 6", rows(tab))
 	}
+	checkTableGolden(t, "split_q800_seed1.golden", tab)
 }
 
 func TestMixedWorkloadStudy(t *testing.T) {
@@ -210,6 +242,7 @@ func TestMixedWorkloadStudy(t *testing.T) {
 	if rows(tab) != 5 {
 		t.Errorf("MixedWorkload rows = %d, want 5", rows(tab))
 	}
+	checkTableGolden(t, "mixed_q800_seed1.golden", tab)
 }
 
 func TestAMACStudy(t *testing.T) {
@@ -221,6 +254,7 @@ func TestAMACStudy(t *testing.T) {
 	if rows(tab) != 3 {
 		t.Errorf("AMACStudy rows = %d, want 3", rows(tab))
 	}
+	checkTableGolden(t, "amac_q600_seed1.golden", tab)
 }
 
 func TestEmergingArchitectures(t *testing.T) {
@@ -231,6 +265,7 @@ func TestEmergingArchitectures(t *testing.T) {
 	if rows(tab) != 4 {
 		t.Errorf("EmergingArchitectures rows = %d, want 4", rows(tab))
 	}
+	checkTableGolden(t, "arches_q800_seed1.golden", tab)
 }
 
 func TestETCStudy(t *testing.T) {
