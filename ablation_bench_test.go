@@ -81,11 +81,12 @@ func BenchmarkAblationMixedWorkload(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := core.RunMixed(core.Params{
+				r, err := core.Run(core.Params{
 					Arch: model, N: 3, M: 1, KeyBits: 32, ValBits: 32,
 					TableBytes: 1 << 20, LoadFactor: 0.9, HitRate: 0.9,
-					Pattern: workload.Uniform, Queries: benchOpts.Queries, Seed: 1,
-				}, uf)
+					Pattern: workload.Uniform, Queries: benchOpts.Queries,
+					UpdateFraction: uf, Seed: 1,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

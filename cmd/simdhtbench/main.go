@@ -94,10 +94,21 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"all"}
 	}
+	// Fig. 5's sweep is run at most once per invocation: `all` prints its
+	// table and `fig5` its table and grids from the same results.
+	var fig5 []*core.Result
+	fig5Result := func() []*core.Result {
+		if fig5 == nil {
+			var err error
+			fig5, err = experiments.Fig5StudyResult(opts)
+			h.Check(err)
+		}
+		return fig5
+	}
 	for _, cmd := range args {
 		switch cmd {
 		case "all":
-			runAll(h, opts)
+			runAll(h, opts, fig5Result)
 		case "table1":
 			h.Emit(experiments.Table1())
 		case "fig2":
@@ -109,14 +120,10 @@ func main() {
 			h.Check(err)
 			fmt.Fprintln(h.Out, s)
 		case "fig5", "cs1a":
-			t, err := experiments.Fig5(opts)
-			h.Check(err)
-			h.Emit(t)
+			h.Emit(experiments.Fig5Table(fig5Result()))
 			if !h.CSV {
 				for _, p := range []workload.Pattern{workload.Uniform, workload.Skewed} {
-					g, err := experiments.Fig5Grid(p, opts)
-					h.Check(err)
-					g.Fprint(h.Out)
+					experiments.Fig5Grid(fig5Result(), p).Fprint(h.Out)
 					fmt.Fprintln(h.Out)
 				}
 			}
@@ -271,11 +278,14 @@ func simSpeedTable(r *core.Result) *report.Table {
 	return t
 }
 
-func runAll(h *cli.Harness, opts experiments.Options) {
+func runAll(h *cli.Harness, opts experiments.Options, fig5 func() []*core.Result) {
 	h.Emit(experiments.Table1())
+	t, err := experiments.Fig2(opts)
+	h.Check(err)
+	h.Emit(t)
+	h.Emit(experiments.Fig5Table(fig5()))
 	for _, f := range []func(experiments.Options) (*report.Table, error){
-		experiments.Fig2, experiments.Fig5, experiments.Fig6,
-		experiments.Fig7a, experiments.Fig7b, experiments.Fig8, experiments.Fig9,
+		experiments.Fig6, experiments.Fig7a, experiments.Fig7b, experiments.Fig8, experiments.Fig9,
 	} {
 		t, err := f(opts)
 		h.Check(err)

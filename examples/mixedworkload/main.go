@@ -26,19 +26,20 @@ func main() {
 		"update fraction", "scalar Mops/s", "best SIMD Mops/s", "speedup", "")
 
 	for _, uf := range []float64{0, 0.02, 0.05, 0.10, 0.25, 0.50} {
-		r, err := core.RunMixed(core.Params{
-			Arch:       model,
-			N:          3,
-			M:          1,
-			KeyBits:    32,
-			ValBits:    32,
-			TableBytes: 1 << 20,
-			LoadFactor: 0.9,
-			HitRate:    0.9,
-			Pattern:    workload.Uniform,
-			Queries:    4000,
-			Seed:       21,
-		}, uf)
+		r, err := core.Run(core.Params{
+			Arch:           model,
+			N:              3,
+			M:              1,
+			KeyBits:        32,
+			ValBits:        32,
+			TableBytes:     1 << 20,
+			LoadFactor:     0.9,
+			HitRate:        0.9,
+			Pattern:        workload.Uniform,
+			Queries:        4000,
+			UpdateFraction: uf,
+			Seed:           21,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -44,30 +44,23 @@ func (r Recommendation) String() string {
 		r.Layout, design, r.Best.LookupsPerSec/1e6, r.Speedup, r.MaxLF)
 }
 
-// adviseVariants is the (N, m) search space, the grid of Fig. 2/Fig. 5.
-var adviseVariants = [][2]int{
-	{2, 1}, {3, 1}, {4, 1},
-	{2, 2}, {2, 4}, {2, 8},
-	{3, 2}, {3, 4}, {3, 8},
-}
-
-// Advise searches the design space and returns recommendations ranked by
-// best lookup throughput. Both bucket arrangements (interleaved and split)
-// are considered for bucketized layouts.
+// Advise searches the design space (DesignGrid) and returns recommendations
+// ranked by best lookup throughput. Both bucket arrangements (interleaved
+// and split) are considered for bucketized layouts. req.Params is taken as
+// Run takes it, with N, M, Split and LoadFactor set per variant; a bad
+// field fails before any table is filled.
 func Advise(req AdviseRequest) ([]Recommendation, error) {
 	p := req.Params
 	if !(req.MinLoadFactor > 0 && req.MinLoadFactor <= 1) {
 		return nil, fmt.Errorf("core: MinLoadFactor %v outside (0,1]", req.MinLoadFactor)
 	}
-	if p.Arch == nil {
-		return nil, fmt.Errorf("core: AdviseRequest.Params.Arch is required")
-	}
-	if p.Queries == 0 {
-		p.Queries = 3000
+	p.LoadFactor = req.MinLoadFactor
+	if _, err := p.resolve(); err != nil {
+		return nil, err
 	}
 
 	var recs []Recommendation
-	for _, nm := range adviseVariants {
+	for _, nm := range DesignGrid() {
 		maxLF, err := probeMaxLF(nm[0], nm[1], p.KeyBits, p.ValBits, p.Seed)
 		if err != nil {
 			return nil, err
@@ -83,7 +76,6 @@ func Advise(req AdviseRequest) ([]Recommendation, error) {
 			rp := p
 			rp.N, rp.M = nm[0], nm[1]
 			rp.Split = split
-			rp.LoadFactor = req.MinLoadFactor
 			r, err := Run(rp)
 			if err != nil {
 				return nil, err

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"simdhtbench/internal/arch"
 	"simdhtbench/internal/cuckoo"
+	"simdhtbench/internal/obs"
 	"simdhtbench/internal/workload"
 )
 
@@ -179,33 +181,71 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// validParams is a configuration Run accepts, stating every value it uses;
+// the rejection tests change one field at a time.
+func validParams() Params {
+	return Params{Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32,
+		TableBytes: 1 << 16, LoadFactor: 0.9, HitRate: 0.9, Pattern: workload.Uniform,
+		Queries: 100, Seed: 1}
+}
+
+// wantFieldError fails t unless err names Params.field.
+func wantFieldError(t *testing.T, what string, err error, field string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "Params."+field) {
+		t.Errorf("%s: error %v, want one naming Params.%s", what, err, field)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Params{}); err == nil {
-		t.Error("empty params accepted")
-	}
-	if _, err := Run(Params{Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32}); err == nil {
-		t.Error("missing table size accepted")
-	}
-	// A NaN, negative or above-1 load factor and a NaN hit rate fail
-	// before the fill, naming the field, in both entry points.
+	_, err := Run(Params{})
+	wantFieldError(t, "empty params", err, "Arch")
+	// Params are taken as written: a zero or negative count, a load factor
+	// or rate outside its range (NaN included) and a negative core count
+	// each fail before the fill, naming the field, read-only and with
+	// updates alike.
 	for _, c := range []struct {
-		lf, hit float64
-		field   string
+		field string
+		set   func(*Params)
 	}{
-		{math.NaN(), 0.9, "LoadFactor"},
-		{-0.5, 0.9, "LoadFactor"},
-		{1.5, 0.9, "LoadFactor"},
-		{0.9, math.NaN(), "HitRate"},
+		{"TableBytes", func(p *Params) { p.TableBytes = 0 }},
+		{"Queries", func(p *Params) { p.Queries = 0 }},
+		{"Queries", func(p *Params) { p.Queries = -5 }},
+		{"LoadFactor", func(p *Params) { p.LoadFactor = 0 }},
+		{"LoadFactor", func(p *Params) { p.LoadFactor = math.NaN() }},
+		{"LoadFactor", func(p *Params) { p.LoadFactor = -0.5 }},
+		{"LoadFactor", func(p *Params) { p.LoadFactor = 1.5 }},
+		{"HitRate", func(p *Params) { p.HitRate = math.NaN() }},
+		{"HitRate", func(p *Params) { p.HitRate = -0.1 }},
+		{"HitRate", func(p *Params) { p.HitRate = 1.5 }},
+		{"Cores", func(p *Params) { p.Cores = -3 }},
 	} {
-		p := Params{Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32,
-			TableBytes: 1 << 16, Queries: 100, LoadFactor: c.lf, HitRate: c.hit}
-		_, err := Run(p)
-		_, errMixed := RunMixed(p, 0.1)
-		for _, err := range []error{err, errMixed} {
-			if err == nil || !strings.Contains(err.Error(), "Params."+c.field) {
-				t.Errorf("LoadFactor %v HitRate %v: error %v, want one naming Params.%s", c.lf, c.hit, err, c.field)
-			}
+		for _, uf := range []float64{0, 0.1} {
+			p := validParams()
+			p.UpdateFraction = uf
+			c.set(&p)
+			_, err := Run(p)
+			wantFieldError(t, fmt.Sprintf("%s case at update fraction %v", c.field, uf), err, c.field)
 		}
+	}
+}
+
+// TestRunHitRateZeroIsAllMiss: HitRate 0 is an all-miss stream, not a
+// stand-in for the default 0.9.
+func TestRunHitRateZeroIsAllMiss(t *testing.T) {
+	p := validParams()
+	p.HitRate, p.WithAMAC, p.Queries = 0, true, 400
+	r, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range append([]Measurement{r.Scalar, *r.AMAC}, r.Vector...) {
+		if m.Hits != 0 {
+			t.Errorf("%v: %d hits at HitRate 0, want 0", m.Choice, m.Hits)
+		}
+	}
+	if len(r.Vector) == 0 {
+		t.Error("no SIMD variant measured")
 	}
 }
 
@@ -291,11 +331,11 @@ func TestHybridRunMatchesCaseStudy5(t *testing.T) {
 
 func TestRunMixedErodesSIMDAdvantage(t *testing.T) {
 	speedup := func(uf float64) float64 {
-		r, err := RunMixed(Params{
+		r, err := Run(Params{
 			Arch: arch.SkylakeClusterA(), N: 3, M: 1, KeyBits: 32, ValBits: 32,
 			TableBytes: 256 << 10, LoadFactor: 0.85, HitRate: 0.9,
-			Pattern: workload.Uniform, Queries: 1500, Seed: 4,
-		}, uf)
+			Pattern: workload.Uniform, Queries: 1500, UpdateFraction: uf, Seed: 4,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,19 +356,20 @@ func TestRunMixedErodesSIMDAdvantage(t *testing.T) {
 }
 
 func TestRunMixedValidation(t *testing.T) {
-	p := Params{Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32, TableBytes: 1 << 16}
-	if _, err := RunMixed(p, 1.5); err == nil {
-		t.Error("update fraction > 1 accepted")
-	}
 	// Every draw compared against NaN is false, so a NaN fraction would run
 	// the read-only workload.
-	if _, err := RunMixed(p, math.NaN()); err == nil {
-		t.Error("NaN update fraction accepted")
+	for _, uf := range []float64{1.5, -0.1, math.NaN()} {
+		p := validParams()
+		p.UpdateFraction = uf
+		_, err := Run(p)
+		wantFieldError(t, fmt.Sprintf("update fraction %v", uf), err, "UpdateFraction")
 	}
 }
 
 func TestRunMixedZeroFractionMatchesRun(t *testing.T) {
-	// With no updates the mixed runner must agree with the plain runner.
+	// A positive update fraction too small to draw any update takes the
+	// mixed path (its own operation draws, lookups split at updates) yet
+	// must agree with the read-only run in every variant.
 	p := Params{
 		Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32,
 		TableBytes: 128 << 10, LoadFactor: 0.8, HitRate: 0.9,
@@ -338,7 +379,8 @@ func TestRunMixedZeroFractionMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMixed(p, 0)
+	p.UpdateFraction = math.SmallestNonzeroFloat64
+	b, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,6 +389,48 @@ func TestRunMixedZeroFractionMatchesRun(t *testing.T) {
 	}
 	if a.Scalar.CyclesPerLookup != b.Scalar.CyclesPerLookup {
 		t.Errorf("scalar cycles diverge: %v vs %v", a.Scalar.CyclesPerLookup, b.Scalar.CyclesPerLookup)
+	}
+	for i := range a.Vector {
+		if a.Vector[i].CyclesPerLookup != b.Vector[i].CyclesPerLookup {
+			t.Errorf("%s cycles diverge: %v vs %v", a.Vector[i].Choice, a.Vector[i].CyclesPerLookup, b.Vector[i].CyclesPerLookup)
+		}
+	}
+}
+
+// TestRunUpdatesWithTraceAndAMAC: updates combine with trace replay and the
+// AMAC baseline. Lookups replay only trace keys, so a trace of absent (odd)
+// keys finds nothing while the updates still cost cycles, and AMAC is
+// measured over the same operation stream.
+func TestRunUpdatesWithTraceAndAMAC(t *testing.T) {
+	trace := make([]uint64, 300)
+	for i := range trace {
+		trace[i] = uint64(i)*2 + 1
+	}
+	run := func(uf float64) *Result {
+		r, err := Run(Params{
+			Arch: arch.SkylakeClusterA(), N: 3, M: 1, KeyBits: 32, ValBits: 32,
+			TableBytes: 64 << 10, LoadFactor: 0.8, HitRate: 0.9,
+			Queries: 600, UpdateFraction: uf, WithAMAC: true, Seed: 3,
+			Trace: trace,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	readOnly, mixed := run(0), run(0.5)
+	if mixed.AMAC == nil {
+		t.Fatal("WithAMAC set but Result.AMAC is nil")
+	}
+	all := func(r *Result) []Measurement { return append([]Measurement{r.Scalar, *r.AMAC}, r.Vector...) }
+	ro := all(readOnly)
+	for i, m := range all(mixed) {
+		if m.Hits != 0 {
+			t.Errorf("%v: %d hits replaying absent trace keys, want 0", m.Choice, m.Hits)
+		}
+		if m.CyclesPerLookup == ro[i].CyclesPerLookup {
+			t.Errorf("%v: updates cost no cycles (%.2f per op either way)", m.Choice, m.CyclesPerLookup)
+		}
 	}
 }
 
@@ -359,7 +443,7 @@ func TestRunWithTrace(t *testing.T) {
 	r, err := Run(Params{
 		Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32,
 		TableBytes: 64 << 10, LoadFactor: 0.5, HitRate: 0.9,
-		Queries: 400, Warmup: 100, Seed: 3,
+		Queries: 400, Seed: 3,
 		Trace: trace,
 	})
 	if err != nil {
@@ -372,7 +456,7 @@ func TestRunWithTrace(t *testing.T) {
 	r2, err := Run(Params{
 		Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32,
 		TableBytes: 64 << 10, LoadFactor: 0.5, HitRate: 0.9,
-		Queries: 400, Warmup: 100, Seed: 3,
+		Queries: 400, Seed: 3,
 		Trace: trace,
 	})
 	if err != nil {
@@ -384,12 +468,13 @@ func TestRunWithTrace(t *testing.T) {
 }
 
 func TestRunWithTraceRejectsWideKeys(t *testing.T) {
-	if _, err := Run(Params{
+	_, err := Run(Params{
 		Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 16, ValBits: 32,
-		TableBytes: 64 << 10, Queries: 100,
+		TableBytes: 64 << 10, LoadFactor: 0.9, HitRate: 0.9, Queries: 100,
 		Trace: []uint64{1 << 20},
-	}); err == nil {
-		t.Error("trace key wider than KeyBits accepted")
+	})
+	if err == nil || !strings.Contains(err.Error(), "trace key") {
+		t.Errorf("trace key wider than KeyBits: error %v, want one naming the trace key", err)
 	}
 }
 
@@ -467,24 +552,28 @@ func TestAdviseLowLoadFactorAllowsTwoWay(t *testing.T) {
 }
 
 func TestAdviseValidation(t *testing.T) {
-	if _, err := Advise(AdviseRequest{MinLoadFactor: 0}); err == nil {
-		t.Error("zero load factor accepted")
+	_, err := Advise(AdviseRequest{MinLoadFactor: 0})
+	if err == nil || !strings.Contains(err.Error(), "MinLoadFactor") {
+		t.Errorf("zero load factor: got %v, want an error naming MinLoadFactor", err)
 	}
-	if _, err := Advise(AdviseRequest{
-		Params:        Params{},
-		MinLoadFactor: 0.9,
-	}); err == nil {
-		t.Error("missing arch accepted")
-	}
+	_, err = Advise(AdviseRequest{Params: Params{}, MinLoadFactor: 0.9})
+	wantFieldError(t, "missing arch", err, "Arch")
 	// A NaN occupancy is rejected by Advise itself, before any probe.
-	_, err := Advise(AdviseRequest{
-		Params: Params{
-			Arch: arch.SkylakeClusterA(), KeyBits: 32, ValBits: 32,
-			TableBytes: 1 << 16, Queries: 200, Seed: 1,
-		},
-		MinLoadFactor: math.NaN(),
-	})
+	params := Params{
+		Arch: arch.SkylakeClusterA(), KeyBits: 32, ValBits: 32,
+		TableBytes: 1 << 16, HitRate: 0.9, Queries: 200, Seed: 1,
+	}
+	_, err = Advise(AdviseRequest{Params: params, MinLoadFactor: math.NaN()})
 	if err == nil || !strings.Contains(err.Error(), "MinLoadFactor") {
 		t.Errorf("NaN MinLoadFactor: got %v, want an error naming MinLoadFactor", err)
+	}
+	// Queries 0 is not "use 3000": it fails, naming the field, before the
+	// first variant's table is filled (an attached collector sees no run).
+	params.Queries = 0
+	params.Obs = obs.NewCollector()
+	_, err = Advise(AdviseRequest{Params: params, MinLoadFactor: 0.9})
+	wantFieldError(t, "zero queries", err, "Queries")
+	if n := len(params.Obs.Registry.Snapshot()); n != 0 {
+		t.Errorf("zero queries: %d metric series recorded before the rejection", n)
 	}
 }

@@ -59,3 +59,10 @@ func Fig2Variants() [][2]int {
 	}
 	return v
 }
+
+// DesignGrid is the (N, m) design space of Listing 1 and Fig. 5 in the
+// paper's order: the non-bucketized 2-, 3- and 4-way tables, then the
+// (2, m) and (3, m) BCHTs. Advise searches it.
+func DesignGrid() [][2]int {
+	return [][2]int{{2, 1}, {3, 1}, {4, 1}, {2, 2}, {2, 4}, {2, 8}, {3, 2}, {3, 4}, {3, 8}}
+}

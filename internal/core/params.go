@@ -93,25 +93,30 @@ type Params struct {
 	TableBytes int
 
 	// LoadFactor is the fill target (fraction of slots occupied), in
-	// (0,1]. Zero defaults to 0.9.
+	// (0,1].
 	LoadFactor float64
 
 	// HitRate is the query selectivity: the fraction of queried keys
-	// present in the table, in [0,1]. Zero defaults to 0.9.
+	// present in the table, in [0,1]. 0 is an all-miss stream.
 	HitRate float64
 
-	// Pattern and ZipfTheta configure the access distribution.
-	Pattern   workload.Pattern
-	ZipfTheta float64
+	// Pattern is the access distribution of the lookups.
+	Pattern workload.Pattern
 
-	// Queries is the measured query count; Warmup queries run first,
-	// uncharged, to warm the simulated caches. Zero Warmup defaults to
-	// Queries/5.
+	// Queries is the measured operation count, positive. Queries/5 more
+	// operations run first, uncharged, to warm the simulated caches.
 	Queries int
-	Warmup  int
+
+	// UpdateFraction, in [0,1], is the share of operations that overwrite
+	// the payload of a stored key (drawn uniformly) instead of looking one
+	// up — the paper's future work on mixed read/update workloads (Section
+	// VII). An update runs the inherently scalar cuckoo insert path
+	// (InsertCharged) and splits the lookup batch around it, so the stream
+	// pays both the update and the lost batching. 0 is read-only.
+	UpdateFraction float64
 
 	// Cores is the number of processes sharing the node (full-subscription
-	// mode). Zero defaults to Arch.Cores.
+	// mode). 0 means Arch.Cores; it must not be negative.
 	Cores int
 
 	// Widths restricts the SIMD vector widths considered; empty means all
@@ -123,9 +128,10 @@ type Params struct {
 	// for m=1). VerticalHybrid must be requested explicitly.
 	Approaches []Approach
 
-	// Trace, when non-empty, replaces the generated query stream with a
+	// Trace, when non-empty, replaces the generated lookup keys with a
 	// recorded key trace (cycled to cover warm-up plus measurement). Keys
 	// must fit KeyBits; hit behaviour follows whatever the trace contains.
+	// Updates (UpdateFraction) still draw stored keys.
 	Trace []uint64
 
 	// WithAMAC additionally measures the group-prefetching scalar baseline
@@ -166,37 +172,32 @@ type Params struct {
 	RecordSimSpeed bool
 }
 
-// withDefaults returns a copy with zero fields resolved.
-func (p Params) withDefaults() (Params, error) {
-	if p.Arch == nil {
+// resolve validates p, naming the field Run cannot take as written, and
+// returns it with its documented zeros spelled out: Cores 0 is Arch.Cores,
+// empty Widths every width Arch supports, and FaultSeed 0 is Seed. Every
+// other field is used as given.
+func (p Params) resolve() (Params, error) {
+	switch {
+	case p.Arch == nil:
 		return p, fmt.Errorf("core: Params.Arch is required")
-	}
-	if p.Queries <= 0 {
-		p.Queries = 20000
-	}
-	if p.Warmup <= 0 {
-		p.Warmup = p.Queries / 5
-	}
-	if p.Cores <= 0 {
-		p.Cores = p.Arch.Cores
-	}
-	if p.LoadFactor == 0 {
-		p.LoadFactor = 0.9
-	}
-	if !(p.LoadFactor > 0 && p.LoadFactor <= 1) {
+	case p.TableBytes <= 0:
+		return p, fmt.Errorf("core: Params.TableBytes %d is not positive", p.TableBytes)
+	case p.Queries <= 0:
+		return p, fmt.Errorf("core: Params.Queries %d is not positive", p.Queries)
+	case !(p.LoadFactor > 0 && p.LoadFactor <= 1):
 		return p, fmt.Errorf("core: Params.LoadFactor %v outside (0,1]", p.LoadFactor)
-	}
-	if p.HitRate == 0 {
-		p.HitRate = 0.9
-	}
-	if !(p.HitRate >= 0 && p.HitRate <= 1) {
+	case !(p.HitRate >= 0 && p.HitRate <= 1):
 		return p, fmt.Errorf("core: Params.HitRate %v outside [0,1]", p.HitRate)
+	case !(p.UpdateFraction >= 0 && p.UpdateFraction <= 1):
+		return p, fmt.Errorf("core: Params.UpdateFraction %v outside [0,1]", p.UpdateFraction)
+	case p.Cores < 0:
+		return p, fmt.Errorf("core: Params.Cores %d is negative", p.Cores)
+	}
+	if p.Cores == 0 {
+		p.Cores = p.Arch.Cores
 	}
 	if len(p.Widths) == 0 {
 		p.Widths = p.Arch.Widths
-	}
-	if p.TableBytes <= 0 {
-		return p, fmt.Errorf("core: Params.TableBytes is required")
 	}
 	if p.FaultSeed == 0 {
 		p.FaultSeed = p.Seed

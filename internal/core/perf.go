@@ -95,13 +95,13 @@ func (r *Result) Speedup(m Measurement) float64 {
 }
 
 // Run is the performance engine (Fig. 4 ④): it builds the configured table,
-// fills it to the target load factor, generates the query stream, validates
-// the SIMD design choices, and measures the scalar baseline plus every
-// viable SIMD variant. Each variant runs on a fresh simulated core (cold
+// fills it to the target load factor, generates the operation stream,
+// validates the SIMD design choices, and measures the scalar baseline plus
+// every viable SIMD variant. Each variant runs on a fresh simulated core (cold
 // cache) with an uncharged warm-up pass, exactly mirroring the paper's
 // discarded warm-up iterations.
 func Run(p Params) (*Result, error) {
-	p, err := p.withDefaults()
+	p, err := p.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -135,19 +135,47 @@ func Run(p Params) (*Result, error) {
 		gen, err = workload.NewTraceGenerator(p.Trace)
 	} else {
 		gen, err = workload.New(stored, workload.Config{
-			Pattern:   p.Pattern,
-			ZipfTheta: p.ZipfTheta,
-			HitRate:   p.HitRate,
-			KeyBits:   p.KeyBits,
-			Seed:      p.Seed + 2,
+			Pattern: p.Pattern,
+			HitRate: p.HitRate,
+			KeyBits: p.KeyBits,
+			Seed:    p.Seed + 2,
 		})
 	}
 	if err != nil {
 		return nil, err
 	}
-	queries := workload.Keys(gen, p.Warmup+p.Queries)
-	stream := cuckoo.NewStream(space, queries, p.KeyBits)
-	res := cuckoo.NewResultBuf(space, len(queries), p.ValBits)
+	keys, update := operations(p, gen, stored)
+	stream := cuckoo.NewStream(space, keys, p.KeyBits)
+	res := cuckoo.NewResultBuf(space, len(keys), p.ValBits)
+
+	// ops turns a lookup batch into an operation batch over the same span:
+	// the lookups between two updates run as one batch, and each update
+	// overwrites its stored key's payload on the charged insert path.
+	ops := func(lookup batch) batch {
+		if update == nil {
+			return lookup
+		}
+		return func(e *engine.Engine, from, n int) int {
+			hits, start := 0, from
+			for i := from; i < from+n; i++ {
+				if !update[i] {
+					continue
+				}
+				if i > start {
+					hits += lookup(e, start, i-start)
+				}
+				// A stored key is overwritten in place, so this cannot fail.
+				if err := table.InsertCharged(e, keys[i], cuckoo.PayloadFor(keys[i]+1, p.ValBits)); err != nil {
+					panic(fmt.Sprintf("core: update of stored key %#x failed: %v", keys[i], err))
+				}
+				start = i + 1
+			}
+			if end := from + n; end > start {
+				hits += lookup(e, start, end-start)
+			}
+			return hits
+		}
+	}
 
 	result := &Result{Params: p, Layout: layout, AchievedLF: lf, Inserted: len(stored)}
 
@@ -155,7 +183,7 @@ func Run(p Params) (*Result, error) {
 	scalarRun := func(e *engine.Engine, from, n int) int {
 		return table.LookupScalarBatch(e, stream, from, n, res, nil)
 	}
-	result.Scalar = measure(p, table, scalarRun, arch.WidthScalar, "scalar")
+	result.Scalar = measure(p, table, ops(scalarRun), arch.WidthScalar, "scalar")
 	result.Scalar.Scalar = true
 
 	if p.WithAMAC {
@@ -163,7 +191,7 @@ func Run(p Params) (*Result, error) {
 		amacRun := func(e *engine.Engine, from, n int) int {
 			return table.LookupAMACBatch(e, stream, from, n, cfg, res, nil)
 		}
-		m := measure(p, table, amacRun, arch.WidthScalar, "amac")
+		m := measure(p, table, ops(amacRun), arch.WidthScalar, "amac")
 		m.Scalar = true
 		result.AMAC = &m
 	}
@@ -171,7 +199,7 @@ func Run(p Params) (*Result, error) {
 	// Every viable SIMD design choice.
 	for _, c := range EnumerateChoices(p.Arch, layout, p.Widths, p.Approaches) {
 		c := c
-		var run func(e *engine.Engine, from, n int) int
+		var run batch
 		switch c.Approach {
 		case Horizontal:
 			cfg := cuckoo.HorizontalConfig{Width: c.Width, BucketsPerVec: c.BucketsPerVec}
@@ -186,11 +214,36 @@ func Run(p Params) (*Result, error) {
 		default:
 			return nil, fmt.Errorf("core: unknown approach %v", c.Approach)
 		}
-		m := measure(p, table, run, c.Width, c.String())
+		m := measure(p, table, ops(run), c.Width, c.String())
 		m.Choice = c
 		result.Vector = append(result.Vector, m)
 	}
 	return result, nil
+}
+
+// batch runs the operations [from, from+n) of the stream on e and returns
+// the lookup hits.
+type batch func(e *engine.Engine, from, n int) int
+
+// operations draws the operation stream: Queries/5 warm-up operations, then
+// Queries measured ones. Lookup keys come from gen. update marks the
+// positions whose key is a stored key to overwrite; it is nil for a
+// read-only stream, which draws exactly workload.Keys(gen, n).
+func operations(p Params, gen workload.Generator, stored []uint64) (keys []uint64, update []bool) {
+	n := p.Queries/5 + p.Queries
+	if p.UpdateFraction == 0 {
+		return workload.Keys(gen, n), nil
+	}
+	keys, update = make([]uint64, n), make([]bool, n)
+	rng := rand.New(rand.NewSource(p.Seed + 3))
+	for i := range keys {
+		if rng.Float64() < p.UpdateFraction {
+			keys[i], update[i] = stored[rng.Intn(len(stored))], true
+		} else {
+			keys[i] = gen.Next()
+		}
+	}
+	return keys, update
 }
 
 // measure runs warm-up (uncharged) then the measured window on a fresh
@@ -202,7 +255,8 @@ func Run(p Params) (*Result, error) {
 // a long-running shared read-only table is resident in whatever cache
 // levels can hold it) and then replays warm-up queries so the hot set's
 // recency reflects the access pattern.
-func measure(p Params, table *cuckoo.Table, run func(e *engine.Engine, from, n int) int, width int, variant string) Measurement {
+func measure(p Params, table *cuckoo.Table, run batch, width int, variant string) Measurement {
+	warmup := p.Queries / 5
 	e := engine.New(p.Arch, p.Cores)
 	vc := p.Obs.Scope("variant", variant)
 	if vc != nil {
@@ -211,7 +265,7 @@ func measure(p Params, table *cuckoo.Table, run func(e *engine.Engine, from, n i
 	}
 	e.SetCharging(false)
 	e.Cache.Touch(table.Arena.Base(), table.Arena.Size())
-	run(e, 0, p.Warmup)
+	run(e, 0, warmup)
 	e.SetCharging(true)
 	e.ResetCycles()
 	if vc != nil {
@@ -237,8 +291,8 @@ func measure(p Params, table *cuckoo.Table, run func(e *engine.Engine, from, n i
 		// the spike forces cost measured cycles — then removed uncharged.
 		const chunk = 256
 		mask := table.L.KeyMask()
-		for from := p.Warmup; from < p.Warmup+p.Queries; from += chunk {
-			n := min(chunk, p.Warmup+p.Queries-from)
+		for from := warmup; from < warmup+p.Queries; from += chunk {
+			n := min(chunk, warmup+p.Queries-from)
 			hits += run(e, from, n)
 			burst := make([]uint64, 0, items)
 			for i := 0; i < items; i++ {
@@ -255,7 +309,7 @@ func measure(p Params, table *cuckoo.Table, run func(e *engine.Engine, from, n i
 			}
 		}
 	} else {
-		hits = run(e, p.Warmup, p.Queries)
+		hits = run(e, warmup, p.Queries)
 	}
 	hostSeconds := obs.WallSince(hostStart).Seconds()
 

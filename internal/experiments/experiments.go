@@ -92,17 +92,6 @@ func fanOut[T any](parallel int, onSweep func(*sweep.Stats), jobs []sweep.Job[T]
 	return out, err
 }
 
-// addRows appends pre-rendered rows to a table in order.
-func addRows(t *report.Table, rows [][]string) {
-	for _, row := range rows {
-		cells := make([]interface{}, len(row))
-		for i, c := range row {
-			cells[i] = c
-		}
-		t.AddRow(cells...)
-	}
-}
-
 // Table1 reproduces Table I: the registry of state-of-the-art CPU-optimized
 // cuckoo hash-table designs.
 func Table1() *report.Table {
@@ -160,121 +149,61 @@ func Fig2(o Options) (*report.Table, error) {
 // output for (k,v) = (32,32) at widths 128/256/512 on Skylake.
 func Listing1() (string, error) {
 	m := arch.SkylakeClusterA()
-	variants := [][2]int{{2, 1}, {3, 1}, {4, 1}, {2, 2}, {2, 4}, {2, 8}, {3, 2}, {3, 4}, {3, 8}}
-	rows, err := core.ValidateGrid(m, variants, 32, 32, 1<<20, m.Widths)
+	rows, err := core.ValidateGrid(m, core.DesignGrid(), 32, 32, 1<<20, m.Widths)
 	if err != nil {
 		return "", err
 	}
 	return core.FormatListing(m, 32, 32, m.Widths, rows), nil
 }
 
-// fig5Variants is the Fig. 5 (N, m) grid in paper order.
-var fig5Variants = [][2]int{{2, 1}, {3, 1}, {4, 1}, {2, 2}, {2, 4}, {2, 8}, {3, 2}, {3, 4}, {3, 8}}
-
-// gridJobs builds one sweep job per (N, m) variant of the Fig. 5 grid for
-// one access pattern, each returning its rendered table row.
-func gridJobs(m *arch.Model, pattern workload.Pattern, tableBytes int, o Options) []sweep.Job[[]string] {
-	jobs := make([]sweep.Job[[]string], len(fig5Variants))
-	for i, nm := range fig5Variants {
-		nm := nm
-		label := fmt.Sprintf("fig5 (%d,%d) %s", nm[0], nm[1], pattern)
-		jobs[i] = sweep.Job[[]string]{
-			Label: label,
-			Run: func() ([]string, error) {
-				r, err := core.Run(core.Params{
-					Arch: m, N: nm[0], M: nm[1], KeyBits: 32, ValBits: 32,
-					TableBytes: tableBytes, LoadFactor: 0.9, HitRate: 0.9,
-					Pattern: pattern, Queries: o.Queries, Seed: o.Seed,
-					Obs:       o.Obs.Scope("config", label),
-					Heartbeat: o.Heartbeat,
-				})
-				if err != nil {
-					return nil, err
-				}
-				best, ok := r.Best()
-				bestStr, speedStr := "-", "-"
-				if ok {
-					bestStr = fmt.Sprintf("%s %.1f M/s", best.Choice, best.LookupsPerSec/1e6)
-					speedStr = fmt.Sprintf("%.2fx", r.Speedup(best))
-				}
-				return []string{
-					fmt.Sprintf("(%d,%d)", nm[0], nm[1]), pattern.String(),
-					fmt.Sprintf("%.2f", r.AchievedLF),
-					fmt.Sprintf("%.1f", r.Scalar.LookupsPerSec/1e6),
-					bestStr, speedStr,
-				}, nil
-			},
-		}
-	}
-	return jobs
+// config is one labelled performance-engine configuration of a micro
+// study. The label names its sweep job and its "config" obs scope.
+type config struct {
+	label string
+	p     core.Params
 }
 
-// Fig5 reproduces Case Study ①(a): horizontal vs vertical SIMD approaches
-// over the (N, m) grid, 1 MB HT, (32,32), LF=90%, hit rate 90%, uniform and
-// skewed, on Skylake Cluster A.
-func Fig5(o Options) (*report.Table, error) {
+// baseParams is the configuration the micro studies vary: (32,32)-bit keys
+// and payloads, LF 0.9, hit rate 0.9 and uniform accesses, over an (n, m)
+// layout of tableBytes on arch a.
+func baseParams(a *arch.Model, n, m, tableBytes int) core.Params {
+	return core.Params{
+		Arch: a, N: n, M: m, KeyBits: 32, ValBits: 32, TableBytes: tableBytes,
+		LoadFactor: 0.9, HitRate: 0.9, Pattern: workload.Uniform,
+	}
+}
+
+// runConfigs runs a micro study. It validates o, gives every config o's
+// Queries, Seed and Heartbeat and the "config" obs scope of its label, runs
+// each through core.Run as one sweep job, and returns the results in the
+// order of cfgs.
+func runConfigs(o Options, cfgs []config) ([]*core.Result, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	m := arch.SkylakeClusterA()
-	t := report.NewTable("Fig. 5 / Case Study 1a: SIMD approaches on Skylake, 1MB HT, (32,32)b, LF=90%, hit=90%",
-		"(N,m)", "Pattern", "LF", "Scalar M/s", "Best SIMD", "Speedup")
-	var jobs []sweep.Job[[]string]
-	for _, p := range []workload.Pattern{workload.Uniform, workload.Skewed} {
-		jobs = append(jobs, gridJobs(m, p, 1<<20, o)...)
+	jobs := make([]sweep.Job[*core.Result], len(cfgs))
+	for i, c := range cfgs {
+		p := c.p
+		p.Queries, p.Seed, p.Heartbeat = o.Queries, o.Seed, o.Heartbeat
+		p.Obs = o.Obs.Scope("config", c.label)
+		jobs[i] = sweep.Job[*core.Result]{Label: c.label, Run: func() (*core.Result, error) { return core.Run(p) }}
 	}
-	rows, err := fanOut(o.Parallel, o.OnSweep, jobs)
-	if err != nil {
-		return nil, err
-	}
-	addRows(t, rows)
-	return t, nil
+	return fanOut(o.Parallel, o.OnSweep, jobs)
 }
 
-// Fig6 reproduces Case Study ①(b): lookup performance and SIMD benefit as
-// the hash-table size sweeps 256 KB → 64 MB (uniform pattern).
-func Fig6(o Options) (*report.Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	m := arch.SkylakeClusterA()
-	t := report.NewTable("Fig. 6 / Case Study 1b: HT size sweep on Skylake, uniform, LF=90%, hit=90%",
-		"HT Size", "Layout", "Scalar M/s", "Best SIMD", "Speedup")
-	var jobs []sweep.Job[[]string]
-	for _, sz := range []int{256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20} {
-		for _, nm := range [][2]int{{2, 4}, {3, 1}} {
-			sz, nm := sz, nm
-			label := fmt.Sprintf("fig6 %s (%d,%d)", sizeLabel(sz), nm[0], nm[1])
-			jobs = append(jobs, sweep.Job[[]string]{
-				Label: label,
-				Run: func() ([]string, error) {
-					r, err := core.Run(core.Params{
-						Arch: m, N: nm[0], M: nm[1], KeyBits: 32, ValBits: 32,
-						TableBytes: sz, LoadFactor: 0.9, HitRate: 0.9,
-						Pattern: workload.Uniform, Queries: o.Queries, Seed: o.Seed,
-						Obs:       o.Obs.Scope("config", label),
-						Heartbeat: o.Heartbeat,
-					})
-					if err != nil {
-						return nil, err
-					}
-					best, _ := r.Best()
-					return []string{
-						sizeLabel(sz), fmt.Sprintf("(%d,%d)", nm[0], nm[1]),
-						fmt.Sprintf("%.1f", r.Scalar.LookupsPerSec/1e6),
-						fmt.Sprintf("%s %.1f M/s", best.Choice, best.LookupsPerSec/1e6),
-						fmt.Sprintf("%.2fx", r.Speedup(best)),
-					}, nil
-				},
-			})
-		}
-	}
-	rows, err := fanOut(o.Parallel, o.OnSweep, jobs)
-	if err != nil {
-		return nil, err
-	}
-	addRows(t, rows)
-	return t, nil
+// layoutLabel renders a configuration's (N, m) layout.
+func layoutLabel(p core.Params) string {
+	return fmt.Sprintf("(%d,%d)", p.N, p.M)
+}
+
+// mops renders a per-second rate in millions.
+func mops(perSec float64) string {
+	return fmt.Sprintf("%.1f", perSec/1e6)
+}
+
+// times renders a throughput ratio.
+func times(ratio float64) string {
+	return fmt.Sprintf("%.2fx", ratio)
 }
 
 func sizeLabel(sz int) string {
@@ -284,57 +213,81 @@ func sizeLabel(sz int) string {
 	return fmt.Sprintf("%d KB", sz>>10)
 }
 
-// Fig5Grid renders Case Study ①(a) in the paper's bubble-grid arrangement:
-// slots-per-bucket rows against N-way columns, each cell carrying the best
-// SIMD throughput and its speedup over scalar for the given pattern.
-func Fig5Grid(pattern workload.Pattern, o Options) (*report.Grid, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
+// Fig5StudyResult runs Case Study ①(a): horizontal vs vertical SIMD
+// approaches over the core.DesignGrid variants, 1 MB HT, (32,32), LF=90%,
+// hit rate 90%, on Skylake Cluster A — one result per variant for the
+// uniform pattern, then for the skewed one. Fig5Table and Fig5Grid both
+// render it, so a run that prints both simulates each configuration once.
+func Fig5StudyResult(o Options) ([]*core.Result, error) {
 	m := arch.SkylakeClusterA()
-	type cell struct {
-		row, col, value string
-	}
-	var jobs []sweep.Job[cell]
-	for _, mm := range []int{1, 2, 4, 8} {
-		for _, n := range []int{2, 3, 4} {
-			if mm > 1 && n == 4 {
-				continue // the paper's grid stops BCHT at N=3
-			}
-			mm, n := mm, n
-			label := fmt.Sprintf("fig5grid (%d,%d) %s", n, mm, pattern)
-			jobs = append(jobs, sweep.Job[cell]{
-				Label: label,
-				Run: func() (cell, error) {
-					r, err := core.Run(core.Params{
-						Arch: m, N: n, M: mm, KeyBits: 32, ValBits: 32,
-						TableBytes: 1 << 20, LoadFactor: 0.9, HitRate: 0.9,
-						Pattern: pattern, Queries: o.Queries, Seed: o.Seed,
-						Obs:       o.Obs.Scope("config", label),
-						Heartbeat: o.Heartbeat,
-					})
-					if err != nil {
-						return cell{}, err
-					}
-					best, ok := r.Best()
-					value := "no SIMD fit"
-					if ok {
-						value = fmt.Sprintf("%.0f M/s (%.2fx)", best.LookupsPerSec/1e6, r.Speedup(best))
-					}
-					return cell{row: fmt.Sprintf("m=%d", mm), col: fmt.Sprintf("N=%d", n), value: value}, nil
-				},
-			})
+	var cfgs []config
+	for _, pattern := range []workload.Pattern{workload.Uniform, workload.Skewed} {
+		for _, nm := range core.DesignGrid() {
+			p := baseParams(m, nm[0], nm[1], 1<<20)
+			p.Pattern = pattern
+			cfgs = append(cfgs, config{fmt.Sprintf("fig5 (%d,%d) %s", nm[0], nm[1], pattern), p})
 		}
 	}
-	cells, err := fanOut(o.Parallel, o.OnSweep, jobs)
-	if err != nil {
-		return nil, err
+	return runConfigs(o, cfgs)
+}
+
+// Fig5Table renders Fig. 5 as a table, one row per configuration.
+func Fig5Table(runs []*core.Result) *report.Table {
+	t := report.NewTable("Fig. 5 / Case Study 1a: SIMD approaches on Skylake, 1MB HT, (32,32)b, LF=90%, hit=90%",
+		"(N,m)", "Pattern", "LF", "Scalar M/s", "Best SIMD", "Speedup")
+	for _, r := range runs {
+		best, ok := r.Best()
+		bestStr, speedStr := "-", "-"
+		if ok {
+			bestStr = fmt.Sprintf("%s %s M/s", best.Choice, mops(best.LookupsPerSec))
+			speedStr = times(r.Speedup(best))
+		}
+		t.AddRow(layoutLabel(r.Params), r.Params.Pattern.String(), fmt.Sprintf("%.2f", r.AchievedLF),
+			mops(r.Scalar.LookupsPerSec), bestStr, speedStr)
 	}
+	return t
+}
+
+// Fig5Grid renders one pattern of Case Study ①(a) in the paper's
+// bubble-grid arrangement: slots-per-bucket rows against N-way columns,
+// each cell carrying the best SIMD throughput and its speedup over scalar.
+func Fig5Grid(runs []*core.Result, pattern workload.Pattern) *report.Grid {
 	g := report.NewGrid(
 		fmt.Sprintf("Fig. 5 grid (%s): best SIMD M lookups/s (speedup); blue=N-way row m=1, yellow=BCHT", pattern),
 		"slots/bkt", "N=2", "N=3", "N=4")
-	for _, c := range cells {
-		g.Set(c.row, c.col, c.value)
+	for _, r := range runs {
+		if r.Params.Pattern != pattern {
+			continue
+		}
+		value := "no SIMD fit"
+		if best, ok := r.Best(); ok {
+			value = fmt.Sprintf("%.0f M/s (%.2fx)", best.LookupsPerSec/1e6, r.Speedup(best))
+		}
+		g.Set(fmt.Sprintf("m=%d", r.Params.M), fmt.Sprintf("N=%d", r.Params.N), value)
 	}
-	return g, nil
+	return g
+}
+
+// Fig6 reproduces Case Study ①(b): lookup performance and SIMD benefit as
+// the hash-table size sweeps 256 KB → 64 MB (uniform pattern).
+func Fig6(o Options) (*report.Table, error) {
+	m := arch.SkylakeClusterA()
+	var cfgs []config
+	for _, sz := range []int{256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20} {
+		for _, nm := range [][2]int{{2, 4}, {3, 1}} {
+			cfgs = append(cfgs, config{fmt.Sprintf("fig6 %s (%d,%d)", sizeLabel(sz), nm[0], nm[1]), baseParams(m, nm[0], nm[1], sz)})
+		}
+	}
+	runs, err := runConfigs(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	t := report.NewTable("Fig. 6 / Case Study 1b: HT size sweep on Skylake, uniform, LF=90%, hit=90%",
+		"HT Size", "Layout", "Scalar M/s", "Best SIMD", "Speedup")
+	for _, r := range runs {
+		best, _ := r.Best()
+		t.AddRow(sizeLabel(r.Params.TableBytes), layoutLabel(r.Params), mops(r.Scalar.LookupsPerSec),
+			fmt.Sprintf("%s %s M/s", best.Choice, mops(best.LookupsPerSec)), times(r.Speedup(best)))
+	}
+	return t, nil
 }

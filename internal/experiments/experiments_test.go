@@ -11,6 +11,7 @@ import (
 	"simdhtbench/internal/memslap"
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/report"
+	"simdhtbench/internal/sweep"
 	"simdhtbench/internal/workload"
 )
 
@@ -82,11 +83,18 @@ func TestListing1MatchesPaper(t *testing.T) {
 }
 
 func TestFig5Runs(t *testing.T) {
-	tab, err := Fig5(testOpts)
+	var jobs int
+	o := testOpts
+	o.OnSweep = func(s *sweep.Stats) { jobs += len(s.Jobs) }
+	fig, err := Fig5StudyResult(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 9 variants x 2 patterns.
+	// 9 variants x 2 patterns, run once for the table and both grids.
+	if jobs != 18 {
+		t.Errorf("Fig. 5 ran %d configurations, want 18", jobs)
+	}
+	tab := Fig5Table(fig)
 	if rows(tab) != 18 {
 		t.Errorf("Fig5 rows = %d, want 18", rows(tab))
 	}
@@ -96,11 +104,7 @@ func TestFig5Runs(t *testing.T) {
 	tab.Fprint(&buf)
 	buf.WriteString("\n")
 	for _, p := range []workload.Pattern{workload.Uniform, workload.Skewed} {
-		g, err := Fig5Grid(p, testOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Fprint(&buf)
+		Fig5Grid(fig, p).Fprint(&buf)
 		buf.WriteString("\n")
 	}
 	checkGolden(t, "fig5_q800_seed1.golden", buf.Bytes())
@@ -289,12 +293,12 @@ func TestClusterStudy(t *testing.T) {
 }
 
 func TestFig5GridShape(t *testing.T) {
-	g, err := Fig5Grid(workload.Uniform, Options{Queries: 500, Seed: 1})
+	fig, err := Fig5StudyResult(Options{Queries: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	g.Fprint(&buf)
+	Fig5Grid(fig, workload.Uniform).Fprint(&buf)
 	out := buf.String()
 	for _, want := range []string{"m=1", "m=8", "N=2", "N=4", "M/s"} {
 		if !strings.Contains(out, want) {

@@ -68,11 +68,10 @@ type Generator interface {
 
 // Config describes a query stream over a set of stored keys.
 type Config struct {
-	Pattern   Pattern
-	ZipfTheta float64 // 0 means DefaultZipfTheta
-	HitRate   float64 // fraction of queries that hit stored keys, [0,1]
-	KeyBits   int     // width of generated miss keys
-	Seed      int64
+	Pattern Pattern // Skewed draws Zipf(DefaultZipfTheta) ranks
+	HitRate float64 // fraction of queries that hit stored keys, [0,1]
+	KeyBits int     // width of generated miss keys
+	Seed    int64
 }
 
 // New builds a Generator over the stored keys for the given config.
@@ -89,11 +88,7 @@ func New(stored []uint64, cfg Config) (Generator, error) {
 	case Uniform:
 		return &uniformGen{stored: stored, hit: cfg.HitRate, rng: rng, miss: miss}, nil
 	case Skewed:
-		theta := cfg.ZipfTheta
-		if theta == 0 {
-			theta = DefaultZipfTheta
-		}
-		z, err := NewZipf(len(stored), theta, rng)
+		z, err := NewZipf(len(stored), DefaultZipfTheta, rng)
 		if err != nil {
 			return nil, err
 		}
