@@ -187,7 +187,7 @@ fi
 # Option smoke: record rejects a bad -queries by name before it creates its
 # trace file. The binary is built, not run through go run, so a panic (exit
 # status 2) cannot pass for the typed rejection (exit status 1).
-echo "==> option smoke (record -queries -5)"
+echo "==> option smoke (record, run and advise reject bad values by name)"
 $GO build -o "$tmp/simdhtbench" ./cmd/simdhtbench
 status=0
 "$tmp/simdhtbench" -keytrace "$tmp/record.trace" -queries -5 record \
@@ -196,6 +196,35 @@ if [ "$status" -ne 1 ] || ! grep -q "invalid config queries" "$tmp/record.err" \
     || [ -e "$tmp/record.trace" ]; then
     echo "ci.sh: record -queries -5 exited $status without a clean queries rejection:" >&2
     cat "$tmp/record.err" >&2
+    exit 1
+fi
+# run and advise take core.Params as written: a bad value fails with status
+# 1, naming the field, instead of running a default.
+reject() { # FIELD ARGS...
+    field=$1
+    shift
+    status=0
+    "$tmp/simdhtbench" "$@" > /dev/null 2> "$tmp/reject.err" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q "Params\.$field" "$tmp/reject.err"; then
+        echo "ci.sh: simdhtbench $* exited $status without naming Params.$field:" >&2
+        cat "$tmp/reject.err" >&2
+        exit 1
+    fi
+}
+reject Queries -queries -5 run
+reject LoadFactor -lf 0 run
+reject Cores -cores -3 run
+reject Queries -queries 0 advise
+
+# Fig. 5 smoke: the table and both grids render from one 18-run sweep, so
+# the output matches the Go test's golden and the metrics carry only the
+# sweep's own config scopes (a second sweep for the grids would add
+# config=fig5grid ones).
+echo "==> CLI smoke (fig5 vs golden, one sweep)"
+"$tmp/simdhtbench" -queries 800 -seed 1 -metrics "$tmp/fig5.csv" fig5 > "$tmp/fig5.txt"
+diff "$tmp/fig5.txt" internal/experiments/testdata/fig5_q800_seed1.golden
+if grep -q "fig5grid" "$tmp/fig5.csv"; then
+    echo "ci.sh: fig5 metrics hold fig5grid scopes: the grids re-ran the sweep" >&2
     exit 1
 fi
 
