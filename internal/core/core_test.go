@@ -239,9 +239,9 @@ func TestRunHitRateZeroIsAllMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range append([]Measurement{r.Scalar, *r.AMAC}, r.Vector...) {
+	for i, m := range measurements(r) {
 		if m.Hits != 0 {
-			t.Errorf("%v: %d hits at HitRate 0, want 0", m.Choice, m.Hits)
+			t.Errorf("%s: %d hits at HitRate 0, want 0", variantName(i, m), m.Hits)
 		}
 	}
 	if len(r.Vector) == 0 {
@@ -422,16 +422,32 @@ func TestRunUpdatesWithTraceAndAMAC(t *testing.T) {
 	if mixed.AMAC == nil {
 		t.Fatal("WithAMAC set but Result.AMAC is nil")
 	}
-	all := func(r *Result) []Measurement { return append([]Measurement{r.Scalar, *r.AMAC}, r.Vector...) }
-	ro := all(readOnly)
-	for i, m := range all(mixed) {
+	ro := measurements(readOnly)
+	for i, m := range measurements(mixed) {
 		if m.Hits != 0 {
-			t.Errorf("%v: %d hits replaying absent trace keys, want 0", m.Choice, m.Hits)
+			t.Errorf("%s: %d hits replaying absent trace keys, want 0", variantName(i, m), m.Hits)
 		}
 		if m.CyclesPerLookup == ro[i].CyclesPerLookup {
-			t.Errorf("%v: updates cost no cycles (%.2f per op either way)", m.Choice, m.CyclesPerLookup)
+			t.Errorf("%s: updates cost no cycles (%.2f per op either way)", variantName(i, m), m.CyclesPerLookup)
 		}
 	}
+}
+
+// measurements lists a WithAMAC result's scalar, AMAC and SIMD measurements
+// in that order.
+func measurements(r *Result) []Measurement {
+	return append([]Measurement{r.Scalar, *r.AMAC}, r.Vector...)
+}
+
+// variantName names measurements(r)[i].
+func variantName(i int, m Measurement) string {
+	switch i {
+	case 0:
+		return "scalar"
+	case 1:
+		return "amac"
+	}
+	return m.Choice.String()
 }
 
 func TestRunWithTrace(t *testing.T) {
