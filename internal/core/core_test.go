@@ -367,9 +367,9 @@ func TestRunMixedValidation(t *testing.T) {
 }
 
 func TestRunMixedZeroFractionMatchesRun(t *testing.T) {
-	// A positive update fraction too small to draw any update takes the
-	// mixed path (its own operation draws, lookups split at updates) yet
-	// must agree with the read-only run in every variant.
+	// A positive update fraction too small to draw any update must agree
+	// with the read-only run in every variant: the update draws come from
+	// their own RNG, so they leave the lookup keys and batches unchanged.
 	p := Params{
 		Arch: arch.SkylakeClusterA(), N: 2, M: 4, KeyBits: 32, ValBits: 32,
 		TableBytes: 128 << 10, LoadFactor: 0.8, HitRate: 0.9,

@@ -144,7 +144,8 @@ func Run(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, update := operations(p, gen, stored)
+	warmup := p.Queries / 5
+	keys, update := operations(p, gen, stored, warmup)
 	stream := cuckoo.NewStream(space, keys, p.KeyBits)
 	res := cuckoo.NewResultBuf(space, len(keys), p.ValBits)
 
@@ -152,9 +153,6 @@ func Run(p Params) (*Result, error) {
 	// the lookups between two updates run as one batch, and each update
 	// overwrites its stored key's payload on the charged insert path.
 	ops := func(lookup batch) batch {
-		if update == nil {
-			return lookup
-		}
 		return func(e *engine.Engine, from, n int) int {
 			hits, start := 0, from
 			for i := from; i < from+n; i++ {
@@ -183,7 +181,7 @@ func Run(p Params) (*Result, error) {
 	scalarRun := func(e *engine.Engine, from, n int) int {
 		return table.LookupScalarBatch(e, stream, from, n, res, nil)
 	}
-	result.Scalar = measure(p, table, ops(scalarRun), arch.WidthScalar, "scalar")
+	result.Scalar = measure(p, table, ops(scalarRun), warmup, arch.WidthScalar, "scalar")
 	result.Scalar.Scalar = true
 
 	if p.WithAMAC {
@@ -191,7 +189,7 @@ func Run(p Params) (*Result, error) {
 		amacRun := func(e *engine.Engine, from, n int) int {
 			return table.LookupAMACBatch(e, stream, from, n, cfg, res, nil)
 		}
-		m := measure(p, table, ops(amacRun), arch.WidthScalar, "amac")
+		m := measure(p, table, ops(amacRun), warmup, arch.WidthScalar, "amac")
 		m.Scalar = true
 		result.AMAC = &m
 	}
@@ -214,7 +212,7 @@ func Run(p Params) (*Result, error) {
 		default:
 			return nil, fmt.Errorf("core: unknown approach %v", c.Approach)
 		}
-		m := measure(p, table, ops(run), c.Width, c.String())
+		m := measure(p, table, ops(run), warmup, c.Width, c.String())
 		m.Choice = c
 		result.Vector = append(result.Vector, m)
 	}
@@ -225,15 +223,13 @@ func Run(p Params) (*Result, error) {
 // the lookup hits.
 type batch func(e *engine.Engine, from, n int) int
 
-// operations draws the operation stream: Queries/5 warm-up operations, then
-// Queries measured ones. Lookup keys come from gen. update marks the
-// positions whose key is a stored key to overwrite; it is nil for a
-// read-only stream, which draws exactly workload.Keys(gen, n).
-func operations(p Params, gen workload.Generator, stored []uint64) (keys []uint64, update []bool) {
-	n := p.Queries/5 + p.Queries
-	if p.UpdateFraction == 0 {
-		return workload.Keys(gen, n), nil
-	}
+// operations draws the operation stream: warmup operations, then Queries
+// measured ones. Each operation is an update with probability
+// UpdateFraction, drawn from its own RNG; update marks those positions,
+// whose key is a stored key to overwrite. Lookup keys come from gen, so a
+// read-only stream draws exactly workload.Keys(gen, n).
+func operations(p Params, gen workload.Generator, stored []uint64, warmup int) (keys []uint64, update []bool) {
+	n := warmup + p.Queries
 	keys, update = make([]uint64, n), make([]bool, n)
 	rng := rand.New(rand.NewSource(p.Seed + 3))
 	for i := range keys {
@@ -246,17 +242,16 @@ func operations(p Params, gen workload.Generator, stored []uint64) (keys []uint6
 	return keys, update
 }
 
-// measure runs warm-up (uncharged) then the measured window on a fresh
-// engine and converts cycles to per-core throughput at the license
-// frequency for the given maximum vector width.
+// measure runs the warmup operations (uncharged) then the measured window
+// on a fresh engine and converts cycles to per-core throughput at the
+// license frequency for the given maximum vector width.
 //
 // Warm-up first walks the entire table into the simulated hierarchy
 // (measuring steady state, as the paper's discarded warm-up iterations do:
 // a long-running shared read-only table is resident in whatever cache
 // levels can hold it) and then replays warm-up queries so the hot set's
 // recency reflects the access pattern.
-func measure(p Params, table *cuckoo.Table, run batch, width int, variant string) Measurement {
-	warmup := p.Queries / 5
+func measure(p Params, table *cuckoo.Table, run batch, warmup, width int, variant string) Measurement {
 	e := engine.New(p.Arch, p.Cores)
 	vc := p.Obs.Scope("variant", variant)
 	if vc != nil {
