@@ -217,12 +217,20 @@ reject Cores -cores -3 run
 reject Queries -queries 0 advise
 
 # Fig. 5 smoke: the table and both grids render from one 18-run sweep, so
-# the output matches the Go test's golden and the metrics carry only the
-# sweep's own config scopes (a second sweep for the grids would add
-# config=fig5grid ones).
+# the output matches the Go test's golden, -sweepstats reports exactly one
+# sweep of 18 jobs (every run of the sweep prints its own report), and the
+# metrics carry only the sweep's own config scopes (a separate sweep for the
+# grids would add config=fig5grid ones).
 echo "==> CLI smoke (fig5 vs golden, one sweep)"
-"$tmp/simdhtbench" -queries 800 -seed 1 -metrics "$tmp/fig5.csv" fig5 > "$tmp/fig5.txt"
+"$tmp/simdhtbench" -queries 800 -seed 1 -sweepstats -metrics "$tmp/fig5.csv" fig5 \
+    > "$tmp/fig5.txt" 2> "$tmp/fig5.err"
 diff "$tmp/fig5.txt" internal/experiments/testdata/fig5_q800_seed1.golden
+sweeps=$(grep '^counter sweep_jobs_total ' "$tmp/fig5.err" || true)
+if [ "$sweeps" != "counter sweep_jobs_total 18" ]; then
+    echo "ci.sh: fig5 did not run exactly one sweep of 18 jobs; -sweepstats reported:" >&2
+    echo "$sweeps" >&2
+    exit 1
+fi
 if grep -q "fig5grid" "$tmp/fig5.csv"; then
     echo "ci.sh: fig5 metrics hold fig5grid scopes: the grids re-ran the sweep" >&2
     exit 1
