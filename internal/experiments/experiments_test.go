@@ -280,6 +280,7 @@ func TestETCStudy(t *testing.T) {
 	if rows(tab) != 3 {
 		t.Errorf("ETCStudy rows = %d, want 3", rows(tab))
 	}
+	checkTableGolden(t, "etc_seed7.golden", tab)
 }
 
 func TestClusterStudy(t *testing.T) {
