@@ -10,23 +10,24 @@
 // `single` runs one backend/batch combination (see -backend / -batch) and
 // prints the full result line.
 //
-// `fleet` (also reachable as `kvsbench -fleet`) runs the fleet-scale
-// replication study: R-way replicated Multi-Gets with open-loop arrivals,
+// `fleet` runs the fleet-scale replication study: R-way replicated Multi-Gets with open-loop arrivals,
 // quorum writes, replica failover, read-repair and fault-driven membership
 // churn (rebalance storms), swept over -fleet-sizes. Without -faults it uses
 // a built-in rolling-failure plan.
 //
-// `overload` (also reachable as `kvsbench -overload`) runs the metastable-
-// overload study: it measures the fleet's closed-loop capacity, then sweeps
-// open-loop offered load across -overload-mults multiples of it twice —
-// with the overload controls off (timeout/retry only, the configuration
-// that collapses) and on (admission-bounded queues with queue deadlines,
-// retry budgets and hedged reads, derived from the measured capacity).
+// `overload` runs the metastable-overload study: it measures the fleet's
+// closed-loop capacity, then sweeps open-loop offered load across
+// -overload-mults multiples of it twice — with the overload controls off
+// (timeout/retry only, the configuration that collapses) and on
+// (admission-bounded queues with queue deadlines, retry budgets and hedged
+// reads, derived from the measured capacity). It derives its own fault
+// specs, so it rejects -faults.
 //
 // Fault injection: -faults arms a deterministic fault plan (message
 // drop/dup/delay on the fabric, crash/slowdown windows and insert pressure
-// on the server, timeout/retry/degradation on the client) and `fault-sweep`
-// measures goodput against injected loss rates. All fault timing is
+// on the server, timeout/retry/degradation on the client) for every study
+// but `overload`, and `fault-sweep` measures goodput against injected loss
+// rates. All fault timing is
 // virtual, so faulty runs stay byte-identical across runs and -parallel
 // settings.
 //
@@ -75,13 +76,11 @@ func main() {
 		backend  = flag.String("backend", "vertical", "single: memc3|horizontal|vertical")
 		batch    = flag.Int("batch", 16, "single: Multi-Get size")
 
-		fleetCmd    = flag.Bool("fleet", false, "run the fleet-scale replication study (same as the `fleet` command)")
 		fleetSizes  = flag.String("fleet-sizes", joinList(defFleet.FleetSizes), "fleet: comma-separated server counts")
 		replication = flag.Int("replication", defFleet.Replication, "fleet: replica-set width R (clamped to each fleet size)")
 		arrivalRate = flag.Float64("arrival-rate", defFleet.ArrivalRate, "fleet: aggregate open-loop Multi-Get arrival rate (requests/s of virtual time)")
 		writeFrac   = flag.Float64("write-frac", defFleet.WriteFraction, "fleet: fraction of requests issued as quorum writes")
 
-		overloadCmd     = flag.Bool("overload", false, "run the metastable-overload study (same as the `overload` command)")
 		overloadServers = flag.Int("overload-servers", defOverload.Servers, "overload: fleet width")
 		overloadMults   = flag.String("overload-mults", joinList(defOverload.Multipliers), "overload: comma-separated offered-load multipliers of measured capacity")
 	)
@@ -109,18 +108,6 @@ func main() {
 	args := flag.Args()
 	if len(args) == 0 {
 		args = []string{"all"}
-	}
-	if *fleetCmd {
-		args = append([]string{"fleet"}, args...)
-		if len(args) == 2 && args[1] == "all" && flag.NArg() == 0 {
-			args = args[:1] // bare `kvsbench -fleet` runs only the fleet study
-		}
-	}
-	if *overloadCmd {
-		args = append([]string{"overload"}, args...)
-		if len(args) == 2 && args[1] == "all" && flag.NArg() == 0 {
-			args = args[:1] // bare `kvsbench -overload` runs only the overload study
-		}
 	}
 	sizes, err := parseList(*fleetSizes, "fleet size", strconv.Atoi)
 	h.Check(err)
@@ -171,9 +158,9 @@ func main() {
 			h.Check(err)
 			h.Emit(t)
 		case "overload":
-			t, err := experiments.OverloadStudy(overloadOpts)
+			res, err := experiments.OverloadStudyResult(overloadOpts)
 			h.Check(err)
-			h.Emit(t)
+			h.Emit(experiments.OverloadTable(overloadOpts, res))
 		case "fault-sweep":
 			t, err := experiments.FaultSweep(opts)
 			h.Check(err)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"simdhtbench/internal/fault"
 	"simdhtbench/internal/memslap"
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/report"
@@ -312,7 +313,8 @@ func TestFig5GridShape(t *testing.T) {
 // Each study entry rejects a count that is not positive, an empty list, and
 // a rate or multiplier that is not positive and finite with a
 // *memslap.ConfigError naming the option, before it builds anything that
-// reports to its collector.
+// reports to its collector. The overload study, which derives its own fault
+// specs, rejects an enabled Faults the same way.
 func TestStudyOptionsRejectedByName(t *testing.T) {
 	kvs := KVSOptions{Items: 2000, Workers: 2, Clients: 2, Requests: 20, Batches: []int{8}, Seed: 7}
 	single := func(set func(*KVSOptions)) func(*obs.Collector) error {
@@ -338,7 +340,7 @@ func TestStudyOptionsRejectedByName(t *testing.T) {
 			o := OverloadOptions{KVSOptions: kvs, Servers: 2, Multipliers: []float64{1}}
 			o.Obs = col
 			set(&o)
-			_, err := OverloadStudy(o)
+			_, err := OverloadStudyResult(o)
 			return err
 		}
 	}
@@ -361,6 +363,7 @@ func TestStudyOptionsRejectedByName(t *testing.T) {
 		{"fleet size", fleet(func(o *FleetOptions) { o.FleetSizes = []int{3, 0} })},
 		{"servers", overload(func(o *OverloadOptions) { o.Servers = 0 })},
 		{"load multiplier", overload(func(o *OverloadOptions) { o.Multipliers = []float64{1, math.NaN()} })},
+		{"faults", overload(func(o *OverloadOptions) { o.Faults = fault.Spec{Drop: 0.1} })},
 		{"queries", func(col *obs.Collector) error {
 			_, err := Fig9(Options{Queries: -5, Seed: 1, Obs: col})
 			return err

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"simdhtbench/internal/memslap"
 	"simdhtbench/internal/report"
-	"simdhtbench/internal/sweep"
 )
 
 // FaultSweepRates are the injected message-loss rates of the fault sweep.
@@ -20,39 +18,23 @@ var FaultSweepRates = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2}
 // retries contribute latency but no goodput. The rate-0 row is the healthy
 // baseline (a zero spec compiles to a nil plan — no protocol, no injection).
 //
-// Every (backend, rate) point is one hermetic sweep job with its own
-// one-server fleet, and all fault timing is virtual, so the table — and the
+// Every (backend, rate) point is one hermetic run with its own one-server
+// fleet, and all fault timing is virtual, so the table — and the
 // obs artifacts behind it — are byte-identical at every Parallel setting.
 func FaultSweep(o KVSOptions) (*report.Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	batch := o.Batches[0]
-	backends := KVSBackends()
-
-	type point struct {
-		backend string
-		rate    float64
-	}
-	var points []point
-	for _, backend := range backends {
+	var runs []kvsRun
+	for _, backend := range KVSBackends() {
 		for _, rate := range FaultSweepRates {
-			points = append(points, point{backend, rate})
+			spec := o.Faults
+			spec.Drop = rate
+			runs = append(runs, oneServerRun(o, backend, batch, false, spec))
 		}
 	}
-	jobs := make([]sweep.Job[memslap.FleetResults], len(points))
-	for i, pt := range points {
-		pt := pt
-		jobs[i] = sweep.Job[memslap.FleetResults]{
-			Label: fmt.Sprintf("faults %s drop=%.2f", pt.backend, pt.rate),
-			Run: func() (memslap.FleetResults, error) {
-				jo := o
-				jo.Faults.Drop = pt.rate
-				return runKVSWith(pt.backend, batch, jo, false)
-			},
-		}
-	}
-	results, err := fanOut(o.Parallel, o.OnSweep, jobs)
+	results, err := runKVSRuns(o, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -61,12 +43,12 @@ func FaultSweep(o KVSOptions) (*report.Table, error) {
 		fmt.Sprintf("Fault sweep: Multi-Get goodput vs injected message loss (batch %d)", batch),
 		"Backend", "Drop", "Goodput (Mkeys/s)", "vs healthy", "Degraded", "Missing keys", "Retries", "Timeouts", "E2E avg (us)")
 	for i, res := range results {
-		pt := points[i]
+		run := runs[i]
 		base := results[i-i%len(FaultSweepRates)] // rate-0 row of this backend
 		goodput := res.GoodputKeys
 		baseGoodput := base.GoodputKeys
-		t.AddRow(pt.backend,
-			fmt.Sprintf("%.0f%%", pt.rate*100),
+		t.AddRow(run.shape.backend,
+			fmt.Sprintf("%.0f%%", run.faults.Drop*100),
 			fmt.Sprintf("%.2f", goodput/1e6),
 			fmt.Sprintf("%.0f%%", goodput/baseGoodput*100),
 			res.Degraded,

@@ -238,6 +238,39 @@ func TestFleetPressureServerLocal(t *testing.T) {
 	}
 }
 
+// TestFleetStudyReportsSheds: the overload probe follows the fault plan, not
+// the study. A fleet study whose Faults arm an admission queue of depth 1
+// under a heavy open-loop load reports the batches its servers shed.
+func TestFleetStudyReportsSheds(t *testing.T) {
+	spec, err := fault.ParseSpec("timeout=10µs,retries=2,backoff=5µs,qdepth=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollector()
+	o := FleetOptions{
+		KVSOptions: KVSOptions{
+			Items: 2000, Workers: 2, Clients: 4, Requests: 200, Batches: []int{8},
+			Seed: 7, Obs: col, Faults: spec,
+		},
+		FleetSizes:    []int{3},
+		Replication:   3,
+		ArrivalRate:   2e6,
+		WriteFraction: 0.05,
+	}
+	if _, err := FleetStudy(o); err != nil {
+		t.Fatal(err)
+	}
+	shed := ""
+	for _, p := range col.Registry.Snapshot() {
+		if p.Name == "overload_shed_queue_full_total" {
+			shed = p.Value
+		}
+	}
+	if shed == "" || shed == "0" {
+		t.Errorf("overload_shed_queue_full_total = %q, want a nonzero count", shed)
+	}
+}
+
 // TestFleetPartitionedMachineryBites guards against the golden tests passing
 // vacuously: at the golden workload the fleet must still see churn,
 // rebalance traffic and failovers flowing over the simulated fabric.

@@ -6,7 +6,6 @@ import (
 
 	"simdhtbench/internal/fault"
 	"simdhtbench/internal/memslap"
-	"simdhtbench/internal/obs"
 	"simdhtbench/internal/report"
 	"simdhtbench/internal/sweep"
 )
@@ -71,7 +70,8 @@ const defaultFleetFaultSpec = "drop=0.002,crash=5ms:1ms,timeout=100µs,retries=3
 
 // FleetStudyPoint runs one fleet size of the study: an open-loop, R-way
 // replicated Multi-Get run with quorum writes and fault-driven membership
-// churn, on its own hermetic simulation. o.FleetSizes is not read.
+// churn, on its own hermetic simulation, under o.Faults or, when that is
+// disabled, the built-in rolling-failure spec. o.FleetSizes is not read.
 func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error) {
 	o.FleetSizes = []int{nservers}
 	if err := o.validate(); err != nil {
@@ -85,38 +85,26 @@ func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error)
 		}
 		spec = parsed
 	}
-	col := o.Obs.Scope("config", fmt.Sprintf("fleet n=%d", nservers))
-	plan := o.faultPlan(spec)
-	var faultProbe obs.FaultProbe
-	if plan != nil {
-		faultProbe = col.FaultProbe()
-	}
-
 	repl := min(o.Replication, nservers)
-	fleet, err := newFleet(o.KVSOptions, col, plan, nil, fleetShape{
-		backend: "vertical", servers: nservers, replication: repl,
-		capacity: replicatedCapacity(o.Items, nservers, repl), batchCap: fleetBatchCap,
-	})
-	if err != nil {
-		return memslap.FleetResults{}, err
-	}
-	batch := o.Batches[0]
-	return memslap.RunFleet(fleet, memslap.FleetConfig{
-		Config: memslap.Config{
-			Clients:    o.Clients,
-			BatchSize:  batch,
-			Requests:   o.Requests,
-			KeyBytes:   20,
-			Seed:       o.Seed,
-			Faults:     plan,
-			FaultProbe: faultProbe,
+	return kvsRun{
+		label: fleetLabel(nservers),
+		shape: fleetShape{
+			backend: "vertical", servers: nservers, replication: repl,
+			capacity: replicatedCapacity(o.Items, nservers, repl), batchCap: fleetBatchCap,
 		},
-		ArrivalRate:   o.ArrivalRate,
-		WriteFraction: o.WriteFraction,
-		Churn:         plan != nil && plan.Spec().CrashPeriod > 0,
-		FleetProbe:    col.FleetProbe(),
-	})
+		faults: spec,
+		cfg: memslap.FleetConfig{
+			Config:        memslap.Config{Clients: o.Clients, BatchSize: o.Batches[0]},
+			ArrivalRate:   o.ArrivalRate,
+			WriteFraction: o.WriteFraction,
+			Churn:         spec.CrashPeriod > 0,
+		},
+		fleetProbe: true,
+	}.run(o.KVSOptions)
 }
+
+// fleetLabel names the fleet study's run at n servers.
+func fleetLabel(n int) string { return fmt.Sprintf("fleet n=%d", n) }
 
 // FleetStudy is the capstone table: p50/p99/p999 virtual-time latency and
 // goodput versus fleet size under rolling failures — a Fig. 11-style view
@@ -130,9 +118,8 @@ func FleetStudy(o FleetOptions) (*report.Table, error) {
 	}
 	jobs := make([]sweep.Job[memslap.FleetResults], len(o.FleetSizes))
 	for i, n := range o.FleetSizes {
-		n := n
 		jobs[i] = sweep.Job[memslap.FleetResults]{
-			Label: fmt.Sprintf("fleet n=%d", n),
+			Label: fleetLabel(n),
 			Run: func() (memslap.FleetResults, error) {
 				return FleetStudyPoint(n, o)
 			},

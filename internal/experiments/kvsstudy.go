@@ -25,28 +25,30 @@ type KVSOptions struct {
 	Batches  []int // Multi-Get sizes
 	Seed     int64
 
-	// Parallel is the sweep worker count for fanning out (batch, backend)
-	// configurations: 0 = all cores, 1 = sequential. Each job builds its own
-	// discrete-event simulation, fabric, item store and server (with that
-	// server's per-worker engines), so results are bit-identical at every
-	// setting. Every KVS study runs a memslap.Fleet on the partitioned
-	// engine (internal/des.Partitioned), one per job: clients and
-	// coordinator on partition 0, one partition per server — Fig. 11, ETC
-	// and the fault sweep on a one-server fleet.
+	// Parallel is the sweep worker count for fanning out a study's runs:
+	// 0 = all cores, 1 = sequential. Each run builds its own discrete-event
+	// simulation, fabric, item stores and servers (with each server's
+	// per-worker engines), so results are bit-identical at every setting.
+	// Every KVS study runs a memslap.Fleet on the partitioned engine
+	// (internal/des.Partitioned), one per run: clients and coordinator on
+	// partition 0, one partition per server — Fig. 11, ETC and the fault
+	// sweep on a one-server fleet.
 	Parallel int
 
 	// OnSweep, when non-nil, observes sweep timing stats (CLI -sweepstats).
 	OnSweep func(*sweep.Stats)
 
 	// Obs, when non-nil, collects metrics and virtual-time (DES clock)
-	// traces. Each (backend, batch) job gets its own scope, so artifacts
+	// traces. Each run gets the "config" scope of its label, so artifacts
 	// are byte-identical at every Parallel setting.
 	Obs *obs.Collector
 
-	// Faults, when enabled, compiles to a fault.Plan per job (seeded with
+	// Faults, when enabled, compiles to a fault.Plan per run (seeded with
 	// FaultSeed) injecting network drop/dup/delay, server crash/slowdown
-	// windows and insert pressure, and arming the client's timeout/retry
-	// protocol. The zero Spec injects nothing and changes nothing.
+	// windows, insert pressure and overload controls, and arming the
+	// client's timeout/retry protocol. Every study but the overload study,
+	// which derives its own specs and rejects an enabled one, runs under
+	// it. The zero Spec injects nothing and changes nothing.
 	Faults fault.Spec
 
 	// FaultSeed seeds the fault plan's RNG; 0 falls back to Seed.
@@ -76,11 +78,6 @@ func (o KVSOptions) validate() error {
 	)
 }
 
-// faultPlan compiles spec with FaultSeed, or with Seed when FaultSeed is 0.
-func (o KVSOptions) faultPlan(spec fault.Spec) *fault.Plan {
-	return spec.NewPlan(cmp.Or(o.FaultSeed, o.Seed))
-}
-
 // KVSBackends returns the three backends of Fig. 11 in paper order.
 func KVSBackends() []string {
 	return []string{"memc3", "horizontal", "vertical"}
@@ -88,80 +85,57 @@ func KVSBackends() []string {
 
 // RunKVS executes one memslap Multi-Get run against a freshly built server
 // with the named backend ("memc3", "horizontal", "vertical") at Multi-Get
-// size batch; o.Batches is not read.
+// size batch, under o.Faults; o.Batches is not read.
 func RunKVS(backend string, batch int, o KVSOptions) (memslap.FleetResults, error) {
 	o.Batches = []int{batch}
 	if err := o.validate(); err != nil {
 		return memslap.FleetResults{}, err
 	}
-	return runKVSWith(backend, batch, o, false)
+	return oneServerRun(o, backend, batch, false, o.Faults).run(o)
 }
 
-// runKVSWith runs the Section VI setup — closed-loop memslap clients
-// against one server, a one-server R=1 fleet — optionally loading
-// Facebook-ETC item sizes instead of the fixed memslap 20 B/32 B items. The
-// server's index holds o.Items keys and caps batches at max(batch, 128).
-func runKVSWith(backend string, batch int, o KVSOptions, etc bool) (memslap.FleetResults, error) {
-	scope := fmt.Sprintf("%s b=%d", backend, batch)
+// oneServerRun is the Section VI setup that Fig. 11, ETC, the fault sweep
+// and RunKVS run: closed-loop memslap clients against one server, a
+// one-server R=1 fleet, under spec. The server's index holds o.Items keys
+// and caps batches at max(batch, 128); etc loads Facebook-ETC item sizes
+// instead of the fixed memslap 20 B/32 B items. The label names the
+// backend and batch, then " etc" to keep ETC series distinct from a
+// same-run Fig. 11, then an enabled spec, so that same-config runs at
+// different fault settings (the fault sweep) land in disjoint obs scopes.
+func oneServerRun(o KVSOptions, backend string, batch int, etc bool, spec fault.Spec) kvsRun {
+	label := fmt.Sprintf("%s b=%d", backend, batch)
 	if etc {
-		scope += " etc" // keep ETC series distinct from a same-run Fig. 11
+		label += " etc"
 	}
-	if o.Faults.Enabled() {
-		// Same-config jobs at different fault settings (the fault sweep)
-		// must land in disjoint obs scopes, or parallel runs would race on
-		// shared series.
-		scope += " faults=" + o.Faults.String()
+	if spec.Enabled() {
+		label += " faults=" + spec.String()
 	}
-	col := o.Obs.Scope("config", scope)
-	plan := o.faultPlan(o.Faults)
-	var faultProbe obs.FaultProbe
-	if plan != nil {
-		// Only an armed plan registers fault series: a fault-free run's
-		// metrics artifact must stay byte-identical to the pre-fault layer.
-		faultProbe = col.FaultProbe()
+	return kvsRun{
+		label: label,
+		shape: fleetShape{
+			backend: backend, servers: 1, replication: 1,
+			capacity: o.Items, batchCap: max(batch, 128), etc: etc,
+		},
+		faults: spec,
+		cfg:    memslap.FleetConfig{Config: memslap.Config{Clients: o.Clients, BatchSize: batch}},
 	}
-	fleet, err := newFleet(o, col, plan, nil, fleetShape{
-		backend: backend, servers: 1, replication: 1,
-		capacity: o.Items, batchCap: max(batch, 128), etc: etc,
-	})
-	if err != nil {
-		return memslap.FleetResults{}, err
-	}
-	keyBytes := 20
-	if etc {
-		keyBytes = 0 // variable-size keys
-	}
-	return memslap.RunFleet(fleet, memslap.FleetConfig{Config: memslap.Config{
-		Clients:    o.Clients,
-		BatchSize:  batch,
-		Requests:   o.Requests,
-		KeyBytes:   keyBytes,
-		Seed:       o.Seed,
-		Faults:     plan,
-		FaultProbe: faultProbe,
-	}})
 }
 
-// kvsSweep fans one memslap run per (batch, backend) pair out across the
-// sweep pool and returns results indexed [batch][backend], in the order of
-// o.Batches and KVSBackends(). Every job is hermetic: it builds its own
-// simulation, network fabric, item store, index and server, so the fan-out
-// changes nothing about the simulated numbers.
-func kvsSweep(o KVSOptions, etc bool) ([][]memslap.FleetResults, error) {
+// backendSweep validates o and runs one one-server run per (batch, backend)
+// pair under o.Faults. It returns the results indexed [batch][backend], in
+// the order of o.Batches and KVSBackends().
+func backendSweep(o KVSOptions, etc bool) ([][]memslap.FleetResults, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	backends := KVSBackends()
-	var jobs []sweep.Job[memslap.FleetResults]
+	var runs []kvsRun
 	for _, batch := range o.Batches {
 		for _, backend := range backends {
-			batch, backend := batch, backend
-			jobs = append(jobs, sweep.Job[memslap.FleetResults]{
-				Label: fmt.Sprintf("kvs %s b=%d", backend, batch),
-				Run: func() (memslap.FleetResults, error) {
-					return runKVSWith(backend, batch, o, etc)
-				},
-			})
+			runs = append(runs, oneServerRun(o, backend, batch, etc, o.Faults))
 		}
 	}
-	flat, err := fanOut(o.Parallel, o.OnSweep, jobs)
+	flat, err := runKVSRuns(o, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -184,10 +158,7 @@ type Fig11Result struct {
 // Fig11StudyResult runs the Fig. 11 sweep: one-server Multi-Get runs of
 // MemC3 and the two SIMD-aware backends at every batch size of o.
 func Fig11StudyResult(o KVSOptions) (Fig11Result, error) {
-	if err := o.validate(); err != nil {
-		return Fig11Result{}, err
-	}
-	runs, err := kvsSweep(o, false)
+	runs, err := backendSweep(o, false)
 	if err != nil {
 		return Fig11Result{}, err
 	}
@@ -249,10 +220,7 @@ func Fig11bTable(fig Fig11Result) *report.Table {
 // lookup phase into response assembly, so the SIMD edge shrinks relative to
 // Fig. 11; the study quantifies by how much.
 func ETCStudy(o KVSOptions) (*report.Table, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	results, err := kvsSweep(o, true)
+	results, err := backendSweep(o, true)
 	if err != nil {
 		return nil, err
 	}
@@ -280,57 +248,37 @@ func ETCStudy(o KVSOptions) (*report.Table, error) {
 // the fan-out maximum. More servers raise aggregate throughput but shrink
 // per-server sub-batches, eroding the batching that makes SIMD lookups and
 // network transfers efficient — the classic multiget-hole trade-off.
-// Each (servers, batch) point is one sweep job owning its whole simulated
-// cluster: an unreplicated, fault-free, closed-loop memslap.Fleet.
+// Each (servers, batch) point is one run owning its whole simulated
+// cluster: an unreplicated, closed-loop memslap.Fleet under o.Faults.
 func ClusterStudy(o KVSOptions) (*report.Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	type point struct {
-		nservers, batch int
-	}
-	var points []point
-	for _, nservers := range []int{1, 2, 4} {
+	var runs []kvsRun
+	for _, n := range []int{1, 2, 4} {
 		for _, batch := range o.Batches {
-			points = append(points, point{nservers, batch})
-		}
-	}
-	jobs := make([]sweep.Job[memslap.FleetResults], len(points))
-	for i, pt := range points {
-		pt := pt
-		label := fmt.Sprintf("cluster s=%d b=%d", pt.nservers, pt.batch)
-		jobs[i] = sweep.Job[memslap.FleetResults]{
-			Label: label,
-			Run: func() (memslap.FleetResults, error) {
+			runs = append(runs, kvsRun{
+				label: fmt.Sprintf("cluster s=%d b=%d", n, batch),
 				// Ceil division: flooring the per-server share can
 				// undersize the index when Items doesn't divide evenly,
 				// and an imbalanced ring would fail the load.
-				capacity := (o.Items+pt.nservers-1)/pt.nservers + o.Items/4
-				fleet, err := newFleet(o, o.Obs.Scope("config", label), nil, nil, fleetShape{
-					backend: "vertical", servers: pt.nservers, replication: 1,
-					capacity: capacity, batchCap: fleetBatchCap,
-				})
-				if err != nil {
-					return memslap.FleetResults{}, err
-				}
-				return memslap.RunFleet(fleet, memslap.FleetConfig{Config: memslap.Config{
-					Clients:   o.Clients,
-					BatchSize: pt.batch,
-					Requests:  o.Requests,
-					KeyBytes:  20,
-					Seed:      o.Seed,
-				}})
-			},
+				shape: fleetShape{
+					backend: "vertical", servers: n, replication: 1,
+					capacity: (o.Items+n-1)/n + o.Items/4, batchCap: fleetBatchCap,
+				},
+				faults: o.Faults,
+				cfg:    memslap.FleetConfig{Config: memslap.Config{Clients: o.Clients, BatchSize: batch}},
+			})
 		}
 	}
-	results, err := fanOut(o.Parallel, o.OnSweep, jobs)
+	results, err := runKVSRuns(o, runs)
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable("Extension: Multi-Get across a consistent-hashing cluster (vertical AVX-512 backend)",
 		"Servers", "Batch", "Agg. thr (Mkeys/s)", "E2E avg (us)", "E2E p99 (us)", "Avg fanout")
 	for i, res := range results {
-		t.AddRow(points[i].nservers, points[i].batch,
+		t.AddRow(runs[i].shape.servers, runs[i].cfg.BatchSize,
 			fmt.Sprintf("%.1f", res.ThroughputKeys/1e6),
 			fmt.Sprintf("%.1f", res.AvgLatency*1e6),
 			fmt.Sprintf("%.1f", res.P99Latency*1e6),

@@ -7,9 +7,7 @@ import (
 
 	"simdhtbench/internal/fault"
 	"simdhtbench/internal/memslap"
-	"simdhtbench/internal/obs"
 	"simdhtbench/internal/report"
-	"simdhtbench/internal/sweep"
 )
 
 // Overload-control derivation constants. The study measures the fleet's
@@ -57,8 +55,9 @@ const (
 // is offered load as a multiple of measured capacity, with the overload
 // controls off versus on. DefaultOverloadOptions holds the laptop-scale
 // values kvsbench runs by default. The study rejects what KVSOptions
-// rejects, a non-positive Servers, and an empty Multipliers or one that is
-// not positive and finite, with a *memslap.ConfigError naming the field.
+// rejects, a non-positive Servers, an empty Multipliers or one that is not
+// positive and finite, and an enabled Faults (it derives its own specs),
+// with a *memslap.ConfigError naming the field.
 type OverloadOptions struct {
 	KVSOptions
 
@@ -80,11 +79,17 @@ func DefaultOverloadOptions() OverloadOptions {
 }
 
 func (o OverloadOptions) validate() error {
-	return cmp.Or(
+	if err := cmp.Or(
 		o.KVSOptions.validate(),
 		positive("servers", o.Servers),
 		positive("load multiplier", o.Multipliers...),
-	)
+	); err != nil {
+		return err
+	}
+	if o.Faults.Enabled() {
+		return &memslap.ConfigError{Field: "faults", Reason: "the overload study derives its own specs from measured capacity"}
+	}
+	return nil
 }
 
 // replication is the study's replica-set width at o.Servers.
@@ -150,43 +155,26 @@ func deriveOverloadSpecs(baselineP99, capacityReq float64, servers int) (off, on
 	return off, on
 }
 
-// runOverloadFleet runs one hermetic fleet under the given spec and arrival
-// rate (0 = closed loop). The fleet is fault-free apart from the client
-// protocol and the server admission controls — overload is the only adversary.
-func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clients int, scope string) (memslap.FleetResults, error) {
-	col := o.Obs.Scope("config", scope)
-	plan := o.faultPlan(spec)
-	var faultProbe obs.FaultProbe
-	if plan != nil {
-		faultProbe = col.FaultProbe()
-	}
-	var overloadProbe obs.OverloadProbe
-	if plan.OverloadArmed() {
-		overloadProbe = col.OverloadProbe()
-	}
-
+// overloadRun is one run of the study: a fleet of o.Servers at
+// R=o.replication() under spec, closed loop with clients when arrival is 0
+// and open loop at arrival otherwise. The fleet is fault-free apart from
+// the client protocol and the server admission controls — overload is the
+// only adversary.
+func (o OverloadOptions) overloadRun(label string, spec fault.Spec, arrival float64, clients int) kvsRun {
 	repl := o.replication()
-	fleet, err := newFleet(o.KVSOptions, col, plan, overloadProbe, fleetShape{
-		backend: "vertical", servers: o.Servers, replication: repl,
-		capacity: replicatedCapacity(o.Items, o.Servers, repl), batchCap: fleetBatchCap,
-	})
-	if err != nil {
-		return memslap.FleetResults{}, err
-	}
-	return memslap.RunFleet(fleet, memslap.FleetConfig{
-		Config: memslap.Config{
-			Clients:       clients,
-			BatchSize:     o.Batches[0],
-			Requests:      o.Requests,
-			KeyBytes:      20,
-			Seed:          o.Seed,
-			Faults:        plan,
-			FaultProbe:    faultProbe,
-			OverloadProbe: overloadProbe,
+	return kvsRun{
+		label: label,
+		shape: fleetShape{
+			backend: "vertical", servers: o.Servers, replication: repl,
+			capacity: replicatedCapacity(o.Items, o.Servers, repl), batchCap: fleetBatchCap,
 		},
-		ArrivalRate: arrival,
-		FleetProbe:  col.FleetProbe(),
-	})
+		faults: spec,
+		cfg: memslap.FleetConfig{
+			Config:      memslap.Config{Clients: clients, BatchSize: o.Batches[0]},
+			ArrivalRate: arrival,
+		},
+		fleetProbe: true,
+	}
 }
 
 // OverloadStudyResult runs the full study and returns its structured
@@ -194,26 +182,25 @@ func runOverloadFleet(o OverloadOptions, spec fault.Spec, arrival float64, clien
 // derives the control settings from it; phase two sweeps offered load from
 // 0.5x to 2x capacity with the controls off (timeout/retry only — the
 // metastable configuration) and on (admission control, queue deadlines,
-// retry budgets, hedged reads). The capacity run is sequential; the sweep
-// points fan out as hermetic jobs, so every artifact is byte-identical at
-// any Parallel setting.
+// retry budgets, hedged reads). The study derives its own specs, so it
+// rejects an enabled o.Faults by name; o.FaultSeed seeds the derived plans.
+// The baseline and capacity runs are sequential; the sweep points fan out
+// as hermetic jobs, so every artifact is byte-identical at any Parallel
+// setting.
 func OverloadStudyResult(o OverloadOptions) (OverloadResult, error) {
 	if err := o.validate(); err != nil {
 		return OverloadResult{}, err
 	}
 	// Baseline: the configured (light) client count, closed loop — healthy
 	// tail latency for the timeout/hedge derivation.
-	base, err := runOverloadFleet(o, fault.Spec{}, 0, o.Clients, "overload baseline")
+	base, err := o.overloadRun("overload baseline", fault.Spec{}, 0, o.Clients).run(o.KVSOptions)
 	if err != nil {
 		return OverloadResult{}, err
 	}
 	// Capacity: enough closed-loop clients to saturate every worker —
 	// measured goodput is the fleet's service capacity, the x-axis unit.
-	satClients := overloadSaturationClients * o.Servers * o.Workers
-	if satClients < o.Clients {
-		satClients = o.Clients
-	}
-	cap, err := runOverloadFleet(o, fault.Spec{}, 0, satClients, "overload capacity")
+	satClients := max(overloadSaturationClients*o.Servers*o.Workers, o.Clients)
+	cap, err := o.overloadRun("overload capacity", fault.Spec{}, 0, satClients).run(o.KVSOptions)
 	if err != nil {
 		return OverloadResult{}, err
 	}
@@ -224,64 +211,37 @@ func OverloadStudyResult(o OverloadOptions) (OverloadResult, error) {
 	}
 	out.OffSpec, out.OnSpec = deriveOverloadSpecs(out.BaselineP99, out.CapacityReq, o.Servers)
 
-	type cell struct {
-		mult     float64
-		controls bool
-	}
-	var cells []cell
-	for _, on := range []bool{false, true} {
+	// All multipliers controls-off, then all controls-on.
+	var runs []kvsRun
+	for i, spec := range []fault.Spec{out.OffSpec, out.OnSpec} {
+		mode := [...]string{"off", "on"}[i]
 		for _, m := range o.Multipliers {
-			cells = append(cells, cell{mult: m, controls: on})
+			runs = append(runs, o.overloadRun(fmt.Sprintf("overload %s x%.2f", mode, m), spec, m*out.CapacityReq, o.Clients))
 		}
 	}
-	jobs := make([]sweep.Job[OverloadPoint], len(cells))
-	for i, c := range cells {
-		c := c
-		spec := out.OffSpec
-		mode := "off"
-		if c.controls {
-			spec = out.OnSpec
-			mode = "on"
-		}
-		offered := c.mult * out.CapacityReq
-		jobs[i] = sweep.Job[OverloadPoint]{
-			Label: fmt.Sprintf("overload %s x%.2f", mode, c.mult),
-			Run: func() (OverloadPoint, error) {
-				res, err := runOverloadFleet(o, spec, offered, o.Clients,
-					fmt.Sprintf("overload %s x%.2f", mode, c.mult))
-				if err != nil {
-					return OverloadPoint{}, err
-				}
-				return OverloadPoint{Multiplier: c.mult, Controls: c.controls,
-					OfferedReq: offered, Results: res}, nil
-			},
-		}
-	}
-	points, err := fanOut(o.Parallel, o.OnSweep, jobs)
+	results, err := runKVSRuns(o.KVSOptions, runs)
 	if err != nil {
 		return OverloadResult{}, err
 	}
-	out.Points = points
+	out.Points = make([]OverloadPoint, len(results))
+	for i, res := range results {
+		out.Points[i] = OverloadPoint{
+			Multiplier: o.Multipliers[i%len(o.Multipliers)],
+			Controls:   i >= len(o.Multipliers),
+			OfferedReq: runs[i].cfg.ArrivalRate,
+			Results:    res,
+		}
+	}
 	return out, nil
 }
 
-// OverloadStudy renders the metastable-overload study: goodput and tail
+// OverloadTable renders the metastable-overload study: goodput and tail
 // latency versus offered load, controls off versus on. The controls-off
 // curve collapses past capacity — timeouts fire retries, retries add load,
 // served work goes stale before its client accepts it — while the
 // controls-on curve degrades gracefully: excess load is shed at admission
 // for a 16-byte reject, retries are budgeted, and goodput holds at or
 // above capacity.
-func OverloadStudy(o OverloadOptions) (*report.Table, error) {
-	res, err := OverloadStudyResult(o)
-	if err != nil {
-		return nil, err
-	}
-	return OverloadTable(o, res), nil
-}
-
-// OverloadTable renders an already-computed study result (OverloadStudy in
-// one call; split out so tests and tools can keep the structured result).
 func OverloadTable(o OverloadOptions, res OverloadResult) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Extension: metastable overload and graceful degradation (%d servers, R=%d, capacity %.3f Mkeys/s; off=%s; on=%s)",

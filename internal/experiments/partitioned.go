@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"simdhtbench/internal/arch"
@@ -12,6 +13,7 @@ import (
 	"simdhtbench/internal/netsim"
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/obs/prof"
+	"simdhtbench/internal/sweep"
 )
 
 // fleetBatchCap is the Multi-Get cap of the multi-server studies' servers.
@@ -25,6 +27,59 @@ type fleetShape struct {
 	capacity    int  // per-server index capacity
 	batchCap    int  // per-server Multi-Get cap
 	etc         bool // load Facebook-ETC item sizes instead of 20 B/32 B items
+}
+
+// kvsRun is one labelled run of a KVS study: the fleet it builds, the fault
+// spec it runs under and the memslap config it drives. The label names the
+// run's sweep job and its "config" obs scope.
+type kvsRun struct {
+	label  string
+	shape  fleetShape
+	faults fault.Spec
+	cfg    memslap.FleetConfig
+	// fleetProbe registers the FleetProbe. The fleet and overload studies
+	// report replication events; the one-server and cluster runs do not.
+	fleetProbe bool
+}
+
+// run builds, loads and runs r under o. It is the only code in this package
+// that compiles a fault plan, registers a run's probes, builds a fleet and
+// drives it. The plan is r.faults compiled with o.FaultSeed, or with o.Seed
+// when FaultSeed is 0, and r.cfg runs with o's Requests and Seed. The fault
+// probes are registered iff the plan is armed, the overload probe (on the
+// servers and the clients alike) iff the plan arms an overload control, and
+// the FleetProbe iff r asks for it.
+func (r kvsRun) run(o KVSOptions) (memslap.FleetResults, error) {
+	col := o.Obs.Scope("config", r.label)
+	plan := r.faults.NewPlan(cmp.Or(o.FaultSeed, o.Seed))
+	cfg := r.cfg
+	cfg.Requests, cfg.Seed, cfg.Faults = o.Requests, o.Seed, plan
+	if plan != nil {
+		cfg.FaultProbe = col.FaultProbe()
+	}
+	if plan.OverloadArmed() {
+		cfg.OverloadProbe = col.OverloadProbe()
+	}
+	if r.fleetProbe {
+		cfg.FleetProbe = col.FleetProbe()
+	}
+	fleet, err := newFleet(o, col, plan, cfg.OverloadProbe, r.shape)
+	if err != nil {
+		return memslap.FleetResults{}, err
+	}
+	return memslap.RunFleet(fleet, cfg)
+}
+
+// runKVSRuns runs a KVS study's runs under o as one sweep, one job per run,
+// and returns their results in the order of runs. Every job builds its own
+// simulation, fabric, item stores, indexes and servers, so the fan-out
+// changes nothing about the simulated numbers.
+func runKVSRuns(o KVSOptions, runs []kvsRun) ([]memslap.FleetResults, error) {
+	jobs := make([]sweep.Job[memslap.FleetResults], len(runs))
+	for i, r := range runs {
+		jobs[i] = sweep.Job[memslap.FleetResults]{Label: r.label, Run: func() (memslap.FleetResults, error) { return r.run(o) }}
+	}
+	return fanOut(o.Parallel, o.OnSweep, jobs)
 }
 
 // newFleet builds and loads the hermetic simulation of one study point:

@@ -409,14 +409,11 @@ type FleetConfig struct {
 	Config
 
 	// ArrivalRate switches the load generator to open loop: Multi-Gets
-	// arrive at this aggregate rate (requests/s of virtual time) regardless
-	// of completions, exposing queueing delay instead of coordinated
-	// omission. 0 keeps the closed loop, where each of Clients workers
+	// arrive as a seeded Poisson process at this aggregate rate (requests/s
+	// of virtual time) regardless of completions, exposing queueing delay
+	// instead of coordinated omission. 0 keeps the closed loop, where each of Clients workers
 	// issues its next request on completion.
 	ArrivalRate float64
-	// DeterministicArrivals uses fixed 1/rate inter-arrival gaps instead of
-	// the default seeded Poisson (exponential) process.
-	DeterministicArrivals bool
 
 	// WriteFraction routes this fraction of open/closed-loop requests
 	// through the quorum-write path (a single-key replicated set). 0 (the

@@ -132,9 +132,8 @@ func TestLoadFleetReplicatesKeys(t *testing.T) {
 	}
 }
 
-// Open-loop arrivals (satellite): the measured arrival rate of the Poisson
-// process must track the configured rate across seeds, and the fixed-gap
-// mode must hit it almost exactly.
+// Open-loop arrivals: the measured arrival rate of the Poisson process must
+// track the configured rate across seeds.
 func TestOpenLoopArrivalRate(t *testing.T) {
 	const rate = 2e5 // 200k req/s of virtual time
 	for _, seed := range []int64{3, 17, 101} {
@@ -156,18 +155,6 @@ func TestOpenLoopArrivalRate(t *testing.T) {
 		}
 	}
 
-	fleet := buildFleet(t, 3, 2000, 1)
-	res, err := RunFleet(fleet, FleetConfig{
-		Config:                Config{Clients: 8, BatchSize: 8, Requests: 2000, KeyBytes: 20, Seed: 3},
-		ArrivalRate:           rate,
-		DeterministicArrivals: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(res.MeasuredRate-rate) / rate; rel > 1e-6 {
-		t.Errorf("deterministic arrivals: measured %.2f vs %.0f", res.MeasuredRate, rate)
-	}
 }
 
 // Open-loop runs are as deterministic as closed-loop ones: identical seeds

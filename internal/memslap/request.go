@@ -150,9 +150,6 @@ func (r *fleetRun) start() {
 func (r *fleetRun) closedLoop() bool { return r.cfg.ArrivalRate == 0 }
 
 func (r *fleetRun) interArrival() float64 {
-	if r.cfg.DeterministicArrivals {
-		return 1 / r.cfg.ArrivalRate
-	}
 	return r.arrRng.ExpFloat64() / r.cfg.ArrivalRate
 }
 
