@@ -63,32 +63,67 @@ func verifyKey(e *engine.Engine, store *ItemStore, ref uint32, key []byte) bool 
 	return bytes.Equal(it.Key, key)
 }
 
-// simdIndex is the shared machinery of the two SIMD-aware backends: a
-// 32-bit-key cuckoo table whose payload indexes the item table, plus scratch
-// stream/result buffers reused across batches.
+// simdIndex is either SIMD-aware backend: a cuckoo table over 32-bit key
+// hashes whose 32-bit payload indexes the item table, probed with the
+// horizontal or the vertical batch lookup, plus scratch stream/result
+// buffers reused across batches.
 type simdIndex struct {
-	table    *cuckoo.Table
-	scratch  *cuckoo.Stream
-	results  *cuckoo.ResultBuf
-	found    []bool
-	maxBatch int
+	name string
+	// horizontal is the batch template when its Width is set, vertical
+	// otherwise; exactly one of the two is set.
+	horizontal cuckoo.HorizontalConfig
+	vertical   cuckoo.VerticalConfig
+
+	table   *cuckoo.Table
+	scratch *cuckoo.Stream
+	results *cuckoo.ResultBuf
+	found   []bool
 }
 
-func newSIMDIndex(space *mem.AddressSpace, layout cuckoo.Layout, maxBatch int, seed int64) (*simdIndex, error) {
+// NewHorizontalIndex returns the "Bucket-Cuckoo-Hor(AVX-256)" backend: a
+// (2,4) BCHT with 32-bit key hashes and 32-bit payloads, probed with the
+// horizontal AVX2 lookup of Algorithm 1. It is sized for at least
+// `capacity` items at up to 90% load factor (see sizeLayout).
+func NewHorizontalIndex(space *mem.AddressSpace, capacity, maxBatch int, seed int64) (Index, error) {
+	return newSIMDIndex(space, sizeLayout(2, 4, capacity), maxBatch, seed, simdIndex{
+		name:       "Bucket-Cuckoo-Hor(AVX-256)",
+		horizontal: cuckoo.HorizontalConfig{Width: 256, BucketsPerVec: 1},
+	})
+}
+
+// NewVerticalIndex returns the "Cuckoo-Ver(AVX-512)" backend: a 3-way
+// non-bucketized cuckoo HT with 32-bit key hashes and 32-bit payloads,
+// probed with the vertical AVX-512 batch lookup of Algorithm 2. It is sized
+// for at least `capacity` items at up to 90% load factor (see sizeLayout).
+func NewVerticalIndex(space *mem.AddressSpace, capacity, maxBatch int, seed int64) (Index, error) {
+	return newSIMDIndex(space, sizeLayout(3, 1, capacity), maxBatch, seed, simdIndex{
+		name:     "Cuckoo-Ver(AVX-512)",
+		vertical: cuckoo.VerticalConfig{Width: 512},
+	})
+}
+
+// newSIMDIndex completes x, which names the backend and sets its batch
+// template, with a table of the given layout and scratch for maxBatch keys.
+func newSIMDIndex(space *mem.AddressSpace, layout cuckoo.Layout, maxBatch int, seed int64, x simdIndex) (Index, error) {
 	t, err := cuckoo.New(space, layout, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &simdIndex{
-		table:    t,
-		scratch:  cuckoo.NewStream(space, make([]uint64, maxBatch), 32),
-		results:  cuckoo.NewResultBuf(space, maxBatch, 32),
-		found:    make([]bool, maxBatch),
-		maxBatch: maxBatch,
-	}, nil
+	x.table = t
+	x.scratch = cuckoo.NewStream(space, make([]uint64, maxBatch), 32)
+	x.results = cuckoo.NewResultBuf(space, maxBatch, 32)
+	x.found = make([]bool, maxBatch)
+	return &x, nil
 }
 
-func (x *simdIndex) warm(h *cache.Hierarchy) {
+// Name implements Index.
+func (x *simdIndex) Name() string { return x.name }
+
+// Width implements Index.
+func (x *simdIndex) Width() int { return max(x.horizontal.Width, x.vertical.Width) }
+
+// Warm implements Index.
+func (x *simdIndex) Warm(h *cache.Hierarchy) {
 	h.Touch(x.table.Arena.Base(), x.table.Arena.Size())
 }
 
@@ -102,11 +137,14 @@ func tableKey(hash32 uint32) uint64 {
 	return uint64(hash32)
 }
 
-func (x *simdIndex) delete(hash32 uint32) bool {
+// Delete implements Index. SIMD indexes store unique 32-bit hashes, so the
+// key needs no verification.
+func (x *simdIndex) Delete(_ *ItemStore, hash32 uint32, _ []byte) bool {
 	return x.table.Delete(tableKey(hash32))
 }
 
-func (x *simdIndex) insert(hash32, ref uint32) error {
+// Insert implements Index.
+func (x *simdIndex) Insert(hash32, ref uint32) error {
 	key := tableKey(hash32)
 	if _, exists := x.table.Lookup(key); exists {
 		return fmt.Errorf("kvs: 32-bit hash collision on %#x; the loader must deduplicate hashes", hash32)
@@ -114,9 +152,9 @@ func (x *simdIndex) insert(hash32, ref uint32) error {
 	return x.table.Insert(key, uint64(ref))
 }
 
-// find is Index.Find over the table's shadow keys: the uncharged
+// Find implements Index over the table's shadow keys: the uncharged
 // cuckoo.Table.Lookup, then the full-key check at the item.
-func (x *simdIndex) find(store *ItemStore, hash32 uint32, key []byte) uint32 {
+func (x *simdIndex) Find(store *ItemStore, hash32 uint32, key []byte) uint32 {
 	v, ok := x.table.Lookup(tableKey(hash32))
 	if !ok {
 		return NoRef
@@ -132,8 +170,8 @@ func (x *simdIndex) find(store *ItemStore, hash32 uint32, key []byte) uint32 {
 // output of pre-processing); the write itself is part of the pre-process
 // phase, so it is uncharged here.
 func (x *simdIndex) stage(hashes []uint32) {
-	if len(hashes) > x.maxBatch {
-		panic(fmt.Sprintf("kvs: batch of %d exceeds index scratch %d", len(hashes), x.maxBatch))
+	if len(hashes) > len(x.found) {
+		panic(fmt.Sprintf("kvs: batch of %d exceeds index scratch %d", len(hashes), len(x.found)))
 	}
 	for i, h := range hashes {
 		x.scratch.Arena.WriteUint(x.scratch.Off(i), 32, tableKey(h))
@@ -157,109 +195,17 @@ func (x *simdIndex) collect(e *engine.Engine, store *ItemStore, keys [][]byte, r
 	return hits
 }
 
-// HorizontalIndex is the "Bucket-Cuckoo-Hor(AVX-256)" backend: a (2,4) BCHT
-// with 32-bit key hashes and 32-bit payloads, probed with the horizontal
-// AVX2 lookup of Algorithm 1.
-type HorizontalIndex struct {
-	*simdIndex
-	cfg cuckoo.HorizontalConfig
-}
-
-// NewHorizontalIndex sizes the index for at least `capacity` items at up to
-// 90% load factor (see sizeLayout).
-func NewHorizontalIndex(space *mem.AddressSpace, capacity, maxBatch int, seed int64) (*HorizontalIndex, error) {
-	layout := sizeLayout(2, 4, capacity)
-	x, err := newSIMDIndex(space, layout, maxBatch, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &HorizontalIndex{
-		simdIndex: x,
-		cfg:       cuckoo.HorizontalConfig{Width: 256, BucketsPerVec: 1},
-	}, nil
-}
-
-// Name implements Index.
-func (x *HorizontalIndex) Name() string { return "Bucket-Cuckoo-Hor(AVX-256)" }
-
-// Width implements Index.
-func (x *HorizontalIndex) Width() int { return 256 }
-
-// Insert implements Index.
-func (x *HorizontalIndex) Insert(hash32, ref uint32) error { return x.insert(hash32, ref) }
-
-// Warm implements Index.
-func (x *HorizontalIndex) Warm(h *cache.Hierarchy) { x.warm(h) }
-
-// Delete implements Index. SIMD indexes store unique 32-bit hashes, so the
-// key argument needs no verification.
-func (x *HorizontalIndex) Delete(_ *ItemStore, hash32 uint32, _ []byte) bool {
-	return x.delete(hash32)
-}
-
-// Find implements Index.
-func (x *HorizontalIndex) Find(store *ItemStore, hash32 uint32, key []byte) uint32 {
-	return x.find(store, hash32, key)
-}
-
-// LookupBatch implements Index.
+// LookupBatch implements Index with the batch template the backend set.
 //
 //lint:hotpath zero-alloc steady state pinned by AllocsPerRun tests
-func (x *HorizontalIndex) LookupBatch(e *engine.Engine, store *ItemStore, keys [][]byte, hashes []uint32, refs []uint32) int {
+func (x *simdIndex) LookupBatch(e *engine.Engine, store *ItemStore, keys [][]byte, hashes []uint32, refs []uint32) int {
 	//lint:ignore chargelint stage is the uncharged pre-process (parse) phase; lookup charging starts at the batch kernel
 	x.stage(hashes)
-	x.table.LookupHorizontalBatch(e, x.scratch, 0, len(hashes), x.cfg, x.results, x.found)
-	return x.collect(e, store, keys, refs)
-}
-
-// VerticalIndex is the "Cuckoo-Ver(AVX-512)" backend: a 3-way non-bucketized
-// cuckoo HT with 32-bit key hashes and 32-bit payloads, probed with the
-// vertical AVX-512 batch lookup of Algorithm 2.
-type VerticalIndex struct {
-	*simdIndex
-	cfg cuckoo.VerticalConfig
-}
-
-// NewVerticalIndex sizes the index for at least `capacity` items at up to
-// 90% load factor (see sizeLayout).
-func NewVerticalIndex(space *mem.AddressSpace, capacity, maxBatch int, seed int64) (*VerticalIndex, error) {
-	layout := sizeLayout(3, 1, capacity)
-	x, err := newSIMDIndex(space, layout, maxBatch, seed)
-	if err != nil {
-		return nil, err
+	if x.horizontal.Width > 0 {
+		x.table.LookupHorizontalBatch(e, x.scratch, 0, len(hashes), x.horizontal, x.results, x.found)
+	} else {
+		x.table.LookupVerticalBatch(e, x.scratch, 0, len(hashes), x.vertical, x.results, x.found)
 	}
-	return &VerticalIndex{simdIndex: x, cfg: cuckoo.VerticalConfig{Width: 512}}, nil
-}
-
-// Name implements Index.
-func (x *VerticalIndex) Name() string { return "Cuckoo-Ver(AVX-512)" }
-
-// Width implements Index.
-func (x *VerticalIndex) Width() int { return 512 }
-
-// Insert implements Index.
-func (x *VerticalIndex) Insert(hash32, ref uint32) error { return x.insert(hash32, ref) }
-
-// Warm implements Index.
-func (x *VerticalIndex) Warm(h *cache.Hierarchy) { x.warm(h) }
-
-// Delete implements Index.
-func (x *VerticalIndex) Delete(_ *ItemStore, hash32 uint32, _ []byte) bool {
-	return x.delete(hash32)
-}
-
-// Find implements Index.
-func (x *VerticalIndex) Find(store *ItemStore, hash32 uint32, key []byte) uint32 {
-	return x.find(store, hash32, key)
-}
-
-// LookupBatch implements Index.
-//
-//lint:hotpath zero-alloc steady state pinned by AllocsPerRun tests
-func (x *VerticalIndex) LookupBatch(e *engine.Engine, store *ItemStore, keys [][]byte, hashes []uint32, refs []uint32) int {
-	//lint:ignore chargelint stage is the uncharged pre-process (parse) phase; lookup charging starts at the batch kernel
-	x.stage(hashes)
-	x.table.LookupVerticalBatch(e, x.scratch, 0, len(hashes), x.cfg, x.results, x.found)
 	return x.collect(e, store, keys, refs)
 }
 

@@ -5,9 +5,9 @@
 //
 //   - MemC3Index — the CPU-optimized non-SIMD baseline: a (2,4) bucketized
 //     cuckoo hash table with 8-bit tags and 64-bit item pointers (MemC3).
-//   - HorizontalIndex — (2,4) BCHT over 32-bit key hashes with the
+//   - NewHorizontalIndex — (2,4) BCHT over 32-bit key hashes with the
 //     horizontal AVX2 lookup ("Bucket-Cuckoo-Hor(AVX-256)").
-//   - VerticalIndex — 3-way cuckoo HT over 32-bit key hashes with the
+//   - NewVerticalIndex — 3-way cuckoo HT over 32-bit key hashes with the
 //     vertical AVX-512 batch lookup ("Cuckoo-Ver(AVX-512)").
 //
 // As in the paper, the SIMD indexes store a 32-bit payload that indexes a
