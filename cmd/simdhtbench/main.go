@@ -204,6 +204,7 @@ func main() {
 					Arch: model, KeyBits: *keyBits, ValBits: *valBits,
 					TableBytes: *size, HitRate: *hitRate, Pattern: pat,
 					Queries: *queries, Seed: h.Seed,
+					Obs: h.Col, Heartbeat: h.Heartbeat,
 				},
 				MinLoadFactor: *lf,
 			})

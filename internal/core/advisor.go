@@ -48,7 +48,8 @@ func (r Recommendation) String() string {
 // ranked by best lookup throughput. Both bucket arrangements (interleaved
 // and split) are considered for bucketized layouts. req.Params is taken as
 // Run takes it, with N, M, Split and LoadFactor set per variant; a bad
-// field fails before any table is filled.
+// field fails before any table is filled. Each variant's Run reports to
+// req.Params.Obs under its own "config" scope, e.g. "advise (2,4) split".
 func Advise(req AdviseRequest) ([]Recommendation, error) {
 	p := req.Params
 	if !(req.MinLoadFactor > 0 && req.MinLoadFactor <= 1) {
@@ -76,6 +77,7 @@ func Advise(req AdviseRequest) ([]Recommendation, error) {
 			rp := p
 			rp.N, rp.M = nm[0], nm[1]
 			rp.Split = split
+			rp.Obs = p.Obs.Scope("config", adviseLabel(nm[0], nm[1], split))
 			r, err := Run(rp)
 			if err != nil {
 				return nil, err
@@ -104,6 +106,15 @@ func Advise(req AdviseRequest) ([]Recommendation, error) {
 		return recs[i].Best.LookupsPerSec > recs[j].Best.LookupsPerSec
 	})
 	return recs, nil
+}
+
+// adviseLabel names the "config" obs scope of the (n, m) variant's run.
+func adviseLabel(n, m int, split bool) string {
+	label := fmt.Sprintf("advise (%d,%d)", n, m)
+	if split {
+		label += " split"
+	}
+	return label
 }
 
 // probeMaxLF measures a variant's achievable load factor on a small table

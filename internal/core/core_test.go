@@ -544,6 +544,49 @@ func TestAdviseRespectsLoadFactorConstraint(t *testing.T) {
 	}
 }
 
+// TestAdviseScopesEachLayout: Advise reports each variant's run under its
+// own "config" scope, so the series of one recommended layout (its
+// variant=scalar series included) never merge into another's.
+func TestAdviseScopesEachLayout(t *testing.T) {
+	col := obs.NewCollector()
+	recs, err := Advise(AdviseRequest{
+		Params: Params{
+			Arch: arch.SkylakeClusterA(), KeyBits: 32, ValBits: 32,
+			TableBytes: 64 << 10, HitRate: 0.9, Pattern: workload.Uniform,
+			Queries: 200, Seed: 5, Obs: col,
+		},
+		MinLoadFactor: 0.9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scalar []string // the labels of every variant=scalar series
+	for _, pt := range col.Registry.Snapshot() {
+		if strings.Contains(pt.Labels, "variant=scalar") {
+			scalar = append(scalar, pt.Labels)
+		}
+	}
+	for _, l := range scalar {
+		if !strings.HasPrefix(l, "config=advise (") {
+			t.Errorf("variant=scalar series outside an advise config scope: %s", l)
+		}
+	}
+	for _, r := range recs {
+		// The metrics render a label value's commas as ';'.
+		scope := fmt.Sprintf("config=advise (%d;%d)", r.Layout.N, r.Layout.M)
+		if r.Layout.Split {
+			scope += " split"
+		}
+		found := false
+		for _, l := range scalar {
+			found = found || strings.HasPrefix(l, scope+";")
+		}
+		if !found {
+			t.Errorf("%v: no variant=scalar series under %s", r.Layout, scope)
+		}
+	}
+}
+
 func TestAdviseLowLoadFactorAllowsTwoWay(t *testing.T) {
 	recs, err := Advise(AdviseRequest{
 		Params: Params{
