@@ -126,9 +126,9 @@ run_faults 4 "$tmp/faults4"
 # contract the fleet golden test pins.
 echo "==> CLI smoke (fleet vs goldens, -parallel 1 and -parallel 4)"
 fleet_cli() {
-    $GO run ./cmd/kvsbench -fleet -items 2000 -workers 2 -clients 2 \
+    $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 \
         -requests 60 -batches 8 -seed 7 -fleet-sizes 3,5 -arrival-rate 200000 \
-        -faults 'drop=0.05,crash=100µs:30µs,timeout=10µs,retries=2,backoff=5µs' "$@"
+        -faults 'drop=0.05,crash=100µs:30µs,timeout=10µs,retries=2,backoff=5µs' "$@" fleet
 }
 run_fleet() {
     fleet_cli -parallel "$1" -trace "$2.json" -metrics "$2.csv" > "$2.txt"
@@ -149,10 +149,10 @@ $GO run ./cmd/obsdiff "$tmp/fleetm1.json" "$tmp/fleetm4.json" >/dev/null
 # reproduce its goldens byte-for-byte at -parallel 1 and 4.
 echo "==> CLI smoke (overload vs goldens, -parallel 1 and -parallel 4)"
 run_overload() {
-    $GO run ./cmd/kvsbench -overload -items 2000 -workers 2 -clients 4 \
+    $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 4 \
         -requests 400 -batches 8 -seed 7 -overload-servers 2 \
         -overload-mults 0.5,1,1.5,2 \
-        -parallel "$1" -trace "$2.json" -metrics "$2.csv" > "$2.txt"
+        -parallel "$1" -trace "$2.json" -metrics "$2.csv" overload > "$2.txt"
 }
 run_overload 1 "$tmp/overload1"
 check_study_goldens overload_study "$tmp/overload1"
@@ -171,6 +171,19 @@ run_cluster() {
 }
 run_cluster 1 "$tmp/cluster1"
 run_cluster 4 "$tmp/cluster4"
+
+# ETC smoke: the Multi-Get study with Facebook-ETC item sizes must
+# reproduce TestETCStudy's table golden byte-for-byte through the CLI at
+# -parallel 1 and 4.
+echo "==> CLI smoke (etc vs golden, -parallel 1 and -parallel 4)"
+run_etc() {
+    $GO run ./cmd/kvsbench -items 40000 -workers 26 -clients 26 -requests 400 \
+        -batches 16 -seed 7 -parallel "$1" etc > "$2.txt"
+    sed '$d' "$2.txt" > "$2.table" # emit() ends with one blank line
+    diff "$2.table" internal/experiments/testdata/etc_seed7.golden
+}
+run_etc 1 "$tmp/etc1"
+run_etc 4 "$tmp/etc4"
 
 # Sim-speed smoke: -simspeed must print the simulator-throughput table to
 # stderr while leaving stdout (the deterministic tables) untouched by any
@@ -215,6 +228,15 @@ reject Queries -queries -5 run
 reject LoadFactor -lf 0 run
 reject Cores -cores -3 run
 reject Queries -queries 0 advise
+
+# Advise smoke: every layout advise measures reports to -metrics, so the
+# file holds series beyond its header line.
+echo "==> advise smoke (-metrics holds series)"
+"$tmp/simdhtbench" -queries 200 -metrics "$tmp/advise.csv" advise > /dev/null
+if [ "$(wc -l < "$tmp/advise.csv")" -le 1 ]; then
+    echo "ci.sh: advise -metrics holds only its header line" >&2
+    exit 1
+fi
 
 # Fig. 5 smoke: the table and both grids render from one 18-run sweep, so
 # the output matches the Go test's golden, -sweepstats reports exactly one
