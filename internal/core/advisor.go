@@ -77,7 +77,11 @@ func Advise(req AdviseRequest) ([]Recommendation, error) {
 			rp := p
 			rp.N, rp.M = nm[0], nm[1]
 			rp.Split = split
-			rp.Obs = p.Obs.Scope("config", adviseLabel(nm[0], nm[1], split))
+			label := fmt.Sprintf("advise (%d,%d)", rp.N, rp.M)
+			if split {
+				label += " split"
+			}
+			rp.Obs = p.Obs.Scope("config", label)
 			r, err := Run(rp)
 			if err != nil {
 				return nil, err
@@ -106,15 +110,6 @@ func Advise(req AdviseRequest) ([]Recommendation, error) {
 		return recs[i].Best.LookupsPerSec > recs[j].Best.LookupsPerSec
 	})
 	return recs, nil
-}
-
-// adviseLabel names the "config" obs scope of the (n, m) variant's run.
-func adviseLabel(n, m int, split bool) string {
-	label := fmt.Sprintf("advise (%d,%d)", n, m)
-	if split {
-		label += " split"
-	}
-	return label
 }
 
 // probeMaxLF measures a variant's achievable load factor on a small table
