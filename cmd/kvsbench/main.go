@@ -10,10 +10,11 @@
 // `single` runs one backend/batch combination (see -backend / -batch) and
 // prints the full result line.
 //
-// `fleet` runs the fleet-scale replication study: R-way replicated Multi-Gets with open-loop arrivals,
-// quorum writes, replica failover, read-repair and fault-driven membership
-// churn (rebalance storms), swept over -fleet-sizes. Without -faults it uses
-// a built-in rolling-failure plan.
+// `fleet` runs the fleet-scale replication study: R-way replicated
+// Multi-Gets with open-loop arrivals, quorum writes, replica failover,
+// read-repair and fault-driven membership churn (rebalance storms), swept
+// over -fleet-sizes. Without -faults it uses a built-in rolling-failure
+// plan.
 //
 // `overload` runs the metastable-overload study: it measures the fleet's
 // closed-loop capacity, then sweeps open-loop offered load across
@@ -27,9 +28,8 @@
 // drop/dup/delay on the fabric, crash/slowdown windows and insert pressure
 // on the server, timeout/retry/degradation on the client) for every study
 // but `overload`, and `fault-sweep` measures goodput against injected loss
-// rates. All fault timing is
-// virtual, so faulty runs stay byte-identical across runs and -parallel
-// settings.
+// rates. All fault timing is virtual, so faulty runs stay byte-identical
+// across runs and -parallel settings.
 //
 // Observability: -trace out.json writes a Chrome trace_event file (virtual
 // time: the discrete-event simulation clock, in microseconds) and -metrics
