@@ -39,6 +39,7 @@ bench:
 # Short native-fuzz pass, one run per fuzzer: FuzzNetsimDeliver (message
 # delivery), FuzzMultiGet (the Multi-Get path), FuzzFindMatchesLookupBatch
 # (the functional one-key Index.Find against the charged LookupBatch),
+# FuzzItemStoreBytes (the item store's byte blocks against a map oracle),
 # FuzzRingMembership (ring Join/Leave histories and hash-keyed lookups),
 # FuzzParseSpec (fault specs),
 # FuzzInsertMatchesReference (the cuckoo insert path against its reference
@@ -54,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/netsim -fuzz FuzzNetsimDeliver -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzMultiGet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -run '^$$' -fuzz FuzzFindMatchesLookupBatch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kvs -run '^$$' -fuzz FuzzItemStoreBytes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzRingMembership -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cuckoo -run '^$$' -fuzz FuzzInsertMatchesReference -fuzztime $(FUZZTIME)

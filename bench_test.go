@@ -301,6 +301,7 @@ func BenchmarkFleetStudyPoint(b *testing.B) {
 		ArrivalRate:   2e5,
 		WriteFraction: 0.05,
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.FleetStudyPoint(8, opts)
 		if err != nil {
@@ -333,6 +334,7 @@ func BenchmarkOverloadStudyPoint(b *testing.B) {
 		Servers:     4,
 		Multipliers: []float64{2},
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.OverloadStudyResult(opts)
 		if err != nil {

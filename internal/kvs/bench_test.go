@@ -75,6 +75,7 @@ func BenchmarkServerSet(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv := NewServer(nil, arch.SkylakeClusterB(), 1, 64, idx, store)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := []byte(fmt.Sprintf("set-key-%012d", i))

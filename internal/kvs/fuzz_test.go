@@ -1,6 +1,7 @@
 package kvs
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -200,6 +201,143 @@ func FuzzFindMatchesLookupBatch(f *testing.F) {
 			for wi, e := range srv.engines {
 				if !e.Cache.Pristine() {
 					t.Fatalf("%s: worker %d's caches were touched by side-path lookups", tc.name, wi)
+				}
+			}
+		}
+	})
+}
+
+// storeState is the part of an ItemStore that a rejected Set must leave as
+// it was.
+type storeState struct {
+	items, free, blocks, fill, usedBytes int
+	lruHead, lruTail                     int32
+}
+
+func stateOf(s *ItemStore) storeState {
+	return storeState{len(s.items), len(s.free), len(s.blocks), s.fill, s.usedBytes, s.lruHead, s.lruTail}
+}
+
+// FuzzItemStoreBytes runs random programs of Set, Delete, TouchLRU and reads
+// on an ItemStore against a map oracle. Each step is three program bytes:
+// an op and two operands. Set draws keys of 0–250 B and values up to the
+// largest slab class, so objects often overflow the current byte block;
+// another op sets an object one byte too large or more. After every step,
+// every live item's key and value equal the oracle's and have no spare
+// capacity, and every key or value slice handed out earlier — of a live
+// item, a deleted one, or one deleted before the store emptied — still
+// holds its bytes, although reads append to the slices they hand out. A
+// store with no live item keeps at most one block, and an oversized Set
+// fails and leaves the store as it was.
+func FuzzItemStoreBytes(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 5, 10, 0, 20, 30, 3, 0, 0, 1, 0, 0, 1, 0, 0, 0, 7, 7, 3, 0, 0}) // set, set, read, empty, set, read
+	f.Add([]byte{
+		0, 250, 255, 0, 250, 255, 0, 250, 255, 0, 250, 255, 0, 250, 255, // five largest objects
+		0, 250, 255, 0, 250, 255, 0, 250, 255, 0, 250, 255, 3, 3, 0, // nine fill a block; read
+		1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, // empty
+		0, 10, 255, 3, 0, 0, // set into the kept block, read
+	})
+	f.Add([]byte{0, 1, 1, 4, 250, 255, 4, 0, 0, 2, 0, 0, 3, 0, 0, 0, 0, 0, 3, 1, 0}) // oversized sets, touch, empty objects
+	f.Add([]byte{0, 3, 9, 0, 4, 8, 0, 5, 7, 2, 0, 0, 1, 1, 0, 2, 1, 0, 3, 0, 0, 1, 0, 0, 1, 0, 0, 0, 6, 6})
+	largest := slabClassSizes[len(slabClassSizes)-1] - itemHeaderBytes
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 3*64 {
+			prog = prog[:3*64]
+		}
+		s := NewItemStore(mem.NewAddressSpace())
+		type object struct{ key, value []byte }
+		oracle := map[uint32]object{}
+		var order []uint32 // live refs, the operand space of Delete, TouchLRU and reads
+		type handout struct{ got, want []byte }
+		var handed []handout
+		hand := func(ref uint32) {
+			it := s.Get(ref)
+			for _, b := range [][]byte{s.Key(it), s.Value(it)} {
+				handed = append(handed, handout{b, append([]byte(nil), b...)})
+			}
+		}
+		pattern := func(n, seed int) []byte {
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = byte(seed + 7*i)
+			}
+			return b
+		}
+		for i := 0; i+2 < len(prog); i += 3 {
+			op, a, b := prog[i]%5, int(prog[i+1]), int(prog[i+2])
+			step := fmt.Sprintf("step %d (op %d)", i/3, op)
+			switch op {
+			case 0: // Set
+				keyLen := a % 251
+				key, value := pattern(keyLen, i), pattern(b*(largest-keyLen)/255, i+1)
+				ref, err := s.Set(key, value)
+				if err != nil {
+					t.Fatalf("%s: Set of %d+%d bytes: %v", step, len(key), len(value), err)
+				}
+				oracle[ref] = object{append([]byte(nil), key...), append([]byte(nil), value...)}
+				order = append(order, ref)
+				for _, buf := range [][]byte{key, value} { // the store holds copies
+					for j := range buf {
+						buf[j] = ^buf[j]
+					}
+				}
+				hand(ref)
+			case 1, 2, 3: // Delete, TouchLRU, read
+				if len(order) == 0 {
+					continue
+				}
+				j := a % len(order)
+				ref := order[j]
+				switch op {
+				case 1:
+					hand(ref)
+					if err := s.Delete(ref); err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+					delete(oracle, ref)
+					order = append(order[:j], order[j+1:]...)
+				case 2:
+					s.TouchLRU(ref)
+				case 3:
+					it := s.Get(ref)
+					hand(ref)
+					_ = append(s.Key(it), pattern(b, i)...)
+					_ = append(s.Value(it), pattern(b, i)...)
+				}
+			case 4: // an oversized Set
+				keyLen := a % 251
+				before := stateOf(s)
+				if _, err := s.Set(pattern(keyLen, i), pattern(largest-keyLen+1+b, i)); err == nil {
+					t.Fatalf("%s: Set of %d bytes accepted", step, largest+1+b)
+				}
+				if after := stateOf(s); after != before {
+					t.Fatalf("%s: a rejected Set changed the store from %+v to %+v", step, before, after)
+				}
+			}
+
+			if n, lru := liveItems(s), len(lruOrder(s)); n != len(oracle) || lru != len(oracle) {
+				t.Fatalf("%s: %d live items and %d on the LRU list, oracle holds %d", step, n, lru, len(oracle))
+			}
+			if len(oracle) == 0 && len(s.blocks) > 1 {
+				t.Fatalf("%s: an empty store keeps %d blocks", step, len(s.blocks))
+			}
+			for ref, want := range oracle {
+				it := s.Get(ref)
+				if it == nil {
+					t.Fatalf("%s: live ref %d not found", step, ref)
+				}
+				k, v := s.Key(it), s.Value(it)
+				if !bytes.Equal(k, want.key) || !bytes.Equal(v, want.value) {
+					t.Fatalf("%s: ref %d holds a %d-byte key and a %d-byte value unlike the oracle's %d and %d", step, ref, len(k), len(v), len(want.key), len(want.value))
+				}
+				if cap(k) != len(k) || cap(v) != len(v) {
+					t.Fatalf("%s: ref %d's slices have spare capacity (%d/%d, %d/%d)", step, ref, len(k), cap(k), len(v), cap(v))
+				}
+			}
+			for h, o := range handed {
+				if !bytes.Equal(o.got, o.want) {
+					t.Fatalf("%s: handed-out slice %d changed", step, h)
 				}
 			}
 		}

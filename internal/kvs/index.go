@@ -60,7 +60,7 @@ func verifyKey(e *engine.Engine, store *ItemStore, ref uint32, key []byte) bool 
 	}
 	e.OverlappedAccess(it.addr, itemHeaderBytes+len(key))
 	e.ChargeCycles(memcmpCyclesPerByte * float64(len(key)))
-	return bytes.Equal(it.Key, key)
+	return bytes.Equal(store.Key(it), key)
 }
 
 // simdIndex is either SIMD-aware backend: a cuckoo table over 32-bit key
@@ -160,7 +160,7 @@ func (x *simdIndex) Find(store *ItemStore, hash32 uint32, key []byte) uint32 {
 		return NoRef
 	}
 	ref := uint32(v)
-	if it := store.Get(ref); it == nil || !bytes.Equal(it.Key, key) {
+	if it := store.Get(ref); it == nil || !bytes.Equal(store.Key(it), key) {
 		return NoRef
 	}
 	return ref

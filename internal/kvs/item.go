@@ -33,16 +33,20 @@ const NoRef = ^uint32(0)
 // charged when an item is touched.
 const itemHeaderBytes = 48
 
-// Item is a stored key-value object.
+// Item is a stored key-value object's record: the simulated address and
+// class of its slab chunk, its LRU links and where its key and value bytes
+// sit in the store's byte blocks. It holds no pointer, so the store's item
+// table is memory the garbage collector does not scan. Read its bytes with
+// ItemStore.Key and ItemStore.Value.
 type Item struct {
-	Key   []byte
-	Value []byte
-
 	addr    uint64 // simulated address of the item's slab chunk
-	class   int8
-	used    bool
+	pos     uint32 // store position of the key's first byte; the value follows
+	keyLen  uint16
+	valLen  uint16
 	lruPrev int32
 	lruNext int32
+	class   int8
+	used    bool
 }
 
 // Addr returns the simulated memory address of the item, used by the
@@ -52,14 +56,25 @@ func (it *Item) Addr() uint64 { return it.addr }
 // ItemStore is the slab-backed object store. Items live in size-class slabs
 // reserved in the simulated address space, so index verification and LRU
 // updates can be charged through the cache model; only the chunk addresses
-// are simulated, and each Item holds its own bytes. Item references
-// (uint32) index a shared item table — the "shared array of object
-// pointers" of Section VI-B.
+// are simulated. Item references (uint32) index a shared item table — the
+// "shared array of object pointers" of Section VI-B.
+//
+// The key and value bytes live in append-only blocks of blockBytes that the
+// store owns: Set copies an object's key and then its value to the end of
+// the current block, starting a new block when the object does not fit.
+// Written bytes are never rewritten, and a deleted item's bytes are never
+// reused (as its simulated chunk is not), so every key or value slice the
+// store handed out keeps its bytes. When a Delete leaves the store empty,
+// the store drops every block but the one being filled; slices handed out
+// earlier keep their blocks alive.
 type ItemStore struct {
 	space   *mem.AddressSpace
 	classes []slabClass
 	items   []Item
 	free    []uint32
+
+	blocks [][]byte // item bytes; the last block is the one being filled
+	fill   int      // bytes written to the last block
 
 	lruHead int32
 	lruTail int32
@@ -83,6 +98,18 @@ var slabClassSizes = []int{64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
 const slabBytes = 1 << 20 // each slab allocation is 1 MB, as in Memcached
 
+// An item's position is a uint32 byte offset into the concatenated blocks:
+// the block index in the high bits and the offset within the block in the
+// low blockShift bits. A block holds the largest object (8192 B less the
+// header), and the encoding caps the bytes written since the store was last
+// empty at maxBlocks blocks (4 GiB); Set fails past that instead of
+// wrapping.
+const (
+	blockShift = 16
+	blockBytes = 1 << blockShift // 64 KiB
+	maxBlocks  = 1 << (32 - blockShift)
+)
+
 // NewItemStore creates an empty store carving slabs from the given address
 // space.
 func NewItemStore(space *mem.AddressSpace) *ItemStore {
@@ -105,12 +132,27 @@ func (s *ItemStore) sizeClass(keyLen, valLen int) (int, error) {
 	return -1, fmt.Errorf("kvs: object of %d bytes exceeds the largest slab class", need)
 }
 
-// Set stores a copy of (key, value) and returns its reference.
+// Set stores a copy of (key, value) and returns its reference. It fails,
+// leaving the store as it was, when the object exceeds the largest slab
+// class or its bytes would pass the position limit (see blockShift).
 func (s *ItemStore) Set(key, value []byte) (uint32, error) {
 	ci, err := s.sizeClass(len(key), len(value))
 	if err != nil {
 		return NoRef, err
 	}
+	size := len(key) + len(value)
+	if len(s.blocks) == 0 || s.fill+size > blockBytes {
+		if len(s.blocks) == maxBlocks {
+			return NoRef, fmt.Errorf("kvs: item store holds %d blocks of %d bytes, the most an item position addresses", maxBlocks, blockBytes)
+		}
+		s.blocks = append(s.blocks, make([]byte, blockBytes))
+		s.fill = 0
+	}
+	last := len(s.blocks) - 1
+	copy(s.blocks[last][s.fill:], key)
+	copy(s.blocks[last][s.fill+len(key):], value)
+	pos := uint32(last)<<blockShift | uint32(s.fill)
+	s.fill += size
 
 	var ref uint32
 	if n := len(s.free); n > 0 {
@@ -121,18 +163,39 @@ func (s *ItemStore) Set(key, value []byte) (uint32, error) {
 		ref = uint32(len(s.items) - 1)
 	}
 
-	addr := s.classes[ci].alloc(s.space)
-	it := &s.items[ref]
-	*it = Item{
-		Key:   append([]byte(nil), key...),
-		Value: append([]byte(nil), value...),
-		addr:  addr,
-		class: int8(ci),
-		used:  true,
+	s.items[ref] = Item{
+		addr:   s.classes[ci].alloc(s.space),
+		pos:    pos,
+		keyLen: uint16(len(key)),
+		valLen: uint16(len(value)),
+		class:  int8(ci),
+		used:   true,
 	}
 	s.usedBytes += s.classes[ci].chunkSize
 	s.lruPushFront(int32(ref))
 	return ref, nil
+}
+
+// Key returns the key bytes of it, an item of this store. The slice aliases
+// store memory: it must not be modified, and its capacity equals its
+// length, so an append copies it.
+func (s *ItemStore) Key(it *Item) []byte { return s.bytesAt(it.pos, int(it.keyLen)) }
+
+// Value returns the value bytes of it, an item of this store, under the same
+// terms as Key.
+func (s *ItemStore) Value(it *Item) []byte {
+	return s.bytesAt(it.pos+uint32(it.keyLen), int(it.valLen))
+}
+
+// bytesAt returns the n bytes at position pos. An empty key or value is nil
+// (HandleMGet's results read a nil value as NOT_FOUND), so the position of
+// an object with no bytes is never decoded.
+func (s *ItemStore) bytesAt(pos uint32, n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	off := int(pos & (blockBytes - 1))
+	return s.blocks[pos>>blockShift][off : off+n : off+n]
 }
 
 // NeedsEviction reports whether storing an object of the given key/value
@@ -175,7 +238,8 @@ func (s *ItemStore) Get(ref uint32) *Item {
 
 // Delete frees the item. The slab chunk is leaked back to its class only
 // logically (Memcached's chunks likewise return to the class freelist; the
-// simulated address remains reserved).
+// simulated address remains reserved), and so are the item's bytes (see
+// ItemStore for when their blocks are dropped).
 func (s *ItemStore) Delete(ref uint32) error {
 	it := s.Get(ref)
 	if it == nil {
@@ -185,7 +249,23 @@ func (s *ItemStore) Delete(ref uint32) error {
 	s.usedBytes -= s.classes[it.class].chunkSize
 	*it = Item{lruPrev: -1, lruNext: -1}
 	s.free = append(s.free, ref)
+	if s.lruHead < 0 {
+		s.releaseBlocks()
+	}
 	return nil
+}
+
+// releaseBlocks drops every byte block but the one being filled, which
+// becomes block 0; the store must hold no live item, so no position refers
+// to a dropped block. The kept block's unused tail lies outside every slice
+// handed out, so later Sets may fill it.
+func (s *ItemStore) releaseBlocks() {
+	if len(s.blocks) <= 1 {
+		return
+	}
+	last := s.blocks[len(s.blocks)-1]
+	clear(s.blocks)
+	s.blocks = append(s.blocks[:0], last)
 }
 
 // TouchLRU moves the item to the LRU front — the cache-freshness metadata

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -46,7 +47,7 @@ func TestItemStoreSetGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	it := s.Get(ref)
-	if it == nil || string(it.Key) != "key-1" || string(it.Value) != "value-1" {
+	if it == nil || string(s.Key(it)) != "key-1" || string(s.Value(it)) != "value-1" {
 		t.Fatalf("Get(%d) = %+v", ref, it)
 	}
 	if n := liveItems(s); n != 1 {
@@ -62,7 +63,7 @@ func TestItemStoreCopiesBytes(t *testing.T) {
 	key[0] = 'X'
 	val[0] = 'X'
 	it := s.Get(ref)
-	if it.Key[0] == 'X' || it.Value[0] == 'X' {
+	if s.Key(it)[0] == 'X' || s.Value(it)[0] == 'X' {
 		t.Error("store must copy key/value bytes")
 	}
 }
@@ -110,6 +111,44 @@ func TestItemStoreDeleteAndReuse(t *testing.T) {
 	ref2, _ := s.Set([]byte("b"), []byte("2"))
 	if ref2 != ref {
 		t.Errorf("freed ref not reused: got %d want %d", ref2, ref)
+	}
+}
+
+// TestItemHoldsNoPointer: Item is a flat record, so the store's item table
+// is memory the garbage collector does not scan.
+func TestItemHoldsNoPointer(t *testing.T) {
+	typ := reflect.TypeOf(Item{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int32, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("Item.%s is a %s, want a pointer-free scalar", f.Name, f.Type)
+		}
+	}
+}
+
+// TestItemStorePositionLimit: once the store holds the most blocks an item
+// position addresses, a Set that fits the last block still succeeds, and one
+// that needs a new block fails and leaves the store as it was.
+func TestItemStorePositionLimit(t *testing.T) {
+	s := NewItemStore(mem.NewAddressSpace())
+	s.blocks = make([][]byte, maxBlocks) // only the last block is ever written
+	s.blocks[maxBlocks-1] = make([]byte, blockBytes)
+	s.fill = blockBytes - 8
+	ref, err := s.Set([]byte("key"), []byte("value"))
+	if err != nil {
+		t.Fatalf("Set into the last block's room: %v", err)
+	}
+	if it := s.Get(ref); string(s.Key(it)) != "key" || string(s.Value(it)) != "value" {
+		t.Fatalf("last block holds (%q, %q)", s.Key(it), s.Value(it))
+	}
+	before := stateOf(s)
+	if _, err := s.Set([]byte("k"), nil); err == nil {
+		t.Fatal("Set past the position limit accepted")
+	}
+	if after := stateOf(s); after != before {
+		t.Fatalf("a rejected Set changed the store from %+v to %+v", before, after)
 	}
 }
 
@@ -442,6 +481,44 @@ func TestServerGetAllocFree(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("%s: Get allocates %.1f times per hit and miss, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestServerSetAllocFree pins the byte store's win: on every backend, once
+// warm, a Set of a fresh 20-byte key with a 32-byte value and a Replace of a
+// stored key allocate nothing on average. The server already holds other
+// items, and every key is built before the measurement.
+func TestServerSetAllocFree(t *testing.T) {
+	const runs = 1000
+	value := bytes.Repeat([]byte("v"), 32)
+	for _, tc := range testBackends {
+		srv := backendServer(t, tc.mk, 2)
+		for i := 0; i < 200; i++ {
+			if _, err := srv.Set([]byte(fmt.Sprintf("held-key-%011d", i)), value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh := make([][]byte, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range fresh {
+			fresh[i] = []byte(fmt.Sprintf("fresh-key-%010d", i))
+		}
+		next := 0
+		if allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := srv.Set(fresh[next], value); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}); allocs != 0 {
+			t.Errorf("%s: Set of a fresh key allocates %.1f times, want 0", tc.name, allocs)
+		}
+		stored := []byte("held-key-00000000007")
+		if allocs := testing.AllocsPerRun(runs, func() {
+			if replaced, err := srv.Replace(stored, value); err != nil || !replaced {
+				t.Fatalf("Replace of a stored key = (%v, %v)", replaced, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Replace of a stored key allocates %.1f times, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -230,7 +230,7 @@ func (x *MemC3Index) slotOf(store *ItemStore, hash32 uint32, key []byte) (b, s i
 				continue
 			}
 			ref := uint32(ptr - 1)
-			if it := store.Get(ref); it != nil && bytes.Equal(it.Key, key) {
+			if it := store.Get(ref); it != nil && bytes.Equal(store.Key(it), key) {
 				return b, s, ref, true
 			}
 		}

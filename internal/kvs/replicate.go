@@ -123,8 +123,8 @@ func (s *Server) Wipe() int {
 		if ref == NoRef {
 			break
 		}
-		it := s.Store.Get(ref)
-		s.Index.Delete(s.Store, Hash32(it.Key), it.Key)
+		k := s.Store.Key(s.Store.Get(ref))
+		s.Index.Delete(s.Store, Hash32(k), k)
 		if err := s.Store.Delete(ref); err != nil {
 			break
 		}

@@ -161,8 +161,8 @@ func (s *Server) set(key, value []byte, h uint32) (uint32, error) {
 		if victim == NoRef {
 			break
 		}
-		it := s.Store.Get(victim)
-		s.Index.Delete(s.Store, Hash32(it.Key), it.Key)
+		k := s.Store.Key(s.Store.Get(victim))
+		s.Index.Delete(s.Store, Hash32(k), k)
 		if err := s.Store.Delete(victim); err != nil {
 			return NoRef, err
 		}
@@ -183,13 +183,14 @@ func (s *Server) set(key, value []byte, h uint32) (uint32, error) {
 // reads, and tests. The lookup is functional (Index.Find): it uses no
 // worker, charges no cycles and leaves every worker's simulated caches as
 // they were. Only Multi-Get batches (HandleMGet) run the charged lookup
-// templates.
+// templates. The returned value aliases store memory and must not be
+// modified; it keeps its bytes after the item is replaced or deleted.
 func (s *Server) Get(key []byte) ([]byte, bool) {
 	ref := s.Index.Find(s.Store, Hash32(key), key)
 	if ref == NoRef {
 		return nil, false
 	}
-	return s.Store.Get(ref).Value, true
+	return s.Store.Value(s.Store.Get(ref)), true
 }
 
 // HandleMGet schedules a Multi-Get batch: it waits for a free worker,
@@ -323,9 +324,10 @@ func (s *Server) processChunk(wi int, keys [][]byte) MGetResult {
 		e.OverlappedAccess(it.Addr(), itemHeaderBytes)
 		e.ChargeCycles(lruUpdateCycles)
 		s.Store.TouchLRU(ref)
-		e.ChargeCycles(respFixedCycles + respCyclesPerByte*float64(len(it.Value)))
-		values[i] = it.Value
-		respBytes += len(it.Value) + 16
+		v := s.Store.Value(it)
+		e.ChargeCycles(respFixedCycles + respCyclesPerByte*float64(len(v)))
+		values[i] = v
+		respBytes += len(v) + 16
 	}
 	postCycles := e.Cycles() - start
 

@@ -94,7 +94,10 @@ func New(stored []uint64, cfg Config) (Generator, error) {
 		}
 		// Permute ranks so the hot keys are spread over the table instead of
 		// clustering in insertion order.
-		perm := rng.Perm(len(stored))
+		perm, err := perm32(len(stored), rng)
+		if err != nil {
+			return nil, err
+		}
 		return &skewedGen{stored: stored, perm: perm, zipf: z, hit: cfg.HitRate, rng: rng, miss: miss}, nil
 	default:
 		return nil, fmt.Errorf("workload: unknown pattern %v", cfg.Pattern)
@@ -126,7 +129,7 @@ func (u *uniformGen) Next() uint64 {
 
 type skewedGen struct {
 	stored []uint64
-	perm   []int
+	perm   []int32
 	zipf   *Zipf
 	hit    float64
 	rng    *rand.Rand
@@ -213,10 +216,43 @@ func (z *Zipf) Next() int {
 	return r
 }
 
+// perm32 returns rng.Perm(n) as int32s, drawing exactly what rng.Perm
+// draws (its inside-out shuffle), so it leaves rng in the same state. It
+// fails above math.MaxInt32 ranks, which an int32 cannot hold.
+func perm32(n int, rng *rand.Rand) ([]int32, error) {
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("workload: permutation of %d ranks exceeds the limit of %d", n, math.MaxInt32)
+	}
+	m := make([]int32, n)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = int32(i)
+	}
+	return m, nil
+}
+
+// zeta returns the Zipf normalizer: the sum of invPow(i, theta) for i in
+// [1, n], in that order.
 func zeta(n int, theta float64) float64 {
 	var sum float64
 	for i := 1; i <= n; i++ {
-		sum += 1.0 / math.Pow(float64(i), theta)
+		sum += invPow(float64(i), theta)
 	}
 	return sum
+}
+
+// invPow returns 1/math.Pow(x, theta), bit for bit, for x ≥ 1 and theta in
+// (0, 1), without Pow's generic case analysis: it evaluates the expression
+// math.Pow reaches for that theta. Above 0.5, Pow splits theta into 1 and
+// theta−1 (computed at run time: the constant 0.99−1 rounds differently).
+func invPow(x, theta float64) float64 {
+	switch {
+	case theta > 0.5:
+		return 1 / (math.Exp((theta-1)*math.Log(x)) * x)
+	case theta == 0.5:
+		return 1 / math.Sqrt(x)
+	default:
+		return 1 / math.Exp(theta*math.Log(x))
+	}
 }

@@ -132,6 +132,57 @@ func TestZipfRankDistribution(t *testing.T) {
 	}
 }
 
+// TestInvPowMatchesPow: every Zipf normalizer term equals 1/math.Pow bit
+// for bit, for ranks up to 2^21 at exponents on each side of 0.5 and at
+// 0.5 itself, and the normalizer over update-dram's 1,887,436 stored keys
+// equals the math.Pow loop's sum.
+func TestInvPowMatchesPow(t *testing.T) {
+	for _, theta := range []float64{0.25, 0.5, 0.75, DefaultZipfTheta} {
+		for i := 1; i <= 1<<21; i++ {
+			x := float64(i)
+			if got, want := invPow(x, theta), 1/math.Pow(x, theta); got != want {
+				t.Fatalf("invPow(%d, %v) = %v, 1/math.Pow = %v", i, theta, got, want)
+			}
+		}
+	}
+	const n = 1887436
+	var want float64
+	for i := 1; i <= n; i++ {
+		want += 1.0 / math.Pow(float64(i), DefaultZipfTheta)
+	}
+	if got := zeta(n, DefaultZipfTheta); got != want {
+		t.Errorf("zeta(%d, %v) = %v, the math.Pow loop sums %v", n, DefaultZipfTheta, got, want)
+	}
+}
+
+// TestPerm32MatchesPerm: perm32 holds rand.Perm's values and leaves the
+// generator where rand.Perm does, and it rejects more ranks than an int32
+// holds without allocating them.
+func TestPerm32MatchesPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 1000, 65537} {
+		a, b := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		got, err := perm32(n, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := b.Perm(n)
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("n=%d: perm32[%d] = %d, rand.Perm = %d", n, i, got[i], want[i])
+			}
+		}
+		if len(got) != n {
+			t.Fatalf("n=%d: perm32 holds %d ranks", n, len(got))
+		}
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Fatalf("n=%d: next draw %d after perm32, %d after rand.Perm", n, x, y)
+		}
+	}
+	if _, err := perm32(math.MaxInt32+1, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("perm32 accepted more ranks than an int32 holds")
+	}
+}
+
 func TestZipfValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := NewZipf(0, 0.99, rng); err == nil {
