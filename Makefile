@@ -47,8 +47,8 @@ bench:
 # byte-array reference), FuzzHierarchyMatchesReference (the cache hierarchy
 # against its reference LRU), FuzzPartitionedMatchesReference (the DES
 # engine against its reference window loop and merge), FuzzCFGBuild (the
-# lint CFG builder) and FuzzStudyOptions (the KVS study entries' option
-# validation). Seed corpora
+# lint CFG builder) and FuzzStudyOptions (the option validation of all
+# seven KVS study entries). Seed corpora
 # live under testdata/fuzz/ or in the targets' f.Add calls. Bump FUZZTIME
 # for a longer hunt.
 fuzz-smoke:

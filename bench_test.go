@@ -297,16 +297,18 @@ func BenchmarkFleetStudyPoint(b *testing.B) {
 			Items: 20000, Workers: 4, Clients: 8, Requests: 1200,
 			Batches: []int{16}, Seed: 7,
 		},
+		FleetSizes:    []int{8},
 		Replication:   3,
 		ArrivalRate:   2e5,
 		WriteFraction: 0.05,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.FleetStudyPoint(8, opts)
+		results, err := experiments.FleetStudyResult(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := results[0]
 		if res.Epochs == 0 {
 			b.Fatal("fleet benchmark ran without membership churn")
 		}

@@ -154,9 +154,9 @@ func main() {
 			h.Check(err)
 			h.Emit(t)
 		case "fleet":
-			t, err := experiments.FleetStudy(fleetOpts)
+			res, err := experiments.FleetStudyResult(fleetOpts)
 			h.Check(err)
-			h.Emit(t)
+			h.Emit(experiments.FleetTable(fleetOpts, res))
 		case "overload":
 			res, err := experiments.OverloadStudyResult(overloadOpts)
 			h.Check(err)

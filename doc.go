@@ -23,8 +23,9 @@
 //     or a consistent-hashing cluster).
 //   - internal/workload — uniform, Zipfian (mutilate-like) and Facebook-ETC
 //     generators with trace record/replay.
-//   - internal/cuckoomap — a native, adoptable generic implementation of
-//     the recommended (2,4) tag-prefiltered cuckoo map.
+//   - internal/cuckoomap — a native generic implementation of the
+//     recommended (2,4) tag-prefiltered cuckoo map, kept for ROADMAP item
+//     12's owner decision (no other module can import it).
 //
 // The root package holds the top-level benchmark harness (bench_test.go,
 // ablation_bench_test.go): one testing.B benchmark per table and figure of

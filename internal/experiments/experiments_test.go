@@ -331,7 +331,7 @@ func TestStudyOptionsRejectedByName(t *testing.T) {
 			o := FleetOptions{KVSOptions: kvs, FleetSizes: []int{3}, Replication: 3, ArrivalRate: 2e5, WriteFraction: 0.05}
 			o.Obs = col
 			set(&o)
-			_, err := FleetStudy(o)
+			_, err := FleetStudyResult(o)
 			return err
 		}
 	}

@@ -184,11 +184,11 @@ func runFleetStudyObs(t *testing.T, spec string, parallel int) studyArtifacts {
 	}
 	o.Requests = 60
 	o.Faults = fs
-	tbl, err := FleetStudy(o)
+	res, err := FleetStudyResult(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return renderStudy(t, col, set, func(b *bytes.Buffer) { tbl.Fprint(b) })
+	return renderStudy(t, col, set, func(b *bytes.Buffer) { FleetTable(o, res).Fprint(b) })
 }
 
 // TestObsGoldenFleetStudy pins the fleet study's table, trace and metrics
@@ -257,7 +257,7 @@ func TestFleetStudyReportsSheds(t *testing.T) {
 		ArrivalRate:   2e6,
 		WriteFraction: 0.05,
 	}
-	if _, err := FleetStudy(o); err != nil {
+	if _, err := FleetStudyResult(o); err != nil {
 		t.Fatal(err)
 	}
 	shed := ""
@@ -287,10 +287,11 @@ func TestFleetPartitionedMachineryBites(t *testing.T) {
 		WriteFraction: 0.05,
 	}
 	o.Faults = spec
-	res, err := FleetStudyPoint(5, o)
+	results, err := FleetStudyResult(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	if res.Epochs == 0 || res.KeysMoved == 0 {
 		t.Errorf("no membership churn (epochs=%d moved=%d)", res.Epochs, res.KeysMoved)
 	}
@@ -315,11 +316,11 @@ func TestFleetStudyRatesHonoured(t *testing.T) {
 		some   bool
 	}{{0, false}, {0.2, true}} {
 		o.WriteFraction = tc.writes
-		res, err := FleetStudyPoint(3, o)
+		res, err := FleetStudyResult(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := res.Writes + res.WritesFailed; (n > 0) != tc.some {
+		if n := res[0].Writes + res[0].WritesFailed; (n > 0) != tc.some {
 			t.Errorf("write fraction %g issued %d quorum writes", tc.writes, n)
 		}
 	}
@@ -335,7 +336,7 @@ func TestFleetStudyRatesHonoured(t *testing.T) {
 	} {
 		o.ArrivalRate, o.WriteFraction = tc.rate, tc.writes
 		var cfgErr *memslap.ConfigError
-		if _, err := FleetStudy(o); !errors.As(err, &cfgErr) || cfgErr.Field != tc.field {
+		if _, err := FleetStudyResult(o); !errors.As(err, &cfgErr) || cfgErr.Field != tc.field {
 			t.Errorf("arrival rate %g, write fraction %g: got %v, want a *memslap.ConfigError on %s", tc.rate, tc.writes, err, tc.field)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"simdhtbench/internal/fault"
 	"simdhtbench/internal/memslap"
 	"simdhtbench/internal/report"
-	"simdhtbench/internal/sweep"
 )
 
 // FleetOptions sizes the fleet-scale replication study; the interesting
@@ -68,29 +67,16 @@ func (o FleetOptions) validate() error {
 // each churn server fails a couple of times per run.
 const defaultFleetFaultSpec = "drop=0.002,crash=5ms:1ms,timeout=100µs,retries=3,backoff=20µs"
 
-// FleetStudyPoint runs one fleet size of the study: an open-loop, R-way
-// replicated Multi-Get run with quorum writes and fault-driven membership
-// churn, on its own hermetic simulation, under o.Faults or, when that is
-// disabled, the built-in rolling-failure spec. o.FleetSizes is not read.
-func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error) {
-	o.FleetSizes = []int{nservers}
-	if err := o.validate(); err != nil {
-		return memslap.FleetResults{}, err
-	}
-	spec := o.Faults
-	if !spec.Enabled() {
-		parsed, err := fault.ParseSpec(defaultFleetFaultSpec)
-		if err != nil {
-			return memslap.FleetResults{}, err
-		}
-		spec = parsed
-	}
-	repl := min(o.Replication, nservers)
+// fleetRun is the study's run at n servers: an open-loop, R-way replicated
+// Multi-Get run with quorum writes and fault-driven membership churn under
+// spec, on its own hermetic simulation.
+func (o FleetOptions) fleetRun(n int, spec fault.Spec) kvsRun {
+	repl := min(o.Replication, n)
 	return kvsRun{
-		label: fleetLabel(nservers),
+		label: fmt.Sprintf("fleet n=%d", n),
 		shape: fleetShape{
-			backend: "vertical", servers: nservers, replication: repl,
-			capacity: replicatedCapacity(o.Items, nservers, repl), batchCap: fleetBatchCap,
+			backend: "vertical", servers: n, replication: repl,
+			capacity: replicatedCapacity(o.Items, n, repl), batchCap: fleetBatchCap,
 		},
 		faults: spec,
 		cfg: memslap.FleetConfig{
@@ -100,35 +86,39 @@ func FleetStudyPoint(nservers int, o FleetOptions) (memslap.FleetResults, error)
 			Churn:         spec.CrashPeriod > 0,
 		},
 		fleetProbe: true,
-	}.run(o.KVSOptions)
+	}
 }
 
-// fleetLabel names the fleet study's run at n servers.
-func fleetLabel(n int) string { return fmt.Sprintf("fleet n=%d", n) }
-
-// FleetStudy is the capstone table: p50/p99/p999 virtual-time latency and
-// goodput versus fleet size under rolling failures — a Fig. 11-style view
-// of how replication, failover and rebalance storms reshape tail latency as
-// the same aggregate open-loop load spreads over more SIMD-indexed servers.
-// Each fleet size is one hermetic sweep job; tables and obs artifacts are
-// byte-identical at any Parallel setting.
-func FleetStudy(o FleetOptions) (*report.Table, error) {
+// FleetStudyResult runs the fleet-scale replication study, one run per
+// fleet size in o.FleetSizes order, under o.Faults or, when that is
+// disabled, the built-in rolling-failure spec. Each fleet size is one
+// hermetic sweep job, so results and obs artifacts are byte-identical at
+// any Parallel setting.
+func FleetStudyResult(o FleetOptions) ([]memslap.FleetResults, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	jobs := make([]sweep.Job[memslap.FleetResults], len(o.FleetSizes))
-	for i, n := range o.FleetSizes {
-		jobs[i] = sweep.Job[memslap.FleetResults]{
-			Label: fleetLabel(n),
-			Run: func() (memslap.FleetResults, error) {
-				return FleetStudyPoint(n, o)
-			},
+	spec := o.Faults
+	if !spec.Enabled() {
+		parsed, err := fault.ParseSpec(defaultFleetFaultSpec)
+		if err != nil {
+			return nil, err
 		}
+		spec = parsed
 	}
-	results, err := fanOut(o.Parallel, o.OnSweep, jobs)
-	if err != nil {
-		return nil, err
+	runs := make([]kvsRun, len(o.FleetSizes))
+	for i, n := range o.FleetSizes {
+		runs[i] = o.fleetRun(n, spec)
 	}
+	return runKVSRuns(o.KVSOptions, runs)
+}
+
+// FleetTable is the capstone table: p50/p99/p999 virtual-time latency and
+// goodput versus fleet size under rolling failures — a Fig. 11-style view
+// of how replication, failover and rebalance storms reshape tail latency as
+// the same aggregate open-loop load spreads over more SIMD-indexed servers.
+// results holds FleetStudyResult(o).
+func FleetTable(o FleetOptions, results []memslap.FleetResults) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Extension: fleet-scale replicated Multi-Get under rolling failures (R=%d, vertical AVX-512 backend)", o.Replication),
 		"Servers", "p50 (us)", "p99 (us)", "p999 (us)", "Queue p99 (us)",
@@ -142,5 +132,5 @@ func FleetStudy(o FleetOptions) (*report.Table, error) {
 			fmt.Sprintf("%.2f", res.GoodputKeys/1e6),
 			res.Epochs, res.KeysMoved, res.Repairs, res.Failovers, res.Degraded)
 	}
-	return t, nil
+	return t
 }

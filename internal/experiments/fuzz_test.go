@@ -8,8 +8,9 @@ import (
 	"simdhtbench/internal/memslap"
 )
 
-// FuzzStudyOptions drives the KVS study entries — RunKVS, FleetStudyPoint
-// and OverloadStudyResult, picked by study % 3 — with tiny options: at most
+// FuzzStudyOptions drives the KVS study entries — RunKVS, FleetStudyResult,
+// OverloadStudyResult, Fig11StudyResult, ETCStudy, ClusterStudy and
+// FaultSweep, picked by study % 7 — with tiny options: at most
 // 64 items, 4 workers and clients, 16 requests, batches of 16 and 3
 // servers, each count reaching zero and negative values, and fractions,
 // multipliers and non-positive, NaN and infinite rates taken as given.
@@ -48,6 +49,10 @@ func FuzzStudyOptions(f *testing.F) {
 		{2, 64, 2, 4, 16, 8, 2, 2, 2e5, 0.05, -inf, 7},
 		{2, -5, -1, -3, -16, -8, -2, -1, -5, 0.05, 0, -1},
 		{0, 12, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 52}, // single: runs; its 16-slot index once filled at 11 of 12 keys
+		{3, 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},  // fig11: runs
+		{4, 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},  // etc: runs
+		{5, 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},  // cluster: runs
+		{6, 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},  // fault-sweep: runs
 	} {
 		f.Add(in.study, in.items, in.workers, in.clients, in.requests, in.batch, in.servers, in.repl,
 			in.rate, in.writes, in.mult, in.seed)
@@ -71,22 +76,31 @@ func FuzzStudyOptions(f *testing.F) {
 			rate = max(rate, 1e3)
 		}
 		var err error
-		switch study % 3 {
+		switch study % 7 {
 		case 0:
 			_, err = RunKVS("vertical", o.Batches[0], o)
 		case 1:
-			_, err = FleetStudyPoint(nservers, FleetOptions{
-				KVSOptions: o, Replication: int(repl) % 4, ArrivalRate: rate, WriteFraction: writes,
+			_, err = FleetStudyResult(FleetOptions{
+				KVSOptions: o, FleetSizes: []int{nservers},
+				Replication: int(repl) % 4, ArrivalRate: rate, WriteFraction: writes,
 			})
 		case 2:
 			_, err = OverloadStudyResult(OverloadOptions{
 				KVSOptions: o, Servers: nservers, Multipliers: []float64{mult},
 			})
+		case 3:
+			_, err = Fig11StudyResult(o)
+		case 4:
+			_, err = ETCStudy(o)
+		case 5:
+			_, err = ClusterStudy(o)
+		case 6:
+			_, err = FaultSweep(o)
 		}
 		var cfgErr *memslap.ConfigError
 		var loadErr *memslap.LoadError
 		if err != nil && !errors.As(err, &cfgErr) && !errors.As(err, &loadErr) {
-			t.Fatalf("study %d: got %v, want a result, a *memslap.ConfigError or a *memslap.LoadError", study%3, err)
+			t.Fatalf("study %d: got %v, want a result, a *memslap.ConfigError or a *memslap.LoadError", study%7, err)
 		}
 	})
 }

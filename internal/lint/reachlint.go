@@ -10,8 +10,8 @@ import (
 // function and method declared in a non-test file must be reachable through
 // the call graph (callgraph.go) from a root. The roots are:
 //
-//   - every main of a main package (cmd/, examples/, simbench/) and every
-//     init function;
+//   - every main of a main package (cmd/, simbench/) and every init
+//     function;
 //   - every function used as a value rather than called (a callback, a
 //     method value, a registry entry) and every function a package-level
 //     variable initializer references, since both run without a visible

@@ -238,6 +238,24 @@ if [ "$(wc -l < "$tmp/advise.csv")" -le 1 ]; then
     exit 1
 fi
 
+# README smoke: the quickstart block quotes a simdhtbench command on its
+# first line and the command's stdout after it; the command must still
+# print exactly that, up to trailing blank lines.
+echo "==> README quickstart (output vs the quoted block)"
+awk '/<!-- quickstart:end -->/ { on = 0 } on && !/^```/ { print }
+    /<!-- quickstart:begin -->/ { on = 1 }' README.md > "$tmp/quickstart.md"
+args=$(sed -n '1s|^\$ go run ./cmd/simdhtbench ||p' "$tmp/quickstart.md")
+if [ -z "$args" ]; then
+    echo "ci.sh: README.md has no quoted quickstart command" >&2
+    exit 1
+fi
+# Print blank lines only when a non-blank line follows them.
+trim() { awk 'NF { for (; n > 0; n--) print ""; print; next } { n++ }'; }
+sed '1d' "$tmp/quickstart.md" | trim > "$tmp/quickstart.want"
+"$tmp/simdhtbench" $args > "$tmp/quickstart.out" # $args splits into flags
+trim < "$tmp/quickstart.out" > "$tmp/quickstart.got"
+diff "$tmp/quickstart.want" "$tmp/quickstart.got"
+
 # Fig. 5 smoke: the table and both grids render from one 18-run sweep, so
 # the output matches the Go test's golden, -sweepstats reports exactly one
 # sweep of 18 jobs (every run of the sweep prints its own report), and the
