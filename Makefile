@@ -41,7 +41,8 @@ bench:
 # (the functional one-key Index.Find against the charged LookupBatch),
 # FuzzItemStoreBytes (the item store's byte blocks against a map oracle),
 # FuzzRingMembership (ring Join/Leave histories and hash-keyed lookups),
-# FuzzParseSpec (fault specs),
+# FuzzRebalanceMatchesReference (the fleet's per-arc rebalance planner
+# against the per-key loop it replaced), FuzzParseSpec (fault specs),
 # FuzzInsertMatchesReference (the cuckoo insert path against its reference
 # search), FuzzVecMatchesReference (the vector register against its
 # byte-array reference), FuzzHierarchyMatchesReference (the cache hierarchy
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kvs -run '^$$' -fuzz FuzzFindMatchesLookupBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -run '^$$' -fuzz FuzzItemStoreBytes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzRingMembership -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/memslap -run '^$$' -fuzz FuzzRebalanceMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cuckoo -run '^$$' -fuzz FuzzInsertMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzVecMatchesReference -fuzztime $(FUZZTIME)

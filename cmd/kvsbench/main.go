@@ -5,7 +5,11 @@
 //
 // Usage:
 //
-//	kvsbench [flags] [fig11a|fig11b|etc|cluster|fleet|overload|fault-sweep|single|all]
+//	kvsbench [flags] [fig11a|fig11b|etc|cluster|fleet|overload|fault-sweep|single|all]...
+//
+// Flags go before the commands. Every command is checked before the first
+// runs: an unknown one, or a flag written after a command, exits 1 naming
+// it, with nothing simulated.
 //
 // `single` runs one backend/batch combination (see -backend / -batch) and
 // prints the full result line.
@@ -50,6 +54,7 @@ import (
 	"simdhtbench/cmd/internal/cli"
 	"simdhtbench/internal/experiments"
 	"simdhtbench/internal/fault"
+	"simdhtbench/internal/report"
 )
 
 func main() {
@@ -136,44 +141,59 @@ func main() {
 		}
 		return *fig11
 	}
+	// Every argument resolves to an action before any runs, so an unknown
+	// name (or a flag written after a command) fails with nothing simulated.
+	var actions []func()
+	emit := func(study func(experiments.KVSOptions) (*report.Table, error)) {
+		actions = append(actions, func() {
+			t, err := study(opts)
+			h.Check(err)
+			h.Emit(t)
+		})
+	}
 	for _, cmd := range args {
 		switch cmd {
 		case "all":
-			h.Emit(experiments.Fig11aTable(fig11Result()))
-			h.Emit(experiments.Fig11bTable(fig11Result()))
+			actions = append(actions, func() {
+				h.Emit(experiments.Fig11aTable(fig11Result()))
+				h.Emit(experiments.Fig11bTable(fig11Result()))
+			})
 		case "fig11a":
-			h.Emit(experiments.Fig11aTable(fig11Result()))
+			actions = append(actions, func() { h.Emit(experiments.Fig11aTable(fig11Result())) })
 		case "fig11b":
-			h.Emit(experiments.Fig11bTable(fig11Result()))
+			actions = append(actions, func() { h.Emit(experiments.Fig11bTable(fig11Result())) })
 		case "etc":
-			t, err := experiments.ETCStudy(opts)
-			h.Check(err)
-			h.Emit(t)
+			emit(experiments.ETCStudy)
 		case "cluster":
-			t, err := experiments.ClusterStudy(opts)
-			h.Check(err)
-			h.Emit(t)
+			emit(experiments.ClusterStudy)
 		case "fleet":
-			res, err := experiments.FleetStudyResult(fleetOpts)
-			h.Check(err)
-			h.Emit(experiments.FleetTable(fleetOpts, res))
+			actions = append(actions, func() {
+				res, err := experiments.FleetStudyResult(fleetOpts)
+				h.Check(err)
+				h.Emit(experiments.FleetTable(fleetOpts, res))
+			})
 		case "overload":
-			res, err := experiments.OverloadStudyResult(overloadOpts)
-			h.Check(err)
-			h.Emit(experiments.OverloadTable(overloadOpts, res))
+			actions = append(actions, func() {
+				res, err := experiments.OverloadStudyResult(overloadOpts)
+				h.Check(err)
+				h.Emit(experiments.OverloadTable(overloadOpts, res))
+			})
 		case "fault-sweep":
-			t, err := experiments.FaultSweep(opts)
-			h.Check(err)
-			h.Emit(t)
+			emit(experiments.FaultSweep)
 		case "single":
-			res, err := experiments.RunKVS(*backend, *batch, opts)
-			h.Check(err)
-			fmt.Fprintln(h.Out, res)
-			fmt.Fprintf(h.Out, "  phases per batch: pre=%.2fus lookup=%.2fus post=%.2fus (util %.2f)\n",
-				res.Breakdown.Pre*1e6, res.Breakdown.Lookup*1e6, res.Breakdown.Post*1e6, res.WorkerUtil)
+			actions = append(actions, func() {
+				res, err := experiments.RunKVS(*backend, *batch, opts)
+				h.Check(err)
+				fmt.Fprintln(h.Out, res)
+				fmt.Fprintf(h.Out, "  phases per batch: pre=%.2fus lookup=%.2fus post=%.2fus (util %.2f)\n",
+					res.Breakdown.Pre*1e6, res.Breakdown.Lookup*1e6, res.Breakdown.Post*1e6, res.WorkerUtil)
+			})
 		default:
 			h.Fatal(fmt.Errorf("unknown command %q (want fig11a, fig11b, etc, cluster, fleet, overload, fault-sweep, single, all)", cmd))
 		}
+	}
+	for _, run := range actions {
+		run()
 	}
 	h.Finish("")
 }

@@ -6,6 +6,10 @@
 //
 //	simdhtbench [flags] <experiment>...
 //
+// Flags go before the experiments. Every experiment is checked before the
+// first runs: an unknown one, or a flag written after an experiment, exits
+// 1 naming it, with nothing run.
+//
 // Experiments: table1, fig2, listing1, fig5 (cs1a), fig6 (cs1b),
 // fig7a (cs2), fig7b (cs3), fig8 (cs4), fig9 (cs5), validate, run, all.
 // Extensions beyond the paper: split (bucket-arrangement ablation), mixed
@@ -105,155 +109,162 @@ func main() {
 		}
 		return fig5
 	}
+	// Every argument resolves to an action before any runs, so an unknown
+	// name (or a flag written after a command) fails with nothing run.
+	var actions []func()
+	emit := func(study func(experiments.Options) (*report.Table, error)) {
+		actions = append(actions, func() {
+			t, err := study(opts)
+			h.Check(err)
+			h.Emit(t)
+		})
+	}
 	for _, cmd := range args {
 		switch cmd {
 		case "all":
-			runAll(h, opts, fig5Result)
+			actions = append(actions, func() { runAll(h, opts, fig5Result) })
 		case "table1":
-			h.Emit(experiments.Table1())
+			actions = append(actions, func() { h.Emit(experiments.Table1()) })
 		case "fig2":
-			t, err := experiments.Fig2(opts)
-			h.Check(err)
-			h.Emit(t)
+			emit(experiments.Fig2)
 		case "listing1":
-			s, err := experiments.Listing1()
-			h.Check(err)
-			fmt.Fprintln(h.Out, s)
-		case "fig5", "cs1a":
-			h.Emit(experiments.Fig5Table(fig5Result()))
-			if !h.CSV {
-				for _, p := range []workload.Pattern{workload.Uniform, workload.Skewed} {
-					experiments.Fig5Grid(fig5Result(), p).Fprint(h.Out)
-					fmt.Fprintln(h.Out)
-				}
-			}
-		case "fig6", "cs1b":
-			t, err := experiments.Fig6(opts)
-			h.Check(err)
-			h.Emit(t)
-		case "fig7a", "cs2":
-			t, err := experiments.Fig7a(opts)
-			h.Check(err)
-			h.Emit(t)
-		case "fig7b", "cs3":
-			t, err := experiments.Fig7b(opts)
-			h.Check(err)
-			h.Emit(t)
-		case "fig8", "cs4":
-			t, err := experiments.Fig8(opts)
-			h.Check(err)
-			h.Emit(t)
-		case "fig9", "cs5":
-			t, err := experiments.Fig9(opts)
-			h.Check(err)
-			h.Emit(t)
-		case "split":
-			t, err := experiments.SplitBucket(opts)
-			h.Check(err)
-			h.Emit(t)
-		case "mixed":
-			t, err := experiments.MixedWorkload(opts)
-			h.Check(err)
-			h.Emit(t)
-		case "amac":
-			t, err := experiments.AMACStudy(opts)
-			h.Check(err)
-			h.Emit(t)
-		case "arches":
-			t, err := experiments.EmergingArchitectures(opts)
-			h.Check(err)
-			h.Emit(t)
-		case "validate":
-			rows, err := core.ValidateGrid(model, [][2]int{{*n, *m}}, *keyBits, *valBits, *size, model.Widths)
-			h.Check(err)
-			fmt.Fprint(h.Out, core.FormatListing(model, *keyBits, *valBits, model.Widths, rows))
-		case "run":
-			spec, err := fault.ParseSpec(h.Faults)
-			h.Check(err)
-			params := core.Params{
-				Arch: model, N: *n, M: *m, KeyBits: *keyBits, ValBits: *valBits,
-				TableBytes: *size, LoadFactor: *lf, HitRate: *hitRate,
-				Pattern: pat, Queries: *queries, Cores: *cores, Seed: h.Seed,
-				Obs:    h.Col.Scope("config", "run"),
-				Faults: spec, FaultSeed: h.FaultSeed,
-				RecordSimSpeed: *simspeed,
-				Heartbeat:      h.Heartbeat,
-			}
-			if *keytrace != "" {
-				f, err := os.Open(*keytrace)
+			actions = append(actions, func() {
+				s, err := experiments.Listing1()
 				h.Check(err)
-				keys, err := workload.ReadTrace(f)
-				f.Close()
-				h.Check(err)
-				params.Trace = keys
-			}
-			r, err := core.Run(params)
-			h.Check(err)
-			h.Emit(resultTable(r))
-			if *brk {
-				h.Emit(breakdownTable(r))
-			}
-			if *simspeed {
-				// Stderr only: stdout carries the deterministic tables.
-				simSpeedTable(r).Fprint(os.Stderr)
-				fmt.Fprintln(os.Stderr)
-			}
-		case "advise":
-			recs, err := core.Advise(core.AdviseRequest{
-				Params: core.Params{
-					Arch: model, KeyBits: *keyBits, ValBits: *valBits,
-					TableBytes: *size, HitRate: *hitRate, Pattern: pat,
-					Queries: *queries, Seed: h.Seed,
-					Obs: h.Col, Heartbeat: h.Heartbeat,
-				},
-				MinLoadFactor: *lf,
+				fmt.Fprintln(h.Out, s)
 			})
-			h.Check(err)
-			t := report.NewTable(
-				fmt.Sprintf("Design guidance: (K,V)=(%d,%d)b, %s HT, %s pattern, LF >= %.2f on %s",
-					*keyBits, *valBits, sizeArg(*size), pat, *lf, model.Name),
-				"#", "Layout", "Best design", "M lookups/s/core", "Speedup", "Max LF")
-			for i, r := range recs {
-				design := r.Best.Choice.String()
-				if r.BestIsScalar {
-					design = "scalar"
+		case "fig5", "cs1a":
+			actions = append(actions, func() {
+				h.Emit(experiments.Fig5Table(fig5Result()))
+				if !h.CSV {
+					for _, p := range []workload.Pattern{workload.Uniform, workload.Skewed} {
+						experiments.Fig5Grid(fig5Result(), p).Fprint(h.Out)
+						fmt.Fprintln(h.Out)
+					}
 				}
-				t.AddRow(i+1, r.Layout.String(), design,
-					fmt.Sprintf("%.1f", r.Best.LookupsPerSec/1e6),
-					fmt.Sprintf("%.2fx", r.Speedup),
-					fmt.Sprintf("%.2f", r.MaxLF))
-			}
-			h.Emit(t)
+			})
+		case "fig6", "cs1b":
+			emit(experiments.Fig6)
+		case "fig7a", "cs2":
+			emit(experiments.Fig7a)
+		case "fig7b", "cs3":
+			emit(experiments.Fig7b)
+		case "fig8", "cs4":
+			emit(experiments.Fig8)
+		case "fig9", "cs5":
+			emit(experiments.Fig9)
+		case "split":
+			emit(experiments.SplitBucket)
+		case "mixed":
+			emit(experiments.MixedWorkload)
+		case "amac":
+			emit(experiments.AMACStudy)
+		case "arches":
+			emit(experiments.EmergingArchitectures)
+		case "validate":
+			actions = append(actions, func() {
+				rows, err := core.ValidateGrid(model, [][2]int{{*n, *m}}, *keyBits, *valBits, *size, model.Widths)
+				h.Check(err)
+				fmt.Fprint(h.Out, core.FormatListing(model, *keyBits, *valBits, model.Widths, rows))
+			})
+		case "run":
+			actions = append(actions, func() {
+				spec, err := fault.ParseSpec(h.Faults)
+				h.Check(err)
+				params := core.Params{
+					Arch: model, N: *n, M: *m, KeyBits: *keyBits, ValBits: *valBits,
+					TableBytes: *size, LoadFactor: *lf, HitRate: *hitRate,
+					Pattern: pat, Queries: *queries, Cores: *cores, Seed: h.Seed,
+					Obs:    h.Col.Scope("config", "run"),
+					Faults: spec, FaultSeed: h.FaultSeed,
+					RecordSimSpeed: *simspeed,
+					Heartbeat:      h.Heartbeat,
+				}
+				if *keytrace != "" {
+					f, err := os.Open(*keytrace)
+					h.Check(err)
+					keys, err := workload.ReadTrace(f)
+					f.Close()
+					h.Check(err)
+					params.Trace = keys
+				}
+				r, err := core.Run(params)
+				h.Check(err)
+				h.Emit(resultTable(r))
+				if *brk {
+					h.Emit(breakdownTable(r))
+				}
+				if *simspeed {
+					// Stderr only: stdout carries the deterministic tables.
+					simSpeedTable(r).Fprint(os.Stderr)
+					fmt.Fprintln(os.Stderr)
+				}
+			})
+		case "advise":
+			actions = append(actions, func() {
+				recs, err := core.Advise(core.AdviseRequest{
+					Params: core.Params{
+						Arch: model, KeyBits: *keyBits, ValBits: *valBits,
+						TableBytes: *size, HitRate: *hitRate, Pattern: pat,
+						Queries: *queries, Seed: h.Seed,
+						Obs: h.Col, Heartbeat: h.Heartbeat,
+					},
+					MinLoadFactor: *lf,
+				})
+				h.Check(err)
+				t := report.NewTable(
+					fmt.Sprintf("Design guidance: (K,V)=(%d,%d)b, %s HT, %s pattern, LF >= %.2f on %s",
+						*keyBits, *valBits, sizeArg(*size), pat, *lf, model.Name),
+					"#", "Layout", "Best design", "M lookups/s/core", "Speedup", "Max LF")
+				for i, r := range recs {
+					design := r.Best.Choice.String()
+					if r.BestIsScalar {
+						design = "scalar"
+					}
+					t.AddRow(i+1, r.Layout.String(), design,
+						fmt.Sprintf("%.1f", r.Best.LookupsPerSec/1e6),
+						fmt.Sprintf("%.2fx", r.Speedup),
+						fmt.Sprintf("%.2f", r.MaxLF))
+				}
+				h.Emit(t)
+			})
 		case "selftest":
-			checked, err := core.SelfTest(50, h.Seed)
-			h.Check(err)
-			fmt.Fprintf(h.Out, "selftest: %d (configuration, variant) combinations agree with the native reference\n", checked)
+			actions = append(actions, func() {
+				checked, err := core.SelfTest(50, h.Seed)
+				h.Check(err)
+				fmt.Fprintf(h.Out, "selftest: %d (configuration, variant) combinations agree with the native reference\n", checked)
+			})
 		case "record":
-			// Record the configured pattern's query stream to -keytrace for
-			// later replay (a seed-stable capture of the workload).
 			if *keytrace == "" {
 				h.Fatal(fmt.Errorf("record requires -keytrace <output path>"))
 			}
-			h.Check(opts.Validate())
-			stored := make([]uint64, 0, 1<<16)
-			for i := uint64(2); len(stored) < 1<<16; i += 2 {
-				stored = append(stored, i)
-			}
-			gen, err := workload.New(stored, workload.Config{
-				Pattern: pat, HitRate: *hitRate, KeyBits: *keyBits, Seed: h.Seed,
+			actions = append(actions, func() {
+				// Record the configured pattern's query stream to -keytrace for
+				// later replay (a seed-stable capture of the workload).
+				h.Check(opts.Validate())
+				stored := make([]uint64, 0, 1<<16)
+				for i := uint64(2); len(stored) < 1<<16; i += 2 {
+					stored = append(stored, i)
+				}
+				gen, err := workload.New(stored, workload.Config{
+					Pattern: pat, HitRate: *hitRate, KeyBits: *keyBits, Seed: h.Seed,
+				})
+				h.Check(err)
+				f, err := os.Create(*keytrace)
+				h.Check(err)
+				err = workload.WriteTrace(f, workload.Keys(gen, *queries))
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				h.Check(err)
+				fmt.Fprintf(h.Out, "recorded %d %s queries to %s\n", *queries, pat, *keytrace)
 			})
-			h.Check(err)
-			f, err := os.Create(*keytrace)
-			h.Check(err)
-			err = workload.WriteTrace(f, workload.Keys(gen, *queries))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			h.Check(err)
-			fmt.Fprintf(h.Out, "recorded %d %s queries to %s\n", *queries, pat, *keytrace)
 		default:
 			h.Fatal(fmt.Errorf("unknown experiment %q (want table1, fig2, listing1, fig5..fig9, split, mixed, amac, arches, validate, run, record, advise, selftest, all)", cmd))
 		}
+	}
+	for _, run := range actions {
+		run()
 	}
 	h.Finish(model.Name)
 }

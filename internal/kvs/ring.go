@@ -151,11 +151,36 @@ func (r *Ring) Leave(id int) (*Ring, error) {
 	return nr, nil
 }
 
+// Arcs returns the number of ring points. Point a ends arc a: the hashes
+// after point a-1, up to and including point a's own (arc 0 also takes
+// every hash after the last point).
+func (r *Ring) Arcs() int { return len(r.points) }
+
+// Arc returns the arc of hash h: the index of the first ring point at or
+// after h, wrapping to point 0. Among points of equal hash it is the
+// first.
+func (r *Ring) Arc(h uint64) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		return 0
+	}
+	return i
+}
+
+// ArcHash returns the hash of point a, the end of arc a.
+func (r *Ring) ArcHash(a int) uint64 { return r.points[a].hash }
+
 // ReplicaOwners returns the replica set of the key whose hashfn.HashBytes
 // value is h: up to n distinct servers collected by walking clockwise from
 // h, the first being the key's primary owner (the server of the first ring
-// point at or after h, wrapping around). When n exceeds the member count every member is returned. dst,
-// when non-nil, is reused to avoid allocation; the result is dst[:m].
+// point at or after h, wrapping around). When n exceeds the member count
+// every member is returned. dst, when non-nil, is reused to avoid
+// allocation; the result is dst[:m].
+//
+// A ring over a subset of another ring's members, at the same vnode count,
+// holds a subset of its points (a vnode's hash depends on its server id
+// alone). So on the smaller ring every hash on one arc of the larger ring
+// gets the same replica set as that arc's ArcHash.
 func (r *Ring) ReplicaOwners(h uint64, n int, dst []int) []int {
 	if n < 1 {
 		n = 1
@@ -164,7 +189,7 @@ func (r *Ring) ReplicaOwners(h uint64, n int, dst []int) []int {
 		n = len(r.members)
 	}
 	dst = dst[:0]
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	i := r.Arc(h)
 	for scanned := 0; scanned < len(r.points) && len(dst) < n; scanned++ {
 		if i == len(r.points) {
 			i = 0

@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"simdhtbench/internal/hashfn"
@@ -83,6 +84,84 @@ func TestReplicaOwnersDistinctPrefix(t *testing.T) {
 			t.Fatalf("n=100 returned %d replicas", len(got))
 		}
 	}
+}
+
+// Property: on a ring over any subset of a full ring's members, every hash
+// gets the same replica set as the point that ends its arc of the full
+// ring (Arc, ArcHash) — the invariant a fleet's per-arc placement rests
+// on. Full rings have 1–16 servers and 1–32 vnodes. Each subset is reached
+// the ways a fleet reaches one (Leave of every non-member in random order,
+// then a Join that re-sorts the points) and built directly. The hashes are
+// both ends of the hash space and every full-ring point, one below it and
+// one above it; Arc itself is checked against a linear scan.
+func TestSubsetRingOwnersFollowArc(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 64; trial++ {
+		servers, vnodes := 1+trial%16, 1+rng.Intn(32)
+		full, err := NewRing(servers, vnodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := []uint64{0, ^uint64(0)}
+		for a := 0; a < full.Arcs(); a++ {
+			p := full.ArcHash(a)
+			hs = append(hs, p-1, p, p+1)
+		}
+		var members, out []int
+		for s := 0; s < servers; s++ {
+			if rng.Intn(2) == 0 {
+				out = append(out, s)
+			} else {
+				members = append(members, s)
+			}
+		}
+		if len(members) == 0 {
+			members, out = out[:1], out[1:]
+		}
+		left := full
+		for _, i := range rng.Perm(len(out)) {
+			if left, err = left.Leave(out[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		built, err := NewRingMembers(members, vnodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rings := []*Ring{full, left, built}
+		if len(out) > 0 {
+			joined, err := left.Join(out[rng.Intn(len(out))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			rings = append(rings, joined)
+		}
+		for _, h := range hs {
+			a := full.Arc(h)
+			if want := scanArc(full, h); a != want {
+				t.Fatalf("trial %d: Arc(%#x) = %d, first point at or after it is %d", trial, h, a, want)
+			}
+			for _, r := range rings {
+				got := r.ReplicaOwners(h, r.Servers(), nil)
+				want := r.ReplicaOwners(full.ArcHash(a), r.Servers(), nil)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("trial %d (%d servers, %d vnodes, members %v): hash %#x on arc %d gets %v, the arc's point hash %#x gets %v",
+						trial, servers, vnodes, r.members, h, a, got, full.ArcHash(a), want)
+				}
+			}
+		}
+	}
+}
+
+// scanArc is Arc's oracle: the index of the first point at or after h by
+// linear scan, wrapping to point 0.
+func scanArc(r *Ring, h uint64) int {
+	for i, p := range r.points {
+		if p.hash >= h {
+			return i
+		}
+	}
+	return 0
 }
 
 // Property: ownership is a function of the member set alone. A ring built

@@ -52,7 +52,9 @@ const (
 // (wipe, rebalance transfers, read-repair) travel as control messages, so
 // every partition only ever touches its own state and every cross-partition
 // effect arrives at least one lookahead later. Replicated writes commit at
-// a majority of their replicas.
+// a majority of their replicas. The loaded keys' replica sets live in an
+// arc table, one sequence per arc of the epoch-0 ring, so an epoch costs a
+// ring walk per arc, not per key.
 type Fleet struct {
 	Sim         *des.Sim // partition 0: clients and coordinator
 	Fabric      *netsim.Fabric
@@ -69,14 +71,11 @@ type Fleet struct {
 
 	serverEPs []*netsim.Endpoint
 	keys      [][]byte // loaded keys, in load order (rebalance iteration order)
-	hashes    []uint64 // hashfn.HashBytes of each loaded key
-	// placement holds every loaded key's replica set under the current
-	// ring, Replication slots per key: key k's set is the first
-	// min(Replication, members) ids from placement[k*Replication], in
-	// ReplicaOwners order. f.Ring changes only in advanceRing, which
-	// rewrites the table in the same event, and only partition 0 reads or
-	// writes it, so every read equals a fresh lookup on f.Ring.
-	placement []int
+	// arcs holds every loaded key's replica set under f.Ring. f.Ring
+	// changes only in advanceRing, which advances the table in the same
+	// event, and only partition 0 reads or writes it, so every read equals
+	// a fresh lookup on f.Ring.
+	arcs      arcTable
 	repairing map[repairKey]bool
 
 	// counts is what the current run has counted, the control plane's ring
@@ -137,6 +136,7 @@ func NewFleet(sim *des.Sim, fabric *netsim.Fabric, servers []*kvs.Server, replic
 		pd:          pd,
 		ctrlEP:      fabric.EndpointAt("coordinator", 0),
 		serverEPs:   eps,
+		arcs:        newArcTable(ring, replication),
 		repairing:   make(map[repairKey]bool),
 	}, nil
 }
@@ -169,16 +169,14 @@ func (f *Fleet) LoadETC(count int, seed int64) ([][]byte, error) {
 	})
 }
 
-// load places loadRingKeys's sequence on the ring's replica sets and
-// records it as the fleet's key set, with each key's hash and replica set.
+// load places loadRingKeys's sequence on the replica sets of the keys'
+// arcs and records it as the fleet's key set, with each key's arc.
 func (f *Fleet) load(count int, item func(i int) (key, value []byte)) ([][]byte, error) {
-	R := f.Replication
-	hashes := make([]uint64, 0, count)
-	placement := make([]int, count*R)
+	keyArc := make([]int32, 0, count)
 	keys, err := loadRingKeys(count, item, func(key, value []byte, h uint64) (int, error) {
-		at := len(hashes) * R
-		hashes = append(hashes, h)
-		for _, s := range f.Ring.ReplicaOwners(h, R, placement[at:at:at+R]) {
+		a := f.arcs.arcOf(h)
+		keyArc = append(keyArc, a)
+		for _, s := range f.arcs.arcOwners(a) {
 			if _, err := f.Servers[s].Set(key, value); err != nil {
 				return s, err
 			}
@@ -188,17 +186,14 @@ func (f *Fleet) load(count int, item func(i int) (key, value []byte)) ([][]byte,
 	if err != nil {
 		return nil, err
 	}
-	f.keys, f.hashes, f.placement = keys, hashes, placement
+	f.keys, f.arcs.keyArc = keys, keyArc
 	return keys, nil
 }
 
-// owners returns key k's replica set under the current ring. It aliases the
-// placement table, so a caller that keeps it past the current event copies
-// it.
-func (f *Fleet) owners(k int) []int {
-	at := k * f.Replication
-	return f.placement[at : at+min(f.Replication, f.Ring.Servers())]
-}
+// owners returns key k's replica set under the current ring: its arc's
+// sequence in the arc table. It aliases the table, so a caller that keeps
+// it past the current event copies it.
+func (f *Fleet) owners(k int) []int { return f.arcs.owners(k) }
 
 // Leave removes server id from the ring (next epoch), wipes its store —
 // the crash model is a dead process, not a graceful drain — and starts the
@@ -251,52 +246,12 @@ func (f *Fleet) Join(id int) error {
 // key with no live donor is counted lost (with R=1 a wiped server's data
 // is simply gone until rewritten).
 //
-// The placement table supplies each key's old replica set; the new one is
-// computed from the key's stored hash and written back in its place.
+// The arc table plans the groups (arcTable.advance): one ring walk per arc
+// of the epoch-0 ring, then one pass over the keys' arcs.
 func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
-	R := f.Replication
-	oldM := min(R, f.Ring.Servers())
 	f.Ring = nr
 	f.counts.epochs++
-
-	type cmdGroup struct {
-		src, dst int
-		keys     [][]byte
-	}
-	var groups []*cmdGroup
-	groupIdx := make(map[[2]int]*cmdGroup)
-	moved, lost := 0, 0
-	oldSet := make([]int, 0, R)
-	for k, key := range f.keys {
-		at := k * R
-		oldSet = append(oldSet[:0], f.placement[at:at+oldM]...)
-		newSet := nr.ReplicaOwners(f.hashes[k], R, f.placement[at:at:at+R])
-		for _, d := range newSet {
-			if containsInt(oldSet, d) {
-				continue
-			}
-			src := -1
-			for _, s := range oldSet {
-				if s != d && nr.HasMember(s) {
-					src = s
-					break
-				}
-			}
-			if src < 0 {
-				lost++
-				continue
-			}
-			gk := [2]int{src, d}
-			g := groupIdx[gk]
-			if g == nil {
-				g = &cmdGroup{src: src, dst: d}
-				groupIdx[gk] = g
-				groups = append(groups, g)
-			}
-			g.keys = append(g.keys, key)
-			moved++
-		}
-	}
+	groups, moved, lost := f.arcs.advance(nr)
 	f.counts.keysMoved += uint64(moved)
 	f.counts.keysLost += uint64(lost)
 	start := f.Sim.Now()
@@ -312,8 +267,8 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 	}
 	outstanding := len(groups)
 	movedTotal := moved
-	for _, g := range groups {
-		g := g
+	for i := range groups {
+		g := &groups[i]
 		cmdBytes := ctrlMsgBytes + len(g.keys)*ctrlKeyRefBytes
 		started := false
 		f.ctrlEP.Send(f.serverEPs[g.src], cmdBytes, func() {
@@ -339,12 +294,14 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 // server's partition: resolve each key against the local store, stream the
 // present ones to dst in protocol-sized batches through the charged
 // HandleReplicate path, and once every batch is acknowledged send a
-// completion to the coordinator carrying the miss count. Only source-local
-// and (via messages) destination-local state is touched.
-func (f *Fleet) runTransfer(src, dst int, keys [][]byte, done func(shipped, missing int)) {
+// completion to the coordinator carrying the miss count. keys are indexes
+// into the loaded keys. Only source-local and (via messages)
+// destination-local state is touched.
+func (f *Fleet) runTransfer(src, dst int, keys []int32, done func(shipped, missing int)) {
 	items := make([]kvs.ReplicaItem, 0, len(keys))
 	missing := 0
-	for _, key := range keys {
+	for _, k := range keys {
+		key := f.keys[k]
 		val, ok := f.Servers[src].Get(key)
 		if !ok {
 			missing++
@@ -391,6 +348,114 @@ func (f *Fleet) runTransfer(src, dst int, keys [][]byte, done func(shipped, miss
 			})
 		})
 	}
+}
+
+// arcTable holds the loaded keys' replica sets as one sequence per arc of
+// the epoch-0 ring over every fleet server. Every ring a fleet reaches
+// holds a subset of that ring's points (Join takes only ids below
+// len(Servers)), so each key's replica set is its arc's point's
+// (kvs.Ring.ReplicaOwners). An epoch re-walks the ring once per arc, not
+// once per key: 1,280 walks at 8 servers.
+type arcTable struct {
+	ring  *kvs.Ring // the epoch-0 ring: its point a ends arc a
+	R     int
+	width int // min(R, members) of the current ring: each sequence's length
+	// seqs holds R slots per arc: arc a's replica sequence under the
+	// current ring is seqs[a*R : a*R+width], in ReplicaOwners order.
+	seqs   []int
+	keyArc []int32 // each loaded key's arc, in load order
+}
+
+// moveGroup is one rebalance transfer command: the keys, as indexes in
+// load order, that src streams to dst.
+type moveGroup struct {
+	src, dst int
+	keys     []int32
+}
+
+// arcMove is one change an epoch makes to every key on an arc: dst joins
+// its replica set, streamed from src, or from nowhere (src < 0: lost).
+type arcMove struct{ src, dst int32 }
+
+// newArcTable builds the arc table of ring, a fleet's epoch-0 ring over
+// all of its servers, with R-way replica sequences and no keys.
+func newArcTable(ring *kvs.Ring, R int) arcTable {
+	t := arcTable{ring: ring, R: R, width: min(R, ring.Servers()), seqs: make([]int, ring.Arcs()*R)}
+	for a := 0; a < ring.Arcs(); a++ {
+		at := a * R
+		ring.ReplicaOwners(ring.ArcHash(a), R, t.seqs[at:at:at+R])
+	}
+	return t
+}
+
+// arcOf returns the arc of the key hashing to h.
+func (t *arcTable) arcOf(h uint64) int32 { return int32(t.ring.Arc(h)) }
+
+// arcOwners returns arc a's replica sequence under the current ring.
+func (t *arcTable) arcOwners(a int32) []int {
+	at := int(a) * t.R
+	return t.seqs[at : at+t.width]
+}
+
+// owners returns loaded key k's replica sequence under the current ring.
+func (t *arcTable) owners(k int) []int { return t.arcOwners(t.keyArc[k]) }
+
+// advance moves the table to ring nr and plans the rebalance: for every key
+// whose replica set gained a server d, d joins the group of the donor src,
+// the first old owner that is not d and is still a member, or the key is
+// lost when no old owner is. groups come in the order their first key
+// reaches them, scanning keys in load order and each key's new sequence in
+// order, and hold their keys in load order. Every arc's sequence is
+// rewritten, so one that changed without gaining a server (its owners
+// shifted up when a member left a ring of R or fewer) reads right too.
+func (t *arcTable) advance(nr *kvs.Ring) (groups []moveGroup, moved, lost int) {
+	R, n := t.R, t.ring.Servers()
+	oldW := t.width
+	t.width = min(R, nr.Servers())
+	arcs := t.ring.Arcs()
+	var moves []arcMove
+	first := make([]int32, arcs+1) // arc a's moves are moves[first[a]:first[a+1]]
+	old := make([]int, 0, R)
+	for a := 0; a < arcs; a++ {
+		first[a] = int32(len(moves))
+		at := a * R
+		old = append(old[:0], t.seqs[at:at+oldW]...)
+		for _, d := range nr.ReplicaOwners(t.ring.ArcHash(a), R, t.seqs[at:at:at+R]) {
+			if containsInt(old, d) {
+				continue
+			}
+			src := -1
+			for _, s := range old {
+				if s != d && nr.HasMember(s) {
+					src = s
+					break
+				}
+			}
+			moves = append(moves, arcMove{src: int32(src), dst: int32(d)})
+		}
+	}
+	first[arcs] = int32(len(moves))
+	if len(moves) == 0 {
+		return nil, 0, 0
+	}
+	groupOf := make([]int32, n*n) // (src, dst) -> 1 + index in groups; 0: none yet
+	for k, a := range t.keyArc {
+		for _, m := range moves[first[a]:first[a+1]] {
+			if m.src < 0 {
+				lost++
+				continue
+			}
+			gi := &groupOf[int(m.src)*n+int(m.dst)]
+			if *gi == 0 {
+				groups = append(groups, moveGroup{src: int(m.src), dst: int(m.dst)})
+				*gi = int32(len(groups))
+			}
+			g := &groups[*gi-1]
+			g.keys = append(g.keys, int32(k))
+			moved++
+		}
+	}
+	return groups, moved, lost
 }
 
 func containsInt(xs []int, x int) bool {

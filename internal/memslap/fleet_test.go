@@ -456,17 +456,13 @@ func TestRingSplitPreservesKeys(t *testing.T) {
 	}
 }
 
-// checkPlacement fails unless every loaded key's stored hash is its
-// HashBytes value and its placement entry equals a fresh ReplicaOwners
-// lookup on the fleet's current ring.
+// checkPlacement fails unless every loaded key's replica set (its arc's
+// sequence in the arc table) equals a fresh ReplicaOwners lookup of its
+// HashBytes value on the fleet's current ring.
 func checkPlacement(t *testing.T, f *Fleet, when string) {
 	t.Helper()
 	for k, key := range f.keys {
-		h := hashfn.HashBytes(key)
-		if f.hashes[k] != h {
-			t.Fatalf("%s: key %q stored hash %#x, want %#x", when, key, f.hashes[k], h)
-		}
-		want := f.Ring.ReplicaOwners(h, f.Replication, nil)
+		want := f.Ring.ReplicaOwners(hashfn.HashBytes(key), f.Replication, nil)
 		if got := f.owners(k); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: key %q placed on %v, the ring says %v", when, key, got, want)
 		}
@@ -474,8 +470,8 @@ func checkPlacement(t *testing.T, f *Fleet, when string) {
 }
 
 // TestFleetPlacementTracksRing: after the load and after every Leave and
-// Join, each key's placement entry is what the current ring says — also on
-// a 3-server R=3 fleet whose ring drops below R members and grows back.
+// Join, each key's replica set is what the current ring says — also on a
+// 3-server R=3 fleet whose ring drops below R members and grows back.
 func TestFleetPlacementTracksRing(t *testing.T) {
 	type op struct {
 		join bool
@@ -506,19 +502,39 @@ func TestFleetPlacementTracksRing(t *testing.T) {
 	}
 }
 
-// BenchmarkAdvanceRing times one Leave and one Join on an 8-server, R=3
-// fleet holding 20k keys: each installs a ring epoch and plans its
-// rebalance. The rebalance messages are queued and never run.
+// BenchmarkAdvanceRing times one Leave and one Join on a loaded R=3 fleet:
+// each installs a ring epoch and plans its rebalance. The rebalance
+// messages are queued and never run. The two shapes are simbench's
+// fleet-churn fleet and the widest point of kvsbench's fleet study, whose
+// indexes are sized, as the study sizes them, for each server's R/n share
+// of the keys plus slack.
 func BenchmarkAdvanceRing(b *testing.B) {
-	fleet := buildFleet(b, 8, 20000, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := i % 8
-		if err := fleet.Leave(id); err != nil {
-			b.Fatal(err)
-		}
-		if err := fleet.Join(id); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name                 string
+		servers, items, repl int
+	}{
+		{"servers=8", 8, 20000, 3},
+		{"servers=64", 64, 200000, 3},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			capacity := min((c.items*(c.repl+1)+c.servers-1)/c.servers, c.items) + c.items/8
+			fleet := buildFleetIndex(b, c.servers, c.repl, func(space *mem.AddressSpace, i int) (kvs.Index, error) {
+				return kvs.NewVerticalIndex(space, capacity, 128, int64(i+1))
+			})
+			if _, err := fleet.LoadFleet(c.items, 20, 32); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := i % c.servers
+				if err := fleet.Leave(id); err != nil {
+					b.Fatal(err)
+				}
+				if err := fleet.Join(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

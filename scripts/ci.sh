@@ -229,6 +229,27 @@ reject LoadFactor -lf 0 run
 reject Cores -cores -3 run
 reject Queries -queries 0 advise
 
+# Command smoke: both CLIs resolve every argument before running any, so an
+# unknown name, or a flag written after a command, exits 1 naming it with
+# nothing on stdout.
+echo "==> command smoke (unknown arguments fail before anything runs)"
+$GO build -o "$tmp/kvsbench" ./cmd/kvsbench
+refuse() { # ARG BINARY ARGS...
+    arg=$1
+    bin=$2
+    shift 2
+    status=0
+    "$tmp/$bin" "$@" > "$tmp/refuse.out" 2> "$tmp/refuse.err" || status=$?
+    if [ "$status" -ne 1 ] || [ -s "$tmp/refuse.out" ] || ! grep -q "\"$arg\"" "$tmp/refuse.err"; then
+        echo "ci.sh: $bin $* exited $status with $(wc -c < "$tmp/refuse.out") bytes on stdout, not a clean rejection of \"$arg\":" >&2
+        cat "$tmp/refuse.err" >&2
+        exit 1
+    fi
+}
+refuse -backend kvsbench -items 1000 -requests 20 single -backend vertical
+refuse bogus kvsbench fleet bogus
+refuse nosuch simdhtbench -queries 200 fig2 nosuch
+
 # Advise smoke: every layout advise measures reports to -metrics, so the
 # file holds series beyond its header line.
 echo "==> advise smoke (-metrics holds series)"
