@@ -42,7 +42,9 @@ bench:
 # FuzzItemStoreBytes (the item store's byte blocks against a map oracle),
 # FuzzRingMembership (ring Join/Leave histories and hash-keyed lookups),
 # FuzzRebalanceMatchesReference (the fleet's per-arc rebalance planner
-# against the per-key loop it replaced), FuzzParseSpec (fault specs),
+# against the per-key loop it replaced), FuzzFleetLoadMatchesReference (the
+# fleet's server-major load against the key-major loop it replaced),
+# FuzzParseSpec (fault specs),
 # FuzzInsertMatchesReference (the cuckoo insert path against its reference
 # search), FuzzVecMatchesReference (the vector register against its
 # byte-array reference), FuzzHierarchyMatchesReference (the cache hierarchy
@@ -59,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kvs -run '^$$' -fuzz FuzzItemStoreBytes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzRingMembership -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/memslap -run '^$$' -fuzz FuzzRebalanceMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/memslap -run '^$$' -fuzz FuzzFleetLoadMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cuckoo -run '^$$' -fuzz FuzzInsertMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzVecMatchesReference -fuzztime $(FUZZTIME)

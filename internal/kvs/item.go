@@ -176,6 +176,17 @@ func (s *ItemStore) Set(key, value []byte) (uint32, error) {
 	return ref, nil
 }
 
+// reserve grows the item table, when it lacks room, to a capacity of
+// exactly n more items than it holds, so the next n Sets never copy it.
+func (s *ItemStore) reserve(n int) {
+	if cap(s.items)-len(s.items) >= n {
+		return
+	}
+	items := make([]Item, len(s.items), len(s.items)+n)
+	copy(items, s.items)
+	s.items = items
+}
+
 // Key returns the key bytes of it, an item of this store. The slice aliases
 // store memory: it must not be modified, and its capacity equals its
 // length, so an append copies it.

@@ -523,6 +523,68 @@ func TestServerSetAllocFree(t *testing.T) {
 	}
 }
 
+// TestServerLoadReservesShare: on every backend, Load of a share of n items
+// into a fresh server leaves its item table holding them with capacity
+// exactly n, and leaves the store and index as n Sets of the same items
+// would. Into a server that already holds items it grows the table to hold
+// exactly n more.
+func TestServerLoadReservesShare(t *testing.T) {
+	const n = 700
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("share-key-%010d", i))
+	}
+	value := []byte("share-value")
+	item := func(j int) ([]byte, []byte, uint32) { return keys[j], value, Hash32(keys[j]) }
+	for _, tc := range testBackends {
+		loaded, set := backendServer(t, tc.mk, 1), backendServer(t, tc.mk, 1)
+		if got, err := loaded.Load(n, item); err != nil || got != n {
+			t.Fatalf("%s: Load = (%d, %v), want (%d, nil)", tc.name, got, err, n)
+		}
+		for _, key := range keys {
+			if _, err := set.Set(key, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if l, c := len(loaded.Store.items), cap(loaded.Store.items); l != n || c != n {
+			t.Errorf("%s: item table len %d cap %d after loading %d items, want both %d", tc.name, l, c, n, n)
+		}
+		if !reflect.DeepEqual(loaded.Store, set.Store) || !reflect.DeepEqual(loaded.Index, set.Index) {
+			t.Errorf("%s: Load left a different store or index than %d Sets", tc.name, n)
+		}
+		if _, err := loaded.Load(3, func(j int) ([]byte, []byte, uint32) {
+			key := []byte(fmt.Sprintf("more-key-%011d", j))
+			return key, value, Hash32(key)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(loaded.Store.items); c != n+3 {
+			t.Errorf("%s: item table cap %d after 3 more items, want %d", tc.name, c, n+3)
+		}
+	}
+}
+
+// TestServerLoadStopsAtFailure: Load returns the number of items stored
+// before the first failing Set, with its error, and stores nothing after
+// it.
+func TestServerLoadStopsAtFailure(t *testing.T) {
+	srv := backendServer(t, testBackends[2].mk, 1)
+	key := func(j int) []byte { return []byte(fmt.Sprintf("fail-key-%011d", j)) }
+	huge := make([]byte, 9000) // larger than the largest slab class
+	got, err := srv.Load(10, func(j int) ([]byte, []byte, uint32) {
+		if j == 4 {
+			return key(j), huge, Hash32(key(j))
+		}
+		return key(j), []byte("v"), Hash32(key(j))
+	})
+	if got != 4 || err == nil {
+		t.Fatalf("Load = (%d, %v), want 4 and the oversized item's error", got, err)
+	}
+	if live := liveItems(srv.Store); live != 4 {
+		t.Errorf("%d items stored, want the 4 before the failure", live)
+	}
+}
+
 // TestSideLookupsLeaveCachesPristine: Get (a hit and a miss) and Replace
 // (a fresh key and an overwrite) are functional side paths, so on a server
 // whose workers are all pristine they charge no worker and leave every

@@ -1,7 +1,9 @@
 package kvs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"simdhtbench/internal/hashfn"
@@ -106,6 +108,13 @@ func (r *Ring) HasMember(id int) bool {
 // Join returns a new ring at the next epoch with server id added. Only
 // keys landing on the new server's vnode arcs change owner (minimal
 // remapping).
+//
+// The ring is already sorted, so Join sorts only the joiner's vnode points
+// and merges them into it in one pass. Ties: a joiner's point goes after
+// every ring point of equal hash, and the joiner's own points of equal hash
+// keep vnode order. For distinct hashes the merged order is the only sorted
+// order, and no ring over servers 0–1023 at up to DefaultVNodes vnodes has
+// a tie (TestVNodeHashesDistinct).
 func (r *Ring) Join(id int) (*Ring, error) {
 	if id < 0 {
 		return nil, fmt.Errorf("kvs: ring member %d is negative", id)
@@ -113,15 +122,20 @@ func (r *Ring) Join(id int) (*Ring, error) {
 	if r.HasMember(id) {
 		return nil, fmt.Errorf("kvs: server %d already in ring", id)
 	}
+	at := sort.SearchInts(r.members, id)
 	members := make([]int, 0, len(r.members)+1)
-	members = append(members, r.members...)
-	members = append(members, id)
-	sort.Ints(members)
+	members = append(append(append(members, r.members[:at]...), id), r.members[at:]...)
 	nr := &Ring{members: members, vnodes: r.vnodes, epoch: r.epoch + 1}
-	nr.points = make([]ringPoint, 0, len(r.points)+r.vnodes)
-	nr.points = append(nr.points, r.points...)
-	nr.points = append(nr.points, vnodePoints(id, r.vnodes)...)
-	sort.Slice(nr.points, func(i, j int) bool { return nr.points[i].hash < nr.points[j].hash })
+	add := vnodePoints(id, r.vnodes)
+	slices.SortStableFunc(add, func(a, b ringPoint) int { return cmp.Compare(a.hash, b.hash) })
+	nr.points = make([]ringPoint, 0, len(r.points)+len(add))
+	rest := r.points
+	for _, p := range add {
+		i := sort.Search(len(rest), func(i int) bool { return rest[i].hash > p.hash })
+		nr.points = append(append(nr.points, rest[:i]...), p)
+		rest = rest[i:]
+	}
+	nr.points = append(nr.points, rest...)
 	return nr, nil
 }
 

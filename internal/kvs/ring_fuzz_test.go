@@ -15,7 +15,8 @@ import (
 // rank-0 entry is the first ring point at or after the hash (checked at the
 // ends of the hash space and on both sides of ring points). The ring
 // converges: rebuilding a fresh ring over the surviving member set places
-// keys identically to the ring that got there incrementally.
+// keys identically to the ring that got there incrementally, and holds the
+// same points in the same order (Join merges, a fresh ring sorts).
 func FuzzRingMembership(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x02, 0x03, 0x05, 0x04}, uint8(3))             // joins then leaves
@@ -100,6 +101,14 @@ func FuzzRingMembership(f *testing.F) {
 		rebuilt, err := NewRingMembers(append([]int(nil), ring.members...), vnodes)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(ring.points) != len(rebuilt.points) {
+			t.Fatalf("non-convergent: %d points incrementally, %d rebuilt", len(ring.points), len(rebuilt.points))
+		}
+		for i, p := range ring.points {
+			if p != rebuilt.points[i] {
+				t.Fatalf("non-convergent: point %d is %+v incrementally, %+v rebuilt", i, p, rebuilt.points[i])
+			}
 		}
 		for i := 0; i < 64; i++ {
 			h := hashfn.HashBytes([]byte(fmt.Sprintf("conv-key-%d", i)))

@@ -365,3 +365,22 @@ func ownedShare(r *Ring, id int) float64 {
 	}
 	return float64(owned) / (1 << 64)
 }
+
+// TestVNodeHashesDistinct: the vnode hashes of servers 0–1023 at
+// DefaultVNodes are pairwise distinct. A server's first v vnodes are the
+// same points at any vnode count v, so no ring over those servers at up to
+// DefaultVNodes vnodes has two points of equal hash, and Join's merge
+// (whose tie rule would otherwise decide their order) builds the one sorted
+// order a fresh ring has.
+func TestVNodeHashesDistinct(t *testing.T) {
+	const servers = 1024
+	seen := make(map[uint64]int, servers*DefaultVNodes)
+	for s := 0; s < servers; s++ {
+		for v, p := range vnodePoints(s, DefaultVNodes) {
+			if prev, dup := seen[p.hash]; dup {
+				t.Fatalf("server %d vnode %d hashes to %#x, as does vnode point %d", s, v, p.hash, prev)
+			}
+			seen[p.hash] = s*DefaultVNodes + v
+		}
+	}
+}

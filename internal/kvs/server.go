@@ -141,14 +141,32 @@ func NewServer(sim *des.Sim, model *arch.Model, workers, maxBatch int, index Ind
 	return s
 }
 
-// Set stores (key, value) and indexes it; used by the load phase and by a
-// Memcached "set" command. When the store is capacity-bounded
-// (ItemStore.MaxBytes), least-recently-used items are evicted — from both
-// the store and the index — to make room, as Memcached does. An object
-// larger than the largest slab class is rejected before anything is
-// evicted. Returns the item reference.
+// Set stores (key, value) and indexes it: a Memcached "set" command, used
+// by the fault plan's pressure items (a load phase uses Load). When the
+// store is capacity-bounded (ItemStore.MaxBytes), least-recently-used items
+// are evicted — from both the store and the index — to make room, as
+// Memcached does. An object larger than the largest slab class is rejected
+// before anything is evicted. Returns the item reference.
 func (s *Server) Set(key, value []byte) (uint32, error) {
 	return s.set(key, value, Hash32(key))
+}
+
+// Load stores a load's share of n items on the server, in order, as n Sets
+// would: item(j) returns the j-th item's key, its value and the key's
+// Hash32, which Load takes as given instead of hashing the key again.
+// Before the first Set it grows the store's item table once, to hold
+// exactly n more items, so a load never regrows it (on a fresh server the
+// table ends with capacity n). It stops at the first failing Set and
+// returns the number of items stored before it with that Set's error.
+func (s *Server) Load(n int, item func(j int) (key, value []byte, h uint32)) (int, error) {
+	s.Store.reserve(n)
+	for j := 0; j < n; j++ {
+		key, value, h := item(j)
+		if _, err := s.set(key, value, h); err != nil {
+			return j, err
+		}
+	}
+	return n, nil
 }
 
 // set is Set for a key whose Hash32 the caller has already computed.

@@ -99,3 +99,37 @@ func BenchmarkRunFleet(b *testing.B) {
 		})
 	}
 }
+
+var fleetLoadSink [][]byte
+
+// BenchmarkFleetLoad times LoadFleet alone: each iteration builds a fresh,
+// empty R=3 fleet with the timer stopped, so B/op and allocs/op are the
+// load's own. The two shapes are simbench's fleet-churn fleet and the
+// widest point of kvsbench's fleet study, with indexes sized as
+// BenchmarkAdvanceRing sizes them: each server's R/n share plus slack.
+func BenchmarkFleetLoad(b *testing.B) {
+	for _, c := range []struct {
+		name                 string
+		servers, items, repl int
+	}{
+		{"servers=8", 8, 20000, 3},
+		{"servers=64", 64, 200000, 3},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			capacity := min((c.items*(c.repl+1)+c.servers-1)/c.servers, c.items) + c.items/8
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fleet := buildFleetIndex(b, c.servers, c.repl, func(space *mem.AddressSpace, i int) (kvs.Index, error) {
+					return kvs.NewVerticalIndex(space, capacity, 128, int64(i+1))
+				})
+				b.StartTimer()
+				keys, err := fleet.LoadFleet(c.items, 20, 32)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fleetLoadSink = keys
+			}
+		})
+	}
+}

@@ -3,9 +3,11 @@ package memslap
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"simdhtbench/internal/des"
+	"simdhtbench/internal/hashfn"
 	"simdhtbench/internal/kvs"
 	"simdhtbench/internal/netsim"
 	"simdhtbench/internal/obs"
@@ -142,52 +144,158 @@ func NewFleet(sim *des.Sim, fabric *netsim.Fabric, servers []*kvs.Server, replic
 }
 
 // LoadFleet loads `count` memslap-style items — fixed-width decimal keys
-// ("key-" + zero-padded ordinal, padded to keyBytes) carrying valueBytes
-// values — placing each on all R replicas of its key. A failed Set
-// surfaces as a typed *LoadError.
+// ("key-" + zero-padded ordinal, padded to keyBytes) carrying one shared
+// valueBytes value — onto all R replicas of each key, one server at a time
+// (see load). A failed Set surfaces as a typed *LoadError.
 func (f *Fleet) LoadFleet(count, keyBytes, valueBytes int) ([][]byte, error) {
 	value := make([]byte, valueBytes)
 	for i := range value {
 		value[i] = byte('a' + i%26)
 	}
-	return f.load(count, func(i int) ([]byte, []byte) { return makeKey(i, keyBytes), value })
+	return f.load(count,
+		func(i int) ([]byte, int) { return makeKey(i, keyBytes), valueBytes },
+		func(int, int) []byte { return value })
 }
 
 // LoadETC loads `count` items whose key and value sizes follow the
 // Facebook ETC distributions (workload.ETC, seeded with seed) instead of
-// fixed memslap sizes, placing each on all R replicas of its key. The KVS
-// harness uses it for the realistic-sizes variant of the Section VI study.
+// fixed memslap sizes, onto all R replicas of each key, one server at a
+// time (see load). The KVS harness uses it for the realistic-sizes variant
+// of the Section VI study. The value of the i-th candidate is the letters
+// 'A'+(i+j)%26; it is written into one buffer each time a server stores
+// it, so no value is held between its draw and its servers' turns.
 func (f *Fleet) LoadETC(count int, seed int64) ([][]byte, error) {
 	etc := workload.NewETC(seed)
-	return f.load(count, func(i int) ([]byte, []byte) {
-		it := etc.Items(1)[0]
-		value := make([]byte, it.ValLen)
-		for j := range value {
-			value[j] = byte('A' + (i+j)%26)
-		}
-		return makeKey(i, it.KeyLen), value
-	})
+	var buf []byte
+	return f.load(count,
+		func(i int) ([]byte, int) {
+			it := etc.Items(1)[0]
+			return makeKey(i, it.KeyLen), it.ValLen
+		},
+		func(i, n int) []byte {
+			buf = slices.Grow(buf[:0], n)[:n]
+			for j := range buf {
+				buf[j] = byte('A' + (i+j)%26)
+			}
+			return buf
+		})
 }
 
-// load places loadRingKeys's sequence on the replica sets of the keys'
-// arcs and records it as the fleet's key set, with each key's arc.
-func (f *Fleet) load(count int, item func(i int) (key, value []byte)) ([][]byte, error) {
-	keyArc := make([]int32, 0, count)
-	keys, err := loadRingKeys(count, item, func(key, value []byte, h uint64) (int, error) {
-		a := f.arcs.arcOf(h)
-		keyArc = append(keyArc, a)
-		for _, s := range f.arcs.arcOwners(a) {
-			if _, err := f.Servers[s].Set(key, value); err != nil {
-				return s, err
-			}
+// load loads the fleet in two phases and records the keys and their arcs.
+// planLoad draws, hashes and places every key, setting nothing; then each
+// server, in id order, stores its whole share in load order through one
+// kvs.Server.Load, with the plan's 32-bit hashes and its item table grown
+// once to exactly that share. item draws candidate i's key and value
+// length, in order; value(i, n) returns candidate i's value of n bytes,
+// which only needs to last until the next call.
+//
+// Every server has its own address space, item store and index, so each
+// sees the same Sets in the same order as a key-major loop that sets each
+// key on its replicas in turn, and ends in the same state; only the host's
+// working set shrinks to one server's. A failing Set is reported as the
+// key-major loop would meet it first: at the lowest key index, then the
+// first server in that key's replica order.
+func (f *Fleet) load(count int, item func(i int) (key []byte, valLen int), value func(i, n int) []byte) ([][]byte, error) {
+	p := f.planLoad(count, item)
+	var failed *LoadError
+	failAt := 0 // failed's position in the key-major loop's sequence of Sets
+	for s, srv := range f.Servers {
+		share := p.order[p.first[s]:p.first[s+1]]
+		j, err := srv.Load(len(share), func(j int) ([]byte, []byte, uint32) {
+			k := share[j]
+			return p.keys[k], value(int(p.ord[k]), int(p.valLen[k])), p.h32[k]
+		})
+		if err == nil {
+			continue
 		}
-		return -1, nil
-	})
-	if err != nil {
-		return nil, err
+		k := int(share[j])
+		if at := k*f.arcs.width + slices.Index(f.arcs.arcOwners(p.arc[k]), s); failed == nil || at < failAt {
+			failed, failAt = &LoadError{Server: s, Loaded: k, Want: count, Err: err}, at
+		}
 	}
-	f.keys, f.arcs.keyArc = keys, keyArc
-	return keys, nil
+	if failed != nil {
+		return nil, failed
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	f.keys, f.arcs.keyArc = p.keys, p.arc
+	return p.keys, nil
+}
+
+// loadPlan is a fleet load laid out before any Set: the keys in load order,
+// each with the ordinal of the candidate it was drawn as, its value length,
+// its arc and its kvs.Hash32, and every server's share as key indexes in
+// load order (server s stores order[first[s]:first[s+1]]).
+type loadPlan struct {
+	keys             [][]byte
+	ord, valLen, arc []int32
+	h32              []uint32
+	first, order     []int32
+	// err is the *LoadError that stopped the draw short of its count, or
+	// nil. A Set failure on a drawn key comes first in load order.
+	err error
+}
+
+// planLoad draws count keys and lays out each server's share. Candidate i
+// is item(i), drawn in order; a candidate whose 32-bit hash (kvs.Hash32,
+// the mix of its hashfn.HashBytes value) repeats an earlier key's is
+// skipped, so every loaded key is retrievable through the SIMD index (which
+// resolves by full-key verification only within one hash). Each key is
+// hashed once. The shares come from the arc table: the keys per arc are
+// added to each of the arc's R owners, and one counting sort over the keys
+// in load order fills them.
+func (f *Fleet) planLoad(count int, item func(i int) (key []byte, valLen int)) *loadPlan {
+	p := &loadPlan{
+		keys:   make([][]byte, 0, count),
+		ord:    make([]int32, 0, count),
+		valLen: make([]int32, 0, count),
+		arc:    make([]int32, 0, count),
+		h32:    make([]uint32, 0, count),
+	}
+	seen := make(map[uint32]struct{}, count)
+	for i := 0; len(p.keys) < count; i++ {
+		if i > count*2+1000 {
+			p.err = &LoadError{Server: -1, Loaded: len(p.keys), Want: count,
+				Err: fmt.Errorf("too many 32-bit hash collisions")}
+			break
+		}
+		key, valLen := item(i)
+		h := hashfn.HashBytes(key)
+		h32 := hashfn.Mix64to32(h)
+		if _, dup := seen[h32]; dup {
+			continue
+		}
+		seen[h32] = struct{}{}
+		p.keys = append(p.keys, key)
+		p.ord = append(p.ord, int32(i))
+		p.valLen = append(p.valLen, int32(valLen))
+		p.arc = append(p.arc, f.arcs.arcOf(h))
+		p.h32 = append(p.h32, h32)
+	}
+	n := len(f.Servers)
+	perArc := make([]int32, f.arcs.ring.Arcs())
+	for _, a := range p.arc {
+		perArc[a]++
+	}
+	p.first = make([]int32, n+1)
+	for a, keys := range perArc {
+		for _, s := range f.arcs.arcOwners(int32(a)) {
+			p.first[s+1] += keys
+		}
+	}
+	for s := 0; s < n; s++ {
+		p.first[s+1] += p.first[s]
+	}
+	p.order = make([]int32, p.first[n])
+	next := slices.Clone(p.first[:n])
+	for k, a := range p.arc {
+		for _, s := range f.arcs.arcOwners(a) {
+			p.order[next[s]] = int32(k)
+			next[s]++
+		}
+	}
+	return p
 }
 
 // owners returns key k's replica set under the current ring: its arc's

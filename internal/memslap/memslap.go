@@ -28,11 +28,9 @@
 package memslap
 
 import (
-	"fmt"
 	"strconv"
 
 	"simdhtbench/internal/fault"
-	"simdhtbench/internal/hashfn"
 	"simdhtbench/internal/obs"
 )
 
@@ -68,37 +66,6 @@ type Config struct {
 	// Registered only for plans with overload controls armed
 	// (fault.Plan.OverloadArmed), like FaultProbe.
 	OverloadProbe obs.OverloadProbe
-}
-
-// loadRingKeys generates a deduplicated key sequence and hands each (key,
-// value) pair with the key's hashfn.HashBytes value to place, which
-// returns the failing server with its error. item builds the i-th
-// candidate; a candidate whose 32-bit hash (kvs.Hash32, the mix of that
-// value) repeats an earlier key's is skipped, so every loaded key is
-// retrievable through the SIMD index (which resolves by full-key
-// verification only within one hash). Fleet.LoadFleet and Fleet.LoadETC
-// share this loop.
-func loadRingKeys(count int, item func(i int) (key, value []byte), place func(key, value []byte, h uint64) (int, error)) ([][]byte, error) {
-	keys := make([][]byte, 0, count)
-	seen := make(map[uint32]struct{}, count)
-	for i := 0; len(keys) < count; i++ {
-		if i > count*2+1000 {
-			return nil, &LoadError{Server: -1, Loaded: len(keys), Want: count,
-				Err: fmt.Errorf("too many 32-bit hash collisions")}
-		}
-		key, value := item(i)
-		h := hashfn.HashBytes(key)
-		h32 := hashfn.Mix64to32(h)
-		if _, dup := seen[h32]; dup {
-			continue
-		}
-		seen[h32] = struct{}{}
-		if srv, err := place(key, value, h); err != nil {
-			return nil, &LoadError{Server: srv, Loaded: len(keys), Want: count, Err: err}
-		}
-		keys = append(keys, key)
-	}
-	return keys, nil
 }
 
 // makeKey renders the i-th memslap key (i >= 0): "key-" plus the ordinal
