@@ -37,8 +37,9 @@ type kvsRun struct {
 	shape  fleetShape
 	faults fault.Spec
 	cfg    memslap.FleetConfig
-	// fleetProbe registers the FleetProbe. The fleet and overload studies
-	// report replication events; the one-server and cluster runs do not.
+	// fleetProbe registers the FleetProbe and publishes the fleet_*
+	// counts. The fleet and overload studies report replication events;
+	// the one-server and cluster runs do not.
 	fleetProbe bool
 }
 
@@ -46,9 +47,9 @@ type kvsRun struct {
 // that compiles a fault plan, registers a run's probes, builds a fleet and
 // drives it. The plan is r.faults compiled with o.FaultSeed, or with o.Seed
 // when FaultSeed is 0, and r.cfg runs with o's Requests and Seed. The fault
-// probes are registered iff the plan is armed, the overload probe (on the
-// servers and the clients alike) iff the plan arms an overload control, and
-// the FleetProbe iff r asks for it.
+// probes are registered iff the plan is armed and the FleetProbe iff r asks
+// for it. A run that succeeds then publishes the model's counts (publish);
+// one that fails publishes nothing.
 func (r kvsRun) run(o KVSOptions) (memslap.FleetResults, error) {
 	col := o.Obs.Scope("config", r.label)
 	plan := r.faults.NewPlan(cmp.Or(o.FaultSeed, o.Seed))
@@ -57,17 +58,55 @@ func (r kvsRun) run(o KVSOptions) (memslap.FleetResults, error) {
 	if plan != nil {
 		cfg.FaultProbe = col.FaultProbe()
 	}
-	if plan.OverloadArmed() {
-		cfg.OverloadProbe = col.OverloadProbe()
-	}
 	if r.fleetProbe {
 		cfg.FleetProbe = col.FleetProbe()
 	}
-	fleet, err := newFleet(o, col, plan, cfg.OverloadProbe, r.shape)
+	fleet, err := newFleet(o, col, plan, r.shape)
 	if err != nil {
 		return memslap.FleetResults{}, err
 	}
-	return memslap.RunFleet(fleet, cfg)
+	res, err := memslap.RunFleet(fleet, cfg)
+	if err != nil {
+		return memslap.FleetResults{}, err
+	}
+	r.publish(col, plan, fleet.Servers, res)
+	return res, nil
+}
+
+// publish writes a finished run's counts into its scope col, once. Each
+// series reads a count the model keeps, and nothing else writes it: every
+// server's scope gets that server's Batches, KeysServed and KeysFound; the
+// run's scope gets the fleet_* counts of res when r registers a
+// FleetProbe, and its overload_* counts when the plan arms an overload
+// control (Plan.OverloadArmed). A nil col publishes nothing.
+func (r kvsRun) publish(col *obs.Collector, plan *fault.Plan, servers []*kvs.Server, res memslap.FleetResults) {
+	if col == nil {
+		return
+	}
+	for i, srv := range servers {
+		sc := serverScope(col, i)
+		sc.Counter("server_batches_total").Add(srv.Batches)
+		sc.Counter("server_keys_total").Add(srv.KeysServed)
+		sc.Counter("server_keys_found_total").Add(srv.KeysFound)
+	}
+	if r.fleetProbe {
+		col.Counter("fleet_epochs_total").Add(res.Epochs)
+		col.Counter("fleet_failovers_total").Add(res.Failovers)
+	}
+	if plan.OverloadArmed() {
+		col.Counter("overload_shed_queue_full_total").Add(res.ShedQueueFull)
+		col.Counter("overload_shed_deadline_total").Add(res.ShedDeadline)
+		col.Gauge("overload_queue_highwater").Set(float64(res.QueueHighWater))
+		col.Counter("overload_hedges_total").Add(res.Hedges)
+		col.Counter("overload_hedge_wins_total").Add(res.HedgeWins)
+		col.Counter("overload_budget_denied_total").Add(res.BudgetDenied)
+		col.Counter("overload_client_rejects_total").Add(res.ClientRejects)
+	}
+}
+
+// serverScope is server i's scope under a run's scope col.
+func serverScope(col *obs.Collector, i int) *obs.Collector {
+	return col.Scope("server", fmt.Sprintf("s%d", i))
 }
 
 // runKVSRuns runs a KVS study's runs under o as one sweep, one job per run,
@@ -97,15 +136,12 @@ func runKVSRuns(o KVSOptions, runs []kvsRun) ([]memslap.FleetResults, error) {
 //   - each partition gets its own fabric fault stream (fault.Plan.
 //     ForPartition), so message-fault draws follow the partition's own
 //     send order instead of a shared RNG,
-//   - each server gets its own "server" scope for its crash-drop instants,
-//     pressure bursts, batch spans and worker-queue waits, and
+//   - each server gets its own "server" scope (serverScope) for its
+//     crash-drop instants, pressure bursts, batch spans and worker-queue
+//     waits, and for the counts kvsRun.publish writes there, and
 //   - o.Heartbeat, when set, ticks on every partition, once per dispatched
 //     event.
-//
-// overload, when non-nil, is every server's OverloadProbe, shared across
-// partitions: it emits only counter increments and a max gauge, which
-// commute.
-func newFleet(o KVSOptions, col *obs.Collector, plan *fault.Plan, overload obs.OverloadProbe, shape fleetShape) (*memslap.Fleet, error) {
+func newFleet(o KVSOptions, col *obs.Collector, plan *fault.Plan, shape fleetShape) (*memslap.Fleet, error) {
 	cfg := netsim.EDR()
 	pd := des.NewPartitioned(shape.servers+1, 1, cfg.SmallMessageLatency())
 	fabric := netsim.New(pd.Sim(0), cfg)
@@ -130,8 +166,7 @@ func newFleet(o KVSOptions, col *obs.Collector, plan *fault.Plan, overload obs.O
 		}
 		srv := kvs.NewServer(pd.Sim(i+1), arch.SkylakeClusterB(), o.Workers, shape.batchCap, idx, store)
 		srv.Faults = plan.ForServer(i)
-		srv.OverloadProbe = overload
-		sc := col.Scope("server", fmt.Sprintf("s%d", i))
+		sc := serverScope(col, i)
 		if plan != nil {
 			srv.FaultProbe = sc.FaultProbe()
 		}

@@ -538,8 +538,8 @@ func (p *Plan) HedgeDelay() float64 {
 
 // OverloadArmed reports whether any overload control (admission bound,
 // queue deadline, retry budget, hedging) is configured — the gate for
-// registering overload probes, mirroring how FaultProbe registration is
-// gated on an armed plan so control-free goldens stay untouched.
+// publishing a run's overload_* counts, as FaultProbe registration is
+// gated on an armed plan, so control-free runs carry no overload series.
 func (p *Plan) OverloadArmed() bool {
 	if p == nil {
 		return false

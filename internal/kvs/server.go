@@ -111,11 +111,6 @@ type Server struct {
 	// additionally non-nil, observes each injected fault.
 	Faults     *fault.Plan
 	FaultProbe obs.FaultProbe
-
-	// OverloadProbe, when non-nil, observes admission rejections and
-	// queue-deadline sheds; registered only for plans with overload
-	// controls armed (fault.Plan.OverloadArmed), like FaultProbe.
-	OverloadProbe obs.OverloadProbe
 }
 
 // NewServer builds a server with `workers` worker threads on the given
@@ -244,9 +239,6 @@ func (s *Server) HandleMGet(keys [][]byte, done func(MGetResult)) {
 			// — and shed in turn if it is stale too, draining a stale
 			// backlog at event speed instead of service speed.
 			s.ShedDeadline++
-			if s.OverloadProbe != nil {
-				s.OverloadProbe.DeadlineShed(s.Sim.Now()-arrived, s.Sim.Now())
-			}
 			s.Workers.Release()
 			done(MGetResult{Rejected: true, RespBytes: rejectRespBytes})
 			return
@@ -272,9 +264,6 @@ func (s *Server) HandleMGet(keys [][]byte, done func(MGetResult)) {
 		s.Workers.SetMaxQueue(qd)
 		if err := s.Workers.Offer(grant); err != nil {
 			s.ShedQueueFull++
-			if s.OverloadProbe != nil {
-				s.OverloadProbe.QueueFullShed(s.Sim.Now())
-			}
 			done(MGetResult{Rejected: true, RespBytes: rejectRespBytes})
 		}
 		return

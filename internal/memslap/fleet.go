@@ -663,12 +663,14 @@ type FleetResults struct {
 	// Overload-control accounting (all zero unless the plan arms qdepth=,
 	// qdeadline=, budget= or hedge=). Server-side sheds are summed across
 	// the fleet; like the fault counters they accumulate over warm-up and
-	// measurement alike.
+	// measurement alike. Nothing else counts these events: a study's
+	// overload_* metric series are these fields, published at end of run.
 	ShedQueueFull  uint64 // batches rejected at admission (queue at qdepth)
 	ShedDeadline   uint64 // queued batches shed at grant (waited > qdeadline)
 	Hedges         uint64 // hedged duplicate reads issued
 	HedgeWins      uint64 // hedges that resolved keys before the primary
 	BudgetDenied   uint64 // retries forgone on an empty client budget
+	ClientRejects  uint64 // shed responses that ended an attempt before its timeout
 	QueueHighWater int    // max worker-queue depth observed on any server
 }
 
@@ -863,6 +865,7 @@ func (r *fleetRun) results() FleetResults {
 		Hedges:         c.hedges,
 		HedgeWins:      c.hedgeWins,
 		BudgetDenied:   c.budgetDenied,
+		ClientRejects:  c.clientRejects,
 	}
 	if c.phaseResponses > 0 {
 		n := float64(c.phaseResponses)
@@ -877,13 +880,6 @@ func (r *fleetRun) results() FleetResults {
 		out.WorkerUtil += srv.Workers.Utilization()
 	}
 	out.WorkerUtil /= float64(len(f.Servers))
-	if r.cfg.OverloadProbe != nil {
-		// Report per-server high-water marks in server order so the gauge's
-		// Max fold — and the rendered metric — is deterministic.
-		for _, srv := range f.Servers {
-			r.cfg.OverloadProbe.QueueHighWater(srv.Workers.QueueHighWater())
-		}
-	}
 	if qn := len(r.queueDelays); qn > 0 {
 		sort.Float64s(r.queueDelays)
 		var qsum float64

@@ -60,12 +60,6 @@ type Config struct {
 	// FaultProbe, when non-nil, observes retries, timeouts and degraded
 	// batches (obs layer).
 	FaultProbe obs.FaultProbe
-
-	// OverloadProbe, when non-nil, observes overload-control events:
-	// retry-budget denials, hedged reads and client-observed sheds.
-	// Registered only for plans with overload controls armed
-	// (fault.Plan.OverloadArmed), like FaultProbe.
-	OverloadProbe obs.OverloadProbe
 }
 
 // makeKey renders the i-th memslap key (i >= 0): "key-" plus the ordinal

@@ -26,8 +26,8 @@ const protocolSpec = "drop=0.02,dup=0.05,delayp=0.05,delay=4us,crash=400us:120us
 // protocolRun drives a 4-server, R=2 open-loop fleet with quorum writes
 // under protocolSpec and renders everything the run leaves behind: every
 // FleetResults field at full precision, the summed server counters, the
-// fabric counters, the dispatched event count and the client-side fleet,
-// fault and overload probe metrics.
+// fabric counters, the dispatched event count and the client-side fleet
+// and fault probe metrics.
 func protocolRun(t *testing.T) (FleetResults, *Fleet, []byte) {
 	t.Helper()
 	plan := mustSpec(t, protocolSpec).NewPlan(21)
@@ -40,7 +40,7 @@ func protocolRun(t *testing.T) (FleetResults, *Fleet, []byte) {
 	res, err := RunFleet(fleet, FleetConfig{
 		Config: Config{
 			Clients: 6, BatchSize: 12, Requests: 300, KeyBytes: 20, Seed: 17, Faults: plan,
-			FaultProbe: col.FaultProbe(), OverloadProbe: col.OverloadProbe(),
+			FaultProbe: col.FaultProbe(),
 		},
 		ArrivalRate:   1.2e6,
 		WriteFraction: 0.15,

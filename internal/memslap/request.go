@@ -41,7 +41,7 @@ type fleetCounters struct {
 	phaseResponses uint64
 
 	epochs, keysMoved, keysLost, repairs, failovers uint64
-	hedges, hedgeWins, budgetDenied                 uint64
+	hedges, hedgeWins, budgetDenied, clientRejects  uint64
 }
 
 // client is one client thread: its NIC and its retry budget.
@@ -479,9 +479,7 @@ func (sb *subBatch) onResponse(res kvs.MGetResult) {
 		if sb.hedged || sb.rotated || !q.anyLive(sb.pos) {
 			return
 		}
-		if r.cfg.OverloadProbe != nil {
-			r.cfg.OverloadProbe.RejectedObserved(sb.rank, r.sim.Now())
-		}
+		r.f.counts.clientRejects++
 		sb.rotate()
 		return
 	}
@@ -489,9 +487,6 @@ func (sb *subBatch) onResponse(res kvs.MGetResult) {
 		// The hedge arrived while keys were still open: it beat the attempt
 		// it was hedging.
 		r.f.counts.hedgeWins++
-		if r.cfg.OverloadProbe != nil {
-			r.cfg.OverloadProbe.HedgeWon(sb.rank, r.sim.Now())
-		}
 	}
 	q.resolve(sb, res)
 }
@@ -506,11 +501,6 @@ func (sb *subBatch) onHedge() {
 	// a hedged duplicate read and may win on its own.
 	n := q.send(sb.pos, sb.rank+1, sb.attempt, true)
 	r.f.counts.hedges += uint64(n)
-	if p := r.cfg.OverloadProbe; p != nil {
-		for range n {
-			p.HedgeFired(sb.rank+1, r.sim.Now())
-		}
-	}
 }
 
 func (sb *subBatch) onTimeout() {
@@ -540,9 +530,6 @@ func (sb *subBatch) rotate() {
 	}
 	if !q.cl.budget.spend() {
 		r.f.counts.budgetDenied++
-		if r.cfg.OverloadProbe != nil {
-			r.cfg.OverloadProbe.BudgetDenied(r.sim.Now())
-		}
 		q.abandon(sb.pos)
 		return
 	}

@@ -210,9 +210,7 @@ func TestProbesRecord(t *testing.T) {
 		"counter net_messages_total{config=t} 1",
 		"counter net_segments_total{config=t} 2",
 		"counter net_bytes_total{config=t} 100",
-		"counter server_batches_total{config=t} 1",
-		"counter server_keys_total{config=t} 16",
-		"counter server_keys_found_total{config=t} 15",
+		"histogram server_batch_us{config=t} le1=0 le2=0 le5=1 ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q\nfull output:\n%s", want, out)

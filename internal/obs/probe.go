@@ -12,6 +12,13 @@ import (
 // other way around. Every constructor on *Collector is nil-safe: a nil
 // collector yields a nil interface, which instrumented code treats as
 // "off" with a single `!= nil` check.
+//
+// A probe records what only it can see: spans, trace instants, histograms
+// and profiler frames, plus counters the model keeps no count of. A count
+// the model already keeps (kvs.Server's batch and key counters, the
+// memslap.FleetResults fleet and overload fields) is not counted here a
+// second time: the experiments harness publishes it into its series once,
+// at end of run.
 
 // EngineProbe observes cycle charging inside internal/engine.
 type EngineProbe interface {
@@ -118,37 +125,6 @@ type FleetProbe interface {
 	ReadRepair(keys int, at float64)
 	// QuorumWrite fires when a replicated write reaches its ack quorum.
 	QuorumWrite(acks int, at float64)
-}
-
-// OverloadProbe observes the overload-control layer: server-side admission
-// rejections and queue-deadline sheds (internal/kvs), and client-side hedged
-// reads and retry-budget denials (internal/memslap). Registration is gated
-// on fault.Plan.OverloadArmed(), mirroring FaultProbe, so runs without
-// overload controls keep their goldens untouched. Counters-only by design:
-// an overloaded run sheds thousands of batches, and one instant per shed
-// would swamp the trace without adding information the counters lack.
-type OverloadProbe interface {
-	// QueueFullShed fires when admission control rejects a batch because
-	// the server's worker queue is at its configured depth.
-	QueueFullShed(at float64)
-	// DeadlineShed fires when a queued batch is dropped at grant time
-	// because it waited longer than the queue deadline.
-	DeadlineShed(waited, at float64)
-	// QueueHighWater records a server's maximum observed worker-queue
-	// depth (end-of-run gauge, folded with Max across servers).
-	QueueHighWater(depth int)
-	// HedgeFired fires when a read issues its hedged duplicate to the
-	// replica at `rank` after the hedge delay.
-	HedgeFired(rank int, at float64)
-	// HedgeWon fires when a hedged read resolves keys before the primary
-	// attempt it was hedging.
-	HedgeWon(rank int, at float64)
-	// BudgetDenied fires when an exhausted retry budget forces a request
-	// to degrade instead of retrying.
-	BudgetDenied(at float64)
-	// RejectedObserved fires when the client receives a shed response and
-	// rotates to the next replica without waiting for its timeout.
-	RejectedObserved(rank int, at float64)
 }
 
 // secondsToUs converts DES virtual seconds to trace microseconds.
@@ -342,11 +318,8 @@ func (p *netProbe) MessageSent(from, to string, bytes, segments int, sendAt, arr
 }
 
 type serverProbe struct {
-	c       *Collector
-	batches *Counter
-	keys    *Counter
-	found   *Counter
-	us      *Histogram
+	c  *Collector
+	us *Histogram
 
 	// Cycle-account attribution (nil when profiling is off): per-phase
 	// service microseconds under server/{pre,lookup,post} — the Fig. 11b
@@ -361,17 +334,17 @@ type serverProbe struct {
 // ServerProbe returns a probe recording KVS request processing into this
 // scope, or nil when the collector is nil. Each batch becomes an "mget"
 // span on a per-worker track with pre/lookup/post child spans, so the
-// Fig. 11b phase breakdown is visible directly in Perfetto.
+// Fig. 11b phase breakdown is visible directly in Perfetto, and its
+// service time lands in the server_batch_us histogram. The server_*
+// batch and key counts are kvs.Server's own fields, published at end of
+// run.
 func (c *Collector) ServerProbe() ServerProbe {
 	if c == nil {
 		return nil
 	}
 	p := &serverProbe{
-		c:       c,
-		batches: c.Counter("server_batches_total"),
-		keys:    c.Counter("server_keys_total"),
-		found:   c.Counter("server_keys_found_total"),
-		us:      c.Histogram("server_batch_us", batchUsBounds),
+		c:  c,
+		us: c.Histogram("server_batch_us", batchUsBounds),
 	}
 	if pr := c.Profiler("us"); pr != nil {
 		p.prof = pr
@@ -384,9 +357,6 @@ func (c *Collector) ServerProbe() ServerProbe {
 }
 
 func (p *serverProbe) Batch(worker int, start, pre, lookup, post float64, keys, found int) {
-	p.batches.Inc()
-	p.keys.Add(uint64(keys))
-	p.found.Add(uint64(found))
 	total := pre + lookup + post
 	p.us.Observe(total * secondsToUs)
 	trackName := p.c.trackName(fmt.Sprintf("worker-%02d", worker))
@@ -498,12 +468,10 @@ func (p *faultProbe) BatchDegraded(served, missing int, at float64) {
 
 type fleetProbe struct {
 	c            *Collector
-	epochs       *Counter
 	moved        *Counter
 	lost         *Counter
 	rebalances   *Counter
 	replicaReads map[int]*Counter
-	failovers    *Counter
 	repairs      *Counter
 	repairKeys   *Counter
 	quorumWrites *Counter
@@ -513,19 +481,19 @@ type fleetProbe struct {
 // scope, or nil when the collector is nil. Epoch advances become instants
 // and completed rebalances become spans on the scope's "rebalance" track,
 // so ownership-transfer storms line up with the mget spans and fault
-// instants in Perfetto.
+// instants in Perfetto. The epoch and failover counts are
+// memslap.FleetResults fields, published at end of run; Failover fires
+// only its instant.
 func (c *Collector) FleetProbe() FleetProbe {
 	if c == nil {
 		return nil
 	}
 	return &fleetProbe{
 		c:            c,
-		epochs:       c.Counter("fleet_epochs_total"),
 		moved:        c.Counter("fleet_keys_moved_total"),
 		lost:         c.Counter("fleet_keys_lost_total"),
 		rebalances:   c.Counter("fleet_rebalances_done_total"),
 		replicaReads: make(map[int]*Counter),
-		failovers:    c.Counter("fleet_failovers_total"),
 		repairs:      c.Counter("fleet_read_repairs_total"),
 		repairKeys:   c.Counter("fleet_read_repair_keys_total"),
 		quorumWrites: c.Counter("fleet_quorum_writes_total"),
@@ -533,7 +501,6 @@ func (c *Collector) FleetProbe() FleetProbe {
 }
 
 func (p *fleetProbe) EpochAdvanced(epoch, server int, join bool, moved, lost int, at float64) {
-	p.epochs.Inc()
 	p.moved.Add(uint64(moved))
 	p.lost.Add(uint64(lost))
 	change := "leave"
@@ -562,7 +529,6 @@ func (p *fleetProbe) ReplicaRead(rank int) {
 }
 
 func (p *fleetProbe) Failover(rank int, at float64) {
-	p.failovers.Inc()
 	p.c.Tracer.Instant(p.c.trackName("rebalance"), "failover", at*secondsToUs,
 		map[string]interface{}{"rank": rank})
 }
@@ -576,43 +542,4 @@ func (p *fleetProbe) ReadRepair(keys int, at float64) {
 
 func (p *fleetProbe) QuorumWrite(acks int, at float64) {
 	p.quorumWrites.Inc()
-}
-
-type overloadProbe struct {
-	shedFull     *Counter
-	shedDeadline *Counter
-	queueHW      *Gauge
-	hedges       *Counter
-	hedgeWins    *Counter
-	budgetDenied *Counter
-	rejectsSeen  *Counter
-}
-
-// OverloadProbe returns a probe recording overload-control events into this
-// scope, or nil when the collector is nil. All series land in the
-// overload_* namespace; see the OverloadProbe interface for why no trace
-// instants are emitted.
-func (c *Collector) OverloadProbe() OverloadProbe {
-	if c == nil {
-		return nil
-	}
-	return &overloadProbe{
-		shedFull:     c.Counter("overload_shed_queue_full_total"),
-		shedDeadline: c.Counter("overload_shed_deadline_total"),
-		queueHW:      c.Gauge("overload_queue_highwater"),
-		hedges:       c.Counter("overload_hedges_total"),
-		hedgeWins:    c.Counter("overload_hedge_wins_total"),
-		budgetDenied: c.Counter("overload_budget_denied_total"),
-		rejectsSeen:  c.Counter("overload_client_rejects_total"),
-	}
-}
-
-func (p *overloadProbe) QueueFullShed(at float64)        { p.shedFull.Inc() }
-func (p *overloadProbe) DeadlineShed(waited, at float64) { p.shedDeadline.Inc() }
-func (p *overloadProbe) QueueHighWater(depth int)        { p.queueHW.Max(float64(depth)) }
-func (p *overloadProbe) HedgeFired(rank int, at float64) { p.hedges.Inc() }
-func (p *overloadProbe) HedgeWon(rank int, at float64)   { p.hedgeWins.Inc() }
-func (p *overloadProbe) BudgetDenied(at float64)         { p.budgetDenied.Inc() }
-func (p *overloadProbe) RejectedObserved(rank int, at float64) {
-	p.rejectsSeen.Inc()
 }
