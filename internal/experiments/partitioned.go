@@ -92,6 +92,8 @@ func (r kvsRun) publish(col *obs.Collector, plan *fault.Plan, servers []*kvs.Ser
 	if r.fleetProbe {
 		col.Counter("fleet_epochs_total").Add(res.Epochs)
 		col.Counter("fleet_failovers_total").Add(res.Failovers)
+		col.Counter("fleet_keys_moved_total").Add(res.KeysMoved)
+		col.Counter("fleet_keys_lost_total").Add(res.KeysLost)
 	}
 	if plan.OverloadArmed() {
 		col.Counter("overload_shed_queue_full_total").Add(res.ShedQueueFull)

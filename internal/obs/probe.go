@@ -109,7 +109,9 @@ type FleetProbe interface {
 	// EpochAdvanced fires when the ring moves to a new epoch: the
 	// membership change (join or leave of server), how many key transfers
 	// the resulting rebalance enqueued, and how many keys lost their last
-	// live replica (unrecoverable until read-repair or rewrite).
+	// live replica (unrecoverable until read-repair or rewrite). Both are
+	// the coordinator's plan; a transfer that finds its key gone on the
+	// donor moves it from moved to lost only in memslap.FleetResults.
 	EpochAdvanced(epoch, server int, join bool, moved, lost int, at float64)
 	// RebalanceDone fires when the last transfer of an epoch's rebalance
 	// is applied (start is the epoch-advance time, end now).
@@ -468,8 +470,6 @@ func (p *faultProbe) BatchDegraded(served, missing int, at float64) {
 
 type fleetProbe struct {
 	c            *Collector
-	moved        *Counter
-	lost         *Counter
 	rebalances   *Counter
 	replicaReads map[int]*Counter
 	repairs      *Counter
@@ -481,17 +481,17 @@ type fleetProbe struct {
 // scope, or nil when the collector is nil. Epoch advances become instants
 // and completed rebalances become spans on the scope's "rebalance" track,
 // so ownership-transfer storms line up with the mget spans and fault
-// instants in Perfetto. The epoch and failover counts are
-// memslap.FleetResults fields, published at end of run; Failover fires
-// only its instant.
+// instants in Perfetto. The epoch, failover and key-transfer counts are
+// memslap.FleetResults fields, published at end of run: EpochAdvanced and
+// Failover fire only their instants, and an epoch's instant carries the
+// moves and losses its rebalance planned, which the transfers' outcomes
+// may correct.
 func (c *Collector) FleetProbe() FleetProbe {
 	if c == nil {
 		return nil
 	}
 	return &fleetProbe{
 		c:            c,
-		moved:        c.Counter("fleet_keys_moved_total"),
-		lost:         c.Counter("fleet_keys_lost_total"),
 		rebalances:   c.Counter("fleet_rebalances_done_total"),
 		replicaReads: make(map[int]*Counter),
 		repairs:      c.Counter("fleet_read_repairs_total"),
@@ -501,8 +501,6 @@ func (c *Collector) FleetProbe() FleetProbe {
 }
 
 func (p *fleetProbe) EpochAdvanced(epoch, server int, join bool, moved, lost int, at float64) {
-	p.moved.Add(uint64(moved))
-	p.lost.Add(uint64(lost))
 	change := "leave"
 	if join {
 		change = "join"
