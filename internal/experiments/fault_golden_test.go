@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"simdhtbench/internal/fault"
@@ -50,7 +49,7 @@ func TestObsGoldenFaultSweep(t *testing.T) {
 
 	// The injection must actually bite: the metrics artifact carries live
 	// fault and protocol counters, not a sea of zeros.
-	for _, series := range []string{
+	checkSeriesLive(t, a.metrics,
 		"fault_messages_dropped_total",
 		"fault_crash_drops_total",
 		"fault_slowdowns_total",
@@ -58,11 +57,7 @@ func TestObsGoldenFaultSweep(t *testing.T) {
 		"client_retries_total",
 		"client_timeouts_total",
 		"client_degraded_batches_total",
-	} {
-		if !strings.Contains(string(a.metrics), series) {
-			t.Errorf("metrics artifact missing %s", series)
-		}
-	}
+	)
 }
 
 // TestFaultSpecRoundTripsCLI guards the ci.sh invocation: the committed spec

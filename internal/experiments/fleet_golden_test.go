@@ -202,19 +202,17 @@ func TestObsGoldenFleetStudy(t *testing.T) {
 	checkGolden(t, "fleet_study_metrics.golden.csv", a.metrics)
 
 	// The fleet machinery must actually bite: membership epochs, ownership
-	// transfers, replica reads and quorum writes all leave counters.
-	for _, series := range []string{
+	// transfers, keys lost with their last replica, replica reads and quorum
+	// writes all leave nonzero counts.
+	checkSeriesLive(t, a.metrics,
 		"fleet_epochs_total",
 		"fleet_keys_moved_total",
+		"fleet_keys_lost_total",
 		"fleet_rebalances_done_total",
 		"fleet_replica_reads_total",
 		"fleet_quorum_writes_total",
 		"fault_crash_drops_total",
-	} {
-		if !strings.Contains(string(a.metrics), series) {
-			t.Errorf("metrics artifact missing %s", series)
-		}
-	}
+	)
 }
 
 // TestFleetPressureServerLocal: pressure= bursts run on each server's own
@@ -238,7 +236,7 @@ func TestFleetPressureServerLocal(t *testing.T) {
 	}
 }
 
-// TestFleetStudyReportsSheds: the overload probe follows the fault plan, not
+// TestFleetStudyReportsSheds: the overload series follow the fault plan, not
 // the study. A fleet study whose Faults arm an admission queue of depth 1
 // under a heavy open-loop load reports the batches its servers shed.
 func TestFleetStudyReportsSheds(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"simdhtbench/internal/memslap"
+	"simdhtbench/internal/obs"
 )
 
 // FuzzStudyOptions drives the KVS study entries — RunKVS, FleetStudyResult,
@@ -17,9 +18,10 @@ import (
 // Every input must return a result or a typed error: a *memslap.ConfigError
 // for an option the study rejects, or a *memslap.LoadError when an index
 // this small fills before the load completes. Never another error, a panic
-// or a hang (RunFleet's event-budget watchdog bounds each run). The seeds
-// are the CLI inputs each study must reject, plus one run each that must
-// succeed.
+// or a hang (RunFleet's event-budget watchdog bounds each run). Each input
+// runs with a fresh collector, so the probes and the end-of-run publisher
+// see every fuzzed shape too. The seeds are the CLI inputs each study must
+// reject, plus one run each that must succeed.
 func FuzzStudyOptions(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, in := range []struct {
@@ -67,6 +69,7 @@ func FuzzStudyOptions(f *testing.F) {
 			Batches:  []int{int(batch) % 17},
 			Seed:     seed,
 			Parallel: 1,
+			Obs:      obs.NewCollector(),
 		}
 		nservers := int(servers) % 4
 		// The fleet's churn runs crash windows over the whole arrival span,

@@ -32,6 +32,24 @@ func renderObs(t *testing.T, col *obs.Collector) (traceJSON, metricsCSV []byte) 
 	return tr.Bytes(), ms.Bytes()
 }
 
+// checkSeriesLive fails t for each named series that the metrics CSV holds
+// in no scope with a nonzero value. Probes register their series when they
+// are created, so a name in the artifact alone proves nothing.
+func checkSeriesLive(t *testing.T, metricsCSV []byte, names ...string) {
+	t.Helper()
+	live := map[string]bool{}
+	for _, line := range strings.Split(string(metricsCSV), "\n") {
+		if f := strings.Split(line, ","); len(f) == 5 && f[4] != "0" {
+			live[f[1]] = true
+		}
+	}
+	for _, name := range names {
+		if !live[name] {
+			t.Errorf("metrics artifact has no nonzero %s", name)
+		}
+	}
+}
+
 // runFig7aObs mirrors `simdhtbench -queries 400 -seed 1 -trace -metrics fig7a`.
 func runFig7aObs(t *testing.T, parallel int) (table, traceJSON, metricsCSV []byte) {
 	t.Helper()
