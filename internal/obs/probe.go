@@ -482,10 +482,8 @@ type fleetProbe struct {
 // and completed rebalances become spans on the scope's "rebalance" track,
 // so ownership-transfer storms line up with the mget spans and fault
 // instants in Perfetto. The epoch, failover and key-transfer counts are
-// memslap.FleetResults fields, published at end of run: EpochAdvanced and
-// Failover fire only their instants, and an epoch's instant carries the
-// moves and losses its rebalance planned, which the transfers' outcomes
-// may correct.
+// memslap.FleetResults fields, published at end of run; EpochAdvanced and
+// Failover fire only their instants.
 func (c *Collector) FleetProbe() FleetProbe {
 	if c == nil {
 		return nil
