@@ -28,12 +28,10 @@ var ErrQueueFull = errors.New("des: resource queue full")
 // Sims are created and run by a Partitioned engine; schedule onto one with
 // At and After, and read its clock with Now.
 type Sim struct {
-	now    float64
-	seq    uint64
-	events eventHeap
-
-	// Probe, when non-nil, observes each dispatched event (obs layer).
-	Probe obs.SimProbe
+	now        float64
+	seq        uint64
+	events     eventHeap
+	dispatched uint64
 
 	// Heartbeat, when non-nil, ticks once per dispatched event — stderr-only
 	// liveness output for long runs, never part of deterministic artifacts.
@@ -42,6 +40,9 @@ type Sim struct {
 
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
+
+// Dispatched returns how many events this Sim has dispatched.
+func (s *Sim) Dispatched() uint64 { return s.dispatched }
 
 // At schedules fn to run at absolute virtual time t (>= Now).
 func (s *Sim) At(t float64, fn func()) {
@@ -71,22 +72,17 @@ func (s *Sim) NextEventAt() (float64, bool) {
 }
 
 // runBefore dispatches every pending event with timestamp strictly below
-// limit and returns how many ran. The clock stays at the last dispatched
-// event; the Partitioned engine enforces its event budget between windows, so
-// every partition stops at the same horizon.
-func (s *Sim) runBefore(limit float64) uint64 {
-	var n uint64
+// limit. The clock stays at the last dispatched event; the Partitioned
+// engine enforces its event budget between windows, so every partition
+// stops at the same horizon.
+func (s *Sim) runBefore(limit float64) {
 	for len(s.events) > 0 && s.events[0].at < limit {
 		ev := s.events.pop()
 		s.now = ev.at
-		n++
-		if s.Probe != nil {
-			s.Probe.EventRun(ev.at)
-		}
+		s.dispatched++
 		s.Heartbeat.Tick(ev.at)
 		ev.fn()
 	}
-	return n
 }
 
 type event struct {

@@ -78,7 +78,8 @@ func TestRunUntil(t *testing.T) {
 	s.At(1, func() { fired++ })
 	s.At(2, func() { fired++ })
 	s.At(3, func() { fired++ })
-	if n := s.runBefore(2.5); n != 2 {
+	s.runBefore(2.5)
+	if n := s.Dispatched(); n != 2 {
 		t.Errorf("runBefore ran %d events, want 2", n)
 	}
 	if fired != 2 {

@@ -37,9 +37,8 @@ type Partitioned struct {
 	// order they were posted.
 	outbox []remote
 
-	budget     uint64
-	dispatched uint64
-	exhausted  bool
+	budget    uint64
+	exhausted bool
 }
 
 // remote is a cross-partition event captured in the outbox: schedule fn on
@@ -83,8 +82,15 @@ func (pd *Partitioned) Lookahead() float64 { return pd.lookahead }
 // window. n == 0 disables it.
 func (pd *Partitioned) SetEventBudget(n uint64) { pd.budget = n }
 
-// Dispatched returns the events dispatched across all partitions.
-func (pd *Partitioned) Dispatched() uint64 { return pd.dispatched }
+// Dispatched returns the events dispatched across all partitions: the sum
+// of the partition Sims' counts.
+func (pd *Partitioned) Dispatched() uint64 {
+	var n uint64
+	for _, s := range pd.sims {
+		n += s.dispatched
+	}
+	return n
+}
 
 // BudgetExhausted reports whether the watchdog stopped the latest Run with
 // events still pending; each Run clears it when it starts.
@@ -121,13 +127,13 @@ func (pd *Partitioned) Run() {
 		if !ok {
 			return
 		}
-		if pd.budget > 0 && pd.dispatched >= pd.budget {
+		if pd.budget > 0 && pd.Dispatched() >= pd.budget {
 			pd.exhausted = true
 			return
 		}
 		pd.horizon = h + pd.lookahead
 		for _, s := range pd.sims {
-			pd.dispatched += s.runBefore(pd.horizon)
+			s.runBefore(pd.horizon)
 		}
 		pd.merge()
 	}

@@ -193,6 +193,18 @@ func TestPartitionedBudgetResumable(t *testing.T) {
 		t.Fatalf("resumed run dispatched %d, fresh run %d", two.Dispatched(), one.Dispatched())
 	}
 	checkLogs(t, "resumed", twoLogs, oneLogs)
+	// Every event logs once on its own partition, so each Sim's count is its
+	// log's length, across the pause, and the counts sum to the engine's.
+	var sum uint64
+	for p := 0; p < parts; p++ {
+		if n := two.Sim(p).Dispatched(); n != uint64(len(twoLogs[p])) {
+			t.Errorf("partition %d dispatched %d events, logged %d", p, n, len(twoLogs[p]))
+		}
+		sum += two.Sim(p).Dispatched()
+	}
+	if sum != two.Dispatched() {
+		t.Errorf("the partitions dispatched %d events in all, the engine reports %d", sum, two.Dispatched())
+	}
 	if two.BudgetExhausted() {
 		t.Error("BudgetExhausted still reports true after a resumed run drained every event")
 	}

@@ -9,13 +9,12 @@ import "fmt"
 // the package's own Sim, so a comparison isolates the window loop, the
 // budget and the merge.
 type refPartitioned struct {
-	sims       []*Sim
-	lookahead  float64
-	horizon    float64
-	outbox     [][]refRemote
-	budget     uint64
-	dispatched uint64
-	exhausted  bool
+	sims      []*Sim
+	lookahead float64
+	horizon   float64
+	outbox    [][]refRemote
+	budget    uint64
+	exhausted bool
 }
 
 // engine is what the tests drive: Partitioned or refPartitioned.
@@ -44,8 +43,15 @@ func newRefPartitioned(parts int, lookahead float64) *refPartitioned {
 
 func (r *refPartitioned) Sim(i int) *Sim          { return r.sims[i] }
 func (r *refPartitioned) SetEventBudget(n uint64) { r.budget = n }
-func (r *refPartitioned) Dispatched() uint64      { return r.dispatched }
 func (r *refPartitioned) BudgetExhausted() bool   { return r.exhausted }
+
+func (r *refPartitioned) Dispatched() uint64 {
+	var n uint64
+	for _, s := range r.sims {
+		n += s.Dispatched()
+	}
+	return n
+}
 
 func (r *refPartitioned) Post(src, dst int, at float64, fn func()) {
 	if at < r.horizon {
@@ -68,13 +74,13 @@ func (r *refPartitioned) Run() {
 		if !ok {
 			return
 		}
-		if r.budget > 0 && r.dispatched >= r.budget {
+		if r.budget > 0 && r.Dispatched() >= r.budget {
 			r.exhausted = true
 			return
 		}
 		r.horizon = h + r.lookahead
 		for _, s := range r.sims {
-			r.dispatched += s.runBefore(r.horizon)
+			s.runBefore(r.horizon)
 		}
 		r.merge()
 	}

@@ -47,16 +47,16 @@ type kvsRun struct {
 // that compiles a fault plan, registers a run's probes, builds a fleet and
 // drives it. The plan is r.faults compiled with o.FaultSeed, or with o.Seed
 // when FaultSeed is 0, and r.cfg runs with o's Requests and Seed. The fault
-// probes are registered iff the plan is armed and the FleetProbe iff r asks
-// for it. A run that succeeds then publishes the model's counts (publish);
-// one that fails publishes nothing.
+// and client probes are registered iff the plan is armed and the FleetProbe
+// iff r asks for it. A run that succeeds then publishes the model's counts
+// (publish); one that fails publishes nothing.
 func (r kvsRun) run(o KVSOptions) (memslap.FleetResults, error) {
 	col := o.Obs.Scope("config", r.label)
 	plan := r.faults.NewPlan(cmp.Or(o.FaultSeed, o.Seed))
 	cfg := r.cfg
 	cfg.Requests, cfg.Seed, cfg.Faults = o.Requests, o.Seed, plan
 	if plan != nil {
-		cfg.FaultProbe = col.FaultProbe()
+		cfg.ClientProbe = col.ClientProbe()
 	}
 	if r.fleetProbe {
 		cfg.FleetProbe = col.FleetProbe()
@@ -69,25 +69,57 @@ func (r kvsRun) run(o KVSOptions) (memslap.FleetResults, error) {
 	if err != nil {
 		return memslap.FleetResults{}, err
 	}
-	r.publish(col, plan, fleet.Servers, res)
+	r.publish(col, plan, fleet, res)
 	return res, nil
 }
 
 // publish writes a finished run's counts into its scope col, once. Each
-// series reads a count the model keeps, and nothing else writes it: every
-// server's scope gets that server's Batches, KeysServed and KeysFound; the
-// run's scope gets the fleet_* counts of res when r registers a
-// FleetProbe, and its overload_* counts when the plan arms an overload
-// control (Plan.OverloadArmed). A nil col publishes nothing.
-func (r kvsRun) publish(col *obs.Collector, plan *fault.Plan, servers []*kvs.Server, res memslap.FleetResults) {
+// series reads a count the model keeps, and nothing else writes it, and
+// each goes only into a scope whose layer can move it:
+//
+//   - every partition's scope gets its Sim's dispatched events and clock
+//     and the fabric's segments and bytes sent from it, plus its dropped,
+//     duplicated and delayed messages when the plan is armed;
+//   - every server's scope gets that server's Batches, KeysServed and
+//     KeysFound, plus its crash drops, slowdowns and pressure inserts when
+//     the plan is armed;
+//   - the run's scope gets res.Failovers as client_retries_total when the
+//     plan is armed, the fleet_* counts of res when r registers a
+//     FleetProbe, and its overload_* counts when the plan arms an overload
+//     control (Plan.OverloadArmed).
+//
+// A nil col publishes nothing.
+func (r kvsRun) publish(col *obs.Collector, plan *fault.Plan, fleet *memslap.Fleet, res memslap.FleetResults) {
 	if col == nil {
 		return
 	}
-	for i, srv := range servers {
+	pd := fleet.Fabric.PartitionedEngine()
+	for p := 0; p < pd.Parts(); p++ {
+		pc, sim, net := partScope(col, p), pd.Sim(p), fleet.Fabric.PartitionCounts(p)
+		pc.Counter("des_events_total").Add(sim.Dispatched())
+		pc.Gauge("des_now_seconds").Set(sim.Now())
+		pc.Counter("net_segments_total").Add(net.Sent)
+		pc.Counter("net_bytes_total").Add(net.Bytes)
+		if plan != nil {
+			pc.Counter("fault_messages_dropped_total").Add(net.Dropped)
+			pc.Counter("fault_messages_duplicated_total").Add(net.Duplicated)
+			pc.Counter("fault_messages_delayed_total").Add(net.Delayed)
+		}
+	}
+	for i, srv := range fleet.Servers {
 		sc := serverScope(col, i)
 		sc.Counter("server_batches_total").Add(srv.Batches)
 		sc.Counter("server_keys_total").Add(srv.KeysServed)
 		sc.Counter("server_keys_found_total").Add(srv.KeysFound)
+		if plan != nil {
+			sc.Counter("fault_crash_drops_total").Add(srv.CrashDrops)
+			sc.Counter("fault_slowdowns_total").Add(srv.Slowdowns)
+			sc.Counter("fault_pressure_inserted_total").Add(srv.PressureInserted)
+			sc.Counter("fault_pressure_failed_total").Add(srv.PressureFailed)
+		}
+	}
+	if plan != nil {
+		col.Counter("client_retries_total").Add(res.Failovers)
 	}
 	if r.fleetProbe {
 		col.Counter("fleet_epochs_total").Add(res.Epochs)
@@ -104,6 +136,11 @@ func (r kvsRun) publish(col *obs.Collector, plan *fault.Plan, servers []*kvs.Ser
 		col.Counter("overload_budget_denied_total").Add(res.BudgetDenied)
 		col.Counter("overload_client_rejects_total").Add(res.ClientRejects)
 	}
+}
+
+// partScope is partition p's scope under a run's scope col.
+func partScope(col *obs.Collector, p int) *obs.Collector {
+	return col.Scope("part", fmt.Sprintf("p%d", p))
 }
 
 // serverScope is server i's scope under a run's scope col.
@@ -133,8 +170,9 @@ func runKVSRuns(o KVSOptions, runs []kvsRun) ([]memslap.FleetResults, error) {
 // 20 B/32 B items otherwise). The artifacts follow the partition
 // decomposition:
 //
-//   - each partition gets its own SimProbe and NetProbe under a "part"
-//     scope, so event, clock and message series are per partition,
+//   - each partition gets its own "part" scope (partScope) for its
+//     NetProbe, its fault instants and the counts kvsRun.publish writes
+//     there,
 //   - each partition gets its own fabric fault stream (fault.Plan.
 //     ForPartition), so message-fault draws follow the partition's own
 //     send order instead of a shared RNG,
@@ -149,8 +187,7 @@ func newFleet(o KVSOptions, col *obs.Collector, plan *fault.Plan, shape fleetSha
 	fabric := netsim.New(pd.Sim(0), cfg)
 	fabric.Partition(pd)
 	for p := 0; p < pd.Parts(); p++ {
-		pc := col.Scope("part", fmt.Sprintf("p%d", p))
-		pd.Sim(p).Probe = pc.SimProbe()
+		pc := partScope(col, p)
 		pd.Sim(p).Heartbeat = o.Heartbeat
 		fabric.SetPartitionProbe(p, pc.NetProbe())
 		if plan != nil {

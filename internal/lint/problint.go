@@ -17,10 +17,10 @@ import (
 //     false edge of `p == nil`, including through && / || / !), killed by
 //     any assignment to p or a prefix of p, and must hold on every path
 //     reaching the call;
-//  2. obs.Collector.FaultProbe() may only be called where an armed fault
-//     plan dominates — a non-nil *fault.Plan or a true fault.Spec.Enabled()
-//     — so fault-free runs never register fault series and their golden
-//     artifacts stay byte-identical.
+//  2. obs.Collector.FaultProbe() and ClientProbe() may only be called where
+//     an armed fault plan dominates — a non-nil *fault.Plan or a true
+//     fault.Spec.Enabled() — so fault-free runs never register fault or
+//     client series and their golden artifacts stay byte-identical.
 //
 // Function literals are analyzed as their own CFGs, seeded with the facts
 // holding where the literal is created: a guard wrapped around the closure
@@ -32,7 +32,7 @@ import (
 // contract problint enforces is for probe consumers.
 var ProbLint = &Analyzer{
 	Name: "problint",
-	Doc:  "obs probe derefs need dominating nil guards; FaultProbe registration needs an armed plan",
+	Doc:  "obs probe derefs need dominating nil guards; FaultProbe and ClientProbe registration needs an armed plan",
 	Run:  runProbLint,
 }
 
@@ -301,7 +301,8 @@ func (u *factUniverse) genFacts(cond ast.Expr, branch bool) []int {
 }
 
 // checkProbeFlow solves the must-analysis over fn's CFG and reports
-// unguarded probe derefs and ungated FaultProbe registrations; nested
+// unguarded probe derefs and ungated FaultProbe or ClientProbe
+// registrations; nested
 // literals recurse with the facts holding at their creation point.
 func checkProbeFlow(pass *Pass, u *factUniverse, fn ast.Node, entry BitSet) {
 	cfg := BuildCFG(fn)
@@ -380,8 +381,9 @@ func (u *factUniverse) checkCall(pass *Pass, call *ast.CallExpr, facts BitSet) {
 				types.ExprString(sel.X), sel.Sel.Name, types.ExprString(sel.X))
 		}
 	}
-	// Check 2: FaultProbe registration must be gated on an armed plan.
-	if name, _, ok := methodCall(u.pkg, call, obsPkgPath, "Collector"); ok && name == "FaultProbe" {
+	// Check 2: FaultProbe and ClientProbe registration must be gated on an
+	// armed plan.
+	if name, _, ok := methodCall(u.pkg, call, obsPkgPath, "Collector"); ok && (name == "FaultProbe" || name == "ClientProbe") {
 		armed := false
 		for id, f := range u.facts {
 			if f.armed && facts.Has(id) {
@@ -391,7 +393,7 @@ func (u *factUniverse) checkCall(pass *Pass, call *ast.CallExpr, facts BitSet) {
 		}
 		if !armed {
 			pass.Reportf(call.Pos(),
-				"FaultProbe registration not dominated by an armed fault plan (plan != nil or spec.Enabled()); fault-free runs must not register fault series")
+				"%s registration not dominated by an armed fault plan (plan != nil or spec.Enabled()); fault-free runs must not register fault or client series", name)
 		}
 	}
 }

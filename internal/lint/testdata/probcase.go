@@ -1,8 +1,8 @@
 // Package probcase is a problint test fixture, loaded under the synthetic
 // import path simdhtbench/internal/probcase. It exercises the must-analysis
-// over probe nil guards and armed-plan gating of FaultProbe registration;
-// each "want" comment states the diagnostic the harness expects on that
-// line.
+// over probe nil guards and armed-plan gating of FaultProbe and ClientProbe
+// registration; each "want" comment states the diagnostic the harness
+// expects on that line.
 package probcase
 
 import (
@@ -11,90 +11,90 @@ import (
 )
 
 type host struct {
-	Sim obs.SimProbe
+	Eng obs.EngineProbe
 	Net obs.NetProbe
 }
 
 func guarded(h *host, at float64) {
-	if h.Sim != nil {
-		h.Sim.EventRun(at)
+	if h.Eng != nil {
+		h.Eng.MemCharged(at)
 	}
 }
 
 func unguarded(h *host, at float64) {
-	h.Sim.EventRun(at) // want `probe call h\.Sim\.EventRun without a dominating nil guard on h\.Sim`
+	h.Eng.MemCharged(at) // want `probe call h\.Eng\.MemCharged without a dominating nil guard on h\.Eng`
 }
 
-func invertedGuard(p obs.SimProbe, at float64) {
+func invertedGuard(p obs.EngineProbe, at float64) {
 	if p == nil {
 		return
 	}
-	p.EventRun(at)
+	p.MemCharged(at)
 }
 
-func orGuard(p obs.SimProbe, n int, at float64) {
+func orGuard(p obs.EngineProbe, n int, at float64) {
 	if p == nil || n == 0 {
 		return
 	}
-	p.EventRun(at)
+	p.MemCharged(at)
 }
 
 func compoundGuard(h *host, at float64) {
-	if h.Sim != nil && h.Net != nil {
-		h.Sim.EventRun(at)
+	if h.Eng != nil && h.Net != nil {
+		h.Eng.MemCharged(at)
 		h.Net.MessageSent("a", "b", 1, 1, at, at)
 	}
 	// A disjunctive guard proves neither operand non-nil on its true branch.
-	if h.Sim != nil || h.Net != nil {
-		h.Sim.EventRun(at) // want `probe call h\.Sim\.EventRun without a dominating nil guard on h\.Sim`
+	if h.Eng != nil || h.Net != nil {
+		h.Eng.MemCharged(at) // want `probe call h\.Eng\.MemCharged without a dominating nil guard on h\.Eng`
 	}
 }
 
-func shortCircuitDeref(p obs.SimProbe, at float64) {
+func shortCircuitDeref(p obs.EngineProbe, at float64) {
 	// The guard and the deref share one statement: scan must honor the
 	// short-circuit fact on the right operand.
 	if p != nil && at > 0 {
-		p.EventRun(at)
+		p.MemCharged(at)
 	}
 }
 
-func killedGuard(p, q obs.SimProbe, at float64) {
+func killedGuard(p, q obs.EngineProbe, at float64) {
 	if p != nil {
 		p = q
-		p.EventRun(at) // want `probe call p\.EventRun without a dominating nil guard on p`
+		p.MemCharged(at) // want `probe call p\.MemCharged without a dominating nil guard on p`
 	}
 }
 
-func loopKill(h *host, ps []obs.SimProbe, at float64) {
-	if h.Sim != nil {
+func loopKill(h *host, ps []obs.EngineProbe, at float64) {
+	if h.Eng != nil {
 		for _, p := range ps {
 			if p != nil {
-				p.EventRun(at)
+				p.MemCharged(at)
 			}
-			h.Sim = p
+			h.Eng = p
 		}
 		// The loop body may have replaced the guarded value: the fact does
 		// not survive the back edge's meet.
-		h.Sim.EventRun(at) // want `probe call h\.Sim\.EventRun without a dominating nil guard on h\.Sim`
+		h.Eng.MemCharged(at) // want `probe call h\.Eng\.MemCharged without a dominating nil guard on h\.Eng`
 	}
 }
 
-func closureInherits(p obs.SimProbe, at float64) func() {
+func closureInherits(p obs.EngineProbe, at float64) func() {
 	if p == nil {
 		return func() {}
 	}
-	return func() { p.EventRun(at) } // legal: the guard dominates the literal's creation
+	return func() { p.MemCharged(at) } // legal: the guard dominates the literal's creation
 }
 
-func closureUnguarded(p obs.SimProbe, at float64) func() {
-	return func() { p.EventRun(at) } // want `probe call p\.EventRun without a dominating nil guard on p`
+func closureUnguarded(p obs.EngineProbe, at float64) func() {
+	return func() { p.MemCharged(at) } // want `probe call p\.MemCharged without a dominating nil guard on p`
 }
 
-func closureKills(h *host, q obs.SimProbe, at float64) {
-	if h.Sim != nil {
-		reset := func() { h.Sim = q }
+func closureKills(h *host, q obs.EngineProbe, at float64) {
+	if h.Eng != nil {
+		reset := func() { h.Eng = q }
 		reset()
-		h.Sim.EventRun(at) // want `probe call h\.Sim\.EventRun without a dominating nil guard on h\.Sim`
+		h.Eng.MemCharged(at) // want `probe call h\.Eng\.MemCharged without a dominating nil guard on h\.Eng`
 	}
 }
 
@@ -112,6 +112,17 @@ func registerPlanGated(col *obs.Collector, plan *fault.Plan) obs.FaultProbe {
 func registerSpecGated(col *obs.Collector, spec fault.Spec) obs.FaultProbe {
 	if spec.Enabled() {
 		return col.FaultProbe()
+	}
+	return nil
+}
+
+func registerClientUngated(col *obs.Collector) obs.ClientProbe {
+	return col.ClientProbe() // want `ClientProbe registration not dominated by an armed fault plan`
+}
+
+func registerClientPlanGated(col *obs.Collector, plan *fault.Plan) obs.ClientProbe {
+	if plan != nil {
+		return col.ClientProbe()
 	}
 	return nil
 }

@@ -57,9 +57,9 @@ type Config struct {
 	// event sequence it always did.
 	Faults *fault.Plan
 
-	// FaultProbe, when non-nil, observes retries, timeouts and degraded
+	// ClientProbe, when non-nil, observes retries, timeouts and degraded
 	// batches (obs layer).
-	FaultProbe obs.FaultProbe
+	ClientProbe obs.ClientProbe
 }
 
 // makeKey renders the i-th memslap key (i >= 0): "key-" plus the ordinal

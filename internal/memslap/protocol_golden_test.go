@@ -40,7 +40,7 @@ func protocolRun(t *testing.T) (FleetResults, *Fleet, []byte) {
 	res, err := RunFleet(fleet, FleetConfig{
 		Config: Config{
 			Clients: 6, BatchSize: 12, Requests: 300, KeyBytes: 20, Seed: 17, Faults: plan,
-			FaultProbe: col.FaultProbe(),
+			ClientProbe: col.ClientProbe(),
 		},
 		ArrivalRate:   1.2e6,
 		WriteFraction: 0.15,

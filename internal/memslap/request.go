@@ -394,8 +394,8 @@ func (q *readReq) resolve(sb *subBatch, res kvs.MGetResult) {
 func (q *readReq) finish() {
 	r := q.r
 	r.complete()
-	if q.missing > 0 && r.cfg.FaultProbe != nil {
-		r.cfg.FaultProbe.BatchDegraded(q.returned, q.missing, r.sim.Now())
+	if q.missing > 0 && r.cfg.ClientProbe != nil {
+		r.cfg.ClientProbe.BatchDegraded(q.returned, q.missing, r.sim.Now())
 	}
 	if r.measured(q.seq, q.sent) {
 		r.queueDelays = append(r.queueDelays, math.Max(0, r.sim.Now()-q.sent-q.serviceMax))
@@ -509,8 +509,8 @@ func (sb *subBatch) onTimeout() {
 		return
 	}
 	q.timeouts++
-	if fp := q.r.cfg.FaultProbe; fp != nil {
-		fp.TimeoutFired(sb.attempt, q.r.sim.Now())
+	if cp := q.r.cfg.ClientProbe; cp != nil {
+		cp.TimeoutFired(sb.attempt, q.r.sim.Now())
 	}
 	sb.rotate()
 }
@@ -540,8 +540,8 @@ func (sb *subBatch) rotate() {
 		r.f.Probe.Failover(sb.rank+1, r.sim.Now())
 	}
 	backoff := r.plan.BackoffFor(next)
-	if r.cfg.FaultProbe != nil {
-		r.cfg.FaultProbe.RetryScheduled(next, backoff, r.sim.Now())
+	if r.cfg.ClientProbe != nil {
+		r.cfg.ClientProbe.RetryScheduled(next, backoff, r.sim.Now())
 	}
 	r.sim.After(backoff, sb.onRetry)
 }
@@ -634,8 +634,8 @@ func (w *writeReq) onTimeout() {
 	if w.finished {
 		return
 	}
-	if fp := w.r.cfg.FaultProbe; fp != nil {
-		fp.TimeoutFired(0, w.r.sim.Now())
+	if cp := w.r.cfg.ClientProbe; cp != nil {
+		cp.TimeoutFired(0, w.r.sim.Now())
 	}
 	w.finish(false)
 }

@@ -84,14 +84,18 @@ type Fabric struct {
 // synchronization.
 type partitionSlot struct {
 	sim        *des.Sim
-	sent       uint64
-	bytesSent  uint64
-	dropped    uint64
-	duplicated uint64
-	delayed    uint64
+	counts     Counts
 	faults     *fault.Plan
 	probe      obs.NetProbe
 	faultProbe obs.FaultProbe
+}
+
+// Counts is the traffic of the sends that originate on one partition: the
+// SEND messages injected (one per segment) and their payload bytes, and the
+// logical messages its fault plan dropped, duplicated and delayed.
+type Counts struct {
+	Sent, Bytes                  uint64
+	Dropped, Duplicated, Delayed uint64
 }
 
 // New creates a fabric on the given simulator.
@@ -183,51 +187,38 @@ func (f *Fabric) SetPartitionProbe(part int, probe obs.NetProbe) {
 	f.slots[part].probe = probe
 }
 
-// MessagesSent returns the total messages injected: the per-partition
-// counts summed in partition order.
-func (f *Fabric) MessagesSent() uint64 {
-	var n uint64
+// PartitionCounts returns the traffic of the sends originating on the
+// given partition (0 on an unpartitioned fabric).
+func (f *Fabric) PartitionCounts(part int) Counts { return f.slots[part].counts }
+
+// Totals returns the traffic of every partition, summed in partition order.
+func (f *Fabric) Totals() Counts {
+	var t Counts
 	for i := range f.slots {
-		n += f.slots[i].sent
+		c := &f.slots[i].counts
+		t.Sent += c.Sent
+		t.Bytes += c.Bytes
+		t.Dropped += c.Dropped
+		t.Duplicated += c.Duplicated
+		t.Delayed += c.Delayed
 	}
-	return n
+	return t
 }
+
+// MessagesSent returns the total messages injected, one per segment.
+func (f *Fabric) MessagesSent() uint64 { return f.Totals().Sent }
 
 // BytesSent returns the total payload bytes injected.
-func (f *Fabric) BytesSent() uint64 {
-	var n uint64
-	for i := range f.slots {
-		n += f.slots[i].bytesSent
-	}
-	return n
-}
+func (f *Fabric) BytesSent() uint64 { return f.Totals().Bytes }
 
 // MessagesDropped returns the logical messages the fault plans dropped.
-func (f *Fabric) MessagesDropped() uint64 {
-	var n uint64
-	for i := range f.slots {
-		n += f.slots[i].dropped
-	}
-	return n
-}
+func (f *Fabric) MessagesDropped() uint64 { return f.Totals().Dropped }
 
 // MessagesDuplicated returns the logical messages delivered twice.
-func (f *Fabric) MessagesDuplicated() uint64 {
-	var n uint64
-	for i := range f.slots {
-		n += f.slots[i].duplicated
-	}
-	return n
-}
+func (f *Fabric) MessagesDuplicated() uint64 { return f.Totals().Duplicated }
 
 // MessagesDelayed returns the logical messages hit by a delay spike.
-func (f *Fabric) MessagesDelayed() uint64 {
-	var n uint64
-	for i := range f.slots {
-		n += f.slots[i].delayed
-	}
-	return n
-}
+func (f *Fabric) MessagesDelayed() uint64 { return f.Totals().Delayed }
 
 // TransferTime returns size/bandwidth in seconds.
 func (f *Fabric) TransferTime(bytes int) float64 {
@@ -282,8 +273,8 @@ func (e *Endpoint) Send(dst *Endpoint, bytes int, deliver func()) {
 		txDone := start + f.cfg.SendOverhead + f.TransferTime(segBytes)
 		e.busyTill = txDone
 		arrival = txDone + f.cfg.PropDelay + f.cfg.RecvOverhead
-		s.sent++
-		s.bytesSent += uint64(segBytes)
+		s.counts.Sent++
+		s.counts.Bytes += uint64(segBytes)
 	}
 	if s.probe != nil {
 		s.probe.MessageSent(e.name, dst.name, bytes, segments, sim.Now(), arrival)
@@ -293,21 +284,21 @@ func (e *Endpoint) Send(dst *Endpoint, bytes int, deliver func()) {
 	// sender's NIC — it is lost in the fabric, not suppressed at the source.
 	if s.faults != nil {
 		if s.faults.DropMessage() {
-			s.dropped++
+			s.counts.Dropped++
 			if s.faultProbe != nil {
 				s.faultProbe.MessageDropped(e.name, dst.name, bytes, sim.Now())
 			}
 			return
 		}
 		if extra := s.faults.DelaySpike(); extra > 0 {
-			s.delayed++
+			s.counts.Delayed++
 			if s.faultProbe != nil {
 				s.faultProbe.MessageDelayed(e.name, dst.name, bytes, extra, sim.Now())
 			}
 			arrival += extra
 		}
 		if s.faults.DuplicateMessage() {
-			s.duplicated++
+			s.counts.Duplicated++
 			if s.faultProbe != nil {
 				s.faultProbe.MessageDuplicated(e.name, dst.name, bytes, sim.Now())
 			}

@@ -135,8 +135,8 @@ func TestNilCollectorIsOff(t *testing.T) {
 	if c.Scope("k", "v") != nil {
 		t.Fatal("Scope on nil collector should return nil")
 	}
-	if c.EngineProbe() != nil || c.CacheProbe() != nil || c.SimProbe() != nil ||
-		c.NetProbe() != nil || c.ServerProbe() != nil {
+	if c.EngineProbe() != nil || c.CacheProbe() != nil || c.NetProbe() != nil ||
+		c.ServerProbe() != nil || c.FaultProbe() != nil || c.ClientProbe() != nil {
 		t.Fatal("probes from a nil collector must be nil interfaces")
 	}
 	// Span/Instant on nil must be no-ops, not panics.
@@ -181,14 +181,16 @@ func TestProbesRecord(t *testing.T) {
 	cp.LevelAccess("L1D", false)
 	cp.Eviction("L1D")
 
-	sp := c.SimProbe()
-	sp.EventRun(0.5)
-
 	np := c.NetProbe()
 	np.MessageSent("client", "server", 100, 2, 0.1, 0.2)
 
 	svp := c.ServerProbe()
 	svp.Batch(0, 1.0, 1e-6, 2e-6, 1e-6, 16, 15)
+
+	c.FaultProbe().CrashDropped(0.3)
+	clp := c.ClientProbe()
+	clp.TimeoutFired(1, 0.4)
+	clp.RetryScheduled(1, 1e-6, 0.4)
 
 	var buf bytes.Buffer
 	if err := c.Registry.WriteText(&buf); err != nil {
@@ -205,15 +207,19 @@ func TestProbesRecord(t *testing.T) {
 		"counter cache_accesses_total{config=t,level=L1D,result=hit} 1",
 		"counter cache_accesses_total{config=t,level=L1D,result=miss} 1",
 		"counter cache_evictions_total{config=t,level=L1D} 1",
-		"counter des_events_total{config=t} 1",
-		"gauge des_now_seconds{config=t} 0.5",
 		"counter net_messages_total{config=t} 1",
-		"counter net_segments_total{config=t} 2",
-		"counter net_bytes_total{config=t} 100",
 		"histogram server_batch_us{config=t} le1=0 le2=0 le5=1 ",
+		"counter client_timeouts_total{config=t} 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q\nfull output:\n%s", want, out)
+		}
+	}
+	// Fault counts and the retry count are the model's, published at end of
+	// run: their probes only mark instants.
+	for _, gone := range []string{"fault_", "client_retries_total"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("a probe registered a %s series:\n%s", gone, out)
 		}
 	}
 
@@ -225,7 +231,7 @@ func TestProbesRecord(t *testing.T) {
 	for _, want := range []string{
 		`"name":"t/worker-00"`, `"name":"mget"`, `"name":"pre"`,
 		`"name":"lookup"`, `"name":"post"`, `"name":"send client-\u003eserver"`,
-		`"name":"license"`,
+		`"name":"license"`, `"name":"crash-drop"`, `"name":"retry"`,
 	} {
 		if !strings.Contains(tout, want) {
 			t.Errorf("trace output missing %q\nfull output:\n%s", want, tout)

@@ -7,7 +7,7 @@ import (
 )
 
 // Probe interfaces implemented here and consumed by the instrumented
-// packages (engine, cache, des, netsim, kvs). The interfaces are declared
+// packages (engine, cache, netsim, kvs, memslap). The interfaces are declared
 // in this package so the simulation packages depend only on obs, never the
 // other way around. Every constructor on *Collector is nil-safe: a nil
 // collector yields a nil interface, which instrumented code treats as
@@ -15,10 +15,11 @@ import (
 //
 // A probe records what only it can see: spans, trace instants, histograms
 // and profiler frames, plus counters the model keeps no count of. A count
-// the model already keeps (kvs.Server's batch and key counters, the
-// memslap.FleetResults fleet and overload fields) is not counted here a
-// second time: the experiments harness publishes it into its series once,
-// at end of run.
+// the model already keeps (des.Sim's events and clock, netsim's
+// per-partition traffic and message faults, kvs.Server's batch, key and
+// fault counters, the memslap.FleetResults fleet, failover and overload
+// fields) is not counted here a second time: the experiments harness
+// publishes it into its series once, at end of run.
 
 // EngineProbe observes cycle charging inside internal/engine.
 type EngineProbe interface {
@@ -48,12 +49,6 @@ type CacheProbe interface {
 	Eviction(level string)
 }
 
-// SimProbe observes the discrete-event scheduler in internal/des.
-type SimProbe interface {
-	// EventRun fires as each event is dispatched, with the virtual time.
-	EventRun(at float64)
-}
-
 // NetProbe observes message traffic in internal/netsim.
 type NetProbe interface {
 	// MessageSent fires once per logical send: endpoints, payload size,
@@ -70,10 +65,9 @@ type ServerProbe interface {
 	Batch(worker int, start, pre, lookup, post float64, keys, found int)
 }
 
-// FaultProbe observes fault injection (internal/fault plans consulted by
-// netsim/kvs/core) and the client-side degradation protocol (memslap).
-// Like every probe it is nil-means-free: instrumented code holds a
-// nil-checkable interface field.
+// FaultProbe observes fault injection: the internal/fault plans consulted
+// by netsim and kvs. Like every probe it is nil-means-free: instrumented
+// code holds a nil-checkable interface field.
 type FaultProbe interface {
 	// MessageDropped fires when the fault plan drops a logical message.
 	MessageDropped(from, to string, bytes int, at float64)
@@ -90,8 +84,13 @@ type FaultProbe interface {
 	SlowdownApplied(factor, at float64)
 	// PressureApplied fires after a transient insert-pressure burst:
 	// items inserted and insert attempts that failed (table full / hash
-	// collision). at is virtual seconds (KVS) or engine cycles (core).
+	// collision), at virtual seconds at.
 	PressureApplied(inserted, failed int, at float64)
+}
+
+// ClientProbe observes the client-side degradation protocol in
+// internal/memslap: retries, timeouts and degraded Multi-Gets.
+type ClientProbe interface {
 	// RetryScheduled fires when the client schedules retry `attempt`
 	// after a backoff of `backoff` seconds.
 	RetryScheduled(attempt int, backoff, at float64)
@@ -242,33 +241,9 @@ func (p *cacheProbe) Eviction(level string) {
 	cnt.Inc()
 }
 
-type simProbe struct {
-	events *Counter
-	now    *Gauge
-}
-
-// SimProbe returns a probe counting DES event dispatches in this scope, or
-// nil when the collector is nil.
-func (c *Collector) SimProbe() SimProbe {
-	if c == nil {
-		return nil
-	}
-	return &simProbe{
-		events: c.Counter("des_events_total"),
-		now:    c.Gauge("des_now_seconds"),
-	}
-}
-
-func (p *simProbe) EventRun(at float64) {
-	p.events.Inc()
-	p.now.Set(at)
-}
-
 type netProbe struct {
 	c        *Collector
 	messages *Counter
-	segments *Counter
-	bytes    *Counter
 
 	// Cycle-account attribution (nil when profiling is off): virtual wire
 	// time per hop, in microseconds, under net/<from->to>. The metric and
@@ -280,7 +255,9 @@ type netProbe struct {
 }
 
 // NetProbe returns a probe recording fabric traffic into this scope, or
-// nil when the collector is nil.
+// nil when the collector is nil. It counts logical messages, which the
+// fabric does not; their segments and bytes are the fabric's own counts
+// (netsim.Fabric.PartitionCounts), published at end of run.
 func (c *Collector) NetProbe() NetProbe {
 	if c == nil {
 		return nil
@@ -288,8 +265,6 @@ func (c *Collector) NetProbe() NetProbe {
 	p := &netProbe{
 		c:        c,
 		messages: c.Counter("net_messages_total"),
-		segments: c.Counter("net_segments_total"),
-		bytes:    c.Counter("net_bytes_total"),
 	}
 	if pr := c.Profiler("us"); pr != nil {
 		p.prof = pr
@@ -301,8 +276,6 @@ func (c *Collector) NetProbe() NetProbe {
 
 func (p *netProbe) MessageSent(from, to string, bytes, segments int, sendAt, arriveAt float64) {
 	p.messages.Inc()
-	p.segments.Add(uint64(segments))
-	p.bytes.Add(uint64(bytes))
 	name := from + "->" + to
 	args := map[string]interface{}{"bytes": bytes, "segments": segments}
 	p.c.Tracer.Instant(p.c.trackName("net"), "send "+name, sendAt*secondsToUs, args)
@@ -376,96 +349,90 @@ func (p *serverProbe) Batch(worker int, start, pre, lookup, post float64, keys, 
 	}
 }
 
-type faultProbe struct {
-	c          *Collector
-	dropped    *Counter
-	duplicated *Counter
-	delayed    *Counter
-	crashes    *Counter
-	slowdowns  *Counter
-	pressured  *Counter
-	pressFail  *Counter
-	retries    *Counter
-	timeouts   *Counter
-	degraded   *Counter
-	missing    *Counter
+// faultInstant marks an instant at virtual seconds at on c's "faults"
+// track, so injected faults and the client's reactions line up with the
+// mget spans in Perfetto.
+func faultInstant(c *Collector, name string, at float64, args map[string]interface{}) {
+	c.Tracer.Instant(c.trackName("faults"), name, at*secondsToUs, args)
 }
 
-// FaultProbe returns a probe recording fault injection and degradation
-// events into this scope, or nil when the collector is nil. Counters land
-// in the fault_*/client_* series; each event also becomes an instant on
-// the scope's "faults" track, so injected faults line up with the mget
-// spans in Perfetto.
+type faultProbe struct{ c *Collector }
+
+// FaultProbe returns a probe marking each injected fault as an instant on
+// this scope's "faults" track, or nil when the collector is nil. The
+// fault counts are netsim's and kvs.Server's own, published at end of run.
 func (c *Collector) FaultProbe() FaultProbe {
 	if c == nil {
 		return nil
 	}
-	return &faultProbe{
-		c:          c,
-		dropped:    c.Counter("fault_messages_dropped_total"),
-		duplicated: c.Counter("fault_messages_duplicated_total"),
-		delayed:    c.Counter("fault_messages_delayed_total"),
-		crashes:    c.Counter("fault_crash_drops_total"),
-		slowdowns:  c.Counter("fault_slowdowns_total"),
-		pressured:  c.Counter("fault_pressure_inserted_total"),
-		pressFail:  c.Counter("fault_pressure_failed_total"),
-		retries:    c.Counter("client_retries_total"),
-		timeouts:   c.Counter("client_timeouts_total"),
-		degraded:   c.Counter("client_degraded_batches_total"),
-		missing:    c.Counter("client_keys_missing_total"),
-	}
-}
-
-func (p *faultProbe) instant(name string, at float64, args map[string]interface{}) {
-	p.c.Tracer.Instant(p.c.trackName("faults"), name, at*secondsToUs, args)
+	return &faultProbe{c: c}
 }
 
 func (p *faultProbe) MessageDropped(from, to string, bytes int, at float64) {
-	p.dropped.Inc()
-	p.instant("drop "+from+"->"+to, at, map[string]interface{}{"bytes": bytes})
+	faultInstant(p.c, "drop "+from+"->"+to, at, map[string]interface{}{"bytes": bytes})
 }
 
 func (p *faultProbe) MessageDuplicated(from, to string, bytes int, at float64) {
-	p.duplicated.Inc()
-	p.instant("dup "+from+"->"+to, at, map[string]interface{}{"bytes": bytes})
+	faultInstant(p.c, "dup "+from+"->"+to, at, map[string]interface{}{"bytes": bytes})
 }
 
 func (p *faultProbe) MessageDelayed(from, to string, bytes int, extra, at float64) {
-	p.delayed.Inc()
-	p.instant("delay "+from+"->"+to, at,
+	faultInstant(p.c, "delay "+from+"->"+to, at,
 		map[string]interface{}{"bytes": bytes, "extra_us": extra * secondsToUs})
 }
 
 func (p *faultProbe) CrashDropped(at float64) {
-	p.crashes.Inc()
-	p.instant("crash-drop", at, nil)
+	faultInstant(p.c, "crash-drop", at, nil)
 }
 
 func (p *faultProbe) SlowdownApplied(factor, at float64) {
-	p.slowdowns.Inc()
-	p.instant("slowdown", at, map[string]interface{}{"factor": factor})
+	faultInstant(p.c, "slowdown", at, map[string]interface{}{"factor": factor})
 }
 
 func (p *faultProbe) PressureApplied(inserted, failed int, at float64) {
-	p.pressured.Add(uint64(inserted))
-	p.pressFail.Add(uint64(failed))
-	p.instant("pressure", at, map[string]interface{}{"inserted": inserted, "failed": failed})
+	faultInstant(p.c, "pressure", at, map[string]interface{}{"inserted": inserted, "failed": failed})
 }
 
-func (p *faultProbe) RetryScheduled(attempt int, backoff, at float64) {
-	p.retries.Inc()
-	p.instant("retry", at, map[string]interface{}{"attempt": attempt, "backoff_us": backoff * secondsToUs})
+type clientProbe struct {
+	c        *Collector
+	timeouts *Counter
+	degraded *Counter
+	missing  *Counter
 }
 
-func (p *faultProbe) TimeoutFired(attempt int, at float64) {
+// ClientProbe returns a probe recording the client degradation protocol
+// into this scope, or nil when the collector is nil. It counts timeouts,
+// degraded batches and their missing keys over the whole run, warm-up
+// included, in the client_* series (memslap.FleetResults' Timeouts,
+// Degraded and KeysMissing count measured requests only); each event also
+// becomes an instant on the scope's "faults" track. The retry count is
+// FleetResults.Failovers, published at end of run; RetryScheduled fires
+// only its instant.
+func (c *Collector) ClientProbe() ClientProbe {
+	if c == nil {
+		return nil
+	}
+	return &clientProbe{
+		c:        c,
+		timeouts: c.Counter("client_timeouts_total"),
+		degraded: c.Counter("client_degraded_batches_total"),
+		missing:  c.Counter("client_keys_missing_total"),
+	}
+}
+
+func (p *clientProbe) RetryScheduled(attempt int, backoff, at float64) {
+	faultInstant(p.c, "retry", at, map[string]interface{}{"attempt": attempt, "backoff_us": backoff * secondsToUs})
+}
+
+func (p *clientProbe) TimeoutFired(attempt int, at float64) {
 	p.timeouts.Inc()
-	p.instant("timeout", at, map[string]interface{}{"attempt": attempt})
+	faultInstant(p.c, "timeout", at, map[string]interface{}{"attempt": attempt})
 }
 
-func (p *faultProbe) BatchDegraded(served, missing int, at float64) {
+func (p *clientProbe) BatchDegraded(served, missing int, at float64) {
 	p.degraded.Inc()
 	p.missing.Add(uint64(missing))
-	p.instant("degraded", at, map[string]interface{}{"served": served, "missing": missing})
+	faultInstant(p.c, "degraded", at, map[string]interface{}{"served": served, "missing": missing})
 }
 
 type fleetProbe struct {
