@@ -112,3 +112,82 @@ func TestFaultDeterministicStream(t *testing.T) {
 		t.Error("seeds 1 and 2 produced the identical drop pattern")
 	}
 }
+
+// faultCounter is a fault probe that counts the message faults injected on
+// the partition it is armed for.
+type faultCounter struct{ dropped, duplicated, delayed uint64 }
+
+func (c *faultCounter) MessageDropped(_, _ string, _ int, _ float64)    { c.dropped++ }
+func (c *faultCounter) MessageDuplicated(_, _ string, _ int, _ float64) { c.duplicated++ }
+func (c *faultCounter) MessageDelayed(_, _ string, _ int, _, _ float64) { c.delayed++ }
+func (c *faultCounter) CrashDropped(float64)                            {}
+func (c *faultCounter) SlowdownApplied(_, _ float64)                    {}
+func (c *faultCounter) PressureApplied(_, _ int, _ float64)             {}
+
+// TestPartitionCountsChargeTheSource: on a two-partition fabric where both
+// partitions send to each other under a fault plan, every segment sent and
+// every injected fault is charged to the partition the message leaves
+// from, and Totals is the sum of the partitions' counts. The partitions
+// send different message counts and sizes, so a count charged to the
+// wrong partition shows; each destination's deliveries (sent - dropped +
+// duplicated) witness the drop and duplicate counts independently.
+func TestPartitionCountsChargeTheSource(t *testing.T) {
+	spec, err := fault.ParseSpec("drop=0.1,dup=0.1,delayp=0.1,delay=2us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := spec.NewPlan(3)
+	cfg := EDR()
+	pd := des.NewPartitioned(2, 1, cfg.SmallMessageLatency())
+	f := New(pd.Sim(0), cfg)
+	f.Partition(pd)
+	eps := []*Endpoint{f.EndpointAt("a", 0), f.EndpointAt("b", 1)}
+	probes := make([]faultCounter, 2)
+	for p := range eps {
+		f.SetPartitionFaults(p, plan.ForPartition(p), &probes[p])
+	}
+	// Partition 0 sends 300 one-segment messages, partition 1 sends 120
+	// three-segment ones.
+	msgs := []int{300, 120}
+	sizes := []int{64, 2*cfg.MaxMessageBytes + 100}
+	delivered := make([]int, 2) // deliveries at each partition
+	for p := range eps {
+		pd.Sim(p).At(0, func() {
+			for i := 0; i < msgs[p]; i++ {
+				eps[p].Send(eps[1-p], sizes[p], func() { delivered[1-p]++ })
+			}
+		})
+	}
+	pd.Run()
+
+	var sum Counts
+	for p := range eps {
+		got := f.PartitionCounts(p)
+		segments := (sizes[p] + cfg.MaxMessageBytes - 1) / cfg.MaxMessageBytes
+		want := Counts{
+			Sent:       uint64(msgs[p] * segments),
+			Bytes:      uint64(msgs[p] * sizes[p]),
+			Dropped:    probes[p].dropped,
+			Duplicated: probes[p].duplicated,
+			Delayed:    probes[p].delayed,
+		}
+		if got != want {
+			t.Errorf("partition %d counts %+v, want %+v", p, got, want)
+		}
+		if got.Dropped == 0 || got.Duplicated == 0 || got.Delayed == 0 {
+			t.Errorf("partition %d counts %+v: every fault kind must fire", p, got)
+		}
+		if n := msgs[p] - int(got.Dropped) + int(got.Duplicated); delivered[1-p] != n {
+			t.Errorf("partition %d received %d messages, want %d sent from partition %d - %d dropped + %d duplicated",
+				1-p, delivered[1-p], msgs[p], p, got.Dropped, got.Duplicated)
+		}
+		sum.Sent += got.Sent
+		sum.Bytes += got.Bytes
+		sum.Dropped += got.Dropped
+		sum.Duplicated += got.Duplicated
+		sum.Delayed += got.Delayed
+	}
+	if got := f.Totals(); got != sum {
+		t.Errorf("Totals = %+v, want the partitions' sum %+v", got, sum)
+	}
+}
