@@ -538,8 +538,8 @@ func (p *Plan) HedgeDelay() float64 {
 
 // OverloadArmed reports whether any overload control (admission bound,
 // queue deadline, retry budget, hedging) is configured — the gate for
-// publishing a run's overload_* counts, as FaultProbe registration is
-// gated on an armed plan, so control-free runs carry no overload series.
+// publishing a run's overload_* counts, as a non-nil plan gates its fault_*
+// and client_* series, so control-free runs carry no overload series.
 func (p *Plan) OverloadArmed() bool {
 	if p == nil {
 		return false
