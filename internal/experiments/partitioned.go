@@ -73,22 +73,16 @@ func (r kvsRun) run(o KVSOptions) (memslap.FleetResults, error) {
 	return res, nil
 }
 
-// publish writes a finished run's counts into its scope col, once. Each
-// series reads a count the model keeps, and nothing else writes it, and
-// each goes only into a scope whose layer can move it:
-//
-//   - every partition's scope gets its Sim's dispatched events and clock
-//     and the fabric's segments and bytes sent from it, plus its dropped,
-//     duplicated and delayed messages when the plan is armed;
-//   - every server's scope gets that server's Batches, KeysServed and
-//     KeysFound, plus its crash drops, slowdowns and pressure inserts when
-//     the plan is armed;
-//   - the run's scope gets res.Failovers as client_retries_total when the
-//     plan is armed, the fleet_* counts of res when r registers a
-//     FleetProbe, and its overload_* counts when the plan arms an overload
-//     control (Plan.OverloadArmed).
-//
-// A nil col publishes nothing.
+// publish writes a finished run's counts into its scope col, once, each
+// into the scope of the layer that keeps it; nothing else writes these
+// series. Every partition's scope gets its Sim's events and clock and the
+// fabric traffic sent from it, and every server's scope its Batches,
+// KeysServed and KeysFound. When the plan is armed, the partitions also
+// get their message faults, the servers their crash, slowdown and pressure
+// counts, and the run res.Failovers as client_retries_total. The run gets
+// the fleet_* counts of res when r registers a FleetProbe, and its
+// overload_* counts when the plan arms an overload control
+// (Plan.OverloadArmed). A nil col publishes nothing.
 func (r kvsRun) publish(col *obs.Collector, plan *fault.Plan, fleet *memslap.Fleet, res memslap.FleetResults) {
 	if col == nil {
 		return

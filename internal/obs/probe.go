@@ -394,20 +394,16 @@ func (p *faultProbe) PressureApplied(inserted, failed int, at float64) {
 }
 
 type clientProbe struct {
-	c        *Collector
-	timeouts *Counter
-	degraded *Counter
-	missing  *Counter
+	c                           *Collector
+	timeouts, degraded, missing *Counter
 }
 
-// ClientProbe returns a probe recording the client degradation protocol
-// into this scope, or nil when the collector is nil. It counts timeouts,
-// degraded batches and their missing keys over the whole run, warm-up
-// included, in the client_* series (memslap.FleetResults' Timeouts,
-// Degraded and KeysMissing count measured requests only); each event also
-// becomes an instant on the scope's "faults" track. The retry count is
-// FleetResults.Failovers, published at end of run; RetryScheduled fires
-// only its instant.
+// ClientProbe returns a probe marking the client's retries, timeouts and
+// degraded batches as instants on this scope's "faults" track, or nil when
+// the collector is nil. It counts the last two and the missing keys over
+// the whole run, warm-up included; memslap.FleetResults counts measured
+// requests only, and its Failovers is the retry count, published at end of
+// run.
 func (c *Collector) ClientProbe() ClientProbe {
 	if c == nil {
 		return nil
