@@ -302,8 +302,8 @@ func (u *factUniverse) genFacts(cond ast.Expr, branch bool) []int {
 
 // checkProbeFlow solves the must-analysis over fn's CFG and reports
 // unguarded probe derefs and ungated FaultProbe or ClientProbe
-// registrations; nested
-// literals recurse with the facts holding at their creation point.
+// registrations; nested literals recurse with the facts holding at their
+// creation point.
 func checkProbeFlow(pass *Pass, u *factUniverse, fn ast.Node, entry BitSet) {
 	cfg := BuildCFG(fn)
 	ins := SolveForward(cfg, &probProblem{u: u, entry: entry}, MeetIntersect)

@@ -26,8 +26,8 @@ const protocolSpec = "drop=0.02,dup=0.05,delayp=0.05,delay=4us,crash=400us:120us
 // protocolRun drives a 4-server, R=2 open-loop fleet with quorum writes
 // under protocolSpec and renders everything the run leaves behind: every
 // FleetResults field at full precision, the summed server counters, the
-// fabric counters, the dispatched event count and the client-side fleet
-// and fault probe metrics.
+// fabric counters, the dispatched event count and the fleet and client
+// probe metrics.
 func protocolRun(t *testing.T) (FleetResults, *Fleet, []byte) {
 	t.Helper()
 	plan := mustSpec(t, protocolSpec).NewPlan(21)
