@@ -3,11 +3,15 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"simdhtbench/internal/arch"
 	"simdhtbench/internal/cuckoo"
+	"simdhtbench/internal/fault"
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/workload"
 )
@@ -429,6 +433,89 @@ func TestRunUpdatesWithTraceAndAMAC(t *testing.T) {
 		}
 		if m.CyclesPerLookup == ro[i].CyclesPerLookup {
 			t.Errorf("%s: updates cost no cycles (%.2f per op either way)", variantName(i, m), m.CyclesPerLookup)
+		}
+	}
+}
+
+// TestRunPublishesEngineAccount: each variant's engine_* op, memory and
+// fixed-cycle series are the engine's own account of the measured window,
+// so divided by Queries they equal the Measurement's per-lookup breakdown
+// bit for bit. Only kicking inserts charge fixed cycles (an update
+// overwrites its stored key in place), so the update run also carries
+// insert pressure and is the only one whose fixed cycles are above 0.
+func TestRunPublishesEngineAccount(t *testing.T) {
+	pressure, err := fault.ParseSpec("pressure=32@10ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, uf := range []float64{0, 0.25} {
+		col := obs.NewCollector()
+		p := Params{
+			Arch: arch.SkylakeClusterA(), N: 2, M: 2, KeyBits: 32, ValBits: 32,
+			TableBytes: 64 << 10, LoadFactor: 0.85, HitRate: 0.9, Pattern: workload.Uniform,
+			Approaches: []Approach{Horizontal, VerticalHybrid},
+			Queries:    400, UpdateFraction: uf, WithAMAC: true, Seed: 3, Obs: col,
+		}
+		if uf > 0 {
+			p.Faults = pressure
+		}
+		r, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The collector has no scope of its own, so a series' labels are
+		// its variant, after the op label when it has one (labels sort by
+		// key).
+		points := make(map[string]string)
+		for _, pt := range col.Registry.Snapshot() {
+			points[pt.Name+"{"+pt.Labels+"}"] = pt.Value
+		}
+		gauge := func(key string) float64 {
+			t.Helper()
+			s, ok := points[key]
+			if !ok {
+				t.Fatalf("UpdateFraction %v: no series %s", uf, key)
+			}
+			v, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		queries := float64(p.Queries)
+		for i, m := range measurements(r) {
+			variant := "variant=" + variantName(i, m)
+			for op, perLookup := range m.OpCycles {
+				got := gauge("engine_op_cycles{op=" + op.String() + ";" + variant + "}")
+				if math.Float64bits(got/queries) != math.Float64bits(perLookup) {
+					t.Errorf("UpdateFraction %v, %s, %s: engine_op_cycles/Queries %.17g, OpCycles %.17g",
+						uf, variant, op, got/queries, perLookup)
+				}
+			}
+			mem := gauge("engine_mem_cycles{" + variant + "}")
+			if math.Float64bits(mem/queries) != math.Float64bits(m.MemCyclesPerLookup) {
+				t.Errorf("UpdateFraction %v, %s: engine_mem_cycles/Queries %.17g, MemCyclesPerLookup %.17g",
+					uf, variant, mem/queries, m.MemCyclesPerLookup)
+			}
+			var counted []string
+			for key := range points {
+				if op, ok := strings.CutPrefix(key, "engine_ops_total{op="); ok && strings.HasSuffix(op, ";"+variant+"}") {
+					counted = append(counted, strings.TrimSuffix(op, ";"+variant+"}"))
+				}
+			}
+			var charged []string
+			for op := range m.OpCycles {
+				charged = append(charged, op.String())
+			}
+			sort.Strings(counted)
+			sort.Strings(charged)
+			if !slices.Equal(counted, charged) {
+				t.Errorf("UpdateFraction %v, %s: engine_ops_total classes %v, OpCycles classes %v",
+					uf, variant, counted, charged)
+			}
+			if fixed := gauge("engine_fixed_cycles{" + variant + "}"); (fixed > 0) != (uf > 0) {
+				t.Errorf("UpdateFraction %v, %s: engine_fixed_cycles %v", uf, variant, fixed)
+			}
 		}
 	}
 }

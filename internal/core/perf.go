@@ -337,6 +337,15 @@ func measure(p Params, table *cuckoo.Table, run batch, warmup, width int, varian
 	}
 	m.CacheLevels = append(m.CacheLevels, LevelStat{Name: "DRAM", Hits: e.Cache.DRAMAccesses()})
 	if vc != nil {
+		// The engine's own account of the measured window is the only
+		// writer of these series; no probe counts them a second time.
+		e.ForEachOpCycle(func(op arch.OpClass, cy float64) {
+			l := obs.Label{Key: "op", Value: op.String()}
+			vc.Counter("engine_ops_total", l).Add(e.OpCount(op))
+			vc.Gauge("engine_op_cycles", l).Set(cy)
+		})
+		vc.Gauge("engine_mem_cycles").Set(e.MemCycles())
+		vc.Gauge("engine_fixed_cycles").Set(e.FixedCycles())
 		// One span per measured variant on the cycle axis: [0, cycles].
 		vc.Span("measure", 0, cycles, map[string]interface{}{
 			"queries": p.Queries, "hits": hits, "width": width,

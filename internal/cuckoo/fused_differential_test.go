@@ -1,6 +1,7 @@
 package cuckoo
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,7 +49,7 @@ func snapshotResults(res *ResultBuf, nq, valBits int) []uint64 {
 // test over whole lookup templates: the same batch charged with fused
 // (batched) charging and with SetFusedCharging(false) — which forces every
 // bundle back through per-op Charge — must agree on hits, charged cycles to
-// the last bit, op counts, and the per-class breakdown.
+// the last bit, op counts, and the per-class cycles and op counts.
 func TestFusedChargingBitIdentical(t *testing.T) {
 	const nq = 512
 	model := arch.SkylakeClusterA()
@@ -111,6 +112,9 @@ func TestFusedChargingBitIdentical(t *testing.T) {
 			if fused.Ops() != plain.Ops() {
 				t.Fatalf("ops diverge: %d vs %d", fused.Ops(), plain.Ops())
 			}
+			if want, got := opCounts(plain), opCounts(fused); !maps.Equal(want, got) {
+				t.Fatalf("per-class op counts diverge: fused %v vs per-op %v", got, want)
+			}
 			if math.Float64bits(fused.MemCycles()) != math.Float64bits(plain.MemCycles()) {
 				t.Fatalf("mem cycles diverge: %.17g vs %.17g", fused.MemCycles(), plain.MemCycles())
 			}
@@ -138,5 +142,12 @@ func TestFusedChargingBitIdentical(t *testing.T) {
 func opCycles(e *engine.Engine) map[arch.OpClass]float64 {
 	out := make(map[arch.OpClass]float64)
 	e.ForEachOpCycle(func(c arch.OpClass, cy float64) { out[c] = cy })
+	return out
+}
+
+// opCounts collects an engine's per-class op counts for every charged class.
+func opCounts(e *engine.Engine) map[arch.OpClass]uint64 {
+	out := make(map[arch.OpClass]uint64)
+	e.ForEachOpCycle(func(c arch.OpClass, _ float64) { out[c] = e.OpCount(c) })
 	return out
 }

@@ -21,7 +21,9 @@ type CostBundle struct {
 	model    *arch.Model
 	items    []bundleItem
 	maxWidth int
-	seenMask uint32
+	// counts holds each class in the bundle once, with its number of
+	// items, so the fast path adds one op count per class, not per item.
+	counts []classCount
 }
 
 type bundleItem struct {
@@ -30,35 +32,51 @@ type bundleItem struct {
 	cost  float64
 }
 
+type classCount struct {
+	class arch.OpClass
+	n     uint64
+}
+
 // NewCostBundle resolves the items' costs against m. The bundle is
 // immutable and safe to share across engines running the same model.
 func NewCostBundle(m *arch.Model, items []CostItem) *CostBundle {
 	//lint:ignore alloclint bundles are built once at template warm-up and shared; the charging fast path only reads them
-	b := &CostBundle{model: m, items: make([]bundleItem, len(items))}
+	b := &CostBundle{model: m, items: make([]bundleItem, len(items)), counts: make([]classCount, 0, len(items))}
 	for i, it := range items {
 		b.items[i] = bundleItem{class: it.Class, width: it.Width, cost: m.Cost(it.Class, it.Width)}
 		if it.Width > b.maxWidth {
 			b.maxWidth = it.Width
 		}
-		b.seenMask |= 1 << uint(it.Class)
+		b.count(it.Class)
 	}
 	return b
+}
+
+func (b *CostBundle) count(c arch.OpClass) {
+	for i := range b.counts {
+		if b.counts[i].class == c {
+			b.counts[i].n++
+			return
+		}
+	}
+	//lint:ignore alloclint stays within the len(items) capacity NewCostBundle reserves
+	b.counts = append(b.counts, classCount{class: c, n: 1})
 }
 
 // ChargeBatch charges every op in the bundle, exactly as the equivalent
 // sequence of Charge calls would: same cycle totals (bit for bit, because
 // the additions happen in the same order on the same precomputed values),
-// same per-class breakdown, same op count, and — when a probe or profiler is
-// attached — the same event stream and attribution. The batched fast path
-// engages only when nothing observable differs from the per-op path:
-// charging on, no probe, no width license change pending, fusing enabled,
-// and the bundle resolved against this engine's model; otherwise it decays
-// to per-op Charge calls. An attached profiler keeps the fast path: the
-// profiled loop performs the identical additions in the identical order and
+// same per-class cycles and op counts, and — when a profiler is attached —
+// the same attribution. The batched fast path engages only when nothing
+// observable differs from the per-op path: charging on, no width license
+// pending (the one charge a probe sees), fusing enabled, and the bundle
+// resolved against this engine's model; otherwise it decays to per-op
+// Charge calls. An attached profiler keeps the fast path: the profiled
+// loop performs the identical additions in the identical order and
 // attributes each item to the same (phase, op class) leaf Charge would, so
 // the account — like the cycle total — matches the per-op path bit for bit.
 func (e *Engine) ChargeBatch(b *CostBundle) {
-	if !e.fused || !e.charging || e.probe != nil || b.maxWidth > e.maxWidth || b.model != e.Arch {
+	if !e.fused || !e.charging || b.maxWidth > e.maxWidth || b.model != e.Arch {
 		for i := range b.items {
 			e.Charge(b.items[i].class, b.items[i].width)
 		}
@@ -79,6 +97,7 @@ func (e *Engine) ChargeBatch(b *CostBundle) {
 			e.opCycles[it.class] += it.cost
 		}
 	}
-	e.opSeen |= b.seenMask
-	e.ops += uint64(len(b.items))
+	for _, cc := range b.counts {
+		e.opCount[cc.class] += cc.n
+	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -15,13 +16,14 @@ func bundleItems() []CostItem {
 		{Class: arch.OpVecMovemask, Width: 256},
 		{Class: arch.OpScalarBranch, Width: arch.WidthScalar},
 		{Class: arch.OpVecCmp, Width: 512},
+		{Class: arch.OpVecMul, Width: 512},
 	}
 }
 
 // TestChargeBatchMatchesPerOpBitwise is the differential test behind the
 // fused-charging optimization: charging a bundle many times must yield
-// cycle totals identical to the last bit, the same per-class breakdown and
-// the same op count as issuing the equivalent per-op Charge calls — float64
+// cycle totals identical to the last bit, the same per-class cycles and op
+// counts as issuing the equivalent per-op Charge calls — float64
 // addition is not associative, so this only holds because the fast path
 // adds the precomputed costs in exactly the per-op order.
 func TestChargeBatchMatchesPerOpBitwise(t *testing.T) {
@@ -46,6 +48,9 @@ func TestChargeBatchMatchesPerOpBitwise(t *testing.T) {
 	}
 	if perOp.Ops() != batched.Ops() {
 		t.Fatalf("op counts diverge: %d vs %d", perOp.Ops(), batched.Ops())
+	}
+	if want, got := opCounts(perOp), opCounts(batched); !maps.Equal(want, got) {
+		t.Fatalf("per-class op counts diverge: per-op %v vs batched %v", want, got)
 	}
 	want := opCycles(perOp)
 	got := opCycles(batched)

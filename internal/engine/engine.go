@@ -32,17 +32,17 @@ type Engine struct {
 	Cache *cache.Hierarchy
 
 	cycles   float64
-	ops      uint64
 	maxWidth int
 	charging bool
 
-	// Breakdown: cycles by op class, plus memory cycles (cache/DRAM).
-	// opCycles is indexed by the dense OpClass values; opSeen records which
-	// classes were charged at all, so the reporting APIs can distinguish
-	// "never charged" from a zero total.
-	opCycles  [arch.NumOpClasses]float64
-	opSeen    uint32
-	memCycles float64
+	// Breakdown: cycles and op counts by op class, memory cycles
+	// (cache/DRAM) and fixed cycles (ChargeCycles). opCycles and opCount
+	// are indexed by the dense OpClass values; a nonzero opCount tells a
+	// charged class with a zero total from one never charged.
+	opCycles    [arch.NumOpClasses]float64
+	opCount     [arch.NumOpClasses]uint64
+	memCycles   float64
+	fixedCycles float64
 
 	// costs is the model's dense cost table (arch.CostTable), resolved once
 	// at construction so the charge hot path is two array indexes.
@@ -53,9 +53,10 @@ type Engine struct {
 	// compare the two bit-for-bit.
 	fused bool
 
-	// probe, when non-nil, observes every charged cost (obs layer). The
-	// hot path pays exactly one nil check per charge; warm-up (charging
-	// off) emits nothing, so measurements stay comparable.
+	// probe, when non-nil, observes what the engine keeps no count of
+	// (obs layer): each charged gather's distinct lines, and the cycle at
+	// which each wider width is licensed, warm-up included. Charged costs
+	// are the counts above, which the caller publishes itself.
 	probe obs.EngineProbe
 
 	// prof, when non-nil, attributes every charged cycle along the frame
@@ -100,7 +101,16 @@ func New(m *arch.Model, cores int) *Engine {
 func (e *Engine) Cycles() float64 { return e.cycles }
 
 // Ops returns the number of charged operations since the last reset.
-func (e *Engine) Ops() uint64 { return e.ops }
+func (e *Engine) Ops() uint64 {
+	var n uint64
+	for _, c := range e.opCount {
+		n += c
+	}
+	return n
+}
+
+// OpCount returns the number of ops of class c charged since the last reset.
+func (e *Engine) OpCount(c arch.OpClass) uint64 { return e.opCount[c] }
 
 // MaxWidth returns the widest vector width (bits) charged since construction.
 func (e *Engine) MaxWidth() int { return e.maxWidth }
@@ -109,10 +119,10 @@ func (e *Engine) MaxWidth() int { return e.maxWidth }
 // a measured phase can follow a warm-up phase.
 func (e *Engine) ResetCycles() {
 	e.cycles = 0
-	e.ops = 0
 	e.memCycles = 0
+	e.fixedCycles = 0
 	e.opCycles = [arch.NumOpClasses]float64{}
-	e.opSeen = 0
+	e.opCount = [arch.NumOpClasses]uint64{}
 	e.Cache.ResetStats()
 }
 
@@ -129,8 +139,8 @@ func (e *Engine) SetCharging(on bool) { e.charging = on }
 func (e *Engine) SetFusedCharging(on bool) { e.fused = on }
 
 // SetProbe installs an observability probe (nil turns observation off).
-// The probe sees charged costs only — it never alters them — so attaching
-// one cannot change any measured result.
+// The probe only observes — it never alters a charge — so attaching one
+// cannot change any measured result.
 func (e *Engine) SetProbe(p obs.EngineProbe) { e.probe = p }
 
 // Charge adds the cost of one op of the given class and vector width.
@@ -153,11 +163,7 @@ func (e *Engine) Charge(c arch.OpClass, width int) {
 	}
 	e.cycles += cost
 	e.opCycles[c] += cost
-	e.opSeen |= 1 << uint(c)
-	e.ops++
-	if e.probe != nil {
-		e.probe.OpCharged(c.String(), width, cost)
-	}
+	e.opCount[c]++
 	if e.prof != nil {
 		e.prof.AddSelf(e.profOpHandle(c), cost)
 		e.prof.AddTotal(cost)
@@ -167,12 +173,15 @@ func (e *Engine) Charge(c arch.OpClass, width int) {
 // MemCycles returns the cycles spent in cache/DRAM accesses since reset.
 func (e *Engine) MemCycles() float64 { return e.memCycles }
 
+// FixedCycles returns the cycles ChargeCycles added since reset.
+func (e *Engine) FixedCycles() float64 { return e.fixedCycles }
+
 // ForEachOpCycle calls fn for every op class charged since reset, in
 // ascending OpClass order. It performs no allocation, and fn receives values,
 // so a caller cannot corrupt the engine's accounting.
 func (e *Engine) ForEachOpCycle(fn func(c arch.OpClass, cycles float64)) {
 	for c := 0; c < arch.NumOpClasses; c++ {
-		if e.opSeen&(1<<uint(c)) != 0 {
+		if e.opCount[c] != 0 {
 			fn(arch.OpClass(c), e.opCycles[c])
 		}
 	}
@@ -185,9 +194,7 @@ func (e *Engine) ChargeCycles(cy float64) {
 		return
 	}
 	e.cycles += cy
-	if e.probe != nil {
-		e.probe.FixedCharged(cy)
-	}
+	e.fixedCycles += cy
 	if e.prof != nil {
 		e.prof.AddSelf(e.profFixedHandle(), cy)
 		e.prof.AddTotal(cy)
@@ -207,9 +214,6 @@ func (e *Engine) chargeMem(addr uint64, size int) {
 	cy := e.Cache.Access(addr, size)
 	e.cycles += cy
 	e.memCycles += cy
-	if e.probe != nil {
-		e.probe.MemCharged(cy)
-	}
 }
 
 // chargeMemProfiled mirrors the unprofiled chargeMem bit-for-bit:
@@ -229,9 +233,6 @@ func (e *Engine) chargeMemProfiled(addr uint64, size int) {
 	}
 	e.cycles += cy
 	e.memCycles += cy
-	if e.probe != nil {
-		e.probe.MemCharged(cy)
-	}
 	e.prof.AddTotal(cy)
 }
 
@@ -254,17 +255,7 @@ func (e *Engine) OverlappedAccess(addr uint64, size int) {
 	first := mem.LineOf(addr)
 	n := mem.LinesTouched(addr, size)
 	for i := 0; i < n; i++ {
-		total, excess, served := e.Cache.AccessLineDetailServed(first + uint64(i)*mem.LineSize)
-		cy := (total-excess)*e.Arch.GatherOverlap + excess
-		e.cycles += cy
-		e.memCycles += cy
-		if e.probe != nil {
-			e.probe.MemCharged(cy)
-		}
-		if e.prof != nil {
-			e.prof.AddSelf(e.profMemHandle(served), cy)
-			e.prof.AddTotal(cy)
-		}
+		e.chargeGatherLine(first + uint64(i)*mem.LineSize)
 	}
 }
 
@@ -308,9 +299,6 @@ func (e *Engine) chargeStream(addr uint64, size int) {
 	}
 	e.cycles += streamAccessCycles
 	e.memCycles += streamAccessCycles
-	if e.probe != nil {
-		e.probe.MemCharged(streamAccessCycles)
-	}
 	if e.prof != nil {
 		e.prof.AddSelf(e.profMemHandle(len(e.memLeafNames)-1), streamAccessCycles)
 		e.prof.AddTotal(streamAccessCycles)
@@ -513,9 +501,6 @@ func (e *Engine) chargeGatherLine(line uint64) {
 	cy := (total-excess)*e.Arch.GatherOverlap + excess
 	e.cycles += cy
 	e.memCycles += cy
-	if e.probe != nil {
-		e.probe.MemCharged(cy)
-	}
 	if e.prof != nil {
 		e.prof.AddSelf(e.profMemHandle(served), cy)
 		e.prof.AddTotal(cy)

@@ -19,6 +19,13 @@ func opCycles(e *Engine) map[arch.OpClass]float64 {
 	return out
 }
 
+// opCounts collects the per-class op counts of every charged class.
+func opCounts(e *Engine) map[arch.OpClass]uint64 {
+	out := make(map[arch.OpClass]uint64)
+	e.ForEachOpCycle(func(c arch.OpClass, _ float64) { out[c] = e.OpCount(c) })
+	return out
+}
+
 func TestChargeAccumulates(t *testing.T) {
 	e := newEng()
 	e.Charge(arch.OpScalarALU, arch.WidthScalar)
@@ -244,8 +251,9 @@ func TestResetCyclesKeepsCaches(t *testing.T) {
 	e := newEng()
 	a := mem.NewAddressSpace().Alloc(64)
 	e.ScalarLoad(a, 0, 32)
+	e.ChargeCycles(arch.SlotEmptyCheckCycles)
 	e.ResetCycles()
-	if e.Cycles() != 0 || e.Ops() != 0 || e.MemCycles() != 0 {
+	if e.Cycles() != 0 || e.Ops() != 0 || e.MemCycles() != 0 || e.FixedCycles() != 0 || len(opCounts(e)) != 0 {
 		t.Error("ResetCycles left counters dirty")
 	}
 	e.ScalarLoad(a, 0, 32)
@@ -262,6 +270,9 @@ func TestOpCyclesBreakdown(t *testing.T) {
 	want := 2 * e.Arch.Cost(arch.OpVecCmp, 256)
 	if bd[arch.OpVecCmp] != want {
 		t.Errorf("breakdown[cmp] = %v, want %v", bd[arch.OpVecCmp], want)
+	}
+	if n := e.OpCount(arch.OpVecCmp); n != 2 {
+		t.Errorf("count[cmp] = %d, want 2", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 
@@ -57,7 +58,8 @@ func runProbeWorkload(e *Engine) {
 }
 
 // TestProbeDoesNotChangeAccounting is the zero-overhead contract: a probed
-// engine charges exactly the same cycles, ops and breakdown as a bare one.
+// engine charges exactly the same cycles, per-class op counts and breakdown
+// as a bare one.
 func TestProbeDoesNotChangeAccounting(t *testing.T) {
 	bare := newEng()
 	runProbeWorkload(bare)
@@ -77,6 +79,12 @@ func TestProbeDoesNotChangeAccounting(t *testing.T) {
 	if bare.MemCycles() != probed.MemCycles() {
 		t.Errorf("mem cycles differ with probe attached: %v vs %v", bare.MemCycles(), probed.MemCycles())
 	}
+	if bare.FixedCycles() != probed.FixedCycles() {
+		t.Errorf("fixed cycles differ with probe attached: %v vs %v", bare.FixedCycles(), probed.FixedCycles())
+	}
+	if bc, pc := opCounts(bare), opCounts(probed); !maps.Equal(bc, pc) {
+		t.Errorf("per-class op counts differ with probe attached: %v vs %v", bc, pc)
+	}
 	bo, po := opCycles(bare), opCycles(probed)
 	if len(bo) != len(po) {
 		t.Fatalf("op breakdown sizes differ: %d vs %d", len(bo), len(po))
@@ -88,8 +96,8 @@ func TestProbeDoesNotChangeAccounting(t *testing.T) {
 	}
 }
 
-// TestWarmupIsUnobserved: with charging off (warm-up), the probe must see
-// no op/mem/gather events — warm-up stays free and silent.
+// TestWarmupIsUnobserved: with charging off (warm-up), the probes must see
+// no gather or cache events — warm-up stays free and silent.
 func TestWarmupIsUnobserved(t *testing.T) {
 	e := newEng()
 	col := obs.NewCollector().Scope("config", "warm")
@@ -105,19 +113,17 @@ func TestWarmupIsUnobserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	// Per-op and per-level series are created lazily on first event, so
-	// they must be entirely absent after an uncharged run.
-	for _, series := range []string{"engine_ops_total", "cache_accesses_total", "cache_evictions_total"} {
+	// Per-level series are created lazily on first event, so they must be
+	// entirely absent after an uncharged run.
+	for _, series := range []string{"cache_accesses_total", "cache_evictions_total"} {
 		if strings.Contains(out, series) {
 			t.Errorf("series %s recorded during warm-up:\n%s", series, out)
 		}
 	}
-	// Eagerly created gauges/counters must still read zero. (The license
-	// width gauge is the documented exception: width licensing is not a
-	// charge and is tracked even while charging is off.)
+	// Eagerly created counters must still read zero. (The license width
+	// gauge is the documented exception: width licensing is not a charge
+	// and is tracked even while charging is off.)
 	for _, line := range []string{
-		"gauge engine_mem_cycles{config=warm} 0",
-		"gauge engine_fixed_cycles{config=warm} 0",
 		"counter engine_gathers_total{config=warm} 0",
 	} {
 		if !strings.Contains(out, line) {

@@ -17,36 +17,36 @@ type host struct {
 
 func guarded(h *host, at float64) {
 	if h.Eng != nil {
-		h.Eng.MemCharged(at)
+		h.Eng.WidthLicensed(512, at)
 	}
 }
 
 func unguarded(h *host, at float64) {
-	h.Eng.MemCharged(at) // want `probe call h\.Eng\.MemCharged without a dominating nil guard on h\.Eng`
+	h.Eng.WidthLicensed(512, at) // want `probe call h\.Eng\.WidthLicensed without a dominating nil guard on h\.Eng`
 }
 
 func invertedGuard(p obs.EngineProbe, at float64) {
 	if p == nil {
 		return
 	}
-	p.MemCharged(at)
+	p.WidthLicensed(512, at)
 }
 
 func orGuard(p obs.EngineProbe, n int, at float64) {
 	if p == nil || n == 0 {
 		return
 	}
-	p.MemCharged(at)
+	p.WidthLicensed(512, at)
 }
 
 func compoundGuard(h *host, at float64) {
 	if h.Eng != nil && h.Net != nil {
-		h.Eng.MemCharged(at)
+		h.Eng.WidthLicensed(512, at)
 		h.Net.MessageSent("a", "b", 1, 1, at, at)
 	}
 	// A disjunctive guard proves neither operand non-nil on its true branch.
 	if h.Eng != nil || h.Net != nil {
-		h.Eng.MemCharged(at) // want `probe call h\.Eng\.MemCharged without a dominating nil guard on h\.Eng`
+		h.Eng.WidthLicensed(512, at) // want `probe call h\.Eng\.WidthLicensed without a dominating nil guard on h\.Eng`
 	}
 }
 
@@ -54,14 +54,14 @@ func shortCircuitDeref(p obs.EngineProbe, at float64) {
 	// The guard and the deref share one statement: scan must honor the
 	// short-circuit fact on the right operand.
 	if p != nil && at > 0 {
-		p.MemCharged(at)
+		p.WidthLicensed(512, at)
 	}
 }
 
 func killedGuard(p, q obs.EngineProbe, at float64) {
 	if p != nil {
 		p = q
-		p.MemCharged(at) // want `probe call p\.MemCharged without a dominating nil guard on p`
+		p.WidthLicensed(512, at) // want `probe call p\.WidthLicensed without a dominating nil guard on p`
 	}
 }
 
@@ -69,13 +69,13 @@ func loopKill(h *host, ps []obs.EngineProbe, at float64) {
 	if h.Eng != nil {
 		for _, p := range ps {
 			if p != nil {
-				p.MemCharged(at)
+				p.WidthLicensed(512, at)
 			}
 			h.Eng = p
 		}
 		// The loop body may have replaced the guarded value: the fact does
 		// not survive the back edge's meet.
-		h.Eng.MemCharged(at) // want `probe call h\.Eng\.MemCharged without a dominating nil guard on h\.Eng`
+		h.Eng.WidthLicensed(512, at) // want `probe call h\.Eng\.WidthLicensed without a dominating nil guard on h\.Eng`
 	}
 }
 
@@ -83,18 +83,18 @@ func closureInherits(p obs.EngineProbe, at float64) func() {
 	if p == nil {
 		return func() {}
 	}
-	return func() { p.MemCharged(at) } // legal: the guard dominates the literal's creation
+	return func() { p.WidthLicensed(512, at) } // legal: the guard dominates the literal's creation
 }
 
 func closureUnguarded(p obs.EngineProbe, at float64) func() {
-	return func() { p.MemCharged(at) } // want `probe call p\.MemCharged without a dominating nil guard on p`
+	return func() { p.WidthLicensed(512, at) } // want `probe call p\.WidthLicensed without a dominating nil guard on p`
 }
 
 func closureKills(h *host, q obs.EngineProbe, at float64) {
 	if h.Eng != nil {
 		reset := func() { h.Eng = q }
 		reset()
-		h.Eng.MemCharged(at) // want `probe call h\.Eng\.MemCharged without a dominating nil guard on h\.Eng`
+		h.Eng.WidthLicensed(512, at) // want `probe call h\.Eng\.WidthLicensed without a dominating nil guard on h\.Eng`
 	}
 }
 

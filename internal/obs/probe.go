@@ -15,22 +15,15 @@ import (
 //
 // A probe records what only it can see: spans, trace instants, histograms
 // and profiler frames, plus counters the model keeps no count of. A count
-// the model already keeps (des.Sim's events and clock, netsim's
-// per-partition traffic and message faults, kvs.Server's batch, key and
-// fault counters, the memslap.FleetResults fleet, failover and overload
-// fields) is not counted here a second time: the experiments harness
-// publishes it into its series once, at end of run.
+// the model already keeps (the engine's per-class op counts and op, memory
+// and fixed cycles, des.Sim's events and clock, netsim's per-partition
+// traffic and message faults, kvs.Server's batch, key and fault counters,
+// the memslap.FleetResults fleet, failover and overload fields) is not
+// counted here a second time: the harness that runs the model publishes it
+// into its series once, at end of run.
 
-// EngineProbe observes cycle charging inside internal/engine.
+// EngineProbe observes gathers and width licensing inside internal/engine.
 type EngineProbe interface {
-	// OpCharged fires for every charged SIMD/scalar op: its class name,
-	// vector width in bits, and the cycles charged.
-	OpCharged(op string, width int, cycles float64)
-	// MemCharged fires for cycles charged by the memory hierarchy
-	// (cache walk, DRAM, streams, gather lines).
-	MemCharged(cycles float64)
-	// FixedCharged fires for fixed-cost cycles (ChargeCycles).
-	FixedCharged(cycles float64)
 	// GatherCharged fires once per gather: active lanes and the number
 	// of distinct cache lines they touched.
 	GatherCharged(lanes, distinctLines int)
@@ -140,52 +133,27 @@ var gatherLineBounds = []float64{1, 2, 4, 8, 16}
 var batchUsBounds = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 
 type engineProbe struct {
-	c        *Collector
-	ops      map[string]*Counter
-	opCycles map[string]*Gauge
-	mem      *Gauge
-	fixed    *Gauge
-	gathers  *Counter
-	lines    *Histogram
-	width    *Gauge
+	c       *Collector
+	gathers *Counter
+	lines   *Histogram
+	width   *Gauge
 }
 
-// EngineProbe returns a probe recording engine charging into this scope,
-// or nil when the collector is nil.
+// EngineProbe returns a probe recording gathers and width licenses into
+// this scope, or nil when the collector is nil. The engine's op counts and
+// op, memory and fixed cycles are its own fields, which the performance
+// engine publishes after the measured window.
 func (c *Collector) EngineProbe() EngineProbe {
 	if c == nil {
 		return nil
 	}
 	return &engineProbe{
-		c:        c,
-		ops:      make(map[string]*Counter),
-		opCycles: make(map[string]*Gauge),
-		mem:      c.Gauge("engine_mem_cycles"),
-		fixed:    c.Gauge("engine_fixed_cycles"),
-		gathers:  c.Counter("engine_gathers_total"),
-		lines:    c.Histogram("engine_gather_distinct_lines", gatherLineBounds),
-		width:    c.Gauge("engine_license_width_bits"),
+		c:       c,
+		gathers: c.Counter("engine_gathers_total"),
+		lines:   c.Histogram("engine_gather_distinct_lines", gatherLineBounds),
+		width:   c.Gauge("engine_license_width_bits"),
 	}
 }
-
-func (p *engineProbe) OpCharged(op string, width int, cycles float64) {
-	cnt, ok := p.ops[op]
-	if !ok {
-		cnt = p.c.Counter("engine_ops_total", Label{Key: "op", Value: op})
-		p.ops[op] = cnt
-	}
-	g, ok := p.opCycles[op]
-	if !ok {
-		g = p.c.Gauge("engine_op_cycles", Label{Key: "op", Value: op})
-		p.opCycles[op] = g
-	}
-	cnt.Inc()
-	g.Add(cycles)
-	_ = width
-}
-
-func (p *engineProbe) MemCharged(cycles float64)   { p.mem.Add(cycles) }
-func (p *engineProbe) FixedCharged(cycles float64) { p.fixed.Add(cycles) }
 
 func (p *engineProbe) GatherCharged(lanes, distinctLines int) {
 	p.gathers.Inc()

@@ -32,7 +32,7 @@ func renderSweepEmission(t *testing.T, workers int) (metrics, trace string) {
 				h := scoped.Histogram("job_hist", []float64{8, 64})
 				for k := 0; k < 200; k++ {
 					shared.Inc()
-					g.Add(1.25)
+					g.Set(1.25 * float64(k+1))
 					h.Observe(float64(k))
 				}
 				scoped.Span("work", 0, 200, map[string]interface{}{"iters": 200})

@@ -51,27 +51,16 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a float-valued metric. Set and Add are atomic (CAS on the bit
-// pattern) so racing writers cannot corrupt the value, but because float
-// addition is order-sensitive a gauge must have a single logical writer
-// for output to stay deterministic — see the package comment.
+// Gauge is a float-valued metric. Set and Max are atomic (Max by CAS on
+// the bit pattern) so racing writers cannot corrupt the value, but a gauge
+// must have a single logical writer for output to stay deterministic — see
+// the package comment.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add accumulates v.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
