@@ -64,9 +64,10 @@ type Fleet struct {
 	Ring        *kvs.Ring
 	Replication int
 
-	// Probe, when non-nil, observes epochs, rebalances, replica reads,
+	// probe is the running FleetConfig.FleetProbe, which RunFleet installs;
+	// when non-nil it observes epochs, rebalances, replica reads,
 	// failovers, repairs and quorum writes (obs layer).
-	Probe obs.FleetProbe
+	probe obs.FleetProbe
 
 	pd     *des.Partitioned
 	ctrlEP *netsim.Endpoint
@@ -364,12 +365,12 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 	f.counts.keysLost += uint64(lost)
 	start := f.Sim.Now()
 	epoch := nr.Epoch()
-	if f.Probe != nil {
-		f.Probe.EpochAdvanced(epoch, server, join, moved, lost, start)
+	if f.probe != nil {
+		f.probe.EpochAdvanced(epoch, server, join, moved, lost, start)
 	}
 	if moved == 0 {
-		if f.Probe != nil {
-			f.Probe.RebalanceDone(epoch, 0, start, start)
+		if f.probe != nil {
+			f.probe.RebalanceDone(epoch, 0, start, start)
 		}
 		return
 	}
@@ -390,8 +391,8 @@ func (f *Fleet) advanceRing(nr *kvs.Ring, server int, join bool) {
 				f.counts.keysLost += uint64(missing)
 				movedTotal -= missing
 				outstanding--
-				if outstanding == 0 && f.Probe != nil {
-					f.Probe.RebalanceDone(epoch, movedTotal, start, f.Sim.Now())
+				if outstanding == 0 && f.probe != nil {
+					f.probe.RebalanceDone(epoch, movedTotal, start, f.Sim.Now())
 				}
 			})
 		})
@@ -688,7 +689,7 @@ func RunFleet(f *Fleet, cfg FleetConfig) (FleetResults, error) {
 	if err := cfg.validate(f); err != nil {
 		return FleetResults{}, err
 	}
-	f.Probe = cfg.FleetProbe
+	f.probe = cfg.FleetProbe
 	for _, srv := range f.Servers {
 		srv.WarmCaches()
 	}
@@ -939,8 +940,8 @@ func (f *Fleet) scheduleRepairs(target int, batch []int, repairPos []int) {
 		})
 		count++
 	}
-	if count > 0 && f.Probe != nil {
-		f.Probe.ReadRepair(count, f.Sim.Now())
+	if count > 0 && f.probe != nil {
+		f.probe.ReadRepair(count, f.Sim.Now())
 	}
 }
 

@@ -380,8 +380,8 @@ func (q *readReq) resolve(sb *subBatch, res kvs.MGetResult) {
 		c.phases.Post += res.Breakdown.Post
 		c.phaseResponses++
 	}
-	if f.Probe != nil {
-		f.Probe.ReplicaRead(sb.rank)
+	if f.probe != nil {
+		f.probe.ReplicaRead(sb.rank)
 	}
 	if len(repair) > 0 {
 		f.scheduleRepairs(sb.target, q.batch, repair)
@@ -536,8 +536,8 @@ func (sb *subBatch) rotate() {
 	next := sb.attempt + 1
 	q.retries++
 	r.f.counts.failovers++
-	if r.f.Probe != nil {
-		r.f.Probe.Failover(sb.rank+1, r.sim.Now())
+	if r.f.probe != nil {
+		r.f.probe.Failover(sb.rank+1, r.sim.Now())
 	}
 	backoff := r.plan.BackoffFor(next)
 	if r.cfg.ClientProbe != nil {
@@ -644,8 +644,8 @@ func (w *writeReq) finish(ok bool) {
 	r := w.r
 	w.finished = true
 	r.complete()
-	if ok && r.f.Probe != nil {
-		r.f.Probe.QuorumWrite(w.acks, r.sim.Now())
+	if ok && r.f.probe != nil {
+		r.f.probe.QuorumWrite(w.acks, r.sim.Now())
 	}
 	if r.measured(w.seq, w.sent) {
 		c := &r.f.counts
