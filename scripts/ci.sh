@@ -89,10 +89,10 @@ run_fig11 4 "$tmp/fig11a4" fig11a
 run_fig11 1 "$tmp/all1" all
 
 # Profiler smoke: two identical -profile cycles runs must produce
-# byte-identical folded cycle accounts on stdout, and obsdiff must report
-# zero delta between their run manifests (wall-clock fields are ignored by
-# design). Both manifests and folded stacks stay in the scratch dir for
-# inspection alongside lint.json.
+# byte-identical folded cycle accounts on stdout, equal to the committed
+# folded golden, and obsdiff must report zero delta between their run
+# manifests (wall-clock fields are ignored by design). Both manifests and
+# folded stacks stay in the scratch dir for inspection alongside lint.json.
 echo "==> profiler smoke (-profile cycles + obsdiff)"
 run_prof() {
     $GO run ./cmd/simdhtbench -queries 400 -seed 1 -parallel "$1" \
@@ -103,6 +103,7 @@ run_prof 1 "$tmp/run2.json" "$tmp/folded2.txt"
 run_prof 4 "$tmp/run4.json" "$tmp/folded4.txt"
 diff "$tmp/folded1.txt" "$tmp/folded2.txt"
 diff "$tmp/folded1.txt" "$tmp/folded4.txt" # cycle account is -parallel invariant
+diff "$tmp/folded1.txt" internal/experiments/testdata/prof_fig7a_folded.golden.txt
 $GO run ./cmd/obsdiff "$tmp/run1.json" "$tmp/run2.json" >/dev/null
 
 # Fault-injection smoke: the fault-sweep experiment under an armed plan must
