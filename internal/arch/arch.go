@@ -68,9 +68,8 @@ const (
 	OpVecCompress // compress/expand for selective (masked) gathers
 )
 
-// opNames maps each OpClass to its display name; the array is indexed by
-// the dense iota values so the probe hot path (one String() per charged op)
-// avoids a map probe.
+// opNames maps each OpClass to its display name, indexed by the dense iota
+// values.
 var opNames = [NumOpClasses]string{
 	OpScalarALU: "scalar-alu", OpScalarMul: "scalar-mul", OpScalarCmp: "scalar-cmp",
 	OpScalarBranch: "scalar-branch", OpScalarLoadOp: "scalar-load", OpScalarStoreOp: "scalar-store",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -507,8 +506,8 @@ func TestRunPublishesEngineAccount(t *testing.T) {
 			for op := range m.OpCycles {
 				charged = append(charged, op.String())
 			}
-			sort.Strings(counted)
-			sort.Strings(charged)
+			slices.Sort(counted)
+			slices.Sort(charged)
 			if !slices.Equal(counted, charged) {
 				t.Errorf("UpdateFraction %v, %s: engine_ops_total classes %v, OpCycles classes %v",
 					uf, variant, counted, charged)

@@ -14,16 +14,16 @@ type CostItem struct {
 // resolved once, at construction, against a specific architecture model;
 // charging the bundle adds them in item order, so the floating-point
 // accumulation sequence (and therefore the final cycle count, bit for bit)
-// is identical to the per-op path. Lookup templates build bundles once per
-// (model, width, template) pair and charge them per iteration, replacing N
-// cost-table resolutions per lookup with N float additions.
+// is identical to the per-op path, and adds each class's op count once,
+// from the per-class counts taken at construction. Lookup templates build
+// bundles once per (model, width, template) pair and charge them per
+// iteration, replacing N cost-table resolutions per lookup with N float
+// additions.
 type CostBundle struct {
 	model    *arch.Model
 	items    []bundleItem
 	maxWidth int
-	// counts holds each class in the bundle once, with its number of
-	// items, so the fast path adds one op count per class, not per item.
-	counts []classCount
+	counts   []classCount // each class in items once, with its item count
 }
 
 type bundleItem struct {
