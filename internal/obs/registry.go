@@ -252,7 +252,7 @@ func boundName(b float64) string { return "le" + formatValue(b) }
 // WriteText renders every series, one per line, sorted:
 //
 //	counter cache_accesses_total{level=L1D,result=hit} 812
-//	gauge engine_mem_cycles{config=...} 1234.5
+//	gauge engine_license_width_bits{config=...} 512
 //	histogram batch_us{...} le10=3 le100=9 le+Inf=0 count=12 sum=301.25
 func (r *Registry) WriteText(w io.Writer) error {
 	for _, s := range r.sortedSeries() {
