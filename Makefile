@@ -50,11 +50,11 @@ bench:
 # byte-array reference), FuzzHierarchyMatchesReference (the cache hierarchy
 # against its reference LRU), FuzzPartitionedMatchesReference (the DES
 # engine against its reference window loop and merge), FuzzCFGBuild (the
-# lint CFG builder) and FuzzStudyOptions (the option validation of all
-# seven KVS study entries, each run with a collector so the probes and the
-# end-of-run metric publisher see every fuzzed shape). Seed corpora
-# live under testdata/fuzz/ or in the targets' f.Add calls. Bump FUZZTIME
-# for a longer hunt.
+# lint CFG builder) and FuzzStudyOptions (the option validation of every
+# kvsbench registry entry plus single, each run with a collector so the
+# probes and the end-of-run metric publisher see every fuzzed shape). Seed
+# corpora live under testdata/fuzz/ or in the targets' f.Add calls. Bump
+# FUZZTIME for a longer hunt.
 fuzz-smoke:
 	$(GO) test ./internal/netsim -fuzz FuzzNetsimDeliver -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzMultiGet -fuzztime $(FUZZTIME)

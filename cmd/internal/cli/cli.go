@@ -1,7 +1,7 @@
 // Package cli is the run harness the benchmark commands share: the flags
 // both take (-csv -seed -parallel -sweepstats -trace -metrics -profile
 // -manifest -heartbeat -faults -fault-seed -cpuprofile -memprofile), the
-// collector, profiler and heartbeat those flags imply, table output, and
+// collector, profiler and heartbeat those flags imply, report output, and
 // the end-of-run artifact, folded-profile, manifest and pprof writing.
 package cli
 
@@ -134,6 +134,18 @@ func (h *Harness) Emit(t *report.Table) {
 	}
 	fmt.Fprintln(h.Out)
 }
+
+// EmitGrid writes a grid to Out followed by a blank line. A grid has no
+// CSV form, so under -csv it writes nothing.
+func (h *Harness) EmitGrid(g *report.Grid) {
+	if !h.CSV {
+		g.Fprint(h.Out)
+		fmt.Fprintln(h.Out)
+	}
+}
+
+// EmitText writes s to Out followed by a newline.
+func (h *Harness) EmitText(s string) { fmt.Fprintln(h.Out, s) }
 
 // Finish writes the end-of-run outputs: the -trace and -metrics artifacts,
 // the time account (breakdown table to stderr, folded stacks to stdout)

@@ -5,35 +5,36 @@
 //
 // Usage:
 //
-//	kvsbench [flags] [fig11a|fig11b|etc|cluster|fleet|overload|fault-sweep|single|all]...
+//	kvsbench [flags] <artifact|single>...
 //
-// Flags go before the commands. Every command is checked before the first
-// runs: an unknown one, or a flag written after a command, exits 1 naming
-// it, with nothing simulated.
+// Flags go before the arguments. Every argument is checked before the
+// first runs: an unknown one, or a flag written after an argument, exits 1
+// naming it, with nothing simulated.
 //
-// `single` runs one backend/batch combination (see -backend / -batch) and
-// prints the full result line.
+// An artifact is a table of experiments.KVSArtifacts: Fig. 11a and 11b,
+// then the extension studies. `all`, the default, prints Fig. 11a and 11b
+// from one sweep. `single` runs one backend/batch combination (see -backend
+// / -batch) and prints the full result line.
 //
-// `fleet` runs the fleet-scale replication study: R-way replicated
-// Multi-Gets with open-loop arrivals, quorum writes, replica failover,
-// read-repair and fault-driven membership churn (rebalance storms), swept
-// over -fleet-sizes. Without -faults it uses a built-in rolling-failure
-// plan.
+// The fleet study runs R-way replicated Multi-Gets with open-loop
+// arrivals, quorum writes, replica failover, read-repair and fault-driven
+// membership churn (rebalance storms), swept over -fleet-sizes. Without
+// -faults it uses a built-in rolling-failure plan.
 //
-// `overload` runs the metastable-overload study: it measures the fleet's
-// closed-loop capacity, then sweeps open-loop offered load across
-// -overload-mults multiples of it twice — with the overload controls off
-// (timeout/retry only, the configuration that collapses) and on
-// (admission-bounded queues with queue deadlines, retry budgets and hedged
-// reads, derived from the measured capacity). It derives its own fault
-// specs, so it rejects -faults.
+// The overload study measures the fleet's closed-loop capacity, then
+// sweeps open-loop offered load across -overload-mults multiples of it
+// twice — with the overload controls off (timeout/retry only, the
+// configuration that collapses) and on (admission-bounded queues with
+// queue deadlines, retry budgets and hedged reads, derived from the
+// measured capacity). It derives its own fault specs, so it rejects
+// -faults.
 //
 // Fault injection: -faults arms a deterministic fault plan (message
 // drop/dup/delay on the fabric, crash/slowdown windows and insert pressure
 // on the server, timeout/retry/degradation on the client) for every study
-// but `overload`, and `fault-sweep` measures goodput against injected loss
-// rates. All fault timing is virtual, so faulty runs stay byte-identical
-// across runs and -parallel settings.
+// but the overload study, and the fault sweep measures goodput against
+// injected loss rates. All fault timing is virtual, so faulty runs stay
+// byte-identical across runs and -parallel settings.
 //
 // Observability: -trace out.json writes a Chrome trace_event file (virtual
 // time: the discrete-event simulation clock, in microseconds) and -metrics
@@ -54,7 +55,6 @@ import (
 	"simdhtbench/cmd/internal/cli"
 	"simdhtbench/internal/experiments"
 	"simdhtbench/internal/fault"
-	"simdhtbench/internal/report"
 )
 
 func main() {
@@ -118,79 +118,33 @@ func main() {
 	h.Check(err)
 	mults, err := parseList(*overloadMults, "load multiplier", parseFloat)
 	h.Check(err)
-	fleetOpts := experiments.FleetOptions{
-		KVSOptions:    opts,
-		FleetSizes:    sizes,
-		Replication:   *replication,
-		ArrivalRate:   *arrivalRate,
-		WriteFraction: *writeFrac,
-	}
-	overloadOpts := experiments.OverloadOptions{
-		KVSOptions:  opts,
-		Servers:     *overloadServers,
-		Multipliers: mults,
-	}
-	// Fig. 11a and 11b render one sweep, simulated at most once per
-	// invocation so its runs land in the collector once.
-	var fig11 *experiments.Fig11Result
-	fig11Result := func() experiments.Fig11Result {
-		if fig11 == nil {
-			res, err := experiments.Fig11StudyResult(opts)
-			h.Check(err)
-			fig11 = &res
-		}
-		return *fig11
+	inv := &experiments.Invocation{
+		KVS: opts,
+		Fleet: experiments.FleetOptions{KVSOptions: opts, FleetSizes: sizes,
+			Replication: *replication, ArrivalRate: *arrivalRate, WriteFraction: *writeFrac},
+		Overload: experiments.OverloadOptions{KVSOptions: opts, Servers: *overloadServers, Multipliers: mults},
 	}
 	// Every argument resolves to an action before any runs, so an unknown
 	// name (or a flag written after a command) fails with nothing simulated.
 	var actions []func()
-	emit := func(study func(experiments.KVSOptions) (*report.Table, error)) {
-		actions = append(actions, func() {
-			t, err := study(opts)
-			h.Check(err)
-			h.Emit(t)
-		})
-	}
 	for _, cmd := range args {
-		switch cmd {
-		case "all":
-			actions = append(actions, func() {
-				h.Emit(experiments.Fig11aTable(fig11Result()))
-				h.Emit(experiments.Fig11bTable(fig11Result()))
-			})
-		case "fig11a":
-			actions = append(actions, func() { h.Emit(experiments.Fig11aTable(fig11Result())) })
-		case "fig11b":
-			actions = append(actions, func() { h.Emit(experiments.Fig11bTable(fig11Result())) })
-		case "etc":
-			emit(experiments.ETCStudy)
-		case "cluster":
-			emit(experiments.ClusterStudy)
-		case "fleet":
-			actions = append(actions, func() {
-				res, err := experiments.FleetStudyResult(fleetOpts)
-				h.Check(err)
-				h.Emit(experiments.FleetTable(fleetOpts, res))
-			})
-		case "overload":
-			actions = append(actions, func() {
-				res, err := experiments.OverloadStudyResult(overloadOpts)
-				h.Check(err)
-				h.Emit(experiments.OverloadTable(overloadOpts, res))
-			})
-		case "fault-sweep":
-			emit(experiments.FaultSweep)
-		case "single":
-			actions = append(actions, func() {
-				res, err := experiments.RunKVS(*backend, *batch, opts)
-				h.Check(err)
-				fmt.Fprintln(h.Out, res)
-				fmt.Fprintf(h.Out, "  phases per batch: pre=%.2fus lookup=%.2fus post=%.2fus (util %.2f)\n",
-					res.Breakdown.Pre*1e6, res.Breakdown.Lookup*1e6, res.Breakdown.Post*1e6, res.WorkerUtil)
-			})
-		default:
-			h.Fatal(fmt.Errorf("unknown command %q (want fig11a, fig11b, etc, cluster, fleet, overload, fault-sweep, single, all)", cmd))
+		if arts, ok := experiments.KVSArtifacts.Resolve(cmd); ok {
+			for _, a := range arts {
+				actions = append(actions, func() { h.Check(a.Print(inv, h)) })
+			}
+			continue
 		}
+		if cmd != "single" {
+			h.Fatal(fmt.Errorf("unknown command %q (want %s or single)",
+				cmd, strings.Join(experiments.KVSArtifacts.Names(), ", ")))
+		}
+		actions = append(actions, func() {
+			res, err := experiments.RunKVS(*backend, *batch, opts)
+			h.Check(err)
+			fmt.Fprintln(h.Out, res)
+			fmt.Fprintf(h.Out, "  phases per batch: pre=%.2fus lookup=%.2fus post=%.2fus (util %.2f)\n",
+				res.Breakdown.Pre*1e6, res.Breakdown.Lookup*1e6, res.Breakdown.Post*1e6, res.WorkerUtil)
+		})
 	}
 	for _, run := range actions {
 		run()

@@ -4,21 +4,21 @@
 //
 // Usage:
 //
-//	simdhtbench [flags] <experiment>...
+//	simdhtbench [flags] <artifact|command>...
 //
-// Flags go before the experiments. Every experiment is checked before the
-// first runs: an unknown one, or a flag written after an experiment, exits
-// 1 naming it, with nothing run.
+// Flags go before the arguments. Every argument is checked before the
+// first runs: an unknown one, or a flag written after an argument, exits 1
+// naming it, with nothing run.
 //
-// Experiments: table1, fig2, listing1, fig5 (cs1a), fig6 (cs1b),
-// fig7a (cs2), fig7b (cs3), fig8 (cs4), fig9 (cs5), validate, run, all.
-// Extensions beyond the paper: split (bucket-arrangement ablation), mixed
-// (read/update study, the paper's stated future work), and amac (group-
-// prefetching scalar baseline).
+// An artifact is a table or figure of experiments.MicroArtifacts: the
+// paper's, by name or case-study alias, then the extension studies. `all`,
+// the default, prints the paper's artifacts in order.
 //
-// `validate` prints the viable SIMD design choices for the layout given by
-// -n/-m/-keybits/-valbits/-size on the chosen -cpu. `run` additionally
-// measures them with the performance engine.
+// The plain commands take their own flags: `validate` prints the viable
+// SIMD design choices for -n/-m/-keybits/-valbits/-size on the chosen
+// -cpu, `run` measures them, `advise` ranks the layouts' best designs,
+// `record` writes the -pattern query stream to -keytrace and `selftest`
+// checks every lookup variant against the native reference.
 //
 // Observability: -trace out.json writes a Chrome trace_event file (virtual
 // time: engine cycles) and -metrics out.csv writes the metrics registry;
@@ -85,89 +85,42 @@ func main() {
 	h.Check(err)
 	pat, err := workload.ParsePattern(*pattern)
 	h.Check(err)
-	opts := experiments.Options{
+	inv := &experiments.Invocation{Options: experiments.Options{
 		Queries:   *queries,
 		Seed:      h.Seed,
 		Parallel:  h.Parallel,
 		OnSweep:   h.OnSweep(),
 		Heartbeat: h.Heartbeat,
 		Obs:       h.Col,
-	}
+	}}
 
 	args := flag.Args()
 	if len(args) == 0 {
 		args = []string{"all"}
 	}
-	// Fig. 5's sweep is run at most once per invocation: `all` prints its
-	// table and `fig5` its table and grids from the same results.
-	var fig5 []*core.Result
-	fig5Result := func() []*core.Result {
-		if fig5 == nil {
-			var err error
-			fig5, err = experiments.Fig5StudyResult(opts)
-			h.Check(err)
-		}
-		return fig5
-	}
+	// archName is the manifest's arch: the -cpu model once validate, run,
+	// advise or record is asked for. Artifacts and selftest fix their own.
+	archName := ""
 	// Every argument resolves to an action before any runs, so an unknown
 	// name (or a flag written after a command) fails with nothing run.
 	var actions []func()
-	emit := func(study func(experiments.Options) (*report.Table, error)) {
-		actions = append(actions, func() {
-			t, err := study(opts)
-			h.Check(err)
-			h.Emit(t)
-		})
-	}
 	for _, cmd := range args {
+		if arts, ok := experiments.MicroArtifacts.Resolve(cmd); ok {
+			for _, a := range arts {
+				actions = append(actions, func() { h.Check(a.Print(inv, h)) })
+			}
+			continue
+		}
 		switch cmd {
-		case "all":
-			actions = append(actions, func() { runAll(h, opts, fig5Result) })
-		case "table1":
-			actions = append(actions, func() { h.Emit(experiments.Table1()) })
-		case "fig2":
-			emit(experiments.Fig2)
-		case "listing1":
-			actions = append(actions, func() {
-				s, err := experiments.Listing1()
-				h.Check(err)
-				fmt.Fprintln(h.Out, s)
-			})
-		case "fig5", "cs1a":
-			actions = append(actions, func() {
-				h.Emit(experiments.Fig5Table(fig5Result()))
-				if !h.CSV {
-					for _, p := range []workload.Pattern{workload.Uniform, workload.Skewed} {
-						experiments.Fig5Grid(fig5Result(), p).Fprint(h.Out)
-						fmt.Fprintln(h.Out)
-					}
-				}
-			})
-		case "fig6", "cs1b":
-			emit(experiments.Fig6)
-		case "fig7a", "cs2":
-			emit(experiments.Fig7a)
-		case "fig7b", "cs3":
-			emit(experiments.Fig7b)
-		case "fig8", "cs4":
-			emit(experiments.Fig8)
-		case "fig9", "cs5":
-			emit(experiments.Fig9)
-		case "split":
-			emit(experiments.SplitBucket)
-		case "mixed":
-			emit(experiments.MixedWorkload)
-		case "amac":
-			emit(experiments.AMACStudy)
-		case "arches":
-			emit(experiments.EmergingArchitectures)
 		case "validate":
+			archName = model.Name
 			actions = append(actions, func() {
 				rows, err := core.ValidateGrid(model, [][2]int{{*n, *m}}, *keyBits, *valBits, *size, model.Widths)
 				h.Check(err)
 				fmt.Fprint(h.Out, core.FormatListing(model, *keyBits, *valBits, model.Widths, rows))
 			})
 		case "run":
+			archName = model.Name
 			actions = append(actions, func() {
 				spec, err := fault.ParseSpec(h.Faults)
 				h.Check(err)
@@ -201,6 +154,7 @@ func main() {
 				}
 			})
 		case "advise":
+			archName = model.Name
 			actions = append(actions, func() {
 				recs, err := core.Advise(core.AdviseRequest{
 					Params: core.Params{
@@ -238,10 +192,11 @@ func main() {
 			if *keytrace == "" {
 				h.Fatal(fmt.Errorf("record requires -keytrace <output path>"))
 			}
+			archName = model.Name
 			actions = append(actions, func() {
 				// Record the configured pattern's query stream to -keytrace for
 				// later replay (a seed-stable capture of the workload).
-				h.Check(opts.Validate())
+				h.Check(inv.Options.Validate())
 				stored := make([]uint64, 0, 1<<16)
 				for i := uint64(2); len(stored) < 1<<16; i += 2 {
 					stored = append(stored, i)
@@ -260,13 +215,14 @@ func main() {
 				fmt.Fprintf(h.Out, "recorded %d %s queries to %s\n", *queries, pat, *keytrace)
 			})
 		default:
-			h.Fatal(fmt.Errorf("unknown experiment %q (want table1, fig2, listing1, fig5..fig9, split, mixed, amac, arches, validate, run, record, advise, selftest, all)", cmd))
+			h.Fatal(fmt.Errorf("unknown experiment %q (want %s, validate, run, advise, record or selftest)",
+				cmd, strings.Join(experiments.MicroArtifacts.Names(), ", ")))
 		}
 	}
 	for _, run := range actions {
 		run()
 	}
-	h.Finish(model.Name)
+	h.Finish(archName)
 }
 
 // simSpeedTable renders the per-variant simulator throughput of a run. The
@@ -288,25 +244,6 @@ func simSpeedTable(r *core.Result) *report.Table {
 		row(v.Choice.String(), v)
 	}
 	return t
-}
-
-func runAll(h *cli.Harness, opts experiments.Options, fig5 func() []*core.Result) {
-	h.Emit(experiments.Table1())
-	t, err := experiments.Fig2(opts)
-	h.Check(err)
-	h.Emit(t)
-	h.Emit(experiments.Fig5Table(fig5()))
-	for _, f := range []func(experiments.Options) (*report.Table, error){
-		experiments.Fig6, experiments.Fig7a, experiments.Fig7b, experiments.Fig8, experiments.Fig9,
-	} {
-		t, err := f(opts)
-		h.Check(err)
-		h.Emit(t)
-	}
-	s, err := experiments.Listing1()
-	h.Check(err)
-	fmt.Fprintln(h.Out, "Listing 1: SIMD-aware design choices")
-	fmt.Fprintln(h.Out, s)
 }
 
 func resultTable(r *core.Result) *report.Table {

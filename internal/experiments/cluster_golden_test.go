@@ -9,19 +9,15 @@ import (
 	"simdhtbench/internal/obs/prof"
 )
 
-// runClusterStudyObs mirrors the ci.sh cluster smoke: `kvsbench -items 2000
-// -workers 2 -clients 2 -requests 20 -batches 8 -seed 7 cluster`, with
-// tracing, metrics and profiling on.
+// runClusterStudyObs prints the cluster study at its golden's scale (the
+// ci.sh cluster smoke) and the given -parallel, with tracing, metrics and
+// profiling on.
 func runClusterStudyObs(t *testing.T, parallel int) studyArtifacts {
 	t.Helper()
 	col := obs.NewCollector()
 	set := prof.NewSet()
 	col.EnableProfiling(set)
-	tbl, err := ClusterStudy(kvsObsOptions(parallel, col))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return renderStudy(t, col, set, func(b *bytes.Buffer) { tbl.Fprint(b) })
+	return renderStudy(t, col, set, printArtifact(t, "cluster", artifactGoldens["cluster"].at(parallel, col)))
 }
 
 // TestClusterStudyGolden pins the consistent-hashing cluster study's table,
@@ -31,7 +27,7 @@ func TestClusterStudyGolden(t *testing.T) {
 	a := checkCompositions(t, func(parallel int) studyArtifacts {
 		return runClusterStudyObs(t, parallel)
 	})
-	checkGolden(t, "cluster_study_table.golden.txt", a.table)
+	checkArtifactGolden(t, "cluster", a.table)
 }
 
 // TestClusterStudyRunsFaults: the cluster study runs under Faults, as every

@@ -37,63 +37,32 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-func renderFig2(t *testing.T, parallel int) []byte {
+// checkDeterminism prints the named artifact at -parallel 1 and 8 and pins
+// both printouts against its golden.
+func checkDeterminism(t *testing.T, name string) {
 	t.Helper()
-	tbl, err := Fig2(Options{Queries: 6000, Seed: 1, Parallel: parallel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tbl.Fprint(&buf)
-	return buf.Bytes()
-}
-
-func TestDeterminismFig2(t *testing.T) {
-	seq := renderFig2(t, 1)
-	par := renderFig2(t, 8)
+	seq := printArtifact(t, name, artifactGoldens[name].at(1, nil))
+	par := printArtifact(t, name, artifactGoldens[name].at(8, nil))
 	if !bytes.Equal(seq, par) {
-		t.Fatalf("fig2 diverges between -parallel 1 and -parallel 8:\n--- p1 ---\n%s\n--- p8 ---\n%s", seq, par)
+		t.Fatalf("%s diverges between -parallel 1 and -parallel 8:\n--- p1 ---\n%s\n--- p8 ---\n%s", name, seq, par)
 	}
-	checkGolden(t, "fig2_seed1.golden", seq)
+	checkArtifactGolden(t, name, seq)
 }
 
-func kvsGoldenOptions(parallel int) KVSOptions {
-	return KVSOptions{
-		Items: 4000, Workers: 4, Clients: 4, Requests: 150,
-		Batches: []int{8, 16}, Seed: 7, Parallel: parallel,
-	}
-}
+func TestDeterminismFig2(t *testing.T) { checkDeterminism(t, "fig2") }
 
-func renderFig11b(t *testing.T, parallel int) []byte {
-	t.Helper()
-	res, err := Fig11StudyResult(kvsGoldenOptions(parallel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	Fig11bTable(res).Fprint(&buf)
-	return buf.Bytes()
-}
-
-func TestDeterminismFig11b(t *testing.T) {
-	seq := renderFig11b(t, 1)
-	par := renderFig11b(t, 8)
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("fig11b diverges between -parallel 1 and -parallel 8:\n--- p1 ---\n%s\n--- p8 ---\n%s", seq, par)
-	}
-	checkGolden(t, "fig11b_seed7.golden", seq)
-}
+func TestDeterminismFig11b(t *testing.T) { checkDeterminism(t, "fig11b") }
 
 // TestSweepStatsObserved pins the OnSweep plumbing: the observer must fire
 // once per fan-out with one timing entry per job, without perturbing output.
+// Fig. 11a and 11b print one sweep, so an invocation that prints both fans
+// out once.
 func TestSweepStatsObserved(t *testing.T) {
 	var jobs, calls int
-	o := kvsGoldenOptions(8)
-	o.OnSweep = func(s *sweep.Stats) { calls++; jobs += len(s.Jobs) }
-	res, err := Fig11StudyResult(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv := artifactGoldens["fig11b"].at(8, nil)
+	inv.KVS.OnSweep = func(s *sweep.Stats) { calls++; jobs += len(s.Jobs) }
+	printArtifact(t, "fig11a", inv)
+	out := printArtifact(t, "fig11b", inv)
 	if calls != 1 {
 		t.Errorf("OnSweep fired %d times, want 1", calls)
 	}
@@ -101,9 +70,5 @@ func TestSweepStatsObserved(t *testing.T) {
 	if jobs != 6 {
 		t.Errorf("observed %d job stats, want 6", jobs)
 	}
-	var buf bytes.Buffer
-	Fig11bTable(res).Fprint(&buf)
-	if !bytes.Equal(buf.Bytes(), renderFig11b(t, 8)) {
-		t.Error("attaching OnSweep changed the rendered table")
-	}
+	checkArtifactGolden(t, "fig11b", out)
 }

@@ -1,9 +1,9 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (Section V and VI). Each runner executes the
-// corresponding SimdHT-Bench configuration and returns report tables, so
-// the command-line harnesses (cmd/simdhtbench, cmd/kvsbench), the Go
-// benchmarks (bench_test.go) and the tests all share the same experiment
-// definitions.
+// corresponding SimdHT-Bench configuration and returns report tables. The
+// artifact registry (registry.go) lists what each command-line harness
+// (cmd/simdhtbench, cmd/kvsbench) prints by name, and the CLIs, the Go
+// benchmarks (bench_test.go) and the tests share the runners.
 //
 // Every runner fans its configurations out across the internal/sweep worker
 // pool: each job builds its own engine, address space and seeded RNGs, so

@@ -11,34 +11,13 @@ import (
 	"simdhtbench/internal/fault"
 	"simdhtbench/internal/memslap"
 	"simdhtbench/internal/obs"
-	"simdhtbench/internal/report"
 	"simdhtbench/internal/sweep"
 	"simdhtbench/internal/workload"
 )
 
-// rows counts a table's data rows through its CSV rendering.
-func rows(t *report.Table) int {
-	var b strings.Builder
-	t.CSV(&b)
-	return strings.Count(b.String(), "\n") - 1
-}
-
-// Small options keep the full-suite test run fast; the shapes asserted here
-// are the coarse ones that must hold even at reduced query counts.
+// Small options keep the full-suite test run fast.
 var testOpts = Options{Queries: 800, Seed: 1}
 var testKVS = KVSOptions{Items: 40000, Workers: 26, Clients: 26, Requests: 400, Batches: []int{16}, Seed: 7}
-
-// checkTableGolden pins a study's rendered table against testdata/name, so
-// a cost-model or refactoring change that moves any cell fails here, not
-// only one that changes the row count. Regenerate one by naming its test:
-//
-//	go test ./internal/experiments -run '^TestFig8Runs$' -update
-func checkTableGolden(t *testing.T, name string, tab *report.Table) {
-	t.Helper()
-	var buf bytes.Buffer
-	tab.Fprint(&buf)
-	checkGolden(t, name, buf.Bytes())
-}
 
 // skipHeavyUnderRace exempts the few tests dominated by sequential multi-MB
 // table fills from the race-detector run; see race_test.go.
@@ -49,125 +28,59 @@ func skipHeavyUnderRace(t *testing.T) {
 	}
 }
 
-func TestTable1(t *testing.T) {
-	tab := Table1()
-	if rows(tab) != 8 {
-		t.Errorf("Table I rows = %d, want 8", rows(tab))
-	}
-}
+func TestTable1(t *testing.T) { checkArtifact(t, "table1") }
 
-func TestFig2ShapeHolds(t *testing.T) {
-	tab, err := Fig2(Options{Queries: 6000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 12 {
-		t.Errorf("Fig2 rows = %d, want 12", rows(tab))
-	}
-}
+func TestFig2ShapeHolds(t *testing.T) { checkArtifact(t, "fig2") }
 
 func TestListing1MatchesPaper(t *testing.T) {
-	s, err := Listing1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := checkArtifact(t, "listing1")
 	// Spot-check the lines the paper prints.
 	for _, want := range []string{
 		"*(2,1) -> V-Ver, Opts: 256 bit - 8 keys/it, Opts: 512 bit - 16 keys/it",
 		"*(2,4) -> V-Hor, Opts: 256 bit - 1 bucket/vec, Opts: 512 bit - 2 bucket/vec",
 		"*(2,8) -> V-Hor, Opts: 512 bit - 1 bucket/vec",
 	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Listing 1 missing %q:\n%s", want, s)
+		if !strings.Contains(string(out), want) {
+			t.Errorf("Listing 1 missing %q:\n%s", want, out)
 		}
 	}
 }
 
+// TestFig5Runs: fig5 prints its table and both grids from one sweep of 9
+// variants x 2 patterns, however often an invocation prints it. Its golden
+// is `simdhtbench -queries 800 -seed 1 fig5`'s stdout.
 func TestFig5Runs(t *testing.T) {
 	var jobs int
-	o := testOpts
-	o.OnSweep = func(s *sweep.Stats) { jobs += len(s.Jobs) }
-	fig, err := Fig5StudyResult(o)
-	if err != nil {
-		t.Fatal(err)
+	inv := artifactGoldens["fig5"].at(0, nil)
+	inv.Options.OnSweep = func(s *sweep.Stats) { jobs += len(s.Jobs) }
+	out := printArtifact(t, "fig5", inv)
+	if again := printArtifact(t, "fig5", inv); !bytes.Equal(again, out) {
+		t.Error("a second fig5 in one invocation printed something else")
 	}
-	// 9 variants x 2 patterns, run once for the table and both grids.
 	if jobs != 18 {
 		t.Errorf("Fig. 5 ran %d configurations, want 18", jobs)
 	}
-	tab := Fig5Table(fig)
-	if rows(tab) != 18 {
-		t.Errorf("Fig5 rows = %d, want 18", rows(tab))
-	}
-	// The golden is `simdhtbench -queries 800 -seed 1 fig5`'s stdout: the
-	// table and both grids, each followed by a blank line.
-	var buf bytes.Buffer
-	tab.Fprint(&buf)
-	buf.WriteString("\n")
-	for _, p := range []workload.Pattern{workload.Uniform, workload.Skewed} {
-		Fig5Grid(fig, p).Fprint(&buf)
-		buf.WriteString("\n")
-	}
-	checkGolden(t, "fig5_q800_seed1.golden", buf.Bytes())
+	checkArtifactGolden(t, "fig5", out)
 }
 
 func TestFig6SpeedupDecays(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Fig6(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 10 {
-		t.Fatalf("Fig6 rows = %d, want 10", rows(tab))
-	}
-	checkTableGolden(t, "fig6_q800_seed1.golden", tab)
+	checkArtifact(t, "fig6")
 }
 
-func TestFig7aRuns(t *testing.T) {
-	tab, err := Fig7a(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 8 {
-		t.Errorf("Fig7a rows = %d, want 8", rows(tab))
-	}
-	checkTableGolden(t, "fig7a_q800_seed1.golden", tab)
-}
+func TestFig7aRuns(t *testing.T) { checkArtifact(t, "fig7a") }
 
 func TestFig7bRuns(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Fig7b(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 8 {
-		t.Errorf("Fig7b rows = %d, want 8", rows(tab))
-	}
-	checkTableGolden(t, "fig7b_q800_seed1.golden", tab)
+	checkArtifact(t, "fig7b")
 }
 
 func TestFig8Runs(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := Fig8(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 16 {
-		t.Errorf("Fig8 rows = %d, want 16", rows(tab))
-	}
-	checkTableGolden(t, "fig8_q800_seed1.golden", tab)
+	checkArtifact(t, "fig8")
 }
 
-func TestFig9Runs(t *testing.T) {
-	tab, err := Fig9(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 4 {
-		t.Errorf("Fig9 rows = %d, want 4", rows(tab))
-	}
-	checkTableGolden(t, "fig9_q800_seed1.golden", tab)
-}
+func TestFig9Runs(t *testing.T) { checkArtifact(t, "fig9") }
 
 func TestRunKVSBackends(t *testing.T) {
 	var lookupThr [3]float64
@@ -194,27 +107,9 @@ func TestRunKVSUnknownBackend(t *testing.T) {
 	}
 }
 
-func TestFig11aTable(t *testing.T) {
-	res, err := Fig11StudyResult(testKVS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := Fig11aTable(res)
-	if rows(tab) != 3 {
-		t.Errorf("Fig11a rows = %d, want 3 (one batch x three backends)", rows(tab))
-	}
-}
+func TestFig11aTable(t *testing.T) { checkArtifact(t, "fig11a") }
 
-func TestFig11bTable(t *testing.T) {
-	res, err := Fig11StudyResult(testKVS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := Fig11bTable(res)
-	if rows(tab) != 3 {
-		t.Errorf("Fig11b rows = %d, want 3", rows(tab))
-	}
-}
+func TestFig11bTable(t *testing.T) { checkArtifact(t, "fig11b") }
 
 func TestSizeLabel(t *testing.T) {
 	if sizeLabel(256<<10) != "256 KB" {
@@ -228,71 +123,20 @@ func TestSizeLabel(t *testing.T) {
 	}
 }
 
-func TestSplitBucketStudy(t *testing.T) {
-	tab, err := SplitBucket(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 6 {
-		t.Errorf("SplitBucket rows = %d, want 6", rows(tab))
-	}
-	checkTableGolden(t, "split_q800_seed1.golden", tab)
-}
+func TestSplitBucketStudy(t *testing.T) { checkArtifact(t, "split") }
 
-func TestMixedWorkloadStudy(t *testing.T) {
-	tab, err := MixedWorkload(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 5 {
-		t.Errorf("MixedWorkload rows = %d, want 5", rows(tab))
-	}
-	checkTableGolden(t, "mixed_q800_seed1.golden", tab)
-}
+func TestMixedWorkloadStudy(t *testing.T) { checkArtifact(t, "mixed") }
 
 func TestAMACStudy(t *testing.T) {
 	skipHeavyUnderRace(t)
-	tab, err := AMACStudy(Options{Queries: 600, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 3 {
-		t.Errorf("AMACStudy rows = %d, want 3", rows(tab))
-	}
-	checkTableGolden(t, "amac_q600_seed1.golden", tab)
+	checkArtifact(t, "amac")
 }
 
-func TestEmergingArchitectures(t *testing.T) {
-	tab, err := EmergingArchitectures(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 4 {
-		t.Errorf("EmergingArchitectures rows = %d, want 4", rows(tab))
-	}
-	checkTableGolden(t, "arches_q800_seed1.golden", tab)
-}
+func TestEmergingArchitectures(t *testing.T) { checkArtifact(t, "arches") }
 
-func TestETCStudy(t *testing.T) {
-	tab, err := ETCStudy(testKVS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 3 {
-		t.Errorf("ETCStudy rows = %d, want 3", rows(tab))
-	}
-	checkTableGolden(t, "etc_seed7.golden", tab)
-}
+func TestETCStudy(t *testing.T) { checkArtifact(t, "etc") }
 
-func TestClusterStudy(t *testing.T) {
-	tab, err := ClusterStudy(KVSOptions{Items: 20000, Workers: 26, Clients: 26, Requests: 200, Batches: []int{16}, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows(tab) != 3 {
-		t.Errorf("ClusterStudy rows = %d, want 3 (1/2/4 servers)", rows(tab))
-	}
-}
+func TestClusterStudy(t *testing.T) { checkArtifact(t, "cluster") }
 
 func TestFig5GridShape(t *testing.T) {
 	fig, err := Fig5StudyResult(Options{Queries: 500, Seed: 1})

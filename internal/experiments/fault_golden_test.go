@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"simdhtbench/internal/fault"
@@ -16,23 +15,12 @@ import (
 // degraded so every protocol counter moves.
 const faultSpecCLI = "drop=0.15,crash=20µs:10µs,slow=4x@15µs:5µs,pressure=50@10µs,timeout=10µs,retries=1,backoff=5µs"
 
-// runFaultSweepObs mirrors `kvsbench -items 2000 -workers 2 -clients 2
-// -requests 20 -batches 8 -seed 7 -faults '<spec>' -trace -metrics
-// fault-sweep` at the given -parallel.
+// runFaultSweepObs prints the fault sweep at its golden's scale (the ci.sh
+// fault-sweep smoke) and the given -parallel.
 func runFaultSweepObs(t *testing.T, parallel int) studyArtifacts {
 	t.Helper()
-	spec, err := fault.ParseSpec(faultSpecCLI)
-	if err != nil {
-		t.Fatal(err)
-	}
 	col := obs.NewCollector()
-	o := kvsObsOptions(parallel, col)
-	o.Faults = spec
-	tbl, err := FaultSweep(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return renderStudy(t, col, nil, func(b *bytes.Buffer) { tbl.Fprint(b) })
+	return renderStudy(t, col, nil, printArtifact(t, "fault-sweep", artifactGoldens["fault-sweep"].at(parallel, col)))
 }
 
 // TestObsGoldenFaultSweep pins the fault sweep's three artifacts and checks
@@ -43,7 +31,7 @@ func TestObsGoldenFaultSweep(t *testing.T) {
 	a := checkCompositions(t, func(parallel int) studyArtifacts {
 		return runFaultSweepObs(t, parallel)
 	})
-	checkGolden(t, "fault_sweep_table.golden.txt", a.table)
+	checkArtifactGolden(t, "fault-sweep", a.table)
 	checkTraceGolden(t, "fault_sweep", a.trace)
 	checkGolden(t, "fault_sweep_metrics.golden.csv", a.metrics)
 

@@ -30,15 +30,14 @@ type studyArtifacts struct {
 	table, trace, metrics, folded []byte
 }
 
-// renderStudy renders a finished study's table and its collector's
-// artifacts.
-func renderStudy(t *testing.T, col *obs.Collector, set *prof.Set, fprint func(*bytes.Buffer)) studyArtifacts {
+// renderStudy gathers a finished study's printed table and its
+// collector's artifacts.
+func renderStudy(t *testing.T, col *obs.Collector, set *prof.Set, table []byte) studyArtifacts {
 	t.Helper()
-	var tbl, fb bytes.Buffer
-	fprint(&tbl)
+	var fb bytes.Buffer
 	tr, ms := renderObs(t, col)
 	set.WriteFolded(&fb)
-	return studyArtifacts{table: tbl.Bytes(), trace: tr, metrics: ms, folded: fb.Bytes()}
+	return studyArtifacts{table: table, trace: tr, metrics: ms, folded: fb.Bytes()}
 }
 
 // goldenCompositions are the -parallel settings the fleet-engine studies
@@ -163,9 +162,9 @@ func checkTraceGolden(t *testing.T, stem string, traceJSON []byte) {
 	checkGolden(t, stem+"_trace.golden.sha256", []byte(fmt.Sprintf("%x\n", sha256.Sum256(traceJSON))))
 }
 
-// runFleetStudyObs mirrors `kvsbench -fleet -items 2000 -workers 2
-// -clients 2 -requests 60 -batches 8 -seed 7 -fleet-sizes 3,5
-// -arrival-rate 200000 -faults '<spec>' -trace -metrics`, with profiling on.
+// runFleetStudyObs prints the fleet study at its golden's scale (the ci.sh
+// fleet smoke) under the given -faults spec and -parallel, with profiling
+// on.
 func runFleetStudyObs(t *testing.T, spec string, parallel int) studyArtifacts {
 	t.Helper()
 	fs, err := fault.ParseSpec(spec)
@@ -175,20 +174,9 @@ func runFleetStudyObs(t *testing.T, spec string, parallel int) studyArtifacts {
 	col := obs.NewCollector()
 	set := prof.NewSet()
 	col.EnableProfiling(set)
-	o := FleetOptions{
-		KVSOptions:    kvsObsOptions(parallel, col),
-		FleetSizes:    []int{3, 5},
-		Replication:   3,
-		ArrivalRate:   2e5,
-		WriteFraction: 0.05,
-	}
-	o.Requests = 60
-	o.Faults = fs
-	res, err := FleetStudyResult(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return renderStudy(t, col, set, func(b *bytes.Buffer) { FleetTable(o, res).Fprint(b) })
+	inv := artifactGoldens["fleet"].at(parallel, col)
+	inv.Fleet.Faults = fs
+	return renderStudy(t, col, set, printArtifact(t, "fleet", inv))
 }
 
 // TestObsGoldenFleetStudy pins the fleet study's table, trace and metrics
@@ -197,7 +185,7 @@ func runFleetStudyObs(t *testing.T, spec string, parallel int) studyArtifacts {
 // TestParallelDESBitIdentical's job.
 func TestObsGoldenFleetStudy(t *testing.T) {
 	a := runFleetStudyObs(t, fleetSpecCLI, 1)
-	checkGolden(t, "fleet_study_table.golden.txt", a.table)
+	checkArtifactGolden(t, "fleet", a.table)
 	checkTraceGolden(t, "fleet_study", a.trace)
 	checkGolden(t, "fleet_study_metrics.golden.csv", a.metrics)
 

@@ -3,15 +3,16 @@ package experiments
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"simdhtbench/internal/memslap"
 	"simdhtbench/internal/obs"
 )
 
-// FuzzStudyOptions drives the KVS study entries — RunKVS, FleetStudyResult,
-// OverloadStudyResult, Fig11StudyResult, ETCStudy, ClusterStudy and
-// FaultSweep, picked by study % 7 — with tiny options: at most
+// FuzzStudyOptions drives kvsbench's studies — each KVSArtifacts entry,
+// printed through the registry, and single's RunKVS, picked by study — with
+// tiny options: at most
 // 64 items, 4 workers and clients, 16 requests, batches of 16 and 3
 // servers, each count reaching zero and negative values, and fractions,
 // multipliers and non-positive, NaN and infinite rates taken as given.
@@ -23,40 +24,49 @@ import (
 // see every fuzzed shape too. The seeds are the CLI inputs each study must
 // reject, plus one run each that must succeed.
 func FuzzStudyOptions(f *testing.F) {
+	var studies []string
+	for _, a := range KVSArtifacts {
+		studies = append(studies, a.Name)
+	}
+	studies = append(studies, "single")
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, in := range []struct {
-		study                                                   uint8
+		study                                                   string
 		items, workers, clients, requests, batch, servers, repl int8
 		rate, writes, mult                                      float64
 		seed                                                    int64
 	}{
-		{0, 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},   // single: runs
-		{1, 64, 2, 2, 16, 8, 3, 3, 2e5, 0.05, 1, 7},   // fleet: runs
-		{2, 64, 2, 4, 16, 8, 2, 2, 2e5, 0.05, 2, 7},   // overload: runs
-		{0, 0, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},    // -items 0 single
-		{0, 64, 0, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},   // -workers 0 single
-		{0, 64, 2, 0, 16, 8, 1, 1, 2e5, 0.05, 1, 7},   // -clients 0 single
-		{0, 64, 2, 2, 0, 8, 1, 1, 2e5, 0.05, 1, 7},    // -requests 0 single
-		{0, 64, 2, 2, 16, 0, 1, 1, 2e5, 0.05, 1, 7},   // -batch 0 single
-		{0, 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 0},   // -seed 0 single: runs
-		{1, 64, 2, 2, 16, 8, 3, 0, 2e5, 0.05, 1, 7},   // -fleet -replication 0
-		{1, 64, 2, 2, 16, 8, 3, 3, 0, 0.05, 1, 7},     // -fleet -arrival-rate 0
-		{1, 64, 2, 2, 16, 8, 0, 3, 2e5, 0.05, 1, 7},   // -fleet -fleet-sizes 0
-		{1, 64, 2, 2, 16, 8, 3, 3, nan, 0.05, 1, 7},   // -fleet -arrival-rate NaN
-		{1, 64, 2, 2, 16, 8, 3, 3, inf, 0.05, 1, 7},   // -fleet -arrival-rate +Inf
-		{1, 64, 2, 2, 16, 8, 3, 3, 2e5, nan, 1, 7},    // -fleet -write-frac NaN
-		{1, 64, 2, 2, 16, 8, 3, 3, 2e5, -1, 1, 7},     // -fleet -write-frac -1
-		{2, 64, 2, 4, 16, 8, 0, 2, 2e5, 0.05, 2, 7},   // -overload -overload-servers 0
-		{2, 64, 2, 4, 16, 8, 2, 2, 2e5, 0.05, nan, 7}, // -overload -overload-mults NaN
-		{2, 64, 2, 4, 16, 8, 2, 2, 2e5, 0.05, -inf, 7},
-		{2, -5, -1, -3, -16, -8, -2, -1, -5, 0.05, 0, -1},
-		{0, 12, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 52}, // single: runs; its 16-slot index once filled at 11 of 12 keys
-		{3, 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},  // fig11: runs
-		{4, 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},  // etc: runs
-		{5, 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},  // cluster: runs
-		{6, 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},  // fault-sweep: runs
+		{"single", 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},     // runs
+		{"fleet", 64, 2, 2, 16, 8, 3, 3, 2e5, 0.05, 1, 7},      // runs
+		{"overload", 64, 2, 4, 16, 8, 2, 2, 2e5, 0.05, 2, 7},   // runs
+		{"single", 0, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},      // -items 0
+		{"single", 64, 0, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},     // -workers 0
+		{"single", 64, 2, 0, 16, 8, 1, 1, 2e5, 0.05, 1, 7},     // -clients 0
+		{"single", 64, 2, 2, 0, 8, 1, 1, 2e5, 0.05, 1, 7},      // -requests 0
+		{"single", 64, 2, 2, 16, 0, 1, 1, 2e5, 0.05, 1, 7},     // -batch 0
+		{"single", 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 0},     // -seed 0: runs
+		{"fleet", 64, 2, 2, 16, 8, 3, 0, 2e5, 0.05, 1, 7},      // -replication 0
+		{"fleet", 64, 2, 2, 16, 8, 3, 3, 0, 0.05, 1, 7},        // -arrival-rate 0
+		{"fleet", 64, 2, 2, 16, 8, 0, 3, 2e5, 0.05, 1, 7},      // -fleet-sizes 0
+		{"fleet", 64, 2, 2, 16, 8, 3, 3, nan, 0.05, 1, 7},      // -arrival-rate NaN
+		{"fleet", 64, 2, 2, 16, 8, 3, 3, inf, 0.05, 1, 7},      // -arrival-rate +Inf
+		{"fleet", 64, 2, 2, 16, 8, 3, 3, 2e5, nan, 1, 7},       // -write-frac NaN
+		{"fleet", 64, 2, 2, 16, 8, 3, 3, 2e5, -1, 1, 7},        // -write-frac -1
+		{"overload", 64, 2, 4, 16, 8, 0, 2, 2e5, 0.05, 2, 7},   // -overload-servers 0
+		{"overload", 64, 2, 4, 16, 8, 2, 2, 2e5, 0.05, nan, 7}, // -overload-mults NaN
+		{"overload", 64, 2, 4, 16, 8, 2, 2, 2e5, 0.05, -inf, 7},
+		{"overload", -5, -1, -3, -16, -8, -2, -1, -5, 0.05, 0, -1},
+		{"single", 12, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 52}, // runs; its 16-slot index once filled at 11 of 12 keys
+		{"fig11a", 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},
+		{"etc", 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},
+		{"cluster", 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},
+		{"fault-sweep", 64, 2, 2, 16, 8, 1, 1, 2e5, 0.05, 1, 7},
 	} {
-		f.Add(in.study, in.items, in.workers, in.clients, in.requests, in.batch, in.servers, in.repl,
+		study := slices.Index(studies, in.study)
+		if study < 0 {
+			f.Fatalf("no KVS study %q", in.study)
+		}
+		f.Add(uint8(study), in.items, in.workers, in.clients, in.requests, in.batch, in.servers, in.repl,
 			in.rate, in.writes, in.mult, in.seed)
 	}
 	f.Fuzz(func(t *testing.T, study uint8, items, workers, clients, requests, batch, servers, repl int8,
@@ -78,32 +88,24 @@ func FuzzStudyOptions(f *testing.F) {
 		if rate > 0 {
 			rate = max(rate, 1e3)
 		}
+		name := studies[int(study)%len(studies)]
 		var err error
-		switch study % 7 {
-		case 0:
+		if arts, ok := KVSArtifacts.Resolve(name); ok {
+			err = arts[0].Print(&Invocation{
+				KVS: o,
+				Fleet: FleetOptions{
+					KVSOptions: o, FleetSizes: []int{nservers},
+					Replication: int(repl) % 4, ArrivalRate: rate, WriteFraction: writes,
+				},
+				Overload: OverloadOptions{KVSOptions: o, Servers: nservers, Multipliers: []float64{mult}},
+			}, &bufPrinter{})
+		} else {
 			_, err = RunKVS("vertical", o.Batches[0], o)
-		case 1:
-			_, err = FleetStudyResult(FleetOptions{
-				KVSOptions: o, FleetSizes: []int{nservers},
-				Replication: int(repl) % 4, ArrivalRate: rate, WriteFraction: writes,
-			})
-		case 2:
-			_, err = OverloadStudyResult(OverloadOptions{
-				KVSOptions: o, Servers: nservers, Multipliers: []float64{mult},
-			})
-		case 3:
-			_, err = Fig11StudyResult(o)
-		case 4:
-			_, err = ETCStudy(o)
-		case 5:
-			_, err = ClusterStudy(o)
-		case 6:
-			_, err = FaultSweep(o)
 		}
 		var cfgErr *memslap.ConfigError
 		var loadErr *memslap.LoadError
 		if err != nil && !errors.As(err, &cfgErr) && !errors.As(err, &loadErr) {
-			t.Fatalf("study %d: got %v, want a result, a *memslap.ConfigError or a *memslap.LoadError", study%7, err)
+			t.Fatalf("%s: got %v, want a result, a *memslap.ConfigError or a *memslap.LoadError", name, err)
 		}
 	})
 }

@@ -97,7 +97,7 @@ func kvsObsOptions(parallel int, col *obs.Collector) KVSOptions {
 	}
 }
 
-// runFig11aStudy runs Fig. 11a at kvsObsOptions' scale and the given
+// runFig11aStudy prints Fig. 11a at its golden's scale and the given
 // -parallel, with -profile cycles when profile is set.
 func runFig11aStudy(t *testing.T, parallel int, profile bool) studyArtifacts {
 	t.Helper()
@@ -107,36 +107,18 @@ func runFig11aStudy(t *testing.T, parallel int, profile bool) studyArtifacts {
 		set = prof.NewSet()
 		col.EnableProfiling(set)
 	}
-	res, err := Fig11StudyResult(kvsObsOptions(parallel, col))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return renderStudy(t, col, set, func(b *bytes.Buffer) { Fig11aTable(res).Fprint(b) })
-}
-
-// bareFig11aTable renders Fig. 11a at kvsObsOptions' scale with no
-// collector attached.
-func bareFig11aTable(t *testing.T) []byte {
-	t.Helper()
-	res, err := Fig11StudyResult(kvsObsOptions(1, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	Fig11aTable(res).Fprint(&buf)
-	return buf.Bytes()
+	return renderStudy(t, col, set, printArtifact(t, "fig11a", artifactGoldens["fig11a"].at(parallel, col)))
 }
 
 // TestObsGoldenFig11a pins Fig. 11a's trace and metrics, checks that they
 // and the table are byte-identical at every golden -parallel setting, and
-// that attaching obs changes no table cell.
+// that attaching obs changes no table cell: the table matches the golden
+// TestFig11aTable prints without a collector.
 func TestObsGoldenFig11a(t *testing.T) {
 	a := checkCompositions(t, func(parallel int) studyArtifacts {
 		return runFig11aStudy(t, parallel, false)
 	})
-	if !bytes.Equal(bareFig11aTable(t), a.table) {
-		t.Error("attaching obs changed the fig11a table")
-	}
+	checkArtifactGolden(t, "fig11a", a.table)
 	checkTraceGolden(t, "obs_fig11a", a.trace)
 	checkGolden(t, "obs_fig11a_metrics.golden.csv", a.metrics)
 }

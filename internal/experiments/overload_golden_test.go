@@ -1,38 +1,29 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"simdhtbench/internal/obs"
 	"simdhtbench/internal/obs/prof"
 )
 
-// overloadObsOptions mirrors the ci.sh overload smoke: `kvsbench -items 2000
-// -workers 2 -clients 4 -requests 400 -batches 8 -seed 7 -overload-servers 2
-// -overload-mults 0.5,1,1.5,2 -trace -metrics overload`.
-func overloadObsOptions(parallel int, col *obs.Collector) OverloadOptions {
-	return OverloadOptions{
-		KVSOptions: KVSOptions{
-			Items: 2000, Workers: 2, Clients: 4, Requests: 400,
-			Batches: []int{8}, Seed: 7, Parallel: parallel, Obs: col,
-		},
-		Servers:     2,
-		Multipliers: []float64{0.5, 1, 1.5, 2},
-	}
-}
-
+// runOverloadStudyObs runs the overload study at its golden's scale (the
+// ci.sh overload smoke) and the given -parallel, with profiling on. It
+// prints the table as the registry's overload entry does and keeps the
+// result for assertOverloadShape.
 func runOverloadStudyObs(t *testing.T, parallel int) (OverloadResult, studyArtifacts) {
 	t.Helper()
 	col := obs.NewCollector()
 	set := prof.NewSet()
 	col.EnableProfiling(set)
-	o := overloadObsOptions(parallel, col)
+	o := artifactGoldens["overload"].at(parallel, col).Overload
 	res, err := OverloadStudyResult(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, renderStudy(t, col, set, func(b *bytes.Buffer) { OverloadTable(o, res).Fprint(b) })
+	var p bufPrinter
+	p.Emit(OverloadTable(o, res))
+	return res, renderStudy(t, col, set, p.Bytes())
 }
 
 // TestObsGoldenOverloadStudy pins the overload study's table, trace and
@@ -41,7 +32,7 @@ func runOverloadStudyObs(t *testing.T, parallel int) (OverloadResult, studyArtif
 // TestParallelDESBitIdentical's job.
 func TestObsGoldenOverloadStudy(t *testing.T) {
 	res, a := runOverloadStudyObs(t, 1)
-	checkGolden(t, "overload_study_table.golden.txt", a.table)
+	checkArtifactGolden(t, "overload", a.table)
 	checkTraceGolden(t, "overload_study", a.trace)
 	checkGolden(t, "overload_study_metrics.golden.csv", a.metrics)
 

@@ -64,9 +64,7 @@ func TestProfGoldenFig11a(t *testing.T) {
 	a := checkCompositions(t, func(parallel int) studyArtifacts {
 		return runFig11aStudy(t, parallel, true)
 	})
-	if !bytes.Equal(bareFig11aTable(t), a.table) {
-		t.Error("enabling profiling changed the fig11a table")
-	}
+	checkArtifactGolden(t, "fig11a", a.table)
 	checkTraceGolden(t, "obs_fig11a", a.trace)
 	checkGolden(t, "obs_fig11a_metrics.golden.csv", a.metrics)
 	checkGolden(t, "prof_fig11a_folded.golden.txt", a.folded)

@@ -60,7 +60,7 @@ check_trace_golden() {
 # and its trace by digest, against the committed goldens of study STEM.
 check_study_goldens() {
     golden=internal/experiments/testdata/$1
-    sed '$d' "$2.txt" > "$2.table" # emit() ends with one blank line
+    sed '$d' "$2.txt" > "$2.table" # Emit ends each table with a blank line
     diff "$2.table" "${golden}_table.golden.txt"
     diff "$2.csv" "${golden}_metrics.golden.csv"
     check_trace_golden "$2.json" "$1"
@@ -69,9 +69,9 @@ check_study_goldens() {
 # CLI smoke: run both binaries end-to-end with -trace/-metrics and diff the
 # artifacts against the committed goldens, so the flag plumbing (not just the
 # library path the Go tests exercise) is pinned byte-for-byte. Fig. 11a runs
-# at -parallel 1 and 4. `kvsbench all` prints Fig. 11a and 11b from one
-# sweep, so its metrics and trace must be Fig. 11a's too: a second sweep
-# would count every event twice.
+# at -parallel 1 and 4, and its stdout must be TestFig11aTable's golden.
+# `kvsbench all` prints Fig. 11a and 11b from one sweep, so its metrics and
+# trace must be Fig. 11a's too: a second sweep would count every event twice.
 echo "==> CLI smoke (-trace/-metrics vs goldens)"
 $GO run ./cmd/simdhtbench -queries 400 -seed 1 \
     -trace "$tmp/fig7a.json" -metrics "$tmp/fig7a.csv" fig7a >/dev/null
@@ -80,12 +80,14 @@ diff "$tmp/fig7a.csv" internal/experiments/testdata/obs_fig7a_metrics.golden.csv
 run_fig11() {
     $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
         -batches 8 -seed 7 -parallel "$1" \
-        -trace "$2.json" -metrics "$2.csv" "$3" >/dev/null
+        -trace "$2.json" -metrics "$2.csv" "$3" > "$2.txt"
     diff "$2.csv" internal/experiments/testdata/obs_fig11a_metrics.golden.csv
     check_trace_golden "$2.json" obs_fig11a
 }
 run_fig11 1 "$tmp/fig11a1" fig11a
+diff "$tmp/fig11a1.txt" internal/experiments/testdata/fig11a_smoke_seed7.golden
 run_fig11 4 "$tmp/fig11a4" fig11a
+diff "$tmp/fig11a4.txt" internal/experiments/testdata/fig11a_smoke_seed7.golden
 run_fig11 1 "$tmp/all1" all
 
 # Profiler smoke: two identical -profile cycles runs must produce
@@ -167,7 +169,7 @@ echo "==> CLI smoke (cluster vs golden, -parallel 1 and -parallel 4)"
 run_cluster() {
     $GO run ./cmd/kvsbench -items 2000 -workers 2 -clients 2 -requests 20 \
         -batches 8 -seed 7 -parallel "$1" cluster > "$2.txt"
-    sed '$d' "$2.txt" > "$2.table" # emit() ends with one blank line
+    sed '$d' "$2.txt" > "$2.table" # Emit ends each table with a blank line
     diff "$2.table" internal/experiments/testdata/cluster_study_table.golden.txt
 }
 run_cluster 1 "$tmp/cluster1"
@@ -180,7 +182,7 @@ echo "==> CLI smoke (etc vs golden, -parallel 1 and -parallel 4)"
 run_etc() {
     $GO run ./cmd/kvsbench -items 40000 -workers 26 -clients 26 -requests 400 \
         -batches 16 -seed 7 -parallel "$1" etc > "$2.txt"
-    sed '$d' "$2.txt" > "$2.table" # emit() ends with one blank line
+    sed '$d' "$2.txt" > "$2.table" # Emit ends each table with a blank line
     diff "$2.table" internal/experiments/testdata/etc_seed7.golden
 }
 run_etc 1 "$tmp/etc1"
@@ -257,6 +259,18 @@ echo "==> advise smoke (-metrics holds series)"
 "$tmp/simdhtbench" -queries 200 -metrics "$tmp/advise.csv" advise > /dev/null
 if [ "$(wc -l < "$tmp/advise.csv")" -le 1 ]; then
     echo "ci.sh: advise -metrics holds only its header line" >&2
+    exit 1
+fi
+
+# Manifest smoke: a manifest names the -cpu model only when a command that
+# runs on it ran. fig9 fixes its own architectures, so its manifest has no
+# arch; run's names the -cpu model.
+echo "==> manifest smoke (arch only for commands that run on -cpu)"
+"$tmp/simdhtbench" -cpu zen2 -queries 100 -manifest "$tmp/fig9m.json" fig9 > /dev/null
+"$tmp/simdhtbench" -cpu zen2 -queries 100 -manifest "$tmp/runm.json" run > /dev/null
+if grep -q '"arch"' "$tmp/fig9m.json" || ! grep -q '"arch": "AMD Zen 2' "$tmp/runm.json"; then
+    echo "ci.sh: the fig9 manifest names an arch, or the run manifest does not name -cpu's:" >&2
+    grep '"arch"' "$tmp/fig9m.json" "$tmp/runm.json" >&2 || true
     exit 1
 fi
 
