@@ -98,8 +98,9 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"all"}
 	}
-	// archName is the manifest's arch: the -cpu model once validate, run,
-	// advise or record is asked for. Artifacts and selftest fix their own.
+	// archName is the manifest's arch: the -cpu model once validate, run or
+	// advise, which simulate on it, is asked for. Artifacts and selftest fix
+	// their own, and record simulates nothing.
 	archName := ""
 	// Every argument resolves to an action before any runs, so an unknown
 	// name (or a flag written after a command) fails with nothing run.
@@ -192,7 +193,6 @@ func main() {
 			if *keytrace == "" {
 				h.Fatal(fmt.Errorf("record requires -keytrace <output path>"))
 			}
-			archName = model.Name
 			actions = append(actions, func() {
 				// Record the configured pattern's query stream to -keytrace for
 				// later replay (a seed-stable capture of the workload).

@@ -79,7 +79,7 @@ func BenchmarkServerSet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := []byte(fmt.Sprintf("set-key-%012d", i))
-		if _, err := srv.Set(key, []byte("v")); err != nil {
+		if _, _, err := srv.Set(key, []byte("v")); err != nil {
 			// 32-bit hash collisions are expected at this scale (birthday
 			// bound); production loaders deduplicate, so skip the key.
 			continue

@@ -24,7 +24,7 @@ func faultServer(t *testing.T, items, maxBatch int) (*des.Partitioned, *Server, 
 	keys := make([][]byte, items)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%012d-xxxx", i))
-		if _, err := srv.Set(keys[i], []byte("value")); err != nil {
+		if _, _, err := srv.Set(keys[i], []byte("value")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ func FuzzMultiGet(f *testing.F) {
 		stored := map[string]string{}
 		for i := 0; i < 16; i++ {
 			k, v := fmt.Sprintf("key-%d", i), fmt.Sprintf("val-%d", i)
-			if _, err := srv.Set([]byte(k), []byte(v)); err != nil {
+			if _, _, err := srv.Set([]byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 			stored[k] = v
@@ -99,15 +99,20 @@ var findPool = [][]byte{
 	[]byte("key-26158"), []byte("key-113740"), // Hash32 0x8c8460ad
 }
 
-// FuzzFindMatchesLookupBatch runs random Set/Replace/Delete/Get programs
-// on each backend over findPool; each program byte pair is an op and a key.
-// After every step, for every key of the pool, Index.Find must return the
-// ref a charged one-key LookupBatch returns on a spare engine, and both
-// must agree with a map oracle of what the server stores. A SIMD index
-// keeps one key per 32-bit hash, so Set and Replace must reject a key
-// whose hash partner is stored; MemC3 verifies full keys and keeps both.
-// Set is the load-phase insert and runs only on absent keys, and Delete
-// only on stored keys, as the server's callers use them.
+// FuzzFindMatchesLookupBatch runs random programs of Sets, oversized Sets,
+// Deletes and Gets on each backend over findPool, against a map oracle;
+// each program byte pair is an op and a key. Set is Memcached's set: on a
+// stored key it reports replaced and the key keeps one entry holding the
+// newest value, and on an absent key it inserts; the store holds one live
+// item per key the oracle stores. A SIMD index keeps one key
+// per 32-bit hash, so it rejects a Set of a key whose hash partner is
+// stored; MemC3 verifies full keys and keeps both. An oversized Set (an
+// object one byte past the largest slab class) fails, stored key or not,
+// and leaves Find, Get and the oracle as they were. Delete runs only on
+// stored keys, as the server's callers use it. After every step, for every
+// key of the pool, Index.Find must return the ref a charged one-key
+// LookupBatch returns on a spare engine, and both, and Get, must agree with
+// the oracle.
 func FuzzFindMatchesLookupBatch(f *testing.F) {
 	for i := 4; i < len(findPool); i += 2 {
 		if Hash32(findPool[i]) != Hash32(findPool[i+1]) {
@@ -116,9 +121,13 @@ func FuzzFindMatchesLookupBatch(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 3, 0, 3, 2})             // set, set, get hit, get miss
-	f.Add([]byte{0, 4, 0, 5, 1, 5, 2, 4, 0, 5, 3, 5}) // a colliding pair: set, set, replace, delete, set, get
-	f.Add([]byte{1, 6, 1, 6, 1, 7, 2, 6, 1, 7, 2, 7}) // replace fresh and over, across a colliding pair
-	f.Add([]byte{0, 0, 2, 0, 0, 0, 1, 0, 2, 0, 3, 0}) // set, delete, set again, replace, delete, get
+	f.Add([]byte{0, 4, 0, 5, 1, 5, 2, 4, 0, 5, 3, 5}) // a colliding pair: set, set, oversized set, delete, set, get
+	f.Add([]byte{1, 6, 1, 6, 1, 7, 2, 6, 1, 7, 2, 7}) // oversized sets of absent keys across a colliding pair
+	f.Add([]byte{0, 0, 2, 0, 0, 0, 1, 0, 2, 0, 3, 0}) // set, delete, set again, oversized set, delete, get
+	f.Add([]byte{0, 1, 0, 1, 3, 1})                   // a key set twice: replaced, the newest value
+	f.Add([]byte{0, 6, 0, 7, 0, 7, 2, 6, 0, 7})       // a colliding pair's second key: SIMD rejects it until the first goes, MemC3 keeps both
+	f.Add([]byte{0, 2, 1, 2, 3, 2, 0, 2, 3, 2})       // an oversized set over a stored key keeps it; a set replaces it
+	largest := slabClassSizes[len(slabClassSizes)-1] - itemHeaderBytes
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 256 {
 			prog = prog[:256]
@@ -151,23 +160,20 @@ func FuzzFindMatchesLookupBatch(f *testing.F) {
 				step := fmt.Sprintf("%s step %d", tc.name, i/2)
 				switch prog[i] % 4 {
 				case 0: // Set
-					if stored {
-						continue
-					}
-					_, err := srv.Set(k, []byte(v))
-					if (err != nil) != rejects {
-						t.Fatalf("%s: Set(%q) = %v, want rejected %v", step, k, err, rejects)
-					}
-					if err == nil {
-						oracle[string(k)] = v
-					}
-				case 1: // Replace
-					replaced, err := srv.Replace(k, []byte(v))
+					_, replaced, err := srv.Set(k, []byte(v))
 					if (err != nil) != rejects || replaced != stored {
-						t.Fatalf("%s: Replace(%q) = (%v, %v), want replaced %v, rejected %v", step, k, replaced, err, stored, rejects)
+						t.Fatalf("%s: Set(%q) = (%v, %v), want replaced %v, rejected %v", step, k, replaced, err, stored, rejects)
 					}
 					if err == nil {
 						oracle[string(k)] = v
+					}
+				case 1: // an oversized Set
+					before := srv.Index.Find(srv.Store, Hash32(k), k)
+					if _, replaced, err := srv.Set(k, make([]byte, largest-len(k)+1)); err == nil || replaced {
+						t.Fatalf("%s: oversized Set(%q) = (%v, %v), want rejected", step, k, replaced, err)
+					}
+					if after := srv.Index.Find(srv.Store, Hash32(k), k); after != before {
+						t.Fatalf("%s: oversized Set(%q) moved Find from %d to %d", step, k, before, after)
 					}
 				case 2: // Delete
 					if !stored {
@@ -196,6 +202,9 @@ func FuzzFindMatchesLookupBatch(f *testing.F) {
 					if got, ok := srv.Get(k); ok != stored || string(got) != want {
 						t.Fatalf("%s: Get(%q) = (%q, %v), oracle (%q, %v)", step, k, got, ok, want, stored)
 					}
+				}
+				if n := liveItems(srv.Store); n != len(oracle) {
+					t.Fatalf("%s: %d live items, oracle stores %d keys", step, n, len(oracle))
 				}
 			}
 			for wi, e := range srv.engines {

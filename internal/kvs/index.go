@@ -20,7 +20,8 @@ const memcmpCyclesPerByte = 0.25
 // a 32-bit key hash to an item reference. LookupBatch resolves a Multi-Get
 // batch, charging all work (probing and full-key verification) to the
 // worker's engine. Find resolves one key functionally, for the server's side
-// paths (Get and Replace): it runs no engine and touches no simulated cache.
+// paths (Get, and Set's lookup of a stored version): it runs no engine and
+// touches no simulated cache.
 type Index interface {
 	// Name identifies the backend in reports, e.g. "MemC3".
 	Name() string
@@ -147,7 +148,7 @@ func (x *simdIndex) Delete(_ *ItemStore, hash32 uint32, _ []byte) bool {
 func (x *simdIndex) Insert(hash32, ref uint32) error {
 	key := tableKey(hash32)
 	if _, exists := x.table.Lookup(key); exists {
-		return fmt.Errorf("kvs: 32-bit hash collision on %#x; the loader must deduplicate hashes", hash32)
+		return fmt.Errorf("kvs: 32-bit hash %#x is already held by another stored key; a SIMD index keeps one key per hash", hash32)
 	}
 	return x.table.Insert(key, uint64(ref))
 }

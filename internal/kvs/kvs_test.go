@@ -428,7 +428,7 @@ func TestServerSetGetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(sim, arch.SkylakeClusterB(), 4, 64, idx, store)
-	if _, err := srv.Set([]byte("hello-key-000001"), []byte("world")); err != nil {
+	if _, _, err := srv.Set([]byte("hello-key-000001"), []byte("world")); err != nil {
 		t.Fatal(err)
 	}
 	v, ok := srv.Get([]byte("hello-key-000001"))
@@ -437,6 +437,39 @@ func TestServerSetGetRoundTrip(t *testing.T) {
 	}
 	if _, ok := srv.Get([]byte("missing-key-0001")); ok {
 		t.Error("missing key found")
+	}
+}
+
+// TestServerSetReplacesStoredKey: on every backend, a Set of a stored key
+// replaces it, as Memcached's set does and as a cache store's update must
+// (the newest value wins): it reports replaced, the store keeps one live
+// item and Get returns the new value. A Set whose object no slab class
+// holds fails before it looks the key up, so the stored value stays.
+func TestServerSetReplacesStoredKey(t *testing.T) {
+	for _, tc := range testBackends {
+		srv := backendServer(t, tc.mk, 1)
+		key := []byte("stored-key-00001")
+		if _, replaced, err := srv.Set(key, []byte("v1")); err != nil || replaced {
+			t.Fatalf("%s: Set of a fresh key = (%v, %v), want stored and not replaced", tc.name, replaced, err)
+		}
+		if _, replaced, err := srv.Set(key, []byte("v2")); err != nil || !replaced {
+			t.Fatalf("%s: Set of a stored key = (%v, %v), want replaced", tc.name, replaced, err)
+		}
+		check := func(after string) {
+			t.Helper()
+			if n := liveItems(srv.Store); n != 1 {
+				t.Errorf("%s: %d live items after %s, want 1", tc.name, n, after)
+			}
+			if v, ok := srv.Get(key); !ok || string(v) != "v2" {
+				t.Errorf("%s: Get after %s = (%q, %v), want v2", tc.name, after, v, ok)
+			}
+		}
+		check("a second Set")
+		_, replaced, err := srv.Set(key, make([]byte, 9000))
+		if err == nil || replaced || !strings.Contains(err.Error(), "exceeds the largest slab class") {
+			t.Errorf("%s: oversized Set of a stored key = (%v, %v), want the slab-class error", tc.name, replaced, err)
+		}
+		check("an oversized Set")
 	}
 }
 
@@ -463,13 +496,14 @@ func backendServer(t testing.TB, mk func(*mem.AddressSpace) (Index, error), work
 	return NewServer(nil, arch.SkylakeClusterB(), workers, 64, idx, NewItemStore(space))
 }
 
-// TestServerGetAllocFree pins the one-key lookup behind Get (and Replace)
-// at zero allocations on every backend, for a hit and a miss.
+// TestServerGetAllocFree pins the one-key lookup behind Get (and Set's
+// lookup of a stored version) at zero allocations on every backend, for a
+// hit and a miss.
 func TestServerGetAllocFree(t *testing.T) {
 	for _, tc := range testBackends {
 		srv := backendServer(t, tc.mk, 2)
 		hit, miss := []byte("hello-key-000001"), []byte("missing-key-0001")
-		if _, err := srv.Set(hit, []byte("world")); err != nil {
+		if _, _, err := srv.Set(hit, []byte("world")); err != nil {
 			t.Fatal(err)
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
@@ -486,7 +520,7 @@ func TestServerGetAllocFree(t *testing.T) {
 }
 
 // TestServerSetAllocFree pins the byte store's win: on every backend, once
-// warm, a Set of a fresh 20-byte key with a 32-byte value and a Replace of a
+// warm, a Set of a fresh 20-byte key with a 32-byte value and a Set of a
 // stored key allocate nothing on average. The server already holds other
 // items, and every key is built before the measurement.
 func TestServerSetAllocFree(t *testing.T) {
@@ -495,7 +529,7 @@ func TestServerSetAllocFree(t *testing.T) {
 	for _, tc := range testBackends {
 		srv := backendServer(t, tc.mk, 2)
 		for i := 0; i < 200; i++ {
-			if _, err := srv.Set([]byte(fmt.Sprintf("held-key-%011d", i)), value); err != nil {
+			if _, _, err := srv.Set([]byte(fmt.Sprintf("held-key-%011d", i)), value); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -505,7 +539,7 @@ func TestServerSetAllocFree(t *testing.T) {
 		}
 		next := 0
 		if allocs := testing.AllocsPerRun(runs, func() {
-			if _, err := srv.Set(fresh[next], value); err != nil {
+			if _, _, err := srv.Set(fresh[next], value); err != nil {
 				t.Fatal(err)
 			}
 			next++
@@ -514,11 +548,11 @@ func TestServerSetAllocFree(t *testing.T) {
 		}
 		stored := []byte("held-key-00000000007")
 		if allocs := testing.AllocsPerRun(runs, func() {
-			if replaced, err := srv.Replace(stored, value); err != nil || !replaced {
-				t.Fatalf("Replace of a stored key = (%v, %v)", replaced, err)
+			if _, replaced, err := srv.Set(stored, value); err != nil || !replaced {
+				t.Fatalf("Set of a stored key = (%v, %v)", replaced, err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s: Replace of a stored key allocates %.1f times, want 0", tc.name, allocs)
+			t.Errorf("%s: Set of a stored key allocates %.1f times, want 0", tc.name, allocs)
 		}
 	}
 }
@@ -542,7 +576,7 @@ func TestServerLoadReservesShare(t *testing.T) {
 			t.Fatalf("%s: Load = (%d, %v), want (%d, nil)", tc.name, got, err, n)
 		}
 		for _, key := range keys {
-			if _, err := set.Set(key, value); err != nil {
+			if _, _, err := set.Set(key, value); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -585,8 +619,8 @@ func TestServerLoadStopsAtFailure(t *testing.T) {
 	}
 }
 
-// TestSideLookupsLeaveCachesPristine: Get (a hit and a miss) and Replace
-// (a fresh key and an overwrite) are functional side paths, so on a server
+// TestSideLookupsLeaveCachesPristine: Get (a hit and a miss) and Set (a
+// fresh key and an overwrite) are functional side paths, so on a server
 // whose workers are all pristine they charge no worker and leave every
 // worker's cache hierarchy pristine, on every backend.
 func TestSideLookupsLeaveCachesPristine(t *testing.T) {
@@ -602,7 +636,7 @@ func TestSideLookupsLeaveCachesPristine(t *testing.T) {
 			}
 		}
 		stored := []byte("stored-key-00001")
-		if _, err := srv.Set(stored, []byte("v1")); err != nil {
+		if _, _, err := srv.Set(stored, []byte("v1")); err != nil {
 			t.Fatal(err)
 		}
 		pristine("Set")
@@ -614,14 +648,14 @@ func TestSideLookupsLeaveCachesPristine(t *testing.T) {
 			t.Fatalf("%s: missing key found", tc.name)
 		}
 		pristine("a Get miss")
-		if replaced, err := srv.Replace([]byte("fresh-key-000001"), []byte("v2")); err != nil || replaced {
-			t.Fatalf("%s: Replace of a fresh key = (%v, %v)", tc.name, replaced, err)
+		if _, replaced, err := srv.Set([]byte("fresh-key-000001"), []byte("v2")); err != nil || replaced {
+			t.Fatalf("%s: Set of a fresh key = (%v, %v)", tc.name, replaced, err)
 		}
-		pristine("a fresh Replace")
-		if replaced, err := srv.Replace(stored, []byte("v3")); err != nil || !replaced {
-			t.Fatalf("%s: Replace of a stored key = (%v, %v)", tc.name, replaced, err)
+		pristine("a fresh Set")
+		if _, replaced, err := srv.Set(stored, []byte("v3")); err != nil || !replaced {
+			t.Fatalf("%s: Set of a stored key = (%v, %v)", tc.name, replaced, err)
 		}
-		pristine("an overwriting Replace")
+		pristine("an overwriting Set")
 	}
 }
 
@@ -639,7 +673,7 @@ func TestServerHandleMGet(t *testing.T) {
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("mget-key-%07d", i))
 		if i%4 != 3 {
-			if _, err := srv.Set(keys[i], []byte(fmt.Sprintf("value-%d", i))); err != nil {
+			if _, _, err := srv.Set(keys[i], []byte(fmt.Sprintf("value-%d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -726,48 +760,62 @@ func TestSIMDIndexRejectsHashCollision(t *testing.T) {
 	}
 }
 
+// TestCapacityEviction: on every backend, Sets past MaxBytes evict from the
+// LRU tail, store and index alike, and a Set that replaces a stored key
+// with a value of the same slab class evicts nothing.
 func TestCapacityEviction(t *testing.T) {
-	pd := des.NewPartitioned(1, 1, 1e-6)
-	sim := pd.Sim(0)
-	space := mem.NewAddressSpace()
-	store := NewItemStore(space)
-	store.MaxBytes = 64 * 100 // room for ~100 items of the smallest class
-	idx, err := NewVerticalIndex(space, 1000, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(sim, arch.SkylakeClusterB(), 2, 64, idx, store)
+	for _, tc := range testBackends {
+		srv := backendServer(t, tc.mk, 2)
+		store := srv.Store
+		store.MaxBytes = 64 * 100 // room for 50 items of the 128 B class
 
-	var keys [][]byte
-	for i := 0; i < 300; i++ {
-		key := []byte(fmt.Sprintf("evict-key-%06d", i))
-		if _, err := srv.Set(key, []byte("v")); err != nil {
-			t.Fatal(err)
+		var keys [][]byte
+		for i := 0; i < 300; i++ {
+			key := []byte(fmt.Sprintf("evict-key-%06d", i))
+			if _, _, err := srv.Set(key, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, key)
 		}
-		keys = append(keys, key)
-	}
-	if store.usedBytes > store.MaxBytes {
-		t.Errorf("used %d exceeds cap %d", store.usedBytes, store.MaxBytes)
-	}
-	if srv.Evictions == 0 {
-		t.Fatal("no evictions recorded despite exceeding capacity")
-	}
-	// The newest keys must be present, the oldest evicted (LRU order).
-	if _, ok := srv.Get(keys[len(keys)-1]); !ok {
-		t.Error("most recent key evicted")
-	}
-	if _, ok := srv.Get(keys[0]); ok {
-		t.Error("oldest key survived past capacity")
-	}
-	// Evicted keys must be fully gone from the index (no dangling refs).
-	hits := 0
-	for _, k := range keys {
-		if _, ok := srv.Get(k); ok {
-			hits++
+		if store.usedBytes > store.MaxBytes {
+			t.Errorf("%s: used %d exceeds cap %d", tc.name, store.usedBytes, store.MaxBytes)
 		}
-	}
-	if n := liveItems(store); hits != n {
-		t.Errorf("index answered %d keys but store holds %d", hits, n)
+		// The newest keys must be present, the oldest evicted (LRU order).
+		if _, ok := srv.Get(keys[len(keys)-1]); !ok {
+			t.Errorf("%s: most recent key evicted", tc.name)
+		}
+		if _, ok := srv.Get(keys[0]); ok {
+			t.Errorf("%s: oldest key survived past capacity", tc.name)
+		}
+		// Evicted keys must be fully gone from the index (no dangling refs).
+		hits := 0
+		for _, k := range keys {
+			if _, ok := srv.Get(k); ok {
+				hits++
+			}
+		}
+		n := liveItems(store)
+		if hits != n {
+			t.Errorf("%s: index answered %d keys but store holds %d", tc.name, hits, n)
+		}
+		// Every Set of a fresh key either still holds its item or evicted
+		// one.
+		if srv.Evictions == 0 || srv.Evictions+uint64(n) != uint64(len(keys)) {
+			t.Fatalf("%s: %d evictions and %d live items after %d Sets", tc.name, srv.Evictions, n, len(keys))
+		}
+		// The stale version leaves before the new one is stored, so the
+		// store stays under its cap without an eviction.
+		evictions := srv.Evictions
+		if _, replaced, err := srv.Set(keys[len(keys)-1], []byte("w")); err != nil || !replaced {
+			t.Fatalf("%s: Set of a stored key = (%v, %v)", tc.name, replaced, err)
+		}
+		if srv.Evictions != evictions || liveItems(store) != n {
+			t.Errorf("%s: replacing a stored key made %d evictions and left %d items, want 0 and %d",
+				tc.name, srv.Evictions-evictions, liveItems(store), n)
+		}
+		if v, ok := srv.Get(keys[len(keys)-1]); !ok || string(v) != "w" {
+			t.Errorf("%s: Get of the replaced key = (%q, %v), want w", tc.name, v, ok)
+		}
 	}
 }
 
@@ -785,12 +833,12 @@ func TestOversizedSetKeepsStore(t *testing.T) {
 	var keys [][]byte
 	for i := 0; i < 100; i++ {
 		key := []byte(fmt.Sprintf("kept-key-%06d", i))
-		if _, err := srv.Set(key, []byte("v")); err != nil {
+		if _, _, err := srv.Set(key, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, key)
 	}
-	_, err = srv.Set([]byte("big"), make([]byte, 9000))
+	_, _, err = srv.Set([]byte("big"), make([]byte, 9000))
 	if err == nil || !strings.Contains(err.Error(), "exceeds the largest slab class") {
 		t.Fatalf("oversized Set returned %v, want the slab-class error", err)
 	}
@@ -816,7 +864,7 @@ func TestGetRefreshesLRUAgainstEviction(t *testing.T) {
 	}
 	srv := NewServer(sim, arch.SkylakeClusterB(), 1, 64, idx, store)
 	hot := []byte("hot-key-00000001")
-	if _, err := srv.Set(hot, []byte("v")); err != nil {
+	if _, _, err := srv.Set(hot, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
@@ -828,7 +876,7 @@ func TestGetRefreshesLRUAgainstEviction(t *testing.T) {
 		if !done {
 			t.Fatal("mget did not run")
 		}
-		if _, err := srv.Set([]byte(fmt.Sprintf("cold-key-%07d", i)), []byte("v")); err != nil {
+		if _, _, err := srv.Set([]byte(fmt.Sprintf("cold-key-%07d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}

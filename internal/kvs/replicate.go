@@ -6,8 +6,8 @@ package kvs
 // worker engine like HandleMGet — rebalance storms compete with foreground
 // traffic for workers and cycles instead of teleporting data. The charge
 // is the named repl* constants below; the store and index work under it
-// (Replace's lookup, delete and insert) is functional, so it charges
-// nothing twice and leaves the worker's simulated caches alone.
+// (Set's lookup, delete and insert) is functional, so it charges nothing
+// twice and leaves the worker's simulated caches alone.
 
 // Per-item replica-apply cost constants (cycles). Parsing covers the
 // set-command demarshalling; the store copy scales with value bytes; the
@@ -74,7 +74,7 @@ func (s *Server) processReplicate(wi int, items []ReplicaItem) (int, float64) {
 	applied := 0
 	for _, it := range items {
 		e.ChargeCycles(replApplyFixedCycles + replApplyCyclesPerByte*float64(len(it.Key)+len(it.Value)))
-		replaced, err := s.Replace(it.Key, it.Value)
+		_, replaced, err := s.Set(it.Key, it.Value)
 		if err != nil {
 			continue
 		}
@@ -91,26 +91,6 @@ func (s *Server) processReplicate(wi int, items []ReplicaItem) (int, float64) {
 	return applied, cycles / freq
 }
 
-// Replace stores (key, value), first deleting any existing version: the
-// index rejects duplicate 32-bit key hashes, so an overwrite must delete
-// the stale reference before reinserting. Returns whether a stale version
-// was replaced. Its lookup is functional (Index.Find): it charges no cycles
-// (charged callers bill the equivalent work via the repl* cost constants)
-// and leaves every worker's simulated caches as they were.
-func (s *Server) Replace(key, value []byte) (bool, error) {
-	replaced := false
-	h := Hash32(key)
-	if ref := s.Index.Find(s.Store, h, key); ref != NoRef {
-		s.Index.Delete(s.Store, h, key)
-		if err := s.Store.Delete(ref); err != nil {
-			return false, err
-		}
-		replaced = true
-	}
-	_, err := s.set(key, value, h)
-	return replaced, err
-}
-
 // Wipe empties the server's store and index — the cold restart of a
 // crashed/departed server: a rejoining Memcached process holds nothing
 // until rebalance transfers repopulate it. Returns the number of items
@@ -118,16 +98,8 @@ func (s *Server) Replace(key, value []byte) (bool, error) {
 // traffic.
 func (s *Server) Wipe() int {
 	dropped := 0
-	for {
-		ref := s.Store.LRUTail()
-		if ref == NoRef {
-			break
-		}
-		k := s.Store.Key(s.Store.Get(ref))
-		s.Index.Delete(s.Store, Hash32(k), k)
-		if err := s.Store.Delete(ref); err != nil {
-			break
-		}
+	for ref := s.Store.LRUTail(); ref != NoRef; ref = s.Store.LRUTail() {
+		s.remove(ref)
 		dropped++
 	}
 	return dropped

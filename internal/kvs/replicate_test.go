@@ -25,31 +25,33 @@ func replicaServer(t *testing.T, capacity int) (*des.Partitioned, *Server) {
 	return pd, NewServer(pd.Sim(0), arch.SkylakeClusterB(), 2, 8, idx, store)
 }
 
+// TestReplaceInsertsAndOverwrites: the Set behind every replica apply
+// replaces a stored key and inserts an unknown one, reporting which.
 func TestReplaceInsertsAndOverwrites(t *testing.T) {
 	_, srv, keys := faultServer(t, 10, 8)
 	// Overwrite an existing key: the stale index entry must be replaced,
 	// not duplicated (the index rejects duplicate 32-bit hashes).
-	replaced, err := srv.Replace(keys[0], []byte("fresh-value"))
+	_, replaced, err := srv.Set(keys[0], []byte("fresh-value"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !replaced {
-		t.Error("Replace of a stored key must report replaced=true")
+		t.Error("Set of a stored key must report replaced=true")
 	}
 	if got, ok := srv.Get(keys[0]); !ok || string(got) != "fresh-value" {
-		t.Fatalf("Get after Replace = %q, %v", got, ok)
+		t.Fatalf("Get after replacing Set = %q, %v", got, ok)
 	}
 	// Insert a brand-new key.
 	newKey := []byte("key-replicated-new")
-	replaced, err = srv.Replace(newKey, []byte("v2"))
+	_, replaced, err = srv.Set(newKey, []byte("v2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replaced {
-		t.Error("Replace of an unknown key must report replaced=false")
+		t.Error("Set of an unknown key must report replaced=false")
 	}
 	if got, ok := srv.Get(newKey); !ok || string(got) != "v2" {
-		t.Fatalf("Get after insert-Replace = %q, %v", got, ok)
+		t.Fatalf("Get after inserting Set = %q, %v", got, ok)
 	}
 }
 
@@ -118,7 +120,7 @@ func TestWipeEmptiesServer(t *testing.T) {
 		}
 	}
 	// A wiped server accepts writes again (cold restart).
-	if _, err := srv.Set(keys[0], []byte("back")); err != nil {
+	if _, _, err := srv.Set(keys[0], []byte("back")); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := srv.Get(keys[0]); !ok || string(got) != "back" {

@@ -136,23 +136,39 @@ func NewServer(sim *des.Sim, model *arch.Model, workers, maxBatch int, index Ind
 	return s
 }
 
-// Set stores (key, value) and indexes it: a Memcached "set" command, used
-// by the fault plan's pressure items (a load phase uses Load). When the
-// store is capacity-bounded (ItemStore.MaxBytes), least-recently-used items
-// are evicted — from both the store and the index — to make room, as
-// Memcached does. An object larger than the largest slab class is rejected
-// before anything is evicted. Returns the item reference.
-func (s *Server) Set(key, value []byte) (uint32, error) {
-	return s.set(key, value, Hash32(key))
+// Set stores (key, value) and indexes it: Memcached's "set" command, which
+// replaces a stored version of the key. Replica applies (HandleReplicate)
+// and the fault plan's pressure items write through it; a load uses Load.
+// An object larger than the largest slab class is rejected before anything
+// changes. Otherwise Set removes a stored version (found by the functional
+// Index.Find; its index entry, then its item) and stores the new one,
+// evicting least-recently-used items first when the store is
+// capacity-bounded (ItemStore.MaxBytes), as Memcached does. Set charges no
+// cycles and touches no simulated cache. It returns the new item's
+// reference and whether a stored version was replaced, which stays removed
+// if storing the new one fails.
+func (s *Server) Set(key, value []byte) (ref uint32, replaced bool, err error) {
+	if _, err := s.Store.sizeClass(len(key), len(value)); err != nil {
+		return NoRef, false, err
+	}
+	h := Hash32(key)
+	if old := s.Index.Find(s.Store, h, key); old != NoRef {
+		s.remove(old)
+		replaced = true
+	}
+	ref, err = s.set(key, value, h)
+	return ref, replaced, err
 }
 
-// Load stores a load's share of n items on the server, in order, as n Sets
-// would: item(j) returns the j-th item's key, its value and the key's
-// Hash32, which Load takes as given instead of hashing the key again.
-// Before the first Set it grows the store's item table once, to hold
-// exactly n more items, so a load never regrows it (on a fresh server the
-// table ends with capacity n). It stops at the first failing Set and
-// returns the number of items stored before it with that Set's error.
+// Load stores a load's share of n items on the server, in order: item(j)
+// returns the j-th item's key, its value and the key's Hash32, which Load
+// takes as given instead of hashing the key again. The keys must be
+// distinct and absent from the server (the fleet load stores distinct keys
+// on fresh servers), so Load looks nothing up; otherwise it stores as n
+// Sets would. Before the first item it grows the store's item table once,
+// to hold exactly n more items, so a load never regrows it (on a fresh
+// server the table ends with capacity n). It stops at the first item that
+// fails and returns the number of items stored before it with its error.
 func (s *Server) Load(n int, item func(j int) (key, value []byte, h uint32)) (int, error) {
 	s.Store.reserve(n)
 	for j := 0; j < n; j++ {
@@ -164,21 +180,17 @@ func (s *Server) Load(n int, item func(j int) (key, value []byte, h uint32)) (in
 	return n, nil
 }
 
-// set is Set for a key whose Hash32 the caller has already computed.
+// set stores and indexes a key the server does not hold, whose Hash32 the
+// caller has already computed, evicting first when the store is
+// capacity-bounded. An object larger than the largest slab class needs no
+// eviction, so ItemStore.Set rejects it before anything changes.
 func (s *Server) set(key, value []byte, h uint32) (uint32, error) {
-	if _, err := s.Store.sizeClass(len(key), len(value)); err != nil {
-		return NoRef, err
-	}
 	for s.Store.NeedsEviction(len(key), len(value)) {
 		victim := s.Store.LRUTail()
 		if victim == NoRef {
 			break
 		}
-		k := s.Store.Key(s.Store.Get(victim))
-		s.Index.Delete(s.Store, Hash32(k), k)
-		if err := s.Store.Delete(victim); err != nil {
-			return NoRef, err
-		}
+		s.remove(victim)
 		s.Evictions++
 	}
 	ref, err := s.Store.Set(key, value)
@@ -190,6 +202,17 @@ func (s *Server) set(key, value []byte, h uint32) (uint32, error) {
 		return NoRef, fmt.Errorf("kvs: indexing %q: %w", key, err)
 	}
 	return ref, nil
+}
+
+// remove deletes the live item ref: its index entry, then the item.
+func (s *Server) remove(ref uint32) {
+	it := s.Store.Get(ref)
+	if it == nil {
+		panic(fmt.Sprintf("kvs: remove of item %d, which is not stored", ref))
+	}
+	k := s.Store.Key(it)
+	s.Index.Delete(s.Store, Hash32(k), k)
+	s.Store.Delete(ref)
 }
 
 // Get looks up one key on a side path: the fleet's rebalance and repair
@@ -369,8 +392,8 @@ func (s *Server) processChunk(wi int, keys [][]byte) MGetResult {
 // when every worker is still pristine the server warms worker 0 once and
 // copies its hierarchy into the others, which ends in exactly the state
 // warming each would. If any worker has already served a batch, each
-// worker is warmed in turn. Side-path lookups (Get, Replace) touch no
-// cache, so they never force that fallback.
+// worker is warmed in turn. Side-path lookups (Get, and Set's lookup of a
+// stored version) touch no cache, so they never force that fallback.
 func (s *Server) WarmCaches() {
 	hotBudget := (s.Arch.LastLevelCacheSize() * 3) / 4
 	warm := func(h *cache.Hierarchy) {
@@ -392,36 +415,29 @@ func (s *Server) WarmCaches() {
 	}
 }
 
-// ApplyPressure transiently spikes the index's load factor: it inserts n
+// ApplyPressure transiently spikes the index's load factor: it Sets n
 // ephemeral items and removes them again, forcing eviction/kick chains at
-// high occupancy — the insert-pressure fault of a fault.Plan. Inserts that
+// high occupancy — the insert-pressure fault of a fault.Plan. Sets that
 // fail (table full, hash collision) are counted, not fatal: a saturated
 // table refusing a set is exactly the condition being injected. Returns
 // the inserted and failed counts.
 func (s *Server) ApplyPressure(n int) (inserted, failed int) {
-	type ephemeral struct {
-		key []byte
-		ref uint32
-	}
-	eph := make([]ephemeral, 0, n)
+	refs := make([]uint32, 0, n)
 	value := []byte("fault-pressure")
 	for i := 0; i < n; i++ {
 		s.pressureSeq++
 		key := []byte(fmt.Sprintf("~fault/pressure-%016x", s.pressureSeq))
-		ref, err := s.Set(key, value)
+		ref, _, err := s.Set(key, value)
 		if err != nil {
 			failed++
 			continue
 		}
-		inserted++
-		eph = append(eph, ephemeral{key, ref})
+		refs = append(refs, ref)
 	}
-	for _, it := range eph {
-		s.Index.Delete(s.Store, Hash32(it.key), it.key)
-		if err := s.Store.Delete(it.ref); err != nil {
-			panic(fmt.Sprintf("kvs: pressure cleanup: %v", err))
-		}
+	for _, ref := range refs {
+		s.remove(ref)
 	}
+	inserted = len(refs)
 	s.PressureInserted += uint64(inserted)
 	s.PressureFailed += uint64(failed)
 	return inserted, failed

@@ -23,7 +23,7 @@ func warmServer(tb testing.TB, items int) (*Server, [][]byte) {
 	var keys [][]byte
 	for i := 0; i < items; i++ {
 		key := []byte(fmt.Sprintf("warm-key-%08d", i))
-		if _, err := srv.Set(key, []byte("value-32-bytes-xxxxxxxxxxxxxxxx")); err == nil {
+		if _, _, err := srv.Set(key, []byte("value-32-bytes-xxxxxxxxxxxxxxxx")); err == nil {
 			keys = append(keys, key)
 		}
 	}

@@ -48,7 +48,7 @@ func refLoad(f *Fleet, count int, item func(i int) (key, value []byte)) ([][]byt
 		a := f.arcs.arcOf(h)
 		keyArc = append(keyArc, a)
 		for _, s := range f.arcs.arcOwners(a) {
-			if _, err := f.Servers[s].Set(key, value); err != nil {
+			if _, _, err := f.Servers[s].Set(key, value); err != nil {
 				return s, err
 			}
 		}

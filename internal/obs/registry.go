@@ -305,9 +305,9 @@ func csvLabels(labels string) string {
 	return strings.ReplaceAll(labels, ",", ";")
 }
 
-// Snapshot returns every rendered metric value in WriteCSV's row order with
-// WriteCSV's exact label transformation and value formatting, so a snapshot
-// and the CSV artifact can never disagree.
+// Snapshot returns every rendered metric value, one per CSV row, in row
+// order. WriteCSV prints exactly these points, so a snapshot and the CSV
+// artifact can never disagree.
 func (r *Registry) Snapshot() []MetricPoint {
 	var out []MetricPoint
 	add := func(kind, name, labels, field, value string) {
@@ -342,35 +342,8 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "type,name,labels,field,value"); err != nil {
 		return err
 	}
-	row := func(kind, name, labels, field, value string) error {
-		labels = strings.TrimPrefix(strings.TrimSuffix(labels, "}"), "{")
-		labels = strings.ReplaceAll(labels, ",", ";")
-		_, err := fmt.Fprintf(w, "%s,%s,%s,%s,%s\n", kind, name, labels, field, value)
-		return err
-	}
-	for _, s := range r.sortedSeries() {
-		var err error
-		switch s.kind {
-		case kindCounter:
-			err = row("counter", s.name, s.labels, "", strconv.FormatUint(s.counter.Value(), 10))
-		case kindGauge:
-			err = row("gauge", s.name, s.labels, "", formatValue(s.gauge.Value()))
-		case kindHistogram:
-			h := s.hist
-			for i, b := range h.bounds {
-				if err = row("histogram", s.name, s.labels, boundName(b), strconv.FormatUint(h.buckets[i].Load(), 10)); err != nil {
-					return err
-				}
-			}
-			if err = row("histogram", s.name, s.labels, "le+Inf", strconv.FormatUint(h.buckets[len(h.bounds)].Load(), 10)); err != nil {
-				return err
-			}
-			if err = row("histogram", s.name, s.labels, "count", strconv.FormatUint(h.Count(), 10)); err != nil {
-				return err
-			}
-			err = row("histogram", s.name, s.labels, "sum", formatValue(h.Sum()))
-		}
-		if err != nil {
+	for _, p := range r.Snapshot() {
+		if _, err := fmt.Fprintf(w, "%s,%s,%s,%s,%s\n", p.Kind, p.Name, p.Labels, p.Field, p.Value); err != nil {
 			return err
 		}
 	}

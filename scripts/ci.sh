@@ -263,14 +263,16 @@ if [ "$(wc -l < "$tmp/advise.csv")" -le 1 ]; then
 fi
 
 # Manifest smoke: a manifest names the -cpu model only when a command that
-# runs on it ran. fig9 fixes its own architectures, so its manifest has no
-# arch; run's names the -cpu model.
+# runs on it ran. fig9 fixes its own architectures and record simulates
+# nothing, so their manifests have no arch; run's names the -cpu model.
 echo "==> manifest smoke (arch only for commands that run on -cpu)"
 "$tmp/simdhtbench" -cpu zen2 -queries 100 -manifest "$tmp/fig9m.json" fig9 > /dev/null
+"$tmp/simdhtbench" -cpu zen2 -queries 100 -keytrace "$tmp/record.trace" \
+    -manifest "$tmp/recordm.json" record > /dev/null
 "$tmp/simdhtbench" -cpu zen2 -queries 100 -manifest "$tmp/runm.json" run > /dev/null
-if grep -q '"arch"' "$tmp/fig9m.json" || ! grep -q '"arch": "AMD Zen 2' "$tmp/runm.json"; then
-    echo "ci.sh: the fig9 manifest names an arch, or the run manifest does not name -cpu's:" >&2
-    grep '"arch"' "$tmp/fig9m.json" "$tmp/runm.json" >&2 || true
+if grep -q '"arch"' "$tmp/fig9m.json" "$tmp/recordm.json" || ! grep -q '"arch": "AMD Zen 2' "$tmp/runm.json"; then
+    echo "ci.sh: the fig9 or record manifest names an arch, or the run manifest does not name -cpu's:" >&2
+    grep '"arch"' "$tmp/fig9m.json" "$tmp/recordm.json" "$tmp/runm.json" >&2 || true
     exit 1
 fi
 
