@@ -39,14 +39,17 @@ bench:
 # Short native-fuzz pass, one run per fuzzer: FuzzNetsimDeliver (message
 # delivery), FuzzMultiGet (the Multi-Get path), FuzzFindMatchesLookupBatch
 # (the functional one-key Index.Find against the charged LookupBatch),
+# FuzzServerMatchesLRUOracle (the server's Sets, Gets and Multi-Gets under
+# a byte cap against a map-plus-LRU oracle),
 # FuzzItemStoreBytes (the item store's byte blocks against a map oracle),
-# FuzzRingMembership (ring Join/Leave histories and hash-keyed lookups),
+# FuzzRingMembership (ring Join/Leave histories, hash-keyed lookups and Arc
+# against a binary search),
 # FuzzRebalanceMatchesReference (the fleet's per-arc rebalance planner
 # against the per-key loop it replaced), FuzzFleetLoadMatchesReference (the
 # fleet's server-major load against the key-major loop it replaced),
 # FuzzParseSpec (fault specs),
-# FuzzInsertMatchesReference (the cuckoo insert path against its reference
-# search), FuzzVecMatchesReference (the vector register against its
+# FuzzInsertMatchesReference (the cuckoo insert path, the refusing
+# InsertNew included, against its reference search), FuzzVecMatchesReference (the vector register against its
 # byte-array reference), FuzzHierarchyMatchesReference (the cache hierarchy
 # against its reference LRU), FuzzPartitionedMatchesReference (the DES
 # engine against its reference window loop and merge), FuzzCFGBuild (the
@@ -59,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/netsim -fuzz FuzzNetsimDeliver -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzMultiGet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -run '^$$' -fuzz FuzzFindMatchesLookupBatch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kvs -run '^$$' -fuzz FuzzServerMatchesLRUOracle -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -run '^$$' -fuzz FuzzItemStoreBytes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvs -fuzz FuzzRingMembership -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/memslap -run '^$$' -fuzz FuzzRebalanceMatchesReference -fuzztime $(FUZZTIME)

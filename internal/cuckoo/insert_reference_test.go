@@ -67,11 +67,16 @@ func arenaBytes(t *Table) []byte { return t.Arena.Bytes(0, t.Arena.Size()) }
 // implementations and fails on the first divergence.
 //
 // Per-insert: random keys (zero included, so the error path is compared
-// too) go in through Insert or InsertCharged, with an occasional Delete,
-// until the target load factor or an attempt budget; after every insert
-// the error, arena bytes, count, relocations and modelled BFS node count
-// must match, and after every charged one the two engines' cycles, memory
-// cycles, op count and per-class cycles.
+// too) go in through Insert, InsertNew (every other uncharged attempt) or
+// InsertCharged, with an occasional Delete, until the target load factor
+// or an attempt budget; after every insert the error, arena bytes, count,
+// relocations and modelled BFS node count must match, and after every
+// charged one the two engines' cycles, memory cycles, op count and
+// per-class cycles. InsertNew of a key the table holds must return
+// ErrExists where the reference updates the payload in place (to the same
+// value). After every attempt a stored key goes in again through InsertNew
+// with another payload, which must return ErrExists and leave the arena,
+// the shadow keys and the count as the reference's.
 //
 // Fill: fresh tables first take c.prefill odd keys (never a fill's draw)
 // whose payloads are not PayloadFor. FillRandom must then return the
@@ -101,9 +106,20 @@ func checkInsertMatchesReference(t *testing.T, c refCase) refFound {
 		charged := rng.Intn(3) == 0
 		before := a.Count()
 		var errA, errB error
-		if charged {
+		switch {
+		case charged:
 			errA, errB = a.InsertCharged(ea, key, val), ref.insertCharged(eb, key, val)
-		} else {
+		case attempt%2 == 1:
+			_, held := a.Lookup(key)
+			held = held && key != 0 // Lookup(0) finds an empty slot
+			errA, errB = a.InsertNew(key, val), ref.insert(key, val)
+			if held {
+				if errA != ErrExists || errB != nil {
+					t.Fatalf("%v: InsertNew %d of held key %#x: err %v, reference %v; want ErrExists and nil", c, attempt, key, errA, errB)
+				}
+				errA = nil
+			}
+		default:
 			errA, errB = a.Insert(key, val), ref.insert(key, val)
 		}
 		if fmt.Sprint(errA) != fmt.Sprint(errB) {
@@ -123,6 +139,15 @@ func checkInsertMatchesReference(t *testing.T, c refCase) refFound {
 		}
 		if a.Count() > before {
 			stored = append(stored, key)
+		}
+		if len(stored) > 0 {
+			k := stored[attempt%len(stored)]
+			if err := a.InsertNew(k, ^PayloadFor(k, c.layout.ValBits)&c.layout.ValMask()); err != ErrExists {
+				t.Fatalf("%v: InsertNew of stored key %#x after insert %d: err %v, want ErrExists", c, k, attempt, err)
+			}
+			if a.Count() != ref.Count() || !bytes.Equal(arenaBytes(a), arenaBytes(ref.Table)) || !slices.Equal(a.shadowKeys, ref.shadowKeys) {
+				t.Fatalf("%v: InsertNew of stored key %#x after insert %d changed the table", c, k, attempt)
+			}
 		}
 	}
 

@@ -16,6 +16,9 @@ import (
 // slot can be found; the table has reached its maximum load factor.
 var ErrFull = errors.New("cuckoo: table full (no eviction path found)")
 
+// ErrExists is returned by InsertNew when the key is already stored.
+var ErrExists = errors.New("cuckoo: key already stored")
+
 // DefaultMaxBFSNodes bounds the breadth-first eviction-path search: the
 // queue stops growing once it holds this many buckets, though the bucket
 // being expanded may still append one per remaining slot (so the queue can
@@ -182,7 +185,17 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 // Returns ErrFull when no eviction path exists.
 //
 //lint:hotpath zero-alloc steady state pinned by AllocsPerRun tests
-func (t *Table) Insert(key, val uint64) error {
+func (t *Table) Insert(key, val uint64) error { return t.insert(key, val, true) }
+
+// InsertNew stores (key, val) when key is not stored, as Insert does, and
+// otherwise returns ErrExists and changes nothing. One scan of the key's
+// candidate buckets both finds a stored copy and picks the slot for a new
+// one, where a Lookup followed by an Insert scans them twice.
+func (t *Table) InsertNew(key, val uint64) error { return t.insert(key, val, false) }
+
+// insert is Insert, which updates a stored key's payload, and InsertNew,
+// which refuses a stored key.
+func (t *Table) insert(key, val uint64, update bool) error {
 	t.lastMoves = t.lastMoves[:0]
 	t.lastBFSNodes = 0
 	if key == 0 {
@@ -195,7 +208,8 @@ func (t *Table) Insert(key, val uint64) error {
 		return fmt.Errorf("cuckoo: payload %#x exceeds %d bits", val, t.L.ValBits)
 	}
 
-	// Update in place, or take the first empty slot in a candidate bucket.
+	// Update in place (or refuse), or take the first empty slot in a
+	// candidate bucket.
 	shadow, m := t.shadowKeys, t.L.M
 	emptyB, emptyS := -1, -1
 	for i := 0; i < t.L.N; i++ {
@@ -204,6 +218,9 @@ func (t *Table) Insert(key, val uint64) error {
 		for s := 0; s < m; s++ {
 			switch shadow[base+s] {
 			case key:
+				if !update {
+					return ErrExists
+				}
 				t.setSlot(b, s, key, val)
 				return nil
 			case 0:

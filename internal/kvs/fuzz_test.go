@@ -3,6 +3,8 @@ package kvs
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"simdhtbench/internal/arch"
@@ -347,6 +349,174 @@ func FuzzItemStoreBytes(f *testing.F) {
 			for h, o := range handed {
 				if !bytes.Equal(o.got, o.want) {
 					t.Fatalf("%s: handed-out slice %d changed", step, h)
+				}
+			}
+		}
+	})
+}
+
+// lruOracle is FuzzServerMatchesLRUOracle's model of a capacity-bounded
+// server: the stored values, the keys in LRU order (most recent first), the
+// slab bytes they are charged and the evictions so far.
+type lruOracle struct {
+	vals      map[string]string
+	lru       []string
+	used      int
+	maxBytes  int
+	evictions int
+}
+
+// chunk is the slab chunk an object of key k and value v is charged.
+func chunk(k, v string) int {
+	for _, c := range slabClassSizes {
+		if c >= itemHeaderBytes+len(k)+len(v) {
+			return c
+		}
+	}
+	panic("object exceeds the largest slab class")
+}
+
+func (o *lruOracle) remove(k string) {
+	o.used -= chunk(k, o.vals[k])
+	delete(o.vals, k)
+	o.lru = slices.DeleteFunc(o.lru, func(x string) bool { return x == k })
+}
+
+// set is Server.Set of an object within the largest slab class: the stored
+// version leaves, least-recently-used keys are evicted until the new object
+// fits under maxBytes or nothing is left, and the object is stored at the
+// LRU front, unless oneKeyPerHash (a SIMD index) and a surviving key shares
+// its 32-bit hash. It returns whether a version was replaced and whether
+// the Set was rejected.
+func (o *lruOracle) set(k, v string, oneKeyPerHash bool) (replaced, rejected bool) {
+	if _, replaced = o.vals[k]; replaced {
+		o.remove(k)
+	}
+	c := chunk(k, v)
+	for o.maxBytes > 0 && o.used+c > o.maxBytes && len(o.lru) > 0 {
+		o.remove(o.lru[len(o.lru)-1])
+		o.evictions++
+	}
+	if oneKeyPerHash {
+		for p := range o.vals {
+			if Hash32([]byte(p)) == Hash32([]byte(k)) {
+				return replaced, true
+			}
+		}
+	}
+	o.vals[k] = v
+	o.lru = append([]string{k}, o.lru...)
+	o.used += c
+	return replaced, false
+}
+
+// touch is a Multi-Get hit's LRU update: k moves to the front.
+func (o *lruOracle) touch(k string) {
+	o.lru = slices.DeleteFunc(o.lru, func(x string) bool { return x == k })
+	o.lru = append([]string{k}, o.lru...)
+}
+
+// FuzzServerMatchesLRUOracle runs random programs of Sets, oversized Sets,
+// Gets and HandleMGet batches on a server of each backend whose store is
+// capped at MaxBytes, against lruOracle. The first program byte picks the
+// cap (0, unbounded, or 512 to 3,584 bytes); then each byte triple is an
+// op, a findPool key and a size: a Set's value length (1 to 3,061 bytes,
+// so objects span the 64 B to 4 KB slab classes and a Set may evict every
+// other item) or a batch's length and stride over findPool (duplicates
+// included). findPool's colliding pairs make a SIMD index refuse a key
+// whose hash partner survives the Set's evictions, after those evictions.
+// After every step each pool key's Get must return the oracle's value, and
+// the store's live items, LRU order, charged bytes and the server's
+// eviction count must equal the oracle's; every batch's values must be the
+// oracle's, and its hits move to the LRU front in batch order.
+func FuzzServerMatchesLRUOracle(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 0, 10, 0, 1, 10, 0, 2, 10, 3, 0, 1, 0, 3, 20})        // cap 1024: three Sets, a batch touches key-0, a fourth Set evicts key-1
+	f.Add([]byte{3, 0, 4, 10, 0, 5, 10, 2, 5, 0, 0, 5, 100})                 // cap 1536: a colliding pair; its second key evicts the first, then is stored
+	f.Add([]byte{1, 0, 6, 5, 0, 7, 5, 0, 0, 255, 1, 0, 0, 3, 6, 17})         // cap 512: a Set evicts everything; an oversized Set changes nothing
+	f.Add([]byte{2, 0, 4, 10, 0, 0, 20, 3, 4, 1, 0, 5, 20})                  // cap 1024: a colliding key evicts key-0, then SIMD refuses it: its partner survived
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 0, 1, 3, 3, 0, 8, 2, 2, 0, 0, 0, 250}) // unbounded: a replaced Set, a batch of every key, a Get
+	largest := slabClassSizes[len(slabClassSizes)-1] - itemHeaderBytes
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 1+3*64 {
+			prog = prog[:1+3*64]
+		}
+		maxBytes := 0
+		if len(prog) > 0 {
+			maxBytes = int(prog[0]%8) * 512
+			prog = prog[1:]
+		}
+		for _, tc := range testBackends {
+			pd := des.NewPartitioned(1, 1, 1e-6)
+			space := mem.NewAddressSpace()
+			idx, err := tc.mk(space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(pd.Sim(0), arch.SkylakeClusterB(), 2, 64, idx, NewItemStore(space))
+			srv.Store.MaxBytes = maxBytes
+			_, memc3 := idx.(*MemC3Index)
+			o := &lruOracle{vals: map[string]string{}, maxBytes: maxBytes}
+			for i := 0; i+2 < len(prog); i += 3 {
+				op, ki, size := prog[i]%4, int(prog[i+1])%len(findPool), int(prog[i+2])
+				k := findPool[ki]
+				step := fmt.Sprintf("%s, cap %d, step %d (op %d)", tc.name, maxBytes, i/3, op)
+				switch op {
+				case 0: // Set
+					v := fmt.Sprintf("%d:%s:", i, k)
+					v = (v + strings.Repeat("v", 12*size+1))[:12*size+1]
+					_, replaced, err := srv.Set(k, []byte(v))
+					wantReplaced, rejected := o.set(string(k), v, !memc3)
+					if replaced != wantReplaced || (err != nil) != rejected {
+						t.Fatalf("%s: Set(%q) = (replaced %v, %v), oracle replaced %v, rejected %v", step, k, replaced, err, wantReplaced, rejected)
+					}
+				case 1: // an oversized Set
+					if _, replaced, err := srv.Set(k, make([]byte, largest-len(k)+1+size)); err == nil || replaced {
+						t.Fatalf("%s: oversized Set(%q) = (replaced %v, %v), want rejected", step, k, replaced, err)
+					}
+				case 2: // Get, checked with every key below
+				case 3: // a Multi-Get batch
+					batch := make([][]byte, size%9)
+					for j := range batch {
+						batch[j] = findPool[(ki+j*(size/9+1))%len(findPool)]
+					}
+					fired := 0
+					var res MGetResult
+					srv.HandleMGet(batch, func(r MGetResult) { res, fired = r, fired+1 })
+					pd.Run()
+					if fired != 1 || len(res.Values) != len(batch) {
+						t.Fatalf("%s: done fired %d times with %d values for %d keys", step, fired, len(res.Values), len(batch))
+					}
+					found := 0
+					for j, bk := range batch {
+						want, ok := o.vals[string(bk)]
+						if got := res.Values[j]; (got != nil) != ok || string(got) != want {
+							t.Fatalf("%s: batch key %d (%q) = %q, oracle (%q, %v)", step, j, bk, got, want, ok)
+						}
+						if ok {
+							o.touch(string(bk))
+							found++
+						}
+					}
+					if res.Found != found {
+						t.Fatalf("%s: batch found %d, oracle %d", step, res.Found, found)
+					}
+				}
+				for _, pk := range findPool {
+					want, ok := o.vals[string(pk)]
+					if got, stored := srv.Get(pk); stored != ok || string(got) != want {
+						t.Fatalf("%s: Get(%q) = (%q, %v), oracle (%q, %v)", step, pk, got, stored, want, ok)
+					}
+				}
+				var lru []string
+				for _, ref := range lruOrder(srv.Store) {
+					lru = append(lru, string(srv.Store.Key(srv.Store.Get(ref))))
+				}
+				if n := liveItems(srv.Store); n != len(o.vals) || !slices.Equal(lru, o.lru) {
+					t.Fatalf("%s: %d live items in LRU order %q, oracle %d in %q", step, n, lru, len(o.vals), o.lru)
+				}
+				if srv.Store.usedBytes != o.used || srv.Evictions != uint64(o.evictions) {
+					t.Fatalf("%s: %d bytes charged and %d evictions, oracle %d and %d", step, srv.Store.usedBytes, srv.Evictions, o.used, o.evictions)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 
@@ -25,8 +26,12 @@ const memcmpCyclesPerByte = 0.25
 type Index interface {
 	// Name identifies the backend in reports, e.g. "MemC3".
 	Name() string
-	// Insert maps hash32 → ref (uncharged; the paper's workloads are
-	// loaded before measurement).
+	// Insert maps hash32 → ref for an item the server has just stored
+	// (uncharged; the paper's workloads are loaded before measurement). The
+	// server removes a stored version of the key first, so a SIMD index,
+	// which keeps one key per 32-bit hash, fails an Insert of a hash it
+	// holds (another key has that hash), found by the same scan that picks
+	// the slot. MemC3, whose lookups verify full keys, adds the entry.
 	Insert(hash32 uint32, ref uint32) error
 	// LookupBatch resolves each key: refs[i] = item ref or NoRef. Keys and
 	// their 32-bit hashes arrive pre-parsed (the pre-processing phase).
@@ -144,13 +149,14 @@ func (x *simdIndex) Delete(_ *ItemStore, hash32 uint32, _ []byte) bool {
 	return x.table.Delete(tableKey(hash32))
 }
 
-// Insert implements Index.
+// Insert implements Index with one scan of the hash's candidate buckets
+// (cuckoo.Table.InsertNew), which refuses a hash the table already holds.
 func (x *simdIndex) Insert(hash32, ref uint32) error {
-	key := tableKey(hash32)
-	if _, exists := x.table.Lookup(key); exists {
+	err := x.table.InsertNew(tableKey(hash32), uint64(ref))
+	if errors.Is(err, cuckoo.ErrExists) {
 		return fmt.Errorf("kvs: 32-bit hash %#x is already held by another stored key; a SIMD index keeps one key per hash", hash32)
 	}
-	return x.table.Insert(key, uint64(ref))
+	return err
 }
 
 // Find implements Index over the table's shadow keys: the uncharged

@@ -3,6 +3,7 @@ package kvs
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -27,6 +28,13 @@ type Ring struct {
 	members []int // sorted distinct server ids
 	vnodes  int
 	epoch   int
+
+	// arcStart indexes the points by the top bits of their hashes: the
+	// points whose hash has top bits b are points[arcStart[b]:arcStart[b+1]].
+	// It has 2^k+1 entries for the smallest k with 2^k > len(points), so a
+	// bucket holds less than one point on average and Arc scans about one.
+	arcStart []int32
+	arcShift uint // 64 − k
 }
 
 type ringPoint struct {
@@ -77,7 +85,23 @@ func NewRingMembers(members []int, vnodes int) (*Ring, error) {
 		r.points = append(r.points, vnodePoints(s, vnodes)...)
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	r.indexArcs()
 	return r, nil
+}
+
+// indexArcs builds arcStart over the sorted points. Every constructor calls
+// it once its points are in place.
+func (r *Ring) indexArcs() {
+	k := bits.Len(uint(len(r.points)))
+	r.arcShift = uint(64 - k)
+	r.arcStart = make([]int32, 1<<k+1)
+	i := 0
+	for b := range r.arcStart {
+		for i < len(r.points) && r.points[i].hash>>r.arcShift < uint64(b) {
+			i++
+		}
+		r.arcStart[b] = int32(i)
+	}
 }
 
 // vnodePoints hashes one server's virtual nodes. The hash strings are the
@@ -136,6 +160,7 @@ func (r *Ring) Join(id int) (*Ring, error) {
 		rest = rest[i:]
 	}
 	nr.points = append(nr.points, rest...)
+	nr.indexArcs()
 	return nr, nil
 }
 
@@ -162,6 +187,7 @@ func (r *Ring) Leave(id int) (*Ring, error) {
 			nr.points = append(nr.points, p)
 		}
 	}
+	nr.indexArcs()
 	return nr, nil
 }
 
@@ -172,9 +198,16 @@ func (r *Ring) Arcs() int { return len(r.points) }
 
 // Arc returns the arc of hash h: the index of the first ring point at or
 // after h, wrapping to point 0. Among points of equal hash it is the
-// first.
+// first. It scans only the points that share h's top bits (arcStart):
+// every point before them hashes below h and every point after them above,
+// so the first of them at or after h, or else the first point after them,
+// is the answer, found in nearly constant time.
 func (r *Ring) Arc(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	b := h >> r.arcShift
+	i, end := int(r.arcStart[b]), int(r.arcStart[b+1])
+	for i < end && r.points[i].hash < h {
+		i++
+	}
 	if i == len(r.points) {
 		return 0
 	}

@@ -2,6 +2,9 @@ package kvs
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"simdhtbench/internal/hashfn"
@@ -13,7 +16,9 @@ import (
 // advance by exactly one, members stay sorted and distinct, and
 // ReplicaOwners never returns a non-member or panics on clamped n, and its
 // rank-0 entry is the first ring point at or after the hash (checked at the
-// ends of the hash space and on both sides of ring points). The ring
+// ends of the hash space and on both sides of ring points). Arc must agree
+// with searchArc, the binary search it replaced, on the ring and on rings
+// of the same points with equal hashes (checkArcs, tiedRings). The ring
 // converges: rebuilding a fresh ring over the surviving member set places
 // keys identically to the ring that got there incrementally, and holds the
 // same points in the same order (Join merges, a fresh ring sorts).
@@ -33,6 +38,7 @@ func FuzzRingMembership(f *testing.F) {
 			keyHashes = append(keyHashes, hashfn.HashBytes([]byte(key)))
 		}
 		keyHashes = append(keyHashes, 0, 1, ^uint64(0))
+		checkArcs(t, "the first ring", ring)
 		for step, b := range ops {
 			id := int(b>>1) % 16
 			var next *Ring
@@ -54,6 +60,10 @@ func FuzzRingMembership(f *testing.F) {
 				t.Fatalf("step %d: epoch %d -> %d", step, ring.Epoch(), next.Epoch())
 			}
 			ring = next
+			checkArcs(t, fmt.Sprintf("step %d", step), ring)
+			for _, tied := range tiedRings(ring, uint(vn)%64) {
+				checkArcs(t, fmt.Sprintf("step %d, equal hashes", step), tied)
+			}
 			members := ring.members
 			inSet := make(map[int]bool, len(members))
 			for i, m := range members {
@@ -117,4 +127,52 @@ func FuzzRingMembership(f *testing.F) {
 			}
 		}
 	})
+}
+
+// searchArc is Arc's oracle: the binary search Arc replaced, for the first
+// point at or after h, wrapping to point 0.
+func searchArc(r *Ring, h uint64) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		return 0
+	}
+	return i
+}
+
+// checkArcs fails unless Arc agrees with searchArc at both ends of the hash
+// space and at every point's hash and its two neighbours.
+func checkArcs(t *testing.T, what string, r *Ring) {
+	t.Helper()
+	hs := []uint64{0, math.MaxUint64}
+	for _, p := range r.points {
+		hs = append(hs, p.hash-1, p.hash, p.hash+1)
+	}
+	for _, h := range hs {
+		if got, want := r.Arc(h), searchArc(r, h); got != want {
+			t.Fatalf("%s: Arc(%#x) = %d, the first of %d points at or after it is %d", what, h, got, len(r.points), want)
+		}
+	}
+}
+
+// tiedRings returns rings over r's points with their hashes coarsened,
+// which keeps them sorted and gives many points equal hashes: with the low
+// sh, 56 or 63 bits cleared (equal hashes spread over the arc index), and
+// with the hashes shifted down by 60 bits (every point in the first bucket
+// of the arc index, most of them tied).
+func tiedRings(r *Ring, sh uint) []*Ring {
+	var out []*Ring
+	for _, coarsen := range []func(uint64) uint64{
+		func(h uint64) uint64 { return h &^ (1<<sh - 1) },
+		func(h uint64) uint64 { return h &^ (1<<56 - 1) },
+		func(h uint64) uint64 { return h &^ (1<<63 - 1) },
+		func(h uint64) uint64 { return h >> 60 },
+	} {
+		tied := &Ring{points: slices.Clone(r.points), members: r.members, vnodes: r.vnodes, epoch: r.epoch}
+		for i := range tied.points {
+			tied.points[i].hash = coarsen(tied.points[i].hash)
+		}
+		tied.indexArcs()
+		out = append(out, tied)
+	}
+	return out
 }

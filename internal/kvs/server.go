@@ -165,10 +165,13 @@ func (s *Server) Set(key, value []byte) (ref uint32, replaced bool, err error) {
 // takes as given instead of hashing the key again. The keys must be
 // distinct and absent from the server (the fleet load stores distinct keys
 // on fresh servers), so Load looks nothing up; otherwise it stores as n
-// Sets would. Before the first item it grows the store's item table once,
-// to hold exactly n more items, so a load never regrows it (on a fresh
-// server the table ends with capacity n). It stops at the first item that
-// fails and returns the number of items stored before it with its error.
+// Sets would. Each item costs one scan of the index's candidate buckets: a
+// SIMD index's Insert refuses a held hash in the scan that places it, where
+// Set's Find scans them once more. Before the first item it grows the
+// store's item table once, to hold exactly n more items, so a load never
+// regrows it (on a fresh server the table ends with capacity n). It stops
+// at the first item that fails and returns the number of items stored
+// before it with its error.
 func (s *Server) Load(n int, item func(j int) (key, value []byte, h uint32)) (int, error) {
 	s.Store.reserve(n)
 	for j := 0; j < n; j++ {

@@ -103,16 +103,18 @@ func BenchmarkRunFleet(b *testing.B) {
 var fleetLoadSink [][]byte
 
 // BenchmarkFleetLoad times LoadFleet alone: each iteration builds a fresh,
-// empty R=3 fleet with the timer stopped, so B/op and allocs/op are the
-// load's own. The two shapes are simbench's fleet-churn fleet and the
-// widest point of kvsbench's fleet study, with indexes sized as
-// BenchmarkAdvanceRing sizes them: each server's R/n share plus slack.
+// empty fleet with the timer stopped, so B/op and allocs/op are the load's
+// own. The shapes are simbench's fleet-churn fleet (8 servers, R=3) and
+// overload-2x fleet (4 servers, R=2), both of 20,000 items, and the widest
+// point of kvsbench's fleet study, with indexes sized as simbench and
+// BenchmarkAdvanceRing size them: each server's R/n share plus slack.
 func BenchmarkFleetLoad(b *testing.B) {
 	for _, c := range []struct {
 		name                 string
 		servers, items, repl int
 	}{
 		{"servers=8", 8, 20000, 3},
+		{"servers=4", 4, 20000, 2},
 		{"servers=64", 64, 200000, 3},
 	} {
 		b.Run(c.name, func(b *testing.B) {

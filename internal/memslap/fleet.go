@@ -3,6 +3,7 @@ package memslap
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -153,10 +154,15 @@ func (f *Fleet) LoadFleet(count, keyBytes, valueBytes int) ([][]byte, error) {
 	for i := range value {
 		value[i] = byte('a' + i%26)
 	}
-	return f.load(count,
-		func(i int) ([]byte, int) { return makeKey(i, keyBytes), valueBytes },
+	return f.load(count, keyBytes,
+		func(dst []byte, i int) ([]byte, int) { return appendKey(dst, i, keyBytes), valueBytes },
 		func(int, int) []byte { return value })
 }
+
+// etcMeanKeyBytes is about the mean ETC key length (workload.ETC: 16 bytes
+// plus a generalized Pareto of mean 14), so an ETC load's key buffer
+// rarely grows.
+const etcMeanKeyBytes = 32
 
 // LoadETC loads `count` items whose key and value sizes follow the
 // Facebook ETC distributions (workload.ETC, seeded with seed) instead of
@@ -168,10 +174,10 @@ func (f *Fleet) LoadFleet(count, keyBytes, valueBytes int) ([][]byte, error) {
 func (f *Fleet) LoadETC(count int, seed int64) ([][]byte, error) {
 	etc := workload.NewETC(seed)
 	var buf []byte
-	return f.load(count,
-		func(i int) ([]byte, int) {
-			it := etc.Items(1)[0]
-			return makeKey(i, it.KeyLen), it.ValLen
+	return f.load(count, etcMeanKeyBytes,
+		func(dst []byte, i int) ([]byte, int) {
+			it := etc.Item()
+			return appendKey(dst, i, it.KeyLen), it.ValLen
 		},
 		func(i, n int) []byte {
 			buf = slices.Grow(buf[:0], n)[:n]
@@ -186,9 +192,11 @@ func (f *Fleet) LoadETC(count int, seed int64) ([][]byte, error) {
 // planLoad draws, hashes and places every key, setting nothing; then each
 // server, in id order, stores its whole share in load order through one
 // kvs.Server.Load, with the plan's 32-bit hashes and its item table grown
-// once to exactly that share. item draws candidate i's key and value
-// length, in order; value(i, n) returns candidate i's value of n bytes,
-// which only needs to last until the next call.
+// once to exactly that share. item appends candidate i's key to dst and
+// returns the longer slice and the value length, in order of i; keyBytes
+// is the expected key length, which sizes the plan's key buffer. value(i,
+// n) returns candidate i's value of n bytes, which only needs to last until
+// the next call.
 //
 // Every server has its own address space, item store and index, so each
 // sees the same Sets in the same order as a key-major loop that sets each
@@ -196,8 +204,8 @@ func (f *Fleet) LoadETC(count int, seed int64) ([][]byte, error) {
 // working set shrinks to one server's. A failing Set is reported as the
 // key-major loop would meet it first: at the lowest key index, then the
 // first server in that key's replica order.
-func (f *Fleet) load(count int, item func(i int) (key []byte, valLen int), value func(i, n int) []byte) ([][]byte, error) {
-	p := f.planLoad(count, item)
+func (f *Fleet) load(count, keyBytes int, item func(dst []byte, i int) ([]byte, int), value func(i, n int) []byte) ([][]byte, error) {
+	p := f.planLoad(count, keyBytes, item)
 	var failed *LoadError
 	failAt := 0 // failed's position in the key-major loop's sequence of Sets
 	for s, srv := range f.Servers {
@@ -239,40 +247,53 @@ type loadPlan struct {
 }
 
 // planLoad draws count keys and lays out each server's share. Candidate i
-// is item(i), drawn in order; a candidate whose 32-bit hash (kvs.Hash32,
-// the mix of its hashfn.HashBytes value) repeats an earlier key's is
-// skipped, so every loaded key is retrievable through the SIMD index (which
-// resolves by full-key verification only within one hash). Each key is
-// hashed once. The shares come from the arc table: the keys per arc are
-// added to each of the arc's R owners, and one counting sort over the keys
-// in load order fills them.
-func (f *Fleet) planLoad(count int, item func(i int) (key []byte, valLen int)) *loadPlan {
+// is item(buf, i), drawn in order; a candidate whose 32-bit hash
+// (kvs.Hash32, the mix of its hashfn.HashBytes value) repeats an earlier
+// key's is skipped (a hashSet keeps the first), so every loaded key is
+// retrievable through the SIMD index (which resolves by full-key
+// verification only within one hash). Each key is hashed once. Every key
+// is appended to one buffer, sized for count keys of keyBytes, and a
+// skipped candidate's bytes are dropped again; the keys are cut from the
+// final buffer, each with no spare capacity, so a load whose keys are
+// keyBytes long makes one allocation for all of them. The shares come from
+// the arc table: the keys per arc are added to each of the arc's R owners,
+// and one counting sort over the keys in load order fills them.
+func (f *Fleet) planLoad(count, keyBytes int, item func(dst []byte, i int) ([]byte, int)) *loadPlan {
 	p := &loadPlan{
-		keys:   make([][]byte, 0, count),
 		ord:    make([]int32, 0, count),
 		valLen: make([]int32, 0, count),
 		arc:    make([]int32, 0, count),
 		h32:    make([]uint32, 0, count),
 	}
-	seen := make(map[uint32]struct{}, count)
-	for i := 0; len(p.keys) < count; i++ {
+	buf := make([]byte, 0, count*keyBytes)
+	ends := make([]int, 0, count) // key k is buf[ends[k-1]:ends[k]]
+	seen := newHashSet(count)
+	for i := 0; len(ends) < count; i++ {
 		if i > count*2+1000 {
-			p.err = &LoadError{Server: -1, Loaded: len(p.keys), Want: count,
+			p.err = &LoadError{Server: -1, Loaded: len(ends), Want: count,
 				Err: fmt.Errorf("too many 32-bit hash collisions")}
 			break
 		}
-		key, valLen := item(i)
-		h := hashfn.HashBytes(key)
+		start := len(buf)
+		var valLen int
+		buf, valLen = item(buf, i)
+		h := hashfn.HashBytes(buf[start:])
 		h32 := hashfn.Mix64to32(h)
-		if _, dup := seen[h32]; dup {
+		if !seen.add(h32) {
+			buf = buf[:start]
 			continue
 		}
-		seen[h32] = struct{}{}
-		p.keys = append(p.keys, key)
+		ends = append(ends, len(buf))
 		p.ord = append(p.ord, int32(i))
 		p.valLen = append(p.valLen, int32(valLen))
 		p.arc = append(p.arc, f.arcs.arcOf(h))
 		p.h32 = append(p.h32, h32)
+	}
+	p.keys = make([][]byte, len(ends))
+	start := 0
+	for k, end := range ends {
+		p.keys[k] = buf[start:end:end]
+		start = end
 	}
 	n := len(f.Servers)
 	perArc := make([]int32, f.arcs.ring.Arcs())
@@ -297,6 +318,47 @@ func (f *Fleet) planLoad(count int, item func(i int) (key []byte, valLen int)) *
 		}
 	}
 	return p
+}
+
+// hashSet is planLoad's set of the 32-bit hashes it has kept: open
+// addressing with linear probing over a power-of-two slot array at most
+// half full, so an add is a multiply and a probe or two, with one
+// allocation per load. A slot holds a hash or 0 (empty), so hash 0 has a
+// flag of its own.
+type hashSet struct {
+	slots []uint32
+	shift uint // 32 − log2(len(slots)): a hash's home slot is its top bits after a multiply
+	zero  bool // whether hash 0 is in the set
+}
+
+// newHashSet returns an empty set with at least 2n slots, for up to n
+// hashes.
+func newHashSet(n int) hashSet {
+	lg := bits.Len(uint(max(2*n-1, 1)))
+	return hashSet{slots: make([]uint32, 1<<lg), shift: uint(32 - lg)}
+}
+
+// home returns the slot where the probe for h starts.
+func (s *hashSet) home(h uint32) uint32 { return (h * 0x9e3779b9) >> s.shift }
+
+// add inserts h and reports whether it was absent. The set must hold fewer
+// hashes than it has slots.
+func (s *hashSet) add(h uint32) bool {
+	if h == 0 {
+		absent := !s.zero
+		s.zero = true
+		return absent
+	}
+	mask := uint32(len(s.slots) - 1)
+	for i := s.home(h); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = h
+			return true
+		case h:
+			return false
+		}
+	}
 }
 
 // owners returns key k's replica set under the current ring: its arc's

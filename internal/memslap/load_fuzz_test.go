@@ -3,6 +3,8 @@ package memslap
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -74,7 +76,7 @@ func refLoadFleet(f *Fleet, count, keyBytes, valueBytes int) ([][]byte, error) {
 func refLoadETC(f *Fleet, count int, seed int64) ([][]byte, error) {
 	etc := workload.NewETC(seed)
 	return refLoad(f, count, func(i int) ([]byte, []byte) {
-		it := etc.Items(1)[0]
+		it := etc.Item()
 		value := make([]byte, it.ValLen)
 		for j := range value {
 			value[j] = byte('A' + (i+j)%26)
@@ -85,7 +87,8 @@ func refLoadETC(f *Fleet, count int, seed int64) ([][]byte, error) {
 
 // FuzzFleetLoadMatchesReference loads one fleet with LoadFleet or LoadETC
 // and an identically built one with the key-major reference loop, and
-// fails unless both return the same keys with the same arcs and leave every
+// fails unless both return the same keys (the load's with no spare
+// capacity, though they share one buffer) with the same arcs and leave every
 // server's item store and index deeply equal, or, when a Set fails, unless
 // both return the same *LoadError. servers picks 1–8 servers, repl the
 // replication R in 1..min(3, servers), backend MemC3, horizontal or
@@ -137,6 +140,11 @@ func FuzzFleetLoadMatchesReference(f *testing.F) {
 		if !reflect.DeepEqual(gotKeys, wantKeys) {
 			t.Fatalf("%s: loaded keys differ from the reference's", shape)
 		}
+		for k, key := range gotKeys {
+			if cap(key) != len(key) {
+				t.Fatalf("%s: key %d has %d bytes of room past its %d, where an append would write over the next key", shape, k, cap(key)-len(key), len(key))
+			}
+		}
 		if !reflect.DeepEqual(got.keys, want.keys) || !reflect.DeepEqual(got.arcs.keyArc, want.arcs.keyArc) {
 			t.Fatalf("%s: the fleet's keys or their arcs differ from the reference's", shape)
 		}
@@ -149,4 +157,56 @@ func FuzzFleetLoadMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestHashSetMatchesMap pins planLoad's hashSet against the
+// map[uint32]struct{} it replaced: every add reports absent exactly when
+// the map lacks the hash, so a repeated hash keeps its first key. Each set
+// takes its n distinct hashes: hash 0 (kept outside the slots), 2^32−1,
+// n/2 hashes whose probes all start at the last slot, so their chain wraps
+// to slot 0 and is as long as they are many, and random hashes, with
+// repeats of earlier hashes between them.
+func TestHashSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 64, 1000} {
+		s := newHashSet(n)
+		if len(s.slots) < 2*n || len(s.slots)&(len(s.slots)-1) != 0 {
+			t.Fatalf("n=%d: %d slots, want a power of two of at least %d", n, len(s.slots), 2*n)
+		}
+		last := uint32(len(s.slots) - 1)
+		hs := []uint32{0, math.MaxUint32}
+		for h := uint32(1); len(hs) < 2+n/2; h++ {
+			if s.home(h) == last {
+				hs = append(hs, h)
+			}
+		}
+		want := map[uint32]struct{}{}
+		add := func(h uint32) {
+			_, had := want[h]
+			want[h] = struct{}{}
+			if absent := s.add(h); absent == had {
+				t.Fatalf("n=%d: add(%#x) reported absent=%v, the map held it: %v", n, h, absent, had)
+			}
+		}
+		var added []uint32
+		for len(want) < n {
+			var h uint32
+			switch {
+			case len(hs) > 0:
+				h, hs = hs[0], hs[1:]
+			case len(added) > 0 && rng.Intn(3) == 0:
+				h = added[rng.Intn(len(added))]
+			default:
+				h = rng.Uint32()
+			}
+			add(h)
+			added = append(added, h)
+		}
+		for _, h := range added {
+			add(h)
+		}
+		if n/2 >= 2 && (s.slots[last] == 0 || s.slots[0] == 0) {
+			t.Fatalf("n=%d: the chain at the last slot did not wrap to slot 0", n)
+		}
+	}
 }

@@ -62,13 +62,21 @@ type Config struct {
 	ClientProbe obs.ClientProbe
 }
 
-// makeKey renders the i-th memslap key (i >= 0): "key-" plus the ordinal
-// zero-padded to 12 digits, padded with 'x' or cut to keyBytes. It writes
-// the key into one allocation of keyBytes.
-func makeKey(i, keyBytes int) []byte {
+// appendKey appends the i-th memslap key (i >= 0) to dst and returns the
+// extended slice: "key-" plus the ordinal zero-padded to 12 digits, padded
+// with 'x' or cut to keyBytes. It allocates only when dst lacks room for
+// keyBytes more bytes, and then once, at least doubling dst's capacity.
+func appendKey(dst []byte, i, keyBytes int) []byte {
 	var digits [20]byte
 	d := strconv.AppendUint(digits[:0], uint64(i), 10)
-	key := make([]byte, keyBytes)
+	start := len(dst)
+	if n := start + keyBytes; n > cap(dst) {
+		grown := make([]byte, start, max(n, 2*cap(dst)))
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:start+keyBytes]
+	key := dst[start:]
 	n := copy(key, "key-")
 	for pad := 12 - len(d); pad > 0 && n < keyBytes; pad-- {
 		key[n] = '0'
@@ -78,5 +86,5 @@ func makeKey(i, keyBytes int) []byte {
 	for ; n < keyBytes; n++ {
 		key[n] = 'x'
 	}
-	return key
+	return dst
 }

@@ -105,6 +105,10 @@ func TestThroughputScalesWithBatchSize(t *testing.T) {
 	}
 }
 
+// makeKey is the i-th memslap key in a slice of its own: appendKey to an
+// empty slice.
+func makeKey(i, keyBytes int) []byte { return appendKey(nil, i, keyBytes) }
+
 func TestMakeKeyPadsToLength(t *testing.T) {
 	for _, n := range []int{16, 20, 40} {
 		k := makeKey(7, n)
@@ -117,10 +121,11 @@ func TestMakeKeyPadsToLength(t *testing.T) {
 	}
 }
 
-// TestMakeKeyMatchesSprintf: makeKey renders exactly the bytes of the
+// TestMakeKeyMatchesSprintf: appendKey renders exactly the bytes of the
 // Sprintf form it replaced ("key-%012d", padded with 'x' or cut) for
-// ordinals from 0 to 10^12-1 and key sizes from 1 to 40, in one
-// allocation.
+// ordinals from 0 to 10^12-1 and key sizes from 1 to 40, in one allocation
+// into an empty slice and in none after the keys of a buffer with room,
+// whose bytes it leaves alone.
 func TestMakeKeyMatchesSprintf(t *testing.T) {
 	ref := func(i, keyBytes int) string {
 		base := fmt.Sprintf("key-%012d", i)
@@ -149,6 +154,15 @@ func TestMakeKeyMatchesSprintf(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { makeKey(123456789, 20) }); n != 1 {
 		t.Errorf("makeKey made %v allocations, want 1", n)
+	}
+	buf := make([]byte, 0, 60)
+	buf = appendKey(buf, 7, 20)
+	buf = appendKey(buf, 8, 40)
+	if got, want := string(buf), ref(7, 20)+ref(8, 40); got != want {
+		t.Errorf("two appended keys are %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { appendKey(buf[:20], 9, 40) }); n != 0 {
+		t.Errorf("appendKey into a buffer with room made %v allocations, want 0", n)
 	}
 }
 

@@ -86,15 +86,11 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// ETCItems samples n (keyLen, valLen) pairs. The aggregate statistics match
-// the study: mean key ≈ 30–40 B, median value well under 500 B, heavy value
-// tail.
-func (e *ETC) Items(n int) []ETCItem {
-	items := make([]ETCItem, n)
-	for i := range items {
-		items[i] = ETCItem{KeyLen: e.KeyLen(), ValLen: e.ValLen()}
-	}
-	return items
+// Item samples one object's size: its key size, then its value size. The
+// aggregate statistics match the study: mean key ≈ 30–40 B, median value
+// well under 500 B, heavy value tail.
+func (e *ETC) Item() ETCItem {
+	return ETCItem{KeyLen: e.KeyLen(), ValLen: e.ValLen()}
 }
 
 // ETCItem is one sampled object size.

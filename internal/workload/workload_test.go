@@ -300,13 +300,18 @@ func TestETCDeterministic(t *testing.T) {
 	}
 }
 
+// TestETCItems: Item draws a key size, then a value size, from the
+// sampler's one stream, as KeyLen and ValLen called in turn do.
 func TestETCItems(t *testing.T) {
-	items := NewETC(3).Items(10)
-	if len(items) != 10 {
-		t.Fatalf("Items returned %d", len(items))
-	}
-	if items[0].String() == "" {
-		t.Error("empty item string")
+	a, b := NewETC(3), NewETC(3)
+	for i := 0; i < 10; i++ {
+		it := a.Item()
+		if want := (ETCItem{KeyLen: b.KeyLen(), ValLen: b.ValLen()}); it != want {
+			t.Fatalf("item %d is %v, want %v", i, it, want)
+		}
+		if it.String() == "" {
+			t.Error("empty item string")
+		}
 	}
 }
 
